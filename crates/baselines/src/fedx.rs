@@ -36,7 +36,8 @@ pub struct FedXConfig {
     pub bind_block_size: usize,
     /// Per-query time limit.
     pub timeout: Option<Duration>,
-    /// Worker threads (defaults to core count, min 4).
+    /// ERH width. `Some(n)` pins every wave to `n` threads; `None` is the
+    /// elastic default (see `RequestHandler::elastic`), as in `LusailConfig`.
     pub threads: Option<usize>,
 }
 
@@ -70,7 +71,7 @@ impl FedX {
     pub fn new(federation: Federation, config: FedXConfig) -> Self {
         let handler = match config.threads {
             Some(n) => RequestHandler::new(n),
-            None => RequestHandler::per_core(),
+            None => RequestHandler::elastic(federation.len()),
         };
         FedX {
             federation,

@@ -115,10 +115,11 @@ impl Splendid {
     /// Build the index (the preprocessing pass) and the engine.
     pub fn new(federation: Federation) -> Self {
         let index = VoidIndex::build(&federation);
+        let handler = RequestHandler::elastic(federation.len());
         Splendid {
             federation,
             index,
-            handler: RequestHandler::per_core(),
+            handler,
             hash_join_threshold: 500,
             bind_block_size: 100,
             timeout: None,

@@ -125,6 +125,7 @@ fn loopback_codec_report(
                 rows: rows as u64,
                 elapsed_ms,
                 codec: codec.to_string(),
+                ..Default::default()
             });
             cells.push((wire, elapsed_ms, rows));
         }

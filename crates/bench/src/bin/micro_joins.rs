@@ -148,6 +148,7 @@ fn main() {
                 rows: out.len() as u64,
                 elapsed_ms: ms,
                 codec: codec.to_string(),
+                ..Default::default()
             });
         }
     }

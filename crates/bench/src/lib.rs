@@ -287,17 +287,42 @@ pub fn measure(
 /// One machine-readable benchmark data point, written to a
 /// `BENCH_<name>.json` file alongside the human-readable tables so the
 /// perf trajectory is trackable across revisions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchRecord {
     pub query: String,
     /// Result bytes that crossed the wire (or the in-memory relation's
     /// wire size for microbenches with no socket).
     pub wire_bytes: u64,
     pub rows: u64,
+    /// The one measurement of a single-shot row; the median of a sampled
+    /// row (see [`BenchRecord::from_samples`]).
     pub elapsed_ms: f64,
+    /// 95th percentile of a sampled row.
+    pub p95_ms: f64,
+    /// Samples behind `elapsed_ms`/`p95_ms`; 0 marks a single-shot row.
+    pub samples: u64,
     /// Which result codec carried the bytes: "binary", "json", or for
     /// join microbenches the solution representation ("id", "string").
     pub codec: String,
+}
+
+impl BenchRecord {
+    /// A row summarising repeated wall-time samples (milliseconds) by their
+    /// median and nearest-rank 95th percentile.
+    pub fn from_samples(query: String, codec: String, rows: u64, samples_ms: &mut [f64]) -> Self {
+        assert!(!samples_ms.is_empty(), "a sampled row needs samples");
+        samples_ms.sort_by(f64::total_cmp);
+        let rank = |p: f64| samples_ms[((samples_ms.len() as f64 * p).ceil() as usize).max(1) - 1];
+        BenchRecord {
+            query,
+            rows,
+            elapsed_ms: rank(0.5),
+            p95_ms: rank(0.95),
+            samples: samples_ms.len() as u64,
+            codec,
+            ..Default::default()
+        }
+    }
 }
 
 /// Write records as a JSON array to `BENCH_<name>.json` in the current
@@ -306,8 +331,12 @@ pub fn write_bench_json(name: &str, records: &[BenchRecord]) -> std::io::Result<
     let body = records
         .iter()
         .map(|r| {
+            let sampled = match r.samples {
+                0 => String::new(),
+                n => format!(",\"p95_ms\":{:.3},\"samples\":{n}", r.p95_ms),
+            };
             format!(
-                "{{\"query\":\"{}\",\"wire_bytes\":{},\"rows\":{},\"elapsed_ms\":{:.3},\"codec\":\"{}\"}}",
+                "{{\"query\":\"{}\",\"wire_bytes\":{},\"rows\":{},\"elapsed_ms\":{:.3}{sampled},\"codec\":\"{}\"}}",
                 r.query.replace('"', "\\\""),
                 r.wire_bytes,
                 r.rows,

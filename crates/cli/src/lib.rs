@@ -1104,6 +1104,7 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                     print_codec_stats(&federation, out)?;
                     print_integrity_stats(lusail.integrity(), out)?;
                     print_memory_stats(&profile.memory, out)?;
+                    writeln!(out, "# erh: {}", lusail.erh())?;
                     print_lifecycle_stats(&ctx, started.elapsed(), None, out)?;
                 }
                 return Ok(());
@@ -1780,6 +1781,7 @@ mod tests {
         assert!(text.contains("# memory:"), "{text}");
         assert!(text.contains("peak accounted"), "{text}");
         assert!(text.contains("8388608 bytes"), "{text}");
+        assert!(text.contains("# erh: waves="), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

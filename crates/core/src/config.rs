@@ -70,7 +70,9 @@ pub struct LusailConfig {
     /// inside real servers' query-length limits (HTTP GET ceilings are
     /// typically 8 KiB; we leave headroom for the query body).
     pub bound_block_max_bytes: usize,
-    /// ERH thread-pool size. `None` sizes by core count (min 4).
+    /// ERH width. `Some(n)` pins every wave to exactly `n` threads; `None`
+    /// is elastic: waves start at the core count (min 4) and widen to one
+    /// thread per endpoint while they wait on the network.
     pub threads: Option<usize>,
     /// Per-query time limit (the paper uses one hour; benches scale down).
     pub timeout: Option<Duration>,

@@ -13,7 +13,9 @@ use crate::sape::execute::SapeExecutor;
 use crate::sape::schedule::{make_schedule, Schedule};
 use crate::source::select_sources;
 use crate::subquery::Subquery;
-use lusail_federation::{EndpointError, EndpointId, Federation, IntegrityRegistry, RequestHandler};
+use lusail_federation::{
+    EndpointError, EndpointId, Federation, IntegrityRegistry, RequestHandler, WaveSnapshot,
+};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::Term;
 use lusail_sparql::ast::{
@@ -78,7 +80,7 @@ impl LusailEngine {
     pub fn with_cache(federation: Federation, config: LusailConfig, cache: QueryCache) -> Self {
         let handler = match config.threads {
             Some(n) => RequestHandler::new(n),
-            None => RequestHandler::per_core(),
+            None => RequestHandler::elastic(federation.len()),
         };
         let integrity = IntegrityRegistry::new(config.integrity.clone());
         LusailEngine {
@@ -110,6 +112,12 @@ impl LusailEngine {
     /// accumulated across queries.
     pub fn integrity(&self) -> &IntegrityRegistry {
         &self.integrity
+    }
+
+    /// The ERH's wave counters (waves run, waves that widened, widest
+    /// wave) and its floor/ceiling, accumulated across queries.
+    pub fn erh(&self) -> WaveSnapshot {
+        self.handler.snapshot()
     }
 
     /// Execute a `SELECT` query, returning its solutions. `ASK` queries

@@ -1,12 +1,14 @@
-//! The Elastic Request Handler (ERH): a thread pool that fans requests out
-//! to endpoints in parallel (Section 2 of the paper), plus the failure
-//! machinery the pool's clients share — query [`Deadline`] budgets and the
+//! The Elastic Request Handler (ERH): fans each wave of requests out to
+//! endpoints on per-wave scoped threads (Section 2 of the paper), plus the
+//! failure machinery its clients share — query [`Deadline`] budgets and the
 //! per-endpoint [`EndpointHealth`] registry with its circuit breaker.
 //!
-//! LADE uses the pool to evaluate check queries at all relevant endpoints
-//! simultaneously; SAPE uses it to collect non-delayed subquery results
-//! with one logical thread per endpoint. The pool is sized by the number of
-//! available cores by default, exactly as the paper describes ERH sizing.
+//! LADE uses the handler to evaluate check queries at all relevant
+//! endpoints simultaneously; SAPE uses it to collect non-delayed subquery
+//! results. A wave starts at the *floor* width (`available_parallelism`,
+//! at least 4) and, when its workers turn out to be blocked on the network,
+//! widens to the *ceiling* — one thread per endpoint, as the paper sizes
+//! the ERH — see [`RequestHandler`].
 //!
 //! Real Linked Data endpoints are slow, flaky, and frequently down, so the
 //! fan-out layer owns the fault semantics: a panicking task is caught and
@@ -18,6 +20,7 @@
 use crate::cancel::{CancelReason, CancelToken};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -177,41 +180,118 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-/// A fixed-size worker pool for blocking endpoint requests.
+/// How long the collecting thread waits for a result before it concludes
+/// that the running workers are blocked on the network and widens the wave.
+/// Some 40–70× the cost of spawning and joining a thread: long enough that
+/// CPU-bound waves (which deliver results every few microseconds) never
+/// widen, short against any real round trip.
+const RAMP_INTERVAL: Duration = Duration::from_millis(1);
+
+/// The widest a wave may grow, whatever the federation size.
+const MAX_CEILING: usize = 64;
+
+type TaskResult<T> = Result<T, Box<dyn Any + Send>>;
+
+/// Wave counters of one [`RequestHandler`], from [`RequestHandler::snapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaveSnapshot {
+    /// Non-empty batches executed.
+    pub waves: u64,
+    /// Waves that widened past the floor because their workers stalled.
+    pub ramped_waves: u64,
+    /// The most worker threads any one wave ran on (1 for inline waves).
+    pub peak_width: usize,
+    /// Initial width of every wave; what `parallel_join` partitions by.
+    pub floor: usize,
+    /// The width a stalled wave may grow to.
+    pub ceiling: usize,
+}
+
+impl std::fmt::Display for WaveSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "waves={} ramped={} peak_width={} floor={} ceiling={}",
+            self.waves, self.ramped_waves, self.peak_width, self.floor, self.ceiling
+        )
+    }
+}
+
+/// Runs batches ("waves") of blocking endpoint requests on scoped threads
+/// spawned per wave.
 ///
 /// `run` executes a batch of independent closures and returns their results
-/// in submission order. Closures block on simulated network sleeps, so a
-/// pool larger than the core count still yields real concurrency — matching
-/// how federated engines overlap waiting on many HTTP requests.
+/// in submission order. A wave starts `min(floor, tasks)` workers. The
+/// collecting thread then watches the result channel one [`RAMP_INTERVAL`]
+/// at a time: a whole interval with no result, while tasks are still
+/// unclaimed and every worker holds one, means the workers are waiting on
+/// the network, not computing, so it spawns one more worker per unclaimed
+/// task up to the ceiling — waiting threads cost no CPU, and the wave
+/// finishes in one round trip instead of `tasks / floor`. Waves whose
+/// results arrive faster than the interval (zero-latency endpoints, join
+/// partitions) never widen.
 pub struct RequestHandler {
-    threads: usize,
+    floor: usize,
+    ceiling: usize,
+    waves: AtomicU64,
+    ramped_waves: AtomicU64,
+    peak_width: AtomicUsize,
 }
 
 impl RequestHandler {
-    /// A pool with an explicit thread count. Counts are clamped to ≥ 1.
-    pub fn new(threads: usize) -> Self {
+    fn with_widths(floor: usize, ceiling: usize) -> Self {
         RequestHandler {
-            threads: threads.max(1),
+            floor,
+            ceiling,
+            waves: AtomicU64::new(0),
+            ramped_waves: AtomicU64::new(0),
+            peak_width: AtomicUsize::new(0),
         }
     }
 
-    /// A pool sized like the paper's ERH: the number of physical cores, but
-    /// never fewer than 4 so network waits still overlap on small machines.
-    pub fn per_core() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        RequestHandler::new(cores.max(4))
+    /// A handler pinned to exactly `threads` workers per wave (floor =
+    /// ceiling), clamped to ≥ 1. Waves never widen, so thread sweeps
+    /// measure what they say.
+    pub fn new(threads: usize) -> Self {
+        let threads = threads.max(1);
+        Self::with_widths(threads, threads)
     }
 
-    /// The configured degree of parallelism.
+    /// A fixed-width handler sized by `available_parallelism` (logical
+    /// CPUs this process may use), but never fewer than 4 so network waits
+    /// still overlap on small machines.
+    pub fn per_core() -> Self {
+        RequestHandler::new(core_floor())
+    }
+
+    /// The elastic handler for a federation of `endpoints`: the
+    /// [`per_core`](Self::per_core) width as the floor, and one thread per
+    /// endpoint (at most 64) as the ceiling.
+    pub fn elastic(endpoints: usize) -> Self {
+        let floor = core_floor();
+        Self::with_widths(floor, endpoints.clamp(floor, MAX_CEILING.max(floor)))
+    }
+
+    /// The floor: the initial width of every wave and the CPU fan-out
+    /// `parallel_join` partitions by.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.floor
+    }
+
+    /// The wave counters plus the configured floor and ceiling.
+    pub fn snapshot(&self) -> WaveSnapshot {
+        WaveSnapshot {
+            waves: self.waves.load(Ordering::Relaxed),
+            ramped_waves: self.ramped_waves.load(Ordering::Relaxed),
+            peak_width: self.peak_width.load(Ordering::Relaxed),
+            floor: self.floor,
+            ceiling: self.ceiling,
+        }
     }
 
     /// Execute every task, catching panics per task so one bad task cannot
     /// poison the queue or strand its siblings' results.
-    fn run_raw<T, F>(&self, tasks: Vec<F>) -> Vec<Result<T, Box<dyn Any + Send>>>
+    fn run_raw<T, F>(&self, tasks: Vec<F>) -> Vec<TaskResult<T>>
     where
         T: Send,
         F: FnOnce() -> T + Send,
@@ -220,9 +300,11 @@ impl RequestHandler {
         if n == 0 {
             return Vec::new();
         }
-        // Run small batches inline to avoid thread spawn overhead. Panics
-        // are still caught so later tasks in the batch run.
-        if n == 1 || self.threads == 1 {
+        self.waves.fetch_add(1, Ordering::Relaxed);
+        // Run small batches inline, in submission order, to avoid thread
+        // spawn overhead. Panics are still caught so later tasks run.
+        if n == 1 || self.floor == 1 {
+            self.peak_width.fetch_max(1, Ordering::Relaxed);
             return tasks
                 .into_iter()
                 .map(|f| catch_unwind(AssertUnwindSafe(f)))
@@ -232,40 +314,71 @@ impl RequestHandler {
         // Workers pull from a shared queue (a locked iterator — std has no
         // MPMC channel) and push results through an MPSC channel.
         let queue = Mutex::new(tasks.into_iter().enumerate());
-        let (res_tx, res_rx) = mpsc::channel::<(usize, Result<T, Box<dyn Any + Send>>)>();
+        let (res_tx, res_rx) = mpsc::channel::<(usize, TaskResult<T>)>();
+        let mut slots: Vec<Option<TaskResult<T>>> = (0..n).map(|_| None).collect();
 
-        let workers = self.threads.min(n);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let queue = &queue;
-                let res_tx = res_tx.clone();
-                scope.spawn(move || loop {
-                    // A poisoned lock just means a sibling worker panicked
-                    // between tasks; the queue itself is still consistent.
-                    let next = queue
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .next();
-                    let Some((i, f)) = next else {
-                        break;
-                    };
-                    let r = catch_unwind(AssertUnwindSafe(f));
-                    if res_tx.send((i, r)).is_err() {
+            // Spawn up to `count` workers; returns how many the OS granted.
+            // A refused spawn is not an error: the wave just stays narrower.
+            let spawn_workers = |count: usize, res_tx: &mpsc::Sender<_>| {
+                (0..count)
+                    .take_while(|_| {
+                        let res_tx = res_tx.clone();
+                        std::thread::Builder::new()
+                            .spawn_scoped(scope, || drain_queue(&queue, res_tx))
+                            .is_ok()
+                    })
+                    .count()
+            };
+
+            let mut width = spawn_workers(self.floor.min(n), &res_tx);
+            if width == 0 {
+                // Not even one thread: the caller does the work itself.
+                drain_queue(&queue, res_tx.clone());
+                width = 1;
+            }
+
+            // Ramp phase: while the wave could still widen, wait one
+            // interval at a time. The collector holds a sender here, so the
+            // loop ends on the count, not on disconnect.
+            let mut received = 0;
+            while received < n && width < self.ceiling.min(n) {
+                match res_rx.recv_timeout(RAMP_INTERVAL) {
+                    Ok((i, r)) => {
+                        slots[i] = Some(r);
+                        received += 1;
+                    }
+                    Err(_) => {
+                        let unclaimed = queue
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .len();
+                        // A worker that holds no task while tasks remain is
+                        // waiting for a CPU, not for the network: more
+                        // threads would not help, so keep watching.
+                        if unclaimed > 0 && n - unclaimed - received < width {
+                            continue;
+                        }
+                        let grown = spawn_workers(unclaimed.min(self.ceiling - width), &res_tx);
+                        if grown > 0 {
+                            width += grown;
+                            self.ramped_waves.fetch_add(1, Ordering::Relaxed);
+                        }
                         break;
                     }
-                });
+                }
             }
+            self.peak_width.fetch_max(width, Ordering::Relaxed);
+
             drop(res_tx);
-            let mut slots: Vec<Option<Result<T, Box<dyn Any + Send>>>> =
-                (0..n).map(|_| None).collect();
             while let Ok((i, r)) = res_rx.recv() {
                 slots[i] = Some(r);
             }
-            slots
-                .into_iter()
-                .map(|s| s.expect("worker completed every task"))
-                .collect()
-        })
+        });
+        slots
+            .into_iter()
+            .map(|s| s.expect("worker completed every task"))
+            .collect()
     }
 
     /// Execute all `tasks` on the pool, returning results in order.
@@ -378,6 +491,37 @@ impl RequestHandler {
 impl Default for RequestHandler {
     fn default() -> Self {
         RequestHandler::per_core()
+    }
+}
+
+fn core_floor() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .max(4)
+}
+
+/// One worker: claim tasks from the shared queue until it is empty, sending
+/// each result (or caught panic) to the collector.
+fn drain_queue<T, F>(
+    queue: &Mutex<std::iter::Enumerate<std::vec::IntoIter<F>>>,
+    res_tx: mpsc::Sender<(usize, TaskResult<T>)>,
+) where
+    F: FnOnce() -> T,
+{
+    loop {
+        // A poisoned lock just means a sibling worker panicked between
+        // tasks; the queue itself is still consistent.
+        let next = queue
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .next();
+        let Some((i, f)) = next else {
+            break;
+        };
+        if res_tx.send((i, catch_unwind(AssertUnwindSafe(f)))).is_err() {
+            break;
+        }
     }
 }
 
@@ -868,6 +1012,135 @@ mod tests {
             |i: usize| i,
         );
         assert_eq!(out, (0..10).collect::<Vec<_>>());
+    }
+
+    // --- elasticity ---
+
+    fn sleep_wave(pool: &RequestHandler, tasks: usize, each: Duration) -> Duration {
+        let start = Instant::now();
+        pool.map((0..tasks).collect(), |_: usize| std::thread::sleep(each));
+        start.elapsed()
+    }
+
+    #[test]
+    fn stalled_wave_widens_to_the_ceiling() {
+        let pool = RequestHandler::with_widths(4, 13);
+        let elapsed = sleep_wave(&pool, 13, Duration::from_millis(20));
+        let snap = pool.snapshot();
+        assert_eq!((snap.waves, snap.ramped_waves), (1, 1), "{snap}");
+        assert_eq!(snap.peak_width, 13, "{snap}");
+        // Four rounds of 20 ms on the floor alone; one round plus the ramp
+        // interval once widened.
+        assert!(
+            elapsed < Duration::from_millis(60),
+            "wave did not widen in time: {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn widening_is_capped_by_the_ceiling() {
+        let pool = RequestHandler::with_widths(4, 6);
+        sleep_wave(&pool, 13, Duration::from_millis(5));
+        assert_eq!(pool.snapshot().peak_width, 6);
+    }
+
+    #[test]
+    fn cpu_bound_wave_never_widens() {
+        let pool = RequestHandler::with_widths(4, 13);
+        let out = pool.map((0..64u64).collect(), |i| {
+            let until = Instant::now() + Duration::from_micros(50);
+            let mut x = i;
+            while Instant::now() < until {
+                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(1));
+            }
+            x
+        });
+        assert_eq!(out.len(), 64);
+        let snap = pool.snapshot();
+        assert_eq!(snap.ramped_waves, 0, "{snap}");
+        assert_eq!(snap.peak_width, 4, "{snap}");
+    }
+
+    #[test]
+    fn pinned_handler_never_exceeds_its_width() {
+        let pool = RequestHandler::new(4);
+        let inflight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        pool.map((0..13).collect(), |_: usize| {
+            peak.fetch_max(
+                inflight.fetch_add(1, Ordering::SeqCst) + 1,
+                Ordering::SeqCst,
+            );
+            std::thread::sleep(Duration::from_millis(5));
+            inflight.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert!(peak.load(Ordering::SeqCst) <= 4);
+        let snap = pool.snapshot();
+        assert_eq!((snap.ramped_waves, snap.peak_width), (0, 4), "{snap}");
+        assert_eq!((snap.floor, snap.ceiling), (4, 4));
+    }
+
+    #[test]
+    fn elastic_ceiling_follows_the_federation_size() {
+        let floor = RequestHandler::per_core().threads();
+        for (endpoints, ceiling) in [(0, floor), (floor + 9, floor + 9), (10_000, 64.max(floor))] {
+            let snap = RequestHandler::elastic(endpoints).snapshot();
+            assert_eq!((snap.floor, snap.ceiling), (floor, ceiling));
+        }
+    }
+
+    #[test]
+    fn single_thread_runs_in_order_on_the_caller() {
+        let pool = RequestHandler::new(1);
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        pool.map((0..20).collect(), |i: usize| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
+        });
+        assert_eq!(*order.lock().unwrap(), (0..20).collect::<Vec<_>>());
+        assert_eq!(pool.snapshot().peak_width, 1);
+    }
+
+    #[test]
+    fn panic_in_a_late_spawned_worker_keeps_sibling_results() {
+        // The four floor workers claim tasks 0–3 and block; task 12 can
+        // only be claimed by a worker spawned at the ramp.
+        let pool = RequestHandler::with_widths(4, 13);
+        let out = pool.run_catch(
+            (0..13)
+                .map(|i| {
+                    move || {
+                        std::thread::sleep(Duration::from_millis(10));
+                        if i == 12 {
+                            panic!("late worker failure");
+                        }
+                        i
+                    }
+                })
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(pool.snapshot().ramped_waves, 1);
+        for (i, r) in out.iter().enumerate() {
+            match r {
+                Err(p) => assert_eq!((i, p.message.as_str()), (12, "late worker failure")),
+                Ok(v) => assert_eq!(*v, i),
+            }
+        }
+        assert!(out[12].is_err());
+    }
+
+    #[test]
+    fn expired_deadline_cancels_without_widening() {
+        let pool = RequestHandler::with_widths(4, 13);
+        let out = pool.map_cancellable(
+            (0..13).collect(),
+            Deadline::within(Duration::ZERO),
+            |_: usize| -1i64,
+            |_: usize| -> i64 { panic!("must not run past the deadline") },
+        );
+        assert_eq!(out, vec![-1; 13]);
+        assert_eq!(pool.snapshot().ramped_waves, 0);
     }
 
     // --- circuit breaker ---

@@ -197,6 +197,53 @@ fn lusail_supports_the_disjoint_queries() {
     }
 }
 
+#[test]
+fn elastic_erh_reschedules_requests_without_changing_them() {
+    // 13 endpoints at a 5 ms round trip: the elastic handler widens its
+    // waves past 4 threads, the pinned one cannot, and neither the answer
+    // nor a single request may differ.
+    let graphs = largerdf::generate_all(&largerdf::LargeRdfConfig {
+        scale: 0.2,
+        ..Default::default()
+    });
+    let profile = NetworkProfile {
+        latency: std::time::Duration::from_millis(5),
+        bytes_per_sec: u64::MAX,
+    };
+    let engine = |threads| {
+        LusailEngine::new(
+            federation_from_graphs(graphs.clone(), profile),
+            LusailConfig {
+                threads,
+                ..Default::default()
+            },
+        )
+    };
+    let (elastic, pinned) = (engine(None), engine(Some(4)));
+    assert_eq!(elastic.federation().len(), 13);
+    let queries = largerdf::all_queries();
+    for q in queries
+        .iter()
+        .filter(|q| matches!(q.name, "S2" | "S10" | "C2"))
+    {
+        let query = q.parse();
+        let a = elastic.execute(&query).unwrap();
+        let b = pinned.execute(&query).unwrap();
+        assert_same_solutions(q.name, &a, &b);
+        assert_eq!(
+            elastic.federation().total_traffic().requests,
+            pinned.federation().total_traffic().requests,
+            "{}: request counts diverged",
+            q.name
+        );
+    }
+    let (e, p) = (elastic.erh(), pinned.erh());
+    assert!(e.ramped_waves > 0 && e.peak_width > 4, "{e}");
+    assert_eq!((p.ramped_waves, p.ceiling), (0, 4), "{p}");
+    assert!(p.peak_width <= 4, "{p}");
+    assert_eq!(e.waves, p.waves);
+}
+
 // ---- Bio2RDF ------------------------------------------------------------
 
 #[test]
