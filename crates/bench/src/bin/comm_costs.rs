@@ -61,10 +61,14 @@ fn report(title: &str, graphs: &[(String, lusail_rdf::Graph)], queries: &[BenchQ
     }
 }
 
+/// Timed runs behind each loopback row (median and p95 are recorded).
+const SAMPLES: u64 = 7;
+
 /// Loopback codec comparison: the same federation served over real HTTP
 /// sockets, once with the binary codec negotiated and once forced to
 /// SPARQL JSON. Result bytes on the wire (response bodies) come from the
 /// endpoints' codec counters, so the reduction is measured, not modeled.
+/// Times are the median of [`SAMPLES`] steady-state runs.
 fn loopback_codec_report(
     tag: &str,
     graphs: &[(String, lusail_rdf::Graph)],
@@ -110,24 +114,31 @@ fn loopback_codec_report(
                     ..Default::default()
                 },
             );
-            // Warm run loads caches; the measured run is the steady state.
+            // Warm run loads caches; the sampled runs are the steady state
+            // (same requests, same bytes every time).
             let _ = engine.execute(&parsed);
             let before = fed.total_codec().unwrap_or_default();
-            let start = Instant::now();
-            let rows = engine.execute(&parsed).map(|r| r.len()).unwrap_or(0);
-            let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
+            let mut rows = 0;
+            let mut samples_ms: Vec<f64> = (0..SAMPLES)
+                .map(|_| {
+                    let start = Instant::now();
+                    rows = engine.execute(&parsed).map(|r| r.len()).unwrap_or(0);
+                    start.elapsed().as_secs_f64() * 1000.0
+                })
+                .collect();
             let after = fed.total_codec().unwrap_or_default();
-            let wire = (after.binary_bytes_in + after.json_bytes_in)
-                - (before.binary_bytes_in + before.json_bytes_in);
-            records.push(BenchRecord {
-                query: format!("{tag}/{}", q.name),
-                wire_bytes: wire,
-                rows: rows as u64,
-                elapsed_ms,
-                codec: codec.to_string(),
-                ..Default::default()
-            });
-            cells.push((wire, elapsed_ms, rows));
+            let wire = ((after.binary_bytes_in + after.json_bytes_in)
+                - (before.binary_bytes_in + before.json_bytes_in))
+                / SAMPLES;
+            let mut record = BenchRecord::from_samples(
+                format!("{tag}/{}", q.name),
+                codec.to_string(),
+                rows as u64,
+                &mut samples_ms,
+            );
+            record.wire_bytes = wire;
+            cells.push((wire, record.elapsed_ms, rows));
+            records.push(record);
         }
         let (bin_b, bin_ms, rows) = cells[0];
         let (json_b, json_ms, _) = cells[1];

@@ -1083,7 +1083,7 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                     writeln!(out, "# check queries : {}", profile.check_queries)?;
                     writeln!(
                         out,
-                        "# phases        : source {:?}, analysis {:?}, execution {:?}",
+                        "# phases        : probe (sources + counts) {:?}, analysis (checks + plan) {:?}, execution {:?}",
                         profile.source_selection, profile.analysis, profile.execution
                     )?;
                     writeln!(

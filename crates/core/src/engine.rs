@@ -8,10 +8,10 @@ use crate::lade::decompose::{decompose, SubqueryDraft};
 use crate::lade::gjv::detect_gjvs_with;
 use crate::normalize::{normalize, ConjBranch};
 use crate::run::{ExecutionWarning, RunContext};
-use crate::sape::estimate::{collect_tp_counts, subquery_cardinality, TpCounts};
+use crate::sape::estimate::{subquery_cardinality, TpCounts};
 use crate::sape::execute::SapeExecutor;
 use crate::sape::schedule::{make_schedule, Schedule};
-use crate::source::select_sources;
+use crate::source::{probe, BranchStats};
 use crate::subquery::Subquery;
 use lusail_federation::{
     EndpointError, EndpointId, Federation, IntegrityRegistry, RequestHandler, WaveSnapshot,
@@ -29,9 +29,12 @@ use std::time::{Duration, Instant};
 /// paper's Figure 12 profiling plots).
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionProfile {
-    /// Time in source selection (ASK probes / cache).
+    /// Time in the analysis probe round ([`crate::source::probe`]): source
+    /// selection and the `COUNT` statistics of every triple pattern, from
+    /// the caches or one request per endpoint.
     pub source_selection: Duration,
-    /// Time in query analysis: GJV detection, COUNT probes, decomposition.
+    /// Time in query analysis: GJV detection (check queries),
+    /// decomposition and cardinality estimation — no `COUNT` requests.
     pub analysis: Duration,
     /// Time executing subqueries and joining their results.
     pub execution: Duration,
@@ -165,9 +168,24 @@ impl LusailEngine {
         };
 
         let branches = normalize(&select_view.pattern)?;
+
+        // ---- Source selection + pattern statistics, whole query ----------
+        let cache = self.config.enable_cache.then_some(&self.cache);
+        let t = Instant::now();
+        let probed = probe(
+            &self.federation,
+            &self.handler,
+            cache,
+            cache.filter(|_| self.config.cache_counts),
+            &branches,
+            ctx,
+        )?;
+        profile.source_selection = t.elapsed();
+        ctx.check()?;
+
         let mut combined: Option<Relation> = None;
-        for branch in &branches {
-            let rel = self.execute_branch(branch, &select_view, ctx, &mut profile)?;
+        for (branch, stats) in branches.iter().zip(&probed) {
+            let rel = self.execute_branch(branch, stats, &select_view, ctx, &mut profile)?;
             combined = Some(match combined {
                 None => rel,
                 Some(acc) => union_relations(acc, rel),
@@ -254,34 +272,21 @@ impl LusailEngine {
     fn execute_branch(
         &self,
         branch: &ConjBranch,
+        stats: &BranchStats,
         select_view: &SelectQuery,
         ctx: &RunContext,
         profile: &mut ExecutionProfile,
     ) -> Result<Relation, EngineError> {
-        let cache = self.config.enable_cache.then_some(&self.cache);
-        let count_cache =
-            (self.config.enable_cache && self.config.cache_counts).then_some(&self.cache);
-
-        // ---- Source selection ------------------------------------------
-        let t = Instant::now();
-        let sources = select_sources(
-            &self.federation,
-            &self.handler,
-            cache,
-            &branch.patterns,
-            ctx,
-        )?;
-        profile.source_selection += t.elapsed();
-        ctx.check()?;
+        let (sources, counts) = (&stats.required.sources, &stats.required.counts);
 
         // ---- LADE: GJV detection + decomposition ------------------------
         let t = Instant::now();
         let analysis = detect_gjvs_with(
             &self.federation,
             &self.handler,
-            cache,
+            self.config.enable_cache.then_some(&self.cache),
             &branch.patterns,
-            &sources,
+            sources,
             self.config.paranoid_locality,
             ctx,
         )?;
@@ -293,30 +298,19 @@ impl LusailEngine {
         }
         ctx.check()?;
 
-        let counts = collect_tp_counts(
-            &self.federation,
-            &self.handler,
-            count_cache,
-            &branch.patterns,
-            &branch.filters,
-            &sources,
-            ctx,
-        )?;
-        ctx.check()?;
-
         let estimator = |drafts: &[SubqueryDraft]| -> f64 {
             drafts
                 .iter()
                 .map(|d| {
-                    subquery_cardinality(&d.patterns, &d.sources, &branch.patterns, &counts, &[])
+                    subquery_cardinality(&d.patterns, &d.sources, &branch.patterns, counts, &[])
                         as f64
                 })
                 .sum()
         };
-        let decomposition = decompose(&branch.patterns, &sources, &analysis, &estimator);
+        let decomposition = decompose(&branch.patterns, sources, &analysis, &estimator);
         let (mut subqueries, mut cardinalities, global_filters) =
-            self.build_subqueries(branch, select_view, &decomposition.subqueries, &counts);
-        // Expected per-endpoint row counts, from the COUNT probes: exact
+            self.build_subqueries(branch, select_view, &decomposition.subqueries, counts);
+        // Expected per-endpoint row counts, from the probe's COUNTs: exact
         // only for single-pattern subqueries, where the probe measured
         // the very query the wave will send. A delivery below the
         // expectation is the integrity layer's truncation signal.
@@ -331,28 +325,10 @@ impl LusailEngine {
                 }
             })
             .collect();
-        profile.analysis += t.elapsed();
 
         // ---- Optional subqueries ----------------------------------------
-        let t_opt = Instant::now();
-        for block in &branch.optionals {
-            let opt_sources =
-                select_sources(&self.federation, &self.handler, cache, &block.patterns, ctx)?;
-            let merged: Vec<EndpointId> = {
-                let mut s: Vec<EndpointId> = opt_sources.iter().flatten().copied().collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            };
-            let opt_counts = collect_tp_counts(
-                &self.federation,
-                &self.handler,
-                count_cache,
-                &block.patterns,
-                &block.filters,
-                &opt_sources,
-                ctx,
-            )?;
+        for (block, opt) in branch.optionals.iter().zip(&stats.optionals) {
+            let merged = merged_sources(&opt.sources);
             let id = subqueries.len();
             let sq = Subquery {
                 id,
@@ -366,13 +342,13 @@ impl LusailEngine {
                 &(0..block.patterns.len()).collect::<Vec<_>>(),
                 &merged,
                 &block.patterns,
-                &opt_counts,
+                &opt.counts,
                 &sq.projection,
             );
             subqueries.push(sq);
             cardinalities.push(card);
         }
-        profile.analysis += t_opt.elapsed();
+        profile.analysis += t.elapsed();
         profile.subqueries += subqueries.len();
 
         // ---- SAPE: schedule + execute ------------------------------------
@@ -429,16 +405,9 @@ impl LusailEngine {
             let values_rel = Relation::from_rows(vars.clone(), rows.clone());
             rel = rel.join(&values_rel);
         }
-        for block in &branch.minuses {
+        for (block, minus) in branch.minuses.iter().zip(&stats.minuses) {
             ctx.check()?;
-            let minus_sources =
-                select_sources(&self.federation, &self.handler, cache, &block.patterns, ctx)?;
-            let merged: Vec<EndpointId> = {
-                let mut s: Vec<EndpointId> = minus_sources.iter().flatten().copied().collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            };
+            let merged = merged_sources(&minus.sources);
             let sq = Subquery {
                 id: usize::MAX,
                 patterns: block.patterns.clone(),
@@ -597,6 +566,14 @@ impl LusailEngine {
             .collect();
         (subqueries, cardinalities, globals)
     }
+}
+
+/// The endpoints relevant to any pattern of a block, ascending.
+fn merged_sources(sources: &[Vec<EndpointId>]) -> Vec<EndpointId> {
+    let mut merged: Vec<EndpointId> = sources.iter().flatten().copied().collect();
+    merged.sort_unstable();
+    merged.dedup();
+    merged
 }
 
 /// Filters containing EXISTS cannot be pushed textually with our

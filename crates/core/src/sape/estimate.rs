@@ -1,8 +1,10 @@
 //! SAPE's cardinality model (Section 4.1).
 //!
-//! During query analysis, Lusail issues one `SELECT COUNT` probe per triple
-//! pattern per relevant endpoint, with any filter that only touches that
-//! pattern's variables pushed into the probe. Composition rules:
+//! During query analysis, Lusail learns one `COUNT` per triple pattern per
+//! relevant endpoint, with any filter that only touches that pattern's
+//! variables pushed in; the counts arrive with source selection, in the one
+//! batched request per endpoint of [`crate::source::probe`]. Composition
+//! rules:
 //!
 //! * `C(sq, v, ep) = min over patterns of sq containing v of C(tp, ep)`
 //! * `C(sq, v)     = Σ over relevant endpoints of C(sq, v, ep)`
@@ -13,10 +15,7 @@
 //! split. The paper reports a median q-error of 1.09 for this model on
 //! LargeRDFBench; the `qerror` bench reproduces that measurement.
 
-use crate::cache::{pattern_key, QueryCache};
-use crate::error::EngineError;
-use crate::run::RunContext;
-use lusail_federation::{EndpointError, EndpointId, Federation, RequestHandler};
+use lusail_federation::EndpointId;
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, SelectQuery, TriplePattern, Variable,
@@ -39,75 +38,27 @@ pub fn pushable_filters<'a>(tp: &TriplePattern, filters: &'a [Expression]) -> Ve
         .collect()
 }
 
-/// The `SELECT (COUNT(*) AS ?c)` probe for one pattern.
-pub fn count_query(tp: &TriplePattern, filters: &[Expression]) -> Query {
+/// `SELECT (COUNT(*) AS ?as_var) WHERE { tp [pushable FILTERs] }`: one arm
+/// of the analysis probe ([`crate::source::probe`]).
+pub fn count_select(tp: &TriplePattern, filters: &[Expression], as_var: Variable) -> SelectQuery {
     let mut p = GraphPattern::Bgp(vec![tp.clone()]);
     for f in pushable_filters(tp, filters) {
         p = GraphPattern::Filter(Box::new(p), f.clone());
     }
-    Query::select(SelectQuery::new(
+    SelectQuery::new(
         Projection::Count {
             inner: None,
             distinct: false,
-            as_var: Variable::new("lusail_c"),
+            as_var,
         },
         p,
-    ))
+    )
 }
 
-/// Collect `COUNT` probes for every pattern at its relevant endpoints, in
-/// one parallel wave, consulting and filling the cache.
-///
-/// Probes respect `ctx`: under the partial policy an unanswerable probe
-/// contributes a count of 0 (with a warning) and is not cached.
-pub fn collect_tp_counts(
-    federation: &Federation,
-    handler: &RequestHandler,
-    cache: Option<&QueryCache>,
-    patterns: &[TriplePattern],
-    filters: &[Expression],
-    sources: &[Vec<EndpointId>],
-    ctx: &RunContext,
-) -> Result<TpCounts, EngineError> {
-    let mut counts: TpCounts = vec![FxHashMap::default(); patterns.len()];
-    let mut probes: Vec<(usize, EndpointId, String)> = Vec::new();
-    for (i, tp) in patterns.iter().enumerate() {
-        let filter_tag: String = pushable_filters(tp, filters)
-            .iter()
-            .map(|f| format!("{f:?}"))
-            .collect();
-        let key = format!("{}|{}", pattern_key(tp), filter_tag);
-        for &ep in &sources[i] {
-            match cache.and_then(|c| c.get_count(&key, ep)) {
-                Some(n) => {
-                    counts[i].insert(ep, n);
-                }
-                None => probes.push((i, ep, key.clone())),
-            }
-        }
-    }
-    let answers = handler.map_cancellable(
-        (0..probes.len()).collect(),
-        ctx.deadline.clone(),
-        |_| Err(EndpointError::deadline("cardinality probe")),
-        |pi| {
-            let (i, ep, _) = &probes[pi];
-            federation
-                .endpoint(*ep)
-                .count_within(&count_query(&patterns[*i], filters), ctx.deadline.clone())
-        },
-    );
-    for ((i, ep, key), n) in probes.into_iter().zip(answers) {
-        let what = format!("COUNT probe for {}", pattern_key(&patterns[i]));
-        let (n, degraded) = ctx.absorb_flagged(&what, 0, n)?;
-        if let Some(c) = cache {
-            if !degraded {
-                c.put_count(key, ep, n);
-            }
-        }
-        counts[i].insert(ep, n);
-    }
-    Ok(counts)
+/// The stand-alone `COUNT` query for one pattern: what the probe's arm for
+/// it must answer, and the reference the tests compare the probe against.
+pub fn count_query(tp: &TriplePattern, filters: &[Expression]) -> Query {
+    Query::select(count_select(tp, filters, Variable::new("lusail_c")))
 }
 
 /// `C(sq, v)` for a draft subquery given as pattern indices.

@@ -19,7 +19,7 @@ pub mod recover;
 pub mod schedule;
 pub mod stats;
 
-pub use estimate::{collect_tp_counts, q_error, subquery_cardinality, TpCounts};
+pub use estimate::{q_error, subquery_cardinality, TpCounts};
 pub use execute::{SapeExecutor, SapeOutcome};
 pub use join::{dp_join_order, parallel_join};
 pub use schedule::{make_schedule, Schedule};

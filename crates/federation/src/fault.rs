@@ -18,7 +18,7 @@ use crate::erh::{
     Admission, BreakerConfig, BreakerState, Deadline, EndpointHealth, HealthSnapshot,
 };
 use crate::network::TrafficSnapshot;
-use lusail_sparql::ast::Query;
+use lusail_sparql::ast::{GraphPattern, Projection, Query, QueryForm};
 use lusail_store::eval::QueryResult;
 use lusail_store::StoreStats;
 use std::sync::{Arc, Mutex};
@@ -315,7 +315,9 @@ impl FaultyEndpoint {
         if let Some(factor) = profile.miscount_factor {
             if is_count_select(query) {
                 if let QueryResult::Solutions(rel) = &mut result {
-                    if let Some(cell) = rel.rows_mut().first_mut().and_then(|r| r.first_mut()) {
+                    // One cell for a plain COUNT, one per pattern for the
+                    // analysis probe: the endpoint lies in all of them.
+                    for cell in rel.rows_mut().iter_mut().take(1).flatten() {
                         let real = cell
                             .as_ref()
                             .and_then(|t| t.as_literal())
@@ -373,26 +375,38 @@ enum InjectedFault {
     Malformed,
 }
 
-/// A plain `SELECT` — not ASK, not an aggregate — i.e. the query shapes
-/// carrying real subquery work rather than analysis probes.
+/// A plain `SELECT` — not ASK, not an aggregate, not the analysis probe —
+/// i.e. the query shapes carrying real subquery work.
 fn is_plain_select(query: &Query) -> bool {
     match &query.form {
-        lusail_sparql::ast::QueryForm::Ask(_) => false,
-        lusail_sparql::ast::QueryForm::Select(s) => matches!(
-            s.projection,
-            lusail_sparql::ast::Projection::All | lusail_sparql::ast::Projection::Vars(_)
-        ),
+        QueryForm::Ask(_) => false,
+        QueryForm::Select(s) => {
+            matches!(s.projection, Projection::All | Projection::Vars(_))
+                && !joins_only_counts(&s.pattern)
+        }
     }
 }
 
-/// A `SELECT (COUNT(…) AS ?v)` — the shape of cardinality probes and of
-/// the integrity layer's verification queries.
+/// A `SELECT (COUNT(…) AS ?v)` — the shape of the integrity layer's
+/// verification queries — or a projection of such subselects, the shape of
+/// the engine's one-row analysis probe.
 fn is_count_select(query: &Query) -> bool {
     match &query.form {
-        lusail_sparql::ast::QueryForm::Ask(_) => false,
-        lusail_sparql::ast::QueryForm::Select(s) => {
-            matches!(s.projection, lusail_sparql::ast::Projection::Count { .. })
-        }
+        QueryForm::Ask(_) => false,
+        QueryForm::Select(s) => match s.projection {
+            Projection::Count { .. } => true,
+            Projection::All | Projection::Vars(_) => joins_only_counts(&s.pattern),
+            Projection::Aggregate { .. } => false,
+        },
+    }
+}
+
+/// `{ SELECT (COUNT(…) AS ?a) … } { SELECT (COUNT(…) AS ?b) … } …`
+fn joins_only_counts(pattern: &GraphPattern) -> bool {
+    match pattern {
+        GraphPattern::SubSelect(s) => matches!(s.projection, Projection::Count { .. }),
+        GraphPattern::Join(a, b) => joins_only_counts(a) && joins_only_counts(b),
+        _ => false,
     }
 }
 
@@ -569,6 +583,20 @@ mod tests {
         parse_query("SELECT ?s WHERE { ?s <http://x/p> ?o }").unwrap()
     }
 
+    /// The engine's analysis probe: one row, one count per subselect (the
+    /// wrapped store holds one `p` triple and no `q` triple).
+    fn probe() -> Query {
+        parse_query(
+            "SELECT * WHERE { { SELECT (COUNT(*) AS ?c0) WHERE { ?s <http://x/p> ?o } } \
+             { SELECT (COUNT(*) AS ?c1) WHERE { ?s <http://x/q> ?o } } }",
+        )
+        .unwrap()
+    }
+
+    fn integers(cells: &[i64]) -> Vec<Option<Term>> {
+        cells.iter().map(|&n| Some(Term::integer(n))).collect()
+    }
+
     #[test]
     fn no_faults_forwards_transparently() {
         let ep = wrapped(1, FaultProfile::none(), fast_config());
@@ -700,6 +728,8 @@ mod tests {
         let count = parse_query("SELECT (COUNT(*) AS ?c) WHERE { ?s <http://x/p> ?o }").unwrap();
         let counted = ep.select(&count).unwrap();
         assert_eq!(counted.len(), 1, "aggregates must not be bombed");
+        // So does the batched analysis probe, which is a projection of them.
+        assert_eq!(ep.select(&probe()).unwrap().rows(), [integers(&[1, 0])]);
     }
 
     #[test]
@@ -713,6 +743,8 @@ mod tests {
         assert!(ep.ask(&ask).unwrap());
         let count = parse_query("SELECT (COUNT(*) AS ?c) WHERE { ?s <http://x/p> ?o }").unwrap();
         assert_eq!(ep.count(&count).unwrap(), 1);
+        // Even a cap of zero leaves the analysis probe its one row.
+        assert_eq!(ep.select(&probe()).unwrap().rows(), [integers(&[1, 0])]);
         // A cap above the result size leaves it untouched; deterministic.
         let ep = wrapped(11, FaultProfile::silent_truncate(5), fast_config());
         assert_eq!(ep.select(&query()).unwrap().len(), 1);
@@ -732,6 +764,8 @@ mod tests {
         let count = parse_query("SELECT (COUNT(*) AS ?c) WHERE { ?s <http://x/p> ?o }").unwrap();
         assert_eq!(ep.count(&count).unwrap(), 20);
         assert_eq!(ep.count(&count).unwrap(), 20);
+        // The analysis probe is lied to in every cell.
+        assert_eq!(ep.select(&probe()).unwrap().rows(), [integers(&[20, 0])]);
         let h = ep.health_snapshot();
         assert_eq!(h.failures, 0, "a lying endpoint never trips the breaker");
     }
@@ -784,6 +818,7 @@ mod tests {
         assert!(ep.ask(&ask).unwrap());
         let count = parse_query("SELECT (COUNT(*) AS ?c) WHERE { ?s <http://x/p> ?o }").unwrap();
         assert_eq!(ep.select(&count).unwrap().len(), 1);
+        assert_eq!(ep.select(&probe()).unwrap().len(), 1);
         // The real subquery panics.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.select(&query())));
         assert!(caught.is_err(), "plain SELECT must panic");

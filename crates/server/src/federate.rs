@@ -917,7 +917,14 @@ mod tests {
         });
         let reaped = token.wait_timeout(Duration::from_secs(2));
         assert_eq!(reaped, Some(CancelReason::WatchdogReaped));
-        let stats = svc.stats_json().expect("stats");
+        // The sweep counts its reaps after it has tripped their tokens, so
+        // the woken waiter can get here first: give the counter a moment.
+        let patience = Instant::now() + Duration::from_secs(2);
+        let mut stats = svc.stats_json().expect("stats");
+        while !stats.contains("\"watchdog_reaps\":1") && Instant::now() < patience {
+            std::thread::sleep(Duration::from_millis(5));
+            stats = svc.stats_json().expect("stats");
+        }
         assert!(stats.contains("\"watchdog_reaps\":1"), "{stats}");
     }
 

@@ -387,12 +387,15 @@ impl<'a> Evaluator<'a> {
                 minus_bindings(left, &right)
             }
             GraphPattern::SubSelect(q) => {
-                // Correlated evaluation (the shape Lusail's check queries
-                // use inside NOT EXISTS): the subquery sees the incoming
-                // bindings, then projects.
-                let inner = self.eval_pattern(&q.pattern, input);
+                // A subquery is evaluated on its own and its projection
+                // joined onto the incoming bindings. Where that is sound it
+                // is seeded with the incoming values of the variables it
+                // projects (the shape Lusail's check queries use inside
+                // NOT EXISTS: a lookup per row instead of a scan).
+                let inner = self.eval_pattern(&q.pattern, subselect_seed(q, &input));
                 let rel = self.finish_select(q, inner);
-                self.relation_to_bindings(&rel)
+                let projected = self.relation_to_bindings(&rel);
+                join_bindings(&input, &projected)
             }
         }
     }
@@ -673,6 +676,37 @@ impl<'a> Evaluator<'a> {
             }
         }
         out
+    }
+}
+
+/// What a subselect's own pattern starts from. An aggregate or a sliced
+/// (`LIMIT`/`OFFSET`) subquery must see its whole pattern, so it starts
+/// from the unit table. Any other may start from the distinct incoming
+/// values of the variables it projects — the join back onto the input
+/// keeps only those rows anyway — unless one of those values is unbound.
+fn subselect_seed(q: &SelectQuery, input: &Bindings) -> Bindings {
+    let plain = matches!(q.projection, Projection::All | Projection::Vars(_));
+    if !plain || q.limit.is_some() || q.offset.is_some() {
+        return Bindings::unit();
+    }
+    let shared: Vec<usize> = q
+        .projected_variables()
+        .iter()
+        .filter_map(|v| input.index_of(v))
+        .collect();
+    let mut seen = FxHashSet::default();
+    let rows: Vec<Vec<Cell>> = input
+        .rows
+        .iter()
+        .map(|row| shared.iter().map(|&i| row[i]).collect::<Vec<Cell>>())
+        .filter(|row| seen.insert(row.clone()))
+        .collect();
+    if rows.iter().any(|row| row.contains(&Cell::Unbound)) {
+        return Bindings::unit();
+    }
+    Bindings {
+        vars: shared.iter().map(|&i| input.vars[i].clone()).collect(),
+        rows,
     }
 }
 
@@ -1023,6 +1057,55 @@ mod tests {
             r.rows()[0][0],
             Some(Term::iri("http://univ1.example.org/MIT"))
         );
+    }
+
+    #[test]
+    fn sibling_subselects_join_their_projections() {
+        let st = ep2_store();
+        // The analysis probe's shape: one row, one count per subselect.
+        let r = run(
+            &st,
+            &format!(
+                "{PRE} SELECT * WHERE {{ \
+                   {{ SELECT (COUNT(*) AS ?a) WHERE {{ ?s ub:advisor ?p }} }} \
+                   {{ SELECT (COUNT(*) AS ?b) WHERE {{ ?s ub:takesCourse ?c FILTER(?c = u2:os) }} }} \
+                   {{ SELECT (COUNT(*) AS ?z) WHERE {{ ?s ub:emailAddress ?e }} }} }}"
+            ),
+        );
+        assert_eq!(r.len(), 1);
+        let cell = |name: &str| r.rows()[0][r.index_of(&Variable::new(name)).unwrap()].clone();
+        assert_eq!(cell("a"), Some(Term::integer(3)));
+        assert_eq!(cell("b"), Some(Term::integer(2)));
+        assert_eq!(cell("z"), Some(Term::integer(0)));
+    }
+
+    #[test]
+    fn subselect_joins_onto_outer_rows() {
+        let st = ep2_store();
+        // The outer variables survive, and an aggregate subquery counts its
+        // own pattern once, not once per outer row.
+        let r = run(
+            &st,
+            &format!(
+                "{PRE} SELECT ?s ?p ?n WHERE {{ ?s ub:advisor ?p . \
+                   {{ SELECT (COUNT(*) AS ?n) WHERE {{ ?x ub:teacherOf ?c }} }} }}"
+            ),
+        );
+        assert_eq!(r.len(), 3);
+        assert!(r
+            .rows()
+            .iter()
+            .all(|row| row[0].is_some() && row[1].is_some() && row[2] == Some(Term::integer(3))));
+        // A plain subquery is a join on what it projects: Kim has two
+        // advisors and takes two courses, Lee one of each.
+        let r = run(
+            &st,
+            &format!(
+                "{PRE} SELECT ?s ?p WHERE {{ ?s ub:advisor ?p . \
+                   {{ SELECT ?s WHERE {{ ?s ub:takesCourse ?c }} }} }}"
+            ),
+        );
+        assert_eq!(r.len(), 5);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn main() {
         profile.delayed
     );
     println!(
-        "  phase times            : source {:.2?} | analysis {:.2?} | execution {:.2?}",
+        "  phase times            : probe {:.2?} | analysis {:.2?} | execution {:.2?}",
         profile.source_selection, profile.analysis, profile.execution
     );
     println!("  answers                : {} rows\n", results.len());

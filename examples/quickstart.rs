@@ -101,7 +101,7 @@ SELECT ?S ?P ?U ?A WHERE {{
     println!("  delayed subqueries    : {}", profile.delayed);
     println!("  check queries sent    : {}", profile.check_queries);
     println!(
-        "  phases                : source {:.2?}, analysis {:.2?}, execution {:.2?}",
+        "  phases                : probe {:.2?}, analysis {:.2?}, execution {:.2?}",
         profile.source_selection, profile.analysis, profile.execution
     );
     println!(

@@ -13,6 +13,10 @@ cargo fmt --all --check
 # outside the workspace) must still build: a break fails here, not in the
 # benchmark run.
 cargo build --release --offline --manifest-path lusail_benchmark/Cargo.toml
+# One short pass of the WAN workload: the benchmark checks every answer
+# against the merged graph and exits non-zero on a wrong one.
+cargo run --release --offline --quiet --manifest-path lusail_benchmark/Cargo.toml -- \
+    --workload oneshot_wan --seed 1 --seconds 1 --trace 0 >/dev/null
 
 # Seeded e2e groups (tests/tests/<suite>.rs). Fault sequences are drawn from
 # a seeded PRNG; export LUSAIL_CHAOS_SEED to try other histories. On failure

@@ -1,17 +1,20 @@
 //! Driving LADE's public pieces directly over the paper's Figure 4
 //! scenario, plus SAPE-level behaviours observable through the engine.
 
-use lusail_core::cache::QueryCache;
+use lusail_core::cache::{pattern_key, QueryCache};
 use lusail_core::lade::gjv::detect_gjvs;
-use lusail_core::source::select_sources;
+use lusail_core::normalize::{normalize, ConjBranch};
+use lusail_core::sape::estimate::count_query;
+use lusail_core::source::{probe, select_sources, BlockStats, BranchStats};
 use lusail_core::{LusailConfig, LusailEngine, RunContext};
 use lusail_federation::{
     Federation, NetworkProfile, RequestHandler, SimulatedEndpoint, SparqlEndpoint,
 };
 use lusail_rdf::{vocab, Graph, Term};
-use lusail_sparql::ast::{TermPattern, TriplePattern, Variable};
+use lusail_sparql::ast::{Expression, TermPattern, TriplePattern, Variable};
 use lusail_sparql::parse_query;
 use lusail_store::Store;
+use lusail_workloads::{federation_from_graphs, largerdf, lubm, qfed, BenchQuery};
 use std::sync::Arc;
 
 fn tp(s: &str, p: &str, o: &str) -> TriplePattern {
@@ -254,4 +257,293 @@ fn lusail_handles_empty_federation_members() {
     // A pattern nothing answers.
     let q = parse_query("SELECT ?s WHERE { ?s <http://x/nothing> ?v }").unwrap();
     assert!(engine.execute(&q).unwrap().is_empty());
+}
+
+// ---- The analysis probe ------------------------------------------------
+
+/// What the probe must report for one block, the slow way: one `ASK` per
+/// pattern per endpoint, then one `COUNT` per pattern per relevant endpoint.
+fn reference_block(
+    fed: &Federation,
+    patterns: &[TriplePattern],
+    filters: &[Expression],
+    counted: bool,
+) -> BlockStats {
+    let handler = RequestHandler::new(4);
+    let sources = select_sources(fed, &handler, None, patterns, &RunContext::unbounded()).unwrap();
+    let count = |tp: &TriplePattern, ep: usize| {
+        let n = fed.endpoint(ep).count(&count_query(tp, filters)).unwrap();
+        (ep, n)
+    };
+    let counts = patterns
+        .iter()
+        .zip(&sources)
+        .filter(|_| counted)
+        .map(|(tp, eps)| eps.iter().map(|&ep| count(tp, ep)).collect())
+        .collect();
+    BlockStats { sources, counts }
+}
+
+fn reference(fed: &Federation, branches: &[ConjBranch]) -> Vec<BranchStats> {
+    branches
+        .iter()
+        .map(|b| BranchStats {
+            required: reference_block(fed, &b.patterns, &b.filters, true),
+            optionals: b
+                .optionals
+                .iter()
+                .map(|o| reference_block(fed, &o.patterns, &o.filters, true))
+                .collect(),
+            minuses: b
+                .minuses
+                .iter()
+                .map(|m| reference_block(fed, &m.patterns, &[], false))
+                .collect(),
+        })
+        .collect()
+}
+
+fn branches_of(text: &str) -> Vec<ConjBranch> {
+    normalize(parse_query(text).unwrap().pattern()).unwrap()
+}
+
+fn run_probe(
+    fed: &Federation,
+    cache: Option<&QueryCache>,
+    branches: &[ConjBranch],
+) -> Vec<BranchStats> {
+    let handler = RequestHandler::elastic(fed.len());
+    probe(
+        fed,
+        &handler,
+        cache,
+        cache,
+        branches,
+        &RunContext::unbounded(),
+    )
+    .unwrap()
+}
+
+/// Cold, from a cache shared across the catalog, and fully cached: the
+/// probe answers what the per-pattern requests answer, in at most one
+/// request per endpoint.
+fn assert_probe_matches_reference(graphs: Vec<(String, Graph)>, queries: Vec<BenchQuery>) {
+    let oracle = federation_from_graphs(graphs.clone(), NetworkProfile::instant());
+    let fed = federation_from_graphs(graphs, NetworkProfile::instant());
+    let cache = QueryCache::new();
+    for q in queries {
+        let branches = normalize(q.parse().pattern()).unwrap();
+        let expected = reference(&oracle, &branches);
+
+        let before = fed.total_traffic().requests;
+        assert_eq!(
+            run_probe(&fed, None, &branches),
+            expected,
+            "{} cold",
+            q.name
+        );
+        let cold = fed.total_traffic().requests - before;
+        assert!(cold <= fed.len() as u64, "{}: {cold} requests", q.name);
+
+        assert_eq!(
+            run_probe(&fed, Some(&cache), &branches),
+            expected,
+            "{} over the shared cache",
+            q.name
+        );
+        let before = fed.total_traffic().requests;
+        assert_eq!(
+            run_probe(&fed, Some(&cache), &branches),
+            expected,
+            "{} cached",
+            q.name
+        );
+        assert_eq!(fed.total_traffic().requests, before, "{} cached", q.name);
+    }
+}
+
+#[test]
+fn probe_matches_asks_and_counts_on_lubm() {
+    let graphs = lubm::generate_all(&lubm::LubmConfig::with_universities(3));
+    let mut queries = lubm::queries();
+    queries.push(lubm::query_qa());
+    assert_probe_matches_reference(graphs, queries);
+}
+
+#[test]
+fn probe_matches_asks_and_counts_on_qfed() {
+    let graphs = qfed::generate_all(&qfed::QfedConfig {
+        drugs: 50,
+        diseases: 15,
+        side_effects: 25,
+        labels: 25,
+        seed: 7,
+    });
+    assert_probe_matches_reference(graphs, qfed::queries());
+}
+
+#[test]
+fn probe_matches_asks_and_counts_on_largerdfbench() {
+    let graphs = largerdf::generate_all(&largerdf::LargeRdfConfig {
+        scale: 0.2,
+        ..Default::default()
+    });
+    assert_probe_matches_reference(graphs, largerdf::all_queries());
+}
+
+/// ep0: a -p-> 1, b -p-> 5, a -p-> a (a self loop), a -r-> 7;
+/// ep1: c -p-> 2, c -r-> 8; ep2: d -q-> 9.
+fn probe_federation() -> Federation {
+    let x = |l: &str| Term::iri(format!("http://x/{l}"));
+    let mut g0 = Graph::new();
+    g0.add(x("a"), x("p"), Term::integer(1));
+    g0.add(x("b"), x("p"), Term::integer(5));
+    g0.add(x("a"), x("p"), x("a"));
+    g0.add(x("a"), x("r"), Term::integer(7));
+    let mut g1 = Graph::new();
+    g1.add(x("c"), x("p"), Term::integer(2));
+    g1.add(x("c"), x("r"), Term::integer(8));
+    let mut g2 = Graph::new();
+    g2.add(x("d"), x("q"), Term::integer(9));
+    federation_from_graphs(
+        vec![("ep0".into(), g0), ("ep1".into(), g1), ("ep2".into(), g2)],
+        NetworkProfile::instant(),
+    )
+}
+
+#[test]
+fn probe_source_lists_ignore_filters_and_counts_include_them() {
+    let fed = probe_federation();
+    let cache = QueryCache::new();
+    let filtered = branches_of("SELECT ?s WHERE { ?s <http://x/p> ?v FILTER(?v > 3) }");
+    let stats = run_probe(&fed, Some(&cache), &filtered);
+    assert_eq!(stats, reference(&probe_federation(), &filtered));
+    // ep1 holds `p` triples, none above 3: a source with a count of zero.
+    assert_eq!(stats[0].required.sources, [[0, 1]]);
+    assert_eq!(stats[0].required.counts[0][&0], 1);
+    assert_eq!(stats[0].required.counts[0][&1], 0);
+    assert_eq!(fed.total_traffic().requests, 3);
+
+    // The source list was cached under the bare pattern, and the unfiltered
+    // counts that decided it with it: the same pattern without the filter
+    // needs no request at all.
+    let bare = branches_of("SELECT ?s WHERE { ?s <http://x/p> ?v }");
+    let stats = run_probe(&fed, Some(&cache), &bare);
+    assert_eq!(stats, reference(&probe_federation(), &bare));
+    assert_eq!(stats[0].required.counts[0][&0], 3);
+    assert_eq!(fed.total_traffic().requests, 3);
+}
+
+#[test]
+fn probe_keeps_repeated_variables_and_merges_duplicate_patterns() {
+    let fed = probe_federation();
+    let branches = branches_of(
+        "SELECT * WHERE { ?x <http://x/p> ?x . ?s <http://x/p> ?o . ?a <http://x/p> ?b }",
+    );
+    let stats = run_probe(&fed, None, &branches);
+    assert_eq!(stats, reference(&probe_federation(), &branches));
+    // Only ep0 has a `p` self loop; both ep0 and ep1 have `p` triples.
+    assert_eq!(stats[0].required.sources, [vec![0], vec![0, 1], vec![0, 1]]);
+    assert_eq!(stats[0].required.counts[0][&0], 1);
+    let sent = fed.total_traffic();
+    assert_eq!(sent.requests, 3);
+
+    // `?s p ?o` and `?a p ?b` are one question: the request is as long as
+    // the one for `?x p ?x . ?s p ?o` alone.
+    let fed = probe_federation();
+    run_probe(
+        &fed,
+        None,
+        &branches_of("SELECT * WHERE { ?x <http://x/p> ?x . ?s <http://x/p> ?o }"),
+    );
+    assert_eq!(fed.total_traffic().bytes_sent, sent.bytes_sent);
+}
+
+#[test]
+fn probe_covers_union_optional_and_minus_in_one_round() {
+    let fed = probe_federation();
+    let branches = branches_of(
+        "SELECT * WHERE { \
+           { ?s <http://x/p> ?v FILTER(?v > 1) } UNION { ?s <http://x/q> ?v } \
+           OPTIONAL { ?s <http://x/r> ?w FILTER(?w < 8) } \
+           MINUS { ?s <http://x/p> <http://x/a> } }",
+    );
+    assert_eq!(branches.len(), 2);
+    assert_eq!(
+        (branches[0].optionals.len(), branches[0].minuses.len()),
+        (1, 1)
+    );
+    let stats = run_probe(&fed, None, &branches);
+    assert_eq!(stats, reference(&probe_federation(), &branches));
+    assert_eq!(stats[1].required.sources, [[2]]);
+    assert_eq!(stats[0].optionals[0].counts[0][&0], 1);
+    assert_eq!(stats[0].optionals[0].counts[0][&1], 0);
+    assert_eq!(stats[0].minuses[0].sources, [[0]]);
+    assert_eq!(fed.total_traffic().requests, 3);
+}
+
+#[test]
+fn probe_asks_only_relevant_endpoints_when_just_the_counts_are_gone() {
+    let branches = branches_of(
+        "SELECT * WHERE { ?s <http://x/p> ?v . ?s <http://x/r> ?w FILTER(?w < 8) \
+         MINUS { ?s <http://x/q> ?z } }",
+    );
+    let expected = reference(&probe_federation(), &branches);
+    // Source lists survive (as after a count eviction); no count does.
+    let cache = QueryCache::new();
+    let required = branches[0]
+        .patterns
+        .iter()
+        .zip(&expected[0].required.sources);
+    let minus = branches[0].minuses[0]
+        .patterns
+        .iter()
+        .zip(&expected[0].minuses[0].sources);
+    for (tp, sources) in required.chain(minus) {
+        cache.put_sources(pattern_key(tp), sources.clone());
+    }
+
+    let fed = probe_federation();
+    assert_eq!(run_probe(&fed, Some(&cache), &branches), expected);
+    // ep2 is relevant to the MINUS block alone, which is never costed.
+    let asked: Vec<u64> = fed
+        .ids()
+        .map(|ep| fed.endpoint(ep).traffic().requests)
+        .collect();
+    assert_eq!(asked, [1, 1, 0]);
+}
+
+#[test]
+fn cold_query_probes_each_endpoint_once_and_warm_repeat_not_at_all() {
+    let graphs = largerdf::generate_all(&largerdf::LargeRdfConfig {
+        scale: 0.2,
+        ..Default::default()
+    });
+    for name in ["S2", "C2", "C5", "B1"] {
+        let engine = LusailEngine::new(
+            federation_from_graphs(graphs.clone(), NetworkProfile::instant()),
+            LusailConfig::default(),
+        );
+        let endpoints = engine.federation().len() as u64;
+        let queries = largerdf::all_queries();
+        let query = queries.iter().find(|q| q.name == name).unwrap().parse();
+        let mut sent = 0;
+        let mut run = || {
+            let (rel, profile) = engine.execute_profiled(&query).unwrap();
+            let total = engine.federation().total_traffic().requests;
+            let delta = total - sent;
+            sent = total;
+            (rel, profile.check_queries as u64, delta)
+        };
+        let (cold_rel, cold_checks, cold) = run();
+        let (warm_rel, warm_checks, warm) = run();
+        let (_, _, again) = run();
+        // Warm, every analysis answer is cached and only the subquery
+        // requests remain; cold adds the checks and the one probe round.
+        assert_eq!(cold_rel.len(), warm_rel.len(), "{name}");
+        assert_eq!(warm_checks, 0, "{name}");
+        assert_eq!(warm, again, "{name}");
+        let probes = cold - warm - cold_checks;
+        assert!((1..=endpoints).contains(&probes), "{name}: {probes} probes");
+    }
 }
