@@ -1329,10 +1329,11 @@ fn print_endpoint_stats(federation: &Federation, out: &mut dyn Write) -> Result<
     Ok(())
 }
 
-/// The `--stats` integrity section: per-endpoint verification probes,
-/// truncation detections, recovery paging counters, count divergences,
-/// and quarantine standing. Prints only when some integrity activity
-/// happened — a clean run over honest endpoints adds nothing.
+/// The `--stats` integrity section: per-endpoint verification probes
+/// sent, flagged responses settled against the analysis probe's count
+/// without one, truncation detections, recovery paging counters, count
+/// divergences, and quarantine standing. Prints only when some integrity
+/// activity happened — a clean run over honest endpoints adds nothing.
 fn print_integrity_stats(
     registry: &IntegrityRegistry,
     out: &mut dyn Write,
@@ -1344,9 +1345,10 @@ fn print_integrity_stats(
     writeln!(out, "# integrity:")?;
     writeln!(
         out,
-        "#   {:<16} {:>7} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
+        "#   {:<16} {:>7} {:>8} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
         "endpoint",
         "probes",
+        "settled",
         "truncations",
         "pages",
         "recovered",
@@ -1367,9 +1369,10 @@ fn print_integrity_stats(
         };
         writeln!(
             out,
-            "#   {:<16} {:>7} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
+            "#   {:<16} {:>7} {:>8} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
             name,
             s.verifications,
+            s.settled_by_expectation,
             s.truncations_detected,
             s.pages_fetched,
             s.rows_recovered,

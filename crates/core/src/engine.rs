@@ -9,9 +9,9 @@ use crate::lade::gjv::detect_gjvs_with;
 use crate::normalize::{normalize, ConjBranch};
 use crate::run::{ExecutionWarning, RunContext};
 use crate::sape::estimate::{subquery_cardinality, TpCounts};
-use crate::sape::execute::SapeExecutor;
+use crate::sape::execute::{ExpectedRows, SapeExecutor};
 use crate::sape::schedule::{make_schedule, Schedule};
-use crate::source::{probe, BranchStats};
+use crate::source::{probe_fresh, BranchStats, FreshCounts};
 use crate::subquery::Subquery;
 use lusail_federation::{
     EndpointError, EndpointId, Federation, IntegrityRegistry, RequestHandler, WaveSnapshot,
@@ -172,7 +172,7 @@ impl LusailEngine {
         // ---- Source selection + pattern statistics, whole query ----------
         let cache = self.config.enable_cache.then_some(&self.cache);
         let t = Instant::now();
-        let probed = probe(
+        let probed = probe_fresh(
             &self.federation,
             &self.handler,
             cache,
@@ -184,8 +184,8 @@ impl LusailEngine {
         ctx.check()?;
 
         let mut combined: Option<Relation> = None;
-        for (branch, stats) in branches.iter().zip(&probed) {
-            let rel = self.execute_branch(branch, stats, &select_view, ctx, &mut profile)?;
+        for (branch, (stats, fresh)) in branches.iter().zip(&probed) {
+            let rel = self.execute_branch(branch, stats, fresh, &select_view, ctx, &mut profile)?;
             combined = Some(match combined {
                 None => rel,
                 Some(acc) => union_relations(acc, rel),
@@ -273,6 +273,7 @@ impl LusailEngine {
         &self,
         branch: &ConjBranch,
         stats: &BranchStats,
+        fresh: &FreshCounts,
         select_view: &SelectQuery,
         ctx: &RunContext,
         profile: &mut ExecutionProfile,
@@ -313,16 +314,19 @@ impl LusailEngine {
         // Expected per-endpoint row counts, from the probe's COUNTs: exact
         // only for single-pattern subqueries, where the probe measured
         // the very query the wave will send. A delivery below the
-        // expectation is the integrity layer's truncation signal.
-        let expected: Vec<FxHashMap<EndpointId, usize>> = decomposition
+        // expectation is the integrity layer's truncation signal; one
+        // equal to a count fetched during this query is already verified.
+        let expected: Vec<FxHashMap<EndpointId, ExpectedRows>> = decomposition
             .subqueries
             .iter()
-            .map(|draft| {
-                if draft.patterns.len() == 1 {
-                    counts[draft.patterns[0]].clone()
-                } else {
-                    FxHashMap::default()
-                }
+            .map(|draft| match draft.patterns[..] {
+                [tp] => (counts[tp].iter())
+                    .map(|(&ep, &rows)| {
+                        let fresh = fresh[tp].contains(&ep);
+                        (ep, ExpectedRows { rows, fresh })
+                    })
+                    .collect(),
+                _ => FxHashMap::default(),
             })
             .collect();
 

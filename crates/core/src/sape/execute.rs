@@ -31,6 +31,17 @@ pub struct SapeOutcome {
     pub delayed_executed: usize,
 }
 
+/// The row count the analysis probe reported for a single-pattern
+/// subquery at one endpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExpectedRows {
+    pub rows: usize,
+    /// Fetched from the endpoint during this query — its claim for this
+    /// very query — rather than read from the cross-query count cache,
+    /// where it may predate a change of the data.
+    pub fresh: bool,
+}
+
 /// Executes one branch's scheduled subqueries against the federation.
 pub struct SapeExecutor<'a> {
     pub federation: &'a Federation,
@@ -53,14 +64,15 @@ impl SapeExecutor<'_> {
     /// `expected` (parallel to `subqueries`, possibly shorter) carries
     /// the per-endpoint row counts the SAPE `COUNT` probes predicted for
     /// single-pattern subqueries; a delivery below the prediction is a
-    /// truncation signal.
+    /// truncation signal, and a delivery equal to a fresh one needs no
+    /// second count.
     pub fn execute(
         &self,
         subqueries: &[Subquery],
         schedule: &Schedule,
         cardinalities: &[usize],
         bridges: &[(Variable, Variable)],
-        expected: &[FxHashMap<EndpointId, usize>],
+        expected: &[FxHashMap<EndpointId, ExpectedRows>],
     ) -> Result<SapeOutcome, EngineError> {
         let mut partials: Vec<Option<Relation>> = vec![None; subqueries.len()];
         let mut estimates = Vec::new();
@@ -73,46 +85,37 @@ impl SapeExecutor<'_> {
         for &i in schedule.non_delayed.iter().chain(&schedule.delayed) {
             partials[i] = Some(Relation::new(subqueries[i].projection.clone()));
         }
-        let wave: Vec<(usize, EndpointId)> = schedule
+        let labels: Vec<String> = subqueries
+            .iter()
+            .map(|sq| format!("subquery #{}", sq.id))
+            .collect();
+        let wave: Vec<WaveRequest> = schedule
             .non_delayed
             .iter()
-            .flat_map(|&i| subqueries[i].sources.iter().map(move |&ep| (i, ep)))
+            .flat_map(|&i| {
+                let (sq, what) = (&subqueries[i], labels[i].as_str());
+                let expected = expected.get(i);
+                sq.sources.iter().map(move |&ep| WaveRequest {
+                    sq,
+                    what,
+                    ep,
+                    block: None,
+                    expected: expected.and_then(|m| m.get(&ep)).copied(),
+                })
+            })
             .collect();
-        let results = self.handler.map_cancellable(
-            wave.clone(),
-            self.ctx.deadline.clone(),
-            |_| Err(EndpointError::deadline("subquery wave")),
-            |(i, ep)| {
-                self.federation
-                    .endpoint(ep)
-                    .select_with_meta(&subqueries[i].to_query(), self.ctx.deadline.clone())
-            },
-        );
-        for ((i, ep), resp) in wave.into_iter().zip(results) {
+        let mut settled = self
+            .run_wave("subquery wave", MemoryPhase::Wave, &wave)?
+            .into_iter();
+        for &i in &schedule.non_delayed {
             // A skipped endpoint contributes nothing to this subquery's
             // partial: under `--partial`, answers from the remaining
             // sources still flow through.
-            let what = format!("subquery #{}", subqueries[i].id);
-            let empty = SelectResponse {
-                rows: Relation::new(subqueries[i].projection.clone()),
-                truncated: false,
-            };
-            let (resp, degraded) = self.ctx.absorb_flagged(&what, empty, resp)?;
-            let rel = if degraded {
-                resp.rows
-            } else {
-                let exp = expected.get(i).and_then(|m| m.get(&ep)).copied();
-                self.verify_and_recover(&what, ep, &subqueries[i].to_query(), resp, exp)?
-            };
-            let rel = self.ctx.admit_relation(
-                &what,
-                self.federation.endpoint(ep).name(),
-                MemoryPhase::Wave,
-                rel,
-            )?;
-            match &mut partials[i] {
-                Some(existing) => existing.append(rel),
-                slot @ None => *slot = Some(rel),
+            for rel in settled.by_ref().take(subqueries[i].sources.len()) {
+                match &mut partials[i] {
+                    Some(existing) => existing.append(rel),
+                    slot @ None => *slot = Some(rel),
+                }
             }
         }
         self.ctx.check()?;
@@ -174,7 +177,7 @@ impl SapeExecutor<'_> {
                 })
                 .unwrap();
             let i = remaining.swap_remove(pick_pos);
-            let rel = self.run_bound(&subqueries[i], &bindings, expected.get(i))?;
+            let rel = self.run_bound(&subqueries[i], &labels[i], &bindings, expected.get(i))?;
             for v in subqueries[i].projection.clone() {
                 let vals = rel.distinct_values(&v);
                 bindings.update(&v, vals);
@@ -196,7 +199,7 @@ impl SapeExecutor<'_> {
         // ---- Optional subqueries: bound-evaluate, then left-join --------
         for &i in &optionals {
             self.ctx.check()?;
-            let rel = self.run_bound(&subqueries[i], &bindings, expected.get(i))?;
+            let rel = self.run_bound(&subqueries[i], &labels[i], &bindings, expected.get(i))?;
             delayed_executed += 1;
             result = result.left_join(&rel);
         }
@@ -214,8 +217,9 @@ impl SapeExecutor<'_> {
     fn run_bound(
         &self,
         sq: &Subquery,
+        what: &str,
         bindings: &FoundBindings,
-        expected: Option<&FxHashMap<EndpointId, usize>>,
+        expected: Option<&FxHashMap<EndpointId, ExpectedRows>>,
     ) -> Result<Relation, EngineError> {
         // Choose the overlap variable with the fewest found bindings.
         let bind_var = sq
@@ -226,90 +230,45 @@ impl SapeExecutor<'_> {
 
         let sources = self.refine_sources(sq, bind_var.as_ref(), bindings)?;
 
-        let what = format!("subquery #{}", sq.id);
+        // Bindings live as interned ids; terms materialize only here,
+        // where they go onto the wire in VALUES blocks.
+        let blocks = bind_var.as_ref().map_or_else(Vec::new, |v| {
+            chunk_by_size(
+                &bindings.terms(v),
+                self.config.bound_block_size.max(1),
+                self.config.bound_block_max_bytes.max(64),
+            )
+        });
+        let wave: Vec<WaveRequest> = match &bind_var {
+            None => sources
+                .iter()
+                .map(|&ep| WaveRequest {
+                    sq,
+                    what,
+                    ep,
+                    block: None,
+                    expected: expected.and_then(|m| m.get(&ep)).copied(),
+                })
+                .collect(),
+            // The probes' expected counts describe the unbound pattern; a
+            // `VALUES`-restricted result is smaller, so only the
+            // advertisement/heuristics apply to a block's response.
+            Some(v) => blocks
+                .iter()
+                .flat_map(|block| {
+                    sources.iter().map(move |&ep| WaveRequest {
+                        sq,
+                        what,
+                        ep,
+                        block: Some((v, block.as_slice())),
+                        expected: None,
+                    })
+                })
+                .collect(),
+        };
         let mut out = Relation::new(sq.projection.clone());
-        match bind_var {
-            None => {
-                let wave: Vec<EndpointId> = sources;
-                let results = self.handler.map_cancellable(
-                    wave.clone(),
-                    self.ctx.deadline.clone(),
-                    |_| Err(EndpointError::deadline("bound join")),
-                    |ep| {
-                        self.federation
-                            .endpoint(ep)
-                            .select_with_meta(&sq.to_query(), self.ctx.deadline.clone())
-                    },
-                );
-                for (ep, resp) in wave.into_iter().zip(results) {
-                    let empty = SelectResponse {
-                        rows: Relation::new(sq.projection.clone()),
-                        truncated: false,
-                    };
-                    let (resp, degraded) = self.ctx.absorb_flagged(&what, empty, resp)?;
-                    let rel = if degraded {
-                        resp.rows
-                    } else {
-                        let exp = expected.and_then(|m| m.get(&ep)).copied();
-                        self.verify_and_recover(&what, ep, &sq.to_query(), resp, exp)?
-                    };
-                    out.append(self.ctx.admit_relation(
-                        &what,
-                        self.federation.endpoint(ep).name(),
-                        MemoryPhase::BoundJoin,
-                        rel,
-                    )?);
-                }
-            }
-            Some(v) => {
-                // Bindings live as interned ids; terms materialize only
-                // here, where they go onto the wire in VALUES blocks.
-                let values = bindings.terms(&v);
-                let blocks = chunk_by_size(
-                    &values,
-                    self.config.bound_block_size.max(1),
-                    self.config.bound_block_max_bytes.max(64),
-                );
-                let wave: Vec<(usize, EndpointId)> = (0..blocks.len())
-                    .flat_map(|b| sources.iter().map(move |&ep| (b, ep)))
-                    .collect();
-                let results = self.handler.map_cancellable(
-                    wave.clone(),
-                    self.ctx.deadline.clone(),
-                    |_| Err(EndpointError::deadline("bound join")),
-                    |(b, ep)| {
-                        let q = sq.to_bound_query(std::slice::from_ref(&v), &blocks[b]);
-                        self.federation
-                            .endpoint(ep)
-                            .select_with_meta(&q, self.ctx.deadline.clone())
-                    },
-                );
-                for ((b, ep), resp) in wave.into_iter().zip(results) {
-                    // Bound queries may expose the bind variable even if it
-                    // is not projected; align headers.
-                    let empty = SelectResponse {
-                        rows: Relation::new(sq.projection.clone()),
-                        truncated: false,
-                    };
-                    let (resp, degraded) = self.ctx.absorb_flagged(&what, empty, resp)?;
-                    let rel = if degraded {
-                        resp.rows
-                    } else {
-                        // The probes' expected counts describe the unbound
-                        // pattern; a `VALUES`-restricted result is smaller,
-                        // so only the advertisement/heuristics apply here.
-                        let q = sq.to_bound_query(std::slice::from_ref(&v), &blocks[b]);
-                        self.verify_and_recover(&what, ep, &q, resp, None)?
-                    };
-                    let rel = self.ctx.admit_relation(
-                        &what,
-                        self.federation.endpoint(ep).name(),
-                        MemoryPhase::BoundJoin,
-                        rel.project(&sq.projection.clone()),
-                    )?;
-                    out.append(rel);
-                }
-            }
+        for rel in self.run_wave("bound join", MemoryPhase::BoundJoin, &wave)? {
+            out.append(rel);
         }
         self.ctx.check()?;
         Ok(out)
@@ -370,59 +329,184 @@ impl SapeExecutor<'_> {
         }
     }
 
-    /// Cross-check one plain-`SELECT` response against the integrity
-    /// ledger and — when suspected or advertised truncated — against a
-    /// fresh `COUNT(*)` probe, transparently re-fetching the complete
-    /// result via deterministic paging when the endpoint cut it short.
-    fn verify_and_recover(
+    /// Send one wave of subquery requests and settle its responses:
+    /// returns one admitted relation per request, in submission order.
+    ///
+    /// Every response is first resolved under the result policy and
+    /// *decided* against the integrity ledger, in submission order, so the
+    /// ledger sees the same row counts in the same order whatever the
+    /// thread schedule was. The `COUNT(*)` cross-probes of all responses
+    /// that need one then go out as one wave, and the claims are
+    /// reconciled — and the rows admitted — in submission order again.
+    fn run_wave(
         &self,
-        what: &str,
-        ep: EndpointId,
-        base: &Query,
-        resp: SelectResponse,
-        expected: Option<usize>,
-    ) -> Result<Relation, EngineError> {
-        let endpoint = self.federation.endpoint(ep);
-        let name = endpoint.name();
+        label: &'static str,
+        phase: MemoryPhase,
+        wave: &[WaveRequest],
+    ) -> Result<Vec<Relation>, EngineError> {
+        let results = self.handler.map_cancellable(
+            wave.iter().collect(),
+            self.ctx.deadline.clone(),
+            |_| Err(EndpointError::deadline(label)),
+            |req: &WaveRequest| {
+                self.federation
+                    .endpoint(req.ep)
+                    .select_with_meta(&req.query(), self.ctx.deadline.clone())
+            },
+        );
+
+        let mut responses = Vec::with_capacity(wave.len());
+        let mut checks = Vec::with_capacity(wave.len());
+        for (req, result) in wave.iter().zip(results) {
+            let empty = SelectResponse {
+                rows: Relation::new(req.sq.projection.clone()),
+                truncated: false,
+            };
+            let (resp, degraded) = self.ctx.absorb_flagged(req.what, empty, result)?;
+            checks.push(if degraded {
+                Check::Skip
+            } else {
+                self.decide(req, &resp)
+            });
+            responses.push(resp);
+        }
+
+        self.cross_probe(wave, &mut checks)?;
+        // A claim that does not reconcile puts its endpoint on watch, and
+        // a watched endpoint has every response verified: that holds for
+        // its other responses of this wave too, in one follow-up wave.
+        let unreconciled = |k: &usize| matches!(&checks[*k], Check::Claimed(Ok(n)) if !reconciles(&responses[*k], *n));
+        let caught: FxHashSet<EndpointId> = (0..wave.len())
+            .filter(unreconciled)
+            .map(|k| wave[k].ep)
+            .collect();
+        if !caught.is_empty() {
+            for (req, check) in wave.iter().zip(&mut checks) {
+                if matches!(check, Check::Trusted | Check::Expected) && caught.contains(&req.ep) {
+                    *check = Check::Probe;
+                }
+            }
+            self.cross_probe(wave, &mut checks)?;
+        }
+
+        let mut out = Vec::with_capacity(wave.len());
+        for ((req, resp), check) in wave.iter().zip(responses).zip(checks) {
+            let name = self.federation.endpoint(req.ep).name();
+            let rel = match check {
+                Check::Skip | Check::Trusted => resp.rows,
+                Check::Expected => {
+                    self.integrity.record_settled_by_expectation(name);
+                    self.apply_transition(req.ep, self.integrity.record_clean(name));
+                    resp.rows
+                }
+                Check::Claimed(Ok(claimed)) => self.reconcile(req, resp, claimed)?,
+                Check::Claimed(Err(e))
+                    if matches!(e.kind, FailureKind::Deadline | FailureKind::Cancelled) =>
+                {
+                    return Err(self.deadline_error(req.what, e));
+                }
+                // A failed probe says nothing about the rows already in
+                // hand: keep them rather than discard good data over a
+                // flaky probe.
+                Check::Claimed(Err(_)) => resp.rows,
+                Check::Probe => unreachable!("every due probe was sent"),
+            };
+            // Bound queries may expose the bind variable even if it is
+            // not projected; align headers.
+            let rel = match req.block {
+                Some(_) => rel.project(&req.sq.projection),
+                None => rel,
+            };
+            out.push(self.ctx.admit_relation(req.what, name, phase, rel)?);
+        }
+        Ok(out)
+    }
+
+    /// Decide how one plain-`SELECT` response is cross-checked: not at
+    /// all, against the count the analysis probe already returned, or
+    /// against a fresh `COUNT(*)` probe. Feeds the row count to the
+    /// ledger's cap-learning heuristics.
+    fn decide(&self, req: &WaveRequest, resp: &SelectResponse) -> Check {
+        let name = self.federation.endpoint(req.ep).name();
         let reg = self.integrity;
         let delivered = resp.rows.len();
         let suspicious = reg.observe_rows(name, delivered);
-        let must_verify = resp.truncated
-            || suspicious
+        if resp.truncated
             || reg.needs_verification(name)
-            || expected.is_some_and(|e| e > delivered);
-        if !must_verify {
-            return Ok(resp.rows);
+            || req.expected.is_some_and(|e| e.rows > delivered)
+        {
+            Check::Probe
+        } else if !suspicious {
+            Check::Trusted
+        } else if req.expected.is_some_and(|e| e.fresh && e.rows == delivered) {
+            // Only the row-count heuristic fired, and the endpoint has
+            // already claimed exactly this many rows during this very
+            // query: a second probe would compare the same two numbers.
+            // (A cached count may predate the rows a cap now hides.)
+            Check::Expected
+        } else {
+            Check::Probe
+        }
+    }
+
+    /// Send the `COUNT(*)` cross-probe of every response still marked
+    /// [`Check::Probe`] as one wave and store the claims.
+    fn cross_probe(&self, wave: &[WaveRequest], checks: &mut [Check]) -> Result<(), EngineError> {
+        let due: Vec<usize> = (0..checks.len())
+            .filter(|&k| matches!(checks[k], Check::Probe))
+            .collect();
+        if due.is_empty() {
+            return Ok(());
         }
         self.ctx.check()?;
-        reg.record_verification(name);
-        let probe = recover::count_star(base);
-        let claimed = match endpoint.count_within(&probe, self.ctx.deadline.clone()) {
-            Ok(n) => n,
-            Err(e) if matches!(e.kind, FailureKind::Deadline | FailureKind::Cancelled) => {
-                return Err(self.deadline_error(what, e));
-            }
-            // A failed probe says nothing about the rows already in hand:
-            // keep them rather than discard good data over a flaky probe.
-            Err(_) => return Ok(resp.rows),
-        };
-        match claimed.cmp(&delivered) {
-            std::cmp::Ordering::Equal if !resp.truncated => {
-                self.apply_transition(ep, reg.record_clean(name));
-                Ok(resp.rows)
-            }
-            std::cmp::Ordering::Less => {
-                // The endpoint *under*-claims — more rows than its own
-                // COUNT admits to (the result-bomb shape). There is
-                // nothing to page for, and the row-cap/memory-budget
-                // defenses own oversized responses; record the strike
-                // silently so repeated under-claiming still quarantines,
-                // and hand the rows to the admission layer to police.
-                let transition = reg.record_divergence(name, claimed, delivered);
-                self.apply_transition(ep, transition);
-                Ok(resp.rows)
-            }
-            _ => self.recover_paged(what, ep, base, resp, claimed),
+        for &k in &due {
+            self.integrity
+                .record_verification(self.federation.endpoint(wave[k].ep).name());
+        }
+        let claims = self.handler.map_cancellable(
+            due.clone(),
+            self.ctx.deadline.clone(),
+            |_| Err(EndpointError::deadline("integrity probe")),
+            |k| {
+                self.federation.endpoint(wave[k].ep).count_within(
+                    &recover::count_star(&wave[k].query()),
+                    self.ctx.deadline.clone(),
+                )
+            },
+        );
+        for (k, claim) in due.into_iter().zip(claims) {
+            checks[k] = Check::Claimed(claim);
+        }
+        Ok(())
+    }
+
+    /// Reconcile the endpoint's `claimed` row count with the rows it
+    /// delivered, transparently re-fetching the complete result via
+    /// deterministic paging when the endpoint cut it short.
+    fn reconcile(
+        &self,
+        req: &WaveRequest,
+        resp: SelectResponse,
+        claimed: usize,
+    ) -> Result<Relation, EngineError> {
+        let name = self.federation.endpoint(req.ep).name();
+        let reg = self.integrity;
+        let delivered = resp.rows.len();
+        if reconciles(&resp, claimed) {
+            self.apply_transition(req.ep, reg.record_clean(name));
+            Ok(resp.rows)
+        } else if claimed < delivered {
+            // The endpoint *under*-claims — more rows than its own
+            // COUNT admits to (the result-bomb shape). There is
+            // nothing to page for, and the row-cap/memory-budget
+            // defenses own oversized responses; record the strike
+            // silently so repeated under-claiming still quarantines,
+            // and hand the rows to the admission layer to police.
+            let transition = reg.record_divergence(name, claimed, delivered);
+            self.apply_transition(req.ep, transition);
+            Ok(resp.rows)
+        } else {
+            self.recover_paged(req.what, req.ep, &req.query(), resp, claimed)
         }
     }
 
@@ -606,6 +690,54 @@ impl SapeExecutor<'_> {
             .absorb(what, (), Err(e))
             .expect_err("deadline failures always abort")
     }
+}
+
+/// One request of a subquery wave: `sq` evaluated at `ep`, unbound or
+/// restricted to one `VALUES` block of found bindings.
+struct WaveRequest<'a> {
+    sq: &'a Subquery,
+    /// How warnings and errors name the subquery.
+    what: &'a str,
+    ep: EndpointId,
+    /// The bind variable and block of a bound-join request.
+    block: Option<(&'a Variable, &'a [Vec<Option<Term>>])>,
+    /// The row count the analysis probe reported for this very query at
+    /// `ep`, when it measured one (unbound single-pattern subqueries).
+    expected: Option<ExpectedRows>,
+}
+
+impl WaveRequest<'_> {
+    /// The query this request sends — also the base of its `COUNT(*)`
+    /// cross-probe and recovery pages, which rebuild it only if needed.
+    fn query(&self) -> Query {
+        match self.block {
+            None => self.sq.to_query(),
+            Some((v, block)) => self.sq.to_bound_query(std::slice::from_ref(v), block),
+        }
+    }
+}
+
+/// Does the endpoint's `claimed` row count account for the response as
+/// delivered? Anything else — an advertised cut, or a count off either
+/// way — puts the endpoint on watch.
+fn reconciles(resp: &SelectResponse, claimed: usize) -> bool {
+    !resp.truncated && claimed == resp.rows.len()
+}
+
+/// How one response of a wave is cross-checked against the endpoint's
+/// own count.
+enum Check {
+    /// A skipped endpoint's substituted default: nothing to check.
+    Skip,
+    /// No integrity signal fired.
+    Trusted,
+    /// Settled against the analysis probe's count, which equals the rows
+    /// delivered, without a request.
+    Expected,
+    /// Needs a `COUNT(*)` cross-probe that has not been sent yet.
+    Probe,
+    /// The cross-probe's outcome.
+    Claimed(Result<usize, EndpointError>),
 }
 
 /// Split binding values into `VALUES` blocks bounded both by count and by
@@ -835,10 +967,368 @@ fn refined_cardinality(sq: &Subquery, original: usize, bindings: &FoundBindings)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lusail_federation::{
+        CancelReason, CancelToken, Deadline, FaultProfile, FaultyEndpoint, IntegrityConfig,
+        NetworkProfile, SimulatedEndpoint, SparqlEndpoint, TrafficSnapshot,
+    };
+    use lusail_rdf::Graph;
+    use lusail_sparql::ast::{Projection, QueryForm, TermPattern, TriplePattern};
+    use lusail_store::eval::QueryResult;
+    use lusail_store::Store;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn v(n: &str) -> Variable {
         Variable::new(n)
     }
+
+    // ---- wave settlement -------------------------------------------------
+
+    const BLOCK: usize = 100;
+
+    fn d(i: usize) -> Term {
+        Term::iri(format!("http://x/d{i:05}"))
+    }
+
+    /// `n` subjects with exactly one weight each, so a `VALUES` block of
+    /// [`BLOCK`] subjects answers with exactly [`BLOCK`] rows — the shape
+    /// that teaches the ledger a false cap on an honest endpoint.
+    fn weights(n: usize) -> Store {
+        let mut g = Graph::new();
+        for i in 0..n {
+            g.add(d(i), Term::iri("http://x/weight"), Term::integer(i as i64));
+        }
+        Store::from_graph(&g)
+    }
+
+    /// `?d <http://x/weight> ?w` at endpoint 0.
+    fn weight_subquery() -> Subquery {
+        Subquery {
+            id: 1,
+            patterns: vec![TriplePattern::new(
+                TermPattern::var("d"),
+                TermPattern::iri("http://x/weight"),
+                TermPattern::var("w"),
+            )],
+            filters: vec![],
+            sources: vec![0],
+            projection: vec![v("d"), v("w")],
+            optional: false,
+        }
+    }
+
+    /// What a [`Scripted`] endpoint does to a `COUNT(*)` cross-probe.
+    enum OnCount {
+        Fail(EndpointError),
+        Cancel(CancelToken, CancelReason),
+    }
+
+    /// An honest endpoint with a scripted transport: cross-probes can fail
+    /// or trip the query's cancel token, and plain responses can carry the
+    /// truncation advertisement.
+    struct Scripted {
+        inner: SimulatedEndpoint,
+        on_count: Option<OnCount>,
+        advertise_truncated: bool,
+    }
+
+    impl SparqlEndpoint for Scripted {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn execute_within(
+            &self,
+            query: &Query,
+            deadline: Deadline,
+        ) -> Result<QueryResult, EndpointError> {
+            let is_count = matches!(
+                &query.form,
+                QueryForm::Select(s) if matches!(s.projection, Projection::Count { .. })
+            );
+            match &self.on_count {
+                Some(OnCount::Fail(e)) if is_count => Err(e.clone()),
+                Some(OnCount::Cancel(token, reason)) if is_count => {
+                    token.cancel(*reason);
+                    Err(EndpointError::cancelled(self.name(), *reason))
+                }
+                _ => self.inner.execute_within(query, deadline),
+            }
+        }
+        fn select_with_meta(
+            &self,
+            query: &Query,
+            deadline: Deadline,
+        ) -> Result<SelectResponse, EndpointError> {
+            Ok(SelectResponse {
+                rows: self.select_within(query, deadline)?,
+                truncated: self.advertise_truncated,
+            })
+        }
+        fn traffic(&self) -> TrafficSnapshot {
+            self.inner.traffic()
+        }
+        fn reset_traffic(&self) {
+            self.inner.reset_traffic()
+        }
+    }
+
+    /// Everything a [`SapeExecutor`] borrows, owned.
+    struct Rig {
+        federation: Federation,
+        handler: RequestHandler,
+        config: LusailConfig,
+        ctx: RunContext,
+        integrity: IntegrityRegistry,
+    }
+
+    impl Rig {
+        fn new(endpoint: Arc<dyn SparqlEndpoint>, integrity: IntegrityConfig) -> Self {
+            Rig {
+                federation: Federation::new(vec![endpoint]),
+                handler: RequestHandler::elastic(13),
+                config: LusailConfig {
+                    bound_block_size: BLOCK,
+                    bound_block_max_bytes: 1 << 20,
+                    ..LusailConfig::without_cache()
+                },
+                ctx: RunContext::unbounded(),
+                integrity: IntegrityRegistry::new(integrity),
+            }
+        }
+
+        fn executor(&self) -> SapeExecutor<'_> {
+            SapeExecutor {
+                federation: &self.federation,
+                handler: &self.handler,
+                config: &self.config,
+                ctx: &self.ctx,
+                integrity: &self.integrity,
+            }
+        }
+
+        /// Bound-join the weight subquery over the first `n` subjects.
+        fn bound_join(&self, n: usize) -> Result<Relation, EngineError> {
+            let mut bindings = FoundBindings::default();
+            bindings.update(&v("d"), (0..n).map(d).collect());
+            self.executor()
+                .run_bound(&weight_subquery(), "subquery #1", &bindings, None)
+        }
+
+        /// Evaluate the weight subquery unbound, in a phase-1 wave, with
+        /// `expected` as the analysis probe's count.
+        fn phase1(&self, expected: ExpectedRows) -> Result<Relation, EngineError> {
+            let schedule = Schedule {
+                non_delayed: vec![0],
+                delayed: vec![],
+            };
+            let expected = [FxHashMap::from_iter([(0, expected)])];
+            self.executor()
+                .execute(&[weight_subquery()], &schedule, &[0], &[], &expected)
+                .map(|outcome| outcome.relation)
+        }
+
+        fn requests(&self) -> u64 {
+            self.federation.endpoint(0).traffic().requests
+        }
+
+        fn snapshot(&self) -> lusail_federation::IntegritySnapshot {
+            let name = self.federation.endpoint(0).name().to_string();
+            self.integrity
+                .snapshot()
+                .into_iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, s)| s)
+                .unwrap_or_default()
+        }
+    }
+
+    /// An analysis count fetched during the query.
+    fn fresh(rows: usize) -> ExpectedRows {
+        ExpectedRows { rows, fresh: true }
+    }
+
+    /// An analysis count read from the cross-query count cache.
+    fn cached(rows: usize) -> ExpectedRows {
+        ExpectedRows { rows, fresh: false }
+    }
+
+    fn simulated(n: usize, network: NetworkProfile) -> SimulatedEndpoint {
+        SimulatedEndpoint::new("tgt", weights(n), network)
+    }
+
+    #[test]
+    fn cross_probes_of_a_wave_go_out_as_one_wave() {
+        // 8 full blocks from an honest endpoint: the third identical row
+        // count teaches a (false) cap, so blocks 3..=8 are cross-probed —
+        // as before, but in one wave after the bound wave instead of six
+        // serial round trips behind it.
+        let network = NetworkProfile {
+            latency: Duration::from_millis(5),
+            bytes_per_sec: u64::MAX,
+        };
+        let rig = Rig::new(
+            Arc::new(simulated(8 * BLOCK, network)),
+            IntegrityConfig::default(),
+        );
+        let waves = rig.handler.snapshot().waves;
+        let rel = rig.bound_join(8 * BLOCK).unwrap();
+        assert_eq!(rel.len(), 8 * BLOCK);
+        assert_eq!(rig.requests(), 8 + 6, "8 blocks and 6 probes");
+        assert_eq!(rig.snapshot().verifications, 6);
+        assert_eq!(rig.snapshot().learned_cap, Some(BLOCK));
+        assert_eq!(
+            rig.handler.snapshot().waves - waves,
+            2,
+            "one bound wave, one probe wave"
+        );
+    }
+
+    #[test]
+    fn an_endpoint_caught_in_a_wave_has_all_its_responses_of_the_wave_verified() {
+        // Every block comes back cut to 64 rows. Only the third identical
+        // count trips the heuristic; its probe catches the endpoint, and
+        // the follow-up wave then verifies blocks 1 and 2 as well, so the
+        // whole wave is recovered, not just what came after the catch.
+        let faulty = FaultyEndpoint::new(
+            Arc::new(simulated(5 * BLOCK, NetworkProfile::instant())),
+            7,
+            FaultProfile::silent_truncate(64),
+        );
+        let rig = Rig::new(Arc::new(faulty), IntegrityConfig::default());
+        let waves = rig.handler.snapshot().waves;
+        let mut rel = rig.bound_join(5 * BLOCK).unwrap();
+        rel.rows_mut().sort();
+        rel.rows_mut().dedup();
+        assert_eq!(rel.len(), 5 * BLOCK, "every block recovered in full");
+        let snap = rig.snapshot();
+        assert_eq!(snap.verifications, 5);
+        assert_eq!(snap.truncations_detected, 5);
+        assert_eq!(snap.count_divergences, 0);
+        assert_eq!(
+            rig.handler.snapshot().waves - waves,
+            3,
+            "bound wave, probe wave, one follow-up wave"
+        );
+    }
+
+    #[test]
+    fn the_analysis_count_settles_a_flagged_response_only_when_nothing_else_fired() {
+        let check = |integrity: IntegrityConfig, expected, truncated| {
+            let rig = Rig::new(
+                Arc::new(simulated(BLOCK, NetworkProfile::instant())),
+                integrity,
+            );
+            let sq = weight_subquery();
+            let req = WaveRequest {
+                sq: &sq,
+                what: "subquery #1",
+                ep: 0,
+                block: None,
+                expected,
+            };
+            let mut rows = Relation::new(sq.projection.clone());
+            for i in 0..BLOCK {
+                rows.push(vec![Some(d(i)), Some(Term::integer(i as i64))]);
+            }
+            let resp = SelectResponse { rows, truncated };
+            // Two earlier responses of the same size: the third is flagged.
+            rig.integrity.observe_rows("tgt", BLOCK);
+            rig.integrity.observe_rows("tgt", BLOCK);
+            rig.executor().decide(&req, &resp)
+        };
+        let default = IntegrityConfig::default;
+        let settled = check(default(), Some(fresh(BLOCK)), false);
+        assert!(matches!(settled, Check::Expected));
+        let probed = [
+            check(default(), None, false),
+            check(default(), Some(fresh(BLOCK + 1)), false),
+            check(default(), Some(fresh(BLOCK - 1)), false),
+            check(default(), Some(fresh(BLOCK)), true),
+            check(IntegrityConfig::paranoid(), Some(fresh(BLOCK)), false),
+            // A cached count is no claim about today's data.
+            check(default(), Some(cached(BLOCK)), false),
+        ];
+        for (case, check) in probed.iter().enumerate() {
+            assert!(matches!(check, Check::Probe), "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_settled_response_costs_no_request_and_is_counted() {
+        let rig = Rig::new(
+            Arc::new(simulated(BLOCK, NetworkProfile::instant())),
+            IntegrityConfig::default(),
+        );
+        for _ in 0..3 {
+            assert_eq!(rig.phase1(fresh(BLOCK)).unwrap().len(), BLOCK);
+        }
+        assert_eq!(rig.requests(), 3, "three SELECTs, no cross-probe");
+        let snap = rig.snapshot();
+        assert_eq!(snap.verifications, 0);
+        assert_eq!(snap.settled_by_expectation, 1);
+        // The same flagged response under a cached count costs its probe.
+        assert_eq!(rig.phase1(cached(BLOCK)).unwrap().len(), BLOCK);
+        assert_eq!(rig.requests(), 5, "one more SELECT and its cross-probe");
+        let snap = rig.snapshot();
+        assert_eq!((snap.verifications, snap.settled_by_expectation), (1, 1));
+        // An advertised cut is ground truth: it is probed (and paged)
+        // whatever the analysis count says.
+        let rig = Rig::new(
+            Arc::new(Scripted {
+                inner: simulated(BLOCK, NetworkProfile::instant()),
+                on_count: None,
+                advertise_truncated: true,
+            }),
+            IntegrityConfig::default(),
+        );
+        assert_eq!(rig.phase1(fresh(BLOCK)).unwrap().len(), BLOCK);
+        let snap = rig.snapshot();
+        assert_eq!(snap.verifications, 1);
+        assert_eq!(snap.settled_by_expectation, 0);
+        assert_eq!(snap.truncations_detected, 1);
+    }
+
+    #[test]
+    fn a_failed_cross_probe_keeps_the_rows_but_a_cancelled_one_aborts() {
+        let scripted = |on_count| {
+            Arc::new(Scripted {
+                inner: simulated(BLOCK, NetworkProfile::instant()),
+                on_count: Some(on_count),
+                advertise_truncated: false,
+            })
+        };
+        // A skippable failure says nothing about the rows in hand — even
+        // under fail-fast they are kept.
+        let rig = Rig::new(
+            scripted(OnCount::Fail(EndpointError::transport("tgt", "reset"))),
+            IntegrityConfig::paranoid(),
+        );
+        assert_eq!(rig.phase1(fresh(BLOCK)).unwrap().len(), BLOCK);
+        assert_eq!(rig.snapshot().verifications, 1);
+        assert!(rig.ctx.take_warnings().is_empty());
+
+        let rig = Rig::new(
+            scripted(OnCount::Fail(EndpointError::deadline("tgt"))),
+            IntegrityConfig::paranoid(),
+        );
+        assert!(matches!(
+            rig.phase1(fresh(BLOCK)),
+            Err(EngineError::Timeout(_))
+        ));
+
+        let token = CancelToken::new();
+        let mut rig = Rig::new(
+            scripted(OnCount::Cancel(token.clone(), CancelReason::WatchdogReaped)),
+            IntegrityConfig::paranoid(),
+        );
+        rig.ctx = RunContext::unbounded().with_cancel(token);
+        assert!(matches!(
+            rig.phase1(fresh(BLOCK)),
+            Err(EngineError::Cancelled(CancelReason::WatchdogReaped))
+        ));
+    }
+
+    // ---- blocks, bindings, components -------------------------------------
 
     #[test]
     fn chunk_by_size_respects_both_caps() {

@@ -113,6 +113,10 @@ pub enum QuarantineTransition {
 pub struct IntegritySnapshot {
     /// `COUNT(*)` verification probes issued for this endpoint.
     pub verifications: u64,
+    /// Responses the row-count heuristic flagged that were settled against
+    /// the count the analysis probe had already returned for the same
+    /// query, without a verification probe.
+    pub settled_by_expectation: u64,
     /// Responses confirmed truncated (advertised or claim > delivered).
     pub truncations_detected: u64,
     /// Recovery pages fetched.
@@ -179,8 +183,12 @@ impl IntegrityRegistry {
         f: impl FnOnce(&IntegrityConfig, &mut EndpointIntegrity) -> T,
     ) -> T {
         let mut map = self.endpoints.lock().expect("integrity registry poisoned");
-        let entry = map.entry(endpoint.to_string()).or_default();
-        f(&self.config, entry)
+        // Look up by `&str` first: the name is only allocated the first
+        // time an endpoint is seen, not on every call.
+        if let Some(entry) = map.get_mut(endpoint) {
+            return f(&self.config, entry);
+        }
+        f(&self.config, map.entry(endpoint.to_string()).or_default())
     }
 
     /// Record the row count of an unpaged plain-`SELECT` response and
@@ -220,6 +228,12 @@ impl IntegrityRegistry {
     /// Count one verification probe issued.
     pub fn record_verification(&self, endpoint: &str) {
         self.with(endpoint, |_, e| e.snapshot.verifications += 1);
+    }
+
+    /// Count one flagged response settled against the analysis probe's
+    /// count instead of a verification probe.
+    pub fn record_settled_by_expectation(&self, endpoint: &str) {
+        self.with(endpoint, |_, e| e.snapshot.settled_by_expectation += 1);
     }
 
     /// A verification reconciled: claim matched delivery. Advances the

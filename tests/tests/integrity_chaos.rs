@@ -24,16 +24,17 @@ use integration::{assert_same_solutions, ground_truth};
 use lusail_core::sape::recover;
 use lusail_core::{EngineError, IntegrityConfig, LusailConfig, LusailEngine, ResultPolicy};
 use lusail_federation::{
-    results_json, Deadline, FailureKind, FaultProfile, FaultyConfig, FaultyEndpoint, Federation,
-    NetworkProfile, SimulatedEndpoint, SparqlEndpoint,
+    results_json, Deadline, EndpointError, FailureKind, FaultProfile, FaultyConfig, FaultyEndpoint,
+    Federation, NetworkProfile, SelectResponse, SimulatedEndpoint, SparqlEndpoint, TrafficSnapshot,
 };
 use lusail_rdf::{Graph, Term};
+use lusail_sparql::ast::Query;
 use lusail_sparql::parse_query;
 use lusail_sparql::solution::Relation;
 use lusail_store::{eval::QueryResult, Store};
 use lusail_workloads::prng::SplitMix64;
 use lusail_workloads::{federation_from_graphs, lubm, qfed};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn chaos_seed() -> u64 {
@@ -426,6 +427,163 @@ fn recovery_respects_the_deadline() {
         "expected Timeout, got {err:?} (seed {})",
         chaos_seed()
     );
+}
+
+// ---- the analysis probe's count as the claim -----------------------------
+
+/// Under the default (trusting) config a flagged response whose row count
+/// equals the analysis probe's count is settled without a request — but
+/// only then. A silently capped single-pattern subquery delivers *fewer*
+/// rows than the analysis probe counted, so it is still cross-probed and
+/// paged back byte-identical to the healthy run; an endpoint that inflates
+/// its counts inflates the analysis count too, never reconciles, and is
+/// still quarantined. Neither lie is ever settled against the expectation.
+/// (Caches off, so every count here is fetched by the query that uses it;
+/// the cached-count case is the next test.)
+#[test]
+fn a_disagreeing_analysis_count_still_probes_under_the_default_config() {
+    let config = |policy| LusailConfig {
+        result_policy: policy,
+        ..LusailConfig::without_cache()
+    };
+    let settled = |engine: &LusailEngine, name: &str| {
+        let snap = engine.integrity().snapshot();
+        let (_, s) = snap.iter().find(|(n, _)| n == name).expect("stats");
+        assert_eq!(s.settled_by_expectation, 0, "{s:?}");
+        s.clone()
+    };
+
+    const ROWS: usize = 300;
+    let q = parse_query("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }").unwrap();
+    let healthy = LusailEngine::new(
+        single_endpoint_rig(ROWS, FaultProfile::none(), NetworkProfile::instant()),
+        config(ResultPolicy::FailFast),
+    );
+    let lying = LusailEngine::new(
+        single_endpoint_rig(
+            ROWS,
+            FaultProfile::silent_truncate(64),
+            NetworkProfile::instant(),
+        ),
+        config(ResultPolicy::FailFast),
+    );
+    let want = healthy.execute(&q).unwrap();
+    let (got, profile) = lying.execute_profiled(&q).unwrap();
+    assert_eq!(want.len(), ROWS);
+    assert_eq!(canonical_bytes(&got), canonical_bytes(&want));
+    assert!(profile.warnings.is_empty(), "{:?}", profile.warnings);
+    let s = settled(&lying, "trunky");
+    assert_eq!((s.verifications, s.truncations_detected), (1, 1), "{s:?}");
+
+    let rig = rig(FaultProfile::miscounts(3.0));
+    let engine = LusailEngine::new(rig.federation.clone(), config(ResultPolicy::Partial));
+    let q = parse_query("SELECT ?s ?d WHERE { ?s <http://x/linked> ?d }").unwrap();
+    for run in 0..2 {
+        let rel = engine.execute(&q).unwrap();
+        assert_eq!(rel.len(), 3 * ROWS_PER_SHARD, "run {run}");
+    }
+    let s = settled(&engine, FAULTY_NAME);
+    assert!(s.quarantined && s.count_divergences == 2, "{s:?}");
+    assert!(rig.faulty.health_snapshot().quarantined);
+}
+
+/// An endpoint whose data can be replaced between queries.
+struct Swappable {
+    name: String,
+    current: Mutex<Arc<dyn SparqlEndpoint>>,
+}
+
+impl Swappable {
+    fn current(&self) -> Arc<dyn SparqlEndpoint> {
+        self.current.lock().unwrap().clone()
+    }
+}
+
+impl SparqlEndpoint for Swappable {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn execute_within(
+        &self,
+        query: &Query,
+        deadline: Deadline,
+    ) -> Result<QueryResult, EndpointError> {
+        self.current().execute_within(query, deadline)
+    }
+    fn select_with_meta(
+        &self,
+        query: &Query,
+        deadline: Deadline,
+    ) -> Result<SelectResponse, EndpointError> {
+        self.current().select_with_meta(query, deadline)
+    }
+    fn traffic(&self) -> TrafficSnapshot {
+        self.current().traffic()
+    }
+    fn reset_traffic(&self) {
+        self.current().reset_traffic()
+    }
+}
+
+/// Only a count the endpoint gave during this very query is its claim for
+/// this query. Under the default config the analysis count of a repeated
+/// query comes from the cross-query count cache, and the data may have
+/// grown since: a capping endpoint then still delivers exactly the cached
+/// count. That response must be cross-probed and paged back in full, not
+/// settled against the stale number.
+#[test]
+fn a_cached_analysis_count_never_settles_a_response() {
+    const CAP: usize = 64;
+    const GROWN: usize = 300;
+    let capped = |rows| {
+        let federation = single_endpoint_rig(
+            rows,
+            FaultProfile::silent_truncate(CAP),
+            NetworkProfile::instant(),
+        );
+        federation.endpoint(0).clone()
+    };
+    let endpoint = Arc::new(Swappable {
+        name: "trunky".into(),
+        current: Mutex::new(capped(CAP)),
+    });
+    let config = LusailConfig {
+        result_policy: ResultPolicy::FailFast,
+        ..LusailConfig::default()
+    };
+    assert!(config.enable_cache && config.cache_counts);
+    let engine = LusailEngine::new(Federation::new(vec![endpoint.clone()]), config.clone());
+    let q = parse_query("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }").unwrap();
+    let stats = || {
+        let snap = engine.integrity().snapshot();
+        let (_, s) = snap.iter().find(|(n, _)| n == "trunky").expect("stats");
+        s.clone()
+    };
+
+    // Three runs over exactly CAP rows: the count is fetched once and
+    // cached, the third identical row count teaches the cap. The flagged
+    // response meets a *cached* count, so it is probed (and reconciles).
+    for run in 0..3 {
+        assert_eq!(engine.execute(&q).unwrap().len(), CAP, "run {run}");
+    }
+    let s = stats();
+    assert_eq!(s.learned_cap, Some(CAP), "{s:?}");
+    assert_eq!((s.verifications, s.settled_by_expectation), (1, 0), "{s:?}");
+
+    // The data grows; the endpoint still delivers CAP rows.
+    *endpoint.current.lock().unwrap() = capped(GROWN);
+    let healthy = LusailEngine::new(
+        single_endpoint_rig(GROWN, FaultProfile::none(), NetworkProfile::instant()),
+        config,
+    );
+    let want = healthy.execute(&q).unwrap();
+    let (got, profile) = engine.execute_profiled(&q).unwrap();
+    assert_eq!(want.len(), GROWN);
+    assert_eq!(canonical_bytes(&got), canonical_bytes(&want));
+    assert!(profile.warnings.is_empty(), "{:?}", profile.warnings);
+    let s = stats();
+    assert_eq!((s.verifications, s.settled_by_expectation), (2, 0), "{s:?}");
+    assert_eq!(s.truncations_detected, 1, "{s:?}");
 }
 
 // ---- paging property ---------------------------------------------------
