@@ -87,7 +87,7 @@ fn join_order_comparison() {
     let naive_ms = t.elapsed().as_secs_f64() * 1000.0;
     let naive_rows = acc.len();
 
-    let order = dp_join_order(&rels);
+    let order = dp_join_order(&rels.iter().collect::<Vec<_>>());
     let t = Instant::now();
     let mut acc = rels[order[0]].clone();
     for &i in &order[1..] {

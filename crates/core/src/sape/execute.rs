@@ -17,6 +17,7 @@ use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
 use lusail_rdf::Term;
 use lusail_sparql::ast::{GraphPattern, Query, Variable};
 use lusail_sparql::solution::Relation;
+use std::borrow::Borrow;
 
 /// The result of executing one branch's subqueries.
 #[derive(Debug)]
@@ -145,7 +146,7 @@ impl SapeExecutor<'_> {
                     .collect();
                 let joined = join_all(&rels, self.handler, self.ctx)?;
                 for v in joined.vars() {
-                    bindings.update(v, joined.distinct_values(v));
+                    bindings.update_from(v, &joined);
                 }
             }
         }
@@ -178,9 +179,8 @@ impl SapeExecutor<'_> {
                 .unwrap();
             let i = remaining.swap_remove(pick_pos);
             let rel = self.run_bound(&subqueries[i], &labels[i], &bindings, expected.get(i))?;
-            for v in subqueries[i].projection.clone() {
-                let vals = rel.distinct_values(&v);
-                bindings.update(&v, vals);
+            for v in &subqueries[i].projection {
+                bindings.update_from(v, &rel);
             }
             partials[i] = Some(rel);
             delayed_executed += 1;
@@ -414,8 +414,8 @@ impl SapeExecutor<'_> {
             // Bound queries may expose the bind variable even if it is
             // not projected; align headers.
             let rel = match req.block {
-                Some(_) => rel.project(&req.sq.projection),
-                None => rel,
+                Some(_) if rel.vars() != req.sq.projection => rel.project(&req.sq.projection),
+                _ => rel,
             };
             out.push(self.ctx.admit_relation(req.what, name, phase, rel)?);
         }
@@ -828,16 +828,18 @@ fn join_all_bridged(
         }
         1 => Ok(rels[0].clone()),
         _ => {
-            let owned: Vec<Relation> = rels.iter().map(|r| (*r).clone()).collect();
-            let order = dp_join_order(&owned);
+            let order = dp_join_order(rels);
             let truncate = ctx.policy == ResultPolicy::Partial;
-            let mut acc = owned[order[0]].clone();
+            // The accumulator borrows the first input until a join has
+            // produced an intermediate of its own.
+            let mut joined: Option<Relation> = None;
             let mut acc_charged = 0usize;
             for &i in &order[1..] {
-                let next = &owned[i];
+                let acc = joined.as_ref().unwrap_or(rels[order[0]]);
+                let next = rels[i];
                 let shares_var = acc.vars().iter().any(|v| next.index_of(v).is_some());
                 let outcome = if shares_var {
-                    budgeted_join(&acc, next, handler, &ctx.memory, truncate)
+                    budgeted_join(acc, next, handler, &ctx.memory, truncate)
                 } else {
                     // Disconnected: look for bridges in either orientation.
                     let pairs: Vec<(Variable, Variable)> = bridges
@@ -853,7 +855,7 @@ fn join_all_bridged(
                         })
                         .collect();
                     if pairs.is_empty() {
-                        budgeted_join(&acc, next, handler, &ctx.memory, truncate)
+                        budgeted_join(acc, next, handler, &ctx.memory, truncate)
                     } else {
                         charge_output(acc.equi_join(next, &pairs), &ctx.memory, truncate)
                     }
@@ -870,10 +872,10 @@ fn join_all_bridged(
                     });
                 }
                 ctx.memory.release(acc_charged);
-                acc = outcome.relation;
+                joined = Some(outcome.relation);
                 acc_charged = outcome.charged;
             }
-            Ok(acc)
+            Ok(joined.expect("two or more inputs: at least one join ran"))
         }
     }
 }
@@ -900,8 +902,11 @@ impl FoundBindings {
     /// of the incoming ids plus a linear two-pointer intersection —
     /// pathological binding sets stay `O(n log n)` where a per-value
     /// scan would go quadratic.
-    fn update(&mut self, v: &Variable, values: Vec<Term>) {
-        let mut ids: Vec<TermId> = values.iter().map(|t| self.dict.encode(t)).collect();
+    fn update(&mut self, v: &Variable, values: impl IntoIterator<Item = impl Borrow<Term>>) {
+        let mut ids: Vec<TermId> = values
+            .into_iter()
+            .map(|t| self.dict.encode(t.borrow()))
+            .collect();
         ids.sort_unstable();
         ids.dedup();
         match self.vars.get_mut(v) {
@@ -925,6 +930,13 @@ impl FoundBindings {
                 *existing = merged;
             }
         }
+    }
+
+    /// [`FoundBindings::update`] with the bound cells of `rel`'s column
+    /// `v`, interned straight from the rows.
+    fn update_from(&mut self, v: &Variable, rel: &Relation) {
+        let column = rel.index_of(v);
+        self.update(v, rel.rows().iter().filter_map(|row| row[column?].as_ref()));
     }
 
     fn contains(&self, v: &Variable) -> bool {
@@ -1109,7 +1121,7 @@ mod tests {
         /// Bound-join the weight subquery over the first `n` subjects.
         fn bound_join(&self, n: usize) -> Result<Relation, EngineError> {
             let mut bindings = FoundBindings::default();
-            bindings.update(&v("d"), (0..n).map(d).collect());
+            bindings.update(&v("d"), (0..n).map(d));
             self.executor()
                 .run_bound(&weight_subquery(), "subquery #1", &bindings, None)
         }

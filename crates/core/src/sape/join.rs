@@ -24,6 +24,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Compute a join order for `relations` via DP over connected subsets.
 ///
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// are concatenated afterwards (their product is taken last, which is also
 /// what the paper's planner does for disjoint subgraphs joined by a filter
 /// variable).
-pub fn dp_join_order(relations: &[Relation]) -> Vec<usize> {
+pub fn dp_join_order(relations: &[&Relation]) -> Vec<usize> {
     let n = relations.len();
     if n == 0 {
         return Vec::new();
@@ -130,7 +131,7 @@ pub fn dp_join_order(relations: &[Relation]) -> Vec<usize> {
         .unwrap_or_else(|| greedy_order(relations))
 }
 
-fn greedy_order(relations: &[Relation]) -> Vec<usize> {
+fn greedy_order(relations: &[&Relation]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..relations.len()).collect();
     order.sort_by_key(|&i| relations[i].len());
     order
@@ -727,12 +728,14 @@ fn encode_row(w: &mut impl Write, row: &Row) -> io::Result<u64> {
     Ok(written)
 }
 
-fn read_str(r: &mut impl Read) -> io::Result<String> {
+fn read_str(r: &mut impl Read) -> io::Result<Arc<str>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let mut buf = vec![0u8; u32::from_le_bytes(len) as usize];
     r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    std::str::from_utf8(&buf)
+        .map(Arc::from)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Decode one (key hash, row) run entry; `Ok(None)` on a clean
@@ -813,7 +816,7 @@ mod tests {
         let r0 = rel(&["x", "y"], 100, 0);
         let r1 = rel(&["y", "z"], 10, 0);
         let r2 = rel(&["z", "w"], 50, 0);
-        let order = dp_join_order(&[r0, r1, r2]);
+        let order = dp_join_order(&[&r0, &r1, &r2]);
         let pos = |i: usize| order.iter().position(|&x| x == i).unwrap();
         // r1 is smallest and connects both; it must come before whichever
         // of r0/r2 joins later via it. Key invariant: consecutive prefix
@@ -827,14 +830,14 @@ mod tests {
     fn order_handles_disconnected_components() {
         let r0 = rel(&["x"], 5, 0);
         let r1 = rel(&["y"], 5, 0);
-        let order = dp_join_order(&[r0, r1]);
+        let order = dp_join_order(&[&r0, &r1]);
         assert_eq!(order.len(), 2);
     }
 
     #[test]
     fn order_empty_and_single() {
         assert!(dp_join_order(&[]).is_empty());
-        assert_eq!(dp_join_order(&[rel(&["x"], 3, 0)]), vec![0]);
+        assert_eq!(dp_join_order(&[&rel(&["x"], 3, 0)]), vec![0]);
     }
 
     #[test]
@@ -890,6 +893,10 @@ mod tests {
                 datatype: None,
                 language: Some("fr".into()),
             })),
+            // The one place the federator rebuilds a term from bytes:
+            // multi-byte and empty strings survive it too.
+            Some(Term::literal("naïve \"日本\"\n")),
+            Some(Term::literal("")),
         ];
         let mut buf = Vec::new();
         encode_row(&mut buf, &row).unwrap();

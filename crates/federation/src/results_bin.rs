@@ -227,7 +227,12 @@ pub fn parse_stream<R: std::io::Read>(
     reader: R,
     max_rows: Option<usize>,
 ) -> Result<StreamedBin, BinStreamError> {
-    Decoder { reader, offset: 0 }.parse_document(max_rows)
+    Decoder {
+        reader,
+        offset: 0,
+        scratch: Vec::new(),
+    }
+    .parse_document(max_rows)
 }
 
 /// [`parse_stream`] over an in-memory buffer (test entry point).
@@ -238,6 +243,9 @@ pub fn parse(bytes: &[u8]) -> Result<StreamedBin, BinStreamError> {
 struct Decoder<R: std::io::Read> {
     reader: R,
     offset: usize,
+    /// Reused read buffer for [`Decoder::string`]: a term string is copied
+    /// once, from here into its shared allocation.
+    scratch: Vec<u8>,
 }
 
 impl<R: std::io::Read> Decoder<R> {
@@ -281,20 +289,23 @@ impl<R: std::io::Read> Decoder<R> {
         Err(self.bad("varint longer than 5 bytes"))
     }
 
-    fn string(&mut self) -> Result<String, BinStreamError> {
+    fn string(&mut self) -> Result<&str, BinStreamError> {
         let len = self.varint()? as usize;
         if len > MAX_STRING_LEN {
             return Err(self.bad(format!("string length {len} exceeds {MAX_STRING_LEN}")));
         }
-        let mut buf = vec![0u8; len];
-        self.read_exact(&mut buf)?;
-        String::from_utf8(buf).map_err(|_| self.bad("invalid UTF-8 in string"))
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.resize(len, 0);
+        let read = self.read_exact(&mut buf);
+        self.scratch = buf;
+        read?;
+        std::str::from_utf8(&self.scratch).map_err(|_| self.bad("invalid UTF-8 in string"))
     }
 
     fn term(&mut self) -> Result<Term, BinStreamError> {
         match self.byte()? {
-            TERM_IRI => Ok(Term::Iri(self.string()?)),
-            TERM_BNODE => Ok(Term::BlankNode(self.string()?)),
+            TERM_IRI => Ok(Term::iri(self.string()?)),
+            TERM_BNODE => Ok(Term::bnode(self.string()?)),
             TERM_LITERAL => {
                 let presence = self.byte()?;
                 if presence & !0x03 != 0 {
@@ -303,9 +314,13 @@ impl<R: std::io::Read> Decoder<R> {
                 if presence == 0x03 {
                     return Err(self.bad("literal with both datatype and language"));
                 }
-                let lexical = self.string()?;
-                let datatype = (presence & 1 != 0).then(|| self.string()).transpose()?;
-                let language = (presence & 2 != 0).then(|| self.string()).transpose()?;
+                let lexical = self.string()?.into();
+                let datatype = (presence & 1 != 0)
+                    .then(|| self.string().map(Into::into))
+                    .transpose()?;
+                let language = (presence & 2 != 0)
+                    .then(|| self.string().map(Into::into))
+                    .transpose()?;
                 Ok(Term::Literal(Literal {
                     lexical,
                     datatype,
@@ -361,7 +376,7 @@ impl<R: std::io::Read> Decoder<R> {
         }
         let mut warnings = Vec::with_capacity(warn_count.min(1024));
         for _ in 0..warn_count {
-            warnings.push(self.string()?);
+            warnings.push(self.string()?.to_string());
         }
 
         let mut dict: Vec<Term> = Vec::new();

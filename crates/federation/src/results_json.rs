@@ -16,6 +16,7 @@ use lusail_rdf::{Literal, Term};
 use lusail_sparql::ast::Variable;
 use lusail_sparql::solution::{Relation, Row};
 use lusail_store::eval::QueryResult;
+use std::sync::Arc;
 
 /// The media type of this format.
 pub const MEDIA_TYPE: &str = "application/sparql-results+json";
@@ -207,24 +208,18 @@ fn parse_term(value: &Json) -> Result<Term, ResultsJsonError> {
         .and_then(Json::as_str)
         .ok_or_else(|| ResultsJsonError::shape("term object missing \"value\""))?;
     match kind {
-        "uri" => Ok(Term::Iri(lexical.to_string())),
-        "bnode" => Ok(Term::BlankNode(lexical.to_string())),
+        "uri" => Ok(Term::iri(lexical)),
+        "bnode" => Ok(Term::bnode(lexical)),
         // "typed-literal" is the legacy alias some servers still emit.
         "literal" | "typed-literal" => {
-            let language = value
-                .get("xml:lang")
-                .and_then(Json::as_str)
-                .map(str::to_string);
+            let language = value.get("xml:lang").and_then(Json::as_str).map(Arc::from);
             let datatype = if language.is_some() {
                 None
             } else {
-                value
-                    .get("datatype")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
+                value.get("datatype").and_then(Json::as_str).map(Arc::from)
             };
             Ok(Term::Literal(Literal {
-                lexical: lexical.to_string(),
+                lexical: lexical.into(),
                 datatype,
                 language,
             }))
@@ -626,12 +621,16 @@ impl<R: std::io::Read> StreamParser<R> {
         let kind = kind.ok_or_else(|| self.shape("term object missing \"type\""))?;
         let lexical = value.ok_or_else(|| self.shape("term object missing \"value\""))?;
         match kind.as_str() {
-            "uri" => Ok(Term::Iri(lexical)),
-            "bnode" => Ok(Term::BlankNode(lexical)),
+            "uri" => Ok(Term::iri(lexical)),
+            "bnode" => Ok(Term::bnode(lexical)),
             "literal" | "typed-literal" => Ok(Term::Literal(Literal {
-                lexical,
-                datatype: if language.is_some() { None } else { datatype },
-                language,
+                lexical: lexical.into(),
+                datatype: if language.is_some() {
+                    None
+                } else {
+                    datatype.map(Into::into)
+                },
+                language: language.map(Into::into),
             })),
             other => Err(self.shape(format_args!("unknown term type {other:?}"))),
         }

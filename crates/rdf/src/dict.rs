@@ -16,6 +16,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::term::Term;
+use std::collections::hash_map::Entry;
 
 /// A dense identifier for an interned term. `0` is a valid id.
 pub type TermId = u32;
@@ -46,15 +47,19 @@ impl Dictionary {
         Self::default()
     }
 
-    /// Intern `term`, returning its id. Idempotent.
+    /// Intern `term`, returning its id. Idempotent. The term is hashed
+    /// once whether or not it is new, and the map key and the decode slot
+    /// share the caller's string buffer.
     pub fn encode(&mut self, term: &Term) -> TermId {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
+        match self.ids.entry(term.clone()) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let id = self.terms.len() as TermId;
+                self.terms.push(slot.key().clone());
+                slot.insert(id);
+                id
+            }
         }
-        let id = self.terms.len() as TermId;
-        self.terms.push(term.clone());
-        self.ids.insert(term.clone(), id);
-        id
     }
 
     /// Look up the id of an already-interned term, without interning.
@@ -119,10 +124,10 @@ impl Dictionary {
 
 /// A zero-clone interner over *borrowed* terms, for operators that hash
 /// and compare cells but never decode ids back — key-only joins, `MINUS`
-/// agreement scans. Unlike [`Dictionary`] (which owns two copies of every
-/// interned term so it can decode), this holds only references into the
-/// source rows: each distinct term is string-hashed once and nothing is
-/// ever cloned.
+/// agreement scans. Unlike [`Dictionary`] (which holds two shared handles
+/// to every interned term so it can decode), this holds only references
+/// into the source rows: each distinct term is string-hashed once and no
+/// reference count is touched.
 #[derive(Debug, Default)]
 pub struct KeyInterner<'a> {
     ids: FxHashMap<&'a Term, SlotId>,
@@ -171,6 +176,39 @@ mod tests {
         let a2 = d.encode(&Term::iri("http://x/a"));
         assert_eq!(a, a2);
         assert_ne!(a, b);
+        assert_eq!(d.len(), 2);
+    }
+
+    #[test]
+    fn one_buffer_per_interned_term() {
+        use std::sync::Arc;
+        fn payload(t: &Term) -> &Arc<str> {
+            match t {
+                Term::Iri(s) | Term::BlankNode(s) => s,
+                Term::Literal(l) => &l.lexical,
+            }
+        }
+        let mut d = Dictionary::new();
+        for t in [Term::iri("http://x/a"), Term::literal("abc")] {
+            let id = d.encode(&t);
+            // The caller's buffer, the decode slot and the map key are one
+            // allocation.
+            let (key, _) = d.ids.get_key_value(&t).unwrap();
+            assert!(Arc::ptr_eq(payload(key), payload(d.decode(id))));
+            assert!(Arc::ptr_eq(payload(&t), payload(d.decode(id))));
+            assert_eq!(Arc::strong_count(payload(&t)), 3);
+
+            // Interning an equal term from another allocation is a lookup:
+            // the dictionary keeps its buffer and does not retain the new
+            // one.
+            let again = match &t {
+                Term::Iri(s) => Term::iri(s.to_string()),
+                other => Term::literal(payload(other).to_string()),
+            };
+            assert_eq!(d.encode(&again), id);
+            assert_eq!(Arc::strong_count(payload(&again)), 1);
+            assert_eq!(Arc::strong_count(payload(&t)), 3);
+        }
         assert_eq!(d.len(), 2);
     }
 

@@ -1,6 +1,12 @@
 //! RDF terms: IRIs, blank nodes, and literals.
+//!
+//! String payloads are `Arc<str>`: a clone shares the buffer (one relaxed
+//! atomic increment) instead of copying it, and `Arc<str>` hashes,
+//! compares, orders and displays exactly as the `str` it points to. `Arc`
+//! rather than `Rc` because result rows cross ERH worker threads.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// An RDF literal: a lexical form plus an optional datatype IRI or language
 /// tag. Plain literals (no datatype, no language) are represented with both
@@ -8,16 +14,16 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Literal {
     /// The lexical form, e.g. `"42"` or `"Cambridge, MA"`.
-    pub lexical: String,
+    pub lexical: Arc<str>,
     /// Datatype IRI, e.g. `http://www.w3.org/2001/XMLSchema#integer`.
-    pub datatype: Option<String>,
+    pub datatype: Option<Arc<str>>,
     /// BCP-47 language tag, e.g. `en`.
-    pub language: Option<String>,
+    pub language: Option<Arc<str>>,
 }
 
 impl Literal {
     /// A plain (untyped, untagged) string literal.
-    pub fn plain(lexical: impl Into<String>) -> Self {
+    pub fn plain(lexical: impl Into<Arc<str>>) -> Self {
         Literal {
             lexical: lexical.into(),
             datatype: None,
@@ -26,7 +32,7 @@ impl Literal {
     }
 
     /// A literal with an explicit datatype IRI.
-    pub fn typed(lexical: impl Into<String>, datatype: impl Into<String>) -> Self {
+    pub fn typed(lexical: impl Into<Arc<str>>, datatype: impl Into<Arc<str>>) -> Self {
         Literal {
             lexical: lexical.into(),
             datatype: Some(datatype.into()),
@@ -35,7 +41,7 @@ impl Literal {
     }
 
     /// A language-tagged string literal.
-    pub fn lang(lexical: impl Into<String>, language: impl Into<String>) -> Self {
+    pub fn lang(lexical: impl Into<Arc<str>>, language: impl Into<Arc<str>>) -> Self {
         Literal {
             lexical: lexical.into(),
             datatype: None,
@@ -91,26 +97,26 @@ impl fmt::Display for Literal {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// An IRI, stored as its full string form without angle brackets.
-    Iri(String),
+    Iri(Arc<str>),
     /// A blank node with its local label (no `_:` prefix).
-    BlankNode(String),
+    BlankNode(Arc<str>),
     /// A literal.
     Literal(Literal),
 }
 
 impl Term {
     /// Construct an IRI term.
-    pub fn iri(iri: impl Into<String>) -> Self {
+    pub fn iri(iri: impl Into<Arc<str>>) -> Self {
         Term::Iri(iri.into())
     }
 
     /// Construct a blank-node term.
-    pub fn bnode(label: impl Into<String>) -> Self {
+    pub fn bnode(label: impl Into<Arc<str>>) -> Self {
         Term::BlankNode(label.into())
     }
 
     /// Construct a plain literal term.
-    pub fn literal(lexical: impl Into<String>) -> Self {
+    pub fn literal(lexical: impl Into<Arc<str>>) -> Self {
         Term::Literal(Literal::plain(lexical))
     }
 
@@ -221,7 +227,7 @@ mod tests {
     #[test]
     fn literal_constructors() {
         let plain = Literal::plain("hello");
-        assert_eq!(plain.lexical, "hello");
+        assert_eq!(&*plain.lexical, "hello");
         assert!(plain.datatype.is_none() && plain.language.is_none());
 
         let typed = Literal::integer(42);
@@ -245,6 +251,105 @@ mod tests {
             Term::integer(3).to_string(),
             "\"3\"^^<http://www.w3.org/2001/XMLSchema#integer>"
         );
+    }
+
+    /// A seeded bag of terms over a small alphabet, so equal lexical forms
+    /// meet under different kinds, datatypes and language tags.
+    fn term_bag(seed: u64, n: usize) -> Vec<Term> {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let word = |alphabet: &[char], next: &mut dyn FnMut(u64) -> u64| -> String {
+            (0..next(4))
+                .map(|_| alphabet[next(alphabet.len() as u64) as usize])
+                .collect()
+        };
+        let plain = ['a', 'b', 'Z'];
+        let nasty = ['a', 'b', '"', '\\', '\n', '\t', 'é'];
+        (0..n)
+            .map(|_| match next(5) {
+                0 => Term::iri(format!("http://x/{}", word(&plain, &mut next))),
+                1 => Term::bnode(format!("b{}", word(&plain, &mut next))),
+                2 => Term::literal(word(&nasty, &mut next)),
+                3 => Term::Literal(Literal::typed(
+                    word(&nasty, &mut next),
+                    format!("http://t/{}", word(&plain, &mut next)),
+                )),
+                _ => Term::Literal(Literal::lang(
+                    word(&nasty, &mut next),
+                    ["en", "en-US", "fr"][next(3) as usize],
+                )),
+            })
+            .collect()
+    }
+
+    /// The term as plain strings: what `Ord`, `Eq` and `Hash` must agree
+    /// with whatever the payload's representation is.
+    fn string_key(t: &Term) -> (u8, String, Option<String>, Option<String>) {
+        match t {
+            Term::Iri(s) => (0, s.to_string(), None, None),
+            Term::BlankNode(s) => (1, s.to_string(), None, None),
+            Term::Literal(l) => (
+                2,
+                l.lexical.to_string(),
+                l.datatype.as_deref().map(str::to_string),
+                l.language.as_deref().map(str::to_string),
+            ),
+        }
+    }
+
+    #[test]
+    fn terms_order_as_their_string_tuples() {
+        for seed in 0..8 {
+            let bag = term_bag(seed, 300);
+            let mut by_term = bag.clone();
+            by_term.sort();
+            let mut by_key = bag;
+            by_key.sort_by_key(string_key);
+            assert_eq!(by_term, by_key, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn hash_is_of_the_strings_not_of_the_allocation() {
+        use std::hash::BuildHasher;
+        let hasher = crate::fxhash::FxBuildHasher::default();
+        for t in term_bag(11, 300) {
+            // The same term rebuilt from fresh buffers, as another store's
+            // dictionary or a decoder would hold it.
+            let (kind, lexical, datatype, language) = string_key(&t);
+            let rebuilt = match kind {
+                0 => Term::iri(lexical),
+                1 => Term::bnode(lexical),
+                _ => Term::Literal(Literal {
+                    lexical: lexical.into(),
+                    datatype: datatype.map(Into::into),
+                    language: language.map(Into::into),
+                }),
+            };
+            assert_eq!(rebuilt, t);
+            assert_eq!(hasher.hash_one(&rebuilt), hasher.hash_one(&t), "{t}");
+        }
+    }
+
+    #[test]
+    fn display_round_trips_through_ntriples() {
+        for object in term_bag(23, 300) {
+            let subject = if object.is_literal() {
+                Term::iri("http://x/s")
+            } else {
+                object.clone()
+            };
+            let triple = crate::Triple::new(subject, Term::iri("http://x/p"), object);
+            let parsed = crate::ntriples::parse(&format!("{triple}\n")).unwrap();
+            assert_eq!(parsed.triples(), [triple]);
+        }
     }
 
     #[test]

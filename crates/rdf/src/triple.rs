@@ -2,6 +2,7 @@
 
 use crate::term::Term;
 use std::fmt;
+use std::sync::Arc;
 
 /// An RDF triple: (subject, predicate, object).
 ///
@@ -31,7 +32,7 @@ impl Triple {
     }
 
     /// Convenience constructor from three IRIs.
-    pub fn iris(s: impl Into<String>, p: impl Into<String>, o: impl Into<String>) -> Self {
+    pub fn iris(s: impl Into<Arc<str>>, p: impl Into<Arc<str>>, o: impl Into<Arc<str>>) -> Self {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
     }
 }

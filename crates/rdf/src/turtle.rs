@@ -15,6 +15,7 @@ use crate::graph::Graph;
 use crate::term::{unescape_literal, Literal, Term};
 use crate::vocab;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A Turtle parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -301,8 +302,8 @@ impl<'a> Parser<'a> {
         let lexical = unescape_literal(&body[..end]);
         self.pos += 1 + end + 1;
         if self.eat("^^") {
-            let dt = if self.rest().starts_with('<') {
-                self.parse_iri_ref()?
+            let dt: Arc<str> = if self.rest().starts_with('<') {
+                self.parse_iri_ref()?.into()
             } else {
                 match self.parse_prefixed_name()? {
                     Term::Iri(iri) => iri,
@@ -321,7 +322,7 @@ impl<'a> Parser<'a> {
             if len == 0 {
                 return self.err("empty language tag");
             }
-            let lang = rest[..len].to_string();
+            let lang = &rest[..len];
             self.pos += len;
             return Ok(Term::Literal(Literal::lang(lexical, lang)));
         }

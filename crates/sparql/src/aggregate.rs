@@ -141,14 +141,17 @@ mod tests {
             &[v("g")],
             &[spec(func, arg, distinct)],
         );
+        let lexical = |cell: &Option<Term>| {
+            cell.as_ref()
+                .unwrap()
+                .as_literal()
+                .unwrap()
+                .lexical
+                .to_string()
+        };
         out.rows()
             .iter()
-            .map(|r| {
-                (
-                    r[0].as_ref().unwrap().as_literal().unwrap().lexical.clone(),
-                    r[1].as_ref().unwrap().as_literal().unwrap().lexical.clone(),
-                )
-            })
+            .map(|r| (lexical(&r[0]), lexical(&r[1])))
             .collect()
     }
 

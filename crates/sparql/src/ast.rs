@@ -2,6 +2,7 @@
 
 use lusail_rdf::Term;
 use std::fmt;
+use std::sync::Arc;
 
 /// A SPARQL variable. Stored without the leading `?`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,7 +47,7 @@ impl TermPattern {
     }
 
     /// Shorthand for an IRI slot.
-    pub fn iri(iri: impl Into<String>) -> Self {
+    pub fn iri(iri: impl Into<Arc<str>>) -> Self {
         TermPattern::Term(Term::iri(iri))
     }
 

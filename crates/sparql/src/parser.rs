@@ -3,6 +3,7 @@
 use crate::ast::*;
 use lusail_rdf::term::unescape_literal;
 use lusail_rdf::{vocab, Literal, Term};
+use std::sync::Arc;
 
 /// A SPARQL parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +171,7 @@ impl<'a> Parser<'a> {
         let name = rest[..colon].trim().to_string();
         self.pos += colon + 1;
         self.skip_trivia();
-        let iri = self.iri_ref()?;
+        let iri = self.iri_ref()?.to_string();
         self.prefixes.push((name, iri));
         Ok(())
     }
@@ -702,7 +703,7 @@ impl<'a> Parser<'a> {
     fn string_literal(&mut self) -> Result<String, ParseError> {
         self.skip_trivia();
         match self.term()? {
-            Term::Literal(l) => Ok(l.lexical),
+            Term::Literal(l) => Ok(l.lexical.to_string()),
             other => self.err(format!("expected a string literal, found {other}")),
         }
     }
@@ -744,7 +745,7 @@ impl<'a> Parser<'a> {
         Ok(TermPattern::Term(self.term()?))
     }
 
-    fn iri_ref(&mut self) -> Result<String, ParseError> {
+    fn iri_ref(&mut self) -> Result<&'a str, ParseError> {
         self.skip_trivia();
         if !self.eat("<") {
             return self.err("expected '<'");
@@ -754,9 +755,8 @@ impl<'a> Parser<'a> {
             Some(i) => i,
             None => return self.err("unterminated IRI"),
         };
-        let iri = rest[..end].to_string();
         self.pos += end + 1;
-        Ok(iri)
+        Ok(&rest[..end])
     }
 
     fn term(&mut self) -> Result<Term, ParseError> {
@@ -855,8 +855,8 @@ impl<'a> Parser<'a> {
         self.pos += 1 + end + 1;
         if self.rest().starts_with("^^") {
             self.pos += 2;
-            let dt = if self.rest().starts_with('<') {
-                self.iri_ref()?
+            let dt: Arc<str> = if self.rest().starts_with('<') {
+                self.iri_ref()?.into()
             } else {
                 match self.prefixed_name()? {
                     Term::Iri(iri) => iri,
@@ -876,7 +876,7 @@ impl<'a> Parser<'a> {
             if len == 0 {
                 return self.err("empty language tag");
             }
-            let lang = rest[..len].to_string();
+            let lang = &rest[..len];
             self.pos += len;
             return Ok(Term::Literal(Literal::lang(lexical, lang)));
         }

@@ -1080,6 +1080,25 @@ mod tests {
     }
 
     #[test]
+    fn result_cells_share_the_dictionary_buffers() {
+        // Decoding an id into a result row hands out a pointer into the
+        // store's dictionary, not a copy of the string.
+        let st = ep2_store();
+        let r = run(
+            &st,
+            &format!("{PRE} SELECT ?s ?p WHERE {{ ?s ub:advisor ?p }}"),
+        );
+        assert_eq!(r.len(), 3);
+        for cell in r.rows().iter().flatten().flatten() {
+            let interned = st.decode(st.resolve(cell).unwrap());
+            match (cell, interned) {
+                (Term::Iri(a), Term::Iri(b)) => assert!(std::sync::Arc::ptr_eq(a, b), "{cell}"),
+                other => panic!("expected IRIs, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn subselect_joins_onto_outer_rows() {
         let st = ep2_store();
         // The outer variables survive, and an aggregate subquery counts its

@@ -6,6 +6,7 @@
 
 use lusail_rdf::{vocab, Literal, Term};
 use lusail_sparql::ast::{Expression, GraphPattern, Variable};
+use std::sync::Arc;
 
 /// The value lattice of expression evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +100,7 @@ pub fn eval(expr: &Expression, ctx: &mut dyn ExprContext) -> Option<Value> {
             let t = term_value(eval(a, ctx)?)?;
             match t {
                 lusail_rdf::Term::Literal(l) => {
-                    let dt = l.datatype.unwrap_or_else(|| vocab::xsd::STRING.to_string());
+                    let dt = l.datatype.unwrap_or_else(|| vocab::xsd::STRING.into());
                     Some(Value::Term(lusail_rdf::Term::iri(dt)))
                 }
                 _ => None,
@@ -113,12 +114,12 @@ pub fn eval(expr: &Expression, ctx: &mut dyn ExprContext) -> Option<Value> {
         Contains(a, b) => {
             let hay = string_value(eval(a, ctx)?)?;
             let needle = string_value(eval(b, ctx)?)?;
-            Some(Value::Bool(hay.contains(&needle)))
+            Some(Value::Bool(hay.contains(&*needle)))
         }
         StrStarts(a, b) => {
             let hay = string_value(eval(a, ctx)?)?;
             let prefix = string_value(eval(b, ctx)?)?;
-            Some(Value::Bool(hay.starts_with(&prefix)))
+            Some(Value::Bool(hay.starts_with(&*prefix)))
         }
         SameTerm(a, b) => {
             let x = term_value(eval(a, ctx)?)?;
@@ -149,7 +150,7 @@ pub fn ebv(v: Value) -> Option<bool> {
         Value::Num(n) => Some(n != 0.0 && !n.is_nan()),
         Value::Term(Term::Literal(l)) => {
             if l.datatype.as_deref() == Some(vocab::xsd::BOOLEAN) {
-                Some(l.lexical == "true" || l.lexical == "1")
+                Some(&*l.lexical == "true" || &*l.lexical == "1")
             } else if l.is_numeric() {
                 l.as_f64().map(|n| n != 0.0 && !n.is_nan())
             } else {
@@ -186,7 +187,7 @@ fn term_value(v: Value) -> Option<Term> {
     }
 }
 
-fn string_value(v: Value) -> Option<String> {
+fn string_value(v: Value) -> Option<Arc<str>> {
     match term_value(v)? {
         Term::Literal(l) => Some(l.lexical),
         Term::Iri(iri) => Some(iri),

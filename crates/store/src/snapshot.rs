@@ -88,8 +88,8 @@ pub fn load(bytes: &[u8]) -> Result<Store, SnapshotError> {
     for _ in 0..term_count {
         let tag = r.u8()?;
         let term = match tag {
-            0 => Term::Iri(r.string()?),
-            1 => Term::BlankNode(r.string()?),
+            0 => Term::iri(r.string()?),
+            1 => Term::bnode(r.string()?),
             2 => Term::Literal(Literal::plain(r.string()?)),
             3 => {
                 let lexical = r.string()?;
@@ -171,11 +171,10 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> Result<String, SnapshotError> {
+    fn string(&mut self) -> Result<&'a str, SnapshotError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError("invalid UTF-8 in snapshot".into()))
+        std::str::from_utf8(bytes).map_err(|_| SnapshotError("invalid UTF-8 in snapshot".into()))
     }
 
     fn at_end(&self) -> bool {

@@ -54,7 +54,7 @@ impl StoreStats {
         let mut objects: FxHashMap<String, FxHashSet<u32>> = FxHashMap::default();
         for (s, p, o) in store.iter_ids() {
             let pred = match store.decode(p) {
-                Term::Iri(iri) => iri.clone(),
+                Term::Iri(iri) => iri.to_string(),
                 other => other.to_string(),
             };
             let entry = stats.predicates.entry(pred.clone()).or_default();

@@ -17,6 +17,10 @@ cargo build --release --offline --manifest-path lusail_benchmark/Cargo.toml
 # against the merged graph and exits non-zero on a wrong one.
 cargo run --release --offline --quiet --manifest-path lusail_benchmark/Cargo.toml -- \
     --workload oneshot_wan --seed 1 --seconds 1 --trace 0 >/dev/null
+# And one of the CPU workload: 32 answers at scale 4, where a slip in term
+# equality or ordering would show as a wrong row count or row hash.
+cargo run --release --offline --quiet --manifest-path lusail_benchmark/Cargo.toml -- \
+    --workload oneshot_cpu --seed 1 --seconds 1 --trace 0 >/dev/null
 
 # Seeded e2e groups (tests/tests/<suite>.rs). Fault sequences are drawn from
 # a seeded PRNG; export LUSAIL_CHAOS_SEED to try other histories. On failure

@@ -851,7 +851,7 @@ fn gen_wire_term(rng: &mut SplitMix64) -> Term {
             format!("http://types.example.org/t{}", rng.gen_range(0..4u32)),
         )),
         _ => Term::Literal(lusail_rdf::Literal {
-            lexical: gen_lowercase(rng, 8),
+            lexical: gen_lowercase(rng, 8).into(),
             datatype: None,
             language: Some("en-US".into()),
         }),

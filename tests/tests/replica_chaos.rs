@@ -86,6 +86,16 @@ fn rig(
     config: ReplicaConfig,
     fault: impl Fn(usize, usize) -> Option<FaultProfile>,
 ) -> (ReplicaRig, Vec<(String, lusail_rdf::Graph)>) {
+    rig_with_networks(universities, [network; 2], config, fault)
+}
+
+/// [`rig`] with a network per member index.
+fn rig_with_networks(
+    universities: usize,
+    networks: [NetworkProfile; 2],
+    config: ReplicaConfig,
+    fault: impl Fn(usize, usize) -> Option<FaultProfile>,
+) -> (ReplicaRig, Vec<(String, lusail_rdf::Graph)>) {
     let graphs = generate_all(&LubmConfig::with_universities(universities));
     let mut endpoints: Vec<Arc<dyn SparqlEndpoint>> = Vec::new();
     let mut groups = Vec::new();
@@ -94,6 +104,7 @@ fn rig(
         let members: Vec<Arc<dyn SparqlEndpoint>> = (0..2)
             .map(|m| {
                 let member_name = format!("{name}/r{m}");
+                let network = networks[m];
                 match fault(e, m) {
                     Some(profile) => faulty_member(member_name, store.clone(), network, profile),
                     None => member(member_name, store.clone(), network),
@@ -178,12 +189,20 @@ fn dead_replica_member_is_invisible_to_results_and_warnings() {
 /// dispatch and later waves go straight to the survivor.
 #[test]
 fn member_killed_mid_wave_fails_over_without_losing_rows() {
+    const BUDGET: u64 = 3;
     let q = parse_query(&queries()[1].text).unwrap();
-    let (broken, graphs) = rig(
+    // Health ranking picks the member of every dispatch by latency, so the
+    // dying member is only sure to be dispatched past its budget if it is
+    // the clearly faster one: the survivor sits a 20 ms round trip away.
+    let far = NetworkProfile {
+        latency: Duration::from_millis(20),
+        ..NetworkProfile::local_cluster()
+    };
+    let (broken, graphs) = rig_with_networks(
         2,
-        NetworkProfile::local_cluster(),
+        [NetworkProfile::local_cluster(), far],
         ReplicaConfig::default(),
-        |_, m| (m == 0).then(|| FaultProfile::dies_after(3)),
+        |_, m| (m == 0).then(|| FaultProfile::dies_after(BUDGET)),
     );
     let (rel, profile) = engine(&broken, ResultPolicy::Partial)
         .execute_profiled(&q)
@@ -196,6 +215,15 @@ fn member_killed_mid_wave_fails_over_without_losing_rows() {
         profile.warnings
     );
     let stats: Vec<_> = broken.groups.iter().map(|g| g.stats()).collect();
+    let died_mid_run = broken.groups.iter().any(|g| {
+        let members = g.replica_members().expect("a replica group has members");
+        members[0].dispatches > BUDGET
+    });
+    assert!(
+        died_mid_run,
+        "no dying member was dispatched past its {BUDGET} served requests (seed {}): {stats:?}",
+        chaos_seed()
+    );
     assert!(
         stats.iter().any(|s| s.failovers > 0),
         "dying members should have forced failovers (seed {}): {stats:?}",
@@ -261,13 +289,16 @@ fn hedging_rescues_slow_member_within_amplification_bound() {
     let (name, graph) = &graphs[0];
     let store = Store::from_graph(graph);
     // Member 0 (initially preferred: no health history, index-stable rank)
-    // pays geo latency on every request; member 1 is on the fast local
-    // network. Hedging after 1 ms reaches the fast member long before the
-    // slow one responds.
+    // pays a 40 ms round trip on every request; member 1 is on the fast
+    // local network. Hedging after 1 ms reaches the fast member long
+    // before the slow one responds, even on a loaded test machine.
     let slow = member(
         format!("{name}/r0"),
         store.clone(),
-        NetworkProfile::geo_distributed(),
+        NetworkProfile {
+            latency: Duration::from_millis(40),
+            ..NetworkProfile::geo_distributed()
+        },
     );
     let fast = member(
         format!("{name}/r1"),
