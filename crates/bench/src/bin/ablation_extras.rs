@@ -1,61 +1,114 @@
 //! Additional design-choice ablations (DESIGN.md §"Key design decisions"):
 //!
-//! 1. **Bound-join block size** — how many bindings each `VALUES` block of
-//!    a delayed subquery carries. Small blocks multiply requests (FedX
-//!    ships 15 per block and pays for it at WAN latencies); Lusail's
-//!    default is 512.
+//! 1. **Bound-join blocks** — how the found bindings of a delayed subquery
+//!    are cut into `VALUES` blocks. Small blocks multiply requests (FedX
+//!    ships 15 per block and pays for it at WAN latencies); Lusail cuts as
+//!    many blocks as fill one ERH wave. Written to `BENCH_bound_blocks.json`:
+//!    the variant in `codec`, the requests of one warm run in `rows`.
 //! 2. **DP join ordering vs. input order** — the benefit of the paper's
 //!    dynamic-programming enumeration over joining subquery results in
 //!    arrival order.
 
-use lusail_bench::bench_scale;
+use lusail_bench::{bench_scale, write_bench_json, BenchRecord};
 use lusail_core::sape::{dp_join_order, parallel_join};
 use lusail_core::{LusailConfig, LusailEngine};
-use lusail_federation::{NetworkProfile, RequestHandler};
+use lusail_federation::{EndpointLimits, NetworkProfile, RequestHandler};
 use lusail_rdf::Term;
 use lusail_sparql::ast::Variable;
 use lusail_sparql::solution::Relation;
-use lusail_workloads::{federation_from_graphs, largerdf};
+use lusail_workloads::{federation_from_graphs_limited, largerdf};
 use std::time::Instant;
 
+const SAMPLES: usize = 9;
+
 fn main() {
-    block_size_sweep();
+    bound_block_ablation();
     join_order_comparison();
 }
 
-/// Sweep the `VALUES` block size on a delayed-subquery-heavy query (B3)
-/// under the geo profile, reporting time and requests.
-fn block_size_sweep() {
+/// Time the two bound-join-heavy LargeRDFBench queries under each way of
+/// cutting blocks the configuration can express: a count cap small enough
+/// to bind (`cap16`, `cap64`); endpoints that accept little more than 4 KiB
+/// per request, which reproduces the fixed 4 KiB cut of earlier versions
+/// (`4KiB-ceiling`); and the default, blocks sized to fill one wave
+/// (`wave-fill`).
+fn bound_block_ablation() {
     let cfg = largerdf::LargeRdfConfig {
         scale: bench_scale(),
         ..Default::default()
     };
     let graphs = largerdf::generate_all(&cfg);
-    let query = largerdf::all_queries()
-        .into_iter()
-        .find(|q| q.name == "B3")
-        .unwrap()
-        .parse();
+    let unlimited = EndpointLimits::default();
+    let four_kib = EndpointLimits {
+        max_request_bytes: Some(4096 + 256),
+        max_result_rows: None,
+    };
+    let variants = [
+        ("cap16", 16, unlimited),
+        ("cap64", 64, unlimited),
+        ("4KiB-ceiling", 512, four_kib),
+        ("wave-fill", 512, unlimited),
+    ];
+    let profiles = [
+        ("geo", NetworkProfile::geo_distributed()),
+        ("instant", NetworkProfile::instant()),
+    ];
 
-    println!("Ablation 1: bound-join block size (LargeRDFBench B3, geo profile)");
-    println!("{:<12}{:>12}{:>12}", "block size", "time (ms)", "requests");
-    for block in [16usize, 64, 256, 512, 2048] {
-        let engine = LusailEngine::new(
-            federation_from_graphs(graphs.clone(), NetworkProfile::geo_distributed()),
-            LusailConfig {
-                bound_block_size: block,
-                ..Default::default()
-            },
-        );
-        engine.execute(&query).unwrap(); // warm caches
-        engine.federation().reset_traffic();
-        let t = Instant::now();
-        engine.execute(&query).unwrap();
-        let ms = t.elapsed().as_secs_f64() * 1000.0;
-        let reqs = engine.federation().total_traffic().requests;
-        println!("{block:<12}{ms:>12.2}{reqs:>12}");
+    println!(
+        "Ablation 1: bound-join blocks (LargeRDFBench, {SAMPLES} warm samples per row, \
+         {} logical CPUs)",
+        std::thread::available_parallelism().map_or(0, |n| n.get())
+    );
+    println!(
+        "{:<14}{:<16}{:>12}{:>10}{:>10}",
+        "query", "blocks", "median(ms)", "p95(ms)", "requests"
+    );
+    let mut records = Vec::new();
+    for name in ["B1", "B3"] {
+        let query = largerdf::all_queries()
+            .into_iter()
+            .find(|q| q.name == name)
+            .unwrap()
+            .parse();
+        for (profile_name, profile) in profiles {
+            for (variant, block, limits) in variants {
+                let engine = LusailEngine::new(
+                    federation_from_graphs_limited(graphs.clone(), profile, limits),
+                    LusailConfig {
+                        bound_block_size: block,
+                        ..Default::default()
+                    },
+                );
+                engine.execute(&query).unwrap(); // warm caches
+                let mut requests = 0;
+                let mut samples_ms: Vec<f64> = (0..SAMPLES)
+                    .map(|_| {
+                        engine.federation().reset_traffic();
+                        let t = Instant::now();
+                        engine.execute(&query).unwrap();
+                        let ms = t.elapsed().as_secs_f64() * 1000.0;
+                        requests = engine.federation().total_traffic().requests;
+                        ms
+                    })
+                    .collect();
+                let record = BenchRecord::from_samples(
+                    format!("{name}/{profile_name}"),
+                    variant.to_string(),
+                    requests,
+                    &mut samples_ms,
+                );
+                println!(
+                    "{:<14}{:<16}{:>12.2}{:>10.2}{:>10}",
+                    record.query, record.codec, record.elapsed_ms, record.p95_ms, record.rows
+                );
+                records.push(record);
+            }
+        }
     }
-    println!();
+    match write_bench_json("bound_blocks", &records) {
+        Ok(path) => println!("wrote {path} ({} records)\n", records.len()),
+        Err(e) => eprintln!("failed to write BENCH_bound_blocks.json: {e}\n"),
+    }
 }
 
 /// Join three chain relations of skewed sizes in DP order vs input order.

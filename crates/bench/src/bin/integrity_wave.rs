@@ -75,7 +75,6 @@ fn main() {
     };
     let config = LusailConfig {
         bound_block_size: BLOCK,
-        bound_block_max_bytes: 1 << 20,
         ..LusailConfig::without_cache()
     };
     let schedule = Schedule {

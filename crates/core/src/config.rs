@@ -63,13 +63,11 @@ pub struct LusailConfig {
     pub delay_threshold: DelayThreshold,
     /// Scheduling mode (Figure 14 ablation). Default full SAPE.
     pub sape_mode: SapeMode,
-    /// How many bindings a bound subquery carries per `VALUES` block.
+    /// The most bindings a bound subquery carries per `VALUES` block.
+    /// Under this cap the executor sizes blocks itself: as many as fill
+    /// one ERH wave, none larger than the sources' transports carry
+    /// ([`lusail_federation::SparqlEndpoint::max_request_bytes`]).
     pub bound_block_size: usize,
-    /// Byte budget per bound-join request: a `VALUES` block is cut early
-    /// when its serialized bindings would exceed this, so requests stay
-    /// inside real servers' query-length limits (HTTP GET ceilings are
-    /// typically 8 KiB; we leave headroom for the query body).
-    pub bound_block_max_bytes: usize,
     /// ERH width. `Some(n)` pins every wave to exactly `n` threads; `None`
     /// is elastic: waves start at the core count (min 4) and widen to one
     /// thread per endpoint while they wait on the network.
@@ -124,7 +122,6 @@ impl Default for LusailConfig {
             delay_threshold: DelayThreshold::MuSigma,
             sape_mode: SapeMode::Full,
             bound_block_size: 512,
-            bound_block_max_bytes: 4096,
             threads: None,
             timeout: None,
             enable_cache: true,

@@ -16,8 +16,10 @@ use lusail_rdf::dict::{Dictionary, TermId};
 use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
 use lusail_rdf::Term;
 use lusail_sparql::ast::{GraphPattern, Query, Variable};
+use lusail_sparql::serializer::serialize_query;
 use lusail_sparql::solution::Relation;
 use std::borrow::Borrow;
+use std::fmt::Write as _;
 
 /// The result of executing one branch's subqueries.
 #[derive(Debug)]
@@ -232,12 +234,12 @@ impl SapeExecutor<'_> {
 
         // Bindings live as interned ids; terms materialize only here,
         // where they go onto the wire in VALUES blocks.
-        let blocks = bind_var.as_ref().map_or_else(Vec::new, |v| {
-            chunk_by_size(
-                &bindings.terms(v),
-                self.config.bound_block_size.max(1),
-                self.config.bound_block_max_bytes.max(64),
-            )
+        let rows: Vec<Vec<Option<Term>>> = bind_var.as_ref().map_or_else(Vec::new, |v| {
+            bindings
+                .terms(v)
+                .into_iter()
+                .map(|t| vec![Some(t)])
+                .collect()
         });
         let wave: Vec<WaveRequest> = match &bind_var {
             None => sources
@@ -253,18 +255,23 @@ impl SapeExecutor<'_> {
             // The probes' expected counts describe the unbound pattern; a
             // `VALUES`-restricted result is smaller, so only the
             // advertisement/heuristics apply to a block's response.
-            Some(v) => blocks
-                .iter()
-                .flat_map(|block| {
-                    sources.iter().map(move |&ep| WaveRequest {
-                        sq,
-                        what,
-                        ep,
-                        block: Some((v, block.as_slice())),
-                        expected: None,
+            Some(v) => {
+                let mut rest = rows.as_slice();
+                self.plan_bound_blocks(sq, v, &sources, &rows)
+                    .into_iter()
+                    .flat_map(|len| {
+                        let (block, tail) = rest.split_at(len);
+                        rest = tail;
+                        sources.iter().map(move |&ep| WaveRequest {
+                            sq,
+                            what,
+                            ep,
+                            block: Some((v, block)),
+                            expected: None,
+                        })
                     })
-                })
-                .collect(),
+                    .collect()
+            }
         };
         let mut out = Relation::new(sq.projection.clone());
         for rel in self.run_wave("bound join", MemoryPhase::BoundJoin, &wave)? {
@@ -272,6 +279,34 @@ impl SapeExecutor<'_> {
         }
         self.ctx.check()?;
         Ok(out)
+    }
+
+    /// Cut the bound join's binding `rows` into `VALUES` blocks (lengths,
+    /// in order) with the limits read from where they live: the byte
+    /// ceiling from the sources' transports, less the query the block
+    /// rides in, and the block count from the width of one ERH wave.
+    fn plan_bound_blocks(
+        &self,
+        sq: &Subquery,
+        bind_var: &Variable,
+        sources: &[EndpointId],
+        rows: &[Vec<Option<Term>>],
+    ) -> Vec<usize> {
+        let sizes: Vec<usize> = rows
+            .iter()
+            .map(|row| row[0].as_ref().map_or(0, binding_bytes))
+            .collect();
+        let ceiling = sources
+            .iter()
+            .filter_map(|&ep| self.federation.endpoint(ep).max_request_bytes())
+            .min();
+        plan_blocks(
+            &sizes,
+            sources.len(),
+            self.handler.snapshot().ceiling,
+            self.config.bound_block_size.max(1),
+            ceiling.map(|c| c.saturating_sub(envelope_bytes(sq, bind_var))),
+        )
     }
 
     /// Source-selection refinement for generic subqueries (line 13 of
@@ -740,30 +775,119 @@ enum Check {
     Claimed(Result<usize, EndpointError>),
 }
 
-/// Split binding values into `VALUES` blocks bounded both by count and by
-/// serialized size, so no bound-join request exceeds the endpoints'
-/// query-length limits.
-fn chunk_by_size(
-    values: &[Term],
+/// A block is never cut below this many bytes of bindings just to fill a
+/// wave: under it the cost of a request (a round trip, a parse, an index
+/// probe per pattern) outweighs what the extra overlap saves.
+const MIN_BLOCK_BYTES: usize = 4096;
+
+/// Cut bindings of the given serialized `sizes` into consecutive `VALUES`
+/// blocks for a bound join at `sources` endpoints; returns the block
+/// lengths, in order.
+///
+/// The finest cut considered is a greedy one at [`MIN_BLOCK_BYTES`]; its
+/// blocks are merged until `blocks × sources` requests still fill one ERH
+/// wave of `width` threads: more requests than that pay a second round
+/// trip, fewer leave links and cores idle. No block carries more than
+/// `max_count` bindings or, unless it is a single binding, more than
+/// `max_bytes`; blocks are balanced to within one binding, so no request
+/// of the wave is much slower than the rest.
+fn plan_blocks(
+    sizes: &[usize],
+    sources: usize,
+    width: usize,
     max_count: usize,
-    max_bytes: usize,
-) -> Vec<Vec<Vec<Option<Term>>>> {
-    let mut blocks = Vec::new();
-    let mut current: Vec<Vec<Option<Term>>> = Vec::new();
-    let mut bytes = 0usize;
-    for t in values {
-        let size = t.to_string().len() + 4;
-        if !current.is_empty() && (current.len() >= max_count || bytes + size > max_bytes) {
-            blocks.push(std::mem::take(&mut current));
-            bytes = 0;
-        }
-        bytes += size;
-        current.push(vec![Some(t.clone())]);
+    max_bytes: Option<usize>,
+) -> Vec<usize> {
+    let n = sizes.len();
+    if n == 0 {
+        return Vec::new();
     }
-    if !current.is_empty() {
-        blocks.push(current);
+    let floor_bytes = max_bytes.map_or(MIN_BLOCK_BYTES, |b| b.min(MIN_BLOCK_BYTES));
+    let most = greedy_cut(sizes, max_count, floor_bytes);
+    // A run of `cap` bindings fits both limits wherever it starts, so any
+    // balanced cut into at least `fewest` blocks is legal.
+    let cap = max_bytes.map_or(max_count, |b| max_count.min(shortest_fill(sizes, b)));
+    let fewest = n.div_ceil(cap);
+    if fewest > most.len() {
+        // Term lengths so uneven under a tight ceiling that equal counts
+        // would need more requests than the greedy cut: keep that one.
+        return most;
+    }
+    let k = (width / sources.max(1)).clamp(fewest, most.len());
+    (0..k).map(|i| n / k + usize::from(i < n % k)).collect()
+}
+
+/// Consecutive blocks, each extended while it holds fewer than `max_count`
+/// bindings and the next one fits in `max_bytes`. A binding larger than
+/// `max_bytes` ships alone.
+fn greedy_cut(sizes: &[usize], max_count: usize, max_bytes: usize) -> Vec<usize> {
+    let mut blocks = Vec::new();
+    let (mut len, mut bytes) = (0, 0);
+    for &size in sizes {
+        if len > 0 && (len >= max_count || bytes + size > max_bytes) {
+            blocks.push(len);
+            (len, bytes) = (0, 0);
+        }
+        len += 1;
+        bytes += size;
+    }
+    if len > 0 {
+        blocks.push(len);
     }
     blocks
+}
+
+/// The fewest consecutive bindings that fill `max_bytes` anywhere in
+/// `sizes`: every run that short fits. At least 1 (a single oversized
+/// binding ships alone); `usize::MAX` when the whole input fits.
+fn shortest_fill(sizes: &[usize], max_bytes: usize) -> usize {
+    let mut shortest = usize::MAX;
+    let (mut end, mut bytes) = (0, 0);
+    for start in 0..sizes.len() {
+        while end < sizes.len() && bytes + sizes[end] <= max_bytes {
+            bytes += sizes[end];
+            end += 1;
+        }
+        if end == sizes.len() {
+            // From here on runs are cut by the input's end, not by bytes.
+            break;
+        }
+        shortest = shortest.min(end - start);
+        if end == start {
+            end += 1;
+        } else {
+            bytes -= sizes[start];
+        }
+    }
+    shortest.max(1)
+}
+
+/// Counts the bytes a `Display` writes, without building the string.
+struct ByteCount(usize);
+
+impl std::fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// The bytes one binding adds to a serialized `VALUES` block.
+fn binding_bytes(t: &Term) -> usize {
+    let mut n = ByteCount(0);
+    let _ = write!(n, "({t} ) ");
+    n.0
+}
+
+/// The serialized size of the query an empty block of `bind_var` rides in,
+/// in the largest of the forms the executor sends it: the bound `SELECT`,
+/// its `COUNT(*)` cross-probe, and a recovery page at any offset.
+fn envelope_bytes(sq: &Subquery, bind_var: &Variable) -> usize {
+    let select = sq.to_bound_query(std::slice::from_ref(bind_var), &[]);
+    let size = |q: &Query| serialize_query(q).len();
+    size(&select)
+        .max(size(&recover::count_star(&select)))
+        .max(size(&recover::paged_query(&select, usize::MAX, usize::MAX)))
 }
 
 /// Group executed subqueries into components connected by shared projected
@@ -1100,7 +1224,6 @@ mod tests {
                 handler: RequestHandler::elastic(13),
                 config: LusailConfig {
                     bound_block_size: BLOCK,
-                    bound_block_max_bytes: 1 << 20,
                     ..LusailConfig::without_cache()
                 },
                 ctx: RunContext::unbounded(),
@@ -1342,25 +1465,120 @@ mod tests {
 
     // ---- blocks, bindings, components -------------------------------------
 
+    /// The cut of earlier versions, ported literally: greedy, by count and
+    /// a fixed 4 KiB of bindings. Returns the number of blocks.
+    fn parent_cut(sizes: &[usize], max_count: usize) -> usize {
+        let (mut blocks, mut len, mut bytes) = (0, 0, 0);
+        for &size in sizes {
+            if len > 0 && (len >= max_count || bytes + size > 4096) {
+                blocks += 1;
+                (len, bytes) = (0, 0);
+            }
+            bytes += size;
+            len += 1;
+        }
+        blocks + usize::from(len > 0)
+    }
+
     #[test]
-    fn chunk_by_size_respects_both_caps() {
-        let values: Vec<Term> = (0..100)
-            .map(|i| Term::iri(format!("http://example.org/entity/{i:04}")))
-            .collect();
-        // Count cap dominates.
-        let blocks = chunk_by_size(&values, 10, 1 << 20);
-        assert_eq!(blocks.len(), 10);
-        assert!(blocks.iter().all(|b| b.len() == 10));
-        // Byte cap dominates: each value serializes to ~36 bytes.
-        let blocks = chunk_by_size(&values, 1000, 120);
-        assert!(blocks.len() > 10, "{}", blocks.len());
-        let total: usize = blocks.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 100, "no value may be lost");
-        // A single value larger than the cap still ships (alone).
-        let huge = vec![Term::iri("x".repeat(500))];
-        let blocks = chunk_by_size(&huge, 10, 64);
-        assert_eq!(blocks.len(), 1);
-        assert!(chunk_by_size(&[], 10, 64).is_empty());
+    fn planned_blocks_fill_the_wave_within_every_limit() {
+        // xorshift64*, seeded: the failing draw is in the panic message.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        };
+        for draw in 0..4000 {
+            let n = below(3000);
+            // IRIs of one dataset differ by a few bytes; every fourth draw
+            // mixes in terms up to fifty times longer.
+            let (base, spread) = (20 + below(100), 1 + below(8));
+            let wild = draw % 4 == 3;
+            let sizes: Vec<usize> = (0..n)
+                .map(|_| match wild && below(10) == 0 {
+                    true => base * (1 + below(50)),
+                    false => base + below(spread),
+                })
+                .collect();
+            let (sources, width) = (1 + below(13), 1 + below(64));
+            let max_count = 1 + below(600);
+            let max_bytes = (below(3) > 0).then(|| 512 + below(32 * 1024));
+            let blocks = plan_blocks(&sizes, sources, width, max_count, max_bytes);
+            let case = format!(
+                "draw {draw}: n={n} sources={sources} width={width} max_count={max_count} \
+                 max_bytes={max_bytes:?} -> {} blocks",
+                blocks.len()
+            );
+
+            // Every binding exactly once, in order: the lengths tile 0..n.
+            assert_eq!(blocks.iter().sum::<usize>(), n, "{case}");
+            assert!(blocks.iter().all(|&len| len > 0), "{case}");
+            let mut start = 0;
+            for &len in &blocks {
+                assert!(len <= max_count, "{case}");
+                let bytes: usize = sizes[start..start + len].iter().sum();
+                assert!(len == 1 || max_bytes.is_none_or(|b| bytes <= b), "{case}");
+                start += len;
+            }
+            let k = blocks.len();
+            let parent = parent_cut(&sizes, max_count);
+            if max_bytes.is_none_or(|b| b >= MIN_BLOCK_BYTES) {
+                assert!(k <= parent, "{case}: parent cut {parent}");
+            }
+            let balanced = blocks
+                .iter()
+                .max()
+                .zip(blocks.iter().min())
+                .is_none_or(|(max, min)| max - min <= 1);
+            match max_bytes {
+                // No ceiling: exactly the wave's share, between what the
+                // count cap forces and what the parent sent.
+                None if n > 0 => {
+                    let want = (width / sources).clamp(n.div_ceil(max_count), parent);
+                    assert_eq!(k, want, "{case}");
+                    assert!(balanced, "{case}");
+                }
+                None => assert!(blocks.is_empty(), "{case}"),
+                // Under a ceiling: balanced, or the greedy cut itself when
+                // term lengths are too uneven for the ceiling; one wave
+                // unless the ceiling forces more blocks.
+                Some(b) => {
+                    let greedy = greedy_cut(&sizes, max_count, b.min(MIN_BLOCK_BYTES));
+                    assert!(balanced || blocks == greedy, "{case}");
+                    assert!(wild || balanced || b < 2 * MIN_BLOCK_BYTES, "{case}");
+                    let fewest = n.div_ceil(max_count.min(shortest_fill(&sizes, b)));
+                    assert!(
+                        k * sources <= width || k == fewest.min(greedy.len()),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_sizing_measures_what_the_serializer_writes() {
+        let sq = weight_subquery();
+        let bind_var = v("d");
+        let terms = [
+            d(7),
+            Term::bnode("b0"),
+            Term::literal("tab\there \"quoted\" back\\slash\nnewline"),
+            Term::integer(-42),
+            Term::Literal(lusail_rdf::Literal::lang("ünïcödé", "de")),
+        ];
+        let block: Vec<Vec<Option<Term>>> = terms.iter().map(|t| vec![Some(t.clone())]).collect();
+        let size = |q: &Query| serialize_query(q).len();
+        let empty = sq.to_bound_query(std::slice::from_ref(&bind_var), &[]);
+        let full = sq.to_bound_query(std::slice::from_ref(&bind_var), &block);
+        let bindings: usize = terms.iter().map(binding_bytes).sum();
+        assert_eq!(size(&full), size(&empty) + bindings);
+        // The envelope covers the block's cross-probe and recovery pages.
+        let envelope = envelope_bytes(&sq, &bind_var);
+        assert!(size(&recover::count_star(&full)) <= envelope + bindings);
+        assert!(size(&recover::paged_query(&full, 4096, 1 << 40)) <= envelope + bindings);
     }
 
     fn sorted_terms(b: &FoundBindings, v: &Variable) -> Vec<Term> {

@@ -148,7 +148,9 @@ impl std::error::Error for EndpointError {}
 /// Bound-join engines are the ones that trip these: FedX's `VALUES`-laden
 /// subqueries grow with the binding count, while Lusail's locality-grouped
 /// subqueries stay small — which is how the paper's Lusail succeeds on the
-/// real endpoints where FedX gets runtime exceptions.
+/// real endpoints where FedX gets runtime exceptions. The request limit is
+/// what [`SparqlEndpoint::max_request_bytes`] reports, so an engine that
+/// asks can size its `VALUES` blocks to fit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EndpointLimits {
     /// Maximum accepted request size in bytes (`None` = unlimited).
@@ -271,6 +273,15 @@ pub trait SparqlEndpoint: Send + Sync {
     /// health registry, so `--stats` and replica ranking see it. The
     /// default is a no-op for transports without a health registry.
     fn set_quarantined(&self, _on: bool) {}
+
+    /// The largest serialized query, in bytes, this transport can carry,
+    /// when it has a ceiling at all: a server's request-size limit, or
+    /// the request line of an HTTP `GET`. Bound joins size their `VALUES`
+    /// blocks to stay under it. `None` (the default) is a transport that
+    /// carries any query, like an HTTP `POST` body.
+    fn max_request_bytes(&self) -> Option<usize> {
+        None
+    }
 
     /// Convenience: run a `SELECT (COUNT(…) AS ?c)` query and extract the
     /// count. Returns 0 when the shape is unexpected.
@@ -435,6 +446,10 @@ impl SparqlEndpoint for SimulatedEndpoint {
 
     fn set_quarantined(&self, on: bool) {
         self.health.set_quarantined(on);
+    }
+
+    fn max_request_bytes(&self) -> Option<usize> {
+        self.limits.max_request_bytes
     }
 
     fn collect_stats(&self) -> Option<StoreStats> {

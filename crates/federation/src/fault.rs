@@ -537,6 +537,10 @@ impl SparqlEndpoint for FaultyEndpoint {
         self.health.set_quarantined(on);
     }
 
+    fn max_request_bytes(&self) -> Option<usize> {
+        self.inner.max_request_bytes()
+    }
+
     fn collect_stats(&self) -> Option<StoreStats> {
         self.inner.collect_stats()
     }

@@ -143,6 +143,10 @@ impl Default for HttpConfig {
     }
 }
 
+/// The longest request line common HTTP servers accept (Apache's
+/// `LimitRequestLine`, nginx's header buffer): the ceiling of a `GET`.
+const GET_REQUEST_LINE_MAX: usize = 8192;
+
 /// A remote SPARQL endpoint reached over HTTP.
 pub struct HttpEndpoint {
     name: String,
@@ -438,6 +442,16 @@ impl SparqlEndpoint for HttpEndpoint {
 
     fn set_quarantined(&self, on: bool) {
         self.health.set_quarantined(on);
+    }
+
+    /// A `POST` body has no ceiling of the transport's own. A `GET` must
+    /// fit its request line, on which any byte of the query may
+    /// percent-encode to three.
+    fn max_request_bytes(&self) -> Option<usize> {
+        self.config.use_get.then(|| {
+            let line = "GET ?query= HTTP/1.1\r\n".len() + self.url.path.len();
+            GET_REQUEST_LINE_MAX.saturating_sub(line) / 3
+        })
     }
 
     fn traffic(&self) -> TrafficSnapshot {
@@ -894,6 +908,8 @@ impl DeadlineReader<'_> {
     }
 }
 
+const HEX: &[u8; 16] = b"0123456789ABCDEF";
+
 /// Percent-encode for a URL query component (RFC 3986 unreserved set kept).
 pub fn percent_encode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -902,7 +918,11 @@ pub fn percent_encode(s: &str) -> String {
             b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
                 out.push(b as char)
             }
-            _ => out.push_str(&format!("%{b:02X}")),
+            _ => {
+                out.push('%');
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
+            }
         }
     }
     out
@@ -1038,6 +1058,21 @@ mod tests {
 
     fn ask_query() -> Query {
         lusail_sparql::parse_query("ASK { ?s ?p ?o }").unwrap()
+    }
+
+    #[test]
+    fn only_a_get_has_a_request_ceiling() {
+        let post = HttpEndpoint::new("ep", "http://127.0.0.1:1/sparql").unwrap();
+        assert_eq!(post.max_request_bytes(), None);
+        let get = post.with_config(HttpConfig {
+            use_get: true,
+            ..test_config()
+        });
+        let ceiling = get.max_request_bytes().unwrap();
+        // A query at the ceiling fits the line even if every byte escapes.
+        let request = get.build_request(&" ".repeat(ceiling));
+        let line = request.iter().position(|&b| b == b'\r').unwrap() + 2;
+        assert!(line <= GET_REQUEST_LINE_MAX && line + 3 > GET_REQUEST_LINE_MAX);
     }
 
     #[test]

@@ -511,6 +511,15 @@ impl SparqlEndpoint for ReplicaGroup {
         )
     }
 
+    /// Any member may serve a request, so the group carries only what its
+    /// most limited member does.
+    fn max_request_bytes(&self) -> Option<usize> {
+        self.members
+            .iter()
+            .filter_map(|m| m.max_request_bytes())
+            .min()
+    }
+
     fn collect_stats(&self) -> Option<StoreStats> {
         self.members.iter().find_map(|m| m.collect_stats())
     }

@@ -21,6 +21,10 @@ cargo run --release --offline --quiet --manifest-path lusail_benchmark/Cargo.tom
 # equality or ordering would show as a wrong row count or row hash.
 cargo run --release --offline --quiet --manifest-path lusail_benchmark/Cargo.toml -- \
     --workload oneshot_cpu --seed 1 --seconds 1 --trace 0 >/dev/null
+# And one of the HTTP workload: the only one whose bound-join blocks travel
+# as real POST bodies to real servers, both codecs.
+cargo run --release --offline --quiet --manifest-path lusail_benchmark/Cargo.toml -- \
+    --workload http_session --seed 1 --seconds 1 --trace 0 >/dev/null
 
 # Seeded e2e groups (tests/tests/<suite>.rs). Fault sequences are drawn from
 # a seeded PRNG; export LUSAIL_CHAOS_SEED to try other histories. On failure

@@ -1,9 +1,16 @@
 //! Shared helpers for the cross-crate integration tests.
 
+use lusail_federation::{
+    Deadline, EndpointError, Federation, HealthSnapshot, SelectResponse, SparqlEndpoint,
+    TrafficSnapshot,
+};
 use lusail_rdf::Graph;
 use lusail_sparql::ast::Query;
+use lusail_sparql::serializer::serialize_query;
 use lusail_sparql::solution::Relation;
+use lusail_store::eval::QueryResult;
 use lusail_store::{Evaluator, Store};
+use std::sync::{Arc, Mutex};
 
 /// Evaluate a query over the *merged* graph of all endpoints — the ground
 /// truth a federated engine must reproduce (the decentralized graph's
@@ -33,4 +40,93 @@ pub fn assert_same_solutions(label: &str, actual: &Relation, expected: &Relation
     a.sort();
     e.sort();
     assert_eq!(a, e, "{label}: solution bags differ");
+}
+
+/// An endpoint that forwards to `inner` and keeps the text of every query
+/// it was sent, so a test can see what the engine put on the wire.
+pub struct RecordingEndpoint {
+    inner: Arc<dyn SparqlEndpoint>,
+    sent: Mutex<Vec<String>>,
+}
+
+impl RecordingEndpoint {
+    pub fn new(inner: Arc<dyn SparqlEndpoint>) -> Self {
+        RecordingEndpoint {
+            inner,
+            sent: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Wrap every endpoint in a recorder and federate the recorders.
+    pub fn federation(
+        endpoints: impl IntoIterator<Item = Arc<dyn SparqlEndpoint>>,
+    ) -> (Vec<Arc<RecordingEndpoint>>, Federation) {
+        let recorders: Vec<Arc<RecordingEndpoint>> = endpoints
+            .into_iter()
+            .map(|ep| Arc::new(RecordingEndpoint::new(ep)))
+            .collect();
+        let federation = Federation::new(
+            recorders
+                .iter()
+                .map(|r| r.clone() as Arc<dyn SparqlEndpoint>)
+                .collect(),
+        );
+        (recorders, federation)
+    }
+
+    /// The queries sent so far, in arrival order.
+    pub fn sent(&self) -> Vec<String> {
+        self.sent.lock().unwrap().clone()
+    }
+
+    /// The bound-join requests among them: `VALUES` blocks that are not
+    /// `COUNT(*)` cross-probes, recovery pages or `ASK` refinements.
+    pub fn bound_requests(&self) -> Vec<String> {
+        let mut sent = self.sent();
+        sent.retain(|q| {
+            q.starts_with("SELECT ?") && q.contains("VALUES (") && !q.contains(" OFFSET ")
+        });
+        sent
+    }
+
+    fn record(&self, query: &Query) {
+        self.sent.lock().unwrap().push(serialize_query(query));
+    }
+}
+
+impl SparqlEndpoint for RecordingEndpoint {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn execute_within(
+        &self,
+        query: &Query,
+        deadline: Deadline,
+    ) -> Result<QueryResult, EndpointError> {
+        self.record(query);
+        self.inner.execute_within(query, deadline)
+    }
+    fn select_with_meta(
+        &self,
+        query: &Query,
+        deadline: Deadline,
+    ) -> Result<SelectResponse, EndpointError> {
+        self.record(query);
+        self.inner.select_with_meta(query, deadline)
+    }
+    fn traffic(&self) -> TrafficSnapshot {
+        self.inner.traffic()
+    }
+    fn reset_traffic(&self) {
+        self.inner.reset_traffic()
+    }
+    fn health(&self) -> Option<HealthSnapshot> {
+        self.inner.health()
+    }
+    fn set_quarantined(&self, on: bool) {
+        self.inner.set_quarantined(on)
+    }
+    fn max_request_bytes(&self) -> Option<usize> {
+        self.inner.max_request_bytes()
+    }
 }

@@ -1,6 +1,7 @@
 //! Driving LADE's public pieces directly over the paper's Figure 4
 //! scenario, plus SAPE-level behaviours observable through the engine.
 
+use integration::RecordingEndpoint;
 use lusail_core::cache::{pattern_key, QueryCache};
 use lusail_core::lade::gjv::detect_gjvs;
 use lusail_core::normalize::{normalize, ConjBranch};
@@ -228,6 +229,50 @@ fn delayed_subquery_uses_bound_join() {
         bytes < 5_000,
         "bound join shipped too much: {bytes} bytes (full scan would be ~15kB)"
     );
+}
+
+#[test]
+fn b1_bound_blocks_follow_the_wave_and_never_change_the_rows() {
+    // LargeRDFBench B1 bound-joins two subqueries on a few thousand
+    // LinkedTCGA IRIs. A fixed 4 KiB of bindings per block made that 44
+    // requests at scale 1; sized by the wave it is one wave's worth.
+    let graphs = largerdf::generate_all(&largerdf::LargeRdfConfig::default());
+    let b1 = largerdf::all_queries()
+        .into_iter()
+        .find(|q| q.name == "B1")
+        .unwrap()
+        .parse();
+    let run = |threads: Option<usize>| {
+        let (recorders, fed) = RecordingEndpoint::federation(
+            federation_from_graphs(graphs.clone(), NetworkProfile::instant())
+                .iter()
+                .map(|(_, ep)| ep.clone()),
+        );
+        let config = LusailConfig {
+            threads,
+            ..Default::default()
+        };
+        let mut rows = LusailEngine::new(fed, config)
+            .execute(&b1)
+            .unwrap()
+            .rows()
+            .to_vec();
+        rows.sort();
+        let bound: usize = recorders.iter().map(|r| r.bound_requests().len()).sum();
+        (rows, bound)
+    };
+    let (elastic_rows, elastic_bound) = run(None);
+    assert!(!elastic_rows.is_empty());
+    assert!(
+        (1..44).contains(&elastic_bound),
+        "{elastic_bound} bound requests"
+    );
+    // The width changes the cut, never the rows.
+    for threads in [4, 1] {
+        let (rows, bound) = run(Some(threads));
+        assert_eq!(rows, elastic_rows, "threads {threads}");
+        assert!(bound <= elastic_bound, "threads {threads}: {bound}");
+    }
 }
 
 #[test]
