@@ -8,7 +8,6 @@ use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, SelectQuery, TriplePattern, Variable,
 };
 use lusail_sparql::solution::Relation;
-use lusail_store::expr::{eval_ebv, ExprContext};
 use std::time::{Duration, Instant};
 
 /// A federated SPARQL engine: Lusail or one of the baselines.
@@ -201,195 +200,6 @@ fn check_deadline(deadline: Option<Instant>, opts: &ExecOptions) -> Result<(), E
     Ok(())
 }
 
-/// Bag union of two relations with possibly different headers.
-pub fn union_relations(a: Relation, b: Relation) -> Relation {
-    let mut vars = a.vars().to_vec();
-    for v in b.vars() {
-        if !vars.contains(v) {
-            vars.push(v.clone());
-        }
-    }
-    let mut out = Relation::new(vars.clone());
-    for rel in [&a, &b] {
-        let idx: Vec<Option<usize>> = vars.iter().map(|v| rel.index_of(v)).collect();
-        for row in rel.rows() {
-            out.push(idx.iter().map(|i| i.and_then(|i| row[i].clone())).collect());
-        }
-    }
-    out
-}
-
-/// Evaluate a residual filter over a materialized relation (`EXISTS` is
-/// unsupported at this level and yields false).
-pub fn apply_filter(rel: Relation, f: &Expression) -> Relation {
-    struct RowCtx<'a> {
-        vars: &'a [Variable],
-        row: &'a [Option<Term>],
-    }
-    impl ExprContext for RowCtx<'_> {
-        fn value_of(&self, v: &Variable) -> Option<Term> {
-            let i = self.vars.iter().position(|x| x == v)?;
-            self.row[i].clone()
-        }
-        fn exists(&mut self, _pattern: &GraphPattern) -> bool {
-            false
-        }
-    }
-    let vars = rel.vars().to_vec();
-    let rows = rel
-        .rows()
-        .iter()
-        .filter(|row| {
-            let mut ctx = RowCtx { vars: &vars, row };
-            eval_ebv(f, &mut ctx)
-        })
-        .cloned()
-        .collect();
-    Relation::from_rows(vars, rows)
-}
-
-/// `BIND(expr AS ?v)` over a materialized relation (errors leave the
-/// variable unbound).
-pub fn apply_bind(rel: Relation, expr: &Expression, var: &Variable) -> Relation {
-    struct RowCtx<'a> {
-        vars: &'a [Variable],
-        row: &'a [Option<Term>],
-    }
-    impl ExprContext for RowCtx<'_> {
-        fn value_of(&self, v: &Variable) -> Option<Term> {
-            let i = self.vars.iter().position(|x| x == v)?;
-            self.row[i].clone()
-        }
-        fn exists(&mut self, _pattern: &GraphPattern) -> bool {
-            false
-        }
-    }
-    let mut vars = rel.vars().to_vec();
-    if !vars.contains(var) {
-        vars.push(var.clone());
-    }
-    let out_idx = vars.iter().position(|x| x == var).unwrap();
-    let mut out = Relation::new(vars);
-    for row in rel.rows() {
-        let value = {
-            let mut ctx = RowCtx {
-                vars: rel.vars(),
-                row,
-            };
-            lusail_store::expr::eval(expr, &mut ctx).and_then(lusail_store::expr::value_to_term)
-        };
-        let mut new_row = row.clone();
-        if new_row.len() < out.vars().len() {
-            new_row.push(None);
-        }
-        new_row[out_idx] = value;
-        out.push(new_row);
-    }
-    out
-}
-
-/// Apply the outer `SELECT`'s solution modifiers to an assembled relation.
-pub fn finalize_select(select: &SelectQuery, mut result: Relation) -> Relation {
-    match &select.projection {
-        Projection::Count {
-            inner,
-            distinct,
-            as_var,
-        } => {
-            let n = match inner {
-                None => {
-                    if *distinct {
-                        result.dedup();
-                    }
-                    result.len()
-                }
-                Some(v) => {
-                    if *distinct {
-                        result.distinct_values(v).len()
-                    } else {
-                        result
-                            .index_of(v)
-                            .map(|i| result.rows().iter().filter(|r| r[i].is_some()).count())
-                            .unwrap_or(0)
-                    }
-                }
-            };
-            let mut rel = Relation::new(vec![as_var.clone()]);
-            rel.push(vec![Some(Term::integer(n as i64))]);
-            return rel;
-        }
-        Projection::Aggregate { keys, aggs } => {
-            result =
-                lusail_sparql::aggregate::aggregate_relation(&result, &select.group_by, keys, aggs);
-        }
-        Projection::Vars(vs) => {
-            result = result.project(vs);
-        }
-        Projection::All => {}
-    }
-    if !select.order_by.is_empty() {
-        let idx: Vec<(Option<usize>, bool)> = select
-            .order_by
-            .iter()
-            .map(|(v, asc)| (result.index_of(v), *asc))
-            .collect();
-        result.rows_mut().sort_by(|a, b| {
-            for (i, asc) in &idx {
-                if let Some(i) = i {
-                    let ord = compare_terms(&a[*i], &b[*i]);
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    if select.distinct {
-        result.dedup();
-    }
-    if let Some(offset) = select.offset {
-        let rows = result.rows_mut();
-        if offset >= rows.len() {
-            rows.clear();
-        } else {
-            rows.drain(..offset);
-        }
-    }
-    if let Some(limit) = select.limit {
-        result.rows_mut().truncate(limit);
-    }
-    result
-}
-
-fn compare_terms(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    fn rank(t: &Option<Term>) -> u8 {
-        match t {
-            None => 0,
-            Some(Term::BlankNode(_)) => 1,
-            Some(Term::Iri(_)) => 2,
-            Some(Term::Literal(_)) => 3,
-        }
-    }
-    let (ra, rb) = (rank(a), rank(b));
-    if ra != rb {
-        return ra.cmp(&rb);
-    }
-    match (a, b) {
-        (Some(Term::Literal(la)), Some(Term::Literal(lb))) => {
-            if let (Some(na), Some(nb)) = (la.as_f64(), lb.as_f64()) {
-                na.partial_cmp(&nb).unwrap_or(Ordering::Equal)
-            } else {
-                la.lexical.cmp(&lb.lexical)
-            }
-        }
-        (Some(x), Some(y)) => x.cmp(y),
-        _ => Ordering::Equal,
-    }
-}
-
 /// Split patterns into connected components by shared variables. Baselines
 /// reject queries whose required part is disconnected (the paper's C5, B5,
 /// B6: "a query not supported by Lusail's competitors").
@@ -494,36 +304,5 @@ mod tests {
             ]),
             1
         );
-    }
-
-    #[test]
-    fn finalize_applies_modifiers() {
-        let v = |n: &str| Variable::new(n);
-        let mut rel = Relation::new(vec![v("x"), v("y")]);
-        for i in [3, 1, 2, 1] {
-            rel.push(vec![Some(Term::integer(i)), Some(Term::integer(i * 10))]);
-        }
-        let mut sel = SelectQuery::new(Projection::Vars(vec![v("x")]), GraphPattern::empty());
-        sel.distinct = true;
-        sel.order_by = vec![(v("x"), true)];
-        sel.limit = Some(2);
-        let out = finalize_select(&sel, rel);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.rows()[0][0], Some(Term::integer(1)));
-        assert_eq!(out.rows()[1][0], Some(Term::integer(2)));
-    }
-
-    #[test]
-    fn filter_drops_rows() {
-        let v = |n: &str| Variable::new(n);
-        let mut rel = Relation::new(vec![v("x")]);
-        rel.push(vec![Some(Term::integer(1))]);
-        rel.push(vec![Some(Term::integer(10))]);
-        let f = Expression::Gt(
-            Box::new(Expression::Var(v("x"))),
-            Box::new(Expression::Term(Term::integer(5))),
-        );
-        let out = apply_filter(rel, &f);
-        assert_eq!(out.len(), 1);
     }
 }

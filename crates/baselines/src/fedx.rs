@@ -15,18 +15,16 @@
 //! the behaviour Lusail's locality-aware decomposition removes.
 
 use crate::common::{
-    apply_filter, connected_pattern_components, execute_groups, finalize_select, union_relations,
-    ExecOptions, FederatedEngine, GroupPlan,
+    connected_pattern_components, execute_groups, ExecOptions, FederatedEngine, GroupPlan,
 };
 use lusail_core::cache::QueryCache;
-use lusail_core::normalize::{normalize, ConjBranch};
+use lusail_core::normalize::{assemble_select, ConjBranch};
 use lusail_core::source::select_sources;
 use lusail_core::{EngineError, RunContext};
 use lusail_federation::{Deadline, EndpointId, Federation, RequestHandler};
-use lusail_sparql::ast::{
-    Expression, Projection, Query, QueryForm, SelectQuery, TriplePattern, Variable,
-};
+use lusail_sparql::ast::{Expression, Query, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
+use lusail_store::expr::{bind_relation, filter_relation};
 use std::time::{Duration, Instant};
 
 /// FedX configuration.
@@ -104,24 +102,11 @@ impl FedX {
     fn run(&self, query: &Query) -> Result<Relation, EngineError> {
         let start = Instant::now();
         let deadline = self.config.timeout.map(|t| start + t);
-        let select_view: SelectQuery = match &query.form {
-            QueryForm::Select(s) => s.clone(),
-            QueryForm::Ask(p) => {
-                let mut s = SelectQuery::new(Projection::All, p.clone());
-                s.limit = Some(1);
-                s
-            }
-        };
-        let branches = normalize(&select_view.pattern)?;
-        let mut combined: Option<Relation> = None;
-        for branch in &branches {
-            let rel = self.run_branch(branch, deadline)?;
-            combined = Some(match combined {
-                None => rel,
-                Some(acc) => union_relations(acc, rel),
-            });
-        }
-        Ok(finalize_select(&select_view, combined.unwrap_or_default()))
+        assemble_select(query, |_, branches| {
+            (branches.iter())
+                .map(|branch| self.run_branch(branch, deadline))
+                .collect()
+        })
     }
 
     fn run_branch(
@@ -234,11 +219,11 @@ impl FedX {
             rel = rel.minus(&minus_rel);
         }
         for (expr, var) in &branch.binds {
-            rel = crate::common::apply_bind(rel, expr, var);
+            rel = bind_relation(rel, expr, var);
         }
         // Residual filters (those whose variables span groups).
         for f in residual_filters(&branch.filters, &groups) {
-            rel = apply_filter(rel, f);
+            rel = filter_relation(rel, f);
         }
         Ok(rel)
     }

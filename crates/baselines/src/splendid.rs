@@ -14,16 +14,14 @@
 //! engines are preferred for dynamic federations.
 
 use crate::common::{
-    apply_filter, connected_pattern_components, execute_groups, finalize_select, union_relations,
-    ExecOptions, FederatedEngine, GroupPlan,
+    connected_pattern_components, execute_groups, ExecOptions, FederatedEngine, GroupPlan,
 };
-use lusail_core::normalize::{normalize, ConjBranch};
+use lusail_core::normalize::{assemble_select, ConjBranch};
 use lusail_core::EngineError;
 use lusail_federation::{EndpointId, Federation, RequestHandler};
-use lusail_sparql::ast::{
-    Projection, Query, QueryForm, SelectQuery, TermPattern, TriplePattern, Variable,
-};
+use lusail_sparql::ast::{Query, TermPattern, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
+use lusail_store::expr::{bind_relation, filter_relation};
 use lusail_store::stats::StoreStats;
 use std::time::{Duration, Instant};
 
@@ -139,24 +137,11 @@ impl Splendid {
     fn run(&self, query: &Query) -> Result<Relation, EngineError> {
         let start = Instant::now();
         let deadline = self.timeout.map(|t| start + t);
-        let select_view: SelectQuery = match &query.form {
-            QueryForm::Select(s) => s.clone(),
-            QueryForm::Ask(p) => {
-                let mut s = SelectQuery::new(Projection::All, p.clone());
-                s.limit = Some(1);
-                s
-            }
-        };
-        let branches = normalize(&select_view.pattern)?;
-        let mut combined: Option<Relation> = None;
-        for branch in &branches {
-            let rel = self.run_branch(branch, deadline)?;
-            combined = Some(match combined {
-                None => rel,
-                Some(acc) => union_relations(acc, rel),
-            });
-        }
-        Ok(finalize_select(&select_view, combined.unwrap_or_default()))
+        assemble_select(query, |_, branches| {
+            (branches.iter())
+                .map(|branch| self.run_branch(branch, deadline))
+                .collect()
+        })
     }
 
     fn run_branch(
@@ -303,7 +288,7 @@ impl Splendid {
             rel = rel.minus(&minus_rel);
         }
         for (expr, var) in &branch.binds {
-            rel = crate::common::apply_bind(rel, expr, var);
+            rel = bind_relation(rel, expr, var);
         }
         for f in &branch.filters {
             // Residual filters: any filter not covered by a single group.
@@ -313,7 +298,7 @@ impl Splendid {
                 !fvars.is_empty() && fvars.iter().all(|v| gvars.contains(v))
             });
             if !covered {
-                rel = apply_filter(rel, f);
+                rel = filter_relation(rel, f);
             }
         }
         Ok(rel)

@@ -349,6 +349,37 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     };
     let has = |name: &str| flags.iter().any(|(f, _)| *f == name);
 
+    // The flags `query` and `serve --federate` share, parsed and
+    // range-checked once: both reject the same values with the same words.
+    let capped = |flag: &str, max: u64, unit: &str| -> Result<Option<u64>, CliError> {
+        let Some(v) = get(flag) else { return Ok(None) };
+        let n: u64 = (v.parse()).map_err(|_| usage(&format!("bad {flag} {v:?}")))?;
+        if n > max {
+            let msg = format!("{flag} {n} is out of range (max {max}{unit})");
+            return Err(usage(&msg));
+        }
+        Ok(Some(n))
+    };
+    let retries = || capped("--retries", 100, "").map(|n| n.map(|n| n as u32));
+    let backoff = || capped("--backoff", 60_000, " ms");
+    let hedge_after = || capped("--hedge-after", 60_000, " ms");
+    let profile = || match get("--profile").unwrap_or("instant") {
+        "instant" => Ok(ProfileKind::Instant),
+        "local" => Ok(ProfileKind::Local),
+        "geo" => Ok(ProfileKind::Geo),
+        other => Err(usage(&format!("unknown profile {other:?}"))),
+    };
+    let max_result_rows = || -> Result<Option<usize>, CliError> {
+        let Some(v) = get("--max-result-rows") else {
+            return Ok(None);
+        };
+        match v.parse() {
+            Ok(0) => Err(usage("--max-result-rows must be at least 1")),
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(usage(&format!("bad --max-result-rows {v:?}"))),
+        }
+    };
+
     match sub.as_str() {
         "query" => {
             let data: Vec<PathBuf> = get_all("--data").into_iter().map(PathBuf::from).collect();
@@ -373,12 +404,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 "hibiscus" => EngineKind::HiBiscus,
                 other => return Err(usage(&format!("unknown engine {other:?}"))),
             };
-            let profile = match get("--profile").unwrap_or("instant") {
-                "instant" => ProfileKind::Instant,
-                "local" => ProfileKind::Local,
-                "geo" => ProfileKind::Geo,
-                other => return Err(usage(&format!("unknown profile {other:?}"))),
-            };
             let timeout = match get("--timeout") {
                 None => None,
                 Some(v) => Some(
@@ -386,62 +411,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         .map_err(|_| usage(&format!("bad --timeout {v:?}")))?,
                 ),
             };
-            let retries: Option<u32> = match get("--retries") {
-                None => None,
-                Some(v) => {
-                    let n = v
-                        .parse()
-                        .map_err(|_| usage(&format!("bad --retries {v:?}")))?;
-                    if n > 100 {
-                        return Err(usage(&format!("--retries {n} is out of range (max 100)")));
-                    }
-                    Some(n)
-                }
-            };
-            let backoff: Option<u64> = match get("--backoff") {
-                None => None,
-                Some(v) => {
-                    let ms = v
-                        .parse()
-                        .map_err(|_| usage(&format!("bad --backoff {v:?}")))?;
-                    if ms > 60_000 {
-                        return Err(usage(&format!(
-                            "--backoff {ms} is out of range (max 60000 ms)"
-                        )));
-                    }
-                    Some(ms)
-                }
-            };
-            let hedge_after: Option<u64> = match get("--hedge-after") {
-                None => None,
-                Some(v) => {
-                    let ms = v
-                        .parse()
-                        .map_err(|_| usage(&format!("bad --hedge-after {v:?}")))?;
-                    if ms > 60_000 {
-                        return Err(usage(&format!(
-                            "--hedge-after {ms} is out of range (max 60000 ms)"
-                        )));
-                    }
-                    Some(ms)
-                }
-            };
             let memory_budget: Option<usize> = match get("--memory-budget") {
                 None => None,
                 Some(v) => {
                     Some(parse_bytes(v).map_err(|m| usage(&format!("bad --memory-budget: {m}")))?)
-                }
-            };
-            let max_result_rows: Option<usize> = match get("--max-result-rows") {
-                None => None,
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| usage(&format!("bad --max-result-rows {v:?}")))?;
-                    if n == 0 {
-                        return Err(usage("--max-result-rows must be at least 1"));
-                    }
-                    Some(n)
                 }
             };
             // Group specs are validated at parse time so a malformed
@@ -472,13 +445,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 query_file,
                 query_text,
                 engine,
-                profile,
+                profile: profile()?,
                 timeout,
-                retries,
-                backoff,
-                hedge_after,
+                retries: retries()?,
+                backoff: backoff()?,
+                hedge_after: hedge_after()?,
                 memory_budget,
-                max_result_rows,
+                max_result_rows: max_result_rows()?,
                 format,
                 explain: has("--explain"),
                 partial: has("--partial"),
@@ -532,18 +505,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .parse()
                     .map_err(|_| usage(&format!("bad --workers {v:?}")))?,
             };
-            let max_result_rows: Option<usize> = match get("--max-result-rows") {
-                None => None,
-                Some(v) => {
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| usage(&format!("bad --max-result-rows {v:?}")))?;
-                    if n == 0 {
-                        return Err(usage("--max-result-rows must be at least 1"));
-                    }
-                    Some(n)
-                }
-            };
             let federate = if federate {
                 let endpoints: Vec<String> = get_all("--endpoint")
                     .into_iter()
@@ -557,12 +518,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 for spec in &endpoints {
                     parse_endpoint_spec(spec).map_err(|m| usage(&m))?;
                 }
-                let profile = match get("--profile").unwrap_or("instant") {
-                    "instant" => ProfileKind::Instant,
-                    "local" => ProfileKind::Local,
-                    "geo" => ProfileKind::Geo,
-                    other => return Err(usage(&format!("unknown profile {other:?}"))),
-                };
                 let parse_u64 = |flag: &str| -> Result<Option<u64>, CliError> {
                     match get(flag) {
                         None => Ok(None),
@@ -587,13 +542,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         )),
                     }
                 };
-                let retries: Option<u32> = match get("--retries") {
-                    None => None,
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| usage(&format!("bad --retries {v:?}")))?,
-                    ),
-                };
                 let client_max_inflight = parse_usize("--client-max-inflight")?;
                 if client_max_inflight == Some(0) {
                     return Err(usage("--client-max-inflight must be at least 1"));
@@ -609,11 +557,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 }
                 Some(FederateOpts {
                     endpoints,
-                    profile,
+                    profile: profile()?,
                     query_timeout: parse_u64("--query-timeout")?,
-                    retries,
-                    backoff: parse_u64("--backoff")?,
-                    hedge_after: parse_u64("--hedge-after")?,
+                    retries: retries()?,
+                    backoff: backoff()?,
+                    hedge_after: hedge_after()?,
                     memory_pool,
                     query_budget,
                     queue: parse_usize("--queue")?,
@@ -631,7 +579,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 data,
                 addr,
                 workers,
-                max_result_rows,
+                max_result_rows: max_result_rows()?,
                 federate,
             })
         }
@@ -2181,27 +2129,56 @@ mod tests {
             other => panic!("{other:?}"),
         }
 
-        // Invalid values are rejected like any other flag.
+        // Invalid values are rejected like any other flag — by `query` and
+        // by `serve --federate` alike, in the same words.
+        let rejection = |sub: &[&str], bad: &[&str]| {
+            let mut args = s(sub);
+            args.extend(s(&["--endpoint", "http://127.0.0.1:1/sparql"]));
+            args.extend(s(bad));
+            match parse_args(&args) {
+                Err(CliError::Usage(msg)) => msg,
+                other => panic!("{sub:?} {bad:?} should be rejected, got {other:?}"),
+            }
+        };
         for bad in [
-            vec!["--retries", "many"],
-            vec!["--retries", "101"],
-            vec!["--retries", "-1"],
-            vec!["--backoff", "1ms"],
-            vec!["--backoff", "99999999"],
-            vec!["--hedge-after", "soon"],
+            ["--retries", "many"],
+            ["--retries", "101"],
+            ["--retries", "4000000000"],
+            ["--retries", "-1"],
+            ["--backoff", "1ms"],
+            ["--backoff", "99999999"],
+            ["--hedge-after", "soon"],
+            ["--hedge-after", "60001"],
+            ["--profile", "moon"],
+            ["--max-result-rows", "0"],
+            ["--max-result-rows", "lots"],
         ] {
-            let mut args = s(&[
-                "query",
-                "--endpoint",
-                "http://127.0.0.1:1/sparql",
-                "--query-text",
-                "ASK {}",
-            ]);
-            args.extend(s(&bad));
-            assert!(
-                matches!(parse_args(&args), Err(CliError::Usage(_))),
-                "{bad:?} should be rejected"
-            );
+            let by_query = rejection(&["query", "--query-text", "ASK {}"], &bad);
+            let by_serve = rejection(&["serve", "--federate"], &bad);
+            assert_eq!(by_query, by_serve, "{bad:?}");
+        }
+        let ok = s(&[
+            "serve",
+            "--federate",
+            "--endpoint",
+            "http://127.0.0.1:1/sparql",
+            "--retries",
+            "100",
+            "--backoff",
+            "60000",
+            "--max-result-rows",
+            "7",
+        ]);
+        match parse_args(&ok).unwrap() {
+            Command::Serve {
+                max_result_rows,
+                federate: Some(opts),
+                ..
+            } => {
+                assert_eq!(max_result_rows, Some(7));
+                assert_eq!((opts.retries, opts.backoff), (Some(100), Some(60_000)));
+            }
+            other => panic!("{other:?}"),
         }
     }
 

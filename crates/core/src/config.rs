@@ -74,11 +74,10 @@ pub struct LusailConfig {
     pub threads: Option<usize>,
     /// Per-query time limit (the paper uses one hour; benches scale down).
     pub timeout: Option<Duration>,
-    /// Cache ASK (source selection) and locality-check results across
-    /// queries, as the paper's Figure 12(b,c) "with cache" configuration.
+    /// Cache source selection, locality-check results and per-pattern
+    /// `COUNT` statistics across queries, as the paper's Figure 12(b,c)
+    /// "with cache" configuration.
     pub enable_cache: bool,
-    /// Also cache per-pattern `COUNT` cardinality probes.
-    pub cache_counts: bool,
     /// Treat every join variable whose triple-pattern pair is relevant to
     /// more than one endpoint as global, skipping the instance checks.
     ///
@@ -125,7 +124,6 @@ impl Default for LusailConfig {
             threads: None,
             timeout: None,
             enable_cache: true,
-            cache_counts: true,
             paranoid_locality: false,
             result_policy: ResultPolicy::FailFast,
             memory_budget: None,
@@ -140,7 +138,6 @@ impl LusailConfig {
     pub fn without_cache() -> Self {
         LusailConfig {
             enable_cache: false,
-            cache_counts: false,
             ..Default::default()
         }
     }

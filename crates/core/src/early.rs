@@ -104,18 +104,7 @@ impl LusailEngine {
             run += 1;
             acc = Some(match acc {
                 None => rel,
-                Some(mut a) => {
-                    // Headers agree (same projection); append.
-                    for row in rel.rows() {
-                        a.push(
-                            a.vars()
-                                .iter()
-                                .map(|v| rel.index_of(v).and_then(|i| row[i].clone()))
-                                .collect(),
-                        );
-                    }
-                    a
-                }
+                Some(a) => a.union(rel),
             });
             let have = acc.as_ref().map_or(0, |r| r.len());
             if have >= target {

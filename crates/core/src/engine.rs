@@ -6,7 +6,7 @@ use crate::config::{LusailConfig, SapeMode};
 use crate::error::EngineError;
 use crate::lade::decompose::{decompose, SubqueryDraft};
 use crate::lade::gjv::detect_gjvs_with;
-use crate::normalize::{normalize, ConjBranch};
+use crate::normalize::{assemble_select, ConjBranch};
 use crate::run::{ExecutionWarning, RunContext};
 use crate::sape::estimate::{subquery_cardinality, TpCounts};
 use crate::sape::execute::{ExpectedRows, SapeExecutor};
@@ -17,12 +17,9 @@ use lusail_federation::{
     EndpointError, EndpointId, Federation, IntegrityRegistry, RequestHandler, WaveSnapshot,
 };
 use lusail_rdf::fxhash::FxHashMap;
-use lusail_rdf::Term;
-use lusail_sparql::ast::{
-    Expression, GraphPattern, Projection, Query, QueryForm, SelectQuery, Variable,
-};
+use lusail_sparql::ast::{Expression, Projection, Query, SelectQuery, Variable};
 use lusail_sparql::solution::Relation;
-use lusail_store::expr::{eval_ebv, ExprContext};
+use lusail_store::expr::{bind_relation, filter_relation};
 use std::time::{Duration, Instant};
 
 /// Timing and plan information for one executed query (the data behind the
@@ -158,109 +155,20 @@ impl LusailEngine {
         let start = Instant::now();
         let mut profile = ExecutionProfile::default();
 
-        let select_view: SelectQuery = match &query.form {
-            QueryForm::Select(s) => s.clone(),
-            QueryForm::Ask(p) => {
-                let mut s = SelectQuery::new(Projection::All, p.clone());
-                s.limit = Some(1);
-                s
-            }
-        };
+        let result = assemble_select(query, |select_view, branches| {
+            // ---- Source selection + pattern statistics, whole query ------
+            let cache = self.config.enable_cache.then_some(&self.cache);
+            let t = Instant::now();
+            let probed = probe_fresh(&self.federation, &self.handler, cache, branches, ctx)?;
+            profile.source_selection = t.elapsed();
+            ctx.check()?;
 
-        let branches = normalize(&select_view.pattern)?;
-
-        // ---- Source selection + pattern statistics, whole query ----------
-        let cache = self.config.enable_cache.then_some(&self.cache);
-        let t = Instant::now();
-        let probed = probe_fresh(
-            &self.federation,
-            &self.handler,
-            cache,
-            cache.filter(|_| self.config.cache_counts),
-            &branches,
-            ctx,
-        )?;
-        profile.source_selection = t.elapsed();
-        ctx.check()?;
-
-        let mut combined: Option<Relation> = None;
-        for (branch, (stats, fresh)) in branches.iter().zip(&probed) {
-            let rel = self.execute_branch(branch, stats, fresh, &select_view, ctx, &mut profile)?;
-            combined = Some(match combined {
-                None => rel,
-                Some(acc) => union_relations(acc, rel),
-            });
-        }
-        let mut result = combined.unwrap_or_default();
-
-        // ---- Solution modifiers (applied at the federator) -------------
-        let out_vars: Vec<Variable> = match &select_view.projection {
-            Projection::All => result.vars().to_vec(),
-            Projection::Vars(vs) => vs.clone(),
-            Projection::Count { .. } | Projection::Aggregate { .. } => Vec::new(),
-        };
-        if let Projection::Count {
-            inner,
-            distinct,
-            as_var,
-        } = &select_view.projection
-        {
-            let n = match inner {
-                None => {
-                    if *distinct {
-                        let mut r = result.clone();
-                        r.dedup();
-                        r.len()
-                    } else {
-                        result.len()
-                    }
-                }
-                Some(v) => {
-                    if *distinct {
-                        result.distinct_values(v).len()
-                    } else {
-                        result
-                            .index_of(v)
-                            .map(|i| result.rows().iter().filter(|r| r[i].is_some()).count())
-                            .unwrap_or(0)
-                    }
-                }
-            };
-            let mut rel = Relation::new(vec![as_var.clone()]);
-            rel.push(vec![Some(Term::integer(n as i64))]);
-            result = rel;
-        } else if let Projection::Aggregate { keys, aggs } = &select_view.projection {
-            result = lusail_sparql::aggregate::aggregate_relation(
-                &result,
-                &select_view.group_by,
-                keys,
-                aggs,
-            );
-            if let Some(limit) = select_view.limit {
-                result.rows_mut().truncate(limit);
-            }
-        } else {
-            result = result.project(&out_vars);
-            if !select_view.order_by.is_empty() {
-                sort_relation(&mut result, &select_view.order_by);
-            }
-            if select_view.distinct {
-                result.dedup();
-            }
-            if let Some(offset) = select_view.offset {
-                let rows = result.rows_mut();
-                if offset >= rows.len() {
-                    rows.clear();
-                } else {
-                    rows.drain(..offset);
-                }
-            }
-            if let Some(limit) = select_view.limit {
-                // The paper is explicit that Lusail computes all results and
-                // truncates (its C4 discussion); we do the same.
-                result.rows_mut().truncate(limit);
-            }
-        }
+            (branches.iter().zip(&probed))
+                .map(|(branch, (stats, fresh))| {
+                    self.execute_branch(branch, stats, fresh, select_view, ctx, &mut profile)
+                })
+                .collect()
+        })?;
 
         profile.result_rows = result.len();
         profile.warnings = ctx.take_warnings();
@@ -447,10 +355,10 @@ impl LusailEngine {
             rel = rel.minus(&minus_rel);
         }
         for (expr, var) in &branch.binds {
-            rel = apply_bind(rel, expr, var);
+            rel = bind_relation(rel, expr, var);
         }
         for f in &global_filters {
-            rel = apply_global_filter(rel, f);
+            rel = filter_relation(rel, f);
         }
         profile.execution += t.elapsed();
         Ok(rel)
@@ -587,149 +495,11 @@ fn filter_is_pushable(f: &Expression) -> bool {
     !matches!(f, Expression::Exists(_) | Expression::NotExists(_))
 }
 
-/// Bag union of two relations with possibly different headers.
-fn union_relations(a: Relation, b: Relation) -> Relation {
-    let mut vars = a.vars().to_vec();
-    for v in b.vars() {
-        if !vars.contains(v) {
-            vars.push(v.clone());
-        }
-    }
-    let mut out = Relation::new(vars.clone());
-    for rel in [&a, &b] {
-        let idx: Vec<Option<usize>> = vars.iter().map(|v| rel.index_of(v)).collect();
-        for row in rel.rows() {
-            out.push(idx.iter().map(|i| i.and_then(|i| row[i].clone())).collect());
-        }
-    }
-    out
-}
-
-/// Evaluate a residual filter over a materialized relation.
-///
-/// `EXISTS` at the global level is unsupported (no store to probe) and
-/// evaluates to false — benchmark queries never need it there because
-/// LADE pushes pattern-level semantics into the subqueries.
-fn apply_global_filter(rel: Relation, f: &Expression) -> Relation {
-    struct RowCtx<'a> {
-        vars: &'a [Variable],
-        row: &'a [Option<Term>],
-    }
-    impl ExprContext for RowCtx<'_> {
-        fn value_of(&self, v: &Variable) -> Option<Term> {
-            let i = self.vars.iter().position(|x| x == v)?;
-            self.row[i].clone()
-        }
-        fn exists(&mut self, _pattern: &GraphPattern) -> bool {
-            false
-        }
-    }
-    let vars = rel.vars().to_vec();
-    let rows = rel
-        .rows()
-        .iter()
-        .filter(|row| {
-            let mut ctx = RowCtx { vars: &vars, row };
-            eval_ebv(f, &mut ctx)
-        })
-        .cloned()
-        .collect();
-    Relation::from_rows(vars, rows)
-}
-
-/// `BIND(expr AS ?v)` over a materialized relation; evaluation errors
-/// leave the variable unbound (SPARQL semantics).
-fn apply_bind(rel: Relation, expr: &Expression, var: &Variable) -> Relation {
-    struct RowCtx<'a> {
-        vars: &'a [Variable],
-        row: &'a [Option<Term>],
-    }
-    impl ExprContext for RowCtx<'_> {
-        fn value_of(&self, v: &Variable) -> Option<Term> {
-            let i = self.vars.iter().position(|x| x == v)?;
-            self.row[i].clone()
-        }
-        fn exists(&mut self, _pattern: &GraphPattern) -> bool {
-            false
-        }
-    }
-    let mut vars = rel.vars().to_vec();
-    if !vars.contains(var) {
-        vars.push(var.clone());
-    }
-    let out_idx = vars.iter().position(|x| x == var).unwrap();
-    let mut out = Relation::new(vars);
-    for row in rel.rows() {
-        let value = {
-            let mut ctx = RowCtx {
-                vars: rel.vars(),
-                row,
-            };
-            lusail_store::expr::eval(expr, &mut ctx).and_then(lusail_store::expr::value_to_term)
-        };
-        let mut new_row = row.clone();
-        if new_row.len() < out.vars().len() {
-            new_row.push(None);
-        }
-        new_row[out_idx] = value;
-        out.push(new_row);
-    }
-    out
-}
-
-/// ORDER BY over term rows (numeric literals numerically, everything else
-/// lexically; unbound first).
-fn sort_relation(rel: &mut Relation, keys: &[(Variable, bool)]) {
-    let idx: Vec<(Option<usize>, bool)> = keys
-        .iter()
-        .map(|(v, asc)| (rel.index_of(v), *asc))
-        .collect();
-    rel.rows_mut().sort_by(|a, b| {
-        for (i, asc) in &idx {
-            if let Some(i) = i {
-                let ord = compare_terms(&a[*i], &b[*i]);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-}
-
-fn compare_terms(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    fn rank(t: &Option<Term>) -> u8 {
-        match t {
-            None => 0,
-            Some(Term::BlankNode(_)) => 1,
-            Some(Term::Iri(_)) => 2,
-            Some(Term::Literal(_)) => 3,
-        }
-    }
-    let (ra, rb) = (rank(a), rank(b));
-    if ra != rb {
-        return ra.cmp(&rb);
-    }
-    match (a, b) {
-        (Some(Term::Literal(la)), Some(Term::Literal(lb))) => {
-            if let (Some(na), Some(nb)) = (la.as_f64(), lb.as_f64()) {
-                na.partial_cmp(&nb).unwrap_or(Ordering::Equal)
-            } else {
-                la.lexical.cmp(&lb.lexical)
-            }
-        }
-        (Some(x), Some(y)) => x.cmp(y),
-        _ => Ordering::Equal,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lusail_federation::{NetworkProfile, SimulatedEndpoint, SparqlEndpoint};
-    use lusail_rdf::{vocab, Graph};
+    use lusail_rdf::{vocab, Graph, Term};
     use lusail_sparql::parse_query;
     use lusail_store::Store;
     use std::sync::Arc;

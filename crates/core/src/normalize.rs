@@ -21,7 +21,10 @@
 
 use crate::error::EngineError;
 use lusail_rdf::Term;
-use lusail_sparql::ast::{Expression, GraphPattern, TriplePattern, Variable};
+use lusail_sparql::ast::{
+    Expression, GraphPattern, Projection, Query, QueryForm, SelectQuery, TriplePattern, Variable,
+};
+use lusail_sparql::solution::{finalize_select, Relation};
 
 /// An `OPTIONAL { … }` group: triple patterns plus filters scoped inside
 /// the optional.
@@ -107,6 +110,33 @@ impl ConjBranch {
         self.values.extend(other.values);
         self
     }
+}
+
+/// The skeleton Lusail and the baselines share around their own branch
+/// evaluation: view the query as a `SELECT` (`ASK { p }` is answered as
+/// `SELECT * WHERE { p } LIMIT 1`, a witness row), normalize it into
+/// branches, let `run_branches` evaluate them (one relation per branch),
+/// fold the relations with [`Relation::union`] and finish with
+/// [`finalize_select`] — so what turns joined rows into *the answer* is
+/// the same code whichever engine joined them.
+pub fn assemble_select(
+    query: &Query,
+    run_branches: impl FnOnce(&SelectQuery, &[ConjBranch]) -> Result<Vec<Relation>, EngineError>,
+) -> Result<Relation, EngineError> {
+    let select_view = match &query.form {
+        QueryForm::Select(s) => s.clone(),
+        QueryForm::Ask(p) => {
+            let mut s = SelectQuery::new(Projection::All, p.clone());
+            s.limit = Some(1);
+            s
+        }
+    };
+    let branches = normalize(&select_view.pattern)?;
+    let combined = run_branches(&select_view, &branches)?
+        .into_iter()
+        .reduce(Relation::union)
+        .unwrap_or_default();
+    Ok(finalize_select(&select_view, combined))
 }
 
 /// Normalize a pattern tree into conjunctive branches (one per union arm).

@@ -604,7 +604,7 @@ impl SapeExecutor<'_> {
             };
             fetched += 1;
             let got = page.len();
-            page_bytes += recover::relation_wire_size(&page);
+            page_bytes += page.wire_size();
             if fetched == 1 {
                 let budget = self
                     .ctx

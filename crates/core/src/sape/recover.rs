@@ -11,7 +11,7 @@
 //! in [`crate::sape::execute`].
 
 use lusail_sparql::ast::{Projection, Query, QueryForm, Variable};
-use lusail_sparql::solution::{row_wire_size, Relation};
+use lusail_sparql::solution::Relation;
 
 /// The variable our verification `COUNT(*)` probes project, matching the
 /// cardinality probes in [`crate::sape::estimate`].
@@ -89,12 +89,6 @@ pub fn adaptive_limit(
     }
     let per_row = (page_bytes / page_rows).max(1);
     ((remaining / 4) / per_row).clamp(16, 4096)
-}
-
-/// Accounted wire size of a relation (header plus rows), the same measure
-/// [`crate::run::RunContext::admit_relation`] charges.
-pub fn relation_wire_size(rel: &Relation) -> usize {
-    8 * rel.vars().len() + rel.rows().iter().map(|r| row_wire_size(r)).sum::<usize>()
 }
 
 /// Merge fetched pages, each tagged with the `OFFSET` it was requested
@@ -249,12 +243,5 @@ mod tests {
             })
             .collect();
         assert_eq!(vals, vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn wire_size_counts_header_and_rows() {
-        let empty = Relation::new(vec![Variable::new("x")]);
-        assert_eq!(relation_wire_size(&empty), 8);
-        assert!(relation_wire_size(&rel(&[1, 2])) > 8);
     }
 }

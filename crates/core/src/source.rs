@@ -241,7 +241,7 @@ fn read_counts(name: &str, arms: &[&Arm], rel: &Relation) -> Result<Vec<usize>, 
 /// trip: one request per endpoint that has anything left to tell.
 ///
 /// Every pattern of `branches` (required, `OPTIONAL` and `MINUS` blocks) is
-/// resolved against `cache` (source lists) and `count_cache` first. A
+/// resolved against `cache` (source lists and counts) first. A
 /// pattern with no cached source list goes to every endpoint — its
 /// unfiltered count is the `ASK`, the count under the block's pushable
 /// filters rides along — and one with sources but a missing count to just
@@ -258,17 +258,16 @@ pub fn probe(
     federation: &Federation,
     handler: &RequestHandler,
     cache: Option<&QueryCache>,
-    count_cache: Option<&QueryCache>,
     branches: &[ConjBranch],
     ctx: &RunContext,
 ) -> Result<Vec<BranchStats>, EngineError> {
-    let probed = probe_fresh(federation, handler, cache, count_cache, branches, ctx)?;
+    let probed = probe_fresh(federation, handler, cache, branches, ctx)?;
     Ok(probed.into_iter().map(|(stats, _)| stats).collect())
 }
 
 /// Per required pattern of a branch, the endpoints whose count
 /// [`probe_fresh`] fetched during the call. A count read from
-/// `count_cache` describes the data as it was when some earlier query
+/// `cache` describes the data as it was when some earlier query
 /// asked, so only a fresh one is the endpoint's claim for *this* query.
 pub type FreshCounts = Vec<FxHashSet<EndpointId>>;
 
@@ -277,7 +276,6 @@ pub fn probe_fresh(
     federation: &Federation,
     handler: &RequestHandler,
     cache: Option<&QueryCache>,
-    count_cache: Option<&QueryCache>,
     branches: &[ConjBranch],
     ctx: &RunContext,
 ) -> Result<Vec<(BranchStats, FreshCounts)>, EngineError> {
@@ -303,7 +301,7 @@ pub fn probe_fresh(
             None => asks.iter_mut().for_each(|a| a.push(k)),
             Some(sources) if arms[k].counted => {
                 for ep in sources {
-                    match count_cache.and_then(|c| c.get_count(&arms[k].count_key, ep)) {
+                    match cache.and_then(|c| c.get_count(&arms[k].count_key, ep)) {
                         Some(n) => {
                             arms[k].counts.insert(ep, n);
                         }
@@ -352,7 +350,7 @@ pub fn probe_fresh(
         arm.sources = Some(sources);
     }
     let sources_of = |k: usize| arms[arms[k].base].sources.as_deref().unwrap_or(&[]);
-    if let Some(c) = count_cache {
+    if let Some(c) = cache {
         for (ep, ks) in asks.iter().enumerate() {
             for &k in ks.iter().filter(|&&k| sources_of(k).contains(&ep)) {
                 c.put_count(arms[k].count_key.clone(), ep, arms[k].counts[&ep]);
@@ -517,7 +515,7 @@ mod tests {
         let pats = vec![tp("?s", "http://x/p", "?o"), tp("?s", "http://x/q", "?o")];
         let ctx = RunContext::unbounded();
         let branches = branch(pats.clone());
-        let stats = probe(&fed, &handler, Some(&cache), Some(&cache), &branches, &ctx).unwrap();
+        let stats = probe(&fed, &handler, Some(&cache), &branches, &ctx).unwrap();
         // One request per endpoint, whatever the number of patterns.
         assert_eq!(fed.total_traffic().requests, 3);
         assert_eq!(stats[0].required.sources, [vec![0, 2], vec![1, 2]]);
@@ -526,7 +524,7 @@ mod tests {
         // The per-pattern ASK path reads the very same source cache.
         let asked = select_sources(&fed, &handler, Some(&cache), &pats, &ctx).unwrap();
         assert_eq!(asked, stats[0].required.sources);
-        let again = probe(&fed, &handler, Some(&cache), Some(&cache), &branches, &ctx).unwrap();
+        let again = probe(&fed, &handler, Some(&cache), &branches, &ctx).unwrap();
         assert_eq!(again, stats);
         assert_eq!(fed.total_traffic().requests, 3);
     }
@@ -537,8 +535,8 @@ mod tests {
         let handler = RequestHandler::new(4);
         let cache = QueryCache::new();
         let ctx = RunContext::unbounded();
-        let fresh_of = |branches: &[ConjBranch], counts: Option<&QueryCache>| {
-            let probed = probe_fresh(&fed, &handler, Some(&cache), counts, branches, &ctx);
+        let fresh_of = |branches: &[ConjBranch]| {
+            let probed = probe_fresh(&fed, &handler, Some(&cache), branches, &ctx);
             let (stats, fresh) = probed.unwrap().remove(0);
             assert_eq!(stats.required.sources.len(), fresh.len());
             fresh
@@ -546,17 +544,15 @@ mod tests {
         let set = |eps: &[EndpointId]| eps.iter().copied().collect::<FxHashSet<_>>();
         let p = branch(vec![tp("?s", "http://x/p", "?o")]);
         // Cold: every relevant endpoint answered just now.
-        assert_eq!(fresh_of(&p, Some(&cache)), [set(&[0, 2])]);
+        assert_eq!(fresh_of(&p), [set(&[0, 2])]);
         // Warm: the same numbers, but read from the count cache.
-        assert_eq!(fresh_of(&p, Some(&cache)), [set(&[])]);
+        assert_eq!(fresh_of(&p), [set(&[])]);
         // A new pattern next to the cached one: only the new one is fresh.
         let pq = branch(vec![
             tp("?s", "http://x/p", "?o"),
             tp("?s", "http://x/q", "?o"),
         ]);
-        assert_eq!(fresh_of(&pq, Some(&cache)), [set(&[]), set(&[1, 2])]);
-        // Cached sources without a count cache: counts are asked again.
-        assert_eq!(fresh_of(&pq, None), [set(&[0, 2]), set(&[1, 2])]);
+        assert_eq!(fresh_of(&pq), [set(&[]), set(&[1, 2])]);
     }
 
     #[test]
@@ -565,7 +561,7 @@ mod tests {
         let handler = RequestHandler::new(4);
         let branches = branch(vec![tp("?c0", "http://x/p", "?c0_")]);
         let ctx = RunContext::unbounded();
-        let stats = probe(&fed, &handler, None, None, &branches, &ctx).unwrap();
+        let stats = probe(&fed, &handler, None, &branches, &ctx).unwrap();
         assert_eq!(stats[0].required.sources, [[0, 2]]);
     }
 
@@ -622,15 +618,7 @@ mod tests {
             let branches = branch(vec![tp("?s", "http://x/p", "?o")]);
 
             // Fail-fast: the query dies naming the endpoint.
-            let err = probe(
-                &fed,
-                &handler,
-                None,
-                None,
-                &branches,
-                &RunContext::unbounded(),
-            )
-            .unwrap_err();
+            let err = probe(&fed, &handler, None, &branches, &RunContext::unbounded()).unwrap_err();
             match err {
                 EngineError::Endpoint(e) => {
                     assert_eq!(e.endpoint, "ep2");
@@ -645,7 +633,7 @@ mod tests {
                 result_policy: crate::ResultPolicy::Partial,
                 ..Default::default()
             });
-            let stats = probe(&fed, &handler, Some(&cache), Some(&cache), &branches, &ctx).unwrap();
+            let stats = probe(&fed, &handler, Some(&cache), &branches, &ctx).unwrap();
             assert_eq!(stats[0].required.sources, [[0]]);
             let warnings = ctx.take_warnings();
             assert_eq!(warnings.len(), 1, "{warnings:?}");

@@ -1,16 +1,19 @@
-//! Relation-level grouped aggregation (SPARQL 1.1 `GROUP BY`), applied at
-//! the federator after the global join — aggregates are never pushed to
-//! endpoints by the federated engines (only the dedicated `COUNT` probes
-//! are, and those use [`crate::ast::Projection::Count`]).
+//! Grouped aggregation (SPARQL 1.1 `GROUP BY`) over term rows, and the
+//! value of one aggregate over one group. The federated engines never push
+//! aggregates to endpoints (only the dedicated `COUNT` probes are, and
+//! those use [`crate::ast::Projection::Count`]), so they group here, after
+//! the global join; the store groups on dictionary ids and shares
+//! [`aggregate_value`].
 
 use crate::ast::{AggFunc, AggSpec, Variable};
-use crate::solution::Relation;
-use lusail_rdf::fxhash::FxHashMap;
+use crate::solution::{compare_terms, Relation, Row};
+use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
 use lusail_rdf::{Literal, Term};
 
 /// Group `rel` by `group_by` (falling back to `keys` when empty) and
-/// compute the aggregates. The output header is `keys ++ agg.as_var…`,
-/// rows sorted by key for determinism.
+/// compute the aggregates. The output header is `keys ++ agg.as_var…`;
+/// the rows come in no particular order — [`crate::solution::apply_modifiers`]
+/// gives groups their default order.
 pub fn aggregate_relation(
     rel: &Relation,
     group_by: &[Variable],
@@ -19,58 +22,63 @@ pub fn aggregate_relation(
 ) -> Relation {
     let group_keys: &[Variable] = if group_by.is_empty() { keys } else { group_by };
     let key_idx: Vec<Option<usize>> = group_keys.iter().map(|v| rel.index_of(v)).collect();
-    let mut groups: FxHashMap<Vec<Option<Term>>, Vec<usize>> = FxHashMap::default();
-    for (ri, row) in rel.rows().iter().enumerate() {
-        let key: Vec<Option<Term>> = key_idx
+    let mut groups: FxHashMap<Vec<Option<&Term>>, Vec<&Row>> = FxHashMap::default();
+    for row in rel.rows() {
+        let key = key_idx
             .iter()
-            .map(|i| i.and_then(|i| row[i].clone()))
+            .map(|i| i.and_then(|i| row[i].as_ref()))
             .collect();
-        groups.entry(key).or_default().push(ri);
+        groups.entry(key).or_default().push(row);
     }
     if groups.is_empty() && group_keys.is_empty() {
+        // Aggregating an empty, ungrouped result yields one row.
         groups.insert(Vec::new(), Vec::new());
     }
 
+    let arg_idx: Vec<Option<usize>> = aggs
+        .iter()
+        .map(|a| a.arg.as_ref().and_then(|v| rel.index_of(v)))
+        .collect();
     let mut out_vars: Vec<Variable> = keys.to_vec();
     out_vars.extend(aggs.iter().map(|a| a.as_var.clone()));
     let mut out = Relation::new(out_vars);
-
-    for (key, row_ids) in groups {
-        let mut out_row: Vec<Option<Term>> = Vec::new();
-        for v in keys {
-            let pos = group_keys.iter().position(|k| k == v);
-            out_row.push(pos.and_then(|p| key[p].clone()));
-        }
-        for agg in aggs {
-            out_row.push(compute(rel, &row_ids, agg));
+    for (key, rows) in groups {
+        let mut out_row: Row = keys
+            .iter()
+            .map(|v| {
+                let pos = group_keys.iter().position(|k| k == v);
+                pos.and_then(|p| key[p].cloned())
+            })
+            .collect();
+        for (agg, idx) in aggs.iter().zip(&arg_idx) {
+            let values = idx.map_or_else(Vec::new, |i| {
+                rows.iter().filter_map(|row| row[i].as_ref()).collect()
+            });
+            out_row.push(aggregate_value(agg, rows.len(), values));
         }
         out.push(out_row);
     }
-    out.rows_mut()
-        .sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     out
 }
 
-fn compute(rel: &Relation, row_ids: &[usize], agg: &AggSpec) -> Option<Term> {
-    let arg_idx = agg.arg.as_ref().and_then(|v| rel.index_of(v));
-    let mut values: Vec<Option<&Term>> = match (&agg.arg, arg_idx) {
-        (None, _) => row_ids.iter().map(|_| None).collect(), // COUNT(*)
-        (Some(_), None) => Vec::new(),
-        (Some(_), Some(i)) => row_ids
-            .iter()
-            .filter_map(|&ri| rel.rows()[ri][i].as_ref().map(Some))
-            .collect(),
-    };
-    if agg.distinct && agg.arg.is_some() {
-        let mut seen = lusail_rdf::fxhash::FxHashSet::default();
-        values.retain(|v| seen.insert(v.map(|t| t.to_string())));
+/// The value of `agg` over one group: `rows` is the group's size (what
+/// `COUNT(*)` counts) and `values` the bound values of the aggregate's
+/// argument within the group, in any order. `DISTINCT` and `MIN` / `MAX`
+/// compare terms: `MIN` / `MAX` by [`compare_terms`], ties broken by
+/// `Term`'s own order so the pick does not depend on the input order.
+pub fn aggregate_value(agg: &AggSpec, rows: usize, mut values: Vec<&Term>) -> Option<Term> {
+    if agg.distinct {
+        let mut seen = FxHashSet::default();
+        values.retain(|t| seen.insert(*t));
     }
+    let total = |a: &&Term, b: &&Term| compare_terms(Some(a), Some(b)).then_with(|| a.cmp(b));
     match agg.func {
+        AggFunc::Count if agg.arg.is_none() => Some(Term::integer(rows as i64)),
         AggFunc::Count => Some(Term::integer(values.len() as i64)),
         AggFunc::Sum | AggFunc::Avg => {
             let nums: Vec<f64> = values
                 .iter()
-                .filter_map(|v| (*v)?.as_literal().and_then(|l| l.as_f64()))
+                .filter_map(|t| t.as_literal().and_then(|l| l.as_f64()))
                 .collect();
             if nums.is_empty() {
                 return Some(Term::integer(0));
@@ -87,24 +95,8 @@ fn compute(rel: &Relation, row_ids: &[usize], agg: &AggSpec) -> Option<Term> {
                 Term::Literal(Literal::double(v))
             })
         }
-        AggFunc::Min | AggFunc::Max => {
-            let mut terms: Vec<&Term> = values.into_iter().flatten().collect();
-            terms.sort_by(|a, b| {
-                match (
-                    a.as_literal().and_then(|l| l.as_f64()),
-                    b.as_literal().and_then(|l| l.as_f64()),
-                ) {
-                    (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-                    _ => a.cmp(b),
-                }
-            });
-            let pick = if agg.func == AggFunc::Min {
-                terms.first()
-            } else {
-                terms.last()
-            };
-            pick.map(|t| (*t).clone())
-        }
+        AggFunc::Min => values.into_iter().min_by(total).cloned(),
+        AggFunc::Max => values.into_iter().max_by(total).cloned(),
     }
 }
 
@@ -149,10 +141,13 @@ mod tests {
                 .lexical
                 .to_string()
         };
-        out.rows()
+        let mut pairs: Vec<(String, String)> = out
+            .rows()
             .iter()
             .map(|r| (lexical(&r[0]), lexical(&r[1])))
-            .collect()
+            .collect();
+        pairs.sort();
+        pairs
     }
 
     #[test]
@@ -193,6 +188,29 @@ mod tests {
             agg_one(AggFunc::Sum, Some("x"), true),
             vec![("a".into(), "4".into()), ("b".into(), "12".into())]
         );
+    }
+
+    #[test]
+    fn min_max_and_distinct_compare_terms() {
+        // 9 < 10 < 100 numerically (as strings "10" < "100" < "9"), and the
+        // tie between "a" and "a"@en is broken the same way in any order.
+        let nums = [Term::integer(100), Term::integer(9), Term::integer(10)];
+        let tagged = Term::Literal(Literal::lang("a", "en"));
+        let mixed = [tagged.clone(), Term::literal("a"), tagged.clone()];
+        let value = |func, distinct, values: &[Term]| {
+            let forward = values.iter().collect();
+            let backward = values.iter().rev().collect();
+            let agg = spec(func, Some("x"), distinct);
+            let v = aggregate_value(&agg, values.len(), forward);
+            assert_eq!(v, aggregate_value(&agg, values.len(), backward));
+            v
+        };
+        assert_eq!(value(AggFunc::Min, false, &nums), Some(Term::integer(9)));
+        assert_eq!(value(AggFunc::Max, false, &nums), Some(Term::integer(100)));
+        assert_eq!(value(AggFunc::Min, false, &mixed), Some(Term::literal("a")));
+        assert_eq!(value(AggFunc::Max, false, &mixed), Some(tagged));
+        assert_eq!(value(AggFunc::Count, true, &mixed), Some(Term::integer(2)));
+        assert_eq!(value(AggFunc::Max, false, &[]), None);
     }
 
     #[test]

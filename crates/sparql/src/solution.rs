@@ -8,10 +8,12 @@
 //! instead of term strings. Terms are materialized again only when the
 //! operator emits its output rows.
 
-use crate::ast::Variable;
+use crate::aggregate::aggregate_relation;
+use crate::ast::{Projection, SelectQuery, Variable};
 use lusail_rdf::dict::{Dictionary, KeyInterner, SlotId, UNBOUND};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::Term;
+use std::cmp::Ordering;
 
 /// One solution row: a term (or unbound) per variable of the owning
 /// [`Relation`]'s header.
@@ -88,6 +90,32 @@ impl Relation {
     pub fn append(&mut self, other: Relation) {
         assert_eq!(self.vars, other.vars, "header mismatch in append");
         self.rows.extend(other.rows);
+    }
+
+    /// Bag union with header alignment (SPARQL `UNION`): the header is
+    /// `self.vars ∪ other.vars` (self's order first) and a row is unbound
+    /// in the variables only the other side has. Rows move; none is cloned.
+    pub fn union(mut self, other: Relation) -> Relation {
+        if self.vars == other.vars {
+            self.rows.extend(other.rows);
+            return self;
+        }
+        for v in &other.vars {
+            if !self.vars.contains(v) {
+                self.vars.push(v.clone());
+            }
+        }
+        // Self's old header is a prefix of the new one.
+        for row in &mut self.rows {
+            row.resize(self.vars.len(), None);
+        }
+        let idx: Vec<Option<usize>> = self.vars.iter().map(|v| other.index_of(v)).collect();
+        self.rows.extend(other.rows.into_iter().map(|mut row| {
+            idx.iter()
+                .map(|i| i.and_then(|i| row[i].take()))
+                .collect::<Row>()
+        }));
+        self
     }
 
     /// The distinct bound terms of variable `v` across all rows.
@@ -550,6 +578,116 @@ fn term_wire_size(t: &Term) -> usize {
     }
 }
 
+/// SPARQL `ORDER BY` term ordering: unbound < blank < IRI < literal, then
+/// numeric or lexical within literals. Not a total order — `"1"` and
+/// `"1"@en`, or `1` and `1.0`, tie — so callers sort stably.
+pub fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
+    fn rank(t: Option<&Term>) -> u8 {
+        match t {
+            None => 0,
+            Some(Term::BlankNode(_)) => 1,
+            Some(Term::Iri(_)) => 2,
+            Some(Term::Literal(_)) => 3,
+        }
+    }
+    match (a, b) {
+        (Some(Term::Literal(la)), Some(Term::Literal(lb))) => {
+            if let (Some(na), Some(nb)) = (la.as_f64(), lb.as_f64()) {
+                na.partial_cmp(&nb).unwrap_or(Ordering::Equal)
+            } else {
+                la.lexical.cmp(&lb.lexical)
+            }
+        }
+        (Some(x), Some(y)) if rank(a) == rank(b) => x.cmp(y),
+        _ => rank(a).cmp(&rank(b)),
+    }
+}
+
+/// Turn the joined rows of `q`'s pattern into `q`'s answer: `COUNT` or
+/// grouped aggregation, then [`apply_modifiers`]. Every federated engine
+/// ends here; the store, which counts and groups on dictionary ids, joins
+/// at [`apply_modifiers`].
+pub fn finalize_select(q: &SelectQuery, mut rel: Relation) -> Relation {
+    let rel = match &q.projection {
+        Projection::Count {
+            inner,
+            distinct,
+            as_var,
+        } => {
+            let n = match (inner, distinct) {
+                (None, false) => rel.len(),
+                (None, true) => {
+                    rel.dedup();
+                    rel.len()
+                }
+                (Some(v), true) => rel.distinct_values(v).len(),
+                (Some(v), false) => rel.index_of(v).map_or(0, |i| {
+                    rel.rows.iter().filter(|row| row[i].is_some()).count()
+                }),
+            };
+            Relation::from_rows(
+                vec![as_var.clone()],
+                vec![vec![Some(Term::integer(n as i64))]],
+            )
+        }
+        Projection::Aggregate { keys, aggs } => aggregate_relation(&rel, &q.group_by, keys, aggs),
+        Projection::All | Projection::Vars(_) => rel,
+    };
+    apply_modifiers(q, rel)
+}
+
+/// The solution modifiers of `q`, in SPARQL's order, over rows that are
+/// already counted or grouped: `ORDER BY` → projection → `DISTINCT` →
+/// `OFFSET` → `LIMIT`. Grouped rows are first put in their default order —
+/// [`compare_terms`] over the output row, ties broken by `Term`'s own
+/// order so it is total — which makes `GROUP BY … LIMIT n` the same rows
+/// whatever produced the groups; `ORDER BY` then sorts stably on top. A
+/// query without modifiers passes through untouched: a projection that
+/// is the identity is skipped.
+pub fn apply_modifiers(q: &SelectQuery, mut rel: Relation) -> Relation {
+    let by_cells = |a: &Row, b: &Row, keys: &[(usize, bool)]| {
+        keys.iter()
+            .map(|&(i, asc)| {
+                let ord = compare_terms(a[i].as_ref(), b[i].as_ref());
+                if asc {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    };
+    if matches!(q.projection, Projection::Aggregate { .. }) {
+        let all: Vec<(usize, bool)> = (0..rel.vars.len()).map(|i| (i, true)).collect();
+        rel.rows
+            .sort_by(|a, b| by_cells(a, b, &all).then_with(|| a.cmp(b)));
+    }
+    if !q.order_by.is_empty() {
+        let keys: Vec<(usize, bool)> = q
+            .order_by
+            .iter()
+            .filter_map(|(v, asc)| Some((rel.index_of(v)?, *asc)))
+            .collect();
+        rel.rows.sort_by(|a, b| by_cells(a, b, &keys));
+    }
+    if let Projection::Vars(vs) = &q.projection {
+        if *vs != rel.vars {
+            rel = rel.project(vs);
+        }
+    }
+    if q.distinct {
+        rel.dedup();
+    }
+    if let Some(offset) = q.offset {
+        rel.rows.drain(..offset.min(rel.rows.len()));
+    }
+    if let Some(limit) = q.limit {
+        rel.rows.truncate(limit);
+    }
+    rel
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,6 +771,123 @@ mod tests {
         r.push(vec![Some(iri("1"))]);
         let p = r.project(&[v("x"), v("nope")]);
         assert_eq!(p.rows()[0][1], None);
+    }
+
+    #[test]
+    fn union_aligns_headers() {
+        let mut a = Relation::new(vec![v("x"), v("y")]);
+        a.push(vec![Some(iri("1")), Some(iri("a"))]);
+        let mut b = Relation::new(vec![v("z"), v("x")]);
+        b.push(vec![Some(iri("Z")), Some(iri("2"))]);
+        let u = a.clone().union(b);
+        assert_eq!(u.vars(), &[v("x"), v("y"), v("z")]);
+        assert_eq!(
+            u.rows(),
+            &[
+                vec![Some(iri("1")), Some(iri("a")), None],
+                vec![Some(iri("2")), None, Some(iri("Z"))],
+            ]
+        );
+        // The empty default relation is the identity on both sides.
+        assert_eq!(Relation::default().union(a.clone()), a);
+        assert_eq!(a.clone().union(a.clone()).len(), 2);
+    }
+
+    #[test]
+    fn term_order_is_kind_then_numeric_then_lexical() {
+        let ordered = [
+            None,
+            Some(Term::bnode("b")),
+            Some(iri("a")),
+            Some(Term::integer(9)),
+            Some(Term::integer(10)),
+            Some(Term::integer(100)),
+            Some(Term::literal("abc")),
+        ];
+        for (i, a) in ordered.iter().enumerate() {
+            for (j, b) in ordered.iter().enumerate() {
+                assert_eq!(
+                    compare_terms(a.as_ref(), b.as_ref()),
+                    i.cmp(&j),
+                    "{a:?} {b:?}"
+                );
+            }
+        }
+    }
+
+    fn select(projection: Projection) -> SelectQuery {
+        SelectQuery::new(projection, crate::ast::GraphPattern::empty())
+    }
+
+    #[test]
+    fn modifiers_apply_in_sparql_order() {
+        let mut rel = Relation::new(vec![v("x"), v("y")]);
+        for (x, y) in [(3, 1), (1, 4), (2, 3), (1, 2)] {
+            rel.push(vec![Some(Term::integer(x)), Some(Term::integer(y))]);
+        }
+        // ORDER BY a variable the projection drops, then DISTINCT, then the
+        // slice: y-descending is x = 1, 2, 1, 3 → distinct 1, 2, 3 → [2].
+        let mut q = select(Projection::Vars(vec![v("x")]));
+        q.distinct = true;
+        q.order_by = vec![(v("y"), false)];
+        q.offset = Some(1);
+        q.limit = Some(1);
+        let out = finalize_select(&q, rel.clone());
+        assert_eq!(out.vars(), &[v("x")]);
+        assert_eq!(out.rows(), &[vec![Some(Term::integer(2))]]);
+        // No modifiers: the rows pass through as they are.
+        let all = finalize_select(&select(Projection::All), rel.clone());
+        assert_eq!(all, rel);
+        // An OFFSET past the end and LIMIT 0 both leave nothing.
+        q.offset = Some(9);
+        assert!(finalize_select(&q, rel.clone()).is_empty());
+        let mut count = select(Projection::Count {
+            inner: Some(v("x")),
+            distinct: true,
+            as_var: v("n"),
+        });
+        assert_eq!(
+            finalize_select(&count, rel.clone()).rows(),
+            &[vec![Some(Term::integer(3))]]
+        );
+        count.limit = Some(0);
+        assert!(finalize_select(&count, rel).is_empty());
+    }
+
+    #[test]
+    fn groups_have_a_default_order_and_order_by_sorts_on_top() {
+        use crate::ast::{AggFunc, AggSpec};
+        let mut rel = Relation::new(vec![v("age")]);
+        for age in [100, 9, 25, 9, 10, 10] {
+            rel.push(vec![Some(Term::integer(age))]);
+        }
+        let mut q = select(Projection::Aggregate {
+            keys: vec![v("age")],
+            aggs: vec![AggSpec {
+                func: AggFunc::Count,
+                arg: None,
+                distinct: false,
+                as_var: v("n"),
+            }],
+        });
+        q.group_by = vec![v("age")];
+        let ages = |q: &SelectQuery| -> Vec<Option<Term>> {
+            let out = finalize_select(q, rel.clone());
+            out.rows().iter().map(|r| r[0].clone()).collect()
+        };
+        let int = |n| Some(Term::integer(n));
+        assert_eq!(ages(&q), [int(9), int(10), int(25), int(100)]);
+        q.limit = Some(2);
+        assert_eq!(ages(&q), [int(9), int(10)]);
+        q.offset = Some(1);
+        assert_eq!(ages(&q), [int(10), int(25)]);
+        // Ties on the ORDER BY key keep the default order: 9 before 10.
+        q.offset = None;
+        q.order_by = vec![(v("n"), false)];
+        assert_eq!(ages(&q), [int(9), int(10)]);
+        q.order_by = vec![(v("age"), false)];
+        q.limit = None;
+        assert_eq!(ages(&q), [int(100), int(25), int(10), int(9)]);
     }
 
     #[test]

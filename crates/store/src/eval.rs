@@ -4,8 +4,9 @@ use crate::expr::{eval_ebv, ExprContext};
 use crate::store::Store;
 use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
 use lusail_rdf::{Term, TermId};
+use lusail_sparql::aggregate::aggregate_value;
 use lusail_sparql::ast::*;
-use lusail_sparql::solution::Relation;
+use lusail_sparql::solution::{apply_modifiers, Relation};
 
 /// The result of evaluating a [`Query`]: a table for `SELECT`, a boolean
 /// for `ASK`.
@@ -97,138 +98,94 @@ impl<'a> Evaluator<'a> {
         self.finish_select(q, bindings)
     }
 
-    fn finish_select(&mut self, q: &SelectQuery, bindings: Bindings) -> Relation {
-        // Aggregate?
-        if let Projection::Count {
-            inner,
-            distinct,
-            as_var,
-        } = &q.projection
-        {
-            let n = match inner {
-                None => {
-                    if *distinct {
-                        let set: FxHashSet<&Vec<Cell>> = bindings.rows.iter().collect();
-                        set.len()
-                    } else {
-                        bindings.rows.len()
-                    }
-                }
-                Some(v) => match bindings.index_of(v) {
-                    None => 0,
-                    Some(i) => {
-                        if *distinct {
-                            let set: FxHashSet<Cell> = bindings
-                                .rows
-                                .iter()
-                                .map(|r| r[i])
-                                .filter(|c| *c != Cell::Unbound)
-                                .collect();
-                            set.len()
-                        } else {
-                            bindings
-                                .rows
-                                .iter()
-                                .filter(|r| r[i] != Cell::Unbound)
-                                .count()
+    /// The store's share of result assembly: `COUNT` and `GROUP BY`
+    /// grouping run on cells (an id comparison per row, no term touched),
+    /// each output cell is decoded once, and the decoded rows go through
+    /// the same [`apply_modifiers`] every federated engine ends in.
+    fn finish_select(&self, q: &SelectQuery, bindings: Bindings) -> Relation {
+        let rel = match &q.projection {
+            Projection::Count {
+                inner,
+                distinct,
+                as_var,
+            } => {
+                let n = match inner {
+                    None if *distinct => bindings.rows.iter().collect::<FxHashSet<_>>().len(),
+                    None => bindings.rows.len(),
+                    Some(v) => match bindings.index_of(v) {
+                        None => 0,
+                        Some(i) => {
+                            let bound = (bindings.rows.iter().map(|r| r[i]))
+                                .filter(|c| *c != Cell::Unbound);
+                            if *distinct {
+                                bound.collect::<FxHashSet<_>>().len()
+                            } else {
+                                bound.count()
+                            }
                         }
-                    }
-                },
-            };
-            let mut rel = Relation::new(vec![as_var.clone()]);
-            rel.push(vec![Some(Term::integer(n as i64))]);
-            return rel;
-        }
-
-        if let Projection::Aggregate { keys, aggs } = &q.projection {
-            let group_keys = if q.group_by.is_empty() {
-                keys.clone()
-            } else {
-                q.group_by.clone()
-            };
-            return self.aggregate(&bindings, &group_keys, keys, aggs, q);
-        }
-
-        let out_vars = match &q.projection {
-            Projection::All => bindings.vars.clone(),
-            Projection::Vars(vs) => vs.clone(),
-            Projection::Count { .. } | Projection::Aggregate { .. } => unreachable!(),
-        };
-        let idx: Vec<Option<usize>> = out_vars.iter().map(|v| bindings.index_of(v)).collect();
-        let mut rows: Vec<Vec<Option<Term>>> = bindings
-            .rows
-            .iter()
-            .map(|row| {
-                idx.iter()
-                    .map(|i| i.and_then(|i| self.decode_cell(row[i])))
-                    .collect()
-            })
-            .collect();
-
-        if !q.order_by.is_empty() {
-            let key_idx: Vec<(Option<usize>, bool)> = q
-                .order_by
-                .iter()
-                .map(|(v, asc)| (out_vars.iter().position(|x| x == v), *asc))
-                .collect();
-            rows.sort_by(|a, b| {
-                for (i, asc) in &key_idx {
-                    if let Some(i) = i {
-                        let ord = compare_terms(&a[*i], &b[*i]);
-                        let ord = if *asc { ord } else { ord.reverse() };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-
-        let mut rel = Relation::from_rows(out_vars, rows);
-        if q.distinct {
-            rel.dedup();
-        }
-        if let Some(offset) = q.offset {
-            let rows = rel.rows_mut();
-            if offset >= rows.len() {
-                rows.clear();
-            } else {
-                rows.drain(..offset);
+                    },
+                };
+                let row = vec![Some(Term::integer(n as i64))];
+                Relation::from_rows(vec![as_var.clone()], vec![row])
             }
-        }
-        if let Some(limit) = q.limit {
-            rel.rows_mut().truncate(limit);
-        }
-        rel
+            Projection::Aggregate { keys, aggs } => self.aggregate(&bindings, q, keys, aggs),
+            Projection::All | Projection::Vars(_) => {
+                // The projected columns, plus any ORDER BY key outside them:
+                // the shared tail sorts before it projects.
+                let mut vars = match &q.projection {
+                    Projection::Vars(vs) => vs.clone(),
+                    _ => bindings.vars.clone(),
+                };
+                for (v, _) in &q.order_by {
+                    if !vars.contains(v) && bindings.index_of(v).is_some() {
+                        vars.push(v.clone());
+                    }
+                }
+                let idx: Vec<Option<usize>> = vars.iter().map(|v| bindings.index_of(v)).collect();
+                let rows = bindings
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        idx.iter()
+                            .map(|i| i.and_then(|i| self.cell_term(row[i]).cloned()))
+                            .collect()
+                    })
+                    .collect();
+                Relation::from_rows(vars, rows)
+            }
+        };
+        apply_modifiers(q, rel)
     }
 
-    fn decode_cell(&self, cell: Cell) -> Option<Term> {
+    fn cell_term(&self, cell: Cell) -> Option<&Term> {
         match cell {
             Cell::Unbound => None,
-            Cell::Id(id) => Some(self.store.decode(id).clone()),
-            Cell::Foreign(i) => Some(self.foreign[i as usize].clone()),
+            Cell::Id(id) => Some(self.store.decode(id)),
+            Cell::Foreign(i) => Some(&self.foreign[i as usize]),
         }
     }
 
     /// Grouped aggregation (SPARQL 1.1 GROUP BY): group the solution rows
-    /// by `group_keys` and compute each aggregate per group.
+    /// by their key cells, then decode each group's key and hand each
+    /// aggregate's bound argument values to [`aggregate_value`].
     fn aggregate(
-        &mut self,
+        &self,
         bindings: &Bindings,
-        group_keys: &[Variable],
-        projected_keys: &[Variable],
-        aggs: &[lusail_sparql::ast::AggSpec],
         q: &SelectQuery,
+        keys: &[Variable],
+        aggs: &[AggSpec],
     ) -> Relation {
-        use lusail_sparql::ast::AggFunc;
+        let group_keys = if q.group_by.is_empty() {
+            keys
+        } else {
+            &q.group_by
+        };
         let key_idx: Vec<Option<usize>> = group_keys.iter().map(|v| bindings.index_of(v)).collect();
-        // Group rows by their key cells.
         let mut groups: FxHashMap<Vec<Cell>, Vec<&Vec<Cell>>> = FxHashMap::default();
         for row in &bindings.rows {
-            let key: Vec<Cell> = key_idx
+            let key = key_idx
                 .iter()
-                .map(|i| i.map(|i| row[i]).unwrap_or(Cell::Unbound))
+                .map(|i| i.map_or(Cell::Unbound, |i| row[i]))
                 .collect();
             groups.entry(key).or_default().push(row);
         }
@@ -237,88 +194,26 @@ impl<'a> Evaluator<'a> {
             groups.insert(Vec::new(), Vec::new());
         }
 
-        let mut out_vars: Vec<Variable> = projected_keys.to_vec();
-        out_vars.extend(aggs.iter().map(|a| a.as_var.clone()));
-        let mut rel = Relation::new(out_vars);
-
+        let arg_idx: Vec<Option<usize>> = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().and_then(|v| bindings.index_of(v)))
+            .collect();
+        let mut rel = Relation::new(q.projected_variables());
         for (key, rows) in groups {
-            let mut out_row: Vec<Option<Term>> = Vec::with_capacity(rel.vars().len());
-            for v in projected_keys {
-                let pos = group_keys.iter().position(|k| k == v);
-                out_row.push(match pos {
-                    Some(p) => self.decode_cell(key[p]),
-                    None => None,
+            let mut out_row: Vec<Option<Term>> = keys
+                .iter()
+                .map(|v| {
+                    let pos = group_keys.iter().position(|k| k == v);
+                    pos.and_then(|p| self.cell_term(key[p]).cloned())
+                })
+                .collect();
+            for (agg, idx) in aggs.iter().zip(&arg_idx) {
+                let values = idx.map_or_else(Vec::new, |i| {
+                    rows.iter().filter_map(|r| self.cell_term(r[i])).collect()
                 });
-            }
-            for agg in aggs {
-                let arg_idx = agg.arg.as_ref().and_then(|v| bindings.index_of(v));
-                // Collect the aggregated cells (bound only), dedup when
-                // DISTINCT.
-                let mut cells: Vec<Cell> = match (&agg.arg, arg_idx) {
-                    (None, _) => rows.iter().map(|_| Cell::Unbound).collect(), // COUNT(*): one entry per row
-                    (Some(_), None) => Vec::new(),
-                    (Some(_), Some(i)) => rows
-                        .iter()
-                        .map(|r| r[i])
-                        .filter(|c| *c != Cell::Unbound)
-                        .collect(),
-                };
-                if agg.distinct && agg.arg.is_some() {
-                    let mut seen = FxHashSet::default();
-                    cells.retain(|c| seen.insert(*c));
-                }
-                let value: Option<Term> = match agg.func {
-                    AggFunc::Count => Some(Term::integer(cells.len() as i64)),
-                    AggFunc::Sum | AggFunc::Avg => {
-                        let nums: Vec<f64> = cells
-                            .iter()
-                            .filter_map(|c| self.decode_cell(*c))
-                            .filter_map(|t| t.as_literal().and_then(|l| l.as_f64()))
-                            .collect();
-                        if nums.is_empty() {
-                            Some(Term::integer(0))
-                        } else {
-                            let sum: f64 = nums.iter().sum();
-                            let v = if agg.func == AggFunc::Avg {
-                                sum / nums.len() as f64
-                            } else {
-                                sum
-                            };
-                            Some(if v.fract() == 0.0 {
-                                Term::integer(v as i64)
-                            } else {
-                                Term::Literal(lusail_rdf::Literal::double(v))
-                            })
-                        }
-                    }
-                    AggFunc::Min | AggFunc::Max => {
-                        let mut terms: Vec<Option<Term>> =
-                            cells.iter().map(|c| self.decode_cell(*c)).collect();
-                        terms.sort_by(compare_terms);
-                        let pick = if agg.func == AggFunc::Min {
-                            terms.first()
-                        } else {
-                            terms.last()
-                        };
-                        pick.cloned().flatten()
-                    }
-                };
-                out_row.push(value);
+                out_row.push(aggregate_value(agg, rows.len(), values));
             }
             rel.push(out_row);
-        }
-        // Deterministic output order for grouped results.
-        rel.rows_mut().sort_by(|a, b| {
-            for i in 0..a.len() {
-                let ord = compare_terms(&a[i], &b[i]);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        if let Some(limit) = q.limit {
-            rel.rows_mut().truncate(limit);
         }
         rel
     }
@@ -729,7 +624,7 @@ struct RowCtx<'a, 'b> {
 impl ExprContext for RowCtx<'_, '_> {
     fn value_of(&self, v: &Variable) -> Option<Term> {
         let i = self.vars.iter().position(|x| x == v)?;
-        self.eval.decode_cell(self.row[i])
+        self.eval.cell_term(self.row[i]).cloned()
     }
 
     fn exists(&mut self, pattern: &GraphPattern) -> bool {
@@ -881,35 +776,6 @@ fn join_bindings(a: &Bindings, b: &Bindings) -> Bindings {
         }
     }
     out
-}
-
-/// SPARQL ORDER BY term ordering: unbound < blank < IRI < literal, then
-/// numeric or lexical within literals.
-fn compare_terms(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    fn rank(t: &Option<Term>) -> u8 {
-        match t {
-            None => 0,
-            Some(Term::BlankNode(_)) => 1,
-            Some(Term::Iri(_)) => 2,
-            Some(Term::Literal(_)) => 3,
-        }
-    }
-    let (ra, rb) = (rank(a), rank(b));
-    if ra != rb {
-        return ra.cmp(&rb);
-    }
-    match (a, b) {
-        (Some(Term::Literal(la)), Some(Term::Literal(lb))) => {
-            if let (Some(na), Some(nb)) = (la.as_f64(), lb.as_f64()) {
-                na.partial_cmp(&nb).unwrap_or(Ordering::Equal)
-            } else {
-                la.lexical.cmp(&lb.lexical)
-            }
-        }
-        (Some(x), Some(y)) => x.cmp(y),
-        _ => Ordering::Equal,
-    }
 }
 
 #[cfg(test)]

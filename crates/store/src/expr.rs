@@ -6,6 +6,7 @@
 
 use lusail_rdf::{vocab, Literal, Term};
 use lusail_sparql::ast::{Expression, GraphPattern, Variable};
+use lusail_sparql::solution::Relation;
 use std::sync::Arc;
 
 /// The value lattice of expression evaluation.
@@ -24,6 +25,66 @@ pub trait ExprContext {
     fn value_of(&self, v: &Variable) -> Option<Term>;
     /// Evaluate `EXISTS { pattern }` under the current row.
     fn exists(&mut self, pattern: &GraphPattern) -> bool;
+}
+
+/// The context of one row of a materialized [`Relation`] — what a
+/// federator has left after the global join, with no store behind it.
+/// `EXISTS` therefore evaluates to false here: there is nothing to probe.
+/// The engines keep that from mattering by evaluating pattern-level
+/// semantics at the endpoints (whose evaluator has the live, correlated
+/// `EXISTS`) and leaving only value expressions as residue.
+pub struct RowCtx<'a> {
+    pub vars: &'a [Variable],
+    pub row: &'a [Option<Term>],
+}
+
+impl ExprContext for RowCtx<'_> {
+    fn value_of(&self, v: &Variable) -> Option<Term> {
+        let i = self.vars.iter().position(|x| x == v)?;
+        self.row[i].clone()
+    }
+
+    fn exists(&mut self, _pattern: &GraphPattern) -> bool {
+        false
+    }
+}
+
+/// `FILTER(f)` over a materialized relation: keep the rows where `f` is
+/// true (an error drops the row).
+pub fn filter_relation(mut rel: Relation, f: &Expression) -> Relation {
+    let vars = rel.vars().to_vec();
+    rel.rows_mut()
+        .retain(|row| eval_ebv(f, &mut RowCtx { vars: &vars, row }));
+    rel
+}
+
+/// `BIND(expr AS ?var)` over a materialized relation. An evaluation error
+/// leaves the variable unbound and keeps the row; re-binding a variable
+/// that is already bound (SPARQL forbids it syntactically) keeps the row
+/// only when the values agree — the store evaluator's rule.
+pub fn bind_relation(mut rel: Relation, expr: &Expression, var: &Variable) -> Relation {
+    let in_vars = rel.vars().to_vec();
+    let out_idx = rel.index_of(var).unwrap_or(in_vars.len());
+    let mut out_vars = in_vars.clone();
+    if out_idx == in_vars.len() {
+        out_vars.push(var.clone());
+    }
+    let mut out = Relation::new(out_vars);
+    for mut row in std::mem::take(rel.rows_mut()) {
+        let mut ctx = RowCtx {
+            vars: &in_vars,
+            row: &row,
+        };
+        let value = eval(expr, &mut ctx).and_then(value_to_term);
+        row.resize(out.vars().len(), None);
+        match (&row[out_idx], value) {
+            (Some(old), Some(new)) if *old != new => continue,
+            (None, value) => row[out_idx] = value,
+            _ => {}
+        }
+        out.push(row);
+    }
+    out
 }
 
 /// Evaluate an expression to a [`Value`], or `None` on a SPARQL error.
@@ -354,6 +415,33 @@ mod tests {
         assert!(eval_ebv(&expr("CONTAINS(?n, \"Ein\")"), &mut c));
         assert!(eval_ebv(&expr("STRSTARTS(?n, \"Albert\")"), &mut c));
         assert!(!eval_ebv(&expr("STRSTARTS(?n, \"Einstein\")"), &mut c));
+    }
+
+    #[test]
+    fn filter_and_bind_over_a_relation() {
+        let v = Variable::new;
+        let mut rel = Relation::new(vec![v("x")]);
+        for i in [1, 10] {
+            rel.push(vec![Some(Term::integer(i))]);
+        }
+        rel.push(vec![Some(Term::iri("http://x/a"))]);
+        // The IRI row errors in the comparison and is dropped with the 1.
+        let kept = filter_relation(rel.clone(), &expr("?x > 5"));
+        assert_eq!(kept.rows(), &[vec![Some(Term::integer(10))]]);
+        // EXISTS has nothing to probe at this level.
+        assert!(filter_relation(rel.clone(), &expr("EXISTS { ?x ?p ?o }")).is_empty());
+        // An erroring BIND keeps the row, unbound.
+        let bound = bind_relation(rel.clone(), &expr("?x * 2"), &v("d"));
+        assert_eq!(bound.vars(), &[v("x"), v("d")]);
+        let doubled: Vec<Option<f64>> = bound
+            .rows()
+            .iter()
+            .map(|r| r[1].as_ref().and_then(|t| t.as_literal()?.as_f64()))
+            .collect();
+        assert_eq!(doubled, [Some(2.0), Some(20.0), None]);
+        // Re-binding keeps only the rows that agree.
+        let again = bind_relation(rel, &Expression::Term(Term::integer(10)), &v("x"));
+        assert_eq!(again.rows(), &[vec![Some(Term::integer(10))]]);
     }
 
     #[test]

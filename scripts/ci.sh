@@ -9,10 +9,21 @@ cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 cargo fmt --all --check
 
+# The finishing path (DESIGN.md → Result assembly) is written once; a new
+# engine or baseline calls it instead of pasting the block again.
+for def in compare_terms finalize_select 'union(_relations)?'; do
+    n=$(grep -rhoE "fn ${def}\(" crates --include='*.rs' | wc -l)
+    [ "$n" -eq 1 ] || { echo "fn ${def} is defined ${n} times under crates/, want 1" >&2; exit 1; }
+done
+
 # The product API the benchmark compiles against (a package of its own,
 # outside the workspace) must still build: a break fails here, not in the
 # benchmark run.
 cargo build --release --offline --manifest-path lusail_benchmark/Cargo.toml
+# ... and its own unit tests, which compile against `core::source::ask_query`,
+# `sape::estimate::count_query`, `lade::gjv::check_query` and the
+# `SparqlEndpoint` defaults, must still pass.
+cargo test --release --offline -q --manifest-path lusail_benchmark/Cargo.toml
 # One short pass of the WAN workload: the benchmark checks every answer
 # against the merged graph and exits non-zero on a wrong one.
 cargo run --release --offline --quiet --manifest-path lusail_benchmark/Cargo.toml -- \

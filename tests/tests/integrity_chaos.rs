@@ -551,7 +551,7 @@ fn a_cached_analysis_count_never_settles_a_response() {
         result_policy: ResultPolicy::FailFast,
         ..LusailConfig::default()
     };
-    assert!(config.enable_cache && config.cache_counts);
+    assert!(config.enable_cache);
     let engine = LusailEngine::new(Federation::new(vec![endpoint.clone()]), config.clone());
     let q = parse_query("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }").unwrap();
     let stats = || {

@@ -358,15 +358,7 @@ fn run_probe(
     branches: &[ConjBranch],
 ) -> Vec<BranchStats> {
     let handler = RequestHandler::elastic(fed.len());
-    probe(
-        fed,
-        &handler,
-        cache,
-        cache,
-        branches,
-        &RunContext::unbounded(),
-    )
-    .unwrap()
+    probe(fed, &handler, cache, branches, &RunContext::unbounded()).unwrap()
 }
 
 /// Cold, from a cache shared across the catalog, and fully cached: the
