@@ -1,6 +1,8 @@
 //! The engine-agnostic interface the benchmark harness drives, plus the
 //! shared group-at-a-time executor both baselines are built on.
 
+use lusail_core::normalize::OptionalBlock;
+use lusail_core::source::merged_sources;
 use lusail_core::{EngineError, LusailEngine};
 use lusail_federation::{EndpointId, Federation, RequestHandler};
 use lusail_rdf::Term;
@@ -49,6 +51,16 @@ pub struct GroupPlan {
 }
 
 impl GroupPlan {
+    /// An `OPTIONAL` or `MINUS` block as one unit, sent whole to every
+    /// endpoint relevant to any of its patterns (`sources`, per pattern).
+    pub fn for_block(block: &OptionalBlock, sources: &[Vec<EndpointId>]) -> Self {
+        GroupPlan {
+            patterns: block.patterns.clone(),
+            filters: block.filters.clone(),
+            sources: merged_sources(sources),
+        }
+    }
+
     /// All variables of the group.
     pub fn variables(&self) -> Vec<Variable> {
         let mut out = Vec::new();
@@ -72,6 +84,15 @@ impl GroupPlan {
         }
         Query::select(SelectQuery::new(Projection::Vars(self.variables()), body))
     }
+}
+
+/// The branch filters no group took: applied to the joined rows.
+pub fn residual_filters<'a>(
+    filters: &'a [Expression],
+    groups: &[GroupPlan],
+) -> Vec<&'a Expression> {
+    let pushed = |f: &&Expression| groups.iter().any(|g| g.filters.contains(f));
+    filters.iter().filter(|f| !pushed(f)).collect()
 }
 
 /// Knobs distinguishing the baselines' execution styles.

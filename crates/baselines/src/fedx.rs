@@ -15,16 +15,16 @@
 //! the behaviour Lusail's locality-aware decomposition removes.
 
 use crate::common::{
-    connected_pattern_components, execute_groups, ExecOptions, FederatedEngine, GroupPlan,
+    connected_pattern_components, execute_groups, residual_filters, ExecOptions, FederatedEngine,
+    GroupPlan,
 };
 use lusail_core::cache::QueryCache;
-use lusail_core::normalize::{assemble_select, ConjBranch};
+use lusail_core::normalize::{assemble_branch, assemble_select, ConjBranch};
 use lusail_core::source::select_sources;
 use lusail_core::{EngineError, RunContext};
 use lusail_federation::{Deadline, EndpointId, Federation, RequestHandler};
 use lusail_sparql::ast::{Expression, Query, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
-use lusail_store::expr::{bind_relation, filter_relation};
 use std::time::{Duration, Instant};
 
 /// FedX configuration.
@@ -128,18 +128,20 @@ impl FedX {
             deadline.map(Deadline::at).unwrap_or_else(Deadline::none),
             self.config.timeout,
         );
-        let mut sources = select_sources(
-            &self.federation,
-            &self.handler,
-            Some(&self.cache),
-            &branch.patterns,
-            &ctx,
-        )?;
-        if let Some(pruner) = &self.pruner {
-            for (i, tp) in branch.patterns.iter().enumerate() {
-                sources[i] = pruner(tp, std::mem::take(&mut sources[i]));
+        // ASK source selection, narrowed by the pruner when there is one:
+        // the same for the required patterns and for every block.
+        let sources_of = |patterns: &[TriplePattern]| {
+            let cache = Some(&self.cache);
+            let mut sources =
+                select_sources(&self.federation, &self.handler, cache, patterns, &ctx)?;
+            if let Some(pruner) = &self.pruner {
+                for (tp, s) in patterns.iter().zip(&mut sources) {
+                    *s = pruner(tp, std::mem::take(s));
+                }
             }
-        }
+            Ok::<_, EngineError>(sources)
+        };
+        let sources = sources_of(&branch.patterns)?;
 
         let mut groups = build_groups(&branch.patterns, &sources, &branch.filters);
         order_groups(&mut groups);
@@ -149,83 +151,14 @@ impl FedX {
             hash_join_threshold: None,
             timeout: self.config.timeout,
         };
-        let mut rel = execute_groups(&self.federation, &self.handler, &groups, deadline, &opts)?;
-
-        // OPTIONAL groups: bound-evaluate at their sources, left-join.
-        for block in &branch.optionals {
-            let mut opt_sources = select_sources(
-                &self.federation,
-                &self.handler,
-                Some(&self.cache),
-                &block.patterns,
-                &ctx,
-            )?;
-            if let Some(pruner) = &self.pruner {
-                for (i, tp) in block.patterns.iter().enumerate() {
-                    opt_sources[i] = pruner(tp, std::mem::take(&mut opt_sources[i]));
-                }
-            }
-            let merged: Vec<EndpointId> = {
-                let mut s: Vec<EndpointId> = opt_sources.iter().flatten().copied().collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            };
-            let group = GroupPlan {
-                patterns: block.patterns.clone(),
-                filters: block.filters.clone(),
-                sources: merged,
-            };
-            let opt_rel = execute_groups(
-                &self.federation,
-                &self.handler,
-                std::slice::from_ref(&group),
-                deadline,
-                &opts,
-            )?;
-            rel = rel.left_join(&opt_rel);
-        }
-
-        for (vars, rows) in &branch.values {
-            rel = rel.join(&Relation::from_rows(vars.clone(), rows.clone()));
-        }
-        // MINUS groups: evaluate at their sources, anti-join.
-        for block in &branch.minuses {
-            let minus_sources = select_sources(
-                &self.federation,
-                &self.handler,
-                Some(&self.cache),
-                &block.patterns,
-                &ctx,
-            )?;
-            let merged: Vec<EndpointId> = {
-                let mut s: Vec<EndpointId> = minus_sources.iter().flatten().copied().collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            };
-            let group = GroupPlan {
-                patterns: block.patterns.clone(),
-                filters: block.filters.clone(),
-                sources: merged,
-            };
-            let minus_rel = execute_groups(
-                &self.federation,
-                &self.handler,
-                std::slice::from_ref(&group),
-                deadline,
-                &opts,
-            )?;
-            rel = rel.minus(&minus_rel);
-        }
-        for (expr, var) in &branch.binds {
-            rel = bind_relation(rel, expr, var);
-        }
-        // Residual filters (those whose variables span groups).
-        for f in residual_filters(&branch.filters, &groups) {
-            rel = filter_relation(rel, f);
-        }
-        Ok(rel)
+        let run = |groups: &[GroupPlan]| {
+            execute_groups(&self.federation, &self.handler, groups, deadline, &opts)
+        };
+        let residual = residual_filters(&branch.filters, &groups);
+        // OPTIONAL and MINUS blocks: evaluated whole at their sources.
+        assemble_branch(branch, run(&groups)?, residual, |_, _, block, _| {
+            run(&[GroupPlan::for_block(block, &sources_of(&block.patterns)?)])
+        })
     }
 }
 
@@ -283,14 +216,6 @@ fn build_groups(
         }
     }
     groups
-}
-
-/// Filters not pushed into any group.
-fn residual_filters<'a>(filters: &'a [Expression], groups: &[GroupPlan]) -> Vec<&'a Expression> {
-    filters
-        .iter()
-        .filter(|f| !groups.iter().any(|g| g.filters.contains(f)))
-        .collect()
 }
 
 /// FedX's variable-counting join ordering: repeatedly pick the unit with

@@ -14,14 +14,14 @@
 //! engines are preferred for dynamic federations.
 
 use crate::common::{
-    connected_pattern_components, execute_groups, ExecOptions, FederatedEngine, GroupPlan,
+    connected_pattern_components, execute_groups, residual_filters, ExecOptions, FederatedEngine,
+    GroupPlan,
 };
-use lusail_core::normalize::{assemble_select, ConjBranch};
+use lusail_core::normalize::{assemble_branch, assemble_select, ConjBranch};
 use lusail_core::EngineError;
 use lusail_federation::{EndpointId, Federation, RequestHandler};
 use lusail_sparql::ast::{Query, TermPattern, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
-use lusail_store::expr::{bind_relation, filter_relation};
 use lusail_store::stats::StoreStats;
 use std::time::{Duration, Instant};
 
@@ -156,11 +156,11 @@ impl Splendid {
         }
         // Index-based source selection; then group single-source patterns
         // per endpoint (SPLENDID also groups same-source patterns).
-        let sources: Vec<Vec<EndpointId>> = branch
-            .patterns
-            .iter()
-            .map(|tp| self.index.sources_for(tp))
-            .collect();
+        let sources_of = |patterns: &[TriplePattern]| -> Vec<Vec<EndpointId>> {
+            let of = |tp| self.index.sources_for(tp);
+            patterns.iter().map(of).collect()
+        };
+        let sources = sources_of(&branch.patterns);
         let mut groups: Vec<GroupPlan> = Vec::new();
         for (i, tp) in branch.patterns.iter().enumerate() {
             let exclusive = sources[i].len() == 1;
@@ -232,76 +232,14 @@ impl Splendid {
             hash_join_threshold: Some(self.hash_join_threshold),
             timeout: self.timeout,
         };
-        let mut rel = execute_groups(&self.federation, &self.handler, &ordered, deadline, &opts)?;
-
-        for block in &branch.optionals {
-            let merged: Vec<EndpointId> = {
-                let mut s: Vec<EndpointId> = block
-                    .patterns
-                    .iter()
-                    .flat_map(|tp| self.index.sources_for(tp))
-                    .collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            };
-            let group = GroupPlan {
-                patterns: block.patterns.clone(),
-                filters: block.filters.clone(),
-                sources: merged,
-            };
-            let opt_rel = execute_groups(
-                &self.federation,
-                &self.handler,
-                std::slice::from_ref(&group),
-                deadline,
-                &opts,
-            )?;
-            rel = rel.left_join(&opt_rel);
-        }
-        for (vars, rows) in &branch.values {
-            rel = rel.join(&Relation::from_rows(vars.clone(), rows.clone()));
-        }
-        for block in &branch.minuses {
-            let merged: Vec<EndpointId> = {
-                let mut s: Vec<EndpointId> = block
-                    .patterns
-                    .iter()
-                    .flat_map(|tp| self.index.sources_for(tp))
-                    .collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            };
-            let group = GroupPlan {
-                patterns: block.patterns.clone(),
-                filters: block.filters.clone(),
-                sources: merged,
-            };
-            let minus_rel = execute_groups(
-                &self.federation,
-                &self.handler,
-                std::slice::from_ref(&group),
-                deadline,
-                &opts,
-            )?;
-            rel = rel.minus(&minus_rel);
-        }
-        for (expr, var) in &branch.binds {
-            rel = bind_relation(rel, expr, var);
-        }
-        for f in &branch.filters {
-            // Residual filters: any filter not covered by a single group.
-            let fvars = f.variables();
-            let covered = ordered.iter().any(|g| {
-                let gvars = g.variables();
-                !fvars.is_empty() && fvars.iter().all(|v| gvars.contains(v))
-            });
-            if !covered {
-                rel = filter_relation(rel, f);
-            }
-        }
-        Ok(rel)
+        let run = |groups: &[GroupPlan]| {
+            execute_groups(&self.federation, &self.handler, groups, deadline, &opts)
+        };
+        let residual = residual_filters(&branch.filters, &ordered);
+        // OPTIONAL and MINUS blocks: evaluated whole at their sources.
+        assemble_branch(branch, run(&ordered)?, residual, |_, _, block, _| {
+            run(&[GroupPlan::for_block(block, &sources_of(&block.patterns))])
+        })
     }
 }
 

@@ -40,7 +40,6 @@ fn subquery(id: usize, predicate: &str, object: &str, sources: Vec<usize>) -> Su
         filters: vec![],
         sources,
         projection: vec![Variable::new("d"), Variable::new(object)],
-        optional: false,
     }
 }
 

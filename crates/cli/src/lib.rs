@@ -1278,8 +1278,7 @@ fn print_endpoint_stats(federation: &Federation, out: &mut dyn Write) -> Result<
 }
 
 /// The `--stats` integrity section: per-endpoint verification probes
-/// sent, flagged responses settled against the analysis probe's count
-/// without one, truncation detections, recovery paging counters, count
+/// sent, truncation detections, recovery paging counters, count
 /// divergences, and quarantine standing. Prints only when some integrity
 /// activity happened — a clean run over honest endpoints adds nothing.
 fn print_integrity_stats(
@@ -1293,10 +1292,9 @@ fn print_integrity_stats(
     writeln!(out, "# integrity:")?;
     writeln!(
         out,
-        "#   {:<16} {:>7} {:>8} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
+        "#   {:<16} {:>7} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
         "endpoint",
         "probes",
-        "settled",
         "truncations",
         "pages",
         "recovered",
@@ -1317,10 +1315,9 @@ fn print_integrity_stats(
         };
         writeln!(
             out,
-            "#   {:<16} {:>7} {:>8} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
+            "#   {:<16} {:>7} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
             name,
             s.verifications,
-            s.settled_by_expectation,
             s.truncations_detected,
             s.pages_fetched,
             s.rows_recovered,

@@ -1,25 +1,22 @@
 //! The Lusail engine: source selection → LADE → SAPE → result assembly.
 
-use crate::budget::{MemoryPhase, MemoryStats};
+use crate::budget::MemoryStats;
 use crate::cache::QueryCache;
 use crate::config::{LusailConfig, SapeMode};
 use crate::error::EngineError;
 use crate::lade::decompose::{decompose, SubqueryDraft};
 use crate::lade::gjv::detect_gjvs_with;
-use crate::normalize::{assemble_select, ConjBranch};
+use crate::normalize::{assemble_branch, assemble_select, BlockRole, ConjBranch};
 use crate::run::{ExecutionWarning, RunContext};
 use crate::sape::estimate::{subquery_cardinality, TpCounts};
-use crate::sape::execute::{ExpectedRows, SapeExecutor};
+use crate::sape::execute::SapeExecutor;
 use crate::sape::schedule::{make_schedule, Schedule};
-use crate::source::{probe_fresh, BranchStats, FreshCounts};
+use crate::source::{probe, BranchStats};
 use crate::subquery::Subquery;
-use lusail_federation::{
-    EndpointError, EndpointId, Federation, IntegrityRegistry, RequestHandler, WaveSnapshot,
-};
+use lusail_federation::{EndpointId, Federation, IntegrityRegistry, RequestHandler, WaveSnapshot};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{Expression, Projection, Query, SelectQuery, Variable};
 use lusail_sparql::solution::Relation;
-use lusail_store::expr::{bind_relation, filter_relation};
 use std::time::{Duration, Instant};
 
 /// Timing and plan information for one executed query (the data behind the
@@ -159,13 +156,13 @@ impl LusailEngine {
             // ---- Source selection + pattern statistics, whole query ------
             let cache = self.config.enable_cache.then_some(&self.cache);
             let t = Instant::now();
-            let probed = probe_fresh(&self.federation, &self.handler, cache, branches, ctx)?;
+            let probed = probe(&self.federation, &self.handler, cache, branches, ctx)?;
             profile.source_selection = t.elapsed();
             ctx.check()?;
 
             (branches.iter().zip(&probed))
-                .map(|(branch, (stats, fresh))| {
-                    self.execute_branch(branch, stats, fresh, select_view, ctx, &mut profile)
+                .map(|(branch, stats)| {
+                    self.execute_branch(branch, stats, select_view, ctx, &mut profile)
                 })
                 .collect()
         })?;
@@ -181,7 +178,6 @@ impl LusailEngine {
         &self,
         branch: &ConjBranch,
         stats: &BranchStats,
-        fresh: &FreshCounts,
         select_view: &SelectQuery,
         ctx: &RunContext,
         profile: &mut ExecutionProfile,
@@ -217,51 +213,24 @@ impl LusailEngine {
                 .sum()
         };
         let decomposition = decompose(&branch.patterns, sources, &analysis, &estimator);
-        let (mut subqueries, mut cardinalities, global_filters) =
+        let (subqueries, cardinalities, global_filters) =
             self.build_subqueries(branch, select_view, &decomposition.subqueries, counts);
         // Expected per-endpoint row counts, from the probe's COUNTs: exact
         // only for single-pattern subqueries, where the probe measured
         // the very query the wave will send. A delivery below the
-        // expectation is the integrity layer's truncation signal; one
-        // equal to a count fetched during this query is already verified.
-        let expected: Vec<FxHashMap<EndpointId, ExpectedRows>> = decomposition
+        // expectation is the integrity layer's truncation signal.
+        let expected: Vec<FxHashMap<EndpointId, usize>> = decomposition
             .subqueries
             .iter()
             .map(|draft| match draft.patterns[..] {
-                [tp] => (counts[tp].iter())
-                    .map(|(&ep, &rows)| {
-                        let fresh = fresh[tp].contains(&ep);
-                        (ep, ExpectedRows { rows, fresh })
-                    })
-                    .collect(),
+                [tp] => counts[tp].clone(),
                 _ => FxHashMap::default(),
             })
             .collect();
-
-        // ---- Optional subqueries ----------------------------------------
-        for (block, opt) in branch.optionals.iter().zip(&stats.optionals) {
-            let merged = merged_sources(&opt.sources);
-            let id = subqueries.len();
-            let sq = Subquery {
-                id,
-                patterns: block.patterns.clone(),
-                filters: block.filters.clone(),
-                sources: merged.clone(),
-                projection: block.variables(),
-                optional: true,
-            };
-            let card = subquery_cardinality(
-                &(0..block.patterns.len()).collect::<Vec<_>>(),
-                &merged,
-                &block.patterns,
-                &opt.counts,
-                &sq.projection,
-            );
-            subqueries.push(sq);
-            cardinalities.push(card);
-        }
         profile.analysis += t.elapsed();
-        profile.subqueries += subqueries.len();
+        // Each OPTIONAL block is one more subquery, evaluated last and
+        // bound (§4.1, category (iii)) by the branch assembly below.
+        profile.subqueries += subqueries.len() + branch.optionals.len();
 
         // ---- SAPE: schedule + execute ------------------------------------
         let t = Instant::now();
@@ -269,24 +238,13 @@ impl LusailEngine {
             SapeMode::Full => {
                 make_schedule(&subqueries, &cardinalities, self.config.delay_threshold)
             }
-            SapeMode::LadeOnly => {
-                // Ablation: everything (except optionals, which must still
-                // be left-joined last) runs concurrently with no delaying.
-                let mut s = Schedule {
-                    non_delayed: Vec::new(),
-                    delayed: Vec::new(),
-                };
-                for (i, sq) in subqueries.iter().enumerate() {
-                    if sq.optional {
-                        s.delayed.push(i);
-                    } else {
-                        s.non_delayed.push(i);
-                    }
-                }
-                s
-            }
+            // Ablation: everything runs concurrently with no delaying.
+            SapeMode::LadeOnly => Schedule {
+                non_delayed: (0..subqueries.len()).collect(),
+                delayed: Vec::new(),
+            },
         };
-        profile.delayed += schedule.delayed.len();
+        profile.delayed += schedule.delayed.len() + branch.optionals.len();
 
         let executor = SapeExecutor {
             federation: &self.federation,
@@ -310,56 +268,25 @@ impl LusailEngine {
         let outcome =
             executor.execute(&subqueries, &schedule, &cardinalities, &bridges, &expected)?;
         profile.estimates.extend(outcome.estimates.iter().copied());
-        let mut rel = outcome.relation;
 
-        // ---- Global residue: VALUES, MINUS groups, BINDs, filters -------
-        for (vars, rows) in &branch.values {
-            let values_rel = Relation::from_rows(vars.clone(), rows.clone());
-            rel = rel.join(&values_rel);
-        }
-        for (block, minus) in branch.minuses.iter().zip(&stats.minuses) {
-            ctx.check()?;
-            let merged = merged_sources(&minus.sources);
-            let sq = Subquery {
-                id: usize::MAX,
-                patterns: block.patterns.clone(),
-                filters: block.filters.clone(),
-                sources: merged.clone(),
-                projection: block.variables(),
-                optional: false,
+        // ---- Branch assembly: every block is one more bound subquery ----
+        let fetch = |role, i: usize, block: &_, rows: &_| {
+            let (stats, id, what) = match role {
+                BlockRole::Optional => {
+                    let id = subqueries.len() + i;
+                    (&stats.optionals[i], id, format!("subquery #{id}"))
+                }
+                // Skipping a MINUS contribution under `--partial` removes
+                // fewer rows, so a degraded result is a *superset* of the
+                // true answer; the warning says whose exclusions are missing.
+                BlockRole::Minus => {
+                    let id = subqueries.len() + branch.optionals.len() + i;
+                    (&stats.minuses[i], id, "MINUS block".to_string())
+                }
             };
-            let results = self.handler.map_cancellable(
-                merged.clone(),
-                ctx.deadline.clone(),
-                |_| Err(EndpointError::deadline("MINUS block")),
-                |ep| {
-                    self.federation
-                        .endpoint(ep)
-                        .select_within(&sq.to_query(), ctx.deadline.clone())
-                },
-            );
-            let mut minus_rel = Relation::new(sq.projection.clone());
-            for (ep, r) in merged.into_iter().zip(results) {
-                // Skipping a MINUS contribution removes fewer rows, so a
-                // degraded result is a *superset* of the true answer; the
-                // warning records which endpoint's exclusions are missing.
-                let empty = Relation::new(sq.projection.clone());
-                let r = ctx.absorb("MINUS block", empty, r)?;
-                minus_rel.append(ctx.admit_relation(
-                    "MINUS block",
-                    self.federation.endpoint(ep).name(),
-                    MemoryPhase::Wave,
-                    r,
-                )?);
-            }
-            rel = rel.minus(&minus_rel);
-        }
-        for (expr, var) in &branch.binds {
-            rel = bind_relation(rel, expr, var);
-        }
-        for f in &global_filters {
-            rel = filter_relation(rel, f);
-        }
+            executor.fetch_block(block, stats, id, &what, &branch.patterns, rows)
+        };
+        let rel = assemble_branch(branch, outcome.relation, &global_filters, fetch)?;
         profile.execution += t.elapsed();
         Ok(rel)
     }
@@ -464,7 +391,6 @@ impl LusailEngine {
                 filters,
                 sources: draft.sources.clone(),
                 projection,
-                optional: false,
             });
             cardinalities.push(card);
         }
@@ -478,14 +404,6 @@ impl LusailEngine {
             .collect();
         (subqueries, cardinalities, globals)
     }
-}
-
-/// The endpoints relevant to any pattern of a block, ascending.
-fn merged_sources(sources: &[Vec<EndpointId>]) -> Vec<EndpointId> {
-    let mut merged: Vec<EndpointId> = sources.iter().flatten().copied().collect();
-    merged.sort_unstable();
-    merged.dedup();
-    merged
 }
 
 /// Filters containing EXISTS cannot be pushed textually with our

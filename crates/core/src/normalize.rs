@@ -13,11 +13,16 @@
 //! * `FILTER`s collect on their branch; LADE later pushes each filter into
 //!   a subquery when the subquery covers the filter's variables, otherwise
 //!   SAPE applies it after the global join.
-//! * `OPTIONAL` groups become [`OptionalBlock`]s on their branch; SAPE
-//!   treats them as *optional subqueries* (always delayed, per Section
-//!   4.1's category (iii)) and left-joins their results.
-//! * `VALUES` blocks collect on the branch and join in at the global
-//!   level.
+//! * `OPTIONAL` and `MINUS` groups become [`OptionalBlock`]s on their
+//!   branch, `VALUES` blocks and `BIND`s collect on it.
+//!
+//! What a branch then *means* is written once, in [`assemble_branch`]: the
+//! required rows, left-joined with each `OPTIONAL` block, joined with each
+//! `VALUES` block, anti-joined with each `MINUS` block, extended by each
+//! `BIND` and cut by the filters no subquery took. Lusail and the three
+//! baselines differ only in how they fetch a block's rows — Lusail's
+//! *optional subqueries* are still evaluated last and bound (Section 4.1's
+//! category (iii)), and so are its `MINUS` blocks.
 
 use crate::error::EngineError;
 use lusail_rdf::Term;
@@ -25,6 +30,7 @@ use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, QueryForm, SelectQuery, TriplePattern, Variable,
 };
 use lusail_sparql::solution::{finalize_select, Relation};
+use lusail_store::expr::{bind_relation, filter_relation};
 
 /// An `OPTIONAL { … }` group: triple patterns plus filters scoped inside
 /// the optional.
@@ -137,6 +143,50 @@ pub fn assemble_select(
         .reduce(Relation::union)
         .unwrap_or_default();
     Ok(finalize_select(&select_view, combined))
+}
+
+/// What [`assemble_branch`] does with the rows of a fetched block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockRole {
+    /// Left-joined: rows without a compatible block row stay, unextended.
+    Optional,
+    /// Anti-joined: rows with a compatible block row sharing a variable go.
+    Minus,
+}
+
+/// What a conjunctive branch does to the joined rows of its `required`
+/// patterns, in this order: left-join each `OPTIONAL` block, join each
+/// `VALUES` block, anti-join each `MINUS` block, apply each `BIND`, keep
+/// the rows passing each of `residual_filters` (the branch filters the
+/// engine did not push into a subquery).
+///
+/// `fetch(role, i, block, rows)` is all an engine supplies: the rows of the
+/// `i`-th block of that role, over the block's variables. `rows` is the
+/// relation the block is about to meet, for an engine that evaluates
+/// blocks bound; block rows compatible with none of it may be left out.
+pub fn assemble_branch<'a>(
+    branch: &ConjBranch,
+    required: Relation,
+    residual_filters: impl IntoIterator<Item = &'a Expression>,
+    mut fetch: impl FnMut(BlockRole, usize, &OptionalBlock, &Relation) -> Result<Relation, EngineError>,
+) -> Result<Relation, EngineError> {
+    let mut rel = required;
+    for (i, block) in branch.optionals.iter().enumerate() {
+        rel = rel.left_join(&fetch(BlockRole::Optional, i, block, &rel)?);
+    }
+    for (vars, rows) in &branch.values {
+        rel = rel.join(&Relation::from_rows(vars.clone(), rows.clone()));
+    }
+    for (i, block) in branch.minuses.iter().enumerate() {
+        rel = rel.minus(&fetch(BlockRole::Minus, i, block, &rel)?);
+    }
+    for (expr, var) in &branch.binds {
+        rel = bind_relation(rel, expr, var);
+    }
+    for f in residual_filters {
+        rel = filter_relation(rel, f);
+    }
+    Ok(rel)
 }
 
 /// Normalize a pattern tree into conjunctive branches (one per union arm).
@@ -297,6 +347,110 @@ mod tests {
     fn values_collects() {
         let b = branches("SELECT * WHERE { ?x a <http://A> . VALUES ?x { <http://1> } }");
         assert_eq!(b[0].values.len(), 1);
+    }
+
+    fn rel(vars: &[&str], rows: &[&[Option<&str>]]) -> Relation {
+        let term = |c: &Option<&str>| c.map(Term::literal);
+        Relation::from_rows(
+            vars.iter().map(|v| Variable::new(*v)).collect(),
+            rows.iter().map(|r| r.iter().map(term).collect()).collect(),
+        )
+    }
+
+    fn sorted(rel: &Relation) -> Vec<Vec<Option<Term>>> {
+        let mut rows = rel.rows().to_vec();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn assemble_branch_applies_its_five_steps_in_order() {
+        // Every step reads what the one before it wrote: VALUES fills the
+        // ?y the OPTIONAL left unbound, MINUS removes a value only VALUES
+        // brought, BIND copies ?y and the filter reads the copy.
+        let branch = &branches(
+            "SELECT * WHERE { ?x <http://p> ?v OPTIONAL { ?x <http://q> ?y } \
+             VALUES ?y { \"a\" \"b\" } MINUS { ?s <http://r> ?y } \
+             BIND(?y AS ?z) FILTER(?z = \"a\") }",
+        )[0];
+        let required = rel(&["x"], &[&[Some("1")], &[Some("2")], &[Some("3")]]);
+        let mut calls = Vec::new();
+        let out = assemble_branch(branch, required, &branch.filters, |role, i, block, rows| {
+            calls.push((role, i, rows.len()));
+            Ok(match role {
+                BlockRole::Optional => {
+                    assert_eq!(block, &branch.optionals[0]);
+                    rel(&["x", "y"], &[&[Some("1"), Some("a")]])
+                }
+                BlockRole::Minus => {
+                    assert_eq!(block, &branch.minuses[0]);
+                    rel(&["s", "y"], &[&[Some("s"), Some("b")]])
+                }
+            })
+        })
+        .unwrap();
+        // The OPTIONAL block met the 3 required rows; the MINUS block the
+        // 5 rows VALUES made of them (1·a, 2·a, 2·b, 3·a, 3·b).
+        assert_eq!(
+            calls,
+            [(BlockRole::Optional, 0, 3), (BlockRole::Minus, 0, 5)]
+        );
+        let want = rel(
+            &["x", "y", "z"],
+            &[
+                &[Some("1"), Some("a"), Some("a")],
+                &[Some("2"), Some("a"), Some("a")],
+                &[Some("3"), Some("a"), Some("a")],
+            ],
+        );
+        assert_eq!(out.vars(), want.vars());
+        assert_eq!(sorted(&out), sorted(&want));
+    }
+
+    #[test]
+    fn assemble_branch_propagates_a_fetch_error() {
+        let branch = &branches(
+            "SELECT * WHERE { ?x <http://p> ?v OPTIONAL { ?x <http://q> ?y } \
+             MINUS { ?x <http://r> ?w } }",
+        )[0];
+        let mut fetched = 0;
+        let out = assemble_branch(branch, rel(&["x"], &[&[Some("1")]]), [], |role, _, _, _| {
+            fetched += 1;
+            match role {
+                BlockRole::Optional => Err(EngineError::Unsupported("boom".into())),
+                BlockRole::Minus => panic!("fetched past an error"),
+            }
+        });
+        assert!(matches!(out, Err(EngineError::Unsupported(m)) if m == "boom"));
+        assert_eq!(fetched, 1);
+    }
+
+    #[test]
+    fn a_block_sharing_no_variable_multiplies_or_removes_nothing() {
+        let branch = &branches(
+            "SELECT * WHERE { ?x <http://p> ?v OPTIONAL { ?a <http://q> ?b } \
+             MINUS { ?c <http://r> ?d } }",
+        )[0];
+        let required = rel(&["x"], &[&[Some("1")], &[Some("2")]]);
+        let out = assemble_branch(branch, required, [], |role, _, _, _| {
+            Ok(match role {
+                BlockRole::Optional => rel(&["a"], &[&[Some("k")], &[Some("l")]]),
+                BlockRole::Minus => rel(&["c"], &[&[Some("1")], &[Some("k")]]),
+            })
+        })
+        .unwrap();
+        // OPTIONAL with nothing shared is a product; MINUS with nothing
+        // shared removes no row, whatever the values.
+        let want = rel(
+            &["x", "a"],
+            &[
+                &[Some("1"), Some("k")],
+                &[Some("1"), Some("l")],
+                &[Some("2"), Some("k")],
+                &[Some("2"), Some("l")],
+            ],
+        );
+        assert_eq!(sorted(&out), sorted(&want));
     }
 
     #[test]

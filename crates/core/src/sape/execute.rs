@@ -3,10 +3,12 @@
 use crate::budget::MemoryPhase;
 use crate::config::{LusailConfig, ResultPolicy};
 use crate::error::EngineError;
+use crate::normalize::OptionalBlock;
 use crate::run::{ExecutionWarning, RunContext};
 use crate::sape::join::{budgeted_join, charge_output, dp_join_order};
 use crate::sape::recover;
 use crate::sape::schedule::Schedule;
+use crate::source::{merged_sources, BlockStats};
 use crate::subquery::Subquery;
 use lusail_federation::{
     EndpointError, EndpointId, FailureKind, Federation, IntegrityRegistry, QuarantineTransition,
@@ -15,16 +17,16 @@ use lusail_federation::{
 use lusail_rdf::dict::{Dictionary, TermId};
 use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
 use lusail_rdf::Term;
-use lusail_sparql::ast::{GraphPattern, Query, Variable};
+use lusail_sparql::ast::{GraphPattern, Query, TriplePattern, Variable};
 use lusail_sparql::serializer::serialize_query;
 use lusail_sparql::solution::Relation;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::fmt::Write as _;
 
 /// The result of executing one branch's subqueries.
 #[derive(Debug)]
 pub struct SapeOutcome {
-    /// Required subqueries joined, with optional subqueries left-joined on.
+    /// The subqueries' results, joined.
     pub relation: Relation,
     /// `(subquery id, estimated cardinality, actual rows)` for non-delayed
     /// multi-pattern subqueries — the data behind the paper's q-error
@@ -32,17 +34,6 @@ pub struct SapeOutcome {
     pub estimates: Vec<(usize, usize, usize)>,
     /// How many subqueries were evaluated as bound joins.
     pub delayed_executed: usize,
-}
-
-/// The row count the analysis probe reported for a single-pattern
-/// subquery at one endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExpectedRows {
-    pub rows: usize,
-    /// Fetched from the endpoint during this query — its claim for this
-    /// very query — rather than read from the cross-query count cache,
-    /// where it may predate a change of the data.
-    pub fresh: bool,
 }
 
 /// Executes one branch's scheduled subqueries against the federation.
@@ -67,15 +58,14 @@ impl SapeExecutor<'_> {
     /// `expected` (parallel to `subqueries`, possibly shorter) carries
     /// the per-endpoint row counts the SAPE `COUNT` probes predicted for
     /// single-pattern subqueries; a delivery below the prediction is a
-    /// truncation signal, and a delivery equal to a fresh one needs no
-    /// second count.
+    /// truncation signal.
     pub fn execute(
         &self,
         subqueries: &[Subquery],
         schedule: &Schedule,
         cardinalities: &[usize],
         bridges: &[(Variable, Variable)],
-        expected: &[FxHashMap<EndpointId, ExpectedRows>],
+        expected: &[FxHashMap<EndpointId, usize>],
     ) -> Result<SapeOutcome, EngineError> {
         let mut partials: Vec<Option<Relation>> = vec![None; subqueries.len()];
         let mut estimates = Vec::new();
@@ -134,40 +124,24 @@ impl SapeExecutor<'_> {
         // (§4.2: "Whenever possible, the results of non-delayed subqueries
         // are joined together. This reduces the number of found bindings.")
         let mut bindings = FoundBindings::default();
-        {
-            let executed: Vec<usize> = schedule
-                .non_delayed
-                .iter()
-                .copied()
-                .filter(|&i| partials[i].is_some())
-                .collect();
-            for component in connected_components(&executed, subqueries) {
+        if !schedule.delayed.is_empty() {
+            for component in connected_components(&schedule.non_delayed, subqueries) {
                 let rels: Vec<&Relation> = component
                     .iter()
                     .map(|&i| partials[i].as_ref().unwrap())
                     .collect();
-                let joined = join_all(&rels, self.handler, self.ctx)?;
+                // The join is read for its columns and dropped, and its
+                // charge with it.
+                let (joined, charged) = join_all_bridged(&rels, &[], self.handler, self.ctx)?;
                 for v in joined.vars() {
                     bindings.update_from(v, &joined);
                 }
+                self.ctx.memory.release(charged);
             }
         }
 
         // ---- Phase 2: delayed subqueries as bound joins -----------------
-        // Required delayed subqueries first (they produce bindings),
-        // optional ones after (they only consume).
-        let mut remaining: Vec<usize> = schedule
-            .delayed
-            .iter()
-            .copied()
-            .filter(|&i| !subqueries[i].optional)
-            .collect();
-        let optionals: Vec<usize> = schedule
-            .delayed
-            .iter()
-            .copied()
-            .filter(|&i| subqueries[i].optional)
-            .collect();
+        let mut remaining: Vec<usize> = schedule.delayed.clone();
         let mut delayed_executed = 0;
 
         while !remaining.is_empty() {
@@ -188,29 +162,54 @@ impl SapeExecutor<'_> {
             delayed_executed += 1;
         }
 
-        // ---- Final join of required partials ----------------------------
-        let required: Vec<usize> = (0..subqueries.len())
-            .filter(|&i| !subqueries[i].optional && partials[i].is_some())
-            .collect();
-        let rels: Vec<&Relation> = required
-            .iter()
-            .map(|&i| partials[i].as_ref().unwrap())
-            .collect();
-        let mut result = join_all_bridged(&rels, bridges, self.handler, self.ctx)?;
-
-        // ---- Optional subqueries: bound-evaluate, then left-join --------
-        for &i in &optionals {
-            self.ctx.check()?;
-            let rel = self.run_bound(&subqueries[i], &labels[i], &bindings, expected.get(i))?;
-            delayed_executed += 1;
-            result = result.left_join(&rel);
-        }
+        // ---- Final join ----------------------------------------------
+        // Its output stays charged: the caller holds it to the query's end.
+        let rels: Vec<&Relation> = partials.iter().flatten().collect();
+        let (relation, _) = join_all_bridged(&rels, bridges, self.handler, self.ctx)?;
 
         Ok(SapeOutcome {
-            relation: result,
+            relation: relation.into_owned(),
             estimates,
             delayed_executed,
         })
+    }
+
+    /// Fetch the rows of an `OPTIONAL` or `MINUS` block (`stats` is what
+    /// the analysis probe learned about it) for
+    /// [`assemble_branch`](crate::normalize::assemble_branch): the block
+    /// as one subquery, bound-evaluated over the values `rows` — the
+    /// relation it is about to meet — has for a variable it shares with
+    /// `required`, the branch's required patterns, and unbound when it
+    /// shares none.
+    ///
+    /// Only a required variable is bound in every row at every stage of
+    /// the assembly. A column an earlier `OPTIONAL` left partly unbound
+    /// must not restrict the block: a row unbound there is compatible with
+    /// block rows of any value.
+    pub fn fetch_block(
+        &self,
+        block: &OptionalBlock,
+        stats: &BlockStats,
+        id: usize,
+        what: &str,
+        required: &[TriplePattern],
+        rows: &Relation,
+    ) -> Result<Relation, EngineError> {
+        self.ctx.check()?;
+        let sq = Subquery {
+            id,
+            patterns: block.patterns.clone(),
+            filters: block.filters.clone(),
+            sources: merged_sources(&stats.sources),
+            projection: block.variables(),
+        };
+        let mut bindings = FoundBindings::default();
+        for v in &sq.projection {
+            if required.iter().any(|tp| tp.mentions(v)) && rows.index_of(v).is_some() {
+                bindings.update_from(v, rows);
+            }
+        }
+        self.run_bound(&sq, what, &bindings, None)
     }
 
     /// Evaluate one subquery with its variables bound to already-found
@@ -221,7 +220,7 @@ impl SapeExecutor<'_> {
         sq: &Subquery,
         what: &str,
         bindings: &FoundBindings,
-        expected: Option<&FxHashMap<EndpointId, ExpectedRows>>,
+        expected: Option<&FxHashMap<EndpointId, usize>>,
     ) -> Result<Relation, EngineError> {
         // Choose the overlap variable with the fewest found bindings.
         let bind_var = sq
@@ -230,7 +229,7 @@ impl SapeExecutor<'_> {
             .filter(|v| bindings.contains(v))
             .min_by_key(|v| bindings.count(v));
 
-        let sources = self.refine_sources(sq, bind_var.as_ref(), bindings)?;
+        let sources = self.refine_sources(sq, what, bind_var.as_ref(), bindings)?;
 
         // Bindings live as interned ids; terms materialize only here,
         // where they go onto the wire in VALUES blocks.
@@ -317,6 +316,7 @@ impl SapeExecutor<'_> {
     fn refine_sources(
         &self,
         sq: &Subquery,
+        what: &str,
         bind_var: Option<&Variable>,
         bindings: &FoundBindings,
     ) -> Result<Vec<EndpointId>, EngineError> {
@@ -346,7 +346,7 @@ impl SapeExecutor<'_> {
                     .ask_within(&probe, self.ctx.deadline.clone())
             },
         );
-        let what = format!("source refinement for subquery #{}", sq.id);
+        let what = format!("source refinement for {what}");
         let mut kept: Vec<EndpointId> = Vec::new();
         for (ep, yes) in sq.sources.iter().copied().zip(answers) {
             // Default `true`: keeping an unreachable source is safe — the
@@ -417,7 +417,7 @@ impl SapeExecutor<'_> {
             .collect();
         if !caught.is_empty() {
             for (req, check) in wave.iter().zip(&mut checks) {
-                if matches!(check, Check::Trusted | Check::Expected) && caught.contains(&req.ep) {
+                if matches!(check, Check::Trusted) && caught.contains(&req.ep) {
                     *check = Check::Probe;
                 }
             }
@@ -429,11 +429,6 @@ impl SapeExecutor<'_> {
             let name = self.federation.endpoint(req.ep).name();
             let rel = match check {
                 Check::Skip | Check::Trusted => resp.rows,
-                Check::Expected => {
-                    self.integrity.record_settled_by_expectation(name);
-                    self.apply_transition(req.ep, self.integrity.record_clean(name));
-                    resp.rows
-                }
                 Check::Claimed(Ok(claimed)) => self.reconcile(req, resp, claimed)?,
                 Check::Claimed(Err(e))
                     if matches!(e.kind, FailureKind::Deadline | FailureKind::Cancelled) =>
@@ -457,30 +452,22 @@ impl SapeExecutor<'_> {
         Ok(out)
     }
 
-    /// Decide how one plain-`SELECT` response is cross-checked: not at
-    /// all, against the count the analysis probe already returned, or
-    /// against a fresh `COUNT(*)` probe. Feeds the row count to the
-    /// ledger's cap-learning heuristics.
+    /// Decide whether one plain-`SELECT` response is cross-checked
+    /// against a `COUNT(*)` probe. Feeds the row count to the ledger's
+    /// cap-learning heuristics.
     fn decide(&self, req: &WaveRequest, resp: &SelectResponse) -> Check {
         let name = self.federation.endpoint(req.ep).name();
         let reg = self.integrity;
         let delivered = resp.rows.len();
         let suspicious = reg.observe_rows(name, delivered);
-        if resp.truncated
+        if suspicious
+            || resp.truncated
             || reg.needs_verification(name)
-            || req.expected.is_some_and(|e| e.rows > delivered)
+            || req.expected.is_some_and(|rows| rows > delivered)
         {
             Check::Probe
-        } else if !suspicious {
-            Check::Trusted
-        } else if req.expected.is_some_and(|e| e.fresh && e.rows == delivered) {
-            // Only the row-count heuristic fired, and the endpoint has
-            // already claimed exactly this many rows during this very
-            // query: a second probe would compare the same two numbers.
-            // (A cached count may predate the rows a cap now hides.)
-            Check::Expected
         } else {
-            Check::Probe
+            Check::Trusted
         }
     }
 
@@ -738,7 +725,7 @@ struct WaveRequest<'a> {
     block: Option<(&'a Variable, &'a [Vec<Option<Term>>])>,
     /// The row count the analysis probe reported for this very query at
     /// `ep`, when it measured one (unbound single-pattern subqueries).
-    expected: Option<ExpectedRows>,
+    expected: Option<usize>,
 }
 
 impl WaveRequest<'_> {
@@ -766,9 +753,6 @@ enum Check {
     Skip,
     /// No integrity signal fired.
     Trusted,
-    /// Settled against the analysis probe's count, which equals the rows
-    /// delivered, without a request.
-    Expected,
     /// Needs a `COUNT(*)` cross-probe that has not been sent yet.
     Probe,
     /// The cross-probe's outcome.
@@ -919,15 +903,6 @@ fn connected_components(executed: &[usize], subqueries: &[Subquery]) -> Vec<Vec<
     components
 }
 
-/// Join a set of relations in DP order.
-fn join_all(
-    rels: &[&Relation],
-    handler: &RequestHandler,
-    ctx: &RunContext,
-) -> Result<Relation, EngineError> {
-    join_all_bridged(rels, &[], handler, ctx)
-}
-
 /// Join a set of relations in DP order; when two relations share no
 /// variable but a `FILTER(?a = ?b)` bridge connects them, hash join on the
 /// bridge keys instead of taking the product.
@@ -937,20 +912,23 @@ fn join_all(
 /// external sort-merge, and a join whose *output* cannot fit either
 /// aborts ([`ResultPolicy::FailFast`]) or truncates with a warning
 /// ([`ResultPolicy::Partial`]). Consumed accumulators release their
-/// charge, so only the live intermediate stays accounted.
-fn join_all_bridged(
-    rels: &[&Relation],
+/// charge, so only the live intermediate stays accounted: the result
+/// comes with the bytes still charged for it, the caller's to release
+/// when it drops the relation before the query ends.
+fn join_all_bridged<'a>(
+    rels: &[&'a Relation],
     bridges: &[(Variable, Variable)],
     handler: &RequestHandler,
     ctx: &RunContext,
-) -> Result<Relation, EngineError> {
+) -> Result<(Cow<'a, Relation>, usize), EngineError> {
     const WHAT: &str = "global join";
-    match rels.len() {
-        0 => {
-            // The unit relation: no vars, one empty row.
-            Ok(Relation::from_rows(Vec::new(), vec![Vec::new()]))
-        }
-        1 => Ok(rels[0].clone()),
+    match rels {
+        // The unit relation: no vars, one empty row.
+        [] => Ok((
+            Cow::Owned(Relation::from_rows(Vec::new(), vec![Vec::new()])),
+            0,
+        )),
+        [only] => Ok((Cow::Borrowed(*only), 0)),
         _ => {
             let order = dp_join_order(rels);
             let truncate = ctx.policy == ResultPolicy::Partial;
@@ -999,7 +977,8 @@ fn join_all_bridged(
                 joined = Some(outcome.relation);
                 acc_charged = outcome.charged;
             }
-            Ok(joined.expect("two or more inputs: at least one join ran"))
+            let joined = joined.expect("two or more inputs: at least one join ran");
+            Ok((Cow::Owned(joined), acc_charged))
         }
     }
 }
@@ -1108,7 +1087,7 @@ mod tests {
         NetworkProfile, SimulatedEndpoint, SparqlEndpoint, TrafficSnapshot,
     };
     use lusail_rdf::Graph;
-    use lusail_sparql::ast::{Projection, QueryForm, TermPattern, TriplePattern};
+    use lusail_sparql::ast::{Projection, QueryForm, TermPattern};
     use lusail_store::eval::QueryResult;
     use lusail_store::Store;
     use std::sync::Arc;
@@ -1149,7 +1128,6 @@ mod tests {
             filters: vec![],
             sources: vec![0],
             projection: vec![v("d"), v("w")],
-            optional: false,
         }
     }
 
@@ -1251,7 +1229,7 @@ mod tests {
 
         /// Evaluate the weight subquery unbound, in a phase-1 wave, with
         /// `expected` as the analysis probe's count.
-        fn phase1(&self, expected: ExpectedRows) -> Result<Relation, EngineError> {
+        fn phase1(&self, expected: usize) -> Result<Relation, EngineError> {
             let schedule = Schedule {
                 non_delayed: vec![0],
                 delayed: vec![],
@@ -1275,16 +1253,6 @@ mod tests {
                 .map(|(_, s)| s)
                 .unwrap_or_default()
         }
-    }
-
-    /// An analysis count fetched during the query.
-    fn fresh(rows: usize) -> ExpectedRows {
-        ExpectedRows { rows, fresh: true }
-    }
-
-    /// An analysis count read from the cross-query count cache.
-    fn cached(rows: usize) -> ExpectedRows {
-        ExpectedRows { rows, fresh: false }
     }
 
     fn simulated(n: usize, network: NetworkProfile) -> SimulatedEndpoint {
@@ -1347,67 +1315,20 @@ mod tests {
     }
 
     #[test]
-    fn the_analysis_count_settles_a_flagged_response_only_when_nothing_else_fired() {
-        let check = |integrity: IntegrityConfig, expected, truncated| {
-            let rig = Rig::new(
-                Arc::new(simulated(BLOCK, NetworkProfile::instant())),
-                integrity,
-            );
-            let sq = weight_subquery();
-            let req = WaveRequest {
-                sq: &sq,
-                what: "subquery #1",
-                ep: 0,
-                block: None,
-                expected,
-            };
-            let mut rows = Relation::new(sq.projection.clone());
-            for i in 0..BLOCK {
-                rows.push(vec![Some(d(i)), Some(Term::integer(i as i64))]);
-            }
-            let resp = SelectResponse { rows, truncated };
-            // Two earlier responses of the same size: the third is flagged.
-            rig.integrity.observe_rows("tgt", BLOCK);
-            rig.integrity.observe_rows("tgt", BLOCK);
-            rig.executor().decide(&req, &resp)
-        };
-        let default = IntegrityConfig::default;
-        let settled = check(default(), Some(fresh(BLOCK)), false);
-        assert!(matches!(settled, Check::Expected));
-        let probed = [
-            check(default(), None, false),
-            check(default(), Some(fresh(BLOCK + 1)), false),
-            check(default(), Some(fresh(BLOCK - 1)), false),
-            check(default(), Some(fresh(BLOCK)), true),
-            check(IntegrityConfig::paranoid(), Some(fresh(BLOCK)), false),
-            // A cached count is no claim about today's data.
-            check(default(), Some(cached(BLOCK)), false),
-        ];
-        for (case, check) in probed.iter().enumerate() {
-            assert!(matches!(check, Check::Probe), "case {case}");
-        }
-    }
-
-    #[test]
-    fn a_settled_response_costs_no_request_and_is_counted() {
+    fn a_flagged_response_is_probed_whatever_the_analysis_count_says() {
+        // The third response of one size trips the row-count heuristic;
+        // the analysis count agreeing with it does not stand in for the
+        // cross-probe.
         let rig = Rig::new(
             Arc::new(simulated(BLOCK, NetworkProfile::instant())),
             IntegrityConfig::default(),
         );
         for _ in 0..3 {
-            assert_eq!(rig.phase1(fresh(BLOCK)).unwrap().len(), BLOCK);
+            assert_eq!(rig.phase1(BLOCK).unwrap().len(), BLOCK);
         }
-        assert_eq!(rig.requests(), 3, "three SELECTs, no cross-probe");
-        let snap = rig.snapshot();
-        assert_eq!(snap.verifications, 0);
-        assert_eq!(snap.settled_by_expectation, 1);
-        // The same flagged response under a cached count costs its probe.
-        assert_eq!(rig.phase1(cached(BLOCK)).unwrap().len(), BLOCK);
-        assert_eq!(rig.requests(), 5, "one more SELECT and its cross-probe");
-        let snap = rig.snapshot();
-        assert_eq!((snap.verifications, snap.settled_by_expectation), (1, 1));
-        // An advertised cut is ground truth: it is probed (and paged)
-        // whatever the analysis count says.
+        assert_eq!(rig.requests(), 4, "three SELECTs and one cross-probe");
+        assert_eq!(rig.snapshot().verifications, 1);
+        // An advertised cut is ground truth: probed and paged at once.
         let rig = Rig::new(
             Arc::new(Scripted {
                 inner: simulated(BLOCK, NetworkProfile::instant()),
@@ -1416,11 +1337,67 @@ mod tests {
             }),
             IntegrityConfig::default(),
         );
-        assert_eq!(rig.phase1(fresh(BLOCK)).unwrap().len(), BLOCK);
+        assert_eq!(rig.phase1(BLOCK).unwrap().len(), BLOCK);
         let snap = rig.snapshot();
         assert_eq!(snap.verifications, 1);
-        assert_eq!(snap.settled_by_expectation, 0);
         assert_eq!(snap.truncations_detected, 1);
+    }
+
+    #[test]
+    fn the_found_bindings_join_returns_its_charge() {
+        // Two connected phase-1 subqueries and a delayed third: their join
+        // is read for its columns and dropped, so under a bounded budget
+        // it must not stay in the ledger next to the final join.
+        let mut g = Graph::new();
+        for i in 0..BLOCK {
+            g.add(d(i), Term::iri("http://x/weight"), Term::integer(i as i64));
+            g.add(d(i), Term::iri("http://x/height"), Term::integer(i as i64));
+            g.add(d(i), Term::iri("http://x/depth"), Term::integer(i as i64));
+        }
+        let endpoint =
+            SimulatedEndpoint::new("tgt", Store::from_graph(&g), NetworkProfile::instant());
+        let mut rig = Rig::new(Arc::new(endpoint), IntegrityConfig::default());
+        rig.ctx = RunContext::new(&LusailConfig {
+            memory_budget: Some(64 << 20),
+            ..LusailConfig::without_cache()
+        });
+        let sq = |id: usize, p: &str, o: &str| Subquery {
+            id,
+            patterns: vec![TriplePattern::new(
+                TermPattern::var("d"),
+                TermPattern::iri(format!("http://x/{p}")),
+                TermPattern::var(o),
+            )],
+            filters: vec![],
+            sources: vec![0],
+            projection: vec![v("d"), v(o)],
+        };
+        let subqueries = [
+            sq(0, "weight", "w"),
+            sq(1, "height", "h"),
+            sq(2, "depth", "z"),
+        ];
+        let run = |schedule: Schedule| {
+            let before = rig.ctx.memory.used();
+            let outcome = rig
+                .executor()
+                .execute(&subqueries, &schedule, &[0, 0, 0], &[], &[])
+                .unwrap();
+            assert_eq!(outcome.relation.len(), BLOCK);
+            rig.ctx.memory.used() - before
+        };
+        let undelayed = run(Schedule {
+            non_delayed: vec![0, 1, 2],
+            delayed: vec![],
+        });
+        let delayed = run(Schedule {
+            non_delayed: vec![0, 1],
+            delayed: vec![2],
+        });
+        assert_eq!(
+            delayed, undelayed,
+            "the same three partials and one final join stay charged"
+        );
     }
 
     #[test]
@@ -1438,7 +1415,7 @@ mod tests {
             scripted(OnCount::Fail(EndpointError::transport("tgt", "reset"))),
             IntegrityConfig::paranoid(),
         );
-        assert_eq!(rig.phase1(fresh(BLOCK)).unwrap().len(), BLOCK);
+        assert_eq!(rig.phase1(BLOCK).unwrap().len(), BLOCK);
         assert_eq!(rig.snapshot().verifications, 1);
         assert!(rig.ctx.take_warnings().is_empty());
 
@@ -1446,10 +1423,7 @@ mod tests {
             scripted(OnCount::Fail(EndpointError::deadline("tgt"))),
             IntegrityConfig::paranoid(),
         );
-        assert!(matches!(
-            rig.phase1(fresh(BLOCK)),
-            Err(EngineError::Timeout(_))
-        ));
+        assert!(matches!(rig.phase1(BLOCK), Err(EngineError::Timeout(_))));
 
         let token = CancelToken::new();
         let mut rig = Rig::new(
@@ -1458,7 +1432,7 @@ mod tests {
         );
         rig.ctx = RunContext::unbounded().with_cancel(token);
         assert!(matches!(
-            rig.phase1(fresh(BLOCK)),
+            rig.phase1(BLOCK),
             Err(EngineError::Cancelled(CancelReason::WatchdogReaped))
         ));
     }
@@ -1638,7 +1612,6 @@ mod tests {
             filters: vec![],
             sources: vec![0],
             projection: proj.iter().map(|n| v(n)).collect(),
-            optional: false,
         };
         let sqs = vec![mk(0, &["a", "b"]), mk(1, &["b", "c"]), mk(2, &["z"])];
         let comps = connected_components(&[0, 1, 2], &sqs);
@@ -1663,7 +1636,6 @@ mod tests {
             filters: vec![],
             sources: vec![0],
             projection: vec![v("x"), v("y")],
-            optional: false,
         };
         let mut b = FoundBindings::default();
         b.update(&v("x"), vec![Term::iri("http://1"), Term::iri("http://2")]);

@@ -20,6 +20,6 @@ pub mod schedule;
 pub mod stats;
 
 pub use estimate::{q_error, subquery_cardinality, TpCounts};
-pub use execute::{ExpectedRows, SapeExecutor, SapeOutcome};
+pub use execute::{SapeExecutor, SapeOutcome};
 pub use join::{dp_join_order, parallel_join};
 pub use schedule::{make_schedule, Schedule};

@@ -40,24 +40,15 @@ pub fn make_schedule(
         delayed: Vec::new(),
     };
 
-    // Optional subqueries are always delayed (category (iii) in §4.1).
-    let required: Vec<usize> = (0..subqueries.len())
-        .filter(|&i| !subqueries[i].optional)
-        .collect();
-    for (i, sq) in subqueries.iter().enumerate() {
-        if sq.optional {
-            schedule.delayed.push(i);
-        }
-    }
-    if required.len() <= 1 {
-        schedule.non_delayed.extend(required);
+    if subqueries.len() <= 1 {
+        schedule.non_delayed.extend(0..subqueries.len());
         return schedule;
     }
 
-    let cards: Vec<f64> = required.iter().map(|&i| cardinalities[i] as f64).collect();
-    let n_eps: Vec<f64> = required
+    let cards: Vec<f64> = cardinalities.iter().map(|&c| c as f64).collect();
+    let n_eps: Vec<f64> = subqueries
         .iter()
-        .map(|&i| subqueries[i].sources.len() as f64)
+        .map(|sq| sq.sources.len() as f64)
         .collect();
     let (mu_c, sigma_c) = clean_mean_std(&cards);
     let (mu_e, sigma_e) = clean_mean_std(&n_eps);
@@ -66,21 +57,21 @@ pub fn make_schedule(
 
     let min_card = cards.iter().copied().fold(f64::INFINITY, f64::min);
 
-    for (pos, &i) in required.iter().enumerate() {
-        let c = cards[pos];
-        let e = n_eps[pos];
+    for i in 0..subqueries.len() {
+        let c = cards[i];
+        let e = n_eps[i];
         // Chauvenet-rejected values are "significantly larger than the
         // majority" by construction and are delayed under every threshold
         // (they are excluded from μ/σ precisely so the threshold can catch
         // them).
-        let over_card = card_outliers[pos]
+        let over_card = card_outliers[i]
             || match threshold {
                 DelayThreshold::Mu => c >= mu_c,
                 DelayThreshold::MuSigma => c >= mu_c + sigma_c,
                 DelayThreshold::Mu2Sigma => c >= mu_c + 2.0 * sigma_c,
                 DelayThreshold::OutliersOnly => false,
             };
-        let over_eps = ep_outliers[pos]
+        let over_eps = ep_outliers[i]
             || match threshold {
                 DelayThreshold::OutliersOnly => false,
                 _ => e >= mu_e + sigma_e && sigma_e > 0.0,
@@ -94,11 +85,10 @@ pub fn make_schedule(
             schedule.non_delayed.push(i);
         }
     }
-    // Degenerate guard: at least one required subquery must run up front.
+    // Degenerate guard: at least one subquery must run up front.
     if schedule.non_delayed.is_empty() {
-        let first = required[0];
-        schedule.delayed.retain(|&i| i != first);
-        schedule.non_delayed.push(first);
+        schedule.delayed.retain(|&i| i != 0);
+        schedule.non_delayed.push(0);
     }
     schedule
 }
@@ -108,7 +98,7 @@ mod tests {
     use super::*;
     use lusail_sparql::ast::{TermPattern, TriplePattern};
 
-    fn sq(id: usize, n_sources: usize, optional: bool) -> Subquery {
+    fn sq(id: usize, n_sources: usize) -> Subquery {
         Subquery {
             id,
             patterns: vec![TriplePattern::new(
@@ -119,7 +109,6 @@ mod tests {
             filters: vec![],
             sources: (0..n_sources).collect(),
             projection: vec![],
-            optional,
         }
     }
 
@@ -127,7 +116,7 @@ mod tests {
     fn two_subqueries_delay_the_generic_one() {
         // The paper's LUBM Q3 shape: a selective subquery at one endpoint
         // and a generic type subquery at all endpoints.
-        let sqs = vec![sq(0, 1, false), sq(1, 4, false)];
+        let sqs = vec![sq(0, 1), sq(1, 4)];
         let s = make_schedule(&sqs, &[500, 40_000], DelayThreshold::MuSigma);
         assert_eq!(s.non_delayed, vec![0]);
         assert_eq!(s.delayed, vec![1]);
@@ -135,23 +124,15 @@ mod tests {
 
     #[test]
     fn equal_cardinalities_delay_nothing() {
-        let sqs = vec![sq(0, 2, false), sq(1, 2, false), sq(2, 2, false)];
+        let sqs = vec![sq(0, 2), sq(1, 2), sq(2, 2)];
         let s = make_schedule(&sqs, &[100, 100, 100], DelayThreshold::MuSigma);
         assert_eq!(s.delayed, Vec::<usize>::new());
         assert_eq!(s.non_delayed.len(), 3);
     }
 
     #[test]
-    fn optional_subqueries_always_delayed() {
-        let sqs = vec![sq(0, 2, false), sq(1, 2, true)];
-        let s = make_schedule(&sqs, &[10, 10], DelayThreshold::MuSigma);
-        assert_eq!(s.non_delayed, vec![0]);
-        assert_eq!(s.delayed, vec![1]);
-    }
-
-    #[test]
     fn mu_threshold_is_most_aggressive() {
-        let sqs: Vec<Subquery> = (0..4).map(|i| sq(i, 2, false)).collect();
+        let sqs: Vec<Subquery> = (0..4).map(|i| sq(i, 2)).collect();
         let cards = [10, 200, 300, 400];
         let mu = make_schedule(&sqs, &cards, DelayThreshold::Mu);
         let musig = make_schedule(&sqs, &cards, DelayThreshold::MuSigma);
@@ -164,7 +145,7 @@ mod tests {
 
     #[test]
     fn outliers_only_delays_true_outliers() {
-        let sqs: Vec<Subquery> = (0..6).map(|i| sq(i, 2, false)).collect();
+        let sqs: Vec<Subquery> = (0..6).map(|i| sq(i, 2)).collect();
         let cards = [10, 11, 9, 10, 12, 1_000_000];
         let s = make_schedule(&sqs, &cards, DelayThreshold::OutliersOnly);
         assert_eq!(s.delayed, vec![5]);
@@ -172,7 +153,7 @@ mod tests {
 
     #[test]
     fn single_subquery_never_delayed() {
-        let sqs = vec![sq(0, 8, false)];
+        let sqs = vec![sq(0, 8)];
         let s = make_schedule(&sqs, &[1_000_000], DelayThreshold::Mu);
         assert_eq!(s.non_delayed, vec![0]);
         assert!(s.delayed.is_empty());
@@ -181,7 +162,7 @@ mod tests {
     #[test]
     fn endpoint_fanout_triggers_delay() {
         // Same cardinalities, one subquery touches far more endpoints.
-        let sqs = vec![sq(0, 2, false), sq(1, 2, false), sq(2, 64, false)];
+        let sqs = vec![sq(0, 2), sq(1, 2), sq(2, 64)];
         let s = make_schedule(&sqs, &[101, 100, 102], DelayThreshold::MuSigma);
         assert!(s.delayed.contains(&2), "{s:?}");
     }

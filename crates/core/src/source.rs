@@ -16,7 +16,7 @@ use crate::normalize::ConjBranch;
 use crate::run::RunContext;
 use crate::sape::estimate::{count_select, pushable_filters, TpCounts};
 use lusail_federation::{EndpointError, EndpointId, Federation, RequestHandler};
-use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
+use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, SelectQuery, TriplePattern, Variable,
 };
@@ -116,6 +116,15 @@ pub fn select_sources(
 pub struct BlockStats {
     pub sources: Vec<Vec<EndpointId>>,
     pub counts: TpCounts,
+}
+
+/// The endpoints relevant to any pattern of a block, ascending: where an
+/// `OPTIONAL` or `MINUS` block, evaluated whole, is sent.
+pub fn merged_sources(sources: &[Vec<EndpointId>]) -> Vec<EndpointId> {
+    let mut merged: Vec<EndpointId> = sources.iter().flatten().copied().collect();
+    merged.sort_unstable();
+    merged.dedup();
+    merged
 }
 
 /// [`BlockStats`] of a branch's required patterns, of each `OPTIONAL` block
@@ -261,24 +270,6 @@ pub fn probe(
     branches: &[ConjBranch],
     ctx: &RunContext,
 ) -> Result<Vec<BranchStats>, EngineError> {
-    let probed = probe_fresh(federation, handler, cache, branches, ctx)?;
-    Ok(probed.into_iter().map(|(stats, _)| stats).collect())
-}
-
-/// Per required pattern of a branch, the endpoints whose count
-/// [`probe_fresh`] fetched during the call. A count read from
-/// `cache` describes the data as it was when some earlier query
-/// asked, so only a fresh one is the endpoint's claim for *this* query.
-pub type FreshCounts = Vec<FxHashSet<EndpointId>>;
-
-/// [`probe`], also telling the fetched counts from the cached ones.
-pub fn probe_fresh(
-    federation: &Federation,
-    handler: &RequestHandler,
-    cache: Option<&QueryCache>,
-    branches: &[ConjBranch],
-    ctx: &RunContext,
-) -> Result<Vec<(BranchStats, FreshCounts)>, EngineError> {
     // The query's distinct arms, and which arm each pattern slot reads. A
     // MINUS block is fetched whole, not costed: sources only, no filters.
     let mut arms: Vec<Arm> = Vec::new();
@@ -367,20 +358,12 @@ pub fn probe_fresh(
             })
             .collect(),
     };
-    // A skipped endpoint's asks were cleared above: it answered nothing.
-    let fresh = |k: usize| -> FxHashSet<EndpointId> {
-        let answered = |ep: &EndpointId| asks[*ep].contains(&k);
-        sources_of(k).iter().copied().filter(answered).collect()
-    };
     Ok(plan
         .iter()
-        .map(|(required, optionals, minuses)| {
-            let branch = BranchStats {
-                required: stats(required),
-                optionals: optionals.iter().map(stats).collect(),
-                minuses: minuses.iter().map(stats).collect(),
-            };
-            (branch, required.0.iter().map(|&k| fresh(k)).collect())
+        .map(|(required, optionals, minuses)| BranchStats {
+            required: stats(required),
+            optionals: optionals.iter().map(stats).collect(),
+            minuses: minuses.iter().map(stats).collect(),
         })
         .collect())
 }
@@ -527,32 +510,6 @@ mod tests {
         let again = probe(&fed, &handler, Some(&cache), &branches, &ctx).unwrap();
         assert_eq!(again, stats);
         assert_eq!(fed.total_traffic().requests, 3);
-    }
-
-    #[test]
-    fn only_counts_fetched_during_the_call_are_fresh() {
-        let fed = fed();
-        let handler = RequestHandler::new(4);
-        let cache = QueryCache::new();
-        let ctx = RunContext::unbounded();
-        let fresh_of = |branches: &[ConjBranch]| {
-            let probed = probe_fresh(&fed, &handler, Some(&cache), branches, &ctx);
-            let (stats, fresh) = probed.unwrap().remove(0);
-            assert_eq!(stats.required.sources.len(), fresh.len());
-            fresh
-        };
-        let set = |eps: &[EndpointId]| eps.iter().copied().collect::<FxHashSet<_>>();
-        let p = branch(vec![tp("?s", "http://x/p", "?o")]);
-        // Cold: every relevant endpoint answered just now.
-        assert_eq!(fresh_of(&p), [set(&[0, 2])]);
-        // Warm: the same numbers, but read from the count cache.
-        assert_eq!(fresh_of(&p), [set(&[])]);
-        // A new pattern next to the cached one: only the new one is fresh.
-        let pq = branch(vec![
-            tp("?s", "http://x/p", "?o"),
-            tp("?s", "http://x/q", "?o"),
-        ]);
-        assert_eq!(fresh_of(&pq), [set(&[]), set(&[1, 2])]);
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub struct Subquery {
     /// Variables shipped back to the federator: those needed by the global
     /// join, un-pushed filters, or the query's projection.
     pub projection: Vec<Variable>,
-    /// True for subqueries originating from an `OPTIONAL` group; SAPE
-    /// always delays these and left-joins their results.
-    pub optional: bool,
 }
 
 impl Subquery {
@@ -127,7 +124,6 @@ mod tests {
             )],
             sources: vec![0, 1],
             projection: vec![Variable::new("s"), Variable::new("z")],
-            optional: false,
         }
     }
 

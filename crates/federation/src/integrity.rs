@@ -113,10 +113,6 @@ pub enum QuarantineTransition {
 pub struct IntegritySnapshot {
     /// `COUNT(*)` verification probes issued for this endpoint.
     pub verifications: u64,
-    /// Responses the row-count heuristic flagged that were settled against
-    /// the count the analysis probe had already returned for the same
-    /// query, without a verification probe.
-    pub settled_by_expectation: u64,
     /// Responses confirmed truncated (advertised or claim > delivered).
     pub truncations_detected: u64,
     /// Recovery pages fetched.
@@ -228,12 +224,6 @@ impl IntegrityRegistry {
     /// Count one verification probe issued.
     pub fn record_verification(&self, endpoint: &str) {
         self.with(endpoint, |_, e| e.snapshot.verifications += 1);
-    }
-
-    /// Count one flagged response settled against the analysis probe's
-    /// count instead of a verification probe.
-    pub fn record_settled_by_expectation(&self, endpoint: &str) {
-        self.with(endpoint, |_, e| e.snapshot.settled_by_expectation += 1);
     }
 
     /// A verification reconciled: claim matched delivery. Advances the

@@ -33,7 +33,7 @@
 //! request. The group never merges results across members — it picks one
 //! answer — so a stale replica returns stale rows, not corrupt ones.
 
-use crate::endpoint::{EndpointError, FailureKind, SparqlEndpoint};
+use crate::endpoint::{EndpointError, FailureKind, SelectResponse, SparqlEndpoint};
 use crate::erh::{BreakerState, Deadline, HealthSnapshot};
 use crate::network::TrafficSnapshot;
 use lusail_sparql::ast::{GraphPattern, Query, QueryForm};
@@ -163,6 +163,26 @@ pub fn hedge_safe(query: &Query) -> bool {
     }
 }
 
+/// A member's answer with its truncation advertisement: the flag stays
+/// with the answer that wins, whichever member gave it.
+type Answer = (QueryResult, bool);
+
+/// One request to one member. A `SELECT` goes through the member's
+/// `select_with_meta`, the only call that reports an advertised cut.
+fn ask_member(
+    member: &dyn SparqlEndpoint,
+    query: &Query,
+    deadline: Deadline,
+) -> Result<Answer, EndpointError> {
+    match &query.form {
+        QueryForm::Select(_) => {
+            let response = member.select_with_meta(query, deadline)?;
+            Ok((QueryResult::Solutions(response.rows), response.truncated))
+        }
+        QueryForm::Ask(_) => Ok((member.execute_within(query, deadline)?, false)),
+    }
+}
+
 /// One endpoint backed by N equivalent member transports (see module docs).
 pub struct ReplicaGroup {
     name: String,
@@ -232,7 +252,7 @@ impl ReplicaGroup {
         query: &Query,
         deadline: &Deadline,
         is_failover: bool,
-    ) -> Result<QueryResult, EndpointError> {
+    ) -> Result<Answer, EndpointError> {
         self.counters[member]
             .dispatches
             .fetch_add(1, Ordering::Relaxed);
@@ -241,7 +261,7 @@ impl ReplicaGroup {
                 .failovers
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.members[member].execute_within(query, deadline.clone())
+        ask_member(self.members[member].as_ref(), query, deadline.clone())
     }
 
     /// The failure classes worth re-dispatching: the member (not the
@@ -283,19 +303,19 @@ impl ReplicaGroup {
         secondary: usize,
         query: &Query,
         deadline: &Deadline,
-    ) -> Result<Result<QueryResult, Vec<(String, String)>>, EndpointError> {
+    ) -> Result<Result<Answer, Vec<(String, String)>>, EndpointError> {
         let hedge_after = self
             .config
             .hedge_after
             .expect("hedged_pair called without hedge_after");
-        let (tx, rx) = mpsc::channel::<(usize, Result<QueryResult, EndpointError>)>();
+        let (tx, rx) = mpsc::channel::<(usize, Result<Answer, EndpointError>)>();
         let launch = |member: usize| {
             let ep = Arc::clone(&self.members[member]);
             let q = query.clone();
             let tx = tx.clone();
             let deadline = deadline.clone();
             std::thread::spawn(move || {
-                let r = ep.execute_within(&q, deadline);
+                let r = ask_member(ep.as_ref(), &q, deadline);
                 // The receiver is gone once a sibling won; the loser's
                 // result is deliberately dropped.
                 let _ = tx.send((member, r));
@@ -384,18 +404,10 @@ impl ReplicaGroup {
         }
         Ok(Err(failures))
     }
-}
 
-impl SparqlEndpoint for ReplicaGroup {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn execute_within(
-        &self,
-        query: &Query,
-        deadline: Deadline,
-    ) -> Result<QueryResult, EndpointError> {
+    /// One logical request: the preferred member, hedged when allowed,
+    /// then failover down the ranking within the budget.
+    fn request(&self, query: &Query, deadline: Deadline) -> Result<Answer, EndpointError> {
         self.logical_requests.fetch_add(1, Ordering::Relaxed);
         if deadline.expired() {
             return Err(EndpointError::expired(&self.name, &deadline));
@@ -446,6 +458,40 @@ impl SparqlEndpoint for ReplicaGroup {
             next += 1;
         }
         Err(self.all_failed(&tried, order.len() - tried.len()))
+    }
+}
+
+impl SparqlEndpoint for ReplicaGroup {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn execute_within(
+        &self,
+        query: &Query,
+        deadline: Deadline,
+    ) -> Result<QueryResult, EndpointError> {
+        Ok(self.request(query, deadline)?.0)
+    }
+
+    fn select_with_meta(
+        &self,
+        query: &Query,
+        deadline: Deadline,
+    ) -> Result<SelectResponse, EndpointError> {
+        let (result, truncated) = self.request(query, deadline)?;
+        Ok(SelectResponse {
+            rows: result.into_solutions(),
+            truncated,
+        })
+    }
+
+    /// The verdict is about the data, which every member mirrors: each
+    /// member's health registry takes it, so ranking and `--stats` see it.
+    fn set_quarantined(&self, on: bool) {
+        for m in &self.members {
+            m.set_quarantined(on);
+        }
     }
 
     fn traffic(&self) -> TrafficSnapshot {

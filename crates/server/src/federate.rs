@@ -622,14 +622,12 @@ impl QueryBackend for FederationService {
             .iter()
             .map(|(name, s)| {
                 format!(
-                    "\"{}\":{{\"verifications\":{},\"settled_by_expectation\":{},\
-                     \"truncations_detected\":{},\
+                    "\"{}\":{{\"verifications\":{},\"truncations_detected\":{},\
                      \"pages_fetched\":{},\"rows_recovered\":{},\"count_divergences\":{},\
                      \"quarantine_entries\":{},\"quarantine_exits\":{},\"quarantined\":{},\
                      \"learned_cap\":{}}}",
                     json::escape(name),
                     s.verifications,
-                    s.settled_by_expectation,
                     s.truncations_detected,
                     s.pages_fetched,
                     s.rows_recovered,

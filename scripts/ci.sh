@@ -9,12 +9,20 @@ cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 cargo fmt --all --check
 
-# The finishing path (DESIGN.md → Result assembly) is written once; a new
-# engine or baseline calls it instead of pasting the block again.
-for def in compare_terms finalize_select 'union(_relations)?'; do
+# The finishing path and the branch assembly (DESIGN.md → Result assembly)
+# are written once; a new engine or baseline calls them instead of pasting
+# the block again.
+for def in compare_terms finalize_select 'union(_relations)?' 'assemble_branch(<[^>]*>)?'; do
     n=$(grep -rhoE "fn ${def}\(" crates --include='*.rs' | wc -l)
     [ "$n" -eq 1 ] || { echo "fn ${def} is defined ${n} times under crates/, want 1" >&2; exit 1; }
 done
+# The engine sends no endpoint request of its own: requests go out from
+# source.rs, lade/gjv.rs and sape/execute.rs only, so the next kind of
+# block cannot bypass the one response-settling path.
+if grep -nE 'map_cancellable\(|_within\(' crates/core/src/engine.rs; then
+    echo "crates/core/src/engine.rs sends an endpoint request; fetch through SapeExecutor" >&2
+    exit 1
+fi
 
 # The product API the benchmark compiles against (a package of its own,
 # outside the workspace) must still build: a break fails here, not in the

@@ -431,25 +431,23 @@ fn recovery_respects_the_deadline() {
 
 // ---- the analysis probe's count as the claim -----------------------------
 
-/// Under the default (trusting) config a flagged response whose row count
-/// equals the analysis probe's count is settled without a request — but
-/// only then. A silently capped single-pattern subquery delivers *fewer*
-/// rows than the analysis probe counted, so it is still cross-probed and
-/// paged back byte-identical to the healthy run; an endpoint that inflates
-/// its counts inflates the analysis count too, never reconciles, and is
-/// still quarantined. Neither lie is ever settled against the expectation.
-/// (Caches off, so every count here is fetched by the query that uses it;
-/// the cached-count case is the next test.)
+/// Under the default (trusting) config the analysis probe's count is a
+/// truncation signal of its own. A silently capped single-pattern subquery
+/// delivers *fewer* rows than the analysis probe counted, so it is
+/// cross-probed and paged back byte-identical to the healthy run; an
+/// endpoint that inflates its counts inflates the analysis count too,
+/// never reconciles, and is quarantined. (Caches off, so every count here
+/// is fetched by the query that uses it; the cached-count case is the
+/// next test.)
 #[test]
 fn a_disagreeing_analysis_count_still_probes_under_the_default_config() {
     let config = |policy| LusailConfig {
         result_policy: policy,
         ..LusailConfig::without_cache()
     };
-    let settled = |engine: &LusailEngine, name: &str| {
+    let stats = |engine: &LusailEngine, name: &str| {
         let snap = engine.integrity().snapshot();
         let (_, s) = snap.iter().find(|(n, _)| n == name).expect("stats");
-        assert_eq!(s.settled_by_expectation, 0, "{s:?}");
         s.clone()
     };
 
@@ -472,7 +470,7 @@ fn a_disagreeing_analysis_count_still_probes_under_the_default_config() {
     assert_eq!(want.len(), ROWS);
     assert_eq!(canonical_bytes(&got), canonical_bytes(&want));
     assert!(profile.warnings.is_empty(), "{:?}", profile.warnings);
-    let s = settled(&lying, "trunky");
+    let s = stats(&lying, "trunky");
     assert_eq!((s.verifications, s.truncations_detected), (1, 1), "{s:?}");
 
     let rig = rig(FaultProfile::miscounts(3.0));
@@ -482,7 +480,7 @@ fn a_disagreeing_analysis_count_still_probes_under_the_default_config() {
         let rel = engine.execute(&q).unwrap();
         assert_eq!(rel.len(), 3 * ROWS_PER_SHARD, "run {run}");
     }
-    let s = settled(&engine, FAULTY_NAME);
+    let s = stats(&engine, FAULTY_NAME);
     assert!(s.quarantined && s.count_divergences == 2, "{s:?}");
     assert!(rig.faulty.health_snapshot().quarantined);
 }
@@ -525,12 +523,12 @@ impl SparqlEndpoint for Swappable {
     }
 }
 
-/// Only a count the endpoint gave during this very query is its claim for
-/// this query. Under the default config the analysis count of a repeated
-/// query comes from the cross-query count cache, and the data may have
-/// grown since: a capping endpoint then still delivers exactly the cached
-/// count. That response must be cross-probed and paged back in full, not
-/// settled against the stale number.
+/// An analysis count equal to the rows delivered verifies nothing. Under
+/// the default config the analysis count of a repeated query comes from
+/// the cross-query count cache, and the data may have grown since: a
+/// capping endpoint then still delivers exactly the cached count. That
+/// response must be cross-probed and paged back in full, not settled
+/// against the stale number.
 #[test]
 fn a_cached_analysis_count_never_settles_a_response() {
     const CAP: usize = 64;
@@ -568,7 +566,7 @@ fn a_cached_analysis_count_never_settles_a_response() {
     }
     let s = stats();
     assert_eq!(s.learned_cap, Some(CAP), "{s:?}");
-    assert_eq!((s.verifications, s.settled_by_expectation), (1, 0), "{s:?}");
+    assert_eq!(s.verifications, 1, "{s:?}");
 
     // The data grows; the endpoint still delivers CAP rows.
     *endpoint.current.lock().unwrap() = capped(GROWN);
@@ -582,8 +580,129 @@ fn a_cached_analysis_count_never_settles_a_response() {
     assert_eq!(canonical_bytes(&got), canonical_bytes(&want));
     assert!(profile.warnings.is_empty(), "{:?}", profile.warnings);
     let s = stats();
-    assert_eq!((s.verifications, s.settled_by_expectation), (2, 0), "{s:?}");
+    assert_eq!(s.verifications, 2, "{s:?}");
     assert_eq!(s.truncations_detected, 1, "{s:?}");
+}
+
+// ---- OPTIONAL and MINUS blocks ------------------------------------------
+
+/// Subjects at each endpoint of [`block_rig`].
+const BLOCK_ROWS: usize = 40;
+
+const MINUS_QUERY: &str =
+    "SELECT ?s ?v WHERE { ?s <http://x/p> ?v MINUS { ?s <http://x/retired> ?y } }";
+const OPTIONAL_QUERY: &str =
+    "SELECT ?s ?v ?y WHERE { ?s <http://x/p> ?v OPTIONAL { ?s <http://x/retired> ?y } }";
+
+/// Two endpoints over the same 40 subjects: `live` holds one `:p` value
+/// each (the required pattern), `retired` one `:retired` mark each (the
+/// block), so `MINUS` leaves nothing and `OPTIONAL` binds `?y` in every
+/// row. Each endpoint lies its own way.
+fn block_rig(live: FaultProfile, retired: FaultProfile) -> Federation {
+    let mut graphs = [Graph::new(), Graph::new()];
+    for i in 0..BLOCK_ROWS {
+        let s = Term::iri(format!("http://x/s{i:02}"));
+        graphs[0].add(s.clone(), Term::iri("http://x/p"), Term::integer(i as i64));
+        graphs[1].add(s, Term::iri("http://x/retired"), Term::iri("http://x/yes"));
+    }
+    let endpoint = |name: &str, g: &Graph, profile| {
+        let inner = SimulatedEndpoint::new(name, Store::from_graph(g), NetworkProfile::instant());
+        Arc::new(FaultyEndpoint::with_config(
+            Arc::new(inner),
+            chaos_seed(),
+            profile,
+            FaultyConfig::default(),
+        )) as Arc<dyn SparqlEndpoint>
+    };
+    Federation::new(vec![
+        endpoint("live", &graphs[0], live),
+        endpoint("retired", &graphs[1], retired),
+    ])
+}
+
+/// Run `query` over [`block_rig`] under paranoid integrity.
+fn run_block(
+    query: &str,
+    (live, retired): (FaultProfile, FaultProfile),
+    policy: ResultPolicy,
+) -> Result<(Relation, Vec<lusail_core::ExecutionWarning>), EngineError> {
+    let engine = LusailEngine::new(block_rig(live, retired), paranoid(policy));
+    let (rel, profile) = engine.execute_profiled(&parse_query(query).unwrap())?;
+    Ok((rel, profile.warnings))
+}
+
+/// A block's rows are fetched like any subquery's: a fleet that silently
+/// caps every `SELECT` at 10 rows still answers byte-identical to the
+/// honest one. A `MINUS` block cut to 10 of its 40 rows would otherwise
+/// let 30 rows through that the merged graph excludes — with no warning.
+#[test]
+fn a_truncated_minus_or_optional_block_is_recovered_byte_identical() {
+    let honest = (FaultProfile::none(), FaultProfile::none());
+    let capped = (
+        FaultProfile::silent_truncate(10),
+        FaultProfile::silent_truncate(10),
+    );
+    for (query, rows) in [(MINUS_QUERY, 0), (OPTIONAL_QUERY, BLOCK_ROWS)] {
+        let (want, _) = run_block(query, honest, ResultPolicy::FailFast).unwrap();
+        let (got, warnings) = run_block(query, capped, ResultPolicy::FailFast)
+            .unwrap_or_else(|e| panic!("{query} (seed {}): {e}", chaos_seed()));
+        assert_eq!(want.len(), rows, "{query}");
+        assert!(want.rows().iter().all(|r| r.iter().all(Option::is_some)));
+        assert_eq!(canonical_bytes(&got), canonical_bytes(&want), "{query}");
+        assert!(warnings.is_empty(), "{query}: {warnings:?}");
+    }
+}
+
+/// A block endpoint whose `COUNT` cannot be reconciled with what paging
+/// drains is a lying endpoint wherever its rows were headed: a structured
+/// integrity error under fail-fast, a non-skippable warning naming the
+/// block under `--partial` (the rows it did deliver are kept).
+#[test]
+fn a_miscounted_block_is_an_integrity_error_or_a_non_skippable_warning() {
+    let lying = (FaultProfile::none(), FaultProfile::miscounts(3.0));
+    for (query, what, rows) in [
+        (MINUS_QUERY, "MINUS block", 0),
+        (OPTIONAL_QUERY, "subquery #1", BLOCK_ROWS),
+    ] {
+        match run_block(query, lying, ResultPolicy::FailFast) {
+            Err(EngineError::Endpoint(e)) => {
+                assert_eq!(e.kind, FailureKind::Integrity, "{query}: {e}");
+                assert_eq!(e.endpoint, "retired", "{query}: {e}");
+            }
+            other => panic!("{query}: expected an integrity error, got {other:?}"),
+        }
+        let (rel, warnings) = run_block(query, lying, ResultPolicy::Partial).unwrap();
+        assert_eq!(rel.len(), rows, "{query}");
+        let named = |w: &lusail_core::ExecutionWarning| {
+            w.endpoint == "retired" && w.subquery == what && w.message.contains("integrity")
+        };
+        assert!(warnings.iter().any(named), "{query}: {warnings:?}");
+    }
+}
+
+/// A block endpoint that dies after the analysis probe, under `--partial`:
+/// the block contributes nothing, which for `OPTIONAL` leaves `?y` unbound
+/// and for `MINUS` removes nothing — a *superset* of the true answer — and
+/// the warning says whose rows are missing from which block.
+#[test]
+fn a_dead_block_endpoint_under_partial_degrades_with_a_warning_naming_the_block() {
+    let dying = (FaultProfile::none(), FaultProfile::dies_after(1));
+    for (query, what) in [
+        (MINUS_QUERY, "MINUS block"),
+        (OPTIONAL_QUERY, "subquery #1"),
+    ] {
+        let (rel, warnings) = run_block(query, dying, ResultPolicy::Partial).unwrap();
+        assert_eq!(rel.len(), BLOCK_ROWS, "{query}");
+        let unbound = rel.rows().iter().flatten().filter(|c| c.is_none()).count();
+        assert_eq!(unbound, rel.len() * (rel.vars().len() - 2), "{query}");
+        let named =
+            |w: &lusail_core::ExecutionWarning| w.endpoint == "retired" && w.subquery == what;
+        assert!(warnings.iter().any(named), "{query}: {warnings:?}");
+        assert!(
+            run_block(query, dying, ResultPolicy::FailFast).is_err(),
+            "{query}"
+        );
+    }
 }
 
 // ---- paging property ---------------------------------------------------

@@ -337,3 +337,78 @@ fn hedging_rescues_slow_member_within_amplification_bound() {
         chaos_seed()
     );
 }
+
+/// A group forwards what its members know. A mirror behind `lusail serve
+/// --max-result-rows` advertises every cut (`X-Lusail-Truncated`); through
+/// the group the flag arrives with the winning answer, so the engine pages
+/// the rest back without waiting for a heuristic to fire, and a quarantine
+/// verdict on the group reaches each member's health registry.
+#[test]
+fn a_group_forwards_an_advertised_cut_and_the_engine_pages_the_rest_back() {
+    use lusail_federation::{Deadline, HttpEndpoint};
+    use lusail_rdf::{Graph, Term};
+    use lusail_server::{ServerConfig, SparqlServer};
+
+    const ROWS: usize = 40;
+    const CAP: usize = 10;
+    let mut g = Graph::new();
+    for i in 0..ROWS {
+        g.add(
+            Term::iri(format!("http://x/s{i:02}")),
+            Term::iri("http://x/p"),
+            Term::integer(i as i64),
+        );
+    }
+    let capped = ServerConfig {
+        max_result_rows: Some(CAP),
+        ..Default::default()
+    };
+    let servers: Vec<_> = (0..2)
+        .map(|_| {
+            SparqlServer::bind("127.0.0.1:0", Store::from_graph(&g), capped.clone())
+                .expect("bind ephemeral port")
+                .spawn()
+        })
+        .collect();
+    let members = servers
+        .iter()
+        .enumerate()
+        .map(|(i, server)| {
+            let http = HttpEndpoint::new(format!("mirror{i}"), &server.url()).expect("valid URL");
+            Arc::new(http) as Arc<dyn SparqlEndpoint>
+        })
+        .collect();
+    let group = Arc::new(ReplicaGroup::new("data", members, ReplicaConfig::default()));
+
+    let q = parse_query("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }").unwrap();
+    let response = group.select_with_meta(&q, Deadline::none()).unwrap();
+    assert_eq!(response.rows.len(), CAP);
+    assert!(response.truncated, "the member's advertisement is dropped");
+
+    // Default (trusting) integrity config: only the advertisement can
+    // tell the engine that a first 10-row response is a prefix.
+    let engine = LusailEngine::new(
+        Federation::new(vec![group.clone() as Arc<dyn SparqlEndpoint>]),
+        LusailConfig::without_cache(),
+    );
+    let (rel, profile) = engine.execute_profiled(&q).unwrap();
+    let healthy = SimulatedEndpoint::new("data", Store::from_graph(&g), NetworkProfile::instant());
+    let want = healthy.select(&q).unwrap();
+    assert_same_solutions("paged back through the group", &rel, &want);
+    assert!(profile.warnings.is_empty(), "{:?}", profile.warnings);
+    let snap = engine.integrity().snapshot();
+    let (_, s) = snap.iter().find(|(n, _)| n == "data").expect("stats");
+    assert_eq!(s.truncations_detected, 1, "{s:?}");
+    assert!(s.rows_recovered as usize >= ROWS - CAP, "{s:?}");
+
+    group.set_quarantined(true);
+    let quarantined = |m: &Arc<dyn SparqlEndpoint>| m.health().is_some_and(|h| h.quarantined);
+    assert!(group.members().iter().all(quarantined));
+    assert!(group.health().is_some_and(|h| h.quarantined));
+    group.set_quarantined(false);
+    assert!(!group.members().iter().any(quarantined));
+
+    for server in servers {
+        server.shutdown();
+    }
+}
