@@ -168,6 +168,10 @@ fn merge_profiles(into: &mut ExecutionProfile, from: ExecutionProfile) {
         }
     }
     into.estimates.extend(from.estimates);
+    into.join_steps.extend(from.join_steps);
+    into.join_inputs.extend(from.join_inputs);
+    into.join_planning += from.join_planning;
+    into.join_time += from.join_time;
 }
 
 #[cfg(test)]

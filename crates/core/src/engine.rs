@@ -45,6 +45,16 @@ pub struct ExecutionProfile {
     /// `(subquery id, estimated, actual)` for non-delayed multi-pattern
     /// subqueries — input to the q-error analysis.
     pub estimates: Vec<(usize, usize, usize)>,
+    /// `(estimated, actual)` rows of every join node of the global join,
+    /// in execution order, over all branches.
+    pub join_steps: Vec<(usize, usize)>,
+    /// `(left, right)` rows that went into each node of `join_steps`.
+    pub join_inputs: Vec<(usize, usize)>,
+    /// Time the global join spent planning: the distinct-count statistics
+    /// and the plan enumeration.
+    pub join_planning: Duration,
+    /// Time the global join spent executing its plan.
+    pub join_time: Duration,
     /// Rows in the final result.
     pub result_rows: usize,
     /// Work skipped under [`crate::ResultPolicy::Partial`]: each entry
@@ -268,6 +278,10 @@ impl LusailEngine {
         let outcome =
             executor.execute(&subqueries, &schedule, &cardinalities, &bridges, &expected)?;
         profile.estimates.extend(outcome.estimates.iter().copied());
+        profile.join_steps.extend(&outcome.join.steps);
+        profile.join_inputs.extend(&outcome.join.inputs);
+        profile.join_planning += outcome.join.planning;
+        profile.join_time += outcome.join.joining;
 
         // ---- Branch assembly: every block is one more bound subquery ----
         let fetch = |role, i: usize, block: &_, rows: &_| {

@@ -1,11 +1,28 @@
 //! Algorithm 3: selectivity-aware evaluation of subqueries.
+//!
+//! Phase 1 sends the non-delayed subqueries in one wave; their connected
+//! results are joined to find bindings; phase 2 evaluates the delayed
+//! subqueries one by one, most selective first, over those bindings; the
+//! global join ([`join_all_bridged`]) assembles everything. Two deviations
+//! from the algorithm as printed, both decided on rows already in hand:
+//!
+//! * **A delayed subquery is bound only when binding is the smaller
+//!   request.** Algorithm 3 always ships the found bindings in `VALUES`
+//!   blocks. When there are at least as many bindings as the subquery has
+//!   rows (its `COUNT`-based cardinality), the blocks carry more terms out
+//!   than the unbound subquery brings back, in more requests; it is then
+//!   sent as it is, once per source, and the global join restricts it.
+//! * **Found bindings are kept only where they can be read**: for the
+//!   variables a delayed subquery that has not run yet mentions. The
+//!   bind variables, the blocks and the requests are the same; the columns
+//!   nothing reads are no longer interned.
 
 use crate::budget::MemoryPhase;
 use crate::config::{LusailConfig, ResultPolicy};
 use crate::error::EngineError;
 use crate::normalize::OptionalBlock;
 use crate::run::{ExecutionWarning, RunContext};
-use crate::sape::join::{budgeted_join, charge_output, dp_join_order};
+use crate::sape::join::{join_all_bridged, JoinReport};
 use crate::sape::recover;
 use crate::sape::schedule::Schedule;
 use crate::source::{merged_sources, BlockStats};
@@ -20,7 +37,7 @@ use lusail_rdf::Term;
 use lusail_sparql::ast::{GraphPattern, Query, TriplePattern, Variable};
 use lusail_sparql::serializer::serialize_query;
 use lusail_sparql::solution::Relation;
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
 /// The result of executing one branch's subqueries.
@@ -34,6 +51,8 @@ pub struct SapeOutcome {
     pub estimates: Vec<(usize, usize, usize)>,
     /// How many subqueries were evaluated as bound joins.
     pub delayed_executed: usize,
+    /// What the global join planned and did.
+    pub join: JoinReport,
 }
 
 /// Executes one branch's scheduled subqueries against the federation.
@@ -120,29 +139,12 @@ impl SapeExecutor<'_> {
             }
         }
 
-        // ---- Found bindings: join connected non-delayed results --------
-        // (§4.2: "Whenever possible, the results of non-delayed subqueries
-        // are joined together. This reduces the number of found bindings.")
-        let mut bindings = FoundBindings::default();
-        if !schedule.delayed.is_empty() {
-            for component in connected_components(&schedule.non_delayed, subqueries) {
-                let rels: Vec<&Relation> = component
-                    .iter()
-                    .map(|&i| partials[i].as_ref().unwrap())
-                    .collect();
-                // The join is read for its columns and dropped, and its
-                // charge with it.
-                let (joined, charged) = join_all_bridged(&rels, &[], self.handler, self.ctx)?;
-                for v in joined.vars() {
-                    bindings.update_from(v, &joined);
-                }
-                self.ctx.memory.release(charged);
-            }
-        }
+        let mut bindings = self.found_bindings(subqueries, schedule, &partials)?;
 
         // ---- Phase 2: delayed subqueries as bound joins -----------------
         let mut remaining: Vec<usize> = schedule.delayed.clone();
         let mut delayed_executed = 0;
+        let nothing_found = FoundBindings::default();
 
         while !remaining.is_empty() {
             self.ctx.check()?;
@@ -154,8 +156,19 @@ impl SapeExecutor<'_> {
                 })
                 .unwrap();
             let i = remaining.swap_remove(pick_pos);
-            let rel = self.run_bound(&subqueries[i], &labels[i], &bindings, expected.get(i))?;
-            for v in &subqueries[i].projection {
+            let sq = &subqueries[i];
+            // Binding pays while the bindings are fewer than the rows the
+            // subquery has anyway. Otherwise the blocks would carry more
+            // terms out than the unbound subquery brings back, in more
+            // requests, and the global join does the restriction.
+            let found = bindings.bind_variable(sq).and_then(|v| bindings.count(&v));
+            let unbound = found.is_some_and(|found| found >= cardinalities[i].max(1));
+            let over = if unbound { &nothing_found } else { &bindings };
+            let rel = self.run_bound(sq, &labels[i], over, expected.get(i))?;
+            // From here on, too, bindings are kept only where they can be
+            // read: by a delayed subquery still to run.
+            let read = |v: &&Variable| remaining.iter().any(|&i| subqueries[i].mentions(v));
+            for v in sq.projection.iter().filter(read) {
                 bindings.update_from(v, &rel);
             }
             partials[i] = Some(rel);
@@ -165,13 +178,50 @@ impl SapeExecutor<'_> {
         // ---- Final join ----------------------------------------------
         // Its output stays charged: the caller holds it to the query's end.
         let rels: Vec<&Relation> = partials.iter().flatten().collect();
-        let (relation, _) = join_all_bridged(&rels, bridges, self.handler, self.ctx)?;
+        let joined = join_all_bridged(&rels, bridges, self.handler, self.ctx)?;
 
         Ok(SapeOutcome {
-            relation: relation.into_owned(),
+            relation: joined.relation.into_owned(),
             estimates,
             delayed_executed,
+            join: joined.report,
         })
+    }
+
+    /// The found bindings phase 1 leaves for phase 2: connected non-delayed
+    /// results are joined (§4.2: "Whenever possible, the results of
+    /// non-delayed subqueries are joined together. This reduces the number
+    /// of found bindings."), and the joins' columns kept for the variables
+    /// a delayed subquery mentions — no other is ever read, so a component
+    /// without one is not even joined.
+    fn found_bindings(
+        &self,
+        subqueries: &[Subquery],
+        schedule: &Schedule,
+        partials: &[Option<Relation>],
+    ) -> Result<FoundBindings, EngineError> {
+        let mut bindings = FoundBindings::default();
+        if schedule.delayed.is_empty() {
+            return Ok(bindings);
+        }
+        let read = |v: &Variable| schedule.delayed.iter().any(|&i| subqueries[i].mentions(v));
+        for component in connected_components(&schedule.non_delayed, subqueries) {
+            let rels: Vec<&Relation> = component
+                .iter()
+                .map(|&i| partials[i].as_ref().unwrap())
+                .collect();
+            if !rels.iter().any(|rel| rel.vars().iter().any(read)) {
+                continue;
+            }
+            // The join is read for its columns and dropped, and its
+            // charge with it.
+            let joined = join_all_bridged(&rels, &[], self.handler, self.ctx)?;
+            for v in joined.relation.vars().iter().filter(|v| read(v)) {
+                bindings.update_from(v, &joined.relation);
+            }
+            self.ctx.memory.release(joined.charged);
+        }
+        Ok(bindings)
     }
 
     /// Fetch the rows of an `OPTIONAL` or `MINUS` block (`stats` is what
@@ -222,12 +272,7 @@ impl SapeExecutor<'_> {
         bindings: &FoundBindings,
         expected: Option<&FxHashMap<EndpointId, usize>>,
     ) -> Result<Relation, EngineError> {
-        // Choose the overlap variable with the fewest found bindings.
-        let bind_var = sq
-            .variables()
-            .into_iter()
-            .filter(|v| bindings.contains(v))
-            .min_by_key(|v| bindings.count(v));
+        let bind_var = bindings.bind_variable(sq);
 
         let sources = self.refine_sources(sq, what, bind_var.as_ref(), bindings)?;
 
@@ -903,86 +948,6 @@ fn connected_components(executed: &[usize], subqueries: &[Subquery]) -> Vec<Vec<
     components
 }
 
-/// Join a set of relations in DP order; when two relations share no
-/// variable but a `FILTER(?a = ?b)` bridge connects them, hash join on the
-/// bridge keys instead of taking the product.
-///
-/// Every pairwise join runs through [`budgeted_join`]: under a bounded
-/// memory budget, a join whose working set would not fit spills to an
-/// external sort-merge, and a join whose *output* cannot fit either
-/// aborts ([`ResultPolicy::FailFast`]) or truncates with a warning
-/// ([`ResultPolicy::Partial`]). Consumed accumulators release their
-/// charge, so only the live intermediate stays accounted: the result
-/// comes with the bytes still charged for it, the caller's to release
-/// when it drops the relation before the query ends.
-fn join_all_bridged<'a>(
-    rels: &[&'a Relation],
-    bridges: &[(Variable, Variable)],
-    handler: &RequestHandler,
-    ctx: &RunContext,
-) -> Result<(Cow<'a, Relation>, usize), EngineError> {
-    const WHAT: &str = "global join";
-    match rels {
-        // The unit relation: no vars, one empty row.
-        [] => Ok((
-            Cow::Owned(Relation::from_rows(Vec::new(), vec![Vec::new()])),
-            0,
-        )),
-        [only] => Ok((Cow::Borrowed(*only), 0)),
-        _ => {
-            let order = dp_join_order(rels);
-            let truncate = ctx.policy == ResultPolicy::Partial;
-            // The accumulator borrows the first input until a join has
-            // produced an intermediate of its own.
-            let mut joined: Option<Relation> = None;
-            let mut acc_charged = 0usize;
-            for &i in &order[1..] {
-                let acc = joined.as_ref().unwrap_or(rels[order[0]]);
-                let next = rels[i];
-                let shares_var = acc.vars().iter().any(|v| next.index_of(v).is_some());
-                let outcome = if shares_var {
-                    budgeted_join(acc, next, handler, &ctx.memory, truncate)
-                } else {
-                    // Disconnected: look for bridges in either orientation.
-                    let pairs: Vec<(Variable, Variable)> = bridges
-                        .iter()
-                        .filter_map(|(a, b)| {
-                            if acc.index_of(a).is_some() && next.index_of(b).is_some() {
-                                Some((a.clone(), b.clone()))
-                            } else if acc.index_of(b).is_some() && next.index_of(a).is_some() {
-                                Some((b.clone(), a.clone()))
-                            } else {
-                                None
-                            }
-                        })
-                        .collect();
-                    if pairs.is_empty() {
-                        budgeted_join(acc, next, handler, &ctx.memory, truncate)
-                    } else {
-                        charge_output(acc.equi_join(next, &pairs), &ctx.memory, truncate)
-                    }
-                };
-                let outcome = outcome.map_err(|_| ctx.budget_error(WHAT, ""))?;
-                if outcome.truncated {
-                    ctx.warn(ExecutionWarning {
-                        endpoint: "federator".into(),
-                        subquery: WHAT.into(),
-                        message: format!(
-                            "memory budget exhausted: join output truncated to {} rows",
-                            outcome.relation.len()
-                        ),
-                    });
-                }
-                ctx.memory.release(acc_charged);
-                joined = Some(outcome.relation);
-                acc_charged = outcome.charged;
-            }
-            let joined = joined.expect("two or more inputs: at least one join ran");
-            Ok((Cow::Owned(joined), acc_charged))
-        }
-    }
-}
-
 /// The found bindings of Algorithm 3, held as interned ids.
 ///
 /// One query-scoped [`Dictionary`] interns every binding term exactly
@@ -1044,6 +1009,15 @@ impl FoundBindings {
 
     fn contains(&self, v: &Variable) -> bool {
         self.vars.contains_key(v)
+    }
+
+    /// The variable a bound join of `sq` binds: the one with the fewest
+    /// found bindings among those it mentions.
+    fn bind_variable(&self, sq: &Subquery) -> Option<Variable> {
+        sq.variables()
+            .into_iter()
+            .filter(|v| self.contains(v))
+            .min_by_key(|v| self.count(v))
     }
 
     /// Number of bindings for `v`, if any were found.
@@ -1398,6 +1372,78 @@ mod tests {
             delayed, undelayed,
             "the same three partials and one final join stay charged"
         );
+    }
+
+    #[test]
+    fn phase_one_keeps_bindings_only_for_variables_a_delayed_subquery_mentions() {
+        let rig = Rig::new(
+            Arc::new(simulated(1, NetworkProfile::instant())),
+            IntegrityConfig::default(),
+        );
+        let pattern = |s: &str, o: &str| {
+            TriplePattern::new(
+                TermPattern::var(s),
+                TermPattern::iri("http://x/p"),
+                TermPattern::var(o),
+            )
+        };
+        let sq = |id: usize, s: &str, o: &str| Subquery {
+            id,
+            patterns: vec![pattern(s, o)],
+            filters: vec![],
+            sources: vec![0],
+            projection: vec![v(s), v(o)],
+        };
+        // a–b and b–c join; y–z stands alone; the delayed one reads ?c
+        // (and ?q, which nothing has found).
+        let subqueries = [
+            sq(0, "a", "b"),
+            sq(1, "b", "c"),
+            sq(2, "y", "z"),
+            sq(3, "c", "q"),
+        ];
+        let schedule = Schedule {
+            non_delayed: vec![0, 1, 2],
+            delayed: vec![3],
+        };
+        let pairs = |vars: [&str; 2], rows: std::ops::Range<usize>| {
+            let mut rel = Relation::new(vars.iter().map(|n| v(n)).collect());
+            for i in rows {
+                rel.push(vec![Some(d(i)), Some(d(i))]);
+            }
+            Some(rel)
+        };
+        let partials = [
+            pairs(["a", "b"], 0..10),
+            pairs(["b", "c"], 5..30),
+            pairs(["y", "z"], 0..50),
+            None,
+        ];
+        let bindings = rig
+            .executor()
+            .found_bindings(&subqueries, &schedule, &partials)
+            .unwrap();
+        let mut kept: Vec<&Variable> = bindings.vars.keys().collect();
+        kept.sort();
+        assert_eq!(kept, [&v("c")]);
+        // ... reduced by the join with a–b, as §4.2 has it.
+        assert_eq!(
+            sorted_terms(&bindings, &v("c")),
+            (5..10).map(d).collect::<Vec<_>>()
+        );
+        assert_eq!(bindings.dict.len(), 5, "no other column was interned");
+        assert_eq!(rig.ctx.memory.used(), 0);
+
+        // Nothing delayed: nothing joined, nothing kept.
+        let undelayed = Schedule {
+            non_delayed: vec![0, 1, 2, 3],
+            delayed: vec![],
+        };
+        let none = rig
+            .executor()
+            .found_bindings(&subqueries, &undelayed, &partials)
+            .unwrap();
+        assert!(none.vars.is_empty());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * [`estimate`] — the cost model: per-triple-pattern `COUNT` probes and
 //!   the min/sum/max cardinality composition of Section 4.1.
 //! * [`schedule`] — the delayed/non-delayed split (Figure 7, Figure 13).
-//! * [`join`] — the DP join-order optimizer and the parallel hash join.
+//! * [`join`] — the join planner (bushy DP over the distinct counts of the
+//!   rows in hand), its executor, and the parallel and spilling hash joins.
 //! * [`execute`] — Algorithm 3: concurrent evaluation of non-delayed
 //!   subqueries, bound joins over `VALUES` blocks for delayed ones, source
 //!   refinement, and final join assembly.
@@ -21,5 +22,5 @@ pub mod stats;
 
 pub use estimate::{q_error, subquery_cardinality, TpCounts};
 pub use execute::{SapeExecutor, SapeOutcome};
-pub use join::{dp_join_order, parallel_join};
+pub use join::{parallel_join, plan_joins, JoinStep, JoinTree};
 pub use schedule::{make_schedule, Schedule};

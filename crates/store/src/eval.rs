@@ -238,8 +238,15 @@ impl<'a> Evaluator<'a> {
         match p {
             GraphPattern::Bgp(tps) => self.eval_bgp(tps, input),
             GraphPattern::Join(a, b) => {
-                let left = self.eval_pattern(a, input);
-                self.eval_pattern(b, left)
+                // A bound join's block restricts the pattern it follows:
+                // evaluate it first and the pattern becomes index probes.
+                let (first, second) = if self.values_seed_bgp(a, b) {
+                    (b, a)
+                } else {
+                    (a, b)
+                };
+                let left = self.eval_pattern(first, input);
+                self.eval_pattern(second, left)
             }
             GraphPattern::LeftJoin(a, b) => {
                 let left = self.eval_pattern(a, input);
@@ -343,6 +350,48 @@ impl<'a> Evaluator<'a> {
         acc
     }
 
+    /// Whether `Join(body, values)` is better evaluated `values` first:
+    /// `values` is a `VALUES` block, `body` a BGP under zero or more
+    /// `FILTER`s that mentions every `VALUES` variable, and the block has
+    /// fewer rows than the BGP's cheapest pattern has matches — so seeding
+    /// the BGP with the block ([`Self::extend_by_pattern`] probes the
+    /// index with a row's bound cells) touches fewer triples than scanning
+    /// that pattern and hash-joining the block afterwards. The rows are the
+    /// same either way: join is commutative, and the filters see every BGP
+    /// variable bound in both orders.
+    fn values_seed_bgp(&self, body: &GraphPattern, values: &GraphPattern) -> bool {
+        let GraphPattern::Values(vars, block) = values else {
+            return false;
+        };
+        let mut bgp = body;
+        while let GraphPattern::Filter(inner, _) = bgp {
+            bgp = inner;
+        }
+        let GraphPattern::Bgp(tps) = bgp else {
+            return false;
+        };
+        vars.iter().all(|v| tps.iter().any(|tp| tp.mentions(v)))
+            && tps.iter().all(|tp| block.len() < self.pattern_count(tp))
+    }
+
+    /// How many triples match `tp`'s constants alone.
+    fn pattern_count(&self, tp: &TriplePattern) -> usize {
+        let resolve = |slot: &TermPattern| -> Result<Option<TermId>, ()> {
+            match slot {
+                TermPattern::Var(_) => Ok(None),
+                TermPattern::Term(t) => self.store.resolve(t).map(Some).ok_or(()),
+            }
+        };
+        match (
+            resolve(&tp.subject),
+            resolve(&tp.predicate),
+            resolve(&tp.object),
+        ) {
+            (Ok(s), Ok(p), Ok(o)) => self.store.count_ids(s, p, o),
+            _ => 0, // unknown constant: zero matches, cheapest
+        }
+    }
+
     /// Greedy join ordering: among patterns sharing a variable with the
     /// bound set (or all patterns if none does), pick the one with the
     /// smallest constant-only match count.
@@ -361,21 +410,7 @@ impl<'a> Evaluator<'a> {
         let mut best = candidates[0];
         let mut best_cost = usize::MAX;
         for &i in &candidates {
-            let tp = remaining[i];
-            let resolve = |slot: &TermPattern| -> Result<Option<TermId>, ()> {
-                match slot {
-                    TermPattern::Var(_) => Ok(None),
-                    TermPattern::Term(t) => self.store.resolve(t).map(Some).ok_or(()),
-                }
-            };
-            let cost = match (
-                resolve(&tp.subject),
-                resolve(&tp.predicate),
-                resolve(&tp.object),
-            ) {
-                (Ok(s), Ok(p), Ok(o)) => self.store.count_ids(s, p, o),
-                _ => 0, // unknown constant: zero matches, cheapest
-            };
+            let cost = self.pattern_count(remaining[i]);
             if cost < best_cost {
                 best_cost = cost;
                 best = i;
@@ -1015,6 +1050,121 @@ mod tests {
             ),
         );
         assert!(r.is_empty());
+    }
+
+    /// 40 parts with one weight each; every fourth also has a colour.
+    fn parts_store() -> Store {
+        let mut g = Graph::new();
+        for i in 0..40 {
+            let part = Term::iri(format!("http://x/part{i}"));
+            g.add(part.clone(), Term::iri("http://x/weight"), Term::integer(i));
+            if i % 4 == 0 {
+                g.add(part, Term::iri("http://x/colour"), Term::literal("red"));
+            }
+        }
+        Store::from_graph(&g)
+    }
+
+    /// `SELECT * { body VALUES (vars) { block } }` through the evaluator,
+    /// and the same rows the long way round: `body` and the block each
+    /// evaluated on their own, joined as term relations.
+    fn block_and_oracle(st: &Store, body: &str, vars: &str, block: &str) -> (Relation, Relation) {
+        let got = run(
+            st,
+            &format!("SELECT * WHERE {{ {body} VALUES ({vars}) {{ {block} }} }}"),
+        );
+        let scanned = run(st, &format!("SELECT * WHERE {{ {body} }}"));
+        let values = run(
+            st,
+            &format!("SELECT * WHERE {{ VALUES ({vars}) {{ {block} }} }}"),
+        );
+        (got, scanned.join(&values))
+    }
+
+    fn assert_same_bag(got: &Relation, want: &Relation) {
+        let want = want.project(got.vars());
+        let sorted = |r: &Relation| {
+            let mut rows = r.rows().to_vec();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(got), sorted(&want));
+    }
+
+    fn seeds(st: &Store, body: &str, vars: &str, block: &str) -> bool {
+        let q = parse_query(&format!(
+            "SELECT * WHERE {{ {body} VALUES ({vars}) {{ {block} }} }}"
+        ))
+        .unwrap();
+        let GraphPattern::Join(a, b) = &q.as_select().unwrap().pattern else {
+            panic!("a group ending in VALUES parses to a join");
+        };
+        Evaluator::new(st).values_seed_bgp(a, b)
+    }
+
+    #[test]
+    fn a_small_values_block_seeds_the_pattern_it_follows() {
+        let st = parts_store();
+        let weight = "?p <http://x/weight> ?w .";
+        // Bound, repeated, foreign and UNDEF cells; a duplicate row keeps
+        // its multiplicity and an UNDEF row matches every part.
+        let block = "(<http://x/part3>) (<http://x/part3>) (<http://elsewhere/z>) (UNDEF) \
+                     (<http://x/part8>)";
+        assert!(seeds(&st, weight, "?p", block));
+        let (got, want) = block_and_oracle(&st, weight, "?p", block);
+        assert_eq!(got.len(), 2 + 40 + 1);
+        assert_same_bag(&got, &want);
+
+        // A filter on the bind variable, and one on a variable only the
+        // pattern binds, sit between the BGP and the block.
+        let filtered = "?p <http://x/weight> ?w . FILTER(?p != <http://x/part3>) FILTER(?w < 20)";
+        assert!(seeds(&st, filtered, "?p", block));
+        let (got, want) = block_and_oracle(&st, filtered, "?p", block);
+        assert_eq!(got.len(), 19 + 1);
+        assert_same_bag(&got, &want);
+
+        // Two patterns, two VALUES columns, one of them partly UNDEF.
+        let two = "?p <http://x/weight> ?w . ?p <http://x/colour> ?c .";
+        let block = "(<http://x/part4> \"red\") (<http://x/part8> UNDEF) (UNDEF \"blue\") \
+                     (<http://x/part5> \"red\")";
+        assert!(seeds(&st, two, "?p ?c", block));
+        let (got, want) = block_and_oracle(&st, two, "?p ?c", block);
+        assert_eq!(got.len(), 2);
+        assert_same_bag(&got, &want);
+
+        // An empty block: no rows, the whole header.
+        let (got, want) = block_and_oracle(&st, weight, "?p", "");
+        assert!(got.is_empty());
+        assert_eq!(got.vars().len(), want.vars().len());
+    }
+
+    #[test]
+    fn a_values_block_that_would_not_pay_is_joined_after_the_scan() {
+        let st = parts_store();
+        // As many rows as the colour pattern has matches: scanning it is no
+        // more work than probing per row.
+        let colour = "?p <http://x/colour> ?c .";
+        let rows = |n: usize| -> String {
+            (0..n)
+                .map(|i| format!("(<http://x/part{}>) ", i * 2))
+                .collect()
+        };
+        let block = rows(10);
+        assert!(!seeds(&st, colour, "?p", &block));
+        let (got, want) = block_and_oracle(&st, colour, "?p", &block);
+        assert_eq!(got.len(), 5);
+        assert_same_bag(&got, &want);
+        // One row fewer and it pays.
+        assert!(seeds(&st, colour, "?p", &rows(9)));
+        // A VALUES variable the BGP does not mention, and a left side that
+        // is not a BGP under filters, never seed.
+        assert!(!seeds(&st, colour, "?q", "(<http://x/part0>)"));
+        assert!(!seeds(
+            &st,
+            "{ ?p <http://x/colour> ?c } UNION { ?p <http://x/weight> ?c }",
+            "?p",
+            "(<http://x/part0>)"
+        ));
     }
 
     #[test]

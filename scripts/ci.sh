@@ -16,6 +16,14 @@ for def in compare_terms finalize_select 'union(_relations)?' 'assemble_branch(<
     n=$(grep -rhoE "fn ${def}\(" crates --include='*.rs' | wc -l)
     [ "$n" -eq 1 ] || { echo "fn ${def} is defined ${n} times under crates/, want 1" >&2; exit 1; }
 done
+# One join planner: the left-deep min-rule DP and its size-only fallback are
+# gone, and nothing stands beside `plan_joins` to choose between.
+n=$(grep -rhoE "fn plan_joins\(" crates --include='*.rs' | wc -l)
+[ "$n" -eq 1 ] || { echo "fn plan_joins is defined ${n} times under crates/, want 1" >&2; exit 1; }
+if grep -rnE 'fn (dp_join_order|greedy_order)\(' crates --include='*.rs'; then
+    echo "an old join-order function is back; plan_joins is the one planner" >&2
+    exit 1
+fi
 # The engine sends no endpoint request of its own: requests go out from
 # source.rs, lade/gjv.rs and sape/execute.rs only, so the next kind of
 # block cannot bypass the one response-settling path.

@@ -9,7 +9,8 @@ use lusail_core::sape::estimate::count_query;
 use lusail_core::source::{probe, select_sources, BlockStats, BranchStats};
 use lusail_core::{LusailConfig, LusailEngine, RunContext};
 use lusail_federation::{
-    Federation, NetworkProfile, RequestHandler, SimulatedEndpoint, SparqlEndpoint,
+    FaultProfile, FaultyEndpoint, Federation, NetworkProfile, RequestHandler, SimulatedEndpoint,
+    SparqlEndpoint,
 };
 use lusail_rdf::{vocab, Graph, Term};
 use lusail_sparql::ast::{Expression, TermPattern, TriplePattern, Variable};
@@ -272,6 +273,197 @@ fn b1_bound_blocks_follow_the_wave_and_never_change_the_rows() {
         let (rows, bound) = run(Some(threads));
         assert_eq!(rows, elastic_rows, "threads {threads}");
         assert!(bound <= elastic_bound, "threads {threads}: {bound}");
+    }
+}
+
+/// Two endpoints for the bound-or-unbound choice. `left` holds `symbols`
+/// results `r{i}` with a gene symbol each (40 genes) and types the first
+/// 40 of them; `right` labels the 40 genes and types 30 results of its
+/// own. `?x a :T` is the subquery SAPE delays: it has two sources where
+/// the others have one, and 70 rows.
+fn symbol_graphs(symbols: usize) -> (Graph, Graph) {
+    let x = |l: String| Term::iri(format!("http://x/{l}"));
+    let (mut left, mut right) = (Graph::new(), Graph::new());
+    for i in 0..symbols {
+        left.add(
+            x(format!("r{i}")),
+            x("sym".into()),
+            x(format!("g{}", i % 40)),
+        );
+    }
+    for i in 0..40 {
+        left.add_type(x(format!("r{i}")), "http://x/T");
+    }
+    for i in 0..30 {
+        right.add_type(x(format!("other{i}")), "http://x/T");
+    }
+    for g in 0..40 {
+        right.add(
+            x(format!("g{g}")),
+            x("label".into()),
+            Term::literal(format!("gene {g}")),
+        );
+    }
+    (left, right)
+}
+
+const SYMBOL_QUERY: &str = "SELECT ?x ?g ?l WHERE { \
+    ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/T> . \
+    ?x <http://x/sym> ?g . ?g <http://x/label> ?l }";
+
+/// Run [`SYMBOL_QUERY`] over recorded endpoints (`wrap` decorates the
+/// right-hand one) and check the answer against the merged graph's.
+/// Returns the recorders and the engine.
+fn run_symbol_query(
+    symbols: usize,
+    wrap: impl FnOnce(Arc<dyn SparqlEndpoint>) -> Arc<dyn SparqlEndpoint>,
+) -> (Vec<Arc<RecordingEndpoint>>, LusailEngine) {
+    let (left, right) = symbol_graphs(symbols);
+    let mut merged = left.clone();
+    merged.extend(right.clone());
+    let simulated = |name: &str, g: &Graph| {
+        Arc::new(SimulatedEndpoint::new(
+            name,
+            Store::from_graph(g),
+            NetworkProfile::instant(),
+        )) as Arc<dyn SparqlEndpoint>
+    };
+    let (recorders, fed) =
+        RecordingEndpoint::federation([simulated("left", &left), wrap(simulated("right", &right))]);
+    let engine = LusailEngine::new(fed, LusailConfig::without_cache());
+    let query = parse_query(SYMBOL_QUERY).unwrap();
+    let (rel, profile) = engine.execute_profiled(&query).unwrap();
+    assert_eq!(
+        profile.delayed, 1,
+        "the two-source type subquery is delayed"
+    );
+    assert!(profile.warnings.is_empty(), "{:?}", profile.warnings);
+    let mut want = lusail_store::Evaluator::new(&Store::from_graph(&merged))
+        .select(query.as_select().unwrap())
+        .rows()
+        .to_vec();
+    let mut got = rel.rows().to_vec();
+    want.sort();
+    got.sort();
+    assert_eq!(got.len(), symbols.min(40));
+    assert_eq!(got, want, "the federated answer is the merged graph's");
+    (recorders, engine)
+}
+
+/// The `SELECT`s of the delayed type subquery in a recorder's log,
+/// recovery pages aside.
+fn type_fetches(recorder: &RecordingEndpoint) -> Vec<String> {
+    let mut sent = recorder.sent();
+    sent.retain(|q| {
+        q.starts_with("SELECT ?x WHERE") && q.contains("<http://x/T>") && !q.contains(" OFFSET ")
+    });
+    sent
+}
+
+#[test]
+fn a_delayed_subquery_is_bound_only_while_that_is_the_smaller_request() {
+    // 80 results found in phase 1, 70 rows in the delayed subquery:
+    // shipping 80 bindings to fetch at most 70 rows is the dearer way, so
+    // each source gets the subquery as it is, once.
+    let (recorders, _) = run_symbol_query(80, |ep| ep);
+    for r in &recorders {
+        assert_eq!(r.bound_requests(), Vec::<String>::new(), "{}", r.name());
+        let fetches = type_fetches(r);
+        assert_eq!(fetches.len(), 1, "{}: {fetches:?}", r.name());
+        assert!(!fetches[0].contains("VALUES"), "{}", fetches[0]);
+    }
+    // 30 results found: now the block is the smaller request.
+    let (recorders, _) = run_symbol_query(30, |ep| ep);
+    for r in &recorders {
+        let bound = r.bound_requests();
+        assert_eq!(bound.len(), 1, "{}: {bound:?}", r.name());
+        assert_eq!(bound[0].matches("<http://x/r").count(), 30, "{}", bound[0]);
+        assert_eq!(type_fetches(r), bound, "{}", r.name());
+    }
+}
+
+#[test]
+fn an_unbound_delayed_fetch_still_carries_the_expected_row_count() {
+    // The right endpoint silently cuts every SELECT to 10 rows. Its share
+    // of the delayed subquery is 30 rows, fetched unbound: two responses
+    // (this and the 40 labels of phase 1) are too few for the row-count
+    // heuristic, so only the analysis probe's count — passed down with the
+    // request — can flag it. It does, and paging recovers the rows exactly
+    // (the answer check is inside).
+    let (recorders, engine) = run_symbol_query(80, |ep| {
+        Arc::new(FaultyEndpoint::new(
+            ep,
+            7,
+            FaultProfile::silent_truncate(10),
+        ))
+    });
+    assert_eq!(type_fetches(&recorders[1]).len(), 1);
+    let paged = |q: &String| q.contains("<http://x/T>") && q.contains(" OFFSET ");
+    assert!(recorders[1].sent().iter().any(paged));
+    let snapshot = engine.integrity().snapshot();
+    let (_, right) = snapshot.iter().find(|(name, _)| name == "right").unwrap();
+    assert_eq!(right.truncations_detected, 2, "the labels and the types");
+    assert_eq!(right.count_divergences, 0);
+    assert_eq!(right.rows_recovered, 20 + 30);
+}
+
+#[test]
+fn keeping_fewer_found_bindings_sends_the_same_requests() {
+    // Two delayed subqueries (`?x a :T`, `?g a :Gene`: two sources each),
+    // 30 found bindings for either against 70 and 60 rows, so both are
+    // bound. Phase 1 no longer interns ?l, and the first bound result no
+    // longer updates ?x, which nothing reads: every request, down to the
+    // order of the terms in the VALUES blocks, is the one sent before —
+    // the fingerprints are of the parent commit's logs.
+    let (mut left, mut right) = symbol_graphs(30);
+    let gene = |g: usize| Term::iri(format!("http://x/g{g}"));
+    for g in 0..60 {
+        let side = if g < 20 { &mut left } else { &mut right };
+        side.add_type(gene(g), "http://x/Gene");
+    }
+    let simulated = |name: &str, g: &Graph| {
+        Arc::new(SimulatedEndpoint::new(
+            name,
+            Store::from_graph(g),
+            NetworkProfile::instant(),
+        )) as Arc<dyn SparqlEndpoint>
+    };
+    let (recorders, fed) =
+        RecordingEndpoint::federation([simulated("left", &left), simulated("right", &right)]);
+    let engine = LusailEngine::new(fed, LusailConfig::without_cache());
+    let query = parse_query(&SYMBOL_QUERY.replace(
+        " }",
+        " . ?g <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/Gene> }",
+    ))
+    .unwrap();
+    let (rel, profile) = engine.execute_profiled(&query).unwrap();
+    assert_eq!(rel.len(), 30);
+    assert_eq!(profile.delayed, 2);
+
+    // FNV-1a over the endpoint's requests, sorted: requests of one wave
+    // arrive in thread order.
+    let fingerprint = |r: &RecordingEndpoint| {
+        let mut sent = r.sent();
+        sent.sort();
+        let hash = sent
+            .iter()
+            .flat_map(|q| q.bytes().chain([b'\n']))
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        (sent.len(), hash)
+    };
+    for (r, parent) in recorders
+        .iter()
+        .zip([(4usize, 16373339860937922622u64), (4, 15502989906333355395)])
+    {
+        let bound = r.bound_requests();
+        assert_eq!(bound.len(), 2, "{}: {bound:?}", r.name());
+        assert!(
+            bound.iter().all(|q| q.matches(") (").count() == 29),
+            "{bound:?}"
+        );
+        assert_eq!(fingerprint(r), parent, "{}: {:#?}", r.name(), r.sent());
     }
 }
 
