@@ -3,9 +3,10 @@
 
 use lusail_baselines::{FedX, FedXConfig, FederatedEngine, HiBiscus, Splendid};
 use lusail_core::{CancelToken, LusailConfig, LusailEngine, ResultPolicy, RunContext};
+use lusail_federation::json::{render_text, Json};
 use lusail_federation::{
-    Federation, HttpConfig, HttpEndpoint, IntegrityRegistry, NetworkProfile, ReplicaConfig,
-    ReplicaGroup, SimulatedEndpoint, SparqlEndpoint,
+    Federation, HttpConfig, HttpEndpoint, NetworkProfile, ReplicaConfig, ReplicaGroup,
+    SimulatedEndpoint, SparqlEndpoint,
 };
 use lusail_rdf::{Graph, Term};
 use lusail_server::federate::{FederateConfig, FederationService};
@@ -58,10 +59,12 @@ second-best member after MS milliseconds and takes the first success.
 
 --partial (lusail engine only) returns the reachable subset of answers
 when an endpoint is down, with a warning per skipped subquery, instead of
-failing the whole query. --stats prints a per-endpoint health table
-(breaker state, failures, retries, latency EWMA) after the results, with
-one sub-row per replica-group member (failovers, hedges), and for the
-lusail engine a memory section (peak accounted bytes per phase, spills).
+failing the whole query. --stats prints, after the results, the engine's
+stats document as key=value lines under its JSON keys: codec, one line
+per endpoint (requests, bytes, failures, retries, breaker,
+latency_ewma_ms) with one per replica-group member beneath it
+(dispatches, failovers, hedges), and for the lusail engine integrity,
+erh, memory (peak bytes per phase, spills) and lifecycle.
 
 --memory-budget BYTES (lusail engine only; suffixes KB/MB/GB and
 KiB/MiB/GiB accepted, e.g. 8MiB) bounds the bytes of intermediate
@@ -85,10 +88,11 @@ queries running (429 beyond it). Analysis facts and whole-query results
 are cached across clients with --cache-ttl / --cache-capacity bounds; a
 repeated hot query is answered with zero endpoint requests. Degraded
 (partial or truncated) results are never cached. GET /stats reports
-per-client counters, cache hit rates, pool and queue state, and a
-lifecycle section (cancellations by reason, watchdog reaps, panics
-contained, drain outcomes); POST /cache/invalidate drops both cache
-tiers.
+per-client counters, cache hit rates, pool and queue state, a lifecycle
+section (cancellations by reason, watchdog reaps, panics contained, drain
+outcomes) and everything query --stats prints about the federation:
+codec, integrity, per-endpoint health (breaker, failures, latency EWMA,
+replica members) and erh; POST /cache/invalidate drops both cache tiers.
 
 Every admitted query carries a cancel token: GET /queries lists the
 in-flight queries (id, client, phase, elapsed, accounted bytes) and
@@ -1019,7 +1023,8 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 let run = lusail.execute_profiled_with(&query, &ctx);
                 if stats {
                     if let Err(e) = &run {
-                        print_lifecycle_stats(&ctx, started.elapsed(), Some(e), out)?;
+                        let lifecycle = lifecycle_json(&ctx, started.elapsed(), Some(e));
+                        render_text(out, &Json::object([("lifecycle", lifecycle)]))?;
                     }
                 }
                 let (rel, profile) = run.map_err(CliError::Engine)?;
@@ -1048,12 +1053,13 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 }
                 print_relation(&rel, format, out)?;
                 if stats {
-                    print_endpoint_stats(&federation, out)?;
-                    print_codec_stats(&federation, out)?;
-                    print_integrity_stats(lusail.integrity(), out)?;
-                    print_memory_stats(&profile.memory, out)?;
-                    writeln!(out, "# erh: {}", lusail.erh())?;
-                    print_lifecycle_stats(&ctx, started.elapsed(), None, out)?;
+                    // The document `GET /stats` embeds, plus this run's own
+                    // two sections.
+                    let doc = lusail
+                        .stats()
+                        .with("memory", profile.memory.to_json())
+                        .with("lifecycle", lifecycle_json(&ctx, started.elapsed(), None));
+                    render_text(out, &doc)?;
                 }
                 return Ok(());
             }
@@ -1083,8 +1089,7 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             let rel = engine.execute(&query).map_err(CliError::Engine)?;
             print_relation(&rel, format, out)?;
             if stats {
-                print_endpoint_stats(&federation, out)?;
-                print_codec_stats(&federation, out)?;
+                render_text(out, &federation.stats())?;
             }
             Ok(())
         }
@@ -1213,220 +1218,21 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// The `--stats` table: one row per endpoint, merging traffic counters
-/// with the transport's health registry (breaker state, failure counts,
-/// latency EWMA) when the endpoint tracks one. Replica groups get one
-/// indented sub-row per member showing which mirror carried the group:
-/// dispatches, failovers taken, hedges launched, hedges won.
-fn print_endpoint_stats(federation: &Federation, out: &mut dyn Write) -> Result<(), CliError> {
-    writeln!(out, "# endpoint health:")?;
-    writeln!(
-        out,
-        "#   {:<16} {:>8} {:>8} {:>8} {:>8} {:>9}  {}",
-        "endpoint", "requests", "failures", "retries", "rejected", "breaker", "latency-ewma"
-    )?;
-    for (id, ep) in federation.iter() {
-        let traffic = ep.traffic();
-        match ep.health() {
-            Some(h) => writeln!(
-                out,
-                "#   {:<16} {:>8} {:>8} {:>8} {:>8} {:>9}  {:?}",
-                format!("{} (#{id})", ep.name()),
-                traffic.requests,
-                h.failures,
-                h.retries,
-                h.open_rejections,
-                h.breaker.to_string(),
-                h.latency_ewma
-            )?,
-            None => writeln!(
-                out,
-                "#   {:<16} {:>8} {:>8} {:>8} {:>8} {:>9}  -",
-                format!("{} (#{id})", ep.name()),
-                traffic.requests,
-                "-",
-                "-",
-                "-",
-                "-"
-            )?,
-        }
-        if let Some(members) = ep.replica_members() {
-            writeln!(
-                out,
-                "#     {:<16} {:>10} {:>9} {:>7} {:>10} {:>9}",
-                "· member", "dispatches", "failovers", "hedges", "hedges-won", "breaker"
-            )?;
-            for m in &members {
-                let breaker = m
-                    .health
-                    .map(|h| h.breaker.to_string())
-                    .unwrap_or_else(|| "-".to_string());
-                writeln!(
-                    out,
-                    "#     {:<16} {:>10} {:>9} {:>7} {:>10} {:>9}",
-                    format!("· {}", m.name),
-                    m.dispatches,
-                    m.failovers,
-                    m.hedges_launched,
-                    m.hedges_won,
-                    breaker
-                )?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The `--stats` integrity section: per-endpoint verification probes
-/// sent, truncation detections, recovery paging counters, count
-/// divergences, and quarantine standing. Prints only when some integrity
-/// activity happened — a clean run over honest endpoints adds nothing.
-fn print_integrity_stats(
-    registry: &IntegrityRegistry,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let snapshot = registry.snapshot();
-    if snapshot.is_empty() {
-        return Ok(());
-    }
-    writeln!(out, "# integrity:")?;
-    writeln!(
-        out,
-        "#   {:<16} {:>7} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
-        "endpoint",
-        "probes",
-        "truncations",
-        "pages",
-        "recovered",
-        "divergences",
-        "quarantined",
-        "learned-cap"
-    )?;
-    for (name, s) in snapshot {
-        let quarantined = if s.quarantined {
-            format!("yes ({} in)", s.quarantine_entries)
-        } else if s.quarantine_entries > 0 {
-            format!(
-                "no ({} in/{} out)",
-                s.quarantine_entries, s.quarantine_exits
-            )
-        } else {
-            "no".to_string()
-        };
-        writeln!(
-            out,
-            "#   {:<16} {:>7} {:>11} {:>6} {:>10} {:>11} {:>12} {:>11}",
-            name,
-            s.verifications,
-            s.truncations_detected,
-            s.pages_fetched,
-            s.rows_recovered,
-            s.count_divergences,
-            quarantined,
-            s.learned_cap
-                .map(|c| c.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-        )?;
-    }
-    Ok(())
-}
-
-/// The `--stats` codec section: which result codec each wire-backed
-/// endpoint settled on, bytes received per codec, dictionary sizes, and
-/// how often a binary offer fell back to SPARQL JSON. Simulated
-/// endpoints have no wire and are omitted; the section only prints when
-/// at least one endpoint reports codec counters.
-fn print_codec_stats(federation: &Federation, out: &mut dyn Write) -> Result<(), CliError> {
-    let per_endpoint = federation.codec_by_endpoint();
-    if per_endpoint.is_empty() {
-        return Ok(());
-    }
-    writeln!(out, "# codec:")?;
-    writeln!(
-        out,
-        "#   {:<16} {:>10} {:>9} {:>9} {:>12} {:>10} {:>10} {:>9}",
-        "endpoint",
-        "negotiated",
-        "bin-resp",
-        "json-resp",
-        "bin-bytes",
-        "json-bytes",
-        "dict-terms",
-        "fallbacks"
-    )?;
-    for (name, c) in &per_endpoint {
-        writeln!(
-            out,
-            "#   {:<16} {:>10} {:>9} {:>9} {:>12} {:>10} {:>10} {:>9}",
-            name,
-            c.negotiated(),
-            c.binary_responses,
-            c.json_responses,
-            c.binary_bytes_in,
-            c.json_bytes_in,
-            c.dict_terms,
-            c.fallbacks
-        )?;
-    }
-    if let Some(total) = federation.total_codec() {
-        writeln!(
-            out,
-            "#   {:<16} {:>10} {:>9} {:>9} {:>12} {:>10} {:>10} {:>9}",
-            "(total)",
-            total.negotiated(),
-            total.binary_responses,
-            total.json_responses,
-            total.binary_bytes_in,
-            total.json_bytes_in,
-            total.dict_terms,
-            total.fallbacks
-        )?;
-    }
-    Ok(())
-}
-
-/// The `--stats` memory section: peak accounted bytes overall and per
-/// phase, plus spill activity from budget-pressured joins.
-fn print_memory_stats(m: &lusail_core::MemoryStats, out: &mut dyn Write) -> Result<(), CliError> {
-    writeln!(out, "# memory:")?;
-    match m.limit {
-        Some(limit) => writeln!(out, "#   budget          : {limit} bytes")?,
-        None => writeln!(out, "#   budget          : unbounded")?,
-    }
-    writeln!(out, "#   peak accounted  : {} bytes", m.peak_bytes)?;
-    writeln!(out, "#   wave peak       : {} bytes", m.wave_peak_bytes)?;
-    writeln!(out, "#   join peak       : {} bytes", m.join_peak_bytes)?;
-    writeln!(
-        out,
-        "#   bound-join peak : {} bytes",
-        m.bound_join_peak_bytes
-    )?;
-    writeln!(
-        out,
-        "#   spills          : {} runs, {} bytes",
-        m.spill_count, m.spill_bytes
-    )?;
-    Ok(())
-}
-
-/// The `--stats` lifecycle section: how the run ended. One-shot queries
-/// carry the same cancel token the federation service arms per admitted
-/// query, so the outcome names who pulled the plug (deadline, a tripped
-/// token) or confirms a clean completion. The service-side counterpart —
-/// cancellations by reason, watchdog reaps, panics contained, drain
-/// outcomes — lives in the federate server's GET /stats.
-fn print_lifecycle_stats(
+/// The per-query `lifecycle` section of `--stats`: how the run ended.
+/// One-shot queries carry the same cancel token the federation service
+/// arms per admitted query, so the outcome names who pulled the plug
+/// (deadline, a tripped token) or confirms a clean completion. The
+/// service-side counterpart — cancellations by reason, watchdog reaps,
+/// panics contained, drain outcomes — is the `lifecycle` of GET /stats.
+fn lifecycle_json(
     ctx: &RunContext,
     elapsed: Duration,
     error: Option<&lusail_core::EngineError>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    writeln!(out, "# lifecycle:")?;
-    writeln!(out, "#   elapsed         : {} ms", elapsed.as_millis())?;
-    match ctx.cancel_reason() {
-        Some(reason) => writeln!(out, "#   cancel token    : tripped ({})", reason.as_str())?,
-        None => writeln!(out, "#   cancel token    : armed, never tripped")?,
-    }
+) -> Json {
+    let cancel_token = match ctx.cancel_reason() {
+        Some(reason) => format!("tripped ({})", reason.as_str()),
+        None => "armed, never tripped".to_string(),
+    };
     let outcome = match error {
         None => "completed".to_string(),
         Some(lusail_core::EngineError::Timeout(budget)) => {
@@ -1435,8 +1241,11 @@ fn print_lifecycle_stats(
         Some(lusail_core::EngineError::Cancelled(reason)) => format!("cancelled: {reason}"),
         Some(e) => format!("failed: {e}"),
     };
-    writeln!(out, "#   outcome         : {outcome}")?;
-    Ok(())
+    Json::object([
+        ("elapsed_ms", (elapsed.as_millis() as u64).into()),
+        ("cancel_token", Json::String(cancel_token)),
+        ("outcome", Json::String(outcome)),
+    ])
 }
 
 fn print_relation(
@@ -1727,8 +1536,8 @@ mod tests {
         run(&args, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("# memory:"), "{text}");
-        assert!(text.contains("peak accounted"), "{text}");
-        assert!(text.contains("8388608 bytes"), "{text}");
+        assert!(text.contains("peak_bytes="), "{text}");
+        assert!(text.contains("limit=8388608"), "{text}");
         assert!(text.contains("# erh: waves="), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2255,7 +2064,7 @@ mod tests {
             "stats must show member rows: {text}"
         );
         assert!(
-            text.contains("· http://127.0.0.1:9/sparql"),
+            text.contains("http://127.0.0.1:9/sparql: dispatches="),
             "stats must list the dead member: {text}"
         );
         handle.shutdown();

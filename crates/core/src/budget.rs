@@ -16,6 +16,7 @@
 //! and the run/byte counts of those spilled runs surface in
 //! [`MemoryStats`] for `lusail query --stats`.
 
+use lusail_federation::json::Json;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -67,6 +68,21 @@ pub struct MemoryStats {
     pub spill_count: u64,
     /// Total bytes written to spill runs.
     pub spill_bytes: u64,
+}
+
+impl MemoryStats {
+    /// The per-query `memory` stats section.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("limit", self.limit.into()),
+            ("peak_bytes", self.peak_bytes.into()),
+            ("wave_peak_bytes", self.wave_peak_bytes.into()),
+            ("join_peak_bytes", self.join_peak_bytes.into()),
+            ("bound_join_peak_bytes", self.bound_join_peak_bytes.into()),
+            ("spill_count", self.spill_count.into()),
+            ("spill_bytes", self.spill_bytes.into()),
+        ])
+    }
 }
 
 /// Shared, thread-safe accounting handle; clones refer to one ledger.
@@ -207,6 +223,20 @@ pub struct PoolStats {
     pub in_use: usize,
     /// Callers currently waiting in the admission queue.
     pub waiting: usize,
+}
+
+impl PoolStats {
+    /// The counters of the `pool` stats section.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("in_use", self.in_use.into()),
+            ("waiting", self.waiting.into()),
+            ("carved", self.carved.into()),
+            ("queued", self.queued.into()),
+            ("shed", self.shed.into()),
+            ("peak_ledgers", self.peak_ledgers.into()),
+        ])
+    }
 }
 
 #[derive(Debug, Default)]

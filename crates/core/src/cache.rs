@@ -20,6 +20,7 @@
 //! requests. Degraded (partial) results are never written to either tier:
 //! they describe an outage, not the data.
 
+use lusail_federation::json::Json;
 use lusail_federation::EndpointId;
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{TermPattern, TriplePattern};
@@ -75,6 +76,18 @@ pub struct CacheStats {
     pub misses: u64,
     pub evictions: u64,
     pub expirations: u64,
+}
+
+impl CacheStats {
+    /// The counters of the `analysis_cache` stats section.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("hits", self.hits.into()),
+            ("misses", self.misses.into()),
+            ("evictions", self.evictions.into()),
+            ("expirations", self.expirations.into()),
+        ])
+    }
 }
 
 /// One cached value with its insertion order and timestamp.
@@ -270,6 +283,21 @@ pub struct ResultCacheStats {
     pub expirations: u64,
     /// Explicit `invalidate()` calls.
     pub invalidations: u64,
+}
+
+impl ResultCacheStats {
+    /// The `result_cache` stats section.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("entries", self.entries.into()),
+            ("hits", self.hits.into()),
+            ("misses", self.misses.into()),
+            ("insertions", self.insertions.into()),
+            ("evictions", self.evictions.into()),
+            ("expirations", self.expirations.into()),
+            ("invalidations", self.invalidations.into()),
+        ])
+    }
 }
 
 #[derive(Debug, Default)]

@@ -13,6 +13,7 @@ use crate::sape::execute::SapeExecutor;
 use crate::sape::schedule::{make_schedule, Schedule};
 use crate::source::{probe, BranchStats};
 use crate::subquery::Subquery;
+use lusail_federation::json::Json;
 use lusail_federation::{EndpointId, Federation, IntegrityRegistry, RequestHandler, WaveSnapshot};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{Expression, Projection, Query, SelectQuery, Variable};
@@ -125,6 +126,27 @@ impl LusailEngine {
     /// wave) and its floor/ceiling, accumulated across queries.
     pub fn erh(&self) -> WaveSnapshot {
         self.handler.snapshot()
+    }
+
+    /// What the engine reports about itself across queries — the
+    /// federation's `codec` and `endpoints` sections, `integrity` (one row
+    /// per endpoint with any integrity activity) and `erh`. Printed as is
+    /// by `lusail query --stats` and inside `GET /stats`.
+    pub fn stats(&self) -> Json {
+        let integrity = self.integrity.snapshot();
+        Json::object([
+            ("codec", self.federation.codec_stats()),
+            (
+                "integrity",
+                Json::object(
+                    integrity
+                        .iter()
+                        .map(|(name, s)| (name.as_str(), s.to_json())),
+                ),
+            ),
+            ("endpoints", self.federation.endpoint_stats()),
+            ("erh", self.erh().to_json()),
+        ])
     }
 
     /// Execute a `SELECT` query, returning its solutions. `ASK` queries

@@ -18,6 +18,7 @@
 //! burning a full retry budget.
 
 use crate::cancel::{CancelReason, CancelToken};
+use crate::json::Json;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -207,13 +208,16 @@ pub struct WaveSnapshot {
     pub ceiling: usize,
 }
 
-impl std::fmt::Display for WaveSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "waves={} ramped={} peak_width={} floor={} ceiling={}",
-            self.waves, self.ramped_waves, self.peak_width, self.floor, self.ceiling
-        )
+impl WaveSnapshot {
+    /// The `erh` stats section.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("waves", self.waves.into()),
+            ("ramped_waves", self.ramped_waves.into()),
+            ("peak_width", self.peak_width.into()),
+            ("floor", self.floor.into()),
+            ("ceiling", self.ceiling.into()),
+        ])
     }
 }
 
@@ -733,6 +737,22 @@ pub struct HealthSnapshot {
     pub quarantined: bool,
 }
 
+impl HealthSnapshot {
+    /// The health columns of an `endpoints` stats row (`requests` is
+    /// spelled `admitted` here: the row's `requests` is the traffic count).
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("admitted", self.requests.into()),
+            ("failures", self.failures.into()),
+            ("retries", self.retries.into()),
+            ("open_rejections", self.open_rejections.into()),
+            ("breaker", Json::String(self.breaker.to_string())),
+            ("latency_ewma_ms", Json::millis(self.latency_ewma)),
+            ("quarantined", self.quarantined.into()),
+        ])
+    }
+}
+
 /// Per-endpoint health registry: the [`CircuitBreaker`] plus failure/retry
 /// counters and a latency EWMA, shared by `HttpEndpoint`, the simulated
 /// transport, and the fault-injection wrapper.
@@ -1027,8 +1047,8 @@ mod tests {
         let pool = RequestHandler::with_widths(4, 13);
         let elapsed = sleep_wave(&pool, 13, Duration::from_millis(20));
         let snap = pool.snapshot();
-        assert_eq!((snap.waves, snap.ramped_waves), (1, 1), "{snap}");
-        assert_eq!(snap.peak_width, 13, "{snap}");
+        assert_eq!((snap.waves, snap.ramped_waves), (1, 1), "{snap:?}");
+        assert_eq!(snap.peak_width, 13, "{snap:?}");
         // Four rounds of 20 ms on the floor alone; one round plus the ramp
         // interval once widened.
         assert!(
@@ -1057,8 +1077,8 @@ mod tests {
         });
         assert_eq!(out.len(), 64);
         let snap = pool.snapshot();
-        assert_eq!(snap.ramped_waves, 0, "{snap}");
-        assert_eq!(snap.peak_width, 4, "{snap}");
+        assert_eq!(snap.ramped_waves, 0, "{snap:?}");
+        assert_eq!(snap.peak_width, 4, "{snap:?}");
     }
 
     #[test]
@@ -1076,7 +1096,7 @@ mod tests {
         });
         assert!(peak.load(Ordering::SeqCst) <= 4);
         let snap = pool.snapshot();
-        assert_eq!((snap.ramped_waves, snap.peak_width), (0, 4), "{snap}");
+        assert_eq!((snap.ramped_waves, snap.peak_width), (0, 4), "{snap:?}");
         assert_eq!((snap.floor, snap.ceiling), (4, 4));
     }
 

@@ -1,6 +1,7 @@
 //! A federation: the set of endpoints a query is evaluated over.
 
 use crate::endpoint::{EndpointId, SparqlEndpoint};
+use crate::json::Json;
 use crate::network::{CodecSnapshot, TrafficSnapshot};
 use std::sync::Arc;
 
@@ -68,13 +69,43 @@ impl Federation {
             .reduce(CodecSnapshot::merge)
     }
 
-    /// Per-endpoint `(name, codec snapshot)` pairs for endpoints with a
-    /// wire, in registry order.
-    pub fn codec_by_endpoint(&self) -> Vec<(String, CodecSnapshot)> {
-        self.endpoints
+    /// The `codec` stats section: the federation total, then one row per
+    /// endpoint with a wire under `endpoints`, in registry order.
+    pub fn codec_stats(&self) -> Json {
+        let rows = self
+            .endpoints
             .iter()
-            .filter_map(|e| e.codec().map(|c| (e.name().to_string(), c)))
-            .collect()
+            .filter_map(|e| Some((e.name(), e.codec()?.to_json())));
+        self.total_codec()
+            .unwrap_or_default()
+            .to_json()
+            .with("endpoints", Json::object(rows))
+    }
+
+    /// The `endpoints` stats section, one row per endpoint in registry
+    /// order: traffic, then health where the transport tracks it, then a
+    /// replica group's `members` table.
+    pub fn endpoint_stats(&self) -> Json {
+        Json::object(self.endpoints.iter().map(|e| {
+            let mut row = e.traffic().to_json();
+            if let Some(health) = e.health() {
+                row = row.merge(health.to_json());
+            }
+            if let Some(members) = e.replica_members() {
+                let members = members.iter().map(|m| (m.name.as_str(), m.to_json()));
+                row = row.with("members", Json::object(members));
+            }
+            (e.name(), row)
+        }))
+    }
+
+    /// Everything the federation can report about itself — what `--stats`
+    /// prints for the baseline engines.
+    pub fn stats(&self) -> Json {
+        Json::object([
+            ("codec", self.codec_stats()),
+            ("endpoints", self.endpoint_stats()),
+        ])
     }
 }
 

@@ -31,6 +31,7 @@
 //! mirror them into [`crate::EndpointHealth::set_quarantined`], which is
 //! what demotes the endpoint in replica ranking.
 
+use crate::json::Json;
 use lusail_rdf::fxhash::FxHashMap;
 use std::sync::Mutex;
 
@@ -107,8 +108,7 @@ pub enum QuarantineTransition {
     Exited,
 }
 
-/// Point-in-time counters for one endpoint, as surfaced by
-/// `lusail query --stats` (`# integrity`) and `GET /stats`.
+/// Point-in-time counters for one endpoint (the `integrity` stats section).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntegritySnapshot {
     /// `COUNT(*)` verification probes issued for this endpoint.
@@ -133,6 +133,21 @@ pub struct IntegritySnapshot {
 }
 
 impl IntegritySnapshot {
+    /// One endpoint's row of the `integrity` stats section.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("verifications", self.verifications.into()),
+            ("truncations_detected", self.truncations_detected.into()),
+            ("pages_fetched", self.pages_fetched.into()),
+            ("rows_recovered", self.rows_recovered.into()),
+            ("count_divergences", self.count_divergences.into()),
+            ("quarantine_entries", self.quarantine_entries.into()),
+            ("quarantine_exits", self.quarantine_exits.into()),
+            ("quarantined", self.quarantined.into()),
+            ("learned_cap", self.learned_cap.into()),
+        ])
+    }
+
     /// True when nothing integrity-related ever happened — such endpoints
     /// are omitted from the stats surfaces.
     pub fn is_idle(&self) -> bool {

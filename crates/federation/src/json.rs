@@ -1,10 +1,15 @@
-//! A minimal JSON document model: parser and string escaping.
+//! A minimal JSON document model: parser, writer and string escaping.
 //!
 //! The wire layer needs JSON twice — serializing SPARQL results on the
 //! server and parsing them back in the HTTP client — and the offline
 //! build has no serde. This module implements exactly RFC 8259: all six
 //! value kinds, `\uXXXX` escapes with surrogate pairs, and a nesting
 //! depth cap so a hostile endpoint cannot blow the parser's stack.
+//!
+//! It is also the stats model (DESIGN.md → *Stats model*): every counter
+//! struct describes itself once as a [`Json`] value, `GET /stats` prints
+//! that value with [`Json`]'s `Display` and `lusail query --stats` prints
+//! the same value with [`render_text`].
 
 use std::fmt;
 
@@ -24,6 +29,31 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with `fields` in the given order.
+    pub fn object<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// A duration as fractional milliseconds at microsecond resolution —
+    /// the unit of every `…_ms` key.
+    pub fn millis(d: std::time::Duration) -> Json {
+        Json::Number(d.as_micros() as f64 / 1000.0)
+    }
+
+    /// This object with one more field at the end.
+    pub fn with(self, key: &str, value: impl Into<Json>) -> Json {
+        self.merge(Json::object([(key, value.into())]))
+    }
+
+    /// This object followed by the fields of `other` (a non-object `other`
+    /// adds nothing).
+    pub fn merge(mut self, other: Json) -> Json {
+        if let (Json::Object(fields), Json::Object(more)) = (&mut self, other) {
+            fields.extend(more);
+        }
+        self
+    }
+
     /// Parse a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
@@ -39,12 +69,17 @@ impl Json {
         Ok(v)
     }
 
+    /// An object's fields in order (empty for non-objects).
+    pub fn fields(&self) -> &[(String, Json)] {
+        match self {
+            Json::Object(fields) => fields,
+            _ => &[],
+        }
+    }
+
     /// Object field lookup (`None` for non-objects and missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        self.fields().iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     pub fn as_str(&self) -> Option<&str> {
@@ -83,6 +118,121 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    /// Exact up to 2⁵³, far past any counter here.
+    fn from(n: u64) -> Json {
+        Json::Number(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Number(n as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::String(s.to_string())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// The compact writer: no whitespace, object keys in stored order. A
+/// finite integral number prints as an integer (no fraction, no
+/// exponent), any other finite number in Rust's shortest round-trip
+/// decimal form, and a non-finite one as `null` — JSON has no spelling
+/// for it.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Number(n) if !n.is_finite() => f.write_str("null"),
+            Json::Number(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => write!(f, "{}", *n as i64),
+            Json::Number(n) => write!(f, "{n}"),
+            Json::String(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Array(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_str("]")
+            }
+            Json::Object(fields) => {
+                f.write_str("{")?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "\"{}\":{value}", escape(key))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// Print a stats document as the `# …` comment block behind
+/// `lusail query --stats`, by one rule: an object is a `key:` line
+/// carrying its scalar fields as `key=value` pairs, followed by its object
+/// fields one level in. Labels are the JSON keys, so the text and
+/// `GET /stats` speak one vocabulary and every line names what it counts
+/// (`grep breaker=open`). Empty objects print nothing, `null` prints `-`,
+/// and a string with a space in it keeps its quotes.
+pub fn render_text(out: &mut dyn std::io::Write, doc: &Json) -> std::io::Result<()> {
+    doc.fields()
+        .iter()
+        .try_for_each(|(key, value)| render_entry(out, key, value, ""))
+}
+
+fn scalar_text(value: &Json) -> String {
+    match value {
+        Json::Null => "-".to_string(),
+        Json::String(s) if !s.contains(' ') => s.clone(),
+        other => other.to_string(),
+    }
+}
+
+fn render_entry(
+    out: &mut dyn std::io::Write,
+    key: &str,
+    value: &Json,
+    indent: &str,
+) -> std::io::Result<()> {
+    let Json::Object(fields) = value else {
+        return writeln!(out, "# {indent}{key}: {}", scalar_text(value));
+    };
+    if fields.is_empty() {
+        return Ok(());
+    }
+    let is_object = |v: &Json| matches!(v, Json::Object(_));
+    write!(out, "# {indent}{key}:")?;
+    for (key, value) in fields.iter().filter(|(_, v)| !is_object(v)) {
+        write!(out, " {key}={}", scalar_text(value))?;
+    }
+    writeln!(out)?;
+    let inner = format!("{indent}  ");
+    fields
+        .iter()
+        .filter(|(_, v)| is_object(v))
+        .try_for_each(|(key, value)| render_entry(out, key, value, &inner))
+}
 
 /// Escape `s` as the *contents* of a JSON string (no surrounding quotes).
 pub fn escape(s: &str) -> String {
@@ -379,5 +529,38 @@ mod tests {
         let deep = "[".repeat(200) + &"]".repeat(200);
         let err = Json::parse(&deep).unwrap_err();
         assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn writer_is_compact_and_keeps_key_order() {
+        let doc = Json::object([("b", Json::from(1u64)), ("a", Json::from("x\"y"))])
+            .with("n", None::<u64>)
+            .with("ms", Json::millis(std::time::Duration::from_micros(1500)))
+            .merge(Json::object([("list", Json::Array(vec![true.into()]))]));
+        let text = r#"{"b":1,"a":"x\"y","n":null,"ms":1.5,"list":[true]}"#;
+        assert_eq!(doc.to_string(), text);
+        assert_eq!(Json::parse(text).unwrap(), doc);
+    }
+
+    #[test]
+    fn text_rendering_is_one_line_per_object() {
+        let doc = Json::parse(
+            r#"{"erh":{"waves":2,"cap":null,"note":"a b","sizes":[1,2]},
+                "none":{},
+                "endpoints":{"a":{"requests":3,"breaker":"closed"},
+                             "grp":{"requests":10,"members":{"m1":{"dispatches":7}}}}}"#,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        render_text(&mut out, &doc).unwrap();
+        let expected = "\
+# erh: waves=2 cap=- note=\"a b\" sizes=[1,2]
+# endpoints:
+#   a: requests=3 breaker=closed
+#   grp: requests=10
+#     members:
+#       m1: dispatches=7
+";
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
     }
 }

@@ -1,5 +1,6 @@
 //! The simulated network: latency/bandwidth profiles and traffic counters.
 
+use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -202,6 +203,19 @@ impl CodecSnapshot {
         }
     }
 
+    /// One row of the `codec` stats section (the total, or one endpoint).
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("negotiated", self.negotiated().into()),
+            ("binary_responses", self.binary_responses.into()),
+            ("json_responses", self.json_responses.into()),
+            ("binary_bytes_in", self.binary_bytes_in.into()),
+            ("json_bytes_in", self.json_bytes_in.into()),
+            ("dict_terms", self.dict_terms.into()),
+            ("fallbacks", self.fallbacks.into()),
+        ])
+    }
+
     /// The codec this endpoint has settled on, judged by what it last
     /// demonstrably answered with: "binary" once any binary response
     /// landed, "json" after JSON-only traffic, "none" before any
@@ -227,6 +241,19 @@ pub struct TrafficSnapshot {
 }
 
 impl TrafficSnapshot {
+    /// The traffic columns of an `endpoints` stats row.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("requests", self.requests.into()),
+            ("bytes_sent", self.bytes_sent.into()),
+            ("bytes_received", self.bytes_received.into()),
+            (
+                "simulated_network_ms",
+                Json::millis(self.simulated_network_time),
+            ),
+        ])
+    }
+
     /// Element-wise sum (for aggregating across endpoints).
     pub fn merge(self, other: TrafficSnapshot) -> TrafficSnapshot {
         TrafficSnapshot {

@@ -35,6 +35,7 @@
 
 use crate::endpoint::{EndpointError, FailureKind, SelectResponse, SparqlEndpoint};
 use crate::erh::{BreakerState, Deadline, HealthSnapshot};
+use crate::json::Json;
 use crate::network::TrafficSnapshot;
 use lusail_sparql::ast::{GraphPattern, Query, QueryForm};
 use lusail_store::eval::QueryResult;
@@ -83,6 +84,20 @@ pub struct ReplicaMemberSnapshot {
     pub hedges_won: u64,
     /// The member transport's own health registry snapshot.
     pub health: Option<HealthSnapshot>,
+}
+
+impl ReplicaMemberSnapshot {
+    /// One row of a group's `members` stats table (keyed by `name`): the
+    /// replica counters, then the member's own health columns.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("dispatches", self.dispatches.into()),
+            ("failovers", self.failovers.into()),
+            ("hedges_launched", self.hedges_launched.into()),
+            ("hedges_won", self.hedges_won.into()),
+        ])
+        .merge(self.health.map_or(Json::Null, |h| h.to_json()))
+    }
 }
 
 /// Group-level totals (sums of the member counters plus the logical

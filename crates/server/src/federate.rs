@@ -28,7 +28,8 @@ use lusail_core::{
     CacheLimits, EngineError, LusailEngine, MemoryBudget, MemoryPool, ResultCache, ResultPolicy,
     RunContext,
 };
-use lusail_federation::{json, CancelReason, CancelToken};
+use lusail_federation::json::Json;
+use lusail_federation::{CancelReason, CancelToken};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::QueryForm;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,6 +111,42 @@ struct ClientLedger {
     cache_hits: u64,
 }
 
+impl ClientLedger {
+    /// One client's row of the `clients` stats section.
+    fn to_json(self) -> Json {
+        Json::object([
+            ("inflight", self.inflight.into()),
+            ("admitted", self.admitted.into()),
+            ("rejected", self.rejected.into()),
+            ("cache_hits", self.cache_hits.into()),
+        ])
+    }
+}
+
+/// How many client ledgers the service keeps before it folds the idle
+/// ones away. `X-Client-Id` is free text, so without a bound a client that
+/// varies it grows the map — and the `/stats` body — forever.
+const MAX_CLIENT_LEDGERS: usize = 1024;
+
+/// The row the lifetime counters of folded-away clients are summed into,
+/// so the `clients` totals still add up.
+const EVICTED_CLIENTS: &str = "(evicted)";
+
+/// Fold every ledger with nothing in flight into [`EVICTED_CLIENTS`]. An
+/// in-flight client keeps its entry: its quota gauge must survive.
+fn fold_idle_clients(clients: &mut FxHashMap<String, ClientLedger>) {
+    let mut evicted = clients.remove(EVICTED_CLIENTS).unwrap_or_default();
+    clients.retain(|_, c| {
+        if c.inflight == 0 {
+            evicted.admitted += c.admitted;
+            evicted.rejected += c.rejected;
+            evicted.cache_hits += c.cache_hits;
+        }
+        c.inflight > 0
+    });
+    clients.insert(EVICTED_CLIENTS.to_string(), evicted);
+}
+
 /// One in-flight query as the supervisor sees it.
 #[derive(Debug, Clone)]
 struct QueryEntry {
@@ -140,6 +177,27 @@ struct LifecycleStats {
 }
 
 impl LifecycleStats {
+    /// The counters of the `lifecycle` stats section.
+    fn to_json(&self) -> Json {
+        let load = |counter: &AtomicU64| Json::from(counter.load(Ordering::Relaxed));
+        let cancelled = Json::object([
+            (
+                "client_disconnected",
+                load(&self.cancelled_client_disconnected),
+            ),
+            ("admin_cancelled", load(&self.cancelled_admin)),
+            ("watchdog_reaped", load(&self.cancelled_watchdog)),
+            ("server_draining", load(&self.cancelled_draining)),
+        ]);
+        Json::object([
+            ("cancelled", cancelled),
+            ("watchdog_reaps", load(&self.watchdog_reaps)),
+            ("panics_contained", load(&self.panics_contained)),
+            ("drains", load(&self.drains)),
+            ("drain_force_cancelled", load(&self.drain_force_cancelled)),
+        ])
+    }
+
     fn count_cancelled(&self, reason: CancelReason) {
         let counter = match reason {
             CancelReason::ClientDisconnected => &self.cancelled_client_disconnected,
@@ -486,6 +544,9 @@ impl QueryBackend for FederationService {
     fn answer_cancellable(&self, query: &str, client: &ClientInfo, cancel: &CancelToken) -> Answer {
         {
             let mut clients = self.clients();
+            if clients.len() >= MAX_CLIENT_LEDGERS && !clients.contains_key(&client.id) {
+                fold_idle_clients(&mut clients);
+            }
             let entry = clients.entry(client.id.clone()).or_default();
             if entry.inflight >= self.config.client_max_inflight.max(1) {
                 entry.rejected += 1;
@@ -510,7 +571,7 @@ impl QueryBackend for FederationService {
         self.answer_admitted(query, client, cancel)
     }
 
-    fn queries_json(&self) -> Option<String> {
+    fn queries(&self) -> Option<Json> {
         let mut rows: Vec<(u64, QueryEntry)> = self
             .supervisor
             .queries()
@@ -518,27 +579,21 @@ impl QueryBackend for FederationService {
             .map(|(id, entry)| (*id, entry.clone()))
             .collect();
         rows.sort_by_key(|(id, _)| *id);
-        let body = rows
-            .iter()
-            .map(|(id, entry)| {
-                let cancelled = match entry.token.reason() {
-                    Some(reason) => format!("\"{}\"", reason.as_str()),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"id\":{},\"client\":\"{}\",\"phase\":\"{}\",\"elapsed_ms\":{},\
-                     \"accounted_bytes\":{},\"cancelled\":{}}}",
-                    id,
-                    json::escape(&entry.client),
-                    entry.phase,
-                    entry.started.elapsed().as_millis(),
-                    entry.memory.as_ref().map(|m| m.used()).unwrap_or(0),
-                    cancelled,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        Some(format!("{{\"queries\":[{body}]}}"))
+        let rows = rows.iter().map(|(id, entry)| {
+            let accounted = entry.memory.as_ref().map_or(0, |m| m.used());
+            Json::object([
+                ("id", (*id).into()),
+                ("client", entry.client.as_str().into()),
+                ("phase", entry.phase.into()),
+                (
+                    "elapsed_ms",
+                    (entry.started.elapsed().as_millis() as u64).into(),
+                ),
+                ("accounted_bytes", accounted.into()),
+                ("cancelled", entry.token.reason().map(|r| r.as_str()).into()),
+            ])
+        });
+        Some(Json::object([("queries", Json::Array(rows.collect()))]))
     }
 
     fn cancel_query(&self, id: u64, reason: CancelReason) -> Option<bool> {
@@ -567,138 +622,34 @@ impl QueryBackend for FederationService {
         cancelled
     }
 
-    fn stats_json(&self) -> Option<String> {
-        let pool = self.pool.stats();
-        let results = self.results.stats();
-        let analysis = self.engine.cache().stats();
-        let sizes = self.engine.cache().sizes();
-        let mut clients: Vec<(String, ClientLedger)> = self
+    /// The `service` document of `GET /stats`: what only the service
+    /// knows, then everything the engine reports about itself.
+    fn stats(&self) -> Option<Json> {
+        let pool = Json::object([
+            ("capacity", self.pool.capacity().into()),
+            ("ledger_bytes", self.pool.ledger_bytes().into()),
+            ("max_ledgers", self.pool.max_ledgers().into()),
+        ])
+        .merge(self.pool.stats().to_json());
+        let (ask, checks, counts) = self.engine.cache().sizes();
+        let sizes = Json::Array(vec![ask.into(), checks.into(), counts.into()]);
+        let analysis = self.engine.cache().stats().to_json().with("entries", sizes);
+        let mut clients: Vec<(String, Json)> = self
             .clients()
             .iter()
-            .map(|(id, c)| (id.clone(), *c))
+            .map(|(id, c)| (id.clone(), c.to_json()))
             .collect();
         clients.sort_by(|a, b| a.0.cmp(&b.0));
-        let clients_json = clients
-            .iter()
-            .map(|(id, c)| {
-                format!(
-                    "\"{}\":{{\"inflight\":{},\"admitted\":{},\"rejected\":{},\"cache_hits\":{}}}",
-                    json::escape(id),
-                    c.inflight,
-                    c.admitted,
-                    c.rejected,
-                    c.cache_hits
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let life = &self.supervisor.lifecycle;
-        let codec = self.engine.federation().total_codec().unwrap_or_default();
-        let codec_endpoints = self
-            .engine
-            .federation()
-            .codec_by_endpoint()
-            .iter()
-            .map(|(name, c)| {
-                format!(
-                    "\"{}\":{{\"negotiated\":\"{}\",\"binary_responses\":{},\"json_responses\":{},\
-                     \"binary_bytes_in\":{},\"json_bytes_in\":{},\"dict_terms\":{},\"fallbacks\":{}}}",
-                    json::escape(name),
-                    c.negotiated(),
-                    c.binary_responses,
-                    c.json_responses,
-                    c.binary_bytes_in,
-                    c.json_bytes_in,
-                    c.dict_terms,
-                    c.fallbacks
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let integrity = self
-            .engine
-            .integrity()
-            .snapshot()
-            .iter()
-            .map(|(name, s)| {
-                format!(
-                    "\"{}\":{{\"verifications\":{},\"truncations_detected\":{},\
-                     \"pages_fetched\":{},\"rows_recovered\":{},\"count_divergences\":{},\
-                     \"quarantine_entries\":{},\"quarantine_exits\":{},\"quarantined\":{},\
-                     \"learned_cap\":{}}}",
-                    json::escape(name),
-                    s.verifications,
-                    s.truncations_detected,
-                    s.pages_fetched,
-                    s.rows_recovered,
-                    s.count_divergences,
-                    s.quarantine_entries,
-                    s.quarantine_exits,
-                    s.quarantined,
-                    s.learned_cap
-                        .map(|c| c.to_string())
-                        .unwrap_or_else(|| "null".to_string()),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        Some(format!(
-            "{{\"pool\":{{\"capacity\":{},\"ledger_bytes\":{},\"max_ledgers\":{},\"in_use\":{},\
-             \"waiting\":{},\"carved\":{},\"queued\":{},\"shed\":{},\"peak_ledgers\":{}}},\
-             \"result_cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"insertions\":{},\
-             \"evictions\":{},\"expirations\":{},\"invalidations\":{}}},\
-             \"analysis_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"expirations\":{},\
-             \"entries\":[{},{},{}]}},\"clients\":{{{}}},\
-             \"lifecycle\":{{\"inflight\":{},\"cancelled\":{{\"client_disconnected\":{},\
-             \"admin_cancelled\":{},\"watchdog_reaped\":{},\"server_draining\":{}}},\
-             \"watchdog_reaps\":{},\"panics_contained\":{},\"drains\":{},\
-             \"drain_force_cancelled\":{}}},\
-             \"codec\":{{\"negotiated\":\"{}\",\"binary_responses\":{},\"json_responses\":{},\
-             \"binary_bytes_in\":{},\"json_bytes_in\":{},\"dict_terms\":{},\"fallbacks\":{},\
-             \"endpoints\":{{{}}}}},\"integrity\":{{{}}}}}",
-            self.pool.capacity(),
-            self.pool.ledger_bytes(),
-            self.pool.max_ledgers(),
-            pool.in_use,
-            pool.waiting,
-            pool.carved,
-            pool.queued,
-            pool.shed,
-            pool.peak_ledgers,
-            results.entries,
-            results.hits,
-            results.misses,
-            results.insertions,
-            results.evictions,
-            results.expirations,
-            results.invalidations,
-            analysis.hits,
-            analysis.misses,
-            analysis.evictions,
-            analysis.expirations,
-            sizes.0,
-            sizes.1,
-            sizes.2,
-            clients_json,
-            self.supervisor.queries().len(),
-            life.cancelled_client_disconnected.load(Ordering::Relaxed),
-            life.cancelled_admin.load(Ordering::Relaxed),
-            life.cancelled_watchdog.load(Ordering::Relaxed),
-            life.cancelled_draining.load(Ordering::Relaxed),
-            life.watchdog_reaps.load(Ordering::Relaxed),
-            life.panics_contained.load(Ordering::Relaxed),
-            life.drains.load(Ordering::Relaxed),
-            life.drain_force_cancelled.load(Ordering::Relaxed),
-            codec.negotiated(),
-            codec.binary_responses,
-            codec.json_responses,
-            codec.binary_bytes_in,
-            codec.json_bytes_in,
-            codec.dict_terms,
-            codec.fallbacks,
-            codec_endpoints,
-            integrity,
-        ))
+        let lifecycle = Json::object([("inflight", self.supervisor.queries().len().into())])
+            .merge(self.supervisor.lifecycle.to_json());
+        let service = Json::object([
+            ("pool", pool),
+            ("result_cache", self.results.stats().to_json()),
+            ("analysis_cache", analysis),
+            ("clients", Json::Object(clients)),
+            ("lifecycle", lifecycle),
+        ]);
+        Some(service.merge(self.engine.stats()))
     }
 
     fn invalidate_caches(&self) -> bool {
@@ -826,7 +777,7 @@ mod tests {
             Answer::Boolean(b) => assert!(b),
             _ => panic!("expected an ASK verdict"),
         }
-        let stats = svc.stats_json().expect("service reports stats");
+        let stats = svc.stats().expect("service reports stats").to_string();
         assert!(
             stats.contains("\"noisy\":{\"inflight\":1,\"admitted\":0,\"rejected\":1"),
             "{stats}"
@@ -850,7 +801,7 @@ mod tests {
         // the per-client inflight slot, and the registry entry.
         assert_eq!(svc.pool().stats().in_use, 0, "ledger leaked on panic");
         assert_eq!(svc.supervisor.queries().len(), 0, "registry entry leaked");
-        let stats = svc.stats_json().expect("stats");
+        let stats = svc.stats().expect("stats").to_string();
         assert!(stats.contains("\"panics_contained\":1"), "{stats}");
         assert!(stats.contains("\"inflight\":0"), "{stats}");
         // With the faults cleared, the same client is served normally —
@@ -877,7 +828,7 @@ mod tests {
         });
         let id = registration.id;
         // The registry lists it…
-        let listed = svc.queries_json().expect("registry json");
+        let listed = svc.queries().expect("registry json").to_string();
         assert!(listed.contains("\"client\":\"c1\""), "{listed}");
         assert!(listed.contains("\"phase\":\"executing\""), "{listed}");
         // …cancel trips exactly once…
@@ -920,10 +871,10 @@ mod tests {
         // The sweep counts its reaps after it has tripped their tokens, so
         // the woken waiter can get here first: give the counter a moment.
         let patience = Instant::now() + Duration::from_secs(2);
-        let mut stats = svc.stats_json().expect("stats");
+        let mut stats = svc.stats().expect("stats").to_string();
         while !stats.contains("\"watchdog_reaps\":1") && Instant::now() < patience {
             std::thread::sleep(Duration::from_millis(5));
-            stats = svc.stats_json().expect("stats");
+            stats = svc.stats().expect("stats").to_string();
         }
         assert!(stats.contains("\"watchdog_reaps\":1"), "{stats}");
     }
@@ -952,7 +903,7 @@ mod tests {
         }
         // Draining again is idempotent: every token is already tripped.
         assert_eq!(svc.drain(CancelReason::ServerDraining), 0);
-        let stats = svc.stats_json().expect("stats");
+        let stats = svc.stats().expect("stats").to_string();
         assert!(stats.contains("\"drain_force_cancelled\":3"), "{stats}");
         assert!(stats.contains("\"drains\":2"), "{stats}");
     }
@@ -1000,5 +951,38 @@ mod tests {
             Answer::Boolean(b) => assert!(b),
             _ => panic!("expected an ASK verdict"),
         }
+    }
+
+    #[test]
+    fn client_ledger_map_is_bounded_and_keeps_live_clients() {
+        let svc = service(FederateConfig {
+            client_max_inflight: 1,
+            ..Default::default()
+        });
+        // A client with a query in flight while the flood arrives.
+        svc.clients()
+            .entry("live".to_string())
+            .or_default()
+            .inflight = 1;
+        for i in 0..10_000 {
+            match svc.answer("ASK { ?s ?p ?o }", &client(&format!("flood-{i}"))) {
+                Answer::Boolean(b) => assert!(b),
+                _ => panic!("expected an ASK verdict"),
+            }
+        }
+        assert!(svc.clients().len() <= MAX_CLIENT_LEDGERS);
+        // The live client was never folded away and its quota still holds.
+        assert_eq!(svc.clients().get("live").map(|c| c.inflight), Some(1));
+        match svc.answer("ASK { ?s ?p ?o }", &client("live")) {
+            Answer::Error { status, .. } => assert_eq!(status, 429),
+            _ => panic!("expected a quota rejection"),
+        }
+        // Totals still add up: every flood query was admitted once, either
+        // in a surviving row or in the evicted one.
+        let clients = svc.clients();
+        assert!(clients[EVICTED_CLIENTS].admitted > 0);
+        assert_eq!(clients.values().map(|c| c.admitted).sum::<u64>(), 10_000);
+        let hits: u64 = clients.values().map(|c| c.cache_hits).sum();
+        assert_eq!(hits, svc.results().stats().hits);
     }
 }

@@ -50,6 +50,7 @@
 pub mod federate;
 
 use lusail_federation::http::percent_decode;
+use lusail_federation::json::Json;
 use lusail_federation::results_bin;
 use lusail_federation::results_json;
 use lusail_federation::{CancelReason, CancelToken};
@@ -173,14 +174,14 @@ pub trait QueryBackend: Send + Sync + 'static {
 
     /// Backend-specific counters embedded in `GET /stats` under
     /// `"service"`. `None` renders as JSON `null`.
-    fn stats_json(&self) -> Option<String> {
+    fn stats(&self) -> Option<Json> {
         None
     }
 
     /// The in-flight query registry behind `GET /queries`, as a JSON
     /// document. `None` means the backend keeps no registry (the route
     /// then answers 404).
-    fn queries_json(&self) -> Option<String> {
+    fn queries(&self) -> Option<Json> {
         None
     }
 
@@ -285,6 +286,15 @@ pub struct RequestCounts {
 }
 
 impl RequestCounts {
+    /// The `requests` section of `GET /stats`.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("served", self.served.into()),
+            ("shed", self.shed.into()),
+            ("errors", self.errors.into()),
+        ])
+    }
+
     /// All responses written, regardless of outcome.
     pub fn total(&self) -> u64 {
         self.served + self.shed + self.errors
@@ -370,7 +380,10 @@ impl SparqlServer {
                         // on the accept thread, so it must never block
                         // long; the body is a few hundred bytes at most.
                         Err(mpsc::TrySendError::Full(s)) => {
-                            write_overloaded(&s, &accept_config, &accept_stats);
+                            s.set_write_timeout(Some(Duration::from_millis(250))).ok();
+                            let response = Response::overloaded(&accept_config);
+                            let _ = write_response(&s, &accept_stats, false, response);
+                            let _ = s.shutdown(std::net::Shutdown::Both);
                         }
                         Err(mpsc::TrySendError::Disconnected(_)) => break,
                     },
@@ -451,12 +464,12 @@ impl ServerHandle {
     }
 }
 
-/// An HTTP-level rejection: status, reason, and whether the connection is
-/// still usable afterwards (framing errors are not).
+/// An HTTP-level rejection: status and reason. One raised while reading
+/// a request leaves the framing unknown, so `serve_connection` closes
+/// after answering it; one raised by `extract_query` does not.
 struct HttpReject {
     status: u16,
     message: String,
-    recoverable: bool,
 }
 
 impl HttpReject {
@@ -464,15 +477,6 @@ impl HttpReject {
         HttpReject {
             status,
             message: message.into(),
-            recoverable: true,
-        }
-    }
-
-    fn fatal(status: u16, message: impl Into<String>) -> Self {
-        HttpReject {
-            status,
-            message: message.into(),
-            recoverable: false,
         }
     }
 }
@@ -496,45 +500,110 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// The JSON error body: `{"error": …, "endpoint": …}`. Naming the endpoint
-/// lets a federated client attribute the failure without relying on which
-/// URL it happened to dial.
-fn error_body(message: &str, endpoint: &str) -> String {
-    format!(
-        "{{\"error\":\"{}\",\"endpoint\":\"{}\"}}",
-        lusail_federation::json::escape(message),
-        lusail_federation::json::escape(endpoint)
-    )
+/// One HTTP response, whole. Every route builds one of these and
+/// [`write_response`] is the only code that puts a status line on the wire.
+struct Response {
+    status: u16,
+    content_type: &'static str,
+    /// Extra header lines (`Allow`, `Retry-After`, `X-Lusail-Truncated`),
+    /// each CRLF-terminated; they follow `Content-Type`.
+    headers: String,
+    body: Body,
 }
 
-/// Turn away a connection the pool cannot absorb: 503 with a `Retry-After`
-/// hint, written from the accept thread (bounded by a short write timeout
-/// so a slow client cannot stall accepting).
-fn write_overloaded(stream: &TcpStream, config: &ServerConfig, stats: &ServerStats) {
-    stats.record(503);
-    stream
-        .set_write_timeout(Some(Duration::from_millis(250)))
-        .ok();
-    let body = error_body(
-        &format!(
+enum Body {
+    /// Sent with `Content-Length`.
+    Sized(Vec<u8>),
+    /// Sent chunked, one chunk per item: a large result is never buffered
+    /// as a document.
+    Chunks(Box<dyn Iterator<Item = Vec<u8>>>),
+}
+
+impl Response {
+    fn new(status: u16, content_type: &'static str, body: Body) -> Response {
+        Response {
+            status,
+            content_type,
+            headers: String::new(),
+            body,
+        }
+    }
+
+    /// A small JSON document.
+    fn json(status: u16, doc: &Json) -> Response {
+        let body = Body::Sized(doc.to_string().into_bytes());
+        Response::new(status, "application/json", body)
+    }
+
+    /// The JSON error body: `{"error": …, "endpoint": …}`. Naming the
+    /// endpoint lets a federated client attribute the failure without
+    /// relying on which URL it happened to dial.
+    fn error(status: u16, message: &str, endpoint: &str) -> Response {
+        let doc = Json::object([("error", message.into()), ("endpoint", endpoint.into())]);
+        Response::json(status, &doc)
+    }
+
+    fn header(mut self, name: &str, value: impl std::fmt::Display) -> Response {
+        self.headers.push_str(&format!("{name}: {value}\r\n"));
+        self
+    }
+
+    fn retry_after(self, hint: Option<Duration>) -> Response {
+        match hint {
+            Some(hint) => self.header("Retry-After", hint.as_secs().max(1)),
+            None => self,
+        }
+    }
+
+    /// Turn away a connection the pool cannot absorb: 503 with a
+    /// `Retry-After` hint. Written from the accept thread, under a short
+    /// write timeout so a slow client cannot stall accepting.
+    fn overloaded(config: &ServerConfig) -> Response {
+        let message = format!(
             "server overloaded: {} workers busy and {} connections queued",
             config.workers.max(1),
             config.backlog.max(1)
-        ),
-        &config.name,
-    );
-    let retry_after = config.retry_after.as_secs().max(1);
-    let _ = (&mut &*stream).write_all(
-        format!(
-            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-             Retry-After: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            retry_after,
-            body.len(),
-            body
-        )
-        .as_bytes(),
-    );
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+        );
+        Response::error(503, &message, &config.name).retry_after(Some(config.retry_after))
+    }
+}
+
+/// Record `response` in `stats` and write it: the one status line, the
+/// headers in one order, then the body sized or chunked.
+fn write_response(
+    stream: &TcpStream,
+    stats: &ServerStats,
+    keep_alive: bool,
+    response: Response,
+) -> io::Result<()> {
+    stats.record(response.status);
+    let framing = match &response.body {
+        Body::Sized(bytes) => format!("Content-Length: {}", bytes.len()),
+        Body::Chunks(_) => "Transfer-Encoding: chunked".to_string(),
+    };
+    let mut out = io::BufWriter::new(stream);
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n{}{framing}\r\nConnection: {}\r\n\r\n",
+        response.status,
+        status_text(response.status),
+        response.content_type,
+        response.headers,
+        if keep_alive { "keep-alive" } else { "close" }
+    )?;
+    match response.body {
+        Body::Sized(bytes) => out.write_all(&bytes)?,
+        // An empty chunk would terminate the body early: skip it.
+        Body::Chunks(chunks) => {
+            for chunk in chunks.filter(|c| !c.is_empty()) {
+                write!(out, "{:x}\r\n", chunk.len())?;
+                out.write_all(&chunk)?;
+                out.write_all(b"\r\n")?;
+            }
+            out.write_all(b"0\r\n\r\n")?;
+        }
+    }
+    out.flush()
 }
 
 /// Serve one connection: a keep-alive loop of request → response.
@@ -557,178 +626,112 @@ fn serve_connection(
         buf: Vec::new(),
         pos: 0,
     };
-    loop {
-        // Park in short slices until the next request's first byte shows
-        // up, so an idle keep-alive connection never pins a worker across
-        // shutdown or past the idle deadline.
-        match reader.await_data(shutdown, config.read_deadline) {
-            WaitOutcome::Data => {}
-            WaitOutcome::Closed | WaitOutcome::Shutdown | WaitOutcome::TimedOut => break,
-        }
-        match read_request(&mut reader, config) {
-            Ok(Some(request)) => {
-                let client = ClientInfo {
-                    id: request.client_id.clone().unwrap_or_else(|| peer.clone()),
-                };
-                if !handle_request(&stream, &request, backend, config, stats, &client) {
-                    break;
-                }
-            }
+    // Park in short slices until the next request's first byte shows up, so
+    // an idle keep-alive connection never pins a worker across shutdown or
+    // past the idle deadline (closed, shutting down, timed out: all end it).
+    while let WaitOutcome::Data = reader.await_data(shutdown, config.read_deadline) {
+        let request = match read_request(&mut reader, config) {
+            Ok(Some(request)) => request,
             // Clean EOF between requests: client closed the connection.
             Ok(None) => break,
             Err(reject) => {
-                stats.record(reject.status);
-                let _ = write_error(&stream, &reject, false, &config.name);
+                let response = Response::error(reject.status, &reject.message, &config.name);
+                let _ = write_response(&stream, stats, false, response);
                 break;
             }
+        };
+        let client = ClientInfo {
+            id: request.client_id.clone().unwrap_or_else(|| peer.clone()),
+        };
+        let Some(response) = respond(&stream, &request, backend, config, stats, &client) else {
+            // The client hung up mid-query. Nobody is reading: count it
+            // and skip the write entirely.
+            stats.record(499);
+            break;
+        };
+        if write_response(&stream, stats, request.keep_alive, response).is_err()
+            || !request.keep_alive
+        {
+            break;
         }
     }
 }
 
-/// Dispatch one parsed request. Returns whether the connection may keep
-/// serving further keep-alive requests.
-fn handle_request(
+/// Dispatch one request to its route. `None` means the client
+/// disconnected while its query ran.
+fn respond(
     stream: &TcpStream,
     request: &Request,
     backend: &Arc<dyn QueryBackend>,
     config: &ServerConfig,
     stats: &ServerStats,
     client: &ClientInfo,
-) -> bool {
-    let keep_alive = request.keep_alive;
+) -> Option<Response> {
+    let name = config.name.as_str();
     let path = request.target.split('?').next().unwrap_or("");
-    match path {
-        "/stats" => {
-            if request.method != "GET" {
-                let reject = HttpReject::new(405, "use GET for /stats");
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            }
-            // Snapshot before recording so the body does not count itself.
-            let body = stats_body(stats, backend, config);
-            stats.record(200);
-            write_json(stream, 200, &body, keep_alive).is_ok() && keep_alive
-        }
-        "/queries" => {
-            if request.method != "GET" {
-                let reject = HttpReject::new(405, "use GET for /queries");
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            }
-            match backend.queries_json() {
-                Some(body) => {
-                    stats.record(200);
-                    write_json(stream, 200, &body, keep_alive).is_ok() && keep_alive
-                }
-                None => {
-                    let reject = HttpReject::new(404, "this server keeps no query registry");
-                    stats.record(reject.status);
-                    write_error(stream, &reject, keep_alive, &config.name).is_ok() && keep_alive
-                }
-            }
-        }
-        _ if path.starts_with("/queries/") && path.ends_with("/cancel") => {
-            if request.method != "POST" {
-                let reject = HttpReject::new(405, "use POST for /queries/<id>/cancel");
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            }
-            let id_text = &path["/queries/".len()..path.len() - "/cancel".len()];
-            let Ok(id) = id_text.parse::<u64>() else {
-                let reject = HttpReject::new(400, format!("bad query id {id_text:?}"));
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            };
+    // The `<id>` of a `/queries/<id>/cancel` path.
+    let cancel_id = path
+        .strip_prefix("/queries/")
+        .and_then(|rest| rest.strip_suffix("/cancel"));
+    // The route table: the methods each path takes (sent back as `Allow`
+    // with a 405, RFC 9110 §15.5.6) and what the refusal calls the route.
+    // Every path not named here is the query route.
+    let (allow, route) = match path {
+        "/stats" | "/queries" => ("GET", path),
+        "/cache/invalidate" => ("POST", path),
+        _ if cancel_id.is_some() => ("POST", "/queries/<id>/cancel"),
+        _ => ("GET, POST", ""),
+    };
+    if !allow.split(", ").any(|method| method == request.method) {
+        let message = if route.is_empty() {
+            format!("method {} not allowed; use GET or POST", request.method)
+        } else {
+            format!("use {allow} for {route}")
+        };
+        return Some(Response::error(405, &message, name).header("Allow", allow));
+    }
+    if let Some(id_text) = cancel_id {
+        let Ok(id) = id_text.parse::<u64>() else {
+            let message = format!("bad query id {id_text:?}");
+            return Some(Response::error(400, &message, name));
+        };
+        return Some(
             match backend.cancel_query(id, CancelReason::AdminCancelled) {
                 Some(cancelled) => {
-                    stats.record(200);
-                    let body = format!("{{\"id\":{id},\"cancelled\":{cancelled}}}");
-                    write_json(stream, 200, &body, keep_alive).is_ok() && keep_alive
+                    let doc = Json::object([("id", id.into()), ("cancelled", cancelled.into())]);
+                    Response::json(200, &doc)
                 }
-                None => {
-                    let reject = HttpReject::new(404, format!("no in-flight query with id {id}"));
-                    stats.record(reject.status);
-                    write_error(stream, &reject, keep_alive, &config.name).is_ok() && keep_alive
-                }
-            }
+                None => Response::error(404, &format!("no in-flight query with id {id}"), name),
+            },
+        );
+    }
+    Some(match path {
+        // Built before the response is recorded, so the body does not
+        // count itself.
+        "/stats" => {
+            let doc = Json::object([
+                ("endpoint", name.into()),
+                ("requests", stats.counts().to_json()),
+                ("service", backend.stats().into()),
+            ]);
+            Response::json(200, &doc)
         }
-        "/cache/invalidate" => {
-            if request.method != "POST" {
-                let reject = HttpReject::new(405, "use POST for /cache/invalidate");
-                stats.record(reject.status);
-                return write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && keep_alive;
-            }
-            if backend.invalidate_caches() {
-                stats.record(200);
-                write_json(stream, 200, "{\"invalidated\":true}", keep_alive).is_ok() && keep_alive
-            } else {
-                let reject = HttpReject::new(404, "this server has no shared caches");
-                stats.record(reject.status);
-                write_error(stream, &reject, keep_alive, &config.name).is_ok() && keep_alive
-            }
+        "/queries" => match backend.queries() {
+            Some(doc) => Response::json(200, &doc),
+            None => Response::error(404, "this server keeps no query registry", name),
+        },
+        "/cache/invalidate" if backend.invalidate_caches() => {
+            Response::json(200, &Json::object([("invalidated", true.into())]))
         }
+        "/cache/invalidate" => Response::error(404, "this server has no shared caches", name),
         _ => match extract_query(request, config) {
             Ok(query_text) => {
-                answer_query(
-                    stream,
-                    backend,
-                    &query_text,
-                    client,
-                    keep_alive,
-                    config.offer_binary && wants_binary(&request.accept),
-                    config,
-                    stats,
-                )
-                .is_ok()
-                    && keep_alive
+                let binary = config.offer_binary && wants_binary(&request.accept);
+                answer_query(stream, backend, &query_text, client, binary, config)?
             }
-            Err(reject) => {
-                stats.record(reject.status);
-                write_error(stream, &reject, keep_alive, &config.name).is_ok()
-                    && reject.recoverable
-                    && keep_alive
-            }
+            Err(reject) => Response::error(reject.status, &reject.message, name),
         },
-    }
-}
-
-/// The `GET /stats` body: server-level counters plus whatever the backend
-/// wants to report (`null` for a plain store).
-fn stats_body(
-    stats: &ServerStats,
-    backend: &Arc<dyn QueryBackend>,
-    config: &ServerConfig,
-) -> String {
-    let counts = stats.counts();
-    format!(
-        "{{\"endpoint\":\"{}\",\"requests\":{{\"served\":{},\"shed\":{},\"errors\":{}}},\"service\":{}}}",
-        lusail_federation::json::escape(&config.name),
-        counts.served,
-        counts.shed,
-        counts.errors,
-        backend.stats_json().unwrap_or_else(|| "null".to_string()),
-    )
-}
-
-/// Write a small sized JSON response.
-fn write_json(stream: &TcpStream, status: u16, body: &str, keep_alive: bool) -> io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut out = io::BufWriter::new(stream);
-    write!(
-        out,
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
-        status,
-        status_text(status),
-        body.len(),
-        connection,
-        body
-    )?;
-    out.flush()
+    })
 }
 
 /// One parsed HTTP request.
@@ -768,7 +771,7 @@ fn read_request(
             (m.to_string(), t.to_string(), v)
         }
         _ => {
-            return Err(HttpReject::fatal(
+            return Err(HttpReject::new(
                 400,
                 format!("malformed request line {request_line:?}"),
             ))
@@ -791,7 +794,7 @@ fn read_request(
             break;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpReject::fatal(400, format!("malformed header {line:?}")));
+            return Err(HttpReject::new(400, format!("malformed header {line:?}")));
         };
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
@@ -799,7 +802,7 @@ fn read_request(
             "content-length" => {
                 content_length = value
                     .parse()
-                    .map_err(|_| HttpReject::fatal(400, format!("bad Content-Length {value:?}")))?;
+                    .map_err(|_| HttpReject::new(400, format!("bad Content-Length {value:?}")))?;
             }
             "content-type" => content_type = value.to_ascii_lowercase(),
             "accept" => accept = value.to_ascii_lowercase(),
@@ -823,13 +826,13 @@ fn read_request(
 
     if chunked {
         // Simple servers may refuse chunked requests; queries are small.
-        return Err(HttpReject::fatal(
+        return Err(HttpReject::new(
             400,
             "chunked request bodies are not supported",
         ));
     }
     if content_length > config.max_query_bytes {
-        return Err(HttpReject::fatal(
+        return Err(HttpReject::new(
             413,
             format!(
                 "request body of {content_length} bytes exceeds the {}-byte limit",
@@ -840,7 +843,7 @@ fn read_request(
     if expect_continue && content_length > 0 {
         (&mut reader.stream)
             .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
-            .map_err(|_| HttpReject::fatal(400, "client went away"))?;
+            .map_err(|_| HttpReject::new(400, "client went away"))?;
     }
     let body = reader
         .read_exact_vec(content_length, deadline, max_frame)
@@ -874,43 +877,32 @@ fn wants_binary(accept: &str) -> bool {
     })
 }
 
-/// Apply the SPARQL Protocol rules to pull the query text out of a request.
+/// Apply the SPARQL Protocol rules to pull the query text out of a `GET`
+/// or `POST` request (the route table turned every other method away).
 fn extract_query(request: &Request, config: &ServerConfig) -> Result<String, HttpReject> {
-    let query = match request.method.as_str() {
-        "GET" => {
-            let query_string = request.target.split_once('?').map(|(_, q)| q).unwrap_or("");
-            form_field(query_string, "query")
-                .ok_or_else(|| HttpReject::new(400, "missing query= parameter"))??
-        }
-        "POST" => {
-            if request.content_type.starts_with("application/sparql-query") {
-                String::from_utf8(request.body.clone())
-                    .map_err(|_| HttpReject::new(400, "query body is not UTF-8"))?
-            } else if request
-                .content_type
-                .starts_with("application/x-www-form-urlencoded")
-            {
-                let body = std::str::from_utf8(&request.body)
-                    .map_err(|_| HttpReject::new(400, "form body is not UTF-8"))?;
-                form_field(body, "query")
-                    .ok_or_else(|| HttpReject::new(400, "missing query= field"))??
-            } else {
-                return Err(HttpReject::new(
-                    415,
-                    format!(
-                        "unsupported Content-Type {:?}; use application/sparql-query or a \
-                         query= form field",
-                        request.content_type
-                    ),
-                ));
-            }
-        }
-        other => {
-            return Err(HttpReject::new(
-                405,
-                format!("method {other} not allowed; use GET or POST"),
-            ))
-        }
+    let query = if request.method == "GET" {
+        let query_string = request.target.split_once('?').map(|(_, q)| q).unwrap_or("");
+        form_field(query_string, "query")
+            .ok_or_else(|| HttpReject::new(400, "missing query= parameter"))??
+    } else if request.content_type.starts_with("application/sparql-query") {
+        String::from_utf8(request.body.clone())
+            .map_err(|_| HttpReject::new(400, "query body is not UTF-8"))?
+    } else if request
+        .content_type
+        .starts_with("application/x-www-form-urlencoded")
+    {
+        let body = std::str::from_utf8(&request.body)
+            .map_err(|_| HttpReject::new(400, "form body is not UTF-8"))?;
+        form_field(body, "query").ok_or_else(|| HttpReject::new(400, "missing query= field"))??
+    } else {
+        return Err(HttpReject::new(
+            415,
+            format!(
+                "unsupported Content-Type {:?}; use application/sparql-query or a \
+                 query= form field",
+                request.content_type
+            ),
+        ));
     };
     if query.len() > config.max_query_bytes {
         return Err(HttpReject::new(
@@ -1007,22 +999,19 @@ impl Drop for DisconnectMonitor {
     }
 }
 
-/// Evaluate the query through the backend and stream the response.
-/// With `binary`, successful results go out in the negotiated compact
-/// codec ([`results_bin`]); errors are always JSON.
-#[allow(clippy::too_many_arguments)]
+/// Evaluate the query through the backend and build the response. With
+/// `binary`, successful results go out in the negotiated compact codec
+/// ([`results_bin`]); errors are always JSON. `None` means the client
+/// disconnected mid-query.
 fn answer_query(
     stream: &TcpStream,
     backend: &Arc<dyn QueryBackend>,
     query_text: &str,
     client: &ClientInfo,
-    keep_alive: bool,
     binary: bool,
     config: &ServerConfig,
-    stats: &ServerStats,
-) -> io::Result<()> {
+) -> Option<Response> {
     let name = config.name.as_str();
-    let connection = if keep_alive { "keep-alive" } else { "close" };
     let token = CancelToken::new();
     let answer = {
         // The monitor holds a cloned handle; it is stopped and joined
@@ -1039,169 +1028,77 @@ fn answer_query(
     // Restore the blocking-read default the request reader expects.
     stream.set_read_timeout(None).ok();
     if token.reason() == Some(CancelReason::ClientDisconnected) {
-        // Nobody is reading: count it and skip the write entirely.
-        stats.record(499);
-        return Err(io::Error::new(
-            io::ErrorKind::ConnectionAborted,
-            "client disconnected mid-query",
-        ));
+        return None;
     }
-    match answer {
+    let media = if binary {
+        results_bin::MEDIA_TYPE
+    } else {
+        results_json::MEDIA_TYPE
+    };
+    Some(match answer {
         Answer::Error {
             status,
             message,
             retry_after,
-        } => {
-            stats.record(status);
-            let body = error_body(&message, name);
-            let retry_header = match retry_after {
-                Some(d) => format!("Retry-After: {}\r\n", d.as_secs().max(1)),
-                None => String::new(),
-            };
-            let mut out = io::BufWriter::new(stream);
-            write!(
-                out,
-                "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\n{}Content-Length: {}\r\nConnection: {}\r\n\r\n{}",
-                status,
-                status_text(status),
-                retry_header,
-                body.len(),
-                connection,
-                body
-            )?;
-            out.flush()
-        }
-        Answer::Boolean(b) => {
-            stats.record(200);
-            let (media, body) = if binary {
-                (results_bin::MEDIA_TYPE, results_bin::boolean_bin(b))
+        } => Response::error(status, &message, name).retry_after(retry_after),
+        Answer::Boolean(verdict) => {
+            let body = if binary {
+                results_bin::boolean_bin(verdict)
             } else {
-                (
-                    results_json::MEDIA_TYPE,
-                    results_json::boolean_json(b).into_bytes(),
-                )
+                results_json::boolean_json(verdict).into_bytes()
             };
-            let mut out = io::BufWriter::new(stream);
-            write!(
-                out,
-                "HTTP/1.1 200 OK\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-                media,
-                body.len(),
-                connection,
-            )?;
-            out.write_all(&body)?;
-            out.flush()
+            Response::new(200, media, Body::Sized(body))
         }
         Answer::Solutions { rel, mut warnings } => {
-            stats.record(200);
             // The server-side row ceiling, applied on top of whatever the
             // backend already enforced: the truncation is declared in the
             // response head (which streams first), so a client sees the
             // degradation before the rows, not after.
             let cap = config.max_result_rows.unwrap_or(usize::MAX);
-            let rows = if rel.len() > cap {
-                &rel.rows()[..cap]
-            } else {
-                rel.rows()
-            };
-            if rel.len() > cap {
+            let truncated = rel.len() > cap;
+            if truncated {
                 warnings.push(format!(
                     "{name}: result truncated to {cap} of {} rows by the server row cap",
                     rel.len()
                 ));
             }
+            // Head, one chunk per row, tail: the same streaming shape in
+            // either codec. `Some` is the negotiated binary codec with its
+            // per-response term dictionary, `None` SPARQL JSON.
+            let mut encoder = binary.then(results_bin::Encoder::new);
+            let head = match &mut encoder {
+                Some(enc) => enc.head(rel.vars(), &warnings),
+                None => results_json::head_json_with_warnings(rel.vars(), &warnings).into_bytes(),
+            };
+            let tail = match &encoder {
+                Some(enc) => enc.tail(),
+                None => results_json::SOLUTIONS_TAIL.as_bytes().to_vec(),
+            };
+            let rows = (0..rel.len().min(cap)).map(move |i| match &mut encoder {
+                // Any first-seen terms as dictionary records, then the
+                // fixed-width id tuple.
+                Some(enc) => enc.row(&rel.rows()[i]),
+                None => {
+                    let mut piece = results_json::binding_json(rel.vars(), &rel.rows()[i]);
+                    if i > 0 {
+                        piece.insert(0, ',');
+                    }
+                    piece.into_bytes()
+                }
+            });
+            let chunks = std::iter::once(head).chain(rows).chain([tail]);
+            let response = Response::new(200, media, Body::Chunks(Box::new(chunks)));
             // Honest truncation advertisement: unlike a silently-capping
             // public endpoint, this server *declares* the cut in a header
             // (`HttpEndpoint` consumes it as ground truth and pages the
             // rest back), so a federator never has to guess.
-            let truncated_header = if rel.len() > cap {
-                "X-Lusail-Truncated: true\r\n"
+            if truncated {
+                response.header("X-Lusail-Truncated", true)
             } else {
-                ""
-            };
-            if binary {
-                // The same streaming shape as JSON — head, row chunks,
-                // tail — just in the negotiated compact codec: each row
-                // chunk carries any first-seen terms as dictionary
-                // records followed by the fixed-width id tuple.
-                let mut enc = results_bin::Encoder::new();
-                let mut out = io::BufWriter::new(stream);
-                write!(
-                    out,
-                    "HTTP/1.1 200 OK\r\nContent-Type: {}\r\n{}Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-                    results_bin::MEDIA_TYPE,
-                    truncated_header,
-                    connection
-                )?;
-                write_chunk(&mut out, &enc.head(rel.vars(), &warnings))?;
-                for row in rows {
-                    write_chunk(&mut out, &enc.row(row))?;
-                }
-                write_chunk(&mut out, &enc.tail())?;
-                out.write_all(b"0\r\n\r\n")?;
-                return out.flush();
+                response
             }
-            let head = if warnings.is_empty() {
-                results_json::head_json(rel.vars())
-            } else {
-                results_json::head_json_with_warnings(rel.vars(), &warnings)
-            };
-            let mut out = io::BufWriter::new(stream);
-            write!(
-                out,
-                "HTTP/1.1 200 OK\r\nContent-Type: {}\r\n{}Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-                results_json::MEDIA_TYPE,
-                truncated_header,
-                connection
-            )?;
-            write_chunk(&mut out, head.as_bytes())?;
-            for (i, row) in rows.iter().enumerate() {
-                let mut piece = String::new();
-                if i > 0 {
-                    piece.push(',');
-                }
-                piece.push_str(&results_json::binding_json(rel.vars(), row));
-                write_chunk(&mut out, piece.as_bytes())?;
-            }
-            write_chunk(&mut out, results_json::SOLUTIONS_TAIL.as_bytes())?;
-            out.write_all(b"0\r\n\r\n")?;
-            out.flush()
         }
-    }
-}
-
-fn write_chunk(out: &mut impl Write, data: &[u8]) -> io::Result<()> {
-    if data.is_empty() {
-        return Ok(()); // an empty chunk would terminate the body
-    }
-    write!(out, "{:x}\r\n", data.len())?;
-    out.write_all(data)?;
-    out.write_all(b"\r\n")
-}
-
-fn write_error(
-    stream: &TcpStream,
-    reject: &HttpReject,
-    keep_alive: bool,
-    name: &str,
-) -> io::Result<()> {
-    let connection = if keep_alive && reject.recoverable {
-        "keep-alive"
-    } else {
-        "close"
-    };
-    let body = error_body(&reject.message, name);
-    let mut out = io::BufWriter::new(stream);
-    write!(
-        out,
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
-        reject.status,
-        status_text(reject.status),
-        body.len(),
-        connection,
-        body
-    )?;
-    out.flush()
+    })
 }
 
 enum ReadError {
@@ -1216,11 +1113,11 @@ impl ReadError {
     fn into_reject(self) -> HttpReject {
         match self {
             ReadError::CleanEof | ReadError::UnexpectedEof => {
-                HttpReject::fatal(400, "connection closed mid-request")
+                HttpReject::new(400, "connection closed mid-request")
             }
-            ReadError::TimedOut => HttpReject::fatal(408, "request read deadline exceeded"),
-            ReadError::TooLarge => HttpReject::fatal(413, "request too large"),
-            ReadError::Io(e) => HttpReject::fatal(400, format!("read error: {e}")),
+            ReadError::TimedOut => HttpReject::new(408, "request read deadline exceeded"),
+            ReadError::TooLarge => HttpReject::new(413, "request too large"),
+            ReadError::Io(e) => HttpReject::new(400, format!("read error: {e}")),
         }
     }
 }
@@ -1893,5 +1790,223 @@ mod tests {
                 ..Default::default()
             });
         assert!(ep.execute(&q).is_err());
+    }
+
+    /// One exchange with `Connection: close`; returns the response bytes up
+    /// to (not including) the blank line, which is all ASCII in either codec.
+    fn response_head(addr: SocketAddr, request: &[u8]) -> String {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(request).unwrap();
+        let mut bytes = Vec::new();
+        sock.read_to_end(&mut bytes).unwrap();
+        let end = bytes
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("a blank line ends the head");
+        String::from_utf8(bytes[..end].to_vec()).unwrap()
+    }
+
+    /// The head of every kind of response, byte for byte as captured from
+    /// the commit before `write_response` existed (apart from `Allow`), and
+    /// `ServerHandle::stats()` moving by exactly one per response.
+    #[test]
+    fn response_heads_match_the_captured_fixture() {
+        struct AlwaysBusy;
+        impl QueryBackend for AlwaysBusy {
+            fn answer(&self, _query: &str, _client: &ClientInfo) -> Answer {
+                Answer::Error {
+                    status: 429,
+                    message: "client quota exhausted".to_string(),
+                    retry_after: Some(Duration::from_secs(3)),
+                }
+            }
+        }
+        let named = |name: &str| ServerConfig {
+            name: name.to_string(),
+            ..Default::default()
+        };
+        let plain = start(ServerConfig {
+            max_query_bytes: 200,
+            ..named("fx")
+        });
+        let capped = start(ServerConfig {
+            max_result_rows: Some(1),
+            ..named("fx")
+        });
+        let slow = start(ServerConfig {
+            read_deadline: Duration::from_millis(100),
+            ..named("fx")
+        });
+        let busy = SparqlServer::with_backend("127.0.0.1:0", Arc::new(AlwaysBusy), named("fx"))
+            .unwrap()
+            .spawn();
+
+        let get = |query: &str, accept: &str| {
+            format!(
+                "GET /sparql?query={} HTTP/1.1\r\nHost: h\r\n{accept}Connection: close\r\n\r\n",
+                percent_encode(query)
+            )
+        };
+        let binary = format!("Accept: {}\r\n", results_bin::MEDIA_TYPE);
+        let select = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }";
+        let cases: Vec<(&ServerHandle, String, &str)> = vec![
+            (
+                &plain,
+                "GET /sparql HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n".to_string(),
+                "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+                 Content-Length: 52\r\nConnection: close",
+            ),
+            (
+                &plain,
+                "GET /queries HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n".to_string(),
+                "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+                 Content-Length: 63\r\nConnection: close",
+            ),
+            (
+                &slow,
+                "GET /spar".to_string(),
+                "HTTP/1.1 408 Request Timeout\r\nContent-Type: application/json\r\n\
+                 Content-Length: 58\r\nConnection: close",
+            ),
+            (
+                &plain,
+                "POST /sparql HTTP/1.1\r\nHost: h\r\nContent-Type: application/sparql-query\r\n\
+                 Content-Length: 5000\r\nConnection: close\r\n\r\n"
+                    .to_string(),
+                "HTTP/1.1 413 Content Too Large\r\nContent-Type: application/json\r\n\
+                 Content-Length: 81\r\nConnection: close",
+            ),
+            (
+                &plain,
+                "POST /sparql HTTP/1.1\r\nHost: h\r\nContent-Type: text/csv\r\n\
+                 Content-Length: 3\r\nConnection: close\r\n\r\nabc"
+                    .to_string(),
+                "HTTP/1.1 415 Unsupported Media Type\r\nContent-Type: application/json\r\n\
+                 Content-Length: 118\r\nConnection: close",
+            ),
+            (
+                &busy,
+                get("ASK { ?s ?p ?o }", ""),
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+                 Retry-After: 3\r\nContent-Length: 50\r\nConnection: close",
+            ),
+            (
+                &plain,
+                "GET /stats HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n".to_string(),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: 76\r\nConnection: close",
+            ),
+            (
+                &plain,
+                get("ASK { ?s ?p ?o }", ""),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/sparql-results+json\r\n\
+                 Content-Length: 26\r\nConnection: close",
+            ),
+            (
+                &plain,
+                get("ASK { ?s ?p ?o }", &binary),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-lusail-results-bin\r\n\
+                 Content-Length: 7\r\nConnection: close",
+            ),
+            (
+                &plain,
+                get(select, ""),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/sparql-results+json\r\n\
+                 Transfer-Encoding: chunked\r\nConnection: close",
+            ),
+            (
+                &plain,
+                get(select, &binary),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-lusail-results-bin\r\n\
+                 Transfer-Encoding: chunked\r\nConnection: close",
+            ),
+            (
+                &capped,
+                get(select, ""),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/sparql-results+json\r\n\
+                 X-Lusail-Truncated: true\r\nTransfer-Encoding: chunked\r\nConnection: close",
+            ),
+            (
+                &capped,
+                get(select, &binary),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-lusail-results-bin\r\n\
+                 X-Lusail-Truncated: true\r\nTransfer-Encoding: chunked\r\nConnection: close",
+            ),
+        ];
+        for (server, request, expected) in &cases {
+            let before = server.stats().total();
+            let head = response_head(server.local_addr(), request.as_bytes());
+            assert_eq!(&head, expected, "request {request:?}");
+            assert_eq!(server.stats().total(), before + 1, "request {request:?}");
+        }
+        for server in [plain, capped, slow, busy] {
+            server.shutdown();
+        }
+
+        // The accept thread's shed goes through the same writer: the one
+        // worker parks on a held-open connection (given time to pick it
+        // up), a second connection fills the queue, the third is refused.
+        let tiny = start(ServerConfig {
+            workers: 1,
+            backlog: 1,
+            retry_after: Duration::from_secs(2),
+            ..named("fx")
+        });
+        let _busy = TcpStream::connect(tiny.local_addr()).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let _queued = TcpStream::connect(tiny.local_addr()).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let head = response_head(tiny.local_addr(), b"");
+        assert_eq!(
+            head,
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Retry-After: 2\r\nContent-Length: 86\r\nConnection: close"
+        );
+        assert_eq!(tiny.stats().total(), 1);
+        drop((_busy, _queued));
+        tiny.shutdown();
+    }
+
+    #[test]
+    fn every_405_names_the_allowed_methods() {
+        // One worker: a request that killed it would wedge the rest.
+        let handle = start(ServerConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let addr = handle.local_addr();
+        for (request_line, allow) in [
+            ("POST /stats", "GET"),
+            ("DELETE /queries", "GET"),
+            ("GET /queries/7/cancel", "POST"),
+            ("GET /cache/invalidate", "POST"),
+            ("DELETE /sparql", "GET, POST"),
+        ] {
+            let request = format!(
+                "{request_line} HTTP/1.1\r\nHost: h\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+            );
+            let head = response_head(addr, request.as_bytes());
+            let expected = format!(
+                "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\n\
+                 Allow: {allow}\r\nContent-Length: "
+            );
+            assert!(head.starts_with(&expected), "{request_line}: {head}");
+        }
+        // No `<id>` segment, so not the cancel route: an ordinary (bad)
+        // query request, where slicing the id out used to panic.
+        let (status, _) = raw_roundtrip(
+            addr,
+            "POST /queries/cancel HTTP/1.1\r\nHost: h\r\nContent-Length: 0\r\n\
+             Connection: close\r\n\r\n",
+        );
+        assert!(status.contains("415"), "{status}");
+        let (status, _) = raw_roundtrip(
+            addr,
+            "POST /queries/x/cancel HTTP/1.1\r\nHost: h\r\nContent-Length: 0\r\n\
+             Connection: close\r\n\r\n",
+        );
+        assert!(status.contains("400"), "{status}");
+        assert_eq!(handle.stats().errors, 7);
+        handle.shutdown();
     }
 }

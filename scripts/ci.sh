@@ -32,6 +32,23 @@ if grep -nE 'map_cancellable\(|_within\(' crates/core/src/engine.rs; then
     exit 1
 fi
 
+# Nothing is rendered twice (DESIGN.md → Stats model): one HTTP response
+# writer, no hand-written stats or error renderer beside the `to_json`
+# descriptions, and no JSON document assembled with format! outside the
+# results_json data plane.
+n=$(grep -rhoE "fn write_response\(" crates/server/src --include='*.rs' | wc -l)
+[ "$n" -eq 1 ] || { echo "fn write_response is defined ${n} times under crates/server/src, want 1" >&2; exit 1; }
+if grep -rnE 'fn (write_json|write_error|write_overloaded|stats_body|stats_json|queries_json|print_[a-z]+_stats)\(' crates --include='*.rs'; then
+    echo "a hand-written renderer is back; build a Json and print it with Display / render_text / write_response" >&2
+    exit 1
+fi
+for f in crates/server/src/*.rs crates/cli/src/*.rs; do
+    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR":"$0}' "$f" | grep -E '"\{\{\\"'; then
+        echo "$f assembles JSON text with format!; build a federation::json::Json instead" >&2
+        exit 1
+    fi
+done
+
 # The product API the benchmark compiles against (a package of its own,
 # outside the workspace) must still build: a break fails here, not in the
 # benchmark run.

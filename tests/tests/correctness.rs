@@ -238,9 +238,9 @@ fn elastic_erh_reschedules_requests_without_changing_them() {
         );
     }
     let (e, p) = (elastic.erh(), pinned.erh());
-    assert!(e.ramped_waves > 0 && e.peak_width > 4, "{e}");
-    assert_eq!((p.ramped_waves, p.ceiling), (0, 4), "{p}");
-    assert!(p.peak_width <= 4, "{p}");
+    assert!(e.ramped_waves > 0 && e.peak_width > 4, "{e:?}");
+    assert_eq!((p.ramped_waves, p.ceiling), (0, 4), "{p:?}");
+    assert!(p.peak_width <= 4, "{p:?}");
     assert_eq!(e.waves, p.waves);
 }
 

@@ -420,3 +420,272 @@ fn dead_endpoint_still_yields_partial_results_with_warnings() {
         b.shutdown();
     }
 }
+
+/// The stats golden: `GET /stats` keeps its key order (suites and
+/// operators' scripts grep it), and `lusail query --stats` speaks the same
+/// vocabulary — both are printed from one `Json` value built by the
+/// structs' own `to_json`.
+#[test]
+fn stats_document_key_order_and_text_parity() {
+    use lusail_federation::json::{render_text, Json};
+    use lusail_federation::{
+        FaultProfile, FaultyEndpoint, IntegrityConfig, ReplicaConfig, ReplicaGroup,
+    };
+
+    // Two simulated endpoints — one silently capping at 2 rows, so the
+    // integrity section has a row — and one replica group of two HTTP
+    // mirrors, so codec and members have rows.
+    let graphs = shards();
+    let simulated = |i: usize| {
+        Arc::new(SimulatedEndpoint::new(
+            graphs[i].0.clone(),
+            Store::from_graph(&graphs[i].1),
+            NetworkProfile::instant(),
+        )) as Arc<dyn SparqlEndpoint>
+    };
+    let mirror_graphs = vec![graphs[2].clone(), graphs[2].clone()];
+    let (mirrors, urls) = backend_servers(&mirror_graphs);
+    let members = urls
+        .iter()
+        .map(|u| Arc::new(HttpEndpoint::new(u, u).expect("valid url")) as Arc<dyn SparqlEndpoint>)
+        .collect();
+    let federation = Federation::new(vec![
+        Arc::new(FaultyEndpoint::new(
+            simulated(0),
+            chaos_seed(),
+            FaultProfile::silent_truncate(2),
+        )),
+        simulated(1),
+        Arc::new(ReplicaGroup::new(
+            "depts",
+            members,
+            ReplicaConfig::default(),
+        )),
+    ]);
+    let service = Arc::new(FederationService::new(
+        LusailEngine::new(
+            federation,
+            LusailConfig {
+                integrity: IntegrityConfig::paranoid(),
+                ..Default::default()
+            },
+        ),
+        FederateConfig::default(),
+    ));
+    let front = SparqlServer::with_backend(
+        "127.0.0.1:0",
+        Arc::clone(&service) as Arc<dyn lusail_server::QueryBackend>,
+        ServerConfig::default(),
+    )
+    .expect("bind front door")
+    .spawn();
+    let (status, text) = raw_roundtrip(front.local_addr(), &get_request(QUERIES[2]));
+    assert!(status.contains("200"), "{text}");
+
+    let (status, text) = raw_roundtrip(
+        front.local_addr(),
+        "GET /stats HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+    );
+    assert!(status.contains("200"), "{text}");
+    let body = text.split("\r\n\r\n").nth(1).expect("a body");
+    let doc = Json::parse(body).expect("GET /stats is JSON");
+    let at = |path: &[&str]| {
+        path.iter().fold(&doc, |node, key| {
+            node.get(key)
+                .unwrap_or_else(|| panic!("{path:?} in {body}"))
+        })
+    };
+    let keys = |path: &[&str]| -> Vec<&str> {
+        at(path).fields().iter().map(|(k, _)| k.as_str()).collect()
+    };
+    const HEALTH: [&str; 7] = [
+        "admitted",
+        "failures",
+        "retries",
+        "open_rejections",
+        "breaker",
+        "latency_ewma_ms",
+        "quarantined",
+    ];
+    const TRAFFIC: [&str; 4] = [
+        "requests",
+        "bytes_sent",
+        "bytes_received",
+        "simulated_network_ms",
+    ];
+    const CODEC: [&str; 7] = [
+        "negotiated",
+        "binary_responses",
+        "json_responses",
+        "binary_bytes_in",
+        "json_bytes_in",
+        "dict_terms",
+        "fallbacks",
+    ];
+    assert_eq!(keys(&[]), ["endpoint", "requests", "service"]);
+    assert_eq!(keys(&["requests"]), ["served", "shed", "errors"]);
+    assert_eq!(
+        keys(&["service"]),
+        [
+            "pool",
+            "result_cache",
+            "analysis_cache",
+            "clients",
+            "lifecycle",
+            "codec",
+            "integrity",
+            "endpoints",
+            "erh"
+        ]
+    );
+    assert_eq!(
+        keys(&["service", "pool"]),
+        [
+            "capacity",
+            "ledger_bytes",
+            "max_ledgers",
+            "in_use",
+            "waiting",
+            "carved",
+            "queued",
+            "shed",
+            "peak_ledgers"
+        ]
+    );
+    assert_eq!(
+        keys(&["service", "result_cache"]),
+        [
+            "entries",
+            "hits",
+            "misses",
+            "insertions",
+            "evictions",
+            "expirations",
+            "invalidations"
+        ]
+    );
+    assert_eq!(
+        keys(&["service", "analysis_cache"]),
+        ["hits", "misses", "evictions", "expirations", "entries"]
+    );
+    assert_eq!(keys(&["service", "clients"]), ["127.0.0.1"]);
+    assert_eq!(
+        keys(&["service", "clients", "127.0.0.1"]),
+        ["inflight", "admitted", "rejected", "cache_hits"]
+    );
+    assert_eq!(
+        keys(&["service", "lifecycle"]),
+        [
+            "inflight",
+            "cancelled",
+            "watchdog_reaps",
+            "panics_contained",
+            "drains",
+            "drain_force_cancelled"
+        ]
+    );
+    assert_eq!(
+        keys(&["service", "lifecycle", "cancelled"]),
+        [
+            "client_disconnected",
+            "admin_cancelled",
+            "watchdog_reaped",
+            "server_draining"
+        ]
+    );
+    assert_eq!(
+        keys(&["service", "codec"]),
+        [&CODEC[..], &["endpoints"]].concat()
+    );
+    assert_eq!(keys(&["service", "codec", "endpoints"]), ["depts"]);
+    assert_eq!(keys(&["service", "codec", "endpoints", "depts"]), CODEC);
+    // Paranoid mode verifies everyone; rows sort by name.
+    assert_eq!(
+        keys(&["service", "integrity"]),
+        ["advisors", "depts", "people"]
+    );
+    assert_eq!(
+        keys(&["service", "integrity", "people"]),
+        [
+            "verifications",
+            "truncations_detected",
+            "pages_fetched",
+            "rows_recovered",
+            "count_divergences",
+            "quarantine_entries",
+            "quarantine_exits",
+            "quarantined",
+            "learned_cap"
+        ]
+    );
+    assert_eq!(
+        keys(&["service", "endpoints"]),
+        ["people", "advisors", "depts"]
+    );
+    let row = [&TRAFFIC[..], &HEALTH[..]].concat();
+    assert_eq!(keys(&["service", "endpoints", "people"]), row);
+    assert_eq!(keys(&["service", "endpoints", "advisors"]), row);
+    assert_eq!(
+        keys(&["service", "endpoints", "depts"]),
+        [&row[..], &["members"]].concat()
+    );
+    let members = keys(&["service", "endpoints", "depts", "members"]);
+    assert_eq!(members, [urls[0].as_str(), urls[1].as_str()]);
+    assert_eq!(
+        keys(&["service", "endpoints", "depts", "members", members[0]]),
+        [
+            &["dispatches", "failovers", "hedges_launched", "hedges_won"][..],
+            &HEALTH[..]
+        ]
+        .concat()
+    );
+    assert_eq!(
+        keys(&["service", "erh"]),
+        ["waves", "ramped_waves", "peak_width", "floor", "ceiling"]
+    );
+    // What an operator could not see before: the capping endpoint's
+    // recovery, and which mirror carried the group.
+    let zero = Json::Number(0.0);
+    let truncations = ["service", "integrity", "people", "truncations_detected"];
+    assert_ne!(at(&truncations), &zero, "{body}");
+    let carried = |member: &&str| {
+        at(&[
+            "service",
+            "endpoints",
+            "depts",
+            "members",
+            member,
+            "dispatches",
+        ]) != &zero
+    };
+    assert!(members.iter().any(carried), "{body}");
+
+    // Parity: every key (and row label) of the engine's document is a
+    // label in the text `--stats` prints from the same value.
+    fn labels(doc: &Json, into: &mut Vec<String>) {
+        for (key, value) in doc.fields() {
+            into.push(key.clone());
+            labels(value, into);
+        }
+    }
+    let stats = service.engine().stats();
+    let mut rendered = Vec::new();
+    render_text(&mut rendered, &stats).expect("write to a Vec");
+    let rendered = String::from_utf8(rendered).expect("utf-8");
+    let mut wanted = Vec::new();
+    labels(&stats, &mut wanted);
+    assert!(wanted.len() > 60, "{wanted:?}");
+    for label in wanted {
+        let (section, pair) = (format!("{label}:"), format!("{label}="));
+        let named = |word: &str| word == section || word.starts_with(&pair);
+        assert!(
+            rendered.split_whitespace().any(named),
+            "{label} missing from:\n{rendered}"
+        );
+    }
+
+    front.shutdown();
+    for m in mirrors {
+        m.shutdown();
+    }
+}

@@ -598,6 +598,82 @@ fn json_parser_is_total_on_mutated_bytes() {
     }
 }
 
+/// A random JSON document: nesting up to `depth` more levels, strings
+/// with escapes, control characters and astral-plane characters (which
+/// travel as surrogate pairs when escaped), integers at the edges a
+/// counter can reach, and fractions.
+fn gen_json(rng: &mut SplitMix64, depth: usize) -> lusail_federation::json::Json {
+    use lusail_federation::json::Json;
+    fn gen_string(rng: &mut SplitMix64) -> String {
+        const ALPHABET: [char; 12] = [
+            'a', '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '\u{FFFF}', '😀',
+        ];
+        (0..rng.gen_range(0..8usize))
+            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+            .collect()
+    }
+    let kinds = if depth == 0 { 4 } else { 6 };
+    match rng.gen_range(0..kinds) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen_bool(0.5)),
+        2 => Json::Number(match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            1 => u32::MAX as f64,
+            2 => ((1u64 << 53) - 1) as f64,
+            3 => -(rng.gen_range(0..1_000_000u32) as f64),
+            4 => rng.next_f64() * 1e6 - 5e5,
+            _ => rng.next_f64() * 1e300,
+        }),
+        3 => Json::String(gen_string(rng)),
+        4 => Json::Array(
+            (0..rng.gen_range(0..4usize))
+                .map(|_| gen_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Object(
+            (0..rng.gen_range(0..4usize))
+                .map(|_| (gen_string(rng), gen_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// The JSON writer and parser are inverses: whatever document the stats
+/// builders could assemble parses back to itself.
+#[test]
+fn json_writer_round_trips_through_the_parser() {
+    use lusail_federation::json::Json;
+    for case in 0..512 {
+        let rng = &mut case_rng(0x15_0A, case);
+        let depth = rng.gen_range(0..6usize);
+        let doc = gen_json(rng, depth);
+        let text = doc.to_string();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&doc), "case {case}: {text}");
+    }
+    // Nesting right up to the parser's depth cap (64 containers).
+    let mut deep = Json::Number(7.0);
+    for level in 0..64 {
+        deep = if level % 2 == 0 {
+            Json::Array(vec![deep])
+        } else {
+            Json::Object(vec![("k".to_string(), deep)])
+        };
+    }
+    assert_eq!(Json::parse(&deep.to_string()), Ok(deep));
+    // Counters print exactly, as integers.
+    for (n, text) in [
+        (0u64, "0"),
+        (u32::MAX as u64, "4294967295"),
+        ((1 << 53) - 1, "9007199254740991"),
+    ] {
+        assert_eq!(Json::from(n).to_string(), text);
+    }
+    // JSON has no spelling for a non-finite number.
+    for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_eq!(Json::Array(vec![Json::Number(n)]).to_string(), "[null]");
+    }
+}
+
 /// Degenerate nesting must be rejected with an error, not a stack
 /// overflow: both parsers cap recursion depth.
 #[test]
