@@ -3,14 +3,13 @@
 
 use lusail_core::normalize::OptionalBlock;
 use lusail_core::source::merged_sources;
-use lusail_core::{EngineError, LusailEngine};
+use lusail_core::{EngineError, LusailEngine, RunContext};
 use lusail_federation::{EndpointId, Federation, RequestHandler};
 use lusail_rdf::Term;
 use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, SelectQuery, TriplePattern, Variable,
 };
 use lusail_sparql::solution::Relation;
-use std::time::{Duration, Instant};
 
 /// A federated SPARQL engine: Lusail or one of the baselines.
 pub trait FederatedEngine {
@@ -104,7 +103,6 @@ pub struct ExecOptions {
     /// independent evaluation plus a hash join (SPLENDID's strategy);
     /// `None` always bind-joins (FedX).
     pub hash_join_threshold: Option<usize>,
-    pub timeout: Option<Duration>,
 }
 
 /// The nested-loop, group-at-a-time execution shared by FedX, HiBISCuS,
@@ -113,19 +111,19 @@ pub struct ExecOptions {
 ///
 /// This is exactly the strategy §1 of the Lusail paper critiques: "the
 /// query being processed one triple pattern at a time", with requests
-/// multiplying as blocks × endpoints.
+/// multiplying as blocks × endpoints. Every wave leaves through
+/// [`RunContext::dispatch`], under the query's one deadline.
 pub fn execute_groups(
     federation: &Federation,
     handler: &RequestHandler,
     groups: &[GroupPlan],
-    deadline: Option<Instant>,
+    ctx: &RunContext,
     opts: &ExecOptions,
 ) -> Result<Relation, EngineError> {
     let mut current: Option<Relation> = None;
     for group in groups {
-        check_deadline(deadline, opts)?;
         let rel = match &current {
-            None => evaluate_unbound(federation, handler, group)?,
+            None => evaluate_unbound(federation, handler, group, ctx)?,
             Some(bindings) => {
                 let shared: Vec<Variable> = group
                     .variables()
@@ -137,11 +135,9 @@ pub fn execute_groups(
                     None => false,
                 };
                 if shared.is_empty() || use_hash {
-                    evaluate_unbound(federation, handler, group)?
+                    evaluate_unbound(federation, handler, group, ctx)?
                 } else {
-                    evaluate_bound(
-                        federation, handler, group, bindings, &shared, deadline, opts,
-                    )?
+                    evaluate_bound(federation, handler, group, bindings, &shared, ctx, opts)?
                 }
             }
         };
@@ -166,18 +162,30 @@ pub fn execute_groups(
     Ok(current.unwrap_or_else(|| Relation::from_rows(Vec::new(), vec![Vec::new()])))
 }
 
+/// One wave: `group`, unbound or over one block, at each of its sources.
+fn fetch(
+    federation: &Federation,
+    handler: &RequestHandler,
+    group: &GroupPlan,
+    bound: Option<BoundBlock<'_>>,
+    ctx: &RunContext,
+) -> Result<Vec<Relation>, EngineError> {
+    let q = group.to_query(bound);
+    let select = |ep, deadline| federation.endpoint(ep).select_within(&q, deadline);
+    let sent = ctx.dispatch(handler, "group wave", group.sources.clone(), select)?;
+    let settled = |rel| ctx.absorb("group wave", Relation::new(group.variables()), rel);
+    sent.into_iter().map(settled).collect()
+}
+
 fn evaluate_unbound(
     federation: &Federation,
     handler: &RequestHandler,
     group: &GroupPlan,
+    ctx: &RunContext,
 ) -> Result<Relation, EngineError> {
-    let q = group.to_query(None);
-    let results = handler.map(group.sources.clone(), |ep| {
-        federation.endpoint(ep).select(&q)
-    });
     let mut out = Relation::new(group.variables());
-    for rel in results {
-        out.append(rel?);
+    for rel in fetch(federation, handler, group, None, ctx)? {
+        out.append(rel);
     }
     Ok(out)
 }
@@ -188,7 +196,7 @@ fn evaluate_bound(
     group: &GroupPlan,
     bindings: &Relation,
     shared: &[Variable],
-    deadline: Option<Instant>,
+    ctx: &RunContext,
     opts: &ExecOptions,
 ) -> Result<Relation, EngineError> {
     // Distinct rows of the shared variables are the values to ship.
@@ -200,25 +208,11 @@ fn evaluate_bound(
     // still fans out to all sources in parallel, but blocks are serial —
     // this is the parallelism limit the paper describes).
     for block in rows.chunks(opts.block_size.max(1)) {
-        check_deadline(deadline, opts)?;
-        let q = group.to_query(Some((shared, block)));
-        let results = handler.map(group.sources.clone(), |ep| {
-            federation.endpoint(ep).select(&q)
-        });
-        for rel in results {
-            out.append(rel?.project(out.vars()));
+        for rel in fetch(federation, handler, group, Some((shared, block)), ctx)? {
+            out.append(rel.project(out.vars()));
         }
     }
     Ok(out)
-}
-
-fn check_deadline(deadline: Option<Instant>, opts: &ExecOptions) -> Result<(), EngineError> {
-    if let Some(d) = deadline {
-        if Instant::now() > d {
-            return Err(EngineError::Timeout(opts.timeout.unwrap_or_default()));
-        }
-    }
-    Ok(())
 }
 
 /// Split patterns into connected components by shared variables. Baselines
@@ -262,6 +256,91 @@ pub fn connected_pattern_components(patterns: &[TriplePattern]) -> usize {
     roots.sort_unstable();
     roots.dedup();
     roots.len()
+}
+
+/// What the three engines' deadline tests share: a federation that can be
+/// made to stall, and the run that must not wait for it.
+#[cfg(test)]
+pub(crate) mod stalled {
+    use super::*;
+    use lusail_core::{CancelReason, CancelToken};
+    use lusail_federation::{
+        FaultProfile, FaultyEndpoint, NetworkProfile, SimulatedEndpoint, SparqlEndpoint,
+    };
+    use lusail_rdf::Graph;
+    use lusail_store::Store;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// The `--timeout` the engine under test is built with.
+    pub const TIMEOUT: Duration = Duration::from_millis(100);
+    const STALL: Duration = Duration::from_secs(2);
+
+    /// Two healthy endpoints with a join across them.
+    pub fn endpoints() -> Vec<Arc<FaultyEndpoint>> {
+        let iri = |l: &str| Term::iri(format!("http://x/{l}"));
+        let endpoint = |name: &str, person: &str| {
+            let mut g = Graph::new();
+            g.add(iri(person), iri("degreeFrom"), iri("MIT"));
+            g.add(iri(name), iri("address"), Term::literal(name));
+            let inner =
+                SimulatedEndpoint::new(name, Store::from_graph(&g), NetworkProfile::instant());
+            Arc::new(FaultyEndpoint::new(
+                Arc::new(inner),
+                7,
+                FaultProfile::none(),
+            ))
+        };
+        vec![endpoint("MIT", "Ann"), endpoint("CMU", "Tim")]
+    }
+
+    pub fn federation(endpoints: &[Arc<FaultyEndpoint>]) -> Federation {
+        let as_dyn = |ep: &Arc<FaultyEndpoint>| Arc::clone(ep) as Arc<dyn SparqlEndpoint>;
+        Federation::new(endpoints.iter().map(as_dyn).collect())
+    }
+
+    /// `execute` (the engine's public entry, built with [`TIMEOUT`]) and
+    /// `run` (the same under a given context) answer while the endpoints
+    /// are healthy. Once every request stalls for 2 s, the first is the
+    /// query's `Timeout` and the second, its token tripped while requests
+    /// are out, `Cancelled` — both long before one stall is over, because
+    /// the requests themselves carry the deadline and the token.
+    pub fn assert_stops_on_time(
+        endpoints: &[Arc<FaultyEndpoint>],
+        execute: impl Fn(&Query) -> Result<Relation, EngineError>,
+        run: impl Fn(&Query, &RunContext) -> Result<Relation, EngineError>,
+    ) {
+        let q = "SELECT ?p ?a WHERE { ?p <http://x/degreeFrom> ?u . ?u <http://x/address> ?a }";
+        let q = lusail_sparql::parse_query(q).unwrap();
+        // Healthy (and, for FedX, the ASK cache warm: the stalled runs
+        // start at a group wave).
+        assert_eq!(execute(&q).unwrap().len(), 2);
+        for ep in endpoints {
+            ep.set_faults(FaultProfile {
+                spike_rate: 1.0,
+                spike: STALL,
+                ..FaultProfile::none()
+            });
+        }
+
+        let started = Instant::now();
+        assert_eq!(execute(&q), Err(EngineError::Timeout(TIMEOUT)));
+        assert!(started.elapsed() < STALL / 2, "{:?}", started.elapsed());
+
+        let token = CancelToken::new();
+        let ctx = RunContext::unbounded().with_cancel(token.clone());
+        let started = Instant::now();
+        let outcome = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(TIMEOUT / 2);
+                token.cancel(CancelReason::ClientDisconnected);
+            });
+            run(&q, &ctx)
+        });
+        let cancelled = EngineError::Cancelled(CancelReason::ClientDisconnected);
+        assert_eq!(outcome, Err(cancelled));
+        assert!(started.elapsed() < STALL / 2, "{:?}", started.elapsed());
+    }
 }
 
 #[cfg(test)]

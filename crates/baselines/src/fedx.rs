@@ -22,10 +22,10 @@ use lusail_core::cache::QueryCache;
 use lusail_core::normalize::{assemble_branch, assemble_select, ConjBranch};
 use lusail_core::source::select_sources;
 use lusail_core::{EngineError, RunContext};
-use lusail_federation::{Deadline, EndpointId, Federation, RequestHandler};
+use lusail_federation::{EndpointId, Federation, RequestHandler};
 use lusail_sparql::ast::{Expression, Query, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// FedX configuration.
 #[derive(Debug, Clone)]
@@ -99,21 +99,17 @@ impl FedX {
         &self.federation
     }
 
-    fn run(&self, query: &Query) -> Result<Relation, EngineError> {
-        let start = Instant::now();
-        let deadline = self.config.timeout.map(|t| start + t);
+    /// Run `query` under `ctx`: the one deadline (and cancel token) of
+    /// every probe and group wave. The baselines have no partial mode.
+    pub(crate) fn run(&self, query: &Query, ctx: &RunContext) -> Result<Relation, EngineError> {
         assemble_select(query, |_, branches| {
             (branches.iter())
-                .map(|branch| self.run_branch(branch, deadline))
+                .map(|branch| self.run_branch(branch, ctx))
                 .collect()
         })
     }
 
-    fn run_branch(
-        &self,
-        branch: &ConjBranch,
-        deadline: Option<Instant>,
-    ) -> Result<Relation, EngineError> {
+    fn run_branch(&self, branch: &ConjBranch, ctx: &RunContext) -> Result<Relation, EngineError> {
         // FedX cannot bridge disconnected required subgraphs through a
         // filter variable (the paper's C5 / B5 / B6).
         if connected_pattern_components(&branch.patterns) > 1 {
@@ -122,18 +118,12 @@ impl FedX {
             ));
         }
 
-        // The baselines have no partial mode: probes run fail-fast under
-        // the same absolute deadline as the rest of the query.
-        let ctx = RunContext::fail_fast(
-            deadline.map(Deadline::at).unwrap_or_else(Deadline::none),
-            self.config.timeout,
-        );
         // ASK source selection, narrowed by the pruner when there is one:
         // the same for the required patterns and for every block.
         let sources_of = |patterns: &[TriplePattern]| {
             let cache = Some(&self.cache);
             let mut sources =
-                select_sources(&self.federation, &self.handler, cache, patterns, &ctx)?;
+                select_sources(&self.federation, &self.handler, cache, patterns, ctx)?;
             if let Some(pruner) = &self.pruner {
                 for (tp, s) in patterns.iter().zip(&mut sources) {
                     *s = pruner(tp, std::mem::take(s));
@@ -149,10 +139,9 @@ impl FedX {
         let opts = ExecOptions {
             block_size: self.config.bind_block_size,
             hash_join_threshold: None,
-            timeout: self.config.timeout,
         };
         let run = |groups: &[GroupPlan]| {
-            execute_groups(&self.federation, &self.handler, groups, deadline, &opts)
+            execute_groups(&self.federation, &self.handler, groups, ctx, &opts)
         };
         let residual = residual_filters(&branch.filters, &groups);
         // OPTIONAL and MINUS blocks: evaluated whole at their sources.
@@ -168,7 +157,7 @@ impl FederatedEngine for FedX {
     }
 
     fn execute(&self, query: &Query) -> Result<Relation, EngineError> {
-        self.run(query)
+        self.run(query, &RunContext::fail_fast(self.config.timeout))
     }
 }
 
@@ -410,6 +399,18 @@ mod tests {
         let sources = vec![vec![0], vec![0, 1]];
         let groups = build_groups(&pats, &sources, &[]);
         assert_eq!(groups.len(), 2);
+    }
+
+    #[test]
+    fn deadline_and_cancel_reach_the_requests() {
+        use crate::common::stalled;
+        let endpoints = stalled::endpoints();
+        let config = FedXConfig {
+            timeout: Some(stalled::TIMEOUT),
+            ..Default::default()
+        };
+        let fedx = FedX::new(stalled::federation(&endpoints), config);
+        stalled::assert_stops_on_time(&endpoints, |q| fedx.execute(q), |q, ctx| fedx.run(q, ctx));
     }
 
     #[test]

@@ -202,6 +202,19 @@ mod tests {
     }
 
     #[test]
+    fn deadline_and_cancel_reach_the_requests() {
+        use crate::common::stalled;
+        let endpoints = stalled::endpoints();
+        let config = FedXConfig {
+            timeout: Some(stalled::TIMEOUT),
+            ..Default::default()
+        };
+        let hib = HiBiscus::new(stalled::federation(&endpoints), config);
+        let run = |q: &Query, ctx: &_| hib.inner.run(q, ctx);
+        stalled::assert_stops_on_time(&endpoints, |q| hib.execute(q), run);
+    }
+
+    #[test]
     fn preprocessing_time_reported() {
         let hib = HiBiscus::new(federation(), FedXConfig::default());
         assert!(hib.preprocessing_time().is_some());

@@ -18,7 +18,7 @@ use crate::common::{
     GroupPlan,
 };
 use lusail_core::normalize::{assemble_branch, assemble_select, ConjBranch};
-use lusail_core::EngineError;
+use lusail_core::{EngineError, RunContext};
 use lusail_federation::{EndpointId, Federation, RequestHandler};
 use lusail_sparql::ast::{Query, TermPattern, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
@@ -134,21 +134,17 @@ impl Splendid {
         &self.index
     }
 
-    fn run(&self, query: &Query) -> Result<Relation, EngineError> {
-        let start = Instant::now();
-        let deadline = self.timeout.map(|t| start + t);
+    /// Run `query` under `ctx`: the one deadline (and cancel token) of
+    /// every group wave.
+    fn run(&self, query: &Query, ctx: &RunContext) -> Result<Relation, EngineError> {
         assemble_select(query, |_, branches| {
             (branches.iter())
-                .map(|branch| self.run_branch(branch, deadline))
+                .map(|branch| self.run_branch(branch, ctx))
                 .collect()
         })
     }
 
-    fn run_branch(
-        &self,
-        branch: &ConjBranch,
-        deadline: Option<Instant>,
-    ) -> Result<Relation, EngineError> {
+    fn run_branch(&self, branch: &ConjBranch, ctx: &RunContext) -> Result<Relation, EngineError> {
         if connected_pattern_components(&branch.patterns) > 1 {
             return Err(EngineError::Unsupported(
                 "disjoint subgraphs joined by a filter variable".into(),
@@ -230,10 +226,9 @@ impl Splendid {
         let opts = ExecOptions {
             block_size: self.bind_block_size,
             hash_join_threshold: Some(self.hash_join_threshold),
-            timeout: self.timeout,
         };
         let run = |groups: &[GroupPlan]| {
-            execute_groups(&self.federation, &self.handler, groups, deadline, &opts)
+            execute_groups(&self.federation, &self.handler, groups, ctx, &opts)
         };
         let residual = residual_filters(&branch.filters, &ordered);
         // OPTIONAL and MINUS blocks: evaluated whole at their sources.
@@ -249,7 +244,7 @@ impl FederatedEngine for Splendid {
     }
 
     fn execute(&self, query: &Query) -> Result<Relation, EngineError> {
-        self.run(query)
+        self.run(query, &RunContext::fail_fast(self.timeout))
     }
 
     fn preprocessing_time(&self) -> Option<Duration> {
@@ -359,6 +354,15 @@ mod tests {
         r2.rows_mut().sort();
         assert_eq!(r1.len(), 1); // Kim → Tim → MIT → XXX
         assert_eq!(r1.rows(), r2.rows());
+    }
+
+    #[test]
+    fn deadline_and_cancel_reach_the_requests() {
+        use crate::common::stalled;
+        let endpoints = stalled::endpoints();
+        let mut s = Splendid::new(stalled::federation(&endpoints));
+        s.timeout = Some(stalled::TIMEOUT);
+        stalled::assert_stops_on_time(&endpoints, |q| s.execute(q), |q, ctx| s.run(q, ctx));
     }
 
     #[test]

@@ -1170,8 +1170,10 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 top_k: top,
                 ..Default::default()
             };
-            let hits = lusail_core::keyword::keyword_search(&federation, &handler, &refs, &cfg)
-                .map_err(CliError::Engine)?;
+            let ctx = lusail_core::RunContext::unbounded();
+            let hits =
+                lusail_core::keyword::keyword_search(&federation, &handler, &refs, &cfg, &ctx)
+                    .map_err(CliError::Engine)?;
             if hits.is_empty() {
                 writeln!(out, "no matches for {keywords:?}")?;
                 return Ok(());

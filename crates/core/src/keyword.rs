@@ -19,12 +19,14 @@
 //!    IRI.
 
 use crate::error::EngineError;
+use crate::run::RunContext;
 use lusail_federation::{EndpointId, Federation, RequestHandler};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::Term;
 use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, SelectQuery, TermPattern, TriplePattern, Variable,
 };
+use lusail_sparql::Relation;
 
 /// Keyword search options.
 #[derive(Debug, Clone)]
@@ -116,12 +118,14 @@ fn describe_query(entity: &Term, limit: usize) -> Query {
     Query::select(select)
 }
 
-/// Run a federated keyword search.
+/// Run a federated keyword search under `ctx`'s deadline and result policy
+/// (a skipped endpoint contributes no matches and no description).
 pub fn keyword_search(
     federation: &Federation,
     handler: &RequestHandler,
     keywords: &[&str],
     config: &KeywordConfig,
+    ctx: &RunContext,
 ) -> Result<Vec<KeywordHit>, EngineError> {
     if keywords.is_empty() {
         return Ok(Vec::new());
@@ -130,11 +134,16 @@ pub fn keyword_search(
     let tasks: Vec<(usize, EndpointId)> = (0..keywords.len())
         .flat_map(|k| federation.ids().map(move |ep| (k, ep)))
         .collect();
-    let results = handler.map(tasks.clone(), |(k, ep)| {
+    let matches = |(k, ep): (usize, EndpointId), deadline| {
         let q = match_query(keywords[k], config.per_endpoint_limit);
-        federation.endpoint(ep).select(&q)
-    });
-    let results: Vec<_> = results.into_iter().collect::<Result<_, _>>()?;
+        federation.endpoint(ep).select_within(&q, deadline)
+    };
+    let settle = |what, sent: Vec<_>| {
+        let settled = |r| ctx.absorb(what, Relation::default(), r);
+        sent.into_iter().map(settled).collect::<Result<Vec<_>, _>>()
+    };
+    let sent = ctx.dispatch(handler, "keyword match", tasks.clone(), matches)?;
+    let results = settle("keyword match", sent)?;
 
     // Phase 2: aggregate per (entity, endpoint).
     #[derive(Default)]
@@ -166,15 +175,13 @@ pub fn keyword_search(
     ranked.truncate(config.top_k);
 
     // Phase 3: describe the winners, in parallel.
-    let describes = handler.map(
-        ranked.iter().map(|((e, ep), _)| (e.clone(), *ep)).collect(),
-        |(entity, ep)| {
-            federation
-                .endpoint(ep)
-                .select(&describe_query(&entity, config.describe_limit))
-        },
-    );
-    let describes: Vec<_> = describes.into_iter().collect::<Result<_, _>>()?;
+    let winners = ranked.iter().map(|((e, ep), _)| (e.clone(), *ep)).collect();
+    let describe = |(entity, ep): (Term, EndpointId), deadline| {
+        let q = describe_query(&entity, config.describe_limit);
+        federation.endpoint(ep).select_within(&q, deadline)
+    };
+    let sent = ctx.dispatch(handler, "keyword describe", winners, describe)?;
+    let describes = settle("keyword describe", sent)?;
 
     Ok(ranked
         .into_iter()
@@ -209,6 +216,10 @@ mod tests {
     use lusail_rdf::Graph;
     use lusail_store::Store;
     use std::sync::Arc;
+
+    fn ctx() -> RunContext {
+        RunContext::unbounded()
+    }
 
     fn fed() -> Federation {
         let mut g1 = Graph::new();
@@ -261,6 +272,7 @@ mod tests {
             &handler,
             &["einstein", "physics"],
             &KeywordConfig::default(),
+            &ctx(),
         )
         .unwrap();
         assert!(!hits.is_empty());
@@ -279,8 +291,14 @@ mod tests {
     fn case_insensitive_matching() {
         let fed = fed();
         let handler = RequestHandler::new(2);
-        let hits =
-            keyword_search(&fed, &handler, &["EINSTEIN"], &KeywordConfig::default()).unwrap();
+        let hits = keyword_search(
+            &fed,
+            &handler,
+            &["EINSTEIN"],
+            &KeywordConfig::default(),
+            &ctx(),
+        )
+        .unwrap();
         assert!(hits
             .iter()
             .any(|h| h.entity == Term::iri("http://a/einstein")));
@@ -291,7 +309,7 @@ mod tests {
         let fed = fed();
         let handler = RequestHandler::new(2);
         assert!(
-            keyword_search(&fed, &handler, &[], &KeywordConfig::default())
+            keyword_search(&fed, &handler, &[], &KeywordConfig::default(), &ctx())
                 .unwrap()
                 .is_empty()
         );
@@ -305,7 +323,7 @@ mod tests {
             top_k: 1,
             ..Default::default()
         };
-        let hits = keyword_search(&fed, &handler, &["physics"], &cfg).unwrap();
+        let hits = keyword_search(&fed, &handler, &["physics"], &cfg, &ctx()).unwrap();
         assert_eq!(hits.len(), 1);
     }
 
@@ -315,7 +333,8 @@ mod tests {
         let fed = fed();
         let handler = RequestHandler::new(2);
         // A keyword full of metacharacters must not error or match everything.
-        let hits = keyword_search(&fed, &handler, &["(((."], &KeywordConfig::default()).unwrap();
+        let hits =
+            keyword_search(&fed, &handler, &["(((."], &KeywordConfig::default(), &ctx()).unwrap();
         assert!(hits.is_empty());
     }
 }

@@ -3,7 +3,7 @@
 use crate::cache::{pattern_key, QueryCache};
 use crate::error::EngineError;
 use crate::run::RunContext;
-use lusail_federation::{EndpointError, EndpointId, Federation, RequestHandler};
+use lusail_federation::{EndpointId, Federation, RequestHandler};
 use lusail_rdf::fxhash::FxHashSet;
 use lusail_rdf::vocab;
 use lusail_sparql::ast::{
@@ -192,18 +192,12 @@ pub fn detect_gjvs_with(
         }
     }
     analysis.check_queries_sent = to_send.len();
-    let answers = handler.map_cancellable(
-        to_send.clone(),
-        ctx.deadline.clone(),
-        |_| Err(EndpointError::deadline("locality check")),
-        |idx| {
-            let p = &pending[idx];
-            federation
-                .endpoint(p.ep)
-                .select_within(&p.query, ctx.deadline.clone())
-                .map(|rel| !rel.is_empty())
-        },
-    );
+    let check = |idx: usize, deadline| {
+        let p = &pending[idx];
+        let rows = federation.endpoint(p.ep).select_within(&p.query, deadline);
+        rows.map(|rel| !rel.is_empty())
+    };
+    let answers = ctx.dispatch(handler, "locality check", to_send.clone(), check)?;
     for (idx, nonempty) in to_send.into_iter().zip(answers) {
         let p = &pending[idx];
         // An unanswerable check conservatively reports "instances escape

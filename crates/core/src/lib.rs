@@ -45,7 +45,6 @@
 pub mod budget;
 pub mod cache;
 pub mod config;
-pub mod early;
 pub mod engine;
 pub mod error;
 pub mod keyword;

@@ -1,12 +1,13 @@
 //! Per-query execution context: the deadline budget, the result policy,
 //! and the warning sink that partial-results mode fills.
 //!
-//! One [`RunContext`] is created per [`crate::LusailEngine::execute`] call
-//! and threaded through source selection, LADE's check queries, SAPE's
-//! subquery waves, and the residual MINUS evaluation. Every blocking
-//! endpoint call goes through `*_within` with the context's [`Deadline`],
-//! and every fallible endpoint result comes back through
-//! [`RunContext::absorb`], which decides — per the configured
+//! One [`RunContext`] is created per query — by
+//! [`crate::LusailEngine::execute`] and by each baseline — and threaded
+//! through source selection, LADE's check queries, SAPE's subquery waves
+//! and the baselines' group-at-a-time loop. Every request leaves through
+//! [`RunContext::dispatch`], which alone hands out the query's
+//! [`Deadline`] and cancel token, and every fallible endpoint result comes
+//! back through [`RunContext::absorb`], which decides — per the configured
 //! [`ResultPolicy`] — whether a failure aborts the query or degrades it
 //! to a warning.
 
@@ -14,7 +15,7 @@ use crate::budget::{MemoryBudget, MemoryPhase};
 use crate::config::{LusailConfig, ResultPolicy};
 use crate::error::EngineError;
 pub use lusail_federation::{CancelReason, CancelToken};
-use lusail_federation::{Deadline, EndpointError, FailureKind};
+use lusail_federation::{Deadline, EndpointError, FailureKind, RequestHandler};
 use lusail_sparql::solution::row_wire_size;
 use lusail_sparql::Relation;
 use std::sync::Mutex;
@@ -51,8 +52,9 @@ impl std::fmt::Display for ExecutionWarning {
 /// The execution context of one query.
 #[derive(Debug)]
 pub struct RunContext {
-    /// Absolute time budget for the whole query.
-    pub deadline: Deadline,
+    /// Absolute time budget for the whole query, with its cancel token.
+    /// Private: requests get it from [`RunContext::dispatch`] only.
+    deadline: Deadline,
     /// Fail-fast or partial-results.
     pub policy: ResultPolicy,
     /// The configured budget, echoed in [`EngineError::Timeout`].
@@ -67,18 +69,12 @@ pub struct RunContext {
 impl RunContext {
     /// The context for one query under `config`: the deadline starts now.
     pub fn new(config: &LusailConfig) -> Self {
-        let deadline = match config.timeout {
-            Some(t) => Deadline::within(t),
-            None => Deadline::none(),
-        };
-        RunContext {
-            deadline,
-            policy: config.result_policy,
-            budget: config.timeout,
-            memory: MemoryBudget::new(config.memory_budget),
-            max_result_rows: config.max_result_rows,
-            warnings: Mutex::new(Vec::new()),
-        }
+        RunContext::with_parts(
+            config.result_policy,
+            config.timeout,
+            MemoryBudget::new(config.memory_budget),
+            config.max_result_rows,
+        )
     }
 
     /// A context assembled from externally owned parts — the federation
@@ -104,27 +100,25 @@ impl RunContext {
         }
     }
 
-    /// A fail-fast context with an explicit deadline (used by the
-    /// baselines, which have no partial mode).
-    pub fn fail_fast(deadline: Deadline, budget: Option<Duration>) -> Self {
-        RunContext {
-            deadline,
-            policy: ResultPolicy::FailFast,
-            budget,
-            memory: MemoryBudget::unbounded(),
-            max_result_rows: None,
-            warnings: Mutex::new(Vec::new()),
-        }
+    /// A fail-fast context whose deadline, if any, starts now (used by
+    /// the baselines, which have no partial mode).
+    pub fn fail_fast(timeout: Option<Duration>) -> Self {
+        RunContext::with_parts(
+            ResultPolicy::FailFast,
+            timeout,
+            MemoryBudget::unbounded(),
+            None,
+        )
     }
 
     /// No deadline, fail-fast: for tests and internal probes.
     pub fn unbounded() -> Self {
-        RunContext::fail_fast(Deadline::none(), None)
+        RunContext::fail_fast(None)
     }
 
     /// Attach a cancellation token: from here on every deadline check —
-    /// [`check`](Self::check), `map_cancellable`, per-attempt clamps,
-    /// retry/backoff sleeps — doubles as a cancellation point.
+    /// [`check`](Self::check), [`dispatch`](Self::dispatch), per-attempt
+    /// clamps, retry/backoff sleeps — doubles as a cancellation point.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.deadline = self.deadline.with_token(token);
         self
@@ -157,6 +151,41 @@ impl RunContext {
         } else {
             Ok(())
         }
+    }
+
+    /// Send one wave of requests: `send(item, deadline)` once per item on
+    /// the ERH, results in submission order. The one place a request
+    /// leaves an engine (DESIGN.md → *Request dispatch*):
+    ///
+    /// * [`check`](Self::check) runs first, so a spent budget or a tripped
+    ///   token fails the wave before any task starts;
+    /// * every task is handed the query's deadline and cancel token — the
+    ///   transports clamp their attempts, backoffs and sleeps to it;
+    /// * an item still queued when the budget runs out is answered with
+    ///   [`EndpointError::expired`] naming `label`, and `send` is not
+    ///   called for it.
+    ///
+    /// The slots go back to the caller, who settles each through
+    /// [`absorb`](Self::absorb) / [`absorb_flagged`](Self::absorb_flagged)
+    /// with its own default, cache write and integrity decision.
+    pub fn dispatch<I, T>(
+        &self,
+        handler: &RequestHandler,
+        label: &'static str,
+        items: Vec<I>,
+        send: impl Fn(I, Deadline) -> Result<T, EndpointError> + Send + Sync,
+    ) -> Result<Vec<Result<T, EndpointError>>, EngineError>
+    where
+        I: Send,
+        T: Send,
+    {
+        self.check()?;
+        Ok(handler.map_cancellable(
+            items,
+            self.deadline.clone(),
+            |_| Err(EndpointError::expired(label, &self.deadline)),
+            |item| send(item, self.deadline.clone()),
+        ))
     }
 
     /// Record a warning (partial mode).
@@ -584,6 +613,104 @@ mod tests {
         let stats = ctx.memory.stats();
         assert!(stats.bound_join_peak_bytes > 0);
         assert_eq!(stats.peak_bytes, ctx.memory.used());
+    }
+
+    // --- dispatch ---
+
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn dispatch_answers_items_queued_past_the_deadline_without_sending_them() {
+        // One slow request burns the budget on a one-thread ERH; its
+        // queued siblings are answered for, not sent.
+        let handler = RequestHandler::new(1);
+        let ctx = RunContext::fail_fast(Some(Duration::from_millis(20)));
+        let sent = AtomicUsize::new(0);
+        let out = ctx
+            .dispatch(&handler, "the wave", (0..5).collect(), |i: usize, _| {
+                sent.fetch_add(1, Ordering::Relaxed);
+                if i == 0 {
+                    std::thread::sleep(Duration::from_millis(40));
+                }
+                Ok(i)
+            })
+            .unwrap();
+        assert_eq!(out[0], Ok(0), "the in-flight request completes");
+        for slot in &out[1..] {
+            let e = slot.as_ref().unwrap_err();
+            assert_eq!(
+                (e.kind, e.endpoint.as_str()),
+                (FailureKind::Deadline, "the wave")
+            );
+        }
+        assert_eq!(sent.load(Ordering::Relaxed), 1);
+        // ... and settle as the query's timeout, under either policy.
+        let settled = ctx.absorb("x", 0, out[1].clone());
+        assert_eq!(
+            settled,
+            Err(EngineError::Timeout(Duration::from_millis(20)))
+        );
+    }
+
+    #[test]
+    fn dispatch_on_a_tripped_token_fails_before_any_task_starts() {
+        let token = CancelToken::new();
+        let ctx = RunContext::unbounded().with_cancel(token.clone());
+        token.cancel(CancelReason::ClientDisconnected);
+        let out = ctx.dispatch(&RequestHandler::new(4), "w", vec![1, 2, 3], |_: i32, _| {
+            panic!("must not be sent")
+        });
+        let expected = EngineError::Cancelled(CancelReason::ClientDisconnected);
+        assert_eq!(out, Err::<Vec<Result<(), _>>, _>(expected));
+        // Spent budgets fail the same way, as the timeout.
+        let spent = RunContext::fail_fast(Some(Duration::ZERO));
+        let out = spent.dispatch(&RequestHandler::new(4), "w", vec![1], |_: i32, _| Ok(()));
+        assert_eq!(out, Err(EngineError::Timeout(Duration::ZERO)));
+    }
+
+    #[test]
+    fn dispatch_without_a_deadline_sends_every_item_once_in_submission_order() {
+        let handler = RequestHandler::new(4);
+        let sent = AtomicUsize::new(0);
+        let out = RunContext::unbounded()
+            .dispatch(&handler, "w", (0..50).collect(), |i: usize, deadline| {
+                sent.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(deadline.remaining(), None);
+                Ok(i * 2)
+            })
+            .unwrap();
+        assert_eq!(out, (0..50).map(|i| Ok(i * 2)).collect::<Vec<_>>());
+        assert_eq!(sent.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn dispatch_hands_every_task_the_query_deadline_and_token() {
+        let token = CancelToken::new();
+        let ctx = RunContext::fail_fast(Some(Duration::from_secs(60))).with_cancel(token.clone());
+        let handler = RequestHandler::new(2);
+        // What a transport holds is the query's own budget and token: a
+        // trip while the request is out shows in its copy.
+        let out = ctx
+            .dispatch(&handler, "w", vec![()], |(), deadline| {
+                assert!(deadline.remaining().is_some_and(|r| r > Duration::ZERO));
+                token.cancel(CancelReason::AdminCancelled);
+                Ok(deadline.cancel_reason())
+            })
+            .unwrap();
+        assert_eq!(out, [Ok(Some(CancelReason::AdminCancelled))]);
+    }
+
+    #[test]
+    fn a_wave_of_one_runs_inline_on_the_caller() {
+        let handler = RequestHandler::elastic(13);
+        let caller = std::thread::current().id();
+        let out = RunContext::unbounded()
+            .dispatch(&handler, "w", vec![()], |(), _| {
+                Ok(std::thread::current().id())
+            })
+            .unwrap();
+        assert_eq!(out, [Ok(caller)]);
+        assert_eq!(handler.snapshot().peak_width, 1);
     }
 
     #[test]

@@ -90,7 +90,6 @@ impl SapeExecutor<'_> {
         let mut estimates = Vec::new();
 
         // ---- Phase 1: non-delayed subqueries, one concurrent wave ------
-        self.ctx.check()?;
         // Pre-seed empty results so a subquery with no relevant sources
         // correctly contributes an *empty* relation (not "no relation",
         // which would drop it from the join and fabricate answers).
@@ -147,7 +146,6 @@ impl SapeExecutor<'_> {
         let nothing_found = FoundBindings::default();
 
         while !remaining.is_empty() {
-            self.ctx.check()?;
             // Most selective next, by refined cardinality (§4.2).
             let pick_pos = (0..remaining.len())
                 .min_by_key(|&p| {
@@ -245,7 +243,6 @@ impl SapeExecutor<'_> {
         required: &[TriplePattern],
         rows: &Relation,
     ) -> Result<Relation, EngineError> {
-        self.ctx.check()?;
         let sq = Subquery {
             id,
             patterns: block.patterns.clone(),
@@ -381,16 +378,10 @@ impl SapeExecutor<'_> {
             GraphPattern::Bgp(sq.patterns.clone())
                 .join(GraphPattern::Values(vec![v.clone()], sample)),
         );
-        let answers = self.handler.map_cancellable(
-            sq.sources.clone(),
-            self.ctx.deadline.clone(),
-            |_| Err(EndpointError::deadline("source refinement")),
-            |ep| {
-                self.federation
-                    .endpoint(ep)
-                    .ask_within(&probe, self.ctx.deadline.clone())
-            },
-        );
+        let ask = |ep, deadline| self.federation.endpoint(ep).ask_within(&probe, deadline);
+        let answers =
+            self.ctx
+                .dispatch(self.handler, "source refinement", sq.sources.clone(), ask)?;
         let what = format!("source refinement for {what}");
         let mut kept: Vec<EndpointId> = Vec::new();
         for (ep, yes) in sq.sources.iter().copied().zip(answers) {
@@ -424,16 +415,13 @@ impl SapeExecutor<'_> {
         phase: MemoryPhase,
         wave: &[WaveRequest],
     ) -> Result<Vec<Relation>, EngineError> {
-        let results = self.handler.map_cancellable(
-            wave.iter().collect(),
-            self.ctx.deadline.clone(),
-            |_| Err(EndpointError::deadline(label)),
-            |req: &WaveRequest| {
-                self.federation
-                    .endpoint(req.ep)
-                    .select_with_meta(&req.query(), self.ctx.deadline.clone())
-            },
-        );
+        let select = |req: &WaveRequest, deadline| {
+            let endpoint = self.federation.endpoint(req.ep);
+            endpoint.select_with_meta(&req.query(), deadline)
+        };
+        let results = self
+            .ctx
+            .dispatch(self.handler, label, wave.iter().collect(), select)?;
 
         let mut responses = Vec::with_capacity(wave.len());
         let mut checks = Vec::with_capacity(wave.len());
@@ -474,16 +462,18 @@ impl SapeExecutor<'_> {
             let name = self.federation.endpoint(req.ep).name();
             let rel = match check {
                 Check::Skip | Check::Trusted => resp.rows,
-                Check::Claimed(Ok(claimed)) => self.reconcile(req, resp, claimed)?,
-                Check::Claimed(Err(e))
-                    if matches!(e.kind, FailureKind::Deadline | FailureKind::Cancelled) =>
-                {
-                    return Err(self.deadline_error(req.what, e));
-                }
                 // A failed probe says nothing about the rows already in
                 // hand: keep them rather than discard good data over a
-                // flaky probe.
-                Check::Claimed(Err(_)) => resp.rows,
+                // flaky probe. One the query's own budget cut short is
+                // not that: it ends the query, through `absorb`.
+                Check::Claimed(Err(e))
+                    if !matches!(e.kind, FailureKind::Deadline | FailureKind::Cancelled) =>
+                {
+                    resp.rows
+                }
+                Check::Claimed(claim) => {
+                    self.reconcile(req, resp, self.ctx.absorb(req.what, 0, claim)?)?
+                }
                 Check::Probe => unreachable!("every due probe was sent"),
             };
             // Bound queries may expose the bind variable even if it is
@@ -525,23 +515,16 @@ impl SapeExecutor<'_> {
         if due.is_empty() {
             return Ok(());
         }
-        self.ctx.check()?;
-        for &k in &due {
+        let count = |k: usize, deadline| {
+            let endpoint = self.federation.endpoint(wave[k].ep);
+            endpoint.count_within(&recover::count_star(&wave[k].query()), deadline)
+        };
+        let claims = self
+            .ctx
+            .dispatch(self.handler, "integrity probe", due.clone(), count)?;
+        for (k, claim) in due.into_iter().zip(claims) {
             self.integrity
                 .record_verification(self.federation.endpoint(wave[k].ep).name());
-        }
-        let claims = self.handler.map_cancellable(
-            due.clone(),
-            self.ctx.deadline.clone(),
-            |_| Err(EndpointError::deadline("integrity probe")),
-            |k| {
-                self.federation.endpoint(wave[k].ep).count_within(
-                    &recover::count_star(&wave[k].query()),
-                    self.ctx.deadline.clone(),
-                )
-            },
-        );
-        for (k, claim) in due.into_iter().zip(claims) {
             checks[k] = Check::Claimed(claim);
         }
         Ok(())
@@ -607,7 +590,6 @@ impl SapeExecutor<'_> {
         let mut stopped: Option<&'static str> = None;
         let mut exhausted = false;
         while merged_rows < claimed {
-            self.ctx.check()?;
             if fetched as usize >= max_pages {
                 stopped = Some("page cap reached");
                 break;
@@ -623,16 +605,16 @@ impl SapeExecutor<'_> {
                 break;
             }
             let pq = recover::paged_query(base, limit, offset);
-            let page = match endpoint.select_within(&pq, self.ctx.deadline.clone()) {
-                Ok(r) => r,
-                Err(e) if matches!(e.kind, FailureKind::Deadline | FailureKind::Cancelled) => {
-                    return Err(self.deadline_error(what, e));
-                }
+            let select = |(), deadline| endpoint.select_within(&pq, deadline);
+            let sent = self
+                .ctx
+                .dispatch(self.handler, "recovery page", vec![()], select)?;
+            let page = match sent.into_iter().next().expect("one page was sent") {
                 Err(e) if self.ctx.policy == ResultPolicy::Partial && e.is_skippable() => {
                     stopped = Some("endpoint became unreachable");
                     break;
                 }
-                Err(e) => return Err(EngineError::Endpoint(e)),
+                settled => self.ctx.absorb(what, Relation::default(), settled)?,
             };
             fetched += 1;
             let got = page.len();
@@ -748,14 +730,6 @@ impl SapeExecutor<'_> {
             QuarantineTransition::Exited => self.federation.endpoint(ep).set_quarantined(false),
             QuarantineTransition::None => {}
         }
-    }
-
-    /// Map a deadline/cancellation failure from a probe or page request
-    /// through the context, preserving any cancellation reason.
-    fn deadline_error(&self, what: &str, e: EndpointError) -> EngineError {
-        self.ctx
-            .absorb(what, (), Err(e))
-            .expect_err("deadline failures always abort")
     }
 }
 
@@ -1283,8 +1257,8 @@ mod tests {
         assert_eq!(snap.count_divergences, 0);
         assert_eq!(
             rig.handler.snapshot().waves - waves,
-            3,
-            "bound wave, probe wave, one follow-up wave"
+            3 + snap.pages_fetched,
+            "bound wave, probe wave, one follow-up wave; each recovery page is a wave of one"
         );
     }
 

@@ -68,15 +68,11 @@ pub fn select_sources(
         let tasks: Vec<(usize, EndpointId)> = (0..miss_repr.len())
             .flat_map(|mi| federation.ids().map(move |ep| (mi, ep)))
             .collect();
-        let answers = handler.map_cancellable(
-            tasks.clone(),
-            ctx.deadline.clone(),
-            |_| Err(EndpointError::deadline("source selection")),
-            |(mi, ep)| {
-                let q = ask_query(miss_repr[mi]);
-                federation.endpoint(ep).ask_within(&q, ctx.deadline.clone())
-            },
-        );
+        let ask = |(mi, ep): (usize, EndpointId), deadline| {
+            let q = ask_query(miss_repr[mi]);
+            federation.endpoint(ep).ask_within(&q, deadline)
+        };
+        let answers = ctx.dispatch(handler, "source selection", tasks.clone(), ask)?;
         let mut per_miss: Vec<Vec<EndpointId>> = vec![Vec::new(); miss_repr.len()];
         let mut degraded = vec![false; miss_repr.len()];
         for ((mi, ep), yes) in tasks.into_iter().zip(answers) {
@@ -304,17 +300,13 @@ pub fn probe(
         }
     }
     let asked: Vec<EndpointId> = (0..asks.len()).filter(|&ep| !asks[ep].is_empty()).collect();
-    let answers = handler.map_cancellable(
-        asked.clone(),
-        ctx.deadline.clone(),
-        |_| Err(EndpointError::deadline("analysis probe")),
-        |ep| {
-            let endpoint = federation.endpoint(ep);
-            let of_ep: Vec<&Arm> = asks[ep].iter().map(|&k| &arms[k]).collect();
-            let rel = endpoint.select_within(&probe_query(&of_ep), ctx.deadline.clone())?;
-            read_counts(endpoint.name(), &of_ep, &rel)
-        },
-    );
+    let ask = |ep: EndpointId, deadline| {
+        let endpoint = federation.endpoint(ep);
+        let of_ep: Vec<&Arm> = asks[ep].iter().map(|&k| &arms[k]).collect();
+        let rel = endpoint.select_within(&probe_query(&of_ep), deadline)?;
+        read_counts(endpoint.name(), &of_ep, &rel)
+    };
+    let answers = ctx.dispatch(handler, "analysis probe", asked.clone(), ask)?;
     let mut degraded = false;
     for (ep, answer) in asked.into_iter().zip(answers) {
         let (counts, skipped) = ctx.absorb_flagged("analysis probe", Vec::new(), answer)?;

@@ -151,36 +151,6 @@ impl Deadline {
     }
 }
 
-/// A task that panicked inside [`RequestHandler::run_catch`], carrying the
-/// panic message (when it was a string payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// The panic payload rendered as text, or `"task panicked"` for
-    /// non-string payloads.
-    pub message: String,
-}
-
-impl TaskPanic {
-    fn from_payload(payload: &(dyn Any + Send)) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "task panicked".to_string()
-        };
-        TaskPanic { message }
-    }
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
 /// How long the collecting thread waits for a result before it concludes
 /// that the running workers are blocked on the network and widens the wave.
 /// Some 40–70× the cost of spawning and joining a thread: long enough that
@@ -388,8 +358,7 @@ impl RequestHandler {
     /// Execute all `tasks` on the pool, returning results in order.
     ///
     /// If a task panics, the remaining tasks still complete; the first
-    /// panic is then re-raised on the caller's thread (use
-    /// [`run_catch`](Self::run_catch) to observe panics as values instead).
+    /// panic is then re-raised on the caller's thread.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -414,19 +383,6 @@ impl RequestHandler {
         }
         out.into_iter()
             .map(|v| v.expect("non-panicked task has a result"))
-            .collect()
-    }
-
-    /// Like [`run`](Self::run), but panics become `Err(TaskPanic)` results
-    /// instead of resuming on the caller's thread.
-    pub fn run_catch<T, F>(&self, tasks: Vec<F>) -> Vec<Result<T, TaskPanic>>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        self.run_raw(tasks)
-            .into_iter()
-            .map(|r| r.map_err(|p| TaskPanic::from_payload(p.as_ref())))
             .collect()
     }
 
@@ -946,39 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn run_catch_converts_panics_to_errors() {
-        let pool = RequestHandler::new(4);
-        let out = pool.run_catch(
-            (0..6)
-                .map(|i| {
-                    move || {
-                        if i % 3 == 0 {
-                            panic!("boom {i}");
-                        }
-                        i
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        for (i, r) in out.iter().enumerate() {
-            if i % 3 == 0 {
-                let p = r.as_ref().unwrap_err();
-                assert_eq!(p.message, format!("boom {i}"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i);
-            }
-        }
-    }
-
-    #[test]
-    fn run_catch_inline_path_catches_too() {
-        let pool = RequestHandler::new(1);
-        let out: Vec<Result<usize, TaskPanic>> = pool.run_catch(vec![|| panic!("solo"), || 5usize]);
-        assert!(out[0].is_err());
-        assert_eq!(*out[1].as_ref().unwrap(), 5);
-    }
-
-    #[test]
     fn deadline_none_never_expires() {
         let d = Deadline::none();
         assert!(!d.expired());
@@ -996,30 +919,6 @@ mod tests {
         assert!(d.expired());
         assert_eq!(d.remaining(), Some(Duration::ZERO));
         assert_eq!(d.clamp(Duration::from_secs(10)), Duration::ZERO);
-    }
-
-    #[test]
-    fn map_cancellable_skips_tasks_after_expiry() {
-        // One slow task burns the budget; queued siblings must be
-        // cancelled without running.
-        let pool = RequestHandler::new(1);
-        let ran = AtomicUsize::new(0);
-        let deadline = Deadline::within(Duration::from_millis(20));
-        let out = pool.map_cancellable(
-            (0..5).collect(),
-            deadline,
-            |_: usize| -1i64,
-            |i: usize| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if i == 0 {
-                    std::thread::sleep(Duration::from_millis(40));
-                }
-                i as i64
-            },
-        );
-        assert_eq!(out[0], 0, "the in-flight task completes");
-        assert_eq!(&out[1..], &[-1, -1, -1, -1], "queued siblings cancel");
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1127,27 +1026,24 @@ mod tests {
         // The four floor workers claim tasks 0–3 and block; task 12 can
         // only be claimed by a worker spawned at the ramp.
         let pool = RequestHandler::with_widths(4, 13);
-        let out = pool.run_catch(
-            (0..13)
-                .map(|i| {
-                    move || {
-                        std::thread::sleep(Duration::from_millis(10));
-                        if i == 12 {
-                            panic!("late worker failure");
-                        }
-                        i
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
+        let ran = AtomicUsize::new(0);
+        let raised = catch_unwind(AssertUnwindSafe(|| {
+            pool.map((0..13).collect(), |i: usize| {
+                std::thread::sleep(Duration::from_millis(10));
+                if i == 12 {
+                    panic!("late worker failure");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
         assert_eq!(pool.snapshot().ramped_waves, 1);
-        for (i, r) in out.iter().enumerate() {
-            match r {
-                Err(p) => assert_eq!((i, p.message.as_str()), (12, "late worker failure")),
-                Ok(v) => assert_eq!(*v, i),
-            }
-        }
-        assert!(out[12].is_err());
+        let payload = raised.expect_err("the panic is re-raised on the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"late worker failure"),
+            "the late worker's own panic, not a poisoned-queue one"
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 12, "every sibling completed");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use endpoint::{
 };
 pub use erh::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, Deadline, EndpointHealth,
-    HealthSnapshot, RequestHandler, TaskPanic, WaveSnapshot,
+    HealthSnapshot, RequestHandler, WaveSnapshot,
 };
 pub use fault::{FaultProfile, FaultyConfig, FaultyEndpoint};
 pub use federation::Federation;

@@ -6,14 +6,13 @@
 //! patterns travel together; (2) race Lusail against FedX on the same
 //! federation and watch the request counters; (3) explore data
 //! interactively. This example plays all three, and finishes with the
-//! future-work features the paper closes on (early results and keyword
-//! search).
+//! future-work feature the paper closes on (keyword search).
 //!
 //! Run with: `cargo run --release --example demo_walkthrough`
 
 use lusail_baselines::{FedX, FedXConfig, FederatedEngine};
 use lusail_core::keyword::{keyword_search, KeywordConfig};
-use lusail_core::{LusailConfig, LusailEngine};
+use lusail_core::{LusailConfig, LusailEngine, RunContext};
 use lusail_federation::{NetworkProfile, RequestHandler};
 use lusail_workloads::{federation_from_graphs, lubm};
 use std::time::Instant;
@@ -72,21 +71,6 @@ fn main() {
     println!();
 
     banner("Scenario 3 — interactive exploration");
-    // Early results: the first page of a browsing query, without computing
-    // everything.
-    let browse = lusail_sparql::parse_query(&format!(
-        "PREFIX ub: <{}> SELECT ?s ?c WHERE {{ ?s ub:takesCourse ?c }} LIMIT 10",
-        lusail_rdf::vocab::ub::NS
-    ))
-    .unwrap();
-    let early = engine.execute_early(&browse, 10).expect("early results");
-    println!(
-        "execute_early: {} rows after evaluating {}/{} branch(es) — interactive paging",
-        early.relation.len(),
-        early.branches_run,
-        early.branches_total
-    );
-
     // Keyword search: the demo's "where do I even start?" entry point.
     let handler = RequestHandler::per_core();
     let fed = federation_from_graphs(graphs, NetworkProfile::local_cluster());
@@ -95,6 +79,7 @@ fn main() {
         &handler,
         &["GradStudent0_1"],
         &KeywordConfig::default(),
+        &RunContext::unbounded(),
     )
     .expect("keyword search");
     println!(

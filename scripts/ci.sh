@@ -27,10 +27,28 @@ fi
 # The engine sends no endpoint request of its own: requests go out from
 # source.rs, lade/gjv.rs and sape/execute.rs only, so the next kind of
 # block cannot bypass the one response-settling path.
-if grep -nE 'map_cancellable\(|_within\(' crates/core/src/engine.rs; then
+if grep -nE 'map_cancellable\(|_within\(|dispatch\(' crates/core/src/engine.rs; then
     echo "crates/core/src/engine.rs sends an endpoint request; fetch through SapeExecutor" >&2
     exit 1
 fi
+# One dispatch (DESIGN.md → Request dispatch): every request the four
+# engines send leaves through RunContext::dispatch, which alone touches
+# map_cancellable and the query's deadline. Checked on the non-test part of
+# each file (above the first #[cfg(test)]), comments and whitespace dropped
+# so a call rustfmt spread over lines still matches.
+for f in $(find crates/core/src crates/baselines/src -name '*.rs'); do
+    code=$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" | tr -d ' \n')
+    old='fncheck_deadline\(|(endpoint(\([^()]*\))?|ep)\.(select|ask|count|execute)\(&'
+    case "$f" in
+        crates/core/src/run.rs) ;;
+        crates/core/src/sape/join.rs) old="$old|map_cancellable\(|\.deadline\.clone\(\)" ;;
+        *) old="$old|map_cancellable\(|\.deadline\.clone\(\)|handler\.map\(" ;;
+    esac
+    if hits=$(grep -oE "$old" <<<"$code"); then
+        echo "$f sends a request past RunContext::dispatch: $(sort -u <<<"$hits" | tr '\n' ' ')" >&2
+        exit 1
+    fi
+done
 
 # Nothing is rendered twice (DESIGN.md → Stats model): one HTTP response
 # writer, no hand-written stats or error renderer beside the `to_json`
