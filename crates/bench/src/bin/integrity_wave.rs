@@ -26,7 +26,8 @@ use std::time::{Duration, Instant};
 
 const SAMPLES: usize = 25;
 const ENDPOINTS: usize = 13;
-/// Bindings per `VALUES` block, and so rows per block response.
+/// Bindings per `VALUES` block; a block response has twice as many rows
+/// (one row per binding would be explained by the request, never flagged).
 const BLOCK: usize = 97;
 
 fn subquery(id: usize, predicate: &str, object: &str, sources: Vec<usize>) -> Subquery {
@@ -44,8 +45,8 @@ fn subquery(id: usize, predicate: &str, object: &str, sources: Vec<usize>) -> Su
 }
 
 fn main() {
-    // Every endpoint holds one weight per subject, so a block of BLOCK
-    // subjects answers with exactly BLOCK rows everywhere; the last
+    // Every endpoint holds two weights per subject, so a block of BLOCK
+    // subjects answers with exactly 2 × BLOCK rows everywhere; the last
     // endpoint, never a source of the bound subquery, also holds the
     // `linked` triples the bindings come from.
     let network = NetworkProfile {
@@ -58,7 +59,9 @@ fn main() {
                 let mut g = Graph::new();
                 for i in 0..subjects {
                     let d = Term::iri(format!("http://x/d{i:04}"));
-                    g.add(d.clone(), Term::iri("http://x/weight"), Term::integer(1));
+                    for w in [1, 2] {
+                        g.add(d.clone(), Term::iri("http://x/weight"), Term::integer(w));
+                    }
                     if e == ENDPOINTS - 1 {
                         g.add(d, Term::iri("http://x/linked"), Term::integer(0));
                     }
@@ -103,11 +106,11 @@ fn main() {
         let step = |flagged: bool| {
             let integrity = IntegrityRegistry::new(IntegrityConfig::default());
             if flagged {
-                // The ledger has seen BLOCK rows three times from every
-                // source: that is now each one's learned cap.
+                // The ledger has seen 2 × BLOCK rows three times from
+                // every source: that is now each one's learned cap.
                 for e in 0..sources {
                     for _ in 0..3 {
-                        integrity.observe_rows(federation.endpoint(e).name(), BLOCK);
+                        integrity.observe_rows(federation.endpoint(e).name(), 2 * BLOCK, None);
                     }
                 }
             }
@@ -124,12 +127,14 @@ fn main() {
                 .execute(&subqueries, &schedule, &[1, 1000], &[], &[])
                 .expect("honest endpoints");
             let elapsed = start.elapsed().as_secs_f64() * 1000.0;
-            assert_eq!(outcome.relation.len(), n * BLOCK);
+            assert_eq!(outcome.relation.len(), 2 * n * BLOCK);
             let probes: u64 = integrity
                 .snapshot()
                 .iter()
                 .map(|(_, s)| s.verifications)
                 .sum();
+            // Otherwise the two variants would time the same step.
+            assert_eq!(probes, if flagged { n as u64 } else { 0 });
             (elapsed, probes)
         };
         let probe = recover::count_star(&subqueries[1].to_query());

@@ -488,13 +488,14 @@ impl SapeExecutor<'_> {
     }
 
     /// Decide whether one plain-`SELECT` response is cross-checked
-    /// against a `COUNT(*)` probe. Feeds the row count to the ledger's
-    /// cap-learning heuristics.
+    /// against a `COUNT(*)` probe. Feeds the row count, and the length of
+    /// the block it answers, to the ledger's cap-learning heuristic.
     fn decide(&self, req: &WaveRequest, resp: &SelectResponse) -> Check {
         let name = self.federation.endpoint(req.ep).name();
         let reg = self.integrity;
         let delivered = resp.rows.len();
-        let suspicious = reg.observe_rows(name, delivered);
+        let bindings = req.block.map(|(_, block)| block.len());
+        let suspicious = reg.observe_rows(name, delivered, bindings);
         if suspicious
             || resp.truncated
             || reg.needs_verification(name)
@@ -552,7 +553,7 @@ impl SapeExecutor<'_> {
             // defenses own oversized responses; record the strike
             // silently so repeated under-claiming still quarantines,
             // and hand the rows to the admission layer to police.
-            let transition = reg.record_divergence(name, claimed, delivered);
+            let transition = reg.record_divergence(name);
             self.apply_transition(req.ep, transition);
             Ok(resp.rows)
         } else {
@@ -697,7 +698,7 @@ impl SapeExecutor<'_> {
         best: Relation,
     ) -> Result<Relation, EngineError> {
         let name = self.federation.endpoint(ep).name().to_string();
-        let transition = self.integrity.record_divergence(&name, claimed, delivered);
+        let transition = self.integrity.record_divergence(&name);
         self.apply_transition(ep, transition);
         let standing = if self.integrity.is_quarantined(&name) {
             "endpoint quarantined"
@@ -1053,13 +1054,17 @@ mod tests {
         Term::iri(format!("http://x/d{i:05}"))
     }
 
-    /// `n` subjects with exactly one weight each, so a `VALUES` block of
-    /// [`BLOCK`] subjects answers with exactly [`BLOCK`] rows — the shape
-    /// that teaches the ledger a false cap on an honest endpoint.
-    fn weights(n: usize) -> Store {
+    /// `n` subjects with `each` weights apiece, so a `VALUES` block of
+    /// [`BLOCK`] subjects answers with exactly `each × BLOCK` rows. One
+    /// row per binding is explained by the request; two is the shape that
+    /// teaches the ledger a false cap on an honest endpoint.
+    fn weights(n: usize, each: usize) -> Store {
         let mut g = Graph::new();
         for i in 0..n {
-            g.add(d(i), Term::iri("http://x/weight"), Term::integer(i as i64));
+            for w in 0..each {
+                let weight = Term::integer((i * each + w) as i64);
+                g.add(d(i), Term::iri("http://x/weight"), weight);
+            }
         }
         Store::from_graph(&g)
     }
@@ -1088,13 +1093,13 @@ mod tests {
     /// An honest endpoint with a scripted transport: cross-probes can fail
     /// or trip the query's cancel token, and plain responses can carry the
     /// truncation advertisement.
-    struct Scripted {
-        inner: SimulatedEndpoint,
+    struct Scripted<E = SimulatedEndpoint> {
+        inner: E,
         on_count: Option<OnCount>,
         advertise_truncated: bool,
     }
 
-    impl SparqlEndpoint for Scripted {
+    impl<E: SparqlEndpoint> SparqlEndpoint for Scripted<E> {
         fn name(&self) -> &str {
             self.inner.name()
         }
@@ -1175,6 +1180,31 @@ mod tests {
                 .run_bound(&weight_subquery(), "subquery #1", &bindings, None)
         }
 
+        /// Fetch the weight pattern as an `OPTIONAL` / `MINUS` block of a
+        /// branch whose required part found the first `n` subjects.
+        fn fetch(&self, n: usize) -> Result<Relation, EngineError> {
+            let sq = weight_subquery();
+            let block = OptionalBlock {
+                patterns: sq.patterns,
+                filters: vec![],
+            };
+            let stats = BlockStats {
+                sources: vec![sq.sources],
+                ..BlockStats::default()
+            };
+            let required = [TriplePattern::new(
+                TermPattern::var("d"),
+                TermPattern::iri("http://x/linked"),
+                TermPattern::var("l"),
+            )];
+            let mut rows = Relation::new(vec![v("d")]);
+            for i in 0..n {
+                rows.push(vec![Some(d(i))]);
+            }
+            self.executor()
+                .fetch_block(&block, &stats, 1, "OPTIONAL block #1", &required, &rows)
+        }
+
         /// Evaluate the weight subquery unbound, in a phase-1 wave, with
         /// `expected` as the analysis probe's count.
         fn phase1(&self, expected: usize) -> Result<Relation, EngineError> {
@@ -1204,29 +1234,49 @@ mod tests {
     }
 
     fn simulated(n: usize, network: NetworkProfile) -> SimulatedEndpoint {
-        SimulatedEndpoint::new("tgt", weights(n), network)
+        SimulatedEndpoint::new("tgt", weights(n, 1), network)
+    }
+
+    /// [`simulated`] with two weights per subject.
+    fn two_weights(n: usize, network: NetworkProfile) -> SimulatedEndpoint {
+        SimulatedEndpoint::new("tgt", weights(n, 2), network)
+    }
+
+    /// [`simulated`] behind a silent cap of `cap` rows per response.
+    fn capped(inner: SimulatedEndpoint, cap: usize) -> FaultyEndpoint {
+        FaultyEndpoint::new(Arc::new(inner), 7, FaultProfile::silent_truncate(cap))
+    }
+
+    /// The two roads a `VALUES` block takes into `run_bound`: a delayed
+    /// subquery's bound join, and an `OPTIONAL` / `MINUS` block's fetch.
+    type BlockPath = fn(&Rig, usize) -> Result<Relation, EngineError>;
+    const BLOCK_PATHS: [BlockPath; 2] = [Rig::bound_join, Rig::fetch];
+
+    fn sorted(mut rel: Relation) -> Relation {
+        rel.rows_mut().sort();
+        rel
     }
 
     #[test]
     fn cross_probes_of_a_wave_go_out_as_one_wave() {
-        // 8 full blocks from an honest endpoint: the third identical row
-        // count teaches a (false) cap, so blocks 3..=8 are cross-probed —
-        // as before, but in one wave after the bound wave instead of six
-        // serial round trips behind it.
+        // 8 full blocks of two rows per binding from an honest endpoint:
+        // the third identical row count teaches a (false) cap, so blocks
+        // 3..=8 are cross-probed — in one wave after the bound wave, not
+        // six serial round trips behind it.
         let network = NetworkProfile {
             latency: Duration::from_millis(5),
             bytes_per_sec: u64::MAX,
         };
         let rig = Rig::new(
-            Arc::new(simulated(8 * BLOCK, network)),
+            Arc::new(two_weights(8 * BLOCK, network)),
             IntegrityConfig::default(),
         );
         let waves = rig.handler.snapshot().waves;
         let rel = rig.bound_join(8 * BLOCK).unwrap();
-        assert_eq!(rel.len(), 8 * BLOCK);
+        assert_eq!(rel.len(), 2 * 8 * BLOCK);
         assert_eq!(rig.requests(), 8 + 6, "8 blocks and 6 probes");
         assert_eq!(rig.snapshot().verifications, 6);
-        assert_eq!(rig.snapshot().learned_cap, Some(BLOCK));
+        assert_eq!(rig.snapshot().learned_cap, Some(2 * BLOCK));
         assert_eq!(
             rig.handler.snapshot().waves - waves,
             2,
@@ -1235,31 +1285,89 @@ mod tests {
     }
 
     #[test]
+    fn one_row_per_binding_blocks_cost_an_honest_endpoint_no_probe() {
+        // 450 bindings in, 450 rows out, block after block: that is the
+        // request explaining its own response, not a cap.
+        for path in BLOCK_PATHS {
+            let rig = Rig::new(
+                Arc::new(simulated(8 * BLOCK, NetworkProfile::instant())),
+                IntegrityConfig::default(),
+            );
+            assert_eq!(path(&rig, 8 * BLOCK).unwrap().len(), 8 * BLOCK);
+            assert_eq!(rig.requests(), 8, "8 blocks, nothing else");
+            assert_eq!(rig.snapshot().verifications, 0);
+            assert_eq!(rig.snapshot().learned_cap, None);
+        }
+    }
+
+    #[test]
     fn an_endpoint_caught_in_a_wave_has_all_its_responses_of_the_wave_verified() {
-        // Every block comes back cut to 64 rows. Only the third identical
-        // count trips the heuristic; its probe catches the endpoint, and
-        // the follow-up wave then verifies blocks 1 and 2 as well, so the
+        // Every one-row-per-binding block comes back cut to 64 rows, which
+        // no longer is its binding count. Only the third identical count
+        // trips the heuristic; its probe catches the endpoint, and the
+        // follow-up wave then verifies blocks 1 and 2 as well, so the
         // whole wave is recovered, not just what came after the catch.
-        let faulty = FaultyEndpoint::new(
-            Arc::new(simulated(5 * BLOCK, NetworkProfile::instant())),
-            7,
-            FaultProfile::silent_truncate(64),
+        for path in BLOCK_PATHS {
+            let healthy = Rig::new(
+                Arc::new(simulated(5 * BLOCK, NetworkProfile::instant())),
+                IntegrityConfig::default(),
+            );
+            let faulty = capped(simulated(5 * BLOCK, NetworkProfile::instant()), 64);
+            let rig = Rig::new(Arc::new(faulty), IntegrityConfig::default());
+            let waves = rig.handler.snapshot().waves;
+            let rel = path(&rig, 5 * BLOCK).unwrap();
+            assert_eq!(rel.len(), 5 * BLOCK, "every block recovered in full");
+            assert_eq!(sorted(rel), sorted(path(&healthy, 5 * BLOCK).unwrap()));
+            let snap = rig.snapshot();
+            assert_eq!(snap.verifications, 5);
+            assert_eq!(snap.truncations_detected, 5);
+            assert_eq!(snap.count_divergences, 0);
+            assert_eq!(snap.learned_cap, Some(64));
+            assert!(rig.integrity.needs_verification("tgt"), "on watch");
+            assert_eq!(
+                rig.handler.snapshot().waves - waves,
+                3 + snap.pages_fetched,
+                "bound wave, probe wave, one follow-up wave; each recovery page is a wave of one"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cap_equal_to_the_block_length_is_caught_by_its_advertisement_only() {
+        // The one case the one-row-per-binding rule gives up: two rows per
+        // binding behind a cap of exactly the block length look like one
+        // row per binding. By count alone the cut goes unseen ...
+        let rig = Rig::new(
+            Arc::new(capped(
+                two_weights(3 * BLOCK, NetworkProfile::instant()),
+                BLOCK,
+            )),
+            IntegrityConfig::default(),
         );
-        let rig = Rig::new(Arc::new(faulty), IntegrityConfig::default());
-        let waves = rig.handler.snapshot().waves;
-        let mut rel = rig.bound_join(5 * BLOCK).unwrap();
-        rel.rows_mut().sort();
-        rel.rows_mut().dedup();
-        assert_eq!(rel.len(), 5 * BLOCK, "every block recovered in full");
+        assert_eq!(rig.bound_join(3 * BLOCK).unwrap().len(), 3 * BLOCK);
+        assert_eq!(rig.requests(), 3);
+        assert_eq!(rig.snapshot().verifications, 0);
+        // ... while a server that says it cut (`X-Lusail-Truncated`) is
+        // probed and paged back whatever the count looks like.
+        let healthy = Rig::new(
+            Arc::new(two_weights(3 * BLOCK, NetworkProfile::instant())),
+            IntegrityConfig::default(),
+        );
+        let rig = Rig::new(
+            Arc::new(Scripted {
+                inner: capped(two_weights(3 * BLOCK, NetworkProfile::instant()), BLOCK),
+                on_count: None,
+                advertise_truncated: true,
+            }),
+            IntegrityConfig::default(),
+        );
+        let rel = rig.bound_join(3 * BLOCK).unwrap();
+        assert_eq!(rel.len(), 2 * 3 * BLOCK);
+        assert_eq!(sorted(rel), sorted(healthy.bound_join(3 * BLOCK).unwrap()));
         let snap = rig.snapshot();
-        assert_eq!(snap.verifications, 5);
-        assert_eq!(snap.truncations_detected, 5);
-        assert_eq!(snap.count_divergences, 0);
-        assert_eq!(
-            rig.handler.snapshot().waves - waves,
-            3 + snap.pages_fetched,
-            "bound wave, probe wave, one follow-up wave; each recovery page is a wave of one"
-        );
+        assert_eq!(snap.verifications, 3);
+        assert_eq!(snap.truncations_detected, 3);
+        assert_eq!(snap.rows_recovered, 3 * BLOCK as u64);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! The registry tracks, per endpoint name:
 //!
 //! * a **learned cap** — the same exact row count repeated across plain
-//!   `SELECT` responses, or a suspiciously round count (≥ `round_floor`
-//!   and divisible by `round_modulus`), both classic truncation tells;
+//!   `SELECT` responses, the classic truncation tell. A `VALUES`-block
+//!   response with exactly one row per binding sent is *explained* by the
+//!   request: it teaches no cap, is never flagged by its count, and ends
+//!   the run of equal counts before it;
 //! * a **trust ramp** — until `trust_after` consecutive verified-clean
 //!   responses, every response is cross-checked against a fresh
 //!   `COUNT(*)` probe (`trust_after = 0`, the default, trusts immediately
@@ -45,12 +47,6 @@ pub struct IntegrityConfig {
     /// Row counts below this never participate in cap learning — small
     /// results legitimately repeat.
     pub learned_cap_floor: usize,
-    /// Row counts at or above this that are divisible by
-    /// [`round_modulus`](Self::round_modulus) are treated as suspicious
-    /// (the DBpedia-style `10_000` tell).
-    pub round_floor: usize,
-    /// Divisor that makes a large row count "suspiciously round".
-    pub round_modulus: usize,
     /// Divergence strikes before the endpoint enters quarantine.
     pub quarantine_after: u32,
     /// Consecutive verified-clean responses that exit quarantine.
@@ -69,8 +65,6 @@ impl Default for IntegrityConfig {
         IntegrityConfig {
             repeat_threshold: 3,
             learned_cap_floor: 64,
-            round_floor: 1000,
-            round_modulus: 1000,
             quarantine_after: 2,
             rehabilitate_after: 3,
             trust_after: 0,
@@ -202,28 +196,35 @@ impl IntegrityRegistry {
         f(&self.config, map.entry(endpoint.to_string()).or_default())
     }
 
-    /// Record the row count of an unpaged plain-`SELECT` response and
-    /// report whether the cheap heuristics find it suspicious: it matches
-    /// the learned cap, it is the `repeat_threshold`-th consecutive
-    /// response with this exact count, or it is suspiciously round.
-    pub fn observe_rows(&self, endpoint: &str, rows: usize) -> bool {
+    /// Record the row count of an unpaged plain-`SELECT` response — and,
+    /// for a `VALUES`-block request, how many `bindings` it carried — and
+    /// report whether the cheap heuristic finds it suspicious: it is the
+    /// `repeat_threshold`-th consecutive response with this exact count,
+    /// or it matches the cap learned that way.
+    ///
+    /// One row per binding is what a full block returns from an honest
+    /// endpoint whenever the bound pattern has one match per binding, so
+    /// such a response is explained by its request: never suspicious,
+    /// never part of a run, and — like a different count at or above the
+    /// floor — the end of the run before it. A cap below the block length
+    /// still shows as `rows != bindings`, block after block.
+    pub fn observe_rows(&self, endpoint: &str, rows: usize, bindings: Option<usize>) -> bool {
         self.with(endpoint, |cfg, e| {
+            if bindings == Some(rows) {
+                e.repeat = None;
+                return false;
+            }
             if rows >= cfg.learned_cap_floor {
-                e.repeat = match e.repeat {
-                    Some((n, k)) if n == rows => Some((n, k + 1)),
-                    _ => Some((rows, 1)),
+                let run = match e.repeat {
+                    Some((n, k)) if n == rows => k + 1,
+                    _ => 1,
                 };
-                if let Some((n, k)) = e.repeat {
-                    if k >= cfg.repeat_threshold {
-                        e.snapshot.learned_cap = Some(n);
-                    }
+                e.repeat = Some((rows, run));
+                if run >= cfg.repeat_threshold {
+                    e.snapshot.learned_cap = Some(rows);
                 }
             }
-            let repeated =
-                matches!(e.repeat, Some((n, k)) if n == rows && k >= cfg.repeat_threshold);
-            let capped = e.snapshot.learned_cap == Some(rows);
-            let round = rows >= cfg.round_floor && rows % cfg.round_modulus == 0;
-            capped || repeated || round
+            e.snapshot.learned_cap == Some(rows)
         })
     }
 
@@ -276,15 +277,10 @@ impl IntegrityRegistry {
         });
     }
 
-    /// A verification could not be reconciled: the endpoint claimed
-    /// `claimed` rows but only `delivered` were obtainable even after
-    /// paging. One strike; enough strikes enter quarantine.
-    pub fn record_divergence(
-        &self,
-        endpoint: &str,
-        _claimed: usize,
-        _delivered: usize,
-    ) -> QuarantineTransition {
+    /// A verification could not be reconciled: the rows obtainable, even
+    /// after paging, are not the rows the endpoint claimed. One strike;
+    /// enough strikes enter quarantine.
+    pub fn record_divergence(&self, endpoint: &str) -> QuarantineTransition {
         self.with(endpoint, |cfg, e| {
             e.snapshot.count_divergences += 1;
             e.strikes = e.strikes.saturating_add(1);
@@ -334,44 +330,60 @@ mod tests {
     #[test]
     fn repeated_exact_count_learns_a_cap() {
         let reg = IntegrityRegistry::default();
-        assert!(!reg.observe_rows("ep", 10_000 - 3));
-        assert!(!reg.observe_rows("ep", 9997)); // second consecutive 9997
-        assert!(reg.observe_rows("ep", 9997)); // third: cap learned
+        assert!(!reg.observe_rows("ep", 10_000 - 3, None));
+        assert!(!reg.observe_rows("ep", 9997, None)); // second consecutive 9997
+        assert!(reg.observe_rows("ep", 9997, None)); // third: cap learned
         assert_eq!(reg.learned_cap("ep"), Some(9997));
         // Any later response at the learned cap is suspicious outright.
-        assert!(!reg.observe_rows("ep", 12));
-        assert!(reg.observe_rows("ep", 9997));
+        assert!(!reg.observe_rows("ep", 12, None));
+        assert!(reg.observe_rows("ep", 9997, None));
+        // A block is held to the same rule while its count is not its
+        // binding count: a cap below the block length shows three times.
+        for flagged in [false, false, true] {
+            assert_eq!(reg.observe_rows("blocks", 64, Some(97)), flagged);
+        }
+        assert_eq!(reg.learned_cap("blocks"), Some(64));
     }
 
     #[test]
     fn small_counts_never_learn_caps() {
         let reg = IntegrityRegistry::default();
         for _ in 0..10 {
-            assert!(!reg.observe_rows("ep", 3));
+            assert!(!reg.observe_rows("ep", 3, None));
         }
         assert_eq!(reg.learned_cap("ep"), None);
     }
 
     #[test]
-    fn round_counts_are_suspicious() {
+    fn one_row_per_binding_is_explained_and_ends_the_run() {
         let reg = IntegrityRegistry::default();
-        assert!(reg.observe_rows("ep", 10_000));
-        assert!(!reg.observe_rows("ep", 10_001));
-        assert!(!reg.observe_rows("ep", 500)); // below round_floor
+        // Full blocks, as many as you like: no run, no cap, no flag.
+        for _ in 0..10 {
+            assert!(!reg.observe_rows("ep", 450, Some(450)));
+        }
+        assert_eq!(reg.learned_cap("ep"), None);
+        // n, n, explained, n: the explained response ended the run ...
+        assert!(!reg.observe_rows("ep", 450, None));
+        assert!(!reg.observe_rows("ep", 450, Some(60)));
+        assert!(!reg.observe_rows("ep", 450, Some(450)));
+        assert!(!reg.observe_rows("ep", 450, None));
+        assert_eq!(reg.learned_cap("ep"), None);
+        // ... and n, n, n still flags, whatever request each n answered.
+        assert!(!reg.observe_rows("ep", 450, Some(60)));
+        assert!(reg.observe_rows("ep", 450, None));
+        assert_eq!(reg.learned_cap("ep"), Some(450));
+        // An explained response is not flagged even at the learned cap;
+        // an unexplained one at that count is.
+        assert!(!reg.observe_rows("ep", 450, Some(450)));
+        assert!(reg.observe_rows("ep", 450, Some(451)));
     }
 
     #[test]
     fn quarantine_lifecycle() {
         let reg = IntegrityRegistry::default();
-        assert_eq!(
-            reg.record_divergence("ep", 100, 5),
-            QuarantineTransition::None
-        );
+        assert_eq!(reg.record_divergence("ep"), QuarantineTransition::None);
         assert!(!reg.is_quarantined("ep"));
-        assert_eq!(
-            reg.record_divergence("ep", 100, 5),
-            QuarantineTransition::Entered
-        );
+        assert_eq!(reg.record_divergence("ep"), QuarantineTransition::Entered);
         assert!(reg.is_quarantined("ep"));
         assert!(reg.needs_verification("ep"));
         // Rehabilitation: three consecutive clean verifications.
@@ -388,12 +400,12 @@ mod tests {
     #[test]
     fn divergence_resets_rehabilitation_streak() {
         let reg = IntegrityRegistry::default();
-        reg.record_divergence("ep", 10, 1);
-        reg.record_divergence("ep", 10, 1);
+        reg.record_divergence("ep");
+        reg.record_divergence("ep");
         assert!(reg.is_quarantined("ep"));
         reg.record_clean("ep");
         reg.record_clean("ep");
-        reg.record_divergence("ep", 10, 1);
+        reg.record_divergence("ep");
         reg.record_clean("ep");
         reg.record_clean("ep");
         assert!(

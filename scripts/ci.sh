@@ -24,6 +24,13 @@ if grep -rnE 'fn (dp_join_order|greedy_order)\(' crates --include='*.rs'; then
     echo "an old join-order function is back; plan_joins is the one planner" >&2
     exit 1
 fi
+# The round-number integrity rule stays gone: two config fields, one branch
+# of `observe_rows`, no catch on any corpus in any census (DESIGN.md → Known
+# performance issues).
+if grep -rnE 'round_(floor|modulus)' crates; then
+    echo "the round-number integrity rule is back; it never caught anything" >&2
+    exit 1
+fi
 # The engine sends no endpoint request of its own: requests go out from
 # source.rs, lade/gjv.rs and sape/execute.rs only, so the next kind of
 # block cannot bypass the one response-settling path.
