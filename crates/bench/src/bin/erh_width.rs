@@ -10,11 +10,13 @@
 //!
 //! `cargo run -p lusail-bench --bin erh_width --release --offline`
 
-use lusail_bench::{write_bench_json, BenchRecord};
+use lusail_bench::{sample, write_records, Record};
 use lusail_federation::RequestHandler;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-const SAMPLES: usize = 25;
+/// One warm-up wave (the thread stacks), then the samples.
+const RUNS: usize = 26;
 const ENDPOINTS: usize = 13;
 
 fn spin(d: Duration) {
@@ -31,7 +33,8 @@ fn main() {
         ("spin200us", || spin(Duration::from_micros(200))),
     ];
     println!(
-        "=== ERH wave wall time, {SAMPLES} samples per row ({} logical CPUs) ===",
+        "=== ERH wave wall time, {} samples per row ({} logical CPUs) ===",
+        RUNS - 1,
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
     println!(
@@ -42,25 +45,21 @@ fn main() {
     for n in [4usize, 13, 52] {
         for (kind, task) in kinds {
             for handler in [RequestHandler::new(4), RequestHandler::elastic(ENDPOINTS)] {
-                handler.run(vec![task; n]); // warm the thread stacks
-                let mut samples_ms: Vec<f64> = (0..SAMPLES)
-                    .map(|_| {
-                        let start = Instant::now();
-                        handler.run(vec![task; n]);
-                        start.elapsed().as_secs_f64() * 1000.0
-                    })
-                    .collect();
+                let Ok(sampled) = sample(RUNS, || {
+                    handler.run(vec![task; n]);
+                    Ok::<_, Infallible>(())
+                });
                 let snap = handler.snapshot();
-                let record = BenchRecord::from_samples(
-                    format!("n{n}/{kind}"),
+                let record = Record::new(
                     format!("erh-{}..{}", snap.floor, snap.ceiling),
+                    format!("n{n}/{kind}"),
                     n as u64,
-                    &mut samples_ms,
+                    sampled.ms,
                 );
                 println!(
                     "{:<18}{:>16}{:>12.3}{:>10.3}{:>10}{:>8}",
                     record.query,
-                    record.codec,
+                    record.system,
                     record.elapsed_ms,
                     record.p95_ms,
                     format!("{}/{}", snap.ramped_waves, snap.waves),
@@ -70,8 +69,5 @@ fn main() {
             }
         }
     }
-    match write_bench_json("erh_width", &records) {
-        Ok(path) => println!("\nwrote {path} ({} records)", records.len()),
-        Err(e) => eprintln!("\nfailed to write BENCH_erh_width.json: {e}"),
-    }
+    write_records("erh_width", &records);
 }

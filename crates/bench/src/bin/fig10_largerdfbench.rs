@@ -6,45 +6,32 @@
 //! with larger intermediate results). On complex and large queries Lusail
 //! wins broadly; C5/B5/B6 are `NS` for every baseline; FedX/HiBISCuS time
 //! out on the heaviest (C1, C9, several B's).
+//!
+//! Writes `BENCH_fig10_largerdfbench.json`.
 
-use lusail_bench::{bench_scale, run_grid, HarnessConfig, System};
+use lusail_bench::{
+    bench_scale, largerdf_graphs, print_legend, run_grid, write_records, HarnessConfig, System,
+};
 use lusail_federation::NetworkProfile;
-use lusail_workloads::largerdf;
+use lusail_workloads::{federation_from_graphs, largerdf};
 
 fn main() {
-    let cfg = largerdf::LargeRdfConfig {
-        scale: bench_scale(),
-        ..Default::default()
-    };
-    let graphs = largerdf::generate_all(&cfg);
+    let graphs = largerdf_graphs(bench_scale());
     let harness = HarnessConfig::default();
-    let profile = NetworkProfile::local_cluster();
-    run_grid(
-        "Figure 10 (top): LargeRDFBench simple queries — seconds (requests)",
-        &graphs,
-        profile,
-        &System::ALL,
-        &largerdf::simple_queries(),
-        &harness,
-    );
-    run_grid(
-        "Figure 10 (middle): LargeRDFBench complex queries — seconds (requests)",
-        &graphs,
-        profile,
-        &System::ALL,
-        &largerdf::complex_queries(),
-        &harness,
-    );
-    run_grid(
-        "Figure 10 (bottom): LargeRDFBench large queries — seconds (requests)",
-        &graphs,
-        profile,
-        &System::ALL,
-        &largerdf::big_queries(),
-        &harness,
-    );
-    println!(
-        "\nLegend: TO = timed out ({}s limit), NS = not supported.",
-        harness.timeout.as_secs()
-    );
+    let mut records = Vec::new();
+    for (part, category, queries) in [
+        ("top", "simple", largerdf::simple_queries()),
+        ("middle", "complex", largerdf::complex_queries()),
+        ("bottom", "large", largerdf::big_queries()),
+    ] {
+        records.extend(run_grid(
+            &format!("Figure 10 ({part}): LargeRDFBench {category} queries — seconds (requests)"),
+            &|| federation_from_graphs(graphs.clone(), NetworkProfile::local_cluster()),
+            &System::ALL,
+            &queries,
+            &harness,
+        ));
+    }
+    print_legend(&harness);
+    write_records("fig10_largerdfbench", &records);
 }

@@ -5,49 +5,43 @@
 //! but FedX/HiBISCuS — which ship bindings one block at a time — degrade
 //! by an order of magnitude, while Lusail's runtimes grow only modestly.
 //! Lusail is the only system answering every complex and large query.
+//!
+//! Writes `BENCH_fig11_geo.json`.
 
-use lusail_bench::{bench_scale, run_grid, HarnessConfig, System};
+use lusail_bench::{
+    bench_scale, largerdf_graphs, print_legend, run_grid, write_records, HarnessConfig, System,
+};
 use lusail_federation::NetworkProfile;
-use lusail_workloads::{largerdf, lubm};
+use lusail_workloads::{federation_from_graphs, largerdf, lubm};
 
 fn main() {
     let harness = HarnessConfig::default();
-    let geo = NetworkProfile::geo_distributed();
-
-    let cfg = largerdf::LargeRdfConfig {
-        scale: bench_scale(),
-        ..Default::default()
-    };
-    let graphs = largerdf::generate_all(&cfg);
-    run_grid(
-        "Figure 11(a): geo-distributed LargeRDFBench complex queries — seconds (requests)",
-        &graphs,
-        geo,
-        &System::ALL,
-        &largerdf::complex_queries(),
-        &harness,
-    );
-    run_grid(
-        "Figure 11(b): geo-distributed LargeRDFBench large queries — seconds (requests)",
-        &graphs,
-        geo,
-        &System::ALL,
-        &largerdf::big_queries(),
-        &harness,
-    );
-
-    let lubm_cfg = lubm::LubmConfig::with_universities(2);
-    let lubm_graphs = lubm::generate_all(&lubm_cfg);
-    run_grid(
-        "Figure 11(c): geo-distributed LUBM, 2 endpoints — seconds (requests)",
-        &lubm_graphs,
-        geo,
-        &System::ALL,
-        &lubm::queries(),
-        &harness,
-    );
-    println!(
-        "\nLegend: TO = timed out ({}s limit), NS = not supported.",
-        harness.timeout.as_secs()
-    );
+    let lrb_graphs = largerdf_graphs(bench_scale());
+    let lubm_graphs = lubm::generate_all(&lubm::LubmConfig::with_universities(2));
+    let mut records = Vec::new();
+    for (part, what, graphs, queries) in [
+        (
+            "a",
+            "LargeRDFBench complex queries",
+            &lrb_graphs,
+            largerdf::complex_queries(),
+        ),
+        (
+            "b",
+            "LargeRDFBench large queries",
+            &lrb_graphs,
+            largerdf::big_queries(),
+        ),
+        ("c", "LUBM, 2 endpoints", &lubm_graphs, lubm::queries()),
+    ] {
+        records.extend(run_grid(
+            &format!("Figure 11({part}): geo-distributed {what} — seconds (requests)"),
+            &|| federation_from_graphs(graphs.clone(), NetworkProfile::geo_distributed()),
+            &System::ALL,
+            &queries,
+            &harness,
+        ));
+    }
+    print_legend(&harness);
+    write_records("fig11_geo", &records);
 }

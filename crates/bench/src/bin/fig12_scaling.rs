@@ -1,12 +1,19 @@
 //! Figure 12(b, c): Lusail's phases for LUBM Q3 and Q4 while scaling the
-//! number of endpoints (4 → 256 in the paper; configurable here), with
-//! and without the ASK/check-query cache.
+//! number of endpoints (4 → 256 in the paper; `LUSAIL_BENCH_MAX_ENDPOINTS`
+//! caps it here), with and without the analysis cache.
 //!
 //! Expected shape (paper): source selection grows with the endpoint count
 //! and execution dominates at scale; the cache helps, especially for the
 //! more complex Q4 and at large endpoint counts.
+//!
+//! Writes `BENCH_fig12_scaling.json`, the endpoint count in the query label
+//! (`Q3@16`): a `Lusail` row (cache warmed by the discarded first run) with
+//! `ProfileRow`'s phase keys, and a `Lusail w/o cache` row.
 
-use lusail_bench::bench_scale;
+use lusail_bench::{
+    bench_scale, measure, sample, write_bench_json, EngineUnderTest, HarnessConfig, ProfileRow,
+    Record,
+};
 use lusail_core::{LusailConfig, LusailEngine};
 use lusail_federation::NetworkProfile;
 use lusail_workloads::{federation_from_graphs, lubm};
@@ -16,50 +23,69 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(256);
-    let mut counts = vec![4usize, 16, 64, 256];
-    counts.retain(|&c| c <= max);
-
-    for (fig, qname, qidx) in [("12(b)", "Q3", 2usize), ("12(c)", "Q4", 3usize)] {
-        println!("\nFigure {fig}: LUBM {qname}, scaling endpoints (milliseconds)");
+    let harness = HarnessConfig::default();
+    let mut rows = Vec::new();
+    for (fig, qidx) in [("12(b)", 2usize), ("12(c)", 3)] {
+        let query = &lubm::queries()[qidx];
+        let parsed = query.parse();
         println!(
-            "{:<10}{:>12}{:>12}{:>12}{:>14}{:>16}",
-            "endpoints", "source", "analysis", "execution", "total+cache", "total w/o cache"
+            "\nFigure {fig}: LUBM {}, scaling endpoints (median ms of {} runs)",
+            query.name,
+            harness.runs - 1
         );
-        for &n in &counts {
-            let cfg = lubm::LubmConfig {
+        println!(
+            "{:<10}{:>12}{:>12}{:>12}{:>14}{:>10}{:>16}{:>10}",
+            "endpoints",
+            "probe",
+            "analysis",
+            "execution",
+            "total+cache",
+            "requests",
+            "total w/o cache",
+            "requests"
+        );
+        for n in [4usize, 16, 64, 256].into_iter().filter(|&n| n <= max) {
+            let graphs = lubm::generate_all(&lubm::LubmConfig {
                 universities: n,
                 scale: bench_scale(),
                 ..Default::default()
-            };
-            let graphs = lubm::generate_all(&cfg);
-            let query = lubm::queries()[qidx].parse();
+            });
+            let federation = federation_from_graphs(graphs, NetworkProfile::local_cluster());
+            let label = format!("{}@{n}", query.name);
 
-            // With cache: warm-up run loads caches, then measure.
-            let cached_engine = LusailEngine::new(
-                federation_from_graphs(graphs.clone(), NetworkProfile::local_cluster()),
-                LusailConfig::default(),
-            );
-            cached_engine.execute(&query).unwrap();
-            let (_, cached) = cached_engine.execute_profiled(&query).unwrap();
+            let engine = LusailEngine::new(federation.clone(), LusailConfig::default());
+            let sampled = sample(harness.runs, || {
+                federation.reset_traffic();
+                engine.execute_profiled(&parsed).map(|(_, profile)| profile)
+            })
+            .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+            let cached = ProfileRow::of("Lusail", &label, &sampled.outputs, &federation);
 
-            // Without cache: every run pays the analysis traffic.
-            let uncached_engine = LusailEngine::new(
-                federation_from_graphs(graphs, NetworkProfile::local_cluster()),
+            // Without the cache every run pays the analysis traffic.
+            let without_cache = EngineUnderTest::lusail(
+                "Lusail w/o cache",
+                federation.clone(),
                 LusailConfig::without_cache(),
             );
-            uncached_engine.execute(&query).unwrap();
-            let (_, uncached) = uncached_engine.execute_profiled(&query).unwrap();
+            let uncached = Record {
+                query: label.clone(),
+                ..measure(&without_cache, query, &harness)
+            };
 
-            let ms = |d: std::time::Duration| d.as_secs_f64() * 1000.0;
             println!(
-                "{:<10}{:>12.2}{:>12.2}{:>12.2}{:>14.2}{:>16.2}",
+                "{:<10}{:>12.3}{:>12.3}{:>12.3}{:>14.3}{:>10}{:>16.3}{:>10}",
                 n,
-                ms(cached.source_selection),
-                ms(cached.analysis),
-                ms(cached.execution),
-                ms(cached.total),
-                ms(uncached.total),
+                cached.probe.median,
+                cached.analysis.median,
+                cached.execution.median,
+                cached.record.elapsed_ms,
+                cached.record.requests,
+                uncached.elapsed_ms,
+                uncached.requests,
             );
+            rows.push(cached.to_json());
+            rows.push(uncached.to_json());
         }
     }
+    write_bench_json("fig12_scaling", &rows);
 }

@@ -6,52 +6,49 @@
 //! lose on simple/complex queries (communication explodes); μ delays too
 //! much and loses on large queries (parallelism starves); μ+σ is
 //! consistently good — which is why it is Lusail's default.
+//!
+//! Writes `BENCH_fig13_thresholds.json`: per threshold (`codec`) one row
+//! per query and one `<category>/total` row — the sum of its queries'
+//! medians, p95s (an upper bound, not a percentile of the sum), requests,
+//! bytes and rows; a query that did not end `ok` adds the time limit.
 
-use lusail_bench::{bench_scale, HarnessConfig};
-use lusail_core::{DelayThreshold, LusailConfig, LusailEngine};
+use lusail_bench::{
+    bench_scale, largerdf_graphs, measure, write_records, EngineUnderTest, HarnessConfig, Record,
+    Status, Summary,
+};
+use lusail_core::{DelayThreshold, LusailConfig};
 use lusail_federation::NetworkProfile;
-use lusail_workloads::{federation_from_graphs, largerdf, BenchQuery};
-use std::time::Instant;
+use lusail_workloads::{federation_from_graphs, largerdf};
 
-fn total_time(
-    graphs: &[(String, lusail_rdf::Graph)],
-    queries: &[BenchQuery],
-    threshold: DelayThreshold,
-    harness: &HarnessConfig,
-) -> (f64, usize) {
-    let engine = LusailEngine::new(
-        federation_from_graphs(graphs.to_vec(), NetworkProfile::geo_distributed()),
-        LusailConfig {
-            delay_threshold: threshold,
-            timeout: Some(harness.timeout),
-            ..Default::default()
-        },
-    );
-    let mut total = 0.0;
-    let mut timeouts = 0;
-    for q in queries {
-        let parsed = q.parse();
-        // Warm-up, then one measured run (the category totals dominate any
-        // run-to-run noise).
-        let _ = engine.execute(&parsed);
-        let start = Instant::now();
-        match engine.execute(&parsed) {
-            Ok(_) => total += start.elapsed().as_secs_f64(),
-            Err(_) => {
-                total += harness.timeout.as_secs_f64();
-                timeouts += 1;
-            }
-        }
+/// The `<category>/total` row of one threshold's `cells`.
+fn category_total(category: &str, cells: &[Record], harness: &HarnessConfig) -> Record {
+    let limit = harness.timeout.as_secs_f64() * 1000.0;
+    let ms = |of: fn(&Record) -> f64| -> f64 {
+        cells
+            .iter()
+            .map(|r| if r.status == Status::Ok { of(r) } else { limit })
+            .sum()
+    };
+    let sum = |of: fn(&Record) -> u64| -> u64 { cells.iter().map(of).sum() };
+    let summary = Summary {
+        median: ms(|r| r.elapsed_ms),
+        p95: ms(|r| r.p95_ms),
+        samples: cells.iter().map(|r| r.samples).min().unwrap_or(0),
+    };
+    Record {
+        requests: sum(|r| r.requests),
+        wire_bytes: sum(|r| r.wire_bytes),
+        ..Record::new(
+            cells[0].system.as_str(),
+            format!("{category}/total"),
+            sum(|r| r.rows),
+            summary,
+        )
     }
-    (total, timeouts)
 }
 
 fn main() {
-    let cfg = largerdf::LargeRdfConfig {
-        scale: bench_scale(),
-        ..Default::default()
-    };
-    let graphs = largerdf::generate_all(&cfg);
+    let graphs = largerdf_graphs(bench_scale());
     let harness = HarnessConfig::default();
     let thresholds = [
         DelayThreshold::Mu,
@@ -60,29 +57,46 @@ fn main() {
         DelayThreshold::OutliersOnly,
     ];
 
-    println!("Figure 13: total category time (seconds) per delay threshold");
     println!(
-        "{:<10}{:>12}{:>12}{:>12}{:>12}",
-        "category",
-        thresholds[0].label(),
-        thresholds[1].label(),
-        thresholds[2].label(),
-        thresholds[3].label()
+        "Figure 13: total category time per delay threshold — seconds, sum of per-query \
+         medians of {} runs (requests)",
+        harness.runs - 1
     );
-    for (cat, queries) in [
+    print!("{:<10}", "category");
+    for t in thresholds {
+        print!("{:>20}", t.label());
+    }
+    println!();
+    let mut records = Vec::new();
+    for (category, queries) in [
         ("simple", largerdf::simple_queries()),
         ("complex", largerdf::complex_queries()),
         ("large", largerdf::big_queries()),
     ] {
-        print!("{cat:<10}");
-        for t in thresholds {
-            let (secs, timeouts) = total_time(&graphs, &queries, t, &harness);
-            if timeouts > 0 {
-                print!("{:>12}", format!("{secs:.2}({timeouts}TO)"));
-            } else {
-                print!("{secs:>12.2}");
+        print!("{category:<10}");
+        for threshold in thresholds {
+            let under_test = EngineUnderTest::lusail(
+                threshold.label(),
+                federation_from_graphs(graphs.clone(), NetworkProfile::geo_distributed()),
+                LusailConfig {
+                    delay_threshold: threshold,
+                    timeout: Some(harness.timeout),
+                    ..Default::default()
+                },
+            );
+            let cells: Vec<Record> = queries
+                .iter()
+                .map(|query| measure(&under_test, query, &harness))
+                .collect();
+            let total = category_total(category, &cells, &harness);
+            match cells.iter().filter(|r| r.status != Status::Ok).count() {
+                0 => print!("{:>20}", total.grid_cell()),
+                n => print!("{:>20}", format!("{} {n} failed", total.grid_cell())),
             }
+            records.extend(cells);
+            records.push(total);
         }
         println!();
     }
+    write_records("fig13_thresholds", &records);
 }

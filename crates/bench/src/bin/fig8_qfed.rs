@@ -5,33 +5,25 @@
 //! (C2P2B, C2P2BO) blow up FedX/HiBISCuS communication — they time out or
 //! run orders of magnitude slower — while Lusail answers in seconds.
 //! SPLENDID times out on everything except C2P2.
+//!
+//! Writes `BENCH_fig8_qfed.json`.
 
-use lusail_bench::{bench_scale, run_grid, HarnessConfig, System};
+use lusail_bench::{
+    bench_scale, print_legend, qfed_config, run_grid, write_records, HarnessConfig, System,
+};
 use lusail_federation::NetworkProfile;
-use lusail_workloads::qfed;
+use lusail_workloads::{federation_from_graphs, qfed};
 
 fn main() {
-    let scale = bench_scale();
-    let cfg = qfed::QfedConfig {
-        drugs: (400.0 * scale) as usize,
-        diseases: (120.0 * scale) as usize,
-        side_effects: (200.0 * scale) as usize,
-        labels: (150.0 * scale) as usize,
-        seed: 7,
-    };
-    let graphs = qfed::generate_all(&cfg);
+    let graphs = qfed::generate_all(&qfed_config(bench_scale()));
     let harness = HarnessConfig::default();
-    let queries = qfed::queries();
-    run_grid(
+    let records = run_grid(
         "Figure 8: QFed query runtimes, seconds (requests)",
-        &graphs,
-        NetworkProfile::local_cluster(),
+        &|| federation_from_graphs(graphs.clone(), NetworkProfile::local_cluster()),
         &System::ALL,
-        &queries,
+        &qfed::queries(),
         &harness,
     );
-    println!(
-        "\nLegend: TO = timed out ({}s limit), NS = not supported.",
-        harness.timeout.as_secs()
-    );
+    print_legend(&harness);
+    write_records("fig8_qfed", &records);
 }

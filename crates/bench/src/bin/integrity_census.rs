@@ -11,6 +11,7 @@
 //!
 //! `cargo run -p lusail-bench --bin integrity_census --release --offline`
 
+use lusail_bench::write_bench_json;
 use lusail_core::{LusailConfig, LusailEngine};
 use lusail_federation::json::Json;
 use lusail_federation::NetworkProfile;
@@ -159,14 +160,5 @@ fn main() {
         census("QFed x3", false, &qfed_times(3), &qfed::queries()),
         census("LUBM 4 universities", false, &lubm4, &lubm::queries()),
     ];
-    let body = rows
-        .iter()
-        .map(Json::to_string)
-        .collect::<Vec<_>>()
-        .join(",\n  ");
-    let path = "BENCH_integrity_census.json";
-    match std::fs::write(path, format!("[\n  {body}\n]\n")) {
-        Ok(()) => println!("\nwrote {path} ({} rows)", rows.len()),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    write_bench_json("integrity_census", &rows);
 }

@@ -11,10 +11,10 @@
 //!
 //! `cargo run -p lusail-bench --bin integrity_wave --release --offline`
 
-use lusail_bench::{write_bench_json, BenchRecord};
+use lusail_bench::{sample, write_records, Record, Summary};
 use lusail_core::run::RunContext;
 use lusail_core::sape::{recover, SapeExecutor, Schedule};
-use lusail_core::{IntegrityConfig, IntegrityRegistry, LusailConfig, Subquery};
+use lusail_core::{EngineError, IntegrityConfig, IntegrityRegistry, LusailConfig, Subquery};
 use lusail_federation::{
     Deadline, Federation, NetworkProfile, RequestHandler, SimulatedEndpoint, SparqlEndpoint,
 };
@@ -22,9 +22,10 @@ use lusail_rdf::{Graph, Term};
 use lusail_sparql::ast::{TermPattern, TriplePattern, Variable};
 use lusail_store::Store;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const SAMPLES: usize = 25;
+/// One warm-up step (the thread stacks), then the samples.
+const RUNS: usize = 26;
 const ENDPOINTS: usize = 13;
 /// Bindings per `VALUES` block; a block response has twice as many rows
 /// (one row per binding would be explained by the request, never flagged).
@@ -86,7 +87,8 @@ fn main() {
 
     println!(
         "=== one bound-join step, N flagged block responses, {ENDPOINTS} endpoints at 4 ms, \
-         {SAMPLES} samples per row ({} logical CPUs) ===",
+         {} samples per row ({} logical CPUs) ===",
+        RUNS - 1,
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
     println!(
@@ -103,6 +105,7 @@ fn main() {
             subquery(0, "http://x/linked", "l", vec![ENDPOINTS - 1]),
             subquery(1, "http://x/weight", "w", (0..sources).collect()),
         ];
+        // One step on a ledger of its own; the probes it sent.
         let step = |flagged: bool| {
             let integrity = IntegrityRegistry::new(IntegrityConfig::default());
             if flagged {
@@ -122,11 +125,7 @@ fn main() {
                 ctx: &ctx,
                 integrity: &integrity,
             };
-            let start = Instant::now();
-            let outcome = executor
-                .execute(&subqueries, &schedule, &[1, 1000], &[], &[])
-                .expect("honest endpoints");
-            let elapsed = start.elapsed().as_secs_f64() * 1000.0;
+            let outcome = executor.execute(&subqueries, &schedule, &[1, 1000], &[], &[])?;
             assert_eq!(outcome.relation.len(), 2 * n * BLOCK);
             let probes: u64 = integrity
                 .snapshot()
@@ -135,38 +134,29 @@ fn main() {
                 .sum();
             // Otherwise the two variants would time the same step.
             assert_eq!(probes, if flagged { n as u64 } else { 0 });
-            (elapsed, probes)
+            Ok::<_, EngineError>(probes)
         };
         let probe = recover::count_star(&subqueries[1].to_query());
         let one_probe = || {
-            let start = Instant::now();
             federation
                 .endpoint(0)
                 .count_within(&probe, Deadline::none())
-                .expect("honest endpoint");
-            start.elapsed().as_secs_f64() * 1000.0 * n as f64
         };
 
-        step(true); // warm the thread stacks
-        let mut row = |variant: &str, probes: u64, samples_ms: &mut [f64]| {
-            let record =
-                BenchRecord::from_samples(format!("n{n}"), variant.to_string(), probes, samples_ms);
+        let mut row = |variant: &str, probes: u64, ms: Summary| {
+            let record = Record::new(variant, format!("n{n}"), probes, ms);
             println!(
                 "{:<8}{:>16}{:>12.3}{:>10.3}{:>10}",
-                record.query, record.codec, record.elapsed_ms, record.p95_ms, record.rows
+                record.query, record.system, record.elapsed_ms, record.p95_ms, record.rows
             );
             records.push(record);
         };
         for (variant, flagged) in [("trusted", false), ("flagged", true)] {
-            let (mut samples_ms, probes): (Vec<f64>, Vec<u64>) =
-                (0..SAMPLES).map(|_| step(flagged)).unzip();
-            row(variant, probes[0], &mut samples_ms);
+            let sampled = sample(RUNS, || step(flagged)).expect("honest endpoints");
+            row(variant, sampled.outputs[0], sampled.ms);
         }
-        let mut samples_ms: Vec<f64> = (0..SAMPLES).map(|_| one_probe()).collect();
-        row("n-x-one-probe", n as u64, &mut samples_ms);
+        let sampled = sample(RUNS, one_probe).expect("honest endpoint");
+        row("n-x-one-probe", n as u64, sampled.ms.times(n as f64));
     }
-    match write_bench_json("integrity_wave", &records) {
-        Ok(path) => println!("\nwrote {path} ({} records)", records.len()),
-        Err(e) => eprintln!("\nfailed to write BENCH_integrity_wave.json: {e}"),
-    }
+    write_records("integrity_wave", &records);
 }

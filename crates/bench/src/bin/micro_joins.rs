@@ -6,17 +6,23 @@
 //! re-hashed full term strings. This bench holds the data constant and
 //! compares the two approaches directly: a baseline string-keyed hash
 //! join (the old algorithm, reconstructed here) against `Relation::join`
-//! (interned) and `parallel_join` (interned + partitioned). Results also
-//! land in `BENCH_micro_joins.json` for cross-revision tracking.
+//! (interned) and `parallel_join` (interned + partitioned). A second pair
+//! of rows joins three chain relations of skewed sizes in input order and
+//! in the order `plan_joins` picks. Results land in
+//! `BENCH_micro_joins.json` for cross-revision tracking.
 
-use lusail_bench::{bench_scale, write_bench_json, BenchRecord};
-use lusail_core::sape::parallel_join;
+use lusail_bench::{bench_scale, sample, write_records, Record};
+use lusail_core::sape::{parallel_join, plan_joins};
 use lusail_federation::RequestHandler;
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::Term;
 use lusail_sparql::ast::Variable;
 use lusail_sparql::solution::{Relation, Row};
-use std::time::Instant;
+use std::borrow::Cow;
+use std::convert::Infallible;
+
+/// One warm-up run, then the samples.
+const RUNS: usize = 10;
 
 /// Four-column relation shaped like a LUBM star-query branch: one join-key
 /// variable whose IRIs repeat with multiplicity `mult` (a student appears
@@ -90,26 +96,62 @@ fn string_join(a: &Relation, b: &Relation) -> Relation {
     out
 }
 
-/// Three runs per the paper's protocol: first warms, last two average.
-fn timed(mut f: impl FnMut() -> Relation) -> (Relation, f64) {
-    let mut out = f();
-    let mut total = 0.0;
-    for _ in 0..2 {
-        let start = Instant::now();
-        out = f();
-        total += start.elapsed().as_secs_f64() * 1000.0;
-    }
-    (out, total / 2.0)
+/// One row: `f` under [`sample`]; every variant must produce `expected`'s
+/// rows (and so its wire size). Each run drops its relation inside the timed
+/// call, so the next one reuses the memory instead of growing the heap.
+fn row(label: &str, codec: &str, expected: &Relation, mut f: impl FnMut() -> Relation) -> Record {
+    let Ok(sampled) = sample(RUNS, || Ok::<_, Infallible>(f().len()));
+    let rows = sampled.outputs[0];
+    assert_eq!(rows, expected.len(), "all variants must agree");
+    let record = Record {
+        wire_bytes: expected.wire_size() as u64,
+        ..Record::new(codec, label, rows as u64, sampled.ms)
+    };
+    println!(
+        "{:<24}{:>12}{:>14.2}{:>10.2}{:>12}{:>14.0}",
+        label,
+        codec,
+        record.elapsed_ms,
+        record.p95_ms,
+        rows,
+        rows as f64 / (record.elapsed_ms / 1000.0)
+    );
+    record
+}
+
+/// Two 6k-row relations and a 60-row filter relation, in a bad input order:
+/// the two big ones first, so their join fans out before the small one
+/// prunes it.
+fn chain_relations() -> [Relation; 3] {
+    let mk = |vars: [&str; 2], n: usize| {
+        let mut r = Relation::new(vars.iter().map(|v| Variable::new(*v)).collect());
+        for i in 0..n {
+            r.push(
+                vars.iter()
+                    .map(|v| Some(Term::iri(format!("http://{v}/{}", i % 3000))))
+                    .collect(),
+            );
+        }
+        r
+    };
+    [
+        mk(["a", "b"], 6000),
+        mk(["b", "c"], 6000),
+        mk(["a", "d"], 60),
+    ]
 }
 
 fn main() {
     let scale = bench_scale();
     let handler = RequestHandler::new(4);
     let mut records = Vec::new();
-    println!("=== join throughput: string-keyed vs interned IDs ===");
     println!(
-        "{:<16}{:>12}{:>14}{:>12}{:>14}",
-        "input", "codec", "elapsed(ms)", "out rows", "rows/sec"
+        "=== join throughput: string-keyed vs interned IDs ({} samples per row) ===",
+        RUNS - 1
+    );
+    println!(
+        "{:<24}{:>12}{:>14}{:>10}{:>12}{:>14}",
+        "input", "codec", "median(ms)", "p95(ms)", "out rows", "rows/sec"
     );
     for base in [10_000usize, 40_000] {
         let n = ((base as f64) * scale) as usize;
@@ -120,40 +162,37 @@ fn main() {
         let a = make_rel(["x", "y1", "y2", "y3"], n, 0, mult);
         let b = make_rel(["x", "z1", "z2", "z3"], n, n / (2 * mult), mult);
         let label = format!("join_{n}x{n}");
-        let expected = string_join(&a, &b).len();
-        let variants: [(&str, Box<dyn FnMut() -> Relation>); 3] = [
-            ("string", Box::new(|| string_join(&a, &b))),
-            ("id", Box::new(|| a.join(&b))),
-            ("id-parallel", Box::new(|| parallel_join(&a, &b, &handler))),
-        ];
-        for (codec, f) in variants {
-            let (out, ms) = timed(f);
-            assert_eq!(out.len(), expected, "all variants must agree");
-            let per_sec = if ms > 0.0 {
-                out.len() as f64 / (ms / 1000.0)
-            } else {
-                f64::INFINITY
-            };
-            println!(
-                "{:<16}{:>12}{:>14.2}{:>12}{:>14.0}",
-                label,
-                codec,
-                ms,
-                out.len(),
-                per_sec
-            );
-            records.push(BenchRecord {
-                query: label.clone(),
-                wire_bytes: out.wire_size() as u64,
-                rows: out.len() as u64,
-                elapsed_ms: ms,
-                codec: codec.to_string(),
-                ..Default::default()
-            });
-        }
+        let expected = string_join(&a, &b);
+        records.push(row(&label, "string", &expected, || string_join(&a, &b)));
+        records.push(row(&label, "id", &expected, || a.join(&b)));
+        records.push(row(&label, "id-parallel", &expected, || {
+            parallel_join(&a, &b, &handler)
+        }));
     }
-    match write_bench_json("micro_joins", &records) {
-        Ok(path) => println!("\nwrote {path} ({} records)", records.len()),
-        Err(e) => eprintln!("\nfailed to write BENCH_micro_joins.json: {e}"),
-    }
+
+    let rels = chain_relations();
+    let in_input_order = || {
+        let joined = parallel_join(&rels[0], &rels[1], &handler);
+        parallel_join(&joined, &rels[2], &handler)
+    };
+    // Planning is timed with the joins: its statistics pass reads the rows.
+    let planned = || {
+        plan_joins(&rels.iter().collect::<Vec<_>>(), &[])
+            .try_fold(
+                |i| Cow::Borrowed(&rels[i]),
+                |l, r, _| Ok::<_, ()>(Cow::Owned(parallel_join(&l, &r, &handler))),
+            )
+            .unwrap()
+            .unwrap()
+            .into_owned()
+    };
+    let expected = in_input_order();
+    let label = "join_order_6000x6000x60";
+    records.push(row(label, "input-order", &expected, in_input_order));
+    records.push(row(label, "planned", &expected, planned));
+    println!(
+        "plan chosen: {} (the small relation joins early, pruning the build side)",
+        plan_joins(&rels.iter().collect::<Vec<_>>(), &[])
+    );
+    write_records("micro_joins", &records);
 }

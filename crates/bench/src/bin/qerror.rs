@@ -15,50 +15,50 @@
 //! of join nodes) and, where the global join has nodes, a `qerror-distinct`
 //! and a `qerror-min-rule` row whose samples are the per-node q-errors
 //! (`elapsed_ms` holds their median, `p95_ms` their nearest-rank p95).
+//! The rows whose query is `all` summarise the file: the q-errors of every
+//! multi-pattern subquery (`qerror-subquery`, the paper's §4.1 claim) and
+//! of every join node, and the sums of the per-query planning and join
+//! medians (their `p95_ms` the sum of the p95s — an upper bound).
 
-use lusail_bench::{bench_scale, write_bench_json, BenchRecord};
+use lusail_bench::{bench_scale, largerdf_graphs, sample, write_records, Record, Summary};
 use lusail_core::sape::q_error;
 use lusail_core::{LusailConfig, LusailEngine};
 use lusail_federation::NetworkProfile;
 use lusail_workloads::{federation_from_graphs, largerdf};
 
-/// Timed runs per query, after one warm-up run.
-const RUNS: usize = 9;
+/// One warm-up run per query, then the samples.
+const RUNS: usize = 10;
 
 fn main() {
-    let cfg = largerdf::LargeRdfConfig {
-        scale: bench_scale(),
-        ..Default::default()
-    };
-    let graphs = largerdf::generate_all(&cfg);
+    let graphs = largerdf_graphs(bench_scale());
     let engine = LusailEngine::new(
         federation_from_graphs(graphs, NetworkProfile::instant()),
         LusailConfig::default(),
     );
 
     let mut qerrors: Vec<(String, usize, usize, f64)> = Vec::new();
-    let mut records: Vec<BenchRecord> = Vec::new();
+    let mut records: Vec<Record> = Vec::new();
     let mut steps_table: Vec<String> = Vec::new();
     let (mut all_new, mut all_min): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
-    let (mut plan_total, mut join_total) = (0.0, 0.0);
+    // Sums of the per-query medians and p95s.
+    let (mut plan_total, mut join_total) = ([0.0; 2], [0.0; 2]);
 
     for q in largerdf::all_queries() {
         let parsed = q.parse();
-        let (mut plan_ms, mut join_ms) = (Vec::new(), Vec::new());
-        let mut last = None;
-        for run in 0..=RUNS {
-            let Ok((_, profile)) = engine.execute_profiled(&parsed) else {
-                break;
-            };
-            if run > 0 {
-                plan_ms.push(profile.join_planning.as_secs_f64() * 1e3);
-                join_ms.push(profile.join_time.as_secs_f64() * 1e3);
-            }
-            last = Some(profile);
-        }
-        let Some(profile) = last.filter(|_| !plan_ms.is_empty()) else {
+        let Ok(sampled) = sample(RUNS, || {
+            engine.execute_profiled(&parsed).map(|(_, profile)| profile)
+        }) else {
             continue;
         };
+        let ms_of = |of: fn(&lusail_core::ExecutionProfile) -> std::time::Duration| {
+            sampled
+                .outputs
+                .iter()
+                .map(|p| of(p).as_secs_f64() * 1e3)
+                .collect::<Vec<f64>>()
+        };
+        let (mut plan_ms, mut join_ms) = (ms_of(|p| p.join_planning), ms_of(|p| p.join_time));
+        let profile = sampled.outputs.into_iter().last().expect("a timed run");
         for (sq, est, actual) in profile.estimates {
             qerrors.push((
                 format!("{}#sq{sq}", q.name),
@@ -89,8 +89,9 @@ fn main() {
             ("join-plan-ms", &mut plan_ms, &mut plan_total),
             ("join-exec-ms", &mut join_ms, &mut join_total),
         ] {
-            let record = BenchRecord::from_samples(name.clone(), codec.into(), nodes, samples);
-            *total += record.elapsed_ms;
+            let record = Record::new(codec, name.as_str(), nodes, Summary::of(samples));
+            total[0] += record.elapsed_ms;
+            total[1] += record.p95_ms;
             records.push(record);
         }
         for (codec, errors, all) in [
@@ -100,11 +101,11 @@ fn main() {
             errors.retain(|e| e.is_finite());
             all.extend(errors.iter());
             if !errors.is_empty() {
-                records.push(BenchRecord::from_samples(
-                    name.clone(),
-                    codec.into(),
+                records.push(Record::new(
+                    codec,
+                    name.as_str(),
                     nodes,
-                    errors,
+                    Summary::of(errors),
                 ));
             }
         }
@@ -119,24 +120,31 @@ fn main() {
         println!("{name:<14}{est:>12}{actual:>12}{qe:>10.3}");
     }
 
+    // Over all queries: the `all` rows of the file.
+    let mut all = |codec: &str, label: &str, errors: &mut [f64]| {
+        if errors.is_empty() {
+            return println!("\n{label}: none");
+        }
+        let summary = Summary::of(errors);
+        println!(
+            "\n{label}: {}   q-error: median {:.3}  p95 {:.3}  max {:.3}",
+            summary.samples,
+            summary.median,
+            summary.p95,
+            errors[errors.len() - 1]
+        );
+        records.push(Record::new(codec, "all", summary.samples, summary));
+    };
     let mut finite: Vec<f64> = qerrors
         .iter()
         .map(|(_, _, _, q)| *q)
         .filter(|q| q.is_finite())
         .collect();
-    finite.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    if finite.is_empty() {
-        println!("\nno multi-pattern subqueries produced estimates");
-    } else {
-        let median = finite[finite.len() / 2];
-        let p90 = finite[(finite.len() * 9 / 10).min(finite.len() - 1)];
-        println!(
-            "\nsubqueries: {}   median q-error: {:.3}   p90: {:.3}   (paper: median 1.09)",
-            finite.len(),
-            median,
-            p90
-        );
-    }
+    all(
+        "qerror-subquery",
+        "multi-pattern subqueries (paper: median 1.09)",
+        &mut finite,
+    );
 
     println!("\nGlobal join: estimate per join node, planner vs the min rule on the same operands");
     println!(
@@ -146,29 +154,17 @@ fn main() {
     for line in &steps_table {
         println!("{line}");
     }
-    let summary = |errors: &mut Vec<f64>| {
-        errors.sort_by(f64::total_cmp);
-        let at = |p: f64| errors[((errors.len() as f64 * p).ceil() as usize).max(1) - 1];
-        (at(0.5), at(0.9), errors.last().copied().unwrap_or(1.0))
-    };
-    if !all_new.is_empty() {
-        let (p50, p90, max) = summary(&mut all_new);
-        println!(
-            "\njoin nodes: {}   planner q-error: median {p50:.3}  p90 {p90:.3}  max {max:.3}",
-            all_new.len()
-        );
-        let (p50, p90, max) = summary(&mut all_min);
-        println!("               min rule q-error: median {p50:.3}  p90 {p90:.3}  max {max:.3}");
-    }
+    all("qerror-distinct", "join nodes, planner", &mut all_new);
+    all("qerror-min-rule", "join nodes, min rule", &mut all_min);
 
-    println!("\nPlanning cost (median of {RUNS} runs per query)");
+    println!("\nPlanning cost (median of {} runs per query)", RUNS - 1);
     println!(
         "{:<6}{:>8}{:>14}{:>12}",
         "query", "nodes", "planning µs", "join µs"
     );
     for pair in records
         .iter()
-        .filter(|r| r.codec.starts_with("join-"))
+        .filter(|r| r.system.starts_with("join-"))
         .collect::<Vec<_>>()
         .chunks(2)
     {
@@ -182,13 +178,19 @@ fn main() {
     }
     println!(
         "\nplanning {:.3} ms of {:.3} ms joined over all queries: {:.1} %",
-        plan_total,
-        join_total,
-        100.0 * plan_total / join_total.max(f64::MIN_POSITIVE)
+        plan_total[0],
+        join_total[0],
+        100.0 * plan_total[0] / join_total[0].max(f64::MIN_POSITIVE)
     );
-
-    match write_bench_json("qerror", &records) {
-        Ok(path) => println!("wrote {path} ({} records)", records.len()),
-        Err(e) => eprintln!("failed to write BENCH_qerror.json: {e}"),
+    for (codec, [median, p95]) in [("join-plan-ms", plan_total), ("join-exec-ms", join_total)] {
+        let samples = (RUNS - 1) as u64;
+        let sums = Summary {
+            median,
+            p95,
+            samples,
+        };
+        records.push(Record::new(codec, "all", all_new.len() as u64, sums));
     }
+
+    write_records("qerror", &records);
 }

@@ -6,10 +6,15 @@
 //! Expected shape (paper): FedX wins the two trivially selective queries
 //! (S3, S4) but fails or is 1–2 orders of magnitude slower elsewhere;
 //! Lusail answers everything.
+//!
+//! Writes `BENCH_table2_real.json`.
 
-use lusail_bench::{bench_scale, build_on_federation, measure, print_table, HarnessConfig, System};
+use lusail_bench::{
+    bench_scale, largerdf_graphs, print_legend, queries_named, run_grid, write_records,
+    HarnessConfig, System,
+};
 use lusail_federation::{EndpointLimits, NetworkProfile};
-use lusail_workloads::{bio2rdf, federation_from_graphs_limited, largerdf, BenchQuery};
+use lusail_workloads::{bio2rdf, federation_from_graphs_limited, largerdf};
 
 /// Real public endpoints impose operational limits; this is what turns
 /// FedX's giant bound-join requests into the paper's "RE" rows. 8 KiB is
@@ -19,61 +24,46 @@ const REAL_ENDPOINT_LIMITS: EndpointLimits = EndpointLimits {
     max_result_rows: Some(100_000),
 };
 
-fn run_limited_grid(
-    title: &str,
-    graphs: &[(String, lusail_rdf::Graph)],
-    queries: &[BenchQuery],
-    harness: &HarnessConfig,
-) {
-    let systems = [System::Lusail, System::FedX];
-    let mut cells: Vec<Vec<String>> = vec![Vec::new(); queries.len()];
-    for system in systems {
-        let fed = federation_from_graphs_limited(
-            graphs.to_vec(),
-            NetworkProfile::geo_distributed(),
-            REAL_ENDPOINT_LIMITS,
-        );
-        let under_test = build_on_federation(system, fed, harness.timeout);
-        for (qi, query) in queries.iter().enumerate() {
-            let m = measure(&under_test, query, harness);
-            cells[qi].push(format!("{} ({} rq)", m.cell(), m.requests));
-        }
-    }
-    let names: Vec<&str> = queries.iter().map(|q| q.name).collect();
-    print_table(title, &names, &["Lusail", "FedX"], &cells);
-}
-
 fn main() {
     let harness = HarnessConfig::default();
-
-    let bio_cfg = bio2rdf::Bio2RdfConfig::default();
-    let bio_graphs = bio2rdf::generate_all(&bio_cfg);
-    run_limited_grid(
-        "Table 2 (left): Bio2RDF R1–R5 — seconds (requests)",
-        &bio_graphs,
-        &bio2rdf::queries(),
-        &harness,
+    let bio_graphs = bio2rdf::generate_all(&bio2rdf::Bio2RdfConfig::default());
+    let lrb_graphs = largerdf_graphs(bench_scale());
+    let subset = queries_named(
+        largerdf::all_queries(),
+        &["S3", "S4", "S7", "S10", "S14", "C9"],
     );
 
-    let lrb_cfg = largerdf::LargeRdfConfig {
-        scale: bench_scale(),
-        ..Default::default()
-    };
-    let lrb_graphs = largerdf::generate_all(&lrb_cfg);
-    let wanted = ["S3", "S4", "S7", "S10", "S14", "C9"];
-    let queries: Vec<_> = largerdf::all_queries()
-        .into_iter()
-        .filter(|q| wanted.contains(&q.name))
-        .collect();
-    run_limited_grid(
-        "Table 2 (right): LargeRDFBench subset — seconds (requests)",
-        &lrb_graphs,
-        &queries,
-        &harness,
-    );
+    let mut records = Vec::new();
+    for (title, graphs, queries) in [
+        (
+            "Table 2 (left): Bio2RDF R1–R5 — seconds (requests)",
+            &bio_graphs,
+            bio2rdf::queries(),
+        ),
+        (
+            "Table 2 (right): LargeRDFBench subset — seconds (requests)",
+            &lrb_graphs,
+            subset,
+        ),
+    ] {
+        records.extend(run_grid(
+            title,
+            &|| {
+                federation_from_graphs_limited(
+                    graphs.clone(),
+                    NetworkProfile::geo_distributed(),
+                    REAL_ENDPOINT_LIMITS,
+                )
+            },
+            &[System::Lusail, System::FedX],
+            &queries,
+            &harness,
+        ));
+    }
+    print_legend(&harness);
     println!(
-        "\nEndpoints impose real-server limits ({} byte requests max). Legend: TO = timed\nout ({}s), NS = not supported, RE = runtime error (endpoint rejected a request).",
-        REAL_ENDPOINT_LIMITS.max_request_bytes.unwrap(),
-        harness.timeout.as_secs()
+        "Endpoints impose real-server limits ({} byte requests max).",
+        REAL_ENDPOINT_LIMITS.max_request_bytes.unwrap()
     );
+    write_records("table2_real", &records);
 }

@@ -67,12 +67,32 @@ if grep -rnE 'fn (write_json|write_error|write_overloaded|stats_body|stats_json|
     echo "a hand-written renderer is back; build a Json and print it with Display / render_text / write_response" >&2
     exit 1
 fi
-for f in crates/server/src/*.rs crates/cli/src/*.rs; do
+for f in crates/server/src/*.rs crates/cli/src/*.rs crates/bench/src/*.rs crates/bench/src/bin/*.rs; do
     if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR":"$0}' "$f" | grep -E '"\{\{\\"'; then
         echo "$f assembles JSON text with format!; build a federation::json::Json instead" >&2
         exit 1
     fi
 done
+
+# Every figure is measured one way (crates/bench/src/lib.rs): one timing
+# loop, one `measure`, and the second harness stays gone.
+for def in measure sample; do
+    n=$(grep -rhoE "fn ${def}(<[^>]*>)?\(" crates/bench --include='*.rs' | wc -l)
+    [ "$n" -eq 1 ] || { echo "fn ${def} is defined ${n} times under crates/bench, want 1" >&2; exit 1; }
+done
+if [ -e crates/bench/benches ] || [ -e crates/bench/src/timing.rs ] || grep -n '^\[\[bench\]\]' crates/bench/Cargo.toml; then
+    echo "the second timing harness is back; time with lusail_bench::sample" >&2
+    exit 1
+fi
+# The two quickest figure bins, from a directory of their own: a bin that
+# panics or leaves no BENCH_*.json fails here, not at the next re-run.
+root="$PWD"
+smoke=$(mktemp -d)
+for bin in fig12_profiling fig8_qfed; do
+    (cd "$smoke" && "$root/target/release/$bin" >/dev/null)
+    [ -s "$smoke/BENCH_$bin.json" ] || { echo "$bin wrote no BENCH_$bin.json" >&2; exit 1; }
+done
+rm -rf "$smoke"
 
 # The product API the benchmark compiles against (a package of its own,
 # outside the workspace) must still build: a break fails here, not in the
