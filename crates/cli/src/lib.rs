@@ -1036,8 +1036,11 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                     writeln!(out, "# check queries : {}", profile.check_queries)?;
                     writeln!(
                         out,
-                        "# phases        : probe (sources + counts) {:?}, analysis (checks + plan) {:?}, execution {:?}",
-                        profile.source_selection, profile.analysis, profile.execution
+                        "# phases        : probe (sources + counts) {:?}, branches {:?} wall; summed over branches: analysis (checks + plan) {:?}, execution {:?}",
+                        profile.source_selection,
+                        profile.branches,
+                        profile.analysis,
+                        profile.execution
                     )?;
                     writeln!(
                         out,

@@ -68,9 +68,9 @@ pub struct LusailConfig {
     /// one ERH wave, none larger than the sources' transports carry
     /// ([`lusail_federation::SparqlEndpoint::max_request_bytes`]).
     pub bound_block_size: usize,
-    /// ERH width. `Some(n)` pins every wave to exactly `n` threads; `None`
-    /// is elastic: waves start at the core count (min 4) and widen to one
-    /// thread per endpoint while they wait on the network.
+    /// ERH width. `Some(n)` pins every wave to at most `n` threads (1 runs
+    /// everything inline, in submission order); `None` is elastic: a wave
+    /// runs on one thread per request, up to one per endpoint.
     pub threads: Option<usize>,
     /// Per-query time limit (the paper uses one hour; benches scale down).
     pub timeout: Option<Duration>,

@@ -30,9 +30,15 @@ pub struct ExecutionProfile {
     pub source_selection: Duration,
     /// Time in query analysis: GJV detection (check queries),
     /// decomposition and cardinality estimation — no `COUNT` requests.
+    /// Summed over the `UNION` branches, which run side by side: on a
+    /// query with several it can exceed [`branches`](Self::branches).
     pub analysis: Duration,
-    /// Time executing subqueries and joining their results.
+    /// Time executing subqueries and joining their results, summed over
+    /// the branches like [`analysis`](Self::analysis).
     pub execution: Duration,
+    /// Wall-clock time of the branch section: from the first branch's
+    /// analysis to the last branch's assembled rows.
+    pub branches: Duration,
     /// End-to-end time.
     pub total: Duration,
     /// Detected global join variables (across all branches).
@@ -44,10 +50,10 @@ pub struct ExecutionProfile {
     /// Locality check queries actually sent (cache misses).
     pub check_queries: usize,
     /// `(subquery id, estimated, actual)` for non-delayed multi-pattern
-    /// subqueries — input to the q-error analysis.
+    /// subqueries — input to the q-error analysis. Branch by branch.
     pub estimates: Vec<(usize, usize, usize)>,
     /// `(estimated, actual)` rows of every join node of the global join,
-    /// in execution order, over all branches.
+    /// in execution order, branch by branch.
     pub join_steps: Vec<(usize, usize)>,
     /// `(left, right)` rows that went into each node of `join_steps`.
     pub join_inputs: Vec<(usize, usize)>,
@@ -65,6 +71,28 @@ pub struct ExecutionProfile {
     /// Memory accounting: peak accounted bytes (overall and per phase)
     /// and spill activity, from the per-query [`crate::MemoryBudget`].
     pub memory: MemoryStats,
+}
+
+impl ExecutionProfile {
+    /// Add what one branch recorded about itself: durations and counts
+    /// sum, lists append, so merging in branch order keeps branch order.
+    fn merge_branch(&mut self, branch: ExecutionProfile) {
+        self.analysis += branch.analysis;
+        self.execution += branch.execution;
+        for v in branch.gjvs {
+            if !self.gjvs.contains(&v) {
+                self.gjvs.push(v);
+            }
+        }
+        self.subqueries += branch.subqueries;
+        self.delayed += branch.delayed;
+        self.check_queries += branch.check_queries;
+        self.estimates.extend(branch.estimates);
+        self.join_steps.extend(branch.join_steps);
+        self.join_inputs.extend(branch.join_inputs);
+        self.join_planning += branch.join_planning;
+        self.join_time += branch.join_time;
+    }
 }
 
 /// The Lusail federated SPARQL engine (see the crate docs for an overview).
@@ -122,8 +150,8 @@ impl LusailEngine {
         &self.integrity
     }
 
-    /// The ERH's wave counters (waves run, waves that widened, widest
-    /// wave) and its floor/ceiling, accumulated across queries.
+    /// The ERH's wave counters (waves run, widest wave) and its
+    /// floor/ceiling, accumulated across queries.
     pub fn erh(&self) -> WaveSnapshot {
         self.handler.snapshot()
     }
@@ -192,11 +220,20 @@ impl LusailEngine {
             profile.source_selection = t.elapsed();
             ctx.check()?;
 
-            (branches.iter().zip(&probed))
-                .map(|(branch, stats)| {
-                    self.execute_branch(branch, stats, select_view, ctx, &mut profile)
+            // ---- The branches, side by side ------------------------------
+            let t = Instant::now();
+            let each = branches.iter().zip(&probed).collect();
+            let ran = ctx.fan_out(&self.handler, each, |(branch, stats), ctx| {
+                self.execute_branch(branch, stats, select_view, ctx)
+            })?;
+            profile.branches = t.elapsed();
+            Ok(ran
+                .into_iter()
+                .map(|(rel, branch_profile)| {
+                    profile.merge_branch(branch_profile);
+                    rel
                 })
-                .collect()
+                .collect())
         })?;
 
         profile.result_rows = result.len();
@@ -206,14 +243,16 @@ impl LusailEngine {
         Ok((result, profile))
     }
 
+    /// Analyse, decompose and execute one branch; returns its rows and
+    /// what it recorded about itself.
     fn execute_branch(
         &self,
         branch: &ConjBranch,
         stats: &BranchStats,
         select_view: &SelectQuery,
         ctx: &RunContext,
-        profile: &mut ExecutionProfile,
-    ) -> Result<Relation, EngineError> {
+    ) -> Result<(Relation, ExecutionProfile), EngineError> {
+        let mut profile = ExecutionProfile::default();
         let (sources, counts) = (&stats.required.sources, &stats.required.counts);
 
         // ---- LADE: GJV detection + decomposition ------------------------
@@ -227,12 +266,10 @@ impl LusailEngine {
             self.config.paranoid_locality,
             ctx,
         )?;
-        profile.check_queries += analysis.check_queries_sent;
-        for v in &analysis.gjvs {
-            if !profile.gjvs.contains(&v.name().to_string()) {
-                profile.gjvs.push(v.name().to_string());
-            }
-        }
+        profile.check_queries = analysis.check_queries_sent;
+        profile.gjvs = (analysis.gjvs.iter())
+            .map(|v| v.name().to_string())
+            .collect();
         ctx.check()?;
 
         let estimator = |drafts: &[SubqueryDraft]| -> f64 {
@@ -259,10 +296,10 @@ impl LusailEngine {
                 _ => FxHashMap::default(),
             })
             .collect();
-        profile.analysis += t.elapsed();
+        profile.analysis = t.elapsed();
         // Each OPTIONAL block is one more subquery, evaluated last and
         // bound (§4.1, category (iii)) by the branch assembly below.
-        profile.subqueries += subqueries.len() + branch.optionals.len();
+        profile.subqueries = subqueries.len() + branch.optionals.len();
 
         // ---- SAPE: schedule + execute ------------------------------------
         let t = Instant::now();
@@ -276,7 +313,7 @@ impl LusailEngine {
                 delayed: Vec::new(),
             },
         };
-        profile.delayed += schedule.delayed.len() + branch.optionals.len();
+        profile.delayed = schedule.delayed.len() + branch.optionals.len();
 
         let executor = SapeExecutor {
             federation: &self.federation,
@@ -299,11 +336,11 @@ impl LusailEngine {
             .collect();
         let outcome =
             executor.execute(&subqueries, &schedule, &cardinalities, &bridges, &expected)?;
-        profile.estimates.extend(outcome.estimates.iter().copied());
-        profile.join_steps.extend(&outcome.join.steps);
-        profile.join_inputs.extend(&outcome.join.inputs);
-        profile.join_planning += outcome.join.planning;
-        profile.join_time += outcome.join.joining;
+        profile.estimates = outcome.estimates;
+        profile.join_steps = outcome.join.steps;
+        profile.join_inputs = outcome.join.inputs;
+        profile.join_planning = outcome.join.planning;
+        profile.join_time = outcome.join.joining;
 
         // ---- Branch assembly: every block is one more bound subquery ----
         let fetch = |role, i: usize, block: &_, rows: &_| {
@@ -323,8 +360,8 @@ impl LusailEngine {
             executor.fetch_block(block, stats, id, &what, &branch.patterns, rows)
         };
         let rel = assemble_branch(branch, outcome.relation, &global_filters, fetch)?;
-        profile.execution += t.elapsed();
-        Ok(rel)
+        profile.execution = t.elapsed();
+        Ok((rel, profile))
     }
 
     /// Materialize subquery drafts into [`Subquery`] values: compute

@@ -9,7 +9,9 @@
 //! [`Deadline`] and cancel token, and every fallible endpoint result comes
 //! back through [`RunContext::absorb`], which decides — per the configured
 //! [`ResultPolicy`] — whether a failure aborts the query or degrades it
-//! to a warning.
+//! to a warning. The `UNION` branches of a query run side by side through
+//! [`RunContext::fan_out`], each under a context of its own that shares
+//! the query's deadline, token and memory ledger.
 
 use crate::budget::{MemoryBudget, MemoryPhase};
 use crate::config::{LusailConfig, ResultPolicy};
@@ -18,7 +20,7 @@ pub use lusail_federation::{CancelReason, CancelToken};
 use lusail_federation::{Deadline, EndpointError, FailureKind, RequestHandler};
 use lusail_sparql::solution::row_wire_size;
 use lusail_sparql::Relation;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// How many rows [`RunContext::admit_relation`] charges per budget check.
@@ -64,6 +66,9 @@ pub struct RunContext {
     /// Cap on rows admitted from any single endpoint response.
     max_result_rows: Option<usize>,
     warnings: Mutex<Vec<ExecutionWarning>>,
+    /// In a branch's context ([`RunContext::fan_out`]): the error of the
+    /// first branch of the query to fail, once one has.
+    failed: Option<Arc<OnceLock<EngineError>>>,
 }
 
 impl RunContext {
@@ -97,6 +102,7 @@ impl RunContext {
             memory,
             max_result_rows,
             warnings: Mutex::new(Vec::new()),
+            failed: None,
         }
     }
 
@@ -142,12 +148,16 @@ impl RunContext {
     /// Fail once the budget is spent: [`EngineError::Cancelled`] when the
     /// token tripped (cancellation beats the clock — the reason explains
     /// *why* the query died, which an undifferentiated timeout would
-    /// hide), [`EngineError::Timeout`] for plain deadline expiry.
+    /// hide), [`EngineError::Timeout`] for plain deadline expiry. In a
+    /// branch's context, also fail with a sibling branch's error once one
+    /// has failed: the query is lost, and nothing more is sent for it.
     pub fn check(&self) -> Result<(), EngineError> {
         if let Some(reason) = self.deadline.cancel_reason() {
             Err(EngineError::Cancelled(reason))
         } else if self.deadline.expired() {
             Err(self.timeout_error())
+        } else if let Some(e) = self.failed.as_ref().and_then(|f| f.get()) {
+            Err(e.clone())
         } else {
             Ok(())
         }
@@ -186,6 +196,57 @@ impl RunContext {
             |_| Err(EndpointError::expired(label, &self.deadline)),
             |item| send(item, self.deadline.clone()),
         ))
+    }
+
+    /// Run the branches of one query side by side, as one fan-out on the
+    /// ERH: `run(item, ctx)` once per item, results in submission order
+    /// whatever the thread schedule was. A one-thread handler runs them
+    /// inline, in order.
+    ///
+    /// Each branch gets a context of its own over the query's deadline,
+    /// cancel token and memory ledger. Its warnings are appended to this
+    /// context's when all branches are done, branch by branch, so
+    /// [`take_warnings`](Self::take_warnings) reads (branch, submission)
+    /// order, not arrival order. The first branch to return an error fails
+    /// its siblings' next [`check`](Self::check) — and so their next
+    /// [`dispatch`](Self::dispatch) — with that error: no request leaves
+    /// for a query that has already failed. The error returned is the
+    /// lowest-numbered failing branch's.
+    pub fn fan_out<I, T>(
+        &self,
+        handler: &RequestHandler,
+        items: Vec<I>,
+        run: impl Fn(I, &RunContext) -> Result<T, EngineError> + Send + Sync,
+    ) -> Result<Vec<T>, EngineError>
+    where
+        I: Send,
+        T: Send,
+    {
+        let failed = Arc::new(OnceLock::new());
+        let ran = handler.map(items, |item| {
+            let ctx = RunContext {
+                deadline: self.deadline.clone(),
+                policy: self.policy,
+                budget: self.budget,
+                memory: self.memory.clone(),
+                max_result_rows: self.max_result_rows,
+                warnings: Mutex::new(Vec::new()),
+                failed: Some(Arc::clone(&failed)),
+            };
+            let out = run(item, &ctx);
+            if let Err(e) = &out {
+                let _ = failed.set(e.clone());
+            }
+            let warnings = ctx.warnings.into_inner();
+            (out, warnings.unwrap_or_else(|p| p.into_inner()))
+        });
+        let mut warnings = self.warnings.lock().unwrap_or_else(|p| p.into_inner());
+        ran.into_iter()
+            .map(|(out, branch_warnings)| {
+                warnings.extend(branch_warnings);
+                out
+            })
+            .collect()
     }
 
     /// Record a warning (partial mode).
@@ -711,6 +772,142 @@ mod tests {
             .unwrap();
         assert_eq!(out, [Ok(caller)]);
         assert_eq!(handler.snapshot().peak_width, 1);
+    }
+
+    // --- fan_out ---
+
+    fn warning(endpoint: &str, subquery: &str) -> ExecutionWarning {
+        ExecutionWarning {
+            endpoint: endpoint.into(),
+            subquery: subquery.into(),
+            message: "dropped".into(),
+        }
+    }
+
+    #[test]
+    fn fan_out_orders_results_and_warnings_by_branch_not_by_arrival() {
+        // Branch 1 warns and finishes before branch 0 has done either.
+        let handler = RequestHandler::new(2);
+        let ctx = RunContext::unbounded();
+        ctx.warn(warning("ep0", "probe"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = Mutex::new(rx);
+        let out = ctx.fan_out(&handler, vec![0, 1], |branch, ctx| {
+            if branch == 0 {
+                rx.lock().unwrap().recv().unwrap();
+            }
+            ctx.warn(warning(&format!("ep{branch}"), "subquery #0"));
+            ctx.warn(warning("shared", "subquery #1"));
+            if branch == 1 {
+                tx.send(()).unwrap();
+            }
+            Ok(branch * 10)
+        });
+        assert_eq!(out, Ok(vec![0, 10]));
+        let order: Vec<(String, String)> = (ctx.take_warnings().into_iter())
+            .map(|w| (w.endpoint, w.subquery))
+            .collect();
+        let expected = [
+            ("ep0", "probe"),
+            ("ep0", "subquery #0"),
+            ("shared", "subquery #1"),
+            ("ep1", "subquery #0"),
+        ];
+        assert_eq!(
+            order,
+            expected.map(|(e, s)| (e.to_string(), s.to_string())),
+            "the query's own, then branch 0's, then what branch 1 adds"
+        );
+    }
+
+    #[test]
+    fn a_failed_branch_stops_its_siblings_from_sending() {
+        // Branch 1 fails while branch 0 is between two waves: branch 0's
+        // next dispatch sends nothing, and the query fails as branch 1 did.
+        let handler = RequestHandler::new(2);
+        let ctx = RunContext::unbounded();
+        let failure = EngineError::Endpoint(EndpointError::transport("ep1", "connection refused"));
+        let sent = AtomicUsize::new(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = Mutex::new(rx);
+        let out = ctx.fan_out(&handler, vec![0, 1], |branch, ctx| {
+            if branch == 1 {
+                tx.send(()).unwrap();
+                return Err(failure.clone());
+            }
+            rx.lock().unwrap().recv().unwrap();
+            // The sibling has returned or is about to: wait for the flag.
+            while ctx.check().is_ok() {
+                std::thread::yield_now();
+            }
+            ctx.dispatch(&handler, "w", vec![()], |(), _| {
+                sent.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .map(|_| ())
+        });
+        assert_eq!(out, Err(failure));
+        assert_eq!(sent.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn fan_out_returns_the_lowest_numbered_failing_branchs_error() {
+        // Both fail on their own, the higher-numbered one first.
+        let handler = RequestHandler::new(2);
+        let error = |ep: &str| EngineError::Endpoint(EndpointError::transport(ep, "reset"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = Mutex::new(rx);
+        let out: Result<Vec<()>, _> =
+            RunContext::unbounded().fan_out(&handler, vec![0, 1], |branch, _| {
+                if branch == 0 {
+                    rx.lock().unwrap().recv().unwrap();
+                } else {
+                    tx.send(()).unwrap();
+                }
+                Err(error(&format!("ep{branch}")))
+            });
+        assert_eq!(out, Err(error("ep0")));
+    }
+
+    #[test]
+    fn a_one_thread_handler_runs_branches_inline_in_branch_order() {
+        let handler = RequestHandler::new(1);
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let failure = EngineError::Unsupported("branch 1".into());
+        let out: Result<Vec<()>, _> =
+            RunContext::unbounded().fan_out(&handler, vec![0, 1, 2], |branch, ctx| {
+                assert_eq!(std::thread::current().id(), caller);
+                // What every branch does first: send a wave.
+                ctx.dispatch(&handler, "w", vec![()], |(), _| Ok(()))?;
+                order.lock().unwrap().push(branch);
+                match branch {
+                    1 => Err(failure.clone()),
+                    _ => Ok(()),
+                }
+            });
+        assert_eq!(out, Err(failure));
+        assert_eq!(*order.lock().unwrap(), [0, 1], "branch 2 sent nothing");
+    }
+
+    #[test]
+    fn a_tripped_token_stops_every_branch_with_its_reason() {
+        let token = CancelToken::new();
+        let ctx = RunContext::unbounded().with_cancel(token.clone());
+        let handler = RequestHandler::new(2);
+        let out: Result<Vec<()>, _> = ctx.fan_out(&handler, vec![0, 1], |branch, ctx| {
+            if branch == 1 {
+                token.cancel(CancelReason::WatchdogReaped);
+            }
+            while ctx.check().is_ok() {
+                std::thread::yield_now();
+            }
+            ctx.check()
+        });
+        assert_eq!(
+            out,
+            Err(EngineError::Cancelled(CancelReason::WatchdogReaped))
+        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Phase 1 sends the non-delayed subqueries in one wave; their connected
 //! results are joined to find bindings; phase 2 evaluates the delayed
-//! subqueries one by one, most selective first, over those bindings; the
-//! global join ([`join_all_bridged`]) assembles everything. Two deviations
-//! from the algorithm as printed, both decided on rows already in hand:
+//! subqueries over those bindings, every one that is ready in one wave;
+//! the global join ([`join_all_bridged`]) assembles everything. Three
+//! deviations from the algorithm as printed, all decided on rows already
+//! in hand:
 //!
 //! * **A delayed subquery is bound only when binding is the smaller
 //!   request.** Algorithm 3 always ships the found bindings in `VALUES`
@@ -16,6 +17,11 @@
 //!   variables a delayed subquery that has not run yet mentions. The
 //!   bind variables, the blocks and the requests are the same; the columns
 //!   nothing reads are no longer interned.
+//! * **Delayed subqueries that wait for nothing leave together.**
+//!   Algorithm 3 evaluates one delayed subquery per round, most selective
+//!   first. Here each round sends every remaining one that is *ready*
+//!   ([`ready_set`]) as one wave; only when none is does it fall back to
+//!   the single most selective pick.
 
 use crate::budget::MemoryPhase;
 use crate::config::{LusailConfig, ResultPolicy};
@@ -26,7 +32,7 @@ use crate::sape::join::{join_all_bridged, JoinReport};
 use crate::sape::recover;
 use crate::sape::schedule::Schedule;
 use crate::source::{merged_sources, BlockStats};
-use crate::subquery::Subquery;
+use crate::subquery::{connected_components, Subquery};
 use lusail_federation::{
     EndpointError, EndpointId, FailureKind, Federation, IntegrityRegistry, QuarantineTransition,
     RequestHandler, SelectResponse,
@@ -146,31 +152,42 @@ impl SapeExecutor<'_> {
         let nothing_found = FoundBindings::default();
 
         while !remaining.is_empty() {
-            // Most selective next, by refined cardinality (§4.2).
-            let pick_pos = (0..remaining.len())
-                .min_by_key(|&p| {
-                    let i = remaining[p];
-                    refined_cardinality(&subqueries[i], cardinalities[i], &bindings)
+            let mut round = ready_set(&remaining, subqueries, &bindings);
+            if round.is_empty() {
+                // Most selective next, by refined cardinality (§4.2).
+                let pick = (remaining.iter().copied())
+                    .min_by_key(|&i| {
+                        refined_cardinality(&subqueries[i], cardinalities[i], &bindings)
+                    })
+                    .unwrap();
+                round.push(pick);
+            }
+            remaining.retain(|i| !round.contains(i));
+            let plans = (round.iter())
+                .map(|&i| {
+                    let sq = &subqueries[i];
+                    // Binding pays while the bindings are fewer than the
+                    // rows the subquery has anyway. Otherwise the blocks
+                    // would carry more terms out than the unbound subquery
+                    // brings back, in more requests, and the global join
+                    // does the restriction.
+                    let found = bindings.bind_variable(sq).and_then(|v| bindings.count(&v));
+                    let unbound = found.is_some_and(|found| found >= cardinalities[i].max(1));
+                    let over = if unbound { &nothing_found } else { &bindings };
+                    self.plan_bound(sq, &labels[i], over, expected.get(i))
                 })
-                .unwrap();
-            let i = remaining.swap_remove(pick_pos);
-            let sq = &subqueries[i];
-            // Binding pays while the bindings are fewer than the rows the
-            // subquery has anyway. Otherwise the blocks would carry more
-            // terms out than the unbound subquery brings back, in more
-            // requests, and the global join does the restriction.
-            let found = bindings.bind_variable(sq).and_then(|v| bindings.count(&v));
-            let unbound = found.is_some_and(|found| found >= cardinalities[i].max(1));
-            let over = if unbound { &nothing_found } else { &bindings };
-            let rel = self.run_bound(sq, &labels[i], over, expected.get(i))?;
+                .collect::<Result<Vec<_>, _>>()?;
+            let results = self.run_bound_wave(&plans)?;
             // From here on, too, bindings are kept only where they can be
             // read: by a delayed subquery still to run.
             let read = |v: &&Variable| remaining.iter().any(|&i| subqueries[i].mentions(v));
-            for v in sq.projection.iter().filter(read) {
-                bindings.update_from(v, &rel);
+            for (i, rel) in round.into_iter().zip(results) {
+                for v in subqueries[i].projection.iter().filter(read) {
+                    bindings.update_from(v, &rel);
+                }
+                partials[i] = Some(rel);
+                delayed_executed += 1;
             }
-            partials[i] = Some(rel);
-            delayed_executed += 1;
         }
 
         // ---- Final join ----------------------------------------------
@@ -269,10 +286,23 @@ impl SapeExecutor<'_> {
         bindings: &FoundBindings,
         expected: Option<&FxHashMap<EndpointId, usize>>,
     ) -> Result<Relation, EngineError> {
+        let plan = self.plan_bound(sq, what, bindings, expected)?;
+        let mut results = self.run_bound_wave(std::slice::from_ref(&plan))?;
+        Ok(results.pop().expect("one plan, one result"))
+    }
+
+    /// What [`run_bound`](Self::run_bound) sends for `sq`: its bind
+    /// variable among `bindings`, the sources left after refinement, and
+    /// the found terms cut into blocks.
+    fn plan_bound<'a>(
+        &self,
+        sq: &'a Subquery,
+        what: &'a str,
+        bindings: &FoundBindings,
+        expected: Option<&'a FxHashMap<EndpointId, usize>>,
+    ) -> Result<BoundPlan<'a>, EngineError> {
         let bind_var = bindings.bind_variable(sq);
-
         let sources = self.refine_sources(sq, what, bind_var.as_ref(), bindings)?;
-
         // Bindings live as interned ids; terms materialize only here,
         // where they go onto the wire in VALUES blocks.
         let rows: Vec<Vec<Option<Term>>> = bind_var.as_ref().map_or_else(Vec::new, |v| {
@@ -282,42 +312,40 @@ impl SapeExecutor<'_> {
                 .map(|t| vec![Some(t)])
                 .collect()
         });
-        let wave: Vec<WaveRequest> = match &bind_var {
-            None => sources
-                .iter()
-                .map(|&ep| WaveRequest {
-                    sq,
-                    what,
-                    ep,
-                    block: None,
-                    expected: expected.and_then(|m| m.get(&ep)).copied(),
-                })
-                .collect(),
-            // The probes' expected counts describe the unbound pattern; a
-            // `VALUES`-restricted result is smaller, so only the
-            // advertisement/heuristics apply to a block's response.
-            Some(v) => {
-                let mut rest = rows.as_slice();
-                self.plan_bound_blocks(sq, v, &sources, &rows)
-                    .into_iter()
-                    .flat_map(|len| {
-                        let (block, tail) = rest.split_at(len);
-                        rest = tail;
-                        sources.iter().map(move |&ep| WaveRequest {
-                            sq,
-                            what,
-                            ep,
-                            block: Some((v, block)),
-                            expected: None,
-                        })
-                    })
-                    .collect()
-            }
+        let blocks = match &bind_var {
+            Some(v) => self.plan_bound_blocks(sq, v, &sources, &rows),
+            None => Vec::new(),
         };
-        let mut out = Relation::new(sq.projection.clone());
-        for rel in self.run_wave("bound join", MemoryPhase::BoundJoin, &wave)? {
-            out.append(rel);
-        }
+        Ok(BoundPlan {
+            sq,
+            what,
+            bind_var,
+            sources,
+            rows,
+            blocks,
+            expected,
+        })
+    }
+
+    /// Send the requests of all `plans` as one wave — one settle in
+    /// submission order, one cross-probe wave, one admission path — and
+    /// return one relation per plan.
+    fn run_bound_wave(&self, plans: &[BoundPlan]) -> Result<Vec<Relation>, EngineError> {
+        let requests: Vec<Vec<WaveRequest>> = plans.iter().map(BoundPlan::requests).collect();
+        let sizes: Vec<usize> = requests.iter().map(Vec::len).collect();
+        let wave: Vec<WaveRequest> = requests.into_iter().flatten().collect();
+        let mut settled = self
+            .run_wave("bound join", MemoryPhase::BoundJoin, &wave)?
+            .into_iter();
+        let out = (plans.iter().zip(sizes))
+            .map(|(plan, size)| {
+                let mut out = Relation::new(plan.sq.projection.clone());
+                for rel in settled.by_ref().take(size) {
+                    out.append(rel);
+                }
+                out
+            })
+            .collect();
         self.ctx.check()?;
         Ok(out)
     }
@@ -759,6 +787,53 @@ impl WaveRequest<'_> {
     }
 }
 
+/// One subquery's share of a bound-join wave, from
+/// [`SapeExecutor::plan_bound`]: the requests borrow its terms.
+struct BoundPlan<'a> {
+    sq: &'a Subquery,
+    what: &'a str,
+    /// The variable bound, or `None` for an unbound evaluation.
+    bind_var: Option<Variable>,
+    sources: Vec<EndpointId>,
+    /// The found bindings of `bind_var`, one term a row.
+    rows: Vec<Vec<Option<Term>>>,
+    /// Lengths of the consecutive `VALUES` blocks `rows` is cut into.
+    blocks: Vec<usize>,
+    /// The analysis probe's per-endpoint counts for the unbound subquery.
+    expected: Option<&'a FxHashMap<EndpointId, usize>>,
+}
+
+impl BoundPlan<'_> {
+    /// One request per source when unbound, per block and source when
+    /// bound, blocks in order.
+    fn requests(&self) -> Vec<WaveRequest<'_>> {
+        let request = |ep, block, expected| WaveRequest {
+            sq: self.sq,
+            what: self.what,
+            ep,
+            block,
+            expected,
+        };
+        let Some(v) = &self.bind_var else {
+            let expected = |ep| self.expected.and_then(|m| m.get(&ep)).copied();
+            return (self.sources.iter())
+                .map(|&ep| request(ep, None, expected(ep)))
+                .collect();
+        };
+        // The probes' expected counts describe the unbound pattern; a
+        // `VALUES`-restricted result is smaller, so only the
+        // advertisement/heuristics apply to a block's response.
+        let mut rest = self.rows.as_slice();
+        (self.blocks.iter())
+            .flat_map(|&len| {
+                let (block, tail) = rest.split_at(len);
+                rest = tail;
+                (self.sources.iter()).map(move |&ep| request(ep, Some((v, block)), None))
+            })
+            .collect()
+    }
+}
+
 /// Does the endpoint's `claimed` row count account for the response as
 /// delivered? Anything else — an advertised cut, or a count off either
 /// way — puts the endpoint on watch.
@@ -894,35 +969,6 @@ fn envelope_bytes(sq: &Subquery, bind_var: &Variable) -> usize {
         .max(size(&recover::paged_query(&select, usize::MAX, usize::MAX)))
 }
 
-/// Group executed subqueries into components connected by shared projected
-/// variables.
-fn connected_components(executed: &[usize], subqueries: &[Subquery]) -> Vec<Vec<usize>> {
-    let mut unassigned: Vec<usize> = executed.to_vec();
-    let mut components = Vec::new();
-    while let Some(seed) = unassigned.pop() {
-        let mut component = vec![seed];
-        let mut vars: FxHashSet<Variable> = subqueries[seed].projection.iter().cloned().collect();
-        loop {
-            let mut grew = false;
-            unassigned.retain(|&i| {
-                if subqueries[i].projection.iter().any(|v| vars.contains(v)) {
-                    component.push(i);
-                    vars.extend(subqueries[i].projection.iter().cloned());
-                    grew = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            if !grew {
-                break;
-            }
-        }
-        components.push(component);
-    }
-    components
-}
-
 /// The found bindings of Algorithm 3, held as interned ids.
 ///
 /// One query-scoped [`Dictionary`] interns every binding term exactly
@@ -1016,6 +1062,24 @@ impl FoundBindings {
                 .collect()
         })
     }
+}
+
+/// The delayed subqueries among `remaining` that wait for nothing: each
+/// has a bind variable among the found `bindings`, and mentions no
+/// variable still unfound that another remaining one projects. Running a
+/// sibling first could then only have shrunk a binding set, never offered
+/// a better bind variable, so all of them can leave in one wave.
+fn ready_set(remaining: &[usize], subqueries: &[Subquery], bindings: &FoundBindings) -> Vec<usize> {
+    let waits_for = |i: usize, v: &Variable| {
+        !bindings.contains(v)
+            && (remaining.iter()).any(|&j| j != i && subqueries[j].projection.contains(v))
+    };
+    (remaining.iter().copied())
+        .filter(|&i| {
+            let vars = subqueries[i].variables();
+            vars.iter().any(|v| bindings.contains(v)) && !vars.iter().any(|v| waits_for(i, v))
+        })
+        .collect()
 }
 
 /// `getMostSelectiveSubq`: the subquery's estimate, tightened by the
@@ -1397,6 +1461,155 @@ mod tests {
         let snap = rig.snapshot();
         assert_eq!(snap.verifications, 1);
         assert_eq!(snap.truncations_detected, 1);
+    }
+
+    // ---- phase 2: the ready set -------------------------------------------
+
+    /// Forwards to a simulated endpoint and keeps the text of every query.
+    struct Logged {
+        inner: SimulatedEndpoint,
+        sent: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl SparqlEndpoint for Logged {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn execute_within(
+            &self,
+            query: &Query,
+            deadline: Deadline,
+        ) -> Result<QueryResult, EndpointError> {
+            self.sent.lock().unwrap().push(serialize_query(query));
+            self.inner.execute_within(query, deadline)
+        }
+        fn traffic(&self) -> TrafficSnapshot {
+            self.inner.traffic()
+        }
+        fn reset_traffic(&self) {
+            self.inner.reset_traffic()
+        }
+    }
+
+    /// `?{s} <http://x/{p}> ?{o}` at endpoint 0, projecting `projection`.
+    fn link(id: usize, s: &str, p: &str, o: &str, projection: &[&str]) -> Subquery {
+        Subquery {
+            id,
+            patterns: vec![TriplePattern::new(
+                TermPattern::var(s),
+                TermPattern::iri(format!("http://x/{p}")),
+                TermPattern::var(o),
+            )],
+            filters: vec![],
+            sources: vec![0],
+            projection: projection.iter().map(|n| v(n)).collect(),
+        }
+    }
+
+    /// 13 subjects with a weight among [`BLOCK`] with a height, a depth
+    /// and a pair, behind a request log.
+    fn ready_set_rig() -> (Arc<Logged>, Rig) {
+        let mut g = Graph::new();
+        for i in 0..BLOCK {
+            if i < 13 {
+                g.add(d(i), Term::iri("http://x/weight"), Term::integer(i as i64));
+            }
+            for p in ["height", "depth", "pair"] {
+                g.add(d(i), Term::iri(format!("http://x/{p}")), d(1000 + i));
+            }
+        }
+        let endpoint = Arc::new(Logged {
+            inner: SimulatedEndpoint::new("tgt", Store::from_graph(&g), NetworkProfile::instant()),
+            sent: std::sync::Mutex::new(Vec::new()),
+        });
+        let rig = Rig::new(endpoint.clone(), IntegrityConfig::default());
+        (endpoint, rig)
+    }
+
+    /// Run `subqueries` with the first up front and the rest delayed, in
+    /// the order `delayed`; returns the waves it took and what was sent.
+    fn delayed_run(
+        subqueries: &[Subquery],
+        cardinalities: &[usize],
+        delayed: Vec<usize>,
+    ) -> (u64, Vec<String>) {
+        let (endpoint, rig) = ready_set_rig();
+        let schedule = Schedule {
+            non_delayed: vec![0],
+            delayed,
+        };
+        let outcome = rig
+            .executor()
+            .execute(subqueries, &schedule, cardinalities, &[], &[])
+            .unwrap();
+        assert_eq!(outcome.relation.len(), 13);
+        assert_eq!(outcome.delayed_executed, subqueries.len() - 1);
+        let sent = endpoint.sent.lock().unwrap().clone();
+        (rig.handler.snapshot().waves, sent)
+    }
+
+    #[test]
+    fn delayed_subqueries_bound_on_the_same_found_variable_leave_in_one_wave() {
+        let subqueries = [
+            link(0, "d", "weight", "w", &["d", "w"]),
+            link(1, "d", "height", "h", &["d", "h"]),
+            link(2, "d", "depth", "z", &["d", "z"]),
+        ];
+        let (waves, mut sent) = delayed_run(&subqueries, &[13, BLOCK, BLOCK], vec![1, 2]);
+        assert_eq!(waves, 2, "the phase-1 wave and one bound wave");
+        // One after the other they send the same: every found ?d has a
+        // height, so the first bound result shrinks nothing for the second.
+        let (endpoint, rig) = ready_set_rig();
+        let mut bindings = FoundBindings::default();
+        bindings.update(&v("d"), (0..13).map(d));
+        for sq in &subqueries[1..] {
+            let label = format!("subquery #{}", sq.id);
+            let rel = rig.executor().run_bound(sq, &label, &bindings, None);
+            assert_eq!(rel.unwrap().len(), 13);
+        }
+        let mut sequential = endpoint.sent.lock().unwrap().clone();
+        sequential.push(serialize_query(&subqueries[0].to_query()));
+        sent.sort();
+        sequential.sort();
+        assert_eq!(sent, sequential);
+        assert_eq!(sent.iter().filter(|q| q.contains("VALUES")).count(), 2);
+    }
+
+    #[test]
+    fn a_delayed_subquery_waits_for_the_sibling_that_projects_its_variable() {
+        // The pair subquery mentions ?h, which only the height subquery
+        // will find: bound on ?d now it could miss the better bind
+        // variable. The height subquery waits for nothing.
+        let subqueries = [
+            link(0, "d", "weight", "w", &["d", "w"]),
+            link(1, "d", "height", "h", &["d", "h"]),
+            link(2, "d", "pair", "h", &["d"]),
+        ];
+        let (waves, sent) = delayed_run(&subqueries, &[13, BLOCK, BLOCK], vec![2, 1]);
+        assert_eq!(waves, 3, "phase 1, then the two bound waves of a chain");
+        assert!(
+            sent[1].contains("height") && sent[2].contains("pair"),
+            "{sent:#?}"
+        );
+    }
+
+    #[test]
+    fn a_cyclic_wait_falls_back_to_the_most_selective_pick() {
+        // Each mentions the unfound ?h the other projects: neither is
+        // ready, so the round is the paper's — the most selective one.
+        let subqueries = [
+            link(0, "d", "weight", "w", &["d", "w"]),
+            link(1, "d", "height", "h", &["d", "h"]),
+            link(2, "d", "pair", "h", &["d", "h"]),
+        ];
+        let (waves, sent) = delayed_run(&subqueries, &[13, BLOCK, 5], vec![1, 2]);
+        assert_eq!(waves, 3);
+        assert!(
+            sent[1].contains("pair") && sent[2].contains("height"),
+            "{sent:#?}"
+        );
+        // 13 found ?d against 5 estimated rows: sent as it is.
+        assert!(!sent[1].contains("VALUES") && sent[2].contains("VALUES"));
     }
 
     #[test]

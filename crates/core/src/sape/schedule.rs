@@ -13,10 +13,18 @@
 //! subquery in a 2-subquery decomposition. We therefore use `≥` together
 //! with a guard that the most selective subquery is never delayed, which
 //! reproduces the paper's described behaviour on its own examples.
+//!
+//! The guard holds per connected component of shared variables. A delayed
+//! subquery is bound on what its component's phase-1 results found; one
+//! that shares no variable with anything sent up front can never be
+//! bound, and delaying it only sends the same unbound request one round
+//! later. So a subgraph joined to the rest through nothing but a
+//! `FILTER(?a = ?b)` (LargeRDFBench C5, B6) has its cheapest member in
+//! the phase-1 wave.
 
 use crate::config::DelayThreshold;
 use crate::sape::stats::{chauvenet_outliers, clean_mean_std};
-use crate::subquery::Subquery;
+use crate::subquery::{connected_components, Subquery};
 
 /// The execution schedule for one branch's subqueries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +63,15 @@ pub fn make_schedule(
     let card_outliers = chauvenet_outliers(&cards);
     let ep_outliers = chauvenet_outliers(&n_eps);
 
-    let min_card = cards.iter().copied().fold(f64::INFINITY, f64::min);
+    // The smallest cardinality in each subquery's connected component.
+    let mut min_card = vec![f64::INFINITY; cards.len()];
+    let all: Vec<usize> = (0..subqueries.len()).collect();
+    for component in connected_components(&all, subqueries) {
+        let min = (component.iter().map(|&i| cards[i])).fold(f64::INFINITY, f64::min);
+        for i in component {
+            min_card[i] = min;
+        }
+    }
 
     for i in 0..subqueries.len() {
         let c = cards[i];
@@ -76,19 +92,14 @@ pub fn make_schedule(
                 DelayThreshold::OutliersOnly => false,
                 _ => e >= mu_e + sigma_e && sigma_e > 0.0,
             };
-        // Never delay the most selective subquery: phase 2 needs seed
-        // bindings from somewhere.
-        let is_min = c <= min_card;
+        // Never delay the most selective subquery of a component: phase 2
+        // needs seed bindings from somewhere.
+        let is_min = c <= min_card[i];
         if (over_card || over_eps) && !is_min {
             schedule.delayed.push(i);
         } else {
             schedule.non_delayed.push(i);
         }
-    }
-    // Degenerate guard: at least one subquery must run up front.
-    if schedule.non_delayed.is_empty() {
-        schedule.delayed.retain(|&i| i != 0);
-        schedule.non_delayed.push(0);
     }
     schedule
 }
@@ -96,19 +107,24 @@ pub fn make_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lusail_sparql::ast::{TermPattern, TriplePattern};
+    use lusail_sparql::ast::{TermPattern, TriplePattern, Variable};
 
     fn sq(id: usize, n_sources: usize) -> Subquery {
+        sq_over(id, n_sources, "s", "o")
+    }
+
+    /// `?s <p{id}> ?o` at `n_sources` endpoints, both variables projected.
+    fn sq_over(id: usize, n_sources: usize, s: &str, o: &str) -> Subquery {
         Subquery {
             id,
             patterns: vec![TriplePattern::new(
-                TermPattern::var("s"),
+                TermPattern::var(s),
                 TermPattern::iri(format!("http://p{id}")),
-                TermPattern::var("o"),
+                TermPattern::var(o),
             )],
             filters: vec![],
             sources: (0..n_sources).collect(),
-            projection: vec![],
+            projection: vec![Variable::new(s), Variable::new(o)],
         }
     }
 
@@ -120,6 +136,26 @@ mod tests {
         let s = make_schedule(&sqs, &[500, 40_000], DelayThreshold::MuSigma);
         assert_eq!(s.non_delayed, vec![0]);
         assert_eq!(s.delayed, vec![1]);
+    }
+
+    #[test]
+    fn a_component_joined_only_through_a_filter_keeps_its_cheapest_member_up_front() {
+        // LargeRDFBench C5 (`?drug … ?w`, `?cpd … ?m`, FILTER(?w = ?m)) and
+        // B6 (`?rec … ?d`, `?paper … ?y`, FILTER(?d = ?y)): two subqueries
+        // that share no variable. The larger could never be bound on the
+        // other's results, so it is not delayed.
+        let sqs = vec![sq_over(0, 1, "rec", "d"), sq_over(1, 1, "paper", "y")];
+        let s = make_schedule(&sqs, &[60, 150], DelayThreshold::MuSigma);
+        assert_eq!((s.non_delayed, s.delayed), (vec![0, 1], vec![]));
+        // A third subquery joined to the second on ?paper can be bound on
+        // its results, and stays delayed.
+        let sqs = vec![
+            sq_over(0, 1, "rec", "d"),
+            sq_over(1, 1, "paper", "y"),
+            sq_over(2, 1, "paper", "t"),
+        ];
+        let s = make_schedule(&sqs, &[10, 4000, 5000], DelayThreshold::Mu);
+        assert_eq!((s.non_delayed, s.delayed), (vec![0, 1], vec![2]));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Subqueries: the unit LADE produces and SAPE schedules.
 
 use lusail_federation::EndpointId;
+use lusail_rdf::fxhash::FxHashSet;
 use lusail_rdf::Term;
 use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, SelectQuery, TriplePattern, Variable,
@@ -95,6 +96,35 @@ impl Subquery {
             p,
         ))
     }
+}
+
+/// Group the subqueries `members` names into components connected by shared
+/// projected variables: the variables their results can join on.
+pub fn connected_components(members: &[usize], subqueries: &[Subquery]) -> Vec<Vec<usize>> {
+    let mut unassigned: Vec<usize> = members.to_vec();
+    let mut components = Vec::new();
+    while let Some(seed) = unassigned.pop() {
+        let mut component = vec![seed];
+        let mut vars: FxHashSet<Variable> = subqueries[seed].projection.iter().cloned().collect();
+        loop {
+            let mut grew = false;
+            unassigned.retain(|&i| {
+                if subqueries[i].projection.iter().any(|v| vars.contains(v)) {
+                    component.push(i);
+                    vars.extend(subqueries[i].projection.iter().cloned());
+                    grew = true;
+                    false
+                } else {
+                    true
+                }
+            });
+            if !grew {
+                break;
+            }
+        }
+        components.push(component);
+    }
+    components
 }
 
 #[cfg(test)]

@@ -5,10 +5,9 @@
 //!
 //! LADE uses the handler to evaluate check queries at all relevant
 //! endpoints simultaneously; SAPE uses it to collect non-delayed subquery
-//! results. A wave starts at the *floor* width (`available_parallelism`,
-//! at least 4) and, when its workers turn out to be blocked on the network,
-//! widens to the *ceiling* — one thread per endpoint, as the paper sizes
-//! the ERH — see [`RequestHandler`].
+//! results. A wave runs one thread per task up to the handler's *ceiling* —
+//! one thread per endpoint, as the paper sizes the ERH — see
+//! [`RequestHandler`].
 //!
 //! Real Linked Data endpoints are slow, flaky, and frequently down, so the
 //! fan-out layer owns the fault semantics: a panicking task is caught and
@@ -22,7 +21,7 @@ use crate::json::Json;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A query-level time budget, threaded from `lusail query --timeout` down
@@ -151,14 +150,7 @@ impl Deadline {
     }
 }
 
-/// How long the collecting thread waits for a result before it concludes
-/// that the running workers are blocked on the network and widens the wave.
-/// Some 40–70× the cost of spawning and joining a thread: long enough that
-/// CPU-bound waves (which deliver results every few microseconds) never
-/// widen, short against any real round trip.
-const RAMP_INTERVAL: Duration = Duration::from_millis(1);
-
-/// The widest a wave may grow, whatever the federation size.
+/// The widest a wave may be, whatever the federation size.
 const MAX_CEILING: usize = 64;
 
 type TaskResult<T> = Result<T, Box<dyn Any + Send>>;
@@ -168,13 +160,12 @@ type TaskResult<T> = Result<T, Box<dyn Any + Send>>;
 pub struct WaveSnapshot {
     /// Non-empty batches executed.
     pub waves: u64,
-    /// Waves that widened past the floor because their workers stalled.
-    pub ramped_waves: u64,
-    /// The most worker threads any one wave ran on (1 for inline waves).
+    /// The most threads any one wave ran on, the caller included (1 for
+    /// inline waves).
     pub peak_width: usize,
-    /// Initial width of every wave; what `parallel_join` partitions by.
+    /// The CPU fan-out: what `parallel_join` partitions by.
     pub floor: usize,
-    /// The width a stalled wave may grow to.
+    /// The most threads a wave runs on.
     pub ceiling: usize,
 }
 
@@ -183,7 +174,6 @@ impl WaveSnapshot {
     pub fn to_json(&self) -> Json {
         Json::object([
             ("waves", self.waves.into()),
-            ("ramped_waves", self.ramped_waves.into()),
             ("peak_width", self.peak_width.into()),
             ("floor", self.floor.into()),
             ("ceiling", self.ceiling.into()),
@@ -195,20 +185,14 @@ impl WaveSnapshot {
 /// spawned per wave.
 ///
 /// `run` executes a batch of independent closures and returns their results
-/// in submission order. A wave starts `min(floor, tasks)` workers. The
-/// collecting thread then watches the result channel one [`RAMP_INTERVAL`]
-/// at a time: a whole interval with no result, while tasks are still
-/// unclaimed and every worker holds one, means the workers are waiting on
-/// the network, not computing, so it spawns one more worker per unclaimed
-/// task up to the ceiling — waiting threads cost no CPU, and the wave
-/// finishes in one round trip instead of `tasks / floor`. Waves whose
-/// results arrive faster than the interval (zero-latency endpoints, join
-/// partitions) never widen.
+/// in submission order. A wave runs on `min(tasks, ceiling)` threads from
+/// the start, the caller being one of them: its tasks are requests, a
+/// thread waiting on the network costs no CPU, and a wave no wider than the
+/// ceiling finishes in one round trip.
 pub struct RequestHandler {
     floor: usize,
     ceiling: usize,
     waves: AtomicU64,
-    ramped_waves: AtomicU64,
     peak_width: AtomicUsize,
 }
 
@@ -218,14 +202,12 @@ impl RequestHandler {
             floor,
             ceiling,
             waves: AtomicU64::new(0),
-            ramped_waves: AtomicU64::new(0),
             peak_width: AtomicUsize::new(0),
         }
     }
 
-    /// A handler pinned to exactly `threads` workers per wave (floor =
-    /// ceiling), clamped to ≥ 1. Waves never widen, so thread sweeps
-    /// measure what they say.
+    /// A handler pinned to at most `threads` threads per wave (floor =
+    /// ceiling), clamped to ≥ 1, so thread sweeps measure what they say.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         Self::with_widths(threads, threads)
@@ -246,8 +228,7 @@ impl RequestHandler {
         Self::with_widths(floor, endpoints.clamp(floor, MAX_CEILING.max(floor)))
     }
 
-    /// The floor: the initial width of every wave and the CPU fan-out
-    /// `parallel_join` partitions by.
+    /// The floor: the CPU fan-out `parallel_join` partitions by.
     pub fn threads(&self) -> usize {
         self.floor
     }
@@ -256,7 +237,6 @@ impl RequestHandler {
     pub fn snapshot(&self) -> WaveSnapshot {
         WaveSnapshot {
             waves: self.waves.load(Ordering::Relaxed),
-            ramped_waves: self.ramped_waves.load(Ordering::Relaxed),
             peak_width: self.peak_width.load(Ordering::Relaxed),
             floor: self.floor,
             ceiling: self.ceiling,
@@ -270,89 +250,16 @@ impl RequestHandler {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let n = tasks.len();
-        if n == 0 {
+        if tasks.is_empty() {
             return Vec::new();
         }
         self.waves.fetch_add(1, Ordering::Relaxed);
-        // Run small batches inline, in submission order, to avoid thread
-        // spawn overhead. Panics are still caught so later tasks run.
-        if n == 1 || self.floor == 1 {
-            self.peak_width.fetch_max(1, Ordering::Relaxed);
-            return tasks
-                .into_iter()
-                .map(|f| catch_unwind(AssertUnwindSafe(f)))
-                .collect();
-        }
-
-        // Workers pull from a shared queue (a locked iterator — std has no
-        // MPMC channel) and push results through an MPSC channel.
-        let queue = Mutex::new(tasks.into_iter().enumerate());
-        let (res_tx, res_rx) = mpsc::channel::<(usize, TaskResult<T>)>();
-        let mut slots: Vec<Option<TaskResult<T>>> = (0..n).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            // Spawn up to `count` workers; returns how many the OS granted.
-            // A refused spawn is not an error: the wave just stays narrower.
-            let spawn_workers = |count: usize, res_tx: &mpsc::Sender<_>| {
-                (0..count)
-                    .take_while(|_| {
-                        let res_tx = res_tx.clone();
-                        std::thread::Builder::new()
-                            .spawn_scoped(scope, || drain_queue(&queue, res_tx))
-                            .is_ok()
-                    })
-                    .count()
-            };
-
-            let mut width = spawn_workers(self.floor.min(n), &res_tx);
-            if width == 0 {
-                // Not even one thread: the caller does the work itself.
-                drain_queue(&queue, res_tx.clone());
-                width = 1;
-            }
-
-            // Ramp phase: while the wave could still widen, wait one
-            // interval at a time. The collector holds a sender here, so the
-            // loop ends on the count, not on disconnect.
-            let mut received = 0;
-            while received < n && width < self.ceiling.min(n) {
-                match res_rx.recv_timeout(RAMP_INTERVAL) {
-                    Ok((i, r)) => {
-                        slots[i] = Some(r);
-                        received += 1;
-                    }
-                    Err(_) => {
-                        let unclaimed = queue
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .len();
-                        // A worker that holds no task while tasks remain is
-                        // waiting for a CPU, not for the network: more
-                        // threads would not help, so keep watching.
-                        if unclaimed > 0 && n - unclaimed - received < width {
-                            continue;
-                        }
-                        let grown = spawn_workers(unclaimed.min(self.ceiling - width), &res_tx);
-                        if grown > 0 {
-                            width += grown;
-                            self.ramped_waves.fetch_add(1, Ordering::Relaxed);
-                        }
-                        break;
-                    }
-                }
-            }
-            self.peak_width.fetch_max(width, Ordering::Relaxed);
-
-            drop(res_tx);
-            while let Ok((i, r)) = res_rx.recv() {
-                slots[i] = Some(r);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("worker completed every task"))
-            .collect()
+        // The caller is one of the wave's threads: a wave of one task, or
+        // on a one-thread handler, spawns none and runs inline.
+        let width = self.ceiling.min(tasks.len());
+        let (granted, results) = run_wave(tasks, width - 1);
+        self.peak_width.fetch_max(granted + 1, Ordering::Relaxed);
+        results
     }
 
     /// Execute all `tasks` on the pool, returning results in order.
@@ -461,14 +368,48 @@ fn core_floor() -> usize {
         .max(4)
 }
 
-/// One worker: claim tasks from the shared queue until it is empty, sending
-/// each result (or caught panic) to the collector.
+/// Run `tasks` on the caller and up to `ask` scoped worker threads; returns
+/// how many workers the OS granted and the results in submission order. A
+/// refused spawn is not an error, the wave just stays narrower; with no
+/// worker at all (none asked for, or none to be had) the caller runs every
+/// task itself, inline and in submission order.
+fn run_wave<T, F>(tasks: Vec<F>, ask: usize) -> (usize, Vec<TaskResult<T>>)
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    // The threads pull from a shared queue (a locked iterator — std has no
+    // MPMC channel); a worker hands back what it ran when it is joined.
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let (granted, mut done) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..ask)
+            .map_while(|_| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, || drain_queue(&queue))
+                    .ok()
+            })
+            .collect();
+        let granted = workers.len();
+        let mut done = drain_queue(&queue);
+        for worker in workers {
+            done.extend(worker.join().expect("a worker catches its tasks' panics"));
+        }
+        (granted, done)
+    });
+    // Every task was claimed exactly once: back into submission order.
+    done.sort_unstable_by_key(|(i, _)| *i);
+    (granted, done.into_iter().map(|(_, r)| r).collect())
+}
+
+/// One worker: claim tasks from the shared queue until it is empty and
+/// return each result (or caught panic) with its submission index.
 fn drain_queue<T, F>(
     queue: &Mutex<std::iter::Enumerate<std::vec::IntoIter<F>>>,
-    res_tx: mpsc::Sender<(usize, TaskResult<T>)>,
-) where
+) -> Vec<(usize, TaskResult<T>)>
+where
     F: FnOnce() -> T,
 {
+    let mut done = Vec::new();
     loop {
         // A poisoned lock just means a sibling worker panicked between
         // tasks; the queue itself is still consistent.
@@ -477,11 +418,9 @@ fn drain_queue<T, F>(
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .next();
         let Some((i, f)) = next else {
-            break;
+            return done;
         };
-        if res_tx.send((i, catch_unwind(AssertUnwindSafe(f)))).is_err() {
-            break;
-        }
+        done.push((i, catch_unwind(AssertUnwindSafe(f))));
     }
 }
 
@@ -933,70 +872,67 @@ mod tests {
         assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
 
-    // --- elasticity ---
+    // --- wave width ---
 
-    fn sleep_wave(pool: &RequestHandler, tasks: usize, each: Duration) -> Duration {
-        let start = Instant::now();
-        pool.map((0..tasks).collect(), |_: usize| std::thread::sleep(each));
-        start.elapsed()
+    /// Runs `tasks` tasks of `each` sleep; returns the most in flight at once.
+    fn sleep_wave(pool: &RequestHandler, tasks: usize, each: Duration) -> usize {
+        let inflight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        pool.map((0..tasks).collect(), |_: usize| {
+            peak.fetch_max(
+                inflight.fetch_add(1, Ordering::SeqCst) + 1,
+                Ordering::SeqCst,
+            );
+            std::thread::sleep(each);
+            inflight.fetch_sub(1, Ordering::SeqCst);
+        });
+        peak.load(Ordering::SeqCst)
     }
 
     #[test]
-    fn stalled_wave_widens_to_the_ceiling() {
-        let pool = RequestHandler::with_widths(4, 13);
-        let elapsed = sleep_wave(&pool, 13, Duration::from_millis(20));
+    fn a_wave_of_one_request_per_endpoint_takes_one_round_trip() {
+        // The analysis probe of a 13-endpoint federation: every request is
+        // in flight at once — the barrier opens only when all 13 tasks
+        // have a thread.
+        let pool = RequestHandler::elastic(13);
+        let all_started = std::sync::Barrier::new(13);
+        pool.map((0..13).collect(), |_: usize| {
+            all_started.wait();
+        });
         let snap = pool.snapshot();
-        assert_eq!((snap.waves, snap.ramped_waves), (1, 1), "{snap:?}");
-        assert_eq!(snap.peak_width, 13, "{snap:?}");
-        // Four rounds of 20 ms on the floor alone; one round plus the ramp
-        // interval once widened.
+        assert_eq!((snap.waves, snap.peak_width), (1, 13), "{snap:?}");
+        // At a 4 ms round trip no timer sits between the wave and its
+        // threads. Best of five: the test binary runs its tests in parallel.
+        let fastest = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                sleep_wave(&pool, 13, Duration::from_millis(4));
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
         assert!(
-            elapsed < Duration::from_millis(60),
-            "wave did not widen in time: {elapsed:?}"
+            fastest < Duration::from_millis(8),
+            "13 requests took more than two round trips: {fastest:?}"
         );
     }
 
     #[test]
-    fn widening_is_capped_by_the_ceiling() {
+    fn a_wave_is_as_wide_as_its_tasks_up_to_the_ceiling() {
+        let pool = RequestHandler::elastic(13);
+        sleep_wave(&pool, 3, Duration::from_millis(2));
+        assert_eq!(pool.snapshot().peak_width, 3);
         let pool = RequestHandler::with_widths(4, 6);
-        sleep_wave(&pool, 13, Duration::from_millis(5));
+        assert!(sleep_wave(&pool, 13, Duration::from_millis(2)) <= 6);
         assert_eq!(pool.snapshot().peak_width, 6);
-    }
-
-    #[test]
-    fn cpu_bound_wave_never_widens() {
-        let pool = RequestHandler::with_widths(4, 13);
-        let out = pool.map((0..64u64).collect(), |i| {
-            let until = Instant::now() + Duration::from_micros(50);
-            let mut x = i;
-            while Instant::now() < until {
-                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(1));
-            }
-            x
-        });
-        assert_eq!(out.len(), 64);
-        let snap = pool.snapshot();
-        assert_eq!(snap.ramped_waves, 0, "{snap:?}");
-        assert_eq!(snap.peak_width, 4, "{snap:?}");
     }
 
     #[test]
     fn pinned_handler_never_exceeds_its_width() {
         let pool = RequestHandler::new(4);
-        let inflight = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        pool.map((0..13).collect(), |_: usize| {
-            peak.fetch_max(
-                inflight.fetch_add(1, Ordering::SeqCst) + 1,
-                Ordering::SeqCst,
-            );
-            std::thread::sleep(Duration::from_millis(5));
-            inflight.fetch_sub(1, Ordering::SeqCst);
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 4);
+        assert!(sleep_wave(&pool, 13, Duration::from_millis(5)) <= 4);
         let snap = pool.snapshot();
-        assert_eq!((snap.ramped_waves, snap.peak_width), (0, 4), "{snap:?}");
-        assert_eq!((snap.floor, snap.ceiling), (4, 4));
+        assert_eq!((snap.peak_width, snap.floor, snap.ceiling), (4, 4, 4));
     }
 
     #[test]
@@ -1010,45 +946,46 @@ mod tests {
 
     #[test]
     fn single_thread_runs_in_order_on_the_caller() {
-        let pool = RequestHandler::new(1);
         let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
-        pool.map((0..20).collect(), |i: usize| {
+        let record = |i: usize| {
             assert_eq!(std::thread::current().id(), caller);
             order.lock().unwrap().push(i);
-        });
-        assert_eq!(*order.lock().unwrap(), (0..20).collect::<Vec<_>>());
+        };
+        let pool = RequestHandler::new(1);
+        pool.map((0..20).collect(), record);
+        // ... and so does a wave of one task, whatever the handler.
+        let elastic = RequestHandler::elastic(13);
+        elastic.map(vec![20], record);
+        assert_eq!(*order.lock().unwrap(), (0..=20).collect::<Vec<_>>());
         assert_eq!(pool.snapshot().peak_width, 1);
+        assert_eq!(elastic.snapshot().peak_width, 1);
     }
 
     #[test]
-    fn panic_in_a_late_spawned_worker_keeps_sibling_results() {
-        // The four floor workers claim tasks 0–3 and block; task 12 can
-        // only be claimed by a worker spawned at the ramp.
-        let pool = RequestHandler::with_widths(4, 13);
-        let ran = AtomicUsize::new(0);
-        let raised = catch_unwind(AssertUnwindSafe(|| {
-            pool.map((0..13).collect(), |i: usize| {
-                std::thread::sleep(Duration::from_millis(10));
-                if i == 12 {
-                    panic!("late worker failure");
+    fn a_refused_spawn_still_completes_the_wave() {
+        // No thread to be had is the inline path: the caller runs every
+        // task itself, in submission order, panics still contained.
+        let caller = std::thread::current().id();
+        let tasks: Vec<_> = (0..13)
+            .map(|i| {
+                move || {
+                    assert_eq!(std::thread::current().id(), caller);
+                    assert_ne!(i, 5, "task five fails");
+                    i
                 }
-                ran.fetch_add(1, Ordering::Relaxed);
             })
-        }));
-        assert_eq!(pool.snapshot().ramped_waves, 1);
-        let payload = raised.expect_err("the panic is re-raised on the caller");
-        assert_eq!(
-            payload.downcast_ref::<&str>(),
-            Some(&"late worker failure"),
-            "the late worker's own panic, not a poisoned-queue one"
-        );
-        assert_eq!(ran.load(Ordering::Relaxed), 12, "every sibling completed");
+            .collect();
+        let (granted, results) = run_wave(tasks, 0);
+        assert_eq!(granted, 0);
+        for (i, r) in results.into_iter().enumerate() {
+            assert_eq!(r.ok(), (i != 5).then_some(i));
+        }
     }
 
     #[test]
-    fn expired_deadline_cancels_without_widening() {
-        let pool = RequestHandler::with_widths(4, 13);
+    fn expired_deadline_cancels_every_task_of_a_wide_wave() {
+        let pool = RequestHandler::elastic(13);
         let out = pool.map_cancellable(
             (0..13).collect(),
             Deadline::within(Duration::ZERO),
@@ -1056,7 +993,6 @@ mod tests {
             |_: usize| -> i64 { panic!("must not run past the deadline") },
         );
         assert_eq!(out, vec![-1; 13]);
-        assert_eq!(pool.snapshot().ramped_waves, 0);
     }
 
     // --- circuit breaker ---

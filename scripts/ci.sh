@@ -57,6 +57,24 @@ for f in $(find crates/core/src crates/baselines/src -name '*.rs'); do
     fi
 done
 
+# Nothing waits for what it does not depend on (DESIGN.md → ERH elasticity,
+# Request dispatch): the ERH has no ramp timer to come back, branches fan
+# out through the one method beside `dispatch`, and crates/core/src spawns
+# no thread of its own — concurrency there goes through the RequestHandler.
+if grep -rnE 'RAMP_INTERVAL|ramped_waves' crates; then
+    echo "the ERH ramp is back; a wave starts min(tasks, ceiling) threads at once" >&2
+    exit 1
+fi
+n=$(grep -rhoE "fn fan_out(<[^>]*>)?\(" crates --include='*.rs' | wc -l)
+[ "$n" -eq 1 ] && grep -qE "fn fan_out(<[^>]*>)?\(" crates/core/src/run.rs \
+    || { echo "fn fan_out is defined ${n} times under crates/, want once, in crates/core/src/run.rs" >&2; exit 1; }
+for f in $(find crates/core/src -name '*.rs'); do
+    if awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" | grep -nE 'thread::(spawn|scope|Builder)'; then
+        echo "$f spawns a thread; fan out through the RequestHandler (RunContext::dispatch / fan_out)" >&2
+        exit 1
+    fi
+done
+
 # Nothing is rendered twice (DESIGN.md → Stats model): one HTTP response
 # writer, no hand-written stats or error renderer beside the `to_json`
 # descriptions, and no JSON document assembled with format! outside the

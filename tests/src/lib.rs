@@ -11,6 +11,7 @@ use lusail_sparql::solution::Relation;
 use lusail_store::eval::QueryResult;
 use lusail_store::{Evaluator, Store};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Evaluate a query over the *merged* graph of all endpoints — the ground
 /// truth a federated engine must reproduce (the decentralized graph's
@@ -47,6 +48,8 @@ pub fn assert_same_solutions(label: &str, actual: &Relation, expected: &Relation
 pub struct RecordingEndpoint {
     inner: Arc<dyn SparqlEndpoint>,
     sent: Mutex<Vec<String>>,
+    /// When each request left and when its answer was back.
+    spans: Mutex<Vec<(Instant, Instant)>>,
 }
 
 impl RecordingEndpoint {
@@ -54,6 +57,7 @@ impl RecordingEndpoint {
         RecordingEndpoint {
             inner,
             sent: Mutex::new(Vec::new()),
+            spans: Mutex::new(Vec::new()),
         }
     }
 
@@ -89,9 +93,34 @@ impl RecordingEndpoint {
         sent
     }
 
-    fn record(&self, query: &Query) {
+    /// Record `query`, send it with `send` and time the round trip.
+    fn record<T>(&self, query: &Query, send: impl FnOnce() -> T) -> T {
         self.sent.lock().unwrap().push(serialize_query(query));
+        let left = Instant::now();
+        let answer = send();
+        self.spans.lock().unwrap().push((left, Instant::now()));
+        answer
     }
+}
+
+/// How many request rounds the recorded endpoints served: requests whose
+/// round trips overlap in time are one round. Only meaningful over
+/// endpoints with real latency.
+pub fn request_rounds(recorders: &[Arc<RecordingEndpoint>]) -> usize {
+    let mut spans: Vec<(Instant, Instant)> = recorders
+        .iter()
+        .flat_map(|r| r.spans.lock().unwrap().clone())
+        .collect();
+    spans.sort();
+    let mut rounds = 0;
+    let mut round_ends: Option<Instant> = None;
+    for (left, back) in spans {
+        if round_ends.is_none_or(|ends| left > ends) {
+            rounds += 1;
+        }
+        round_ends = round_ends.max(Some(back));
+    }
+    rounds
 }
 
 impl SparqlEndpoint for RecordingEndpoint {
@@ -103,16 +132,14 @@ impl SparqlEndpoint for RecordingEndpoint {
         query: &Query,
         deadline: Deadline,
     ) -> Result<QueryResult, EndpointError> {
-        self.record(query);
-        self.inner.execute_within(query, deadline)
+        self.record(query, || self.inner.execute_within(query, deadline))
     }
     fn select_with_meta(
         &self,
         query: &Query,
         deadline: Deadline,
     ) -> Result<SelectResponse, EndpointError> {
-        self.record(query);
-        self.inner.select_with_meta(query, deadline)
+        self.record(query, || self.inner.select_with_meta(query, deadline))
     }
     fn traffic(&self) -> TrafficSnapshot {
         self.inner.traffic()

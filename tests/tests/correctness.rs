@@ -2,11 +2,14 @@
 //! solutions a single store holding the merged decentralized graph returns
 //! (Lemmas 1 and 2 of the paper promise this for Lusail).
 
-use integration::{assert_same_solutions, ground_truth};
+use integration::{assert_same_solutions, ground_truth, request_rounds, RecordingEndpoint};
 use lusail_baselines::{FedX, FedXConfig, FederatedEngine, HiBiscus, Splendid};
 use lusail_core::{DelayThreshold, LusailConfig, LusailEngine, SapeMode};
-use lusail_federation::NetworkProfile;
+use lusail_federation::{NetworkProfile, SimulatedEndpoint, SparqlEndpoint};
+use lusail_store::Store;
 use lusail_workloads::{bio2rdf, federation_from_graphs, largerdf, lubm, qfed};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn lusail(graphs: Vec<(String, lusail_rdf::Graph)>) -> LusailEngine {
     LusailEngine::new(
@@ -199,9 +202,11 @@ fn lusail_supports_the_disjoint_queries() {
 
 #[test]
 fn elastic_erh_reschedules_requests_without_changing_them() {
-    // 13 endpoints at a 5 ms round trip: the elastic handler widens its
-    // waves past 4 threads, the pinned one cannot, and neither the answer
-    // nor a single request may differ.
+    // 13 endpoints at a 5 ms round trip. The elastic handler runs a wave
+    // on up to 13 threads, UNION branches side by side and ready delayed
+    // subqueries in one wave; a handler pinned to 4 threads cannot do the
+    // first, one pinned to 1 runs everything inline, one request after
+    // the other. Neither the answer nor a single request may differ.
     let graphs = largerdf::generate_all(&largerdf::LargeRdfConfig {
         scale: 0.2,
         ..Default::default()
@@ -211,37 +216,81 @@ fn elastic_erh_reschedules_requests_without_changing_them() {
         bytes_per_sec: u64::MAX,
     };
     let engine = |threads| {
-        LusailEngine::new(
-            federation_from_graphs(graphs.clone(), profile),
-            LusailConfig {
-                threads,
-                ..Default::default()
-            },
-        )
+        let (recorders, federation) =
+            RecordingEndpoint::federation(graphs.iter().map(|(name, g)| {
+                Arc::new(SimulatedEndpoint::new(
+                    name.clone(),
+                    Store::from_graph(g),
+                    profile,
+                )) as Arc<dyn SparqlEndpoint>
+            }));
+        let config = LusailConfig {
+            threads,
+            ..Default::default()
+        };
+        (recorders, LusailEngine::new(federation, config))
     };
-    let (elastic, pinned) = (engine(None), engine(Some(4)));
+    let (elastic_log, elastic) = engine(None);
+    let (_, pinned) = engine(Some(4));
+    let (inline_log, inline) = engine(Some(1));
     assert_eq!(elastic.federation().len(), 13);
+    // What each endpoint was sent from its `from`-th request on, as a
+    // multiset. How many `VALUES` blocks a bound join's bindings are cut
+    // into follows the handler's width (13 against 1 here), so the blocks
+    // of one request shape are pooled: the same bindings must reach the
+    // same endpoint.
+    type Sent = BTreeMap<String, Vec<String>>;
+    let sent_since = |log: &[Arc<RecordingEndpoint>], from: &[usize]| -> Vec<Sent> {
+        (log.iter().zip(from))
+            .map(|(r, &from)| {
+                let mut sent = Sent::new();
+                for text in r.sent().split_off(from) {
+                    let block = text.split_once(" ) { (").and_then(|(head, rest)| {
+                        let (bindings, tail) = rest.split_once(" ) }")?;
+                        Some((format!("{head} … {tail}"), bindings.split(" ) (")))
+                    });
+                    match block {
+                        Some((shape, bindings)) => {
+                            let pooled = sent.entry(shape).or_default();
+                            pooled.extend(bindings.map(str::to_string));
+                        }
+                        None => sent.entry(text).or_default().push(String::new()),
+                    }
+                }
+                sent.values_mut().for_each(|bindings| bindings.sort());
+                sent
+            })
+            .collect()
+    };
+    let lengths = |log: &[Arc<RecordingEndpoint>]| -> Vec<usize> {
+        log.iter().map(|r| r.sent().len()).collect()
+    };
     let queries = largerdf::all_queries();
-    for q in queries
-        .iter()
-        .filter(|q| matches!(q.name, "S2" | "S10" | "C2"))
-    {
-        let query = q.parse();
+    for name in ["S2", "S10", "C2", "B1", "C5", "C6", "C7", "B6"] {
+        let query = queries.iter().find(|q| q.name == name).unwrap().parse();
+        let (elastic_from, inline_from) = (lengths(&elastic_log), lengths(&inline_log));
+        let (rounds, waves) = (request_rounds(&elastic_log), elastic.erh().waves);
         let a = elastic.execute(&query).unwrap();
-        let b = pinned.execute(&query).unwrap();
-        assert_same_solutions(q.name, &a, &b);
+        assert_same_solutions(name, &a, &pinned.execute(&query).unwrap());
+        assert_same_solutions(name, &a, &inline.execute(&query).unwrap());
         assert_eq!(
-            elastic.federation().total_traffic().requests,
-            pinned.federation().total_traffic().requests,
-            "{}: request counts diverged",
-            q.name
+            sent_since(&elastic_log, &elastic_from),
+            sent_since(&inline_log, &inline_from),
+            "{name}: the requests of some endpoint differ"
         );
+        if name == "B1" {
+            // Its two branches' waves overlap: fewer rounds of requests
+            // than waves that carried them (one wave is the fan-out).
+            let rounds = request_rounds(&elastic_log) - rounds;
+            let waves = (elastic.erh().waves - waves) as usize - 1;
+            assert!(rounds < waves, "B1: {rounds} rounds for {waves} waves");
+        }
     }
-    let (e, p) = (elastic.erh(), pinned.erh());
-    assert!(e.ramped_waves > 0 && e.peak_width > 4, "{e:?}");
-    assert_eq!((p.ramped_waves, p.ceiling), (0, 4), "{p:?}");
-    assert!(p.peak_width <= 4, "{p:?}");
-    assert_eq!(e.waves, p.waves);
+    let (e, p, i) = (elastic.erh(), pinned.erh(), inline.erh());
+    assert_eq!((e.peak_width, e.ceiling), (13, 13), "{e:?}");
+    assert!(p.peak_width <= 4 && p.ceiling == 4, "{p:?}");
+    assert_eq!(i.peak_width, 1, "{i:?}");
+    assert_eq!((e.waves, p.waves), (i.waves, i.waves));
 }
 
 // ---- Bio2RDF ------------------------------------------------------------

@@ -5,7 +5,7 @@
 
 use integration::{assert_same_solutions, RecordingEndpoint};
 use lusail_baselines::{FedX, FedXConfig, FederatedEngine};
-use lusail_core::{EngineError, LusailConfig, LusailEngine};
+use lusail_core::{EngineError, LusailConfig, LusailEngine, ResultPolicy};
 use lusail_federation::{
     EndpointLimits, FaultProfile, FaultyEndpoint, Federation, HttpConfig, HttpEndpoint,
     NetworkProfile, ReplicaConfig, ReplicaGroup, SimulatedEndpoint, SparqlEndpoint,
@@ -309,4 +309,58 @@ fn lusail_answers_c9_under_real_server_limits() {
     let unlimited_result = unlimited.execute(&q).unwrap();
     assert_eq!(limited_result.len(), unlimited_result.len());
     assert!(!limited_result.is_empty());
+}
+
+#[test]
+fn a_union_branch_on_a_dying_endpoint_fails_the_query_or_degrades_only_itself() {
+    // Branch one is answered by "a" alone. Branch two's only source, "b",
+    // answers the analysis probe and is dead from then on: the query's
+    // outcome is branch two's failure, whichever branch's thread ran
+    // first, and under --partial branch one's rows with one warning.
+    let mut a = Graph::new();
+    let mut b = Graph::new();
+    for i in 0..40 {
+        let s = Term::iri(format!("http://x/s{i}"));
+        a.add(s.clone(), Term::iri("http://x/p"), Term::integer(i));
+        b.add(s, Term::iri("http://x/q"), Term::integer(-i));
+    }
+    let engine = |threads, result_policy| {
+        let simulated = |name: &str, g: &Graph| {
+            let network = NetworkProfile {
+                latency: std::time::Duration::from_millis(1),
+                bytes_per_sec: u64::MAX,
+            };
+            Arc::new(SimulatedEndpoint::new(name, Store::from_graph(g), network))
+        };
+        let dying = FaultyEndpoint::new(simulated("b", &b), 7, FaultProfile::dies_after(1));
+        let federation = Federation::new(vec![
+            simulated("a", &a) as Arc<dyn SparqlEndpoint>,
+            Arc::new(dying),
+        ]);
+        let config = LusailConfig {
+            threads,
+            result_policy,
+            ..Default::default()
+        };
+        LusailEngine::new(federation, config)
+    };
+    let q =
+        parse_query("SELECT ?s ?v WHERE { { ?s <http://x/p> ?v } UNION { ?s <http://x/q> ?v } }")
+            .unwrap();
+    for repeat in 0..20 {
+        for threads in [None, Some(1)] {
+            match engine(threads, ResultPolicy::FailFast).execute(&q) {
+                Err(EngineError::Endpoint(e)) => assert_eq!(e.endpoint, "b", "{e}"),
+                other => panic!("repeat {repeat}, threads {threads:?}: {other:?}"),
+            }
+            let (rel, profile) = engine(threads, ResultPolicy::Partial)
+                .execute_profiled(&q)
+                .unwrap();
+            assert_eq!(rel.len(), 40, "repeat {repeat}, threads {threads:?}");
+            let warned: Vec<&str> = (profile.warnings.iter())
+                .map(|w| w.endpoint.as_str())
+                .collect();
+            assert_eq!(warned, ["b"], "{:?}", profile.warnings);
+        }
+    }
 }

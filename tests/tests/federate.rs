@@ -641,7 +641,7 @@ fn stats_document_key_order_and_text_parity() {
     );
     assert_eq!(
         keys(&["service", "erh"]),
-        ["waves", "ramped_waves", "peak_width", "floor", "ceiling"]
+        ["waves", "peak_width", "floor", "ceiling"]
     );
     // What an operator could not see before: the capping endpoint's
     // recovery, and which mirror carried the group.

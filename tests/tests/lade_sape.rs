@@ -440,8 +440,9 @@ fn keeping_fewer_found_bindings_sends_the_same_requests() {
     assert_eq!(rel.len(), 30);
     assert_eq!(profile.delayed, 2);
 
-    // FNV-1a over the endpoint's requests, sorted: requests of one wave
-    // arrive in thread order.
+    // FNV-1a over the endpoint's requests as a multiset (sorted): requests
+    // of one wave arrive in thread order, and the two delayed subqueries,
+    // both bound on found variables, now leave in one.
     let fingerprint = |r: &RecordingEndpoint| {
         let mut sent = r.sent();
         sent.sort();

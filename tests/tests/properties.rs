@@ -182,6 +182,10 @@ fn case_rng(base: u64, case: usize) -> SplitMix64 {
 }
 
 fn paranoid_engine(graphs: &[(String, Graph)]) -> LusailEngine {
+    paranoid_engine_with(graphs, Some(2))
+}
+
+fn paranoid_engine_with(graphs: &[(String, Graph)], threads: Option<usize>) -> LusailEngine {
     // Arbitrary graphs may repeat instances across endpoints (§3.3 Case 2),
     // so the sound paranoid-locality mode is required for exact
     // merged-store equality; the default mode is exercised by the
@@ -190,7 +194,7 @@ fn paranoid_engine(graphs: &[(String, Graph)]) -> LusailEngine {
     LusailEngine::new(
         federation_from_graphs(graphs.to_vec(), NetworkProfile::instant()),
         LusailConfig {
-            threads: Some(2),
+            threads,
             paranoid_locality: true,
             ..Default::default()
         },
@@ -240,6 +244,41 @@ fn lusail_rich_queries_match_ground_truth() {
             &expected,
         );
     }
+}
+
+/// The `UNION` shapes among them, with the branches run side by side
+/// (`threads: None`) and inline in branch order (`Some(1)`).
+#[test]
+fn union_queries_match_ground_truth_side_by_side_and_inline() {
+    fn has_union(pattern: &GraphPattern) -> bool {
+        match pattern {
+            GraphPattern::Union(..) => true,
+            GraphPattern::Filter(inner, _) | GraphPattern::Bind(inner, ..) => has_union(inner),
+            _ => false,
+        }
+    }
+    let mut unions = 0;
+    for case in 0..48 {
+        let rng = &mut case_rng(0xFED1, case);
+        let graphs = vec![
+            ("ep0".to_string(), gen_graph_for(rng, 0, 25)),
+            ("ep1".to_string(), gen_graph_for(rng, 1, 25)),
+        ];
+        let query = gen_rich_query(rng);
+        if !has_union(query.pattern()) {
+            continue;
+        }
+        unions += 1;
+        let expected = ground_truth(&graphs, &query);
+        for threads in [None, Some(1)] {
+            let actual = paranoid_engine_with(&graphs, threads)
+                .execute(&query)
+                .unwrap();
+            let label = format!("UNION query (case {case}, threads {threads:?})");
+            assert_same_solutions(&label, &actual, &expected);
+        }
+    }
+    assert!(unions >= 16, "only {unions} of 48 cases drew a UNION");
 }
 
 /// Serializer/parser round trip on generated queries.
