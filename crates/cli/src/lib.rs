@@ -41,7 +41,6 @@ usage:
   lusail generate --benchmark lubm|qfed|largerdf|bio2rdf --out DIR
                   [--scale F] [--endpoints N] [--seed N]
   lusail info     --data FILE...
-  lusail search   --data FILE... --keywords 'WORD WORD...' [--top N]
   lusail snapshot --data FILE --out FILE.snap
 
 For query, each --data file becomes one in-process endpoint (.nt =
@@ -177,11 +176,6 @@ pub enum Command {
     },
     Info {
         data: Vec<PathBuf>,
-    },
-    Search {
-        data: Vec<PathBuf>,
-        keywords: Vec<String>,
-        top: usize,
     },
     Snapshot {
         data: PathBuf,
@@ -334,7 +328,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "generate" => &["--benchmark", "--out", "--scale", "--endpoints", "--seed"],
         "info" => &["--data"],
         "snapshot" => &["--data", "--out"],
-        "search" => &["--data", "--keywords", "--top"],
         _ => &[], // unknown subcommand: fall through to its own error below
     };
     if !known.is_empty() {
@@ -634,26 +627,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .map(PathBuf::from)
                 .ok_or_else(|| usage("snapshot needs --out FILE.snap"))?;
             Ok(Command::Snapshot { data, out })
-        }
-        "search" => {
-            let data: Vec<PathBuf> = get_all("--data").into_iter().map(PathBuf::from).collect();
-            if data.is_empty() {
-                return Err(usage("search needs at least one --data FILE"));
-            }
-            let keywords: Vec<String> = get("--keywords")
-                .ok_or_else(|| usage("search needs --keywords"))?
-                .split_whitespace()
-                .map(str::to_string)
-                .collect();
-            let top: usize = match get("--top") {
-                None => 10,
-                Some(v) => v.parse().map_err(|_| usage(&format!("bad --top {v:?}")))?,
-            };
-            Ok(Command::Search {
-                data,
-                keywords,
-                top,
-            })
         }
         other => Err(usage(&format!("unknown subcommand {other:?}"))),
     }
@@ -1155,52 +1128,6 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
             )?;
             Ok(())
         }
-        Command::Search {
-            data,
-            keywords,
-            top,
-        } => {
-            let federation = build_federation(
-                &data,
-                &[],
-                ProfileKind::Instant,
-                HttpConfig::default(),
-                None,
-            )?;
-            let handler = lusail_federation::RequestHandler::per_core();
-            let refs: Vec<&str> = keywords.iter().map(String::as_str).collect();
-            let cfg = lusail_core::keyword::KeywordConfig {
-                top_k: top,
-                ..Default::default()
-            };
-            let ctx = lusail_core::RunContext::unbounded();
-            let hits =
-                lusail_core::keyword::keyword_search(&federation, &handler, &refs, &cfg, &ctx)
-                    .map_err(CliError::Engine)?;
-            if hits.is_empty() {
-                writeln!(out, "no matches for {keywords:?}")?;
-                return Ok(());
-            }
-            for (rank, hit) in hits.iter().enumerate() {
-                writeln!(
-                    out,
-                    "{}. {}  (endpoint {}, {} keyword(s), {} matching triple(s))",
-                    rank + 1,
-                    hit.entity,
-                    federation.endpoint(hit.endpoint).name(),
-                    hit.keywords_matched,
-                    hit.match_count
-                )?;
-                for (p, o) in hit.description.iter().take(5) {
-                    let mut text = o.to_string();
-                    if text.chars().count() > 120 {
-                        text = format!("{}…\"", text.chars().take(119).collect::<String>());
-                    }
-                    writeln!(out, "     {p} {text}")?;
-                }
-            }
-            Ok(())
-        }
         Command::Info { data } => {
             for path in &data {
                 let store = load_store(path)?;
@@ -1374,6 +1301,16 @@ mod tests {
             ])),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn search_is_not_a_subcommand() {
+        let err = parse_args(&s(&["search", "--data", "a.nt", "--keywords", "x"])).unwrap_err();
+        match err {
+            CliError::Usage(msg) => assert!(msg.contains("unknown subcommand \"search\"")),
+            other => panic!("{other:?}"),
+        }
+        assert!(!USAGE.contains("search"));
     }
 
     #[test]

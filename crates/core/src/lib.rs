@@ -47,7 +47,6 @@ pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod error;
-pub mod keyword;
 pub mod lade;
 pub mod normalize;
 pub mod run;

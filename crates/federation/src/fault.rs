@@ -2,7 +2,7 @@
 //!
 //! [`FaultyEndpoint`] wraps any [`SparqlEndpoint`] and injects the failure
 //! modes real Linked Data endpoints exhibit — latency spikes, dropped
-//! connections, 5xx bursts, malformed result bodies, or a hard outage —
+//! connections, or a hard outage —
 //! driven by a seeded SplitMix64 stream so every run is reproducible from
 //! its seed. The wrapper owns the same retry budget and
 //! [`EndpointHealth`] breaker as the HTTP transport, so chaos tests
@@ -42,12 +42,6 @@ pub struct FaultProfile {
     pub panic_on_select: bool,
     /// Probability an attempt's connection drops mid-request.
     pub drop_rate: f64,
-    /// Probability an attempt returns an HTTP 5xx.
-    pub error_rate: f64,
-    /// Probability an attempt returns an unparseable result body
-    /// (a *rejection*: not retried, does not trip the breaker — matching
-    /// how the HTTP client treats malformed documents).
-    pub malformed_rate: f64,
     /// Probability an attempt first stalls for [`spike`](Self::spike).
     pub spike_rate: f64,
     /// Length of an injected latency spike.
@@ -87,8 +81,6 @@ impl FaultProfile {
             hang: false,
             panic_on_select: false,
             drop_rate: 0.0,
-            error_rate: 0.0,
-            malformed_rate: 0.0,
             spike_rate: 0.0,
             spike: Duration::ZERO,
             fail_after: None,
@@ -248,11 +240,6 @@ impl FaultyEndpoint {
         state.served = 0;
     }
 
-    /// The active fault profile.
-    pub fn faults(&self) -> FaultProfile {
-        self.lock_state().profile
-    }
-
     /// This wrapper's health registry snapshot (also available through
     /// [`SparqlEndpoint::health`]).
     pub fn health_snapshot(&self) -> HealthSnapshot {
@@ -351,12 +338,6 @@ impl FaultyEndpoint {
         if p.drop_rate > 0.0 && roll(&mut state.rng) < p.drop_rate {
             return InjectedFault::Drop;
         }
-        if p.error_rate > 0.0 && roll(&mut state.rng) < p.error_rate {
-            return InjectedFault::ServerError;
-        }
-        if p.malformed_rate > 0.0 && roll(&mut state.rng) < p.malformed_rate {
-            return InjectedFault::Malformed;
-        }
         if p.spike_rate > 0.0 && roll(&mut state.rng) < p.spike_rate {
             state.served += 1;
             return InjectedFault::Spike(p.spike);
@@ -371,8 +352,6 @@ enum InjectedFault {
     Spike(Duration),
     Drop,
     Hang,
-    ServerError,
-    Malformed,
 }
 
 /// A plain `SELECT` — not ASK, not an aggregate, not the analysis probe —
@@ -471,17 +450,6 @@ impl SparqlEndpoint for FaultyEndpoint {
                     return Err(EndpointError::expired(self.name(), &deadline));
                 }
                 InjectedFault::Drop => Some("connection dropped (injected fault)"),
-                InjectedFault::ServerError => Some("HTTP 503 (injected fault)"),
-                InjectedFault::Malformed => {
-                    // Malformed bodies are rejections, like the HTTP
-                    // client's "unparseable results": no retry, no breaker
-                    // strike — the transport itself worked.
-                    self.health.record_success(self.config.failure_latency);
-                    return Err(EndpointError::rejected(
-                        self.name(),
-                        "unparseable results (injected fault)",
-                    ));
-                }
             };
             if let Some(message) = failure {
                 deadline.pause(self.config.failure_latency);
@@ -636,28 +604,9 @@ mod tests {
     }
 
     #[test]
-    fn malformed_bodies_are_rejections_not_transport_failures() {
-        let ep = wrapped(
-            4,
-            FaultProfile {
-                malformed_rate: 1.0,
-                ..FaultProfile::none()
-            },
-            fast_config(),
-        );
-        let err = ep.select(&query()).unwrap_err();
-        assert_eq!(err.kind, FailureKind::Rejected);
-        assert!(err.message.contains("unparseable"), "{err}");
-        let h = ep.health_snapshot();
-        assert_eq!(h.failures, 0, "rejections must not trip the breaker");
-        assert_eq!(h.breaker, BreakerState::Closed);
-    }
-
-    #[test]
     fn same_seed_same_fault_sequence() {
         let profile = FaultProfile {
             drop_rate: 0.4,
-            error_rate: 0.2,
             ..FaultProfile::none()
         };
         let observe = |seed: u64| -> Vec<bool> {
@@ -826,24 +775,5 @@ mod tests {
         // The real subquery panics.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.select(&query())));
         assert!(caught.is_err(), "plain SELECT must panic");
-    }
-
-    #[test]
-    fn five_xx_bursts_are_retried() {
-        // error_rate 1.0 exhausts the budget with 503s.
-        let ep = wrapped(
-            6,
-            FaultProfile {
-                error_rate: 1.0,
-                ..FaultProfile::none()
-            },
-            fast_config(),
-        );
-        let err = ep.select(&query()).unwrap_err();
-        assert_eq!(err.kind, FailureKind::Transport);
-        assert!(err.message.contains("503"), "{err}");
-        let h = ep.health_snapshot();
-        assert_eq!(h.retries, 2);
-        assert_eq!(h.failures, 3);
     }
 }

@@ -1171,6 +1171,25 @@ mod tests {
     }
 
     #[test]
+    fn unparseable_results_are_rejected_not_retried() {
+        // Well-framed HTTP, but a binding value that is not a term object.
+        let body = r#"{"head":{"vars":["s"]},"results":{"bindings":[{"s":42}]}}"#;
+        let (url, server) = canned_server(vec![ok_response(body)]);
+        let ep = HttpEndpoint::new("garbage", &url)
+            .unwrap()
+            .with_config(test_config());
+        let q = lusail_sparql::parse_query("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
+        let err = ep.execute(&q).unwrap_err();
+        assert_eq!(err.kind, crate::FailureKind::Rejected, "{err}");
+        assert!(err.message.contains("unparseable"), "{err}");
+        assert_eq!(ep.traffic().requests, 1, "a bad body must not be retried");
+        let h = ep.health().unwrap();
+        assert_eq!(h.failures, 0, "the transport worked: no breaker strike");
+        assert_eq!(h.breaker, BreakerState::Closed);
+        server.join().unwrap();
+    }
+
+    #[test]
     fn malformed_http_is_a_transport_error() {
         let (url, server) = canned_server(vec![b"NOT HTTP AT ALL\r\n\r\n".to_vec(); 3]);
         let ep = HttpEndpoint::new("garbled", &url)

@@ -73,11 +73,6 @@ impl Dictionary {
         &self.terms[id as usize]
     }
 
-    /// Resolve an id if it is valid.
-    pub fn try_decode(&self, id: TermId) -> Option<&Term> {
-        self.terms.get(id as usize)
-    }
-
     /// Number of interned terms.
     pub fn len(&self) -> usize {
         self.terms.len()

@@ -55,11 +55,6 @@ impl Graph {
         self.triples.iter()
     }
 
-    /// Consume the graph, yielding its triples.
-    pub fn into_triples(self) -> Vec<Triple> {
-        self.triples
-    }
-
     /// Borrow the triples as a slice.
     pub fn triples(&self) -> &[Triple] {
         &self.triples

@@ -112,6 +112,28 @@ for bin in fig12_profiling fig8_qfed; do
 done
 rm -rf "$smoke"
 
+# What the paper's system does not need stays deleted (ROADMAP item 5):
+# keyword search and `lusail search` (the paper's future work), the two
+# FaultProfile knobs no suite set, and any example without a stanza or
+# stanza without a file.
+if [ -e crates/core/src/keyword.rs ] || grep -rnE 'keyword_search|KeywordConfig|Command::Search' crates; then
+    echo "keyword search is back; nothing in the paper's evaluation uses it" >&2
+    exit 1
+fi
+if grep -rnE 'error_rate|malformed_rate' crates; then
+    echo "a FaultProfile knob no suite sets is back" >&2
+    exit 1
+fi
+stanzas=$(awk '/^\[\[example\]\]/{ex=1} ex && /^path *=/{gsub(/^path *= *"(\.\.\/\.\.\/)?|"$/, ""); print; ex=0}' \
+    crates/bench/Cargo.toml | sort)
+files=$(find examples -name '*.rs' | sort)
+[ "$stanzas" = "$files" ] || {
+    echo "crates/bench/Cargo.toml [[example]] paths ($stanzas) differ from examples/ ($files)" >&2
+    exit 1
+}
+# Examples are built above but only run here, so their asserts gate too.
+cargo run --release --offline -q -p lusail-bench --example quickstart >/dev/null
+
 # The product API the benchmark compiles against (a package of its own,
 # outside the workspace) must still build: a break fails here, not in the
 # benchmark run.
