@@ -2,7 +2,7 @@
 //! the simulated implementation used throughout the benchmarks.
 
 use crate::cancel::CancelReason;
-use crate::erh::{Admission, BreakerConfig, Deadline, EndpointHealth, HealthSnapshot};
+use crate::erh::{Attempt, BreakerConfig, Deadline, EndpointHealth, HealthSnapshot};
 use crate::network::{NetworkProfile, RequestCounters, TrafficSnapshot};
 use lusail_sparql::ast::Query;
 use lusail_sparql::solution::Relation;
@@ -358,30 +358,9 @@ impl SimulatedEndpoint {
     pub fn set_profile(&mut self, profile: NetworkProfile) {
         self.profile = profile;
     }
-}
 
-impl SparqlEndpoint for SimulatedEndpoint {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn execute_within(
-        &self,
-        query: &Query,
-        deadline: Deadline,
-    ) -> Result<QueryResult, EndpointError> {
-        // The simulated transport itself never fails, but it consults the
-        // same registry as the HTTP transport so a fault-injection wrapper
-        // (or future failure mode) shares one breaker and --stats shows a
-        // uniform health row per endpoint.
-        if let Admission::Rejected { retry_in } = self.health.admit() {
-            return Err(EndpointError::circuit_open(&self.name, retry_in));
-        }
-        if deadline.expired() {
-            return Err(EndpointError::expired(&self.name, &deadline));
-        }
-        let started = std::time::Instant::now();
-
+    /// One attempt: the request over the simulated link to the store.
+    fn answer(&self, query: &Query, deadline: &Deadline) -> Result<QueryResult, EndpointError> {
         // 1. The request travels as text.
         let text = lusail_sparql::serializer::serialize_query(query);
         let request_bytes = text.len();
@@ -425,11 +404,30 @@ impl SparqlEndpoint for SimulatedEndpoint {
         deadline.pause(cost);
         if allowed < cost || deadline.cancel_reason().is_some() {
             self.counters.record(request_bytes, 0, allowed);
-            return Err(EndpointError::expired(&self.name, &deadline));
+            return Err(EndpointError::expired(&self.name, deadline));
         }
         self.counters.record(request_bytes, response_bytes, cost);
-        self.health.record_success(started.elapsed());
         Ok(result)
+    }
+}
+
+impl SparqlEndpoint for SimulatedEndpoint {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn execute_within(
+        &self,
+        query: &Query,
+        deadline: Deadline,
+    ) -> Result<QueryResult, EndpointError> {
+        // The simulated transport itself never fails, so it makes one
+        // attempt; it still runs the attempt loop every transport runs, so
+        // --stats shows a uniform health row per endpoint.
+        self.health
+            .run(&self.name, 0, Duration::ZERO, &deadline, || {
+                Attempt::Answered(self.answer(query, &deadline))
+            })
     }
 
     fn traffic(&self) -> TrafficSnapshot {

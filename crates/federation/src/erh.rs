@@ -17,6 +17,7 @@
 //! burning a full retry budget.
 
 use crate::cancel::{CancelReason, CancelToken};
+use crate::endpoint::{EndpointError, FailureKind};
 use crate::json::Json;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -648,9 +649,20 @@ impl HealthSnapshot {
     }
 }
 
+/// What one attempt of a request came to (see [`EndpointHealth::run`]).
+pub enum Attempt<T> {
+    /// The transport worked: a result, or the endpoint's verdict on this
+    /// request (a rejection, or an error a wrapped endpoint settled).
+    Answered(Result<T, EndpointError>),
+    /// A retryable transport failure, described for the error that ends
+    /// the request when no later attempt answers.
+    Failed(String),
+}
+
 /// Per-endpoint health registry: the [`CircuitBreaker`] plus failure/retry
-/// counters and a latency EWMA, shared by `HttpEndpoint`, the simulated
-/// transport, and the fault-injection wrapper.
+/// counters and a latency EWMA. Its one entry point, [`run`](Self::run),
+/// is the attempt loop behind every transport — `SimulatedEndpoint`,
+/// `HttpEndpoint` and the fault-injection wrapper.
 pub struct EndpointHealth {
     inner: Mutex<HealthInner>,
 }
@@ -691,9 +703,78 @@ impl EndpointHealth {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Run one request to `endpoint`: up to `retries` more attempts after
+    /// the first, each a call of `attempt`. The loop owns what every
+    /// transport shares:
+    ///
+    /// * an open breaker fails the request fast, before any attempt;
+    /// * a spent deadline or a tripped cancel token ends it before each
+    ///   attempt, and the backoff between attempts (`backoff`, doubling)
+    ///   sleeps no further than the deadline;
+    /// * the recording rule: an answer — `Ok` or `Rejected` — is a success;
+    ///   a `Transport` error a wrapped endpoint answered with is a failure,
+    ///   not retried; a failed attempt is a failure and a retry unless the
+    ///   deadline clipped it; `Deadline` and `Cancelled` record nothing;
+    /// * once a failure opens the breaker, no further attempt is made.
+    pub fn run<T>(
+        &self,
+        endpoint: &str,
+        retries: u32,
+        backoff: Duration,
+        deadline: &Deadline,
+        mut attempt: impl FnMut() -> Attempt<T>,
+    ) -> Result<T, EndpointError> {
+        if let Admission::Rejected { retry_in } = self.admit() {
+            return Err(EndpointError::circuit_open(endpoint, retry_in));
+        }
+        let mut made = 0u32;
+        let mut last_failure = String::new();
+        while made <= retries {
+            if made > 0 {
+                deadline.pause(backoff * (1 << (made - 1).min(16)));
+            }
+            if deadline.expired() {
+                return Err(EndpointError::expired(endpoint, deadline));
+            }
+            if made > 0 {
+                self.record_retry();
+            }
+            made += 1;
+            let started = Instant::now();
+            match attempt() {
+                Attempt::Answered(answer) => {
+                    match answer.as_ref().map_err(|e| e.kind) {
+                        Ok(_) | Err(FailureKind::Rejected) => {
+                            self.record_success(started.elapsed())
+                        }
+                        Err(FailureKind::Transport) => self.record_failure(),
+                        Err(_) => {}
+                    }
+                    return answer;
+                }
+                // Our own budget clipped the attempt (or its token tripped
+                // mid-read): that is not evidence against the endpoint.
+                Attempt::Failed(_) if deadline.expired() => {
+                    return Err(EndpointError::expired(endpoint, deadline));
+                }
+                Attempt::Failed(failure) => {
+                    self.record_failure();
+                    last_failure = failure;
+                    if self.state() == BreakerState::Open {
+                        break;
+                    }
+                }
+            }
+        }
+        Err(EndpointError::transport(
+            endpoint,
+            format!("giving up after {made} attempts: {last_failure}"),
+        ))
+    }
+
     /// Ask the breaker whether a request may proceed; admitted requests
     /// (including probes) are counted, rejections are tallied separately.
-    pub fn admit(&self) -> Admission {
+    fn admit(&self) -> Admission {
         let mut inner = self.lock();
         let admission = inner.breaker.admit(Instant::now());
         match admission {
@@ -704,7 +785,7 @@ impl EndpointHealth {
     }
 
     /// Record a successful request and fold its latency into the EWMA.
-    pub fn record_success(&self, latency: Duration) {
+    fn record_success(&self, latency: Duration) {
         let mut inner = self.lock();
         inner.breaker.on_success();
         let sample = latency.as_secs_f64() * 1e6;
@@ -718,19 +799,19 @@ impl EndpointHealth {
     }
 
     /// Record one transport-failure attempt.
-    pub fn record_failure(&self) {
+    pub(crate) fn record_failure(&self) {
         let mut inner = self.lock();
         inner.failures += 1;
         inner.breaker.on_failure(Instant::now());
     }
 
     /// Record one retry attempt (beyond a request's first try).
-    pub fn record_retry(&self) {
+    fn record_retry(&self) {
         self.lock().retries += 1;
     }
 
     /// The breaker's current state.
-    pub fn state(&self) -> BreakerState {
+    fn state(&self) -> BreakerState {
         self.lock().breaker.state()
     }
 
@@ -739,11 +820,6 @@ impl EndpointHealth {
     /// verification-paged by the engine), it just stops being preferred.
     pub fn set_quarantined(&self, on: bool) {
         self.lock().quarantined = on;
-    }
-
-    /// Whether the endpoint is currently quarantined.
-    pub fn quarantined(&self) -> bool {
-        self.lock().quarantined
     }
 
     /// A consistent snapshot of all health counters.

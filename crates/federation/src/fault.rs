@@ -4,9 +4,12 @@
 //! modes real Linked Data endpoints exhibit — latency spikes, dropped
 //! connections, or a hard outage —
 //! driven by a seeded SplitMix64 stream so every run is reproducible from
-//! its seed. The wrapper owns the same retry budget and
-//! [`EndpointHealth`] breaker as the HTTP transport, so chaos tests
-//! exercise exactly the failure semantics production requests see.
+//! its seed. Each injected fault is one attempt of the same attempt loop
+//! every transport runs ([`EndpointHealth::run`]): a drop is a failed
+//! attempt, retried and counted against the breaker, and whatever the
+//! wrapped endpoint answers is the answer. Chaos tests therefore exercise
+//! the retry, breaker and recording rules production requests see, not a
+//! copy of them.
 //!
 //! The fault profile is switchable at runtime (`set_faults`), which is how
 //! the chaos suite demonstrates breaker *recovery*: inject a hard outage,
@@ -14,15 +17,13 @@
 //! probe closes it again.
 
 use crate::endpoint::{EndpointError, SparqlEndpoint};
-use crate::erh::{
-    Admission, BreakerConfig, BreakerState, Deadline, EndpointHealth, HealthSnapshot,
-};
+use crate::erh::{Attempt, BreakerConfig, Deadline, EndpointHealth, HealthSnapshot};
 use crate::network::TrafficSnapshot;
 use lusail_sparql::ast::{GraphPattern, Projection, Query, QueryForm};
 use lusail_store::eval::QueryResult;
 use lusail_store::StoreStats;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which faults to inject, with what probability. Rates are independent
 /// per attempt and checked in field order; the first one that fires wins.
@@ -185,7 +186,7 @@ fn splitmix_next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn roll(state: &mut u64) -> f64 {
+pub(crate) fn roll(state: &mut u64) -> f64 {
     (splitmix_next(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -345,6 +346,41 @@ impl FaultyEndpoint {
         state.served += 1;
         InjectedFault::None
     }
+
+    /// One attempt: the next fault from the seeded stream, then — unless
+    /// it dropped the attempt or outlived the budget — the wrapped
+    /// endpoint's own answer.
+    fn attempt(&self, query: &Query, deadline: &Deadline) -> Attempt<QueryResult> {
+        match self.next_fault() {
+            InjectedFault::None => {}
+            InjectedFault::Spike(spike) => deadline.pause(spike),
+            // Accepted, never answered. A wedged upstream does not honor
+            // our time budget, so with a cancel token attached only the
+            // token frees the slot — the query wedges right past its
+            // deadline, which is precisely the failure the service watchdog
+            // exists to reap. Without a token, the hard deadline is the
+            // sole escape (an unbounded deadline really does hang — that is
+            // the fault being modeled).
+            InjectedFault::Hang => match deadline.token() {
+                Some(token) => while token.wait_timeout(Duration::from_millis(20)).is_none() {},
+                None => {
+                    while !deadline.expired() {
+                        deadline.pause(Duration::from_millis(20));
+                    }
+                }
+            },
+            InjectedFault::Drop => {
+                deadline.pause(self.config.failure_latency);
+                return Attempt::Failed("connection dropped (injected fault)".to_string());
+            }
+        }
+        if deadline.expired() {
+            return Attempt::Answered(Err(EndpointError::expired(self.name(), deadline)));
+        }
+        // The wrapped endpoint's own answer, failures included, passes
+        // through with its kind intact: the wrapper *is* the transport.
+        Attempt::Answered(self.inner.execute_within(query, deadline.clone()))
+    }
 }
 
 enum InjectedFault {
@@ -399,94 +435,15 @@ impl SparqlEndpoint for FaultyEndpoint {
         query: &Query,
         deadline: Deadline,
     ) -> Result<QueryResult, EndpointError> {
-        if let Admission::Rejected { retry_in } = self.health.admit() {
-            return Err(EndpointError::circuit_open(self.name(), retry_in));
+        let (retries, backoff) = (self.config.retries, self.config.backoff);
+        let attempt = || self.attempt(query, &deadline);
+        let result = self
+            .health
+            .run(self.name(), retries, backoff, &deadline, attempt)?;
+        if self.lock_state().profile.panic_on_select && is_plain_select(query) {
+            panic!("injected fault: endpoint panicked evaluating a SELECT");
         }
-        let attempts = self.config.retries + 1;
-        let mut made = 0u32;
-        let mut last_failure = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let pause = self.config.backoff * (1 << (attempt - 1).min(16));
-                deadline.pause(pause);
-                if deadline.expired() {
-                    return Err(EndpointError::expired(self.name(), &deadline));
-                }
-                self.health.record_retry();
-            }
-            if deadline.expired() {
-                return Err(EndpointError::expired(self.name(), &deadline));
-            }
-            made = attempt + 1;
-            let fault = self.next_fault();
-            let failure = match fault {
-                InjectedFault::None => None,
-                InjectedFault::Spike(spike) => {
-                    deadline.pause(spike);
-                    if deadline.expired() {
-                        return Err(EndpointError::expired(self.name(), &deadline));
-                    }
-                    None
-                }
-                InjectedFault::Hang => {
-                    // Accepted, never answered. A wedged upstream does not
-                    // honor our time budget, so with a cancel token
-                    // attached only the token frees the slot — the query
-                    // wedges right past its deadline, which is precisely
-                    // the failure the service watchdog exists to reap.
-                    // Without a token, the hard deadline is the sole
-                    // escape (an unbounded deadline really does hang —
-                    // that is the fault being modeled).
-                    match deadline.token() {
-                        Some(token) => {
-                            while token.wait_timeout(Duration::from_millis(20)).is_none() {}
-                        }
-                        None => {
-                            while !deadline.expired() {
-                                deadline.pause(Duration::from_millis(20));
-                            }
-                        }
-                    }
-                    return Err(EndpointError::expired(self.name(), &deadline));
-                }
-                InjectedFault::Drop => Some("connection dropped (injected fault)"),
-            };
-            if let Some(message) = failure {
-                deadline.pause(self.config.failure_latency);
-                if deadline.expired() {
-                    return Err(EndpointError::expired(self.name(), &deadline));
-                }
-                self.health.record_failure();
-                last_failure = message.to_string();
-                if self.health.state() == BreakerState::Open {
-                    break;
-                }
-                continue;
-            }
-            let started = Instant::now();
-            return match self.inner.execute_within(query, deadline.clone()) {
-                Ok(result) => {
-                    self.health.record_success(started.elapsed());
-                    if self.lock_state().profile.panic_on_select && is_plain_select(query) {
-                        panic!("injected fault: endpoint panicked evaluating a SELECT");
-                    }
-                    Ok(self.maybe_lie(query, self.maybe_bomb(query, result)))
-                }
-                // The wrapped endpoint's own failures pass through with
-                // their kind intact; transport ones count against the
-                // shared breaker here (the wrapper *is* the transport).
-                Err(e) => {
-                    if e.kind == crate::FailureKind::Transport {
-                        self.health.record_failure();
-                    }
-                    Err(e)
-                }
-            };
-        }
-        Err(EndpointError::transport(
-            self.name(),
-            format!("giving up after {made} attempts: {last_failure}"),
-        ))
+        Ok(self.maybe_lie(query, self.maybe_bomb(query, result)))
     }
 
     fn traffic(&self) -> TrafficSnapshot {
@@ -518,10 +475,12 @@ impl SparqlEndpoint for FaultyEndpoint {
 mod tests {
     use super::*;
     use crate::endpoint::{FailureKind, SimulatedEndpoint};
+    use crate::erh::BreakerState;
     use crate::network::NetworkProfile;
     use lusail_rdf::{Graph, Term};
     use lusail_sparql::parse_query;
     use lusail_store::Store;
+    use std::time::Instant;
 
     fn wrapped(seed: u64, profile: FaultProfile, config: FaultyConfig) -> FaultyEndpoint {
         let mut g = Graph::new();
@@ -600,6 +559,34 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         // Cooldown elapsed: the probe goes through and closes the breaker.
         assert_eq!(ep.select(&query()).unwrap().len(), 1);
+        assert_eq!(ep.health_snapshot().breaker, BreakerState::Closed);
+    }
+
+    #[test]
+    fn a_rejection_is_an_answer_that_closes_the_breaker() {
+        // The half-open probe reaches a working endpoint that refuses the
+        // request, as a 413 does on HTTP: the transport worked.
+        let limited = SimulatedEndpoint::new(
+            "limited",
+            Store::from_graph(&Graph::new()),
+            NetworkProfile::instant(),
+        )
+        .with_limits(crate::endpoint::EndpointLimits {
+            max_request_bytes: Some(16),
+            max_result_rows: None,
+        });
+        let ep = FaultyEndpoint::with_config(
+            Arc::new(limited),
+            14,
+            FaultProfile::hard_down(),
+            fast_config(),
+        );
+        assert!(ep.select(&query()).is_err());
+        assert_eq!(ep.health_snapshot().breaker, BreakerState::Open);
+        ep.set_faults(FaultProfile::none());
+        std::thread::sleep(Duration::from_millis(40));
+        let err = ep.select(&query()).unwrap_err();
+        assert_eq!(err.kind, FailureKind::Rejected, "{err}");
         assert_eq!(ep.health_snapshot().breaker, BreakerState::Closed);
     }
 

@@ -10,11 +10,18 @@
 //! bounds connect, send, and every read; and retry with doubling backoff
 //! on connect/transport errors and 5xx responses (4xx and malformed
 //! result documents fail immediately — retrying a rejected query cannot
-//! help). Connections are kept alive and reused across requests; a stale
-//! pooled connection simply burns one retry. The CLI surfaces the retry
-//! budget as `lusail query --retries N --backoff MS`. Retries here are
-//! *per member*; failing over to a different mirror of the same dataset
-//! is the layer above — see [`crate::replica::ReplicaGroup`].
+//! help). The retries run in the attempt loop every transport shares
+//! ([`EndpointHealth::run`]); this module supplies one attempt. Connections
+//! are kept alive and reused across requests, unless the server closes
+//! them (`Connection: close`, or an HTTP/1.0 response without
+//! `keep-alive`); a stale pooled connection simply burns one retry. The
+//! CLI surfaces the retry budget as `lusail query --retries N --backoff
+//! MS`. Retries here are *per member*; failing over to a different mirror
+//! of the same dataset is the layer above — see
+//! [`crate::replica::ReplicaGroup`].
+//!
+//! [`HttpReader`] is the one HTTP/1.x message reader: deadline- and
+//! cancel-aware, it reads responses here and requests in `lusail-server`.
 //!
 //! Traffic accounting mirrors [`SimulatedEndpoint`](crate::SimulatedEndpoint):
 //! requests, bytes on the wire in both directions, and the measured
@@ -23,9 +30,7 @@
 
 use crate::cancel::CancelToken;
 use crate::endpoint::{EndpointError, SparqlEndpoint};
-use crate::erh::{
-    Admission, BreakerConfig, BreakerState, Deadline, EndpointHealth, HealthSnapshot,
-};
+use crate::erh::{Attempt, BreakerConfig, Deadline, EndpointHealth, HealthSnapshot};
 use crate::network::{CodecCounters, CodecSnapshot, RequestCounters, TrafficSnapshot};
 use crate::results_bin;
 use crate::results_json;
@@ -194,12 +199,12 @@ impl HttpEndpoint {
         &self.url
     }
 
-    /// One attempt: send the request, read one response before `deadline`,
-    /// streaming a 200 body through the capped results parser as it
-    /// arrives. Transport failures come back as `Err(io)`; any complete
-    /// HTTP response — even a 500 — is `Ok`. The second tuple element is
-    /// the wire bytes read.
-    fn attempt(
+    /// One exchange: send the request, read one response before
+    /// `deadline`, streaming a 200 body through the capped results parser
+    /// as it arrives. Transport failures come back as `Err(io)`; any
+    /// complete HTTP response — even a 500 — is `Ok`. The second tuple
+    /// element is the wire bytes read.
+    fn exchange(
         &self,
         request: &[u8],
         deadline: Instant,
@@ -290,128 +295,75 @@ impl HttpEndpoint {
         }
     }
 
-    /// The full request loop, returning the result together with whether
-    /// the server advertised truncation (`X-Lusail-Truncated`) on the
-    /// winning response. `execute_within` discards the flag;
-    /// `select_with_meta` surfaces it to the integrity layer.
+    /// One request through the shared attempt loop, returning the result
+    /// together with whether the server advertised truncation
+    /// (`X-Lusail-Truncated`) on the winning response. `execute_within`
+    /// discards the flag; `select_with_meta` surfaces it to the integrity
+    /// layer.
     fn execute_meta(
         &self,
         query: &Query,
         deadline: Deadline,
     ) -> Result<(QueryResult, bool), EndpointError> {
-        // Consult the breaker first: an open circuit fails fast without
-        // touching the network or burning any of the retry budget.
-        if let Admission::Rejected { retry_in } = self.health.admit() {
-            return Err(EndpointError::circuit_open(&self.name, retry_in));
-        }
-        let text = lusail_sparql::serializer::serialize_query(query);
-        let request = self.build_request(&text);
-        let attempts = self.config.retries + 1;
-        let mut made = 0u32;
-        let mut last_failure = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                let pause = self.config.backoff * (1 << (attempt - 1).min(16));
-                // Backoff sleeps never overrun the query budget, and a
-                // cancel token trips them awake immediately.
-                deadline.pause(pause);
-                if deadline.expired() {
-                    return Err(EndpointError::expired(&self.name, &deadline));
-                }
-                self.health.record_retry();
+        let request = self.build_request(&lusail_sparql::serializer::serialize_query(query));
+        let (retries, backoff) = (self.config.retries, self.config.backoff);
+        let attempt = || self.attempt(&request, &deadline);
+        self.health
+            .run(&self.name, retries, backoff, &deadline, attempt)
+    }
+
+    /// One attempt: an exchange, and what its response comes to. A 5xx or
+    /// a broken exchange is a failure worth retrying; a 4xx, a malformed
+    /// results document or a result bomb is a rejection of this request.
+    fn attempt(&self, request: &[u8], deadline: &Deadline) -> Attempt<(QueryResult, bool)> {
+        // Each attempt gets the smaller of the per-attempt timeout and
+        // whatever is left of the query budget.
+        let started = Instant::now();
+        let until = started + deadline.clamp(self.config.request_timeout);
+        let (outcome, wire_bytes) = match self.exchange(request, until, deadline.token()) {
+            Ok(exchanged) => exchanged,
+            Err(e) => {
+                self.counters.record(request.len(), 0, started.elapsed());
+                return Attempt::Failed(format!("transport error talking to {}: {e}", self.url));
             }
-            // Each attempt gets the smaller of the per-attempt timeout and
-            // whatever is left of the query budget.
-            let budget = deadline.clamp(self.config.request_timeout);
-            if budget.is_zero() {
-                return Err(EndpointError::expired(&self.name, &deadline));
-            }
-            made = attempt + 1;
-            let started = Instant::now();
-            match self.attempt(&request, started + budget, deadline.token()) {
-                Ok((outcome, wire_bytes)) => {
-                    self.counters
-                        .record(request.len(), wire_bytes, started.elapsed());
-                    match outcome {
-                        AttemptOutcome::Results(streamed, codec, server_truncated) => {
-                            self.health.record_success(started.elapsed());
-                            match codec {
-                                ResponseCodec::Binary { dict_terms } => {
-                                    self.codec.record_binary(wire_bytes, dict_terms)
-                                }
-                                ResponseCodec::Json => {
-                                    self.codec.record_json(wire_bytes, self.config.offer_binary)
-                                }
-                            }
-                            if streamed.truncated {
-                                // The cap fired mid-parse: a result bomb.
-                                // Rejected, not retried — asking again
-                                // yields the same bomb.
-                                let cap = self.config.max_result_rows.unwrap_or(0);
-                                return Err(EndpointError::rejected(
-                                    &self.name,
-                                    format!(
-                                        "response from {} exceeded --max-result-rows ({cap}): \
-                                         truncated while parsing, rest of body unread",
-                                        self.url
-                                    ),
-                                ));
-                            }
-                            return Ok((streamed.result, server_truncated));
-                        }
-                        AttemptOutcome::Malformed(message) => {
-                            // A complete 200 whose body is not a results
-                            // document: the transport worked, the content
-                            // is bad — don't retry.
-                            self.health.record_success(started.elapsed());
-                            return Err(EndpointError::rejected(
-                                &self.name,
-                                format!("unparseable results from {}: {message}", self.url),
-                            ));
-                        }
-                        AttemptOutcome::Status {
-                            status: status @ 500..=599,
-                            body_head,
-                        } => {
-                            self.health.record_failure();
-                            last_failure = format!("HTTP {status} from {}: {body_head}", self.url);
-                        }
-                        AttemptOutcome::Status { status, body_head } => {
-                            // 4xx (and anything else unexpected) is the
-                            // server rejecting *this query* — don't retry.
-                            // The transport itself worked, so the breaker
-                            // sees a success.
-                            self.health.record_success(started.elapsed());
-                            return Err(EndpointError::rejected(
-                                &self.name,
-                                format!("HTTP {status} from {}: {body_head}", self.url),
-                            ));
-                        }
+        };
+        self.counters
+            .record(request.len(), wire_bytes, started.elapsed());
+        let rejected =
+            |message| Attempt::Answered(Err(EndpointError::rejected(&self.name, message)));
+        match outcome {
+            AttemptOutcome::Results(streamed, codec, server_truncated) => {
+                match codec {
+                    ResponseCodec::Binary { dict_terms } => {
+                        self.codec.record_binary(wire_bytes, dict_terms)
+                    }
+                    ResponseCodec::Json => {
+                        self.codec.record_json(wire_bytes, self.config.offer_binary)
                     }
                 }
-                Err(e) => {
-                    self.counters.record(request.len(), 0, started.elapsed());
-                    if deadline.expired() {
-                        // Our own budget clipped this attempt (or its
-                        // cancel token tripped mid-read); that is not
-                        // evidence against the endpoint.
-                        return Err(EndpointError::expired(&self.name, &deadline));
-                    }
-                    self.health.record_failure();
-                    last_failure = format!("transport error talking to {}: {e}", self.url);
+                if streamed.truncated {
+                    // The cap fired mid-parse: a result bomb. Asking again
+                    // yields the same bomb.
+                    let cap = self.config.max_result_rows.unwrap_or(0);
+                    return rejected(format!(
+                        "response from {} exceeded --max-result-rows ({cap}): \
+                         truncated while parsing, rest of body unread",
+                        self.url
+                    ));
                 }
+                Attempt::Answered(Ok((streamed.result, server_truncated)))
             }
-            if self.health.state() == BreakerState::Open {
-                // The breaker opened mid-request (possibly fed by parallel
-                // requests): stop retrying a circuit everyone else is
-                // already failing fast on.
-                break;
+            AttemptOutcome::Malformed(message) => {
+                rejected(format!("unparseable results from {}: {message}", self.url))
+            }
+            AttemptOutcome::Status {
+                status: status @ 500..=599,
+                body_head,
+            } => Attempt::Failed(format!("HTTP {status} from {}: {body_head}", self.url)),
+            AttemptOutcome::Status { status, body_head } => {
+                rejected(format!("HTTP {status} from {}: {body_head}", self.url))
             }
         }
-        Err(EndpointError::transport(
-            &self.name,
-            format!("giving up after {made} attempts: {last_failure}"),
-        ))
     }
 }
 
@@ -515,28 +467,32 @@ fn send_and_read(
     stream.set_write_timeout(Some(remaining))?;
     (&mut &*stream).write_all(request)?;
     (&mut &*stream).flush()?;
-    let mut reader = DeadlineReader {
-        stream,
-        buf: Vec::new(),
-        pos: 0,
-        deadline,
-        token,
-        total: 0,
-    };
+    let mut reader = HttpReader::new(stream, deadline, token, 1 << 20);
 
-    let head = read_head(&mut reader)?;
-    let framing = if head.chunked {
+    let head = reader.read_head()?;
+    let status = parse_status_line(&head.start)
+        .ok_or_else(|| bad_data(format!("malformed status line {:?}", head.start)))?;
+    let encoding = head.get("transfer-encoding");
+    let framing = if encoding.is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
         Framing::Chunked {
             remaining: 0,
             done: false,
         }
-    } else if let Some(n) = head.content_length {
-        Framing::Sized { remaining: n }
+    } else if let Some(v) = head.get("content-length") {
+        let bad_length = || bad_data(format!("bad Content-Length {v:?}"));
+        Framing::Sized {
+            remaining: v.parse().map_err(|_| bad_length())?,
+        }
     } else {
         // No framing: the body runs to connection close.
         Framing::Close
     };
-    let keep_alive = head.keep_alive && !matches!(framing, Framing::Close);
+    let keep_alive = head.keep_alive() && !matches!(framing, Framing::Close);
+    // The server declared the result truncated: ground truth for the
+    // integrity layer, distinct from our own parse cap.
+    let server_truncated = head
+        .get("x-lusail-truncated")
+        .is_some_and(|v| !v.eq_ignore_ascii_case("false"));
     let mut body = BodyReader {
         reader: &mut reader,
         framing,
@@ -547,10 +503,9 @@ fn send_and_read(
     // (including no Content-Type at all) — that IS the foreign-endpoint
     // fallback.
     let binary = head
-        .content_type
-        .as_deref()
-        .is_some_and(|ct| ct.starts_with(results_bin::MEDIA_TYPE));
-    let (outcome, drained) = if head.status == 200 && binary {
+        .get("content-type")
+        .is_some_and(|ct| ct.to_ascii_lowercase().starts_with(results_bin::MEDIA_TYPE));
+    let (outcome, drained) = if status == 200 && binary {
         match results_bin::parse_stream(&mut body, max_result_rows) {
             Ok(streamed) => {
                 let drained = !streamed.truncated && body.discard(ERROR_BODY_CAP).unwrap_or(false);
@@ -565,7 +520,7 @@ fn send_and_read(
                             truncated: streamed.truncated,
                         },
                         codec,
-                        head.truncated,
+                        server_truncated,
                     ),
                     drained,
                 )
@@ -573,7 +528,7 @@ fn send_and_read(
             Err(results_bin::BinStreamError::Io(e)) => return Err(e),
             Err(results_bin::BinStreamError::Malformed(m)) => (AttemptOutcome::Malformed(m), false),
         }
-    } else if head.status == 200 {
+    } else if status == 200 {
         match results_json::parse_stream(&mut body, max_result_rows) {
             Ok(streamed) => {
                 // Reuse the connection only when the body actually ends
@@ -581,7 +536,7 @@ fn send_and_read(
                 // error just forfeits pooling; the response already won.
                 let drained = !streamed.truncated && body.discard(ERROR_BODY_CAP).unwrap_or(false);
                 (
-                    AttemptOutcome::Results(streamed, ResponseCodec::Json, head.truncated),
+                    AttemptOutcome::Results(streamed, ResponseCodec::Json, server_truncated),
                     drained,
                 )
             }
@@ -594,7 +549,7 @@ fn send_and_read(
         let (bytes, complete) = body.read_capped(ERROR_BODY_CAP)?;
         (
             AttemptOutcome::Status {
-                status: head.status,
+                status,
                 body_head: body_head(&bytes),
             },
             complete,
@@ -616,63 +571,30 @@ fn body_head(bytes: &[u8]) -> String {
     }
 }
 
-/// Status line plus the framing-relevant headers of one response.
-struct ResponseHead {
-    status: u16,
-    content_length: Option<usize>,
-    content_type: Option<String>,
-    chunked: bool,
-    keep_alive: bool,
-    /// The server declared the result truncated (`X-Lusail-Truncated`).
-    truncated: bool,
+/// The head of one HTTP/1.x message: its start line and header fields.
+pub struct Head {
+    /// The request line or status line, as sent.
+    pub start: String,
+    /// Header fields in order, names lowercased and values trimmed.
+    headers: Vec<(String, String)>,
 }
 
-fn read_head(reader: &mut DeadlineReader<'_>) -> io::Result<ResponseHead> {
-    let status_line = reader.read_line()?;
-    let status = parse_status_line(&status_line)
-        .ok_or_else(|| bad_data(format!("malformed status line {status_line:?}")))?;
+impl Head {
+    /// The value of the last `name` field (`name` lowercased).
+    pub fn get(&self, name: &str) -> Option<&str> {
+        let mut fields = self.headers.iter().rev();
+        fields.find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+    }
 
-    let mut head = ResponseHead {
-        status,
-        content_length: None,
-        content_type: None,
-        chunked: false,
-        keep_alive: true, // HTTP/1.1 default
-        truncated: false,
-    };
-    loop {
-        let line = reader.read_line()?;
-        if line.is_empty() {
-            return Ok(head);
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(bad_data(format!("malformed header line {line:?}")));
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                head.content_length = Some(
-                    value
-                        .parse()
-                        .map_err(|_| bad_data(format!("bad Content-Length {value:?}")))?,
-                );
-            }
-            "content-type" => {
-                head.content_type = Some(value.to_ascii_lowercase());
-            }
-            "transfer-encoding" => {
-                head.chunked = value.eq_ignore_ascii_case("chunked");
-            }
-            "connection" => {
-                if value.eq_ignore_ascii_case("close") {
-                    head.keep_alive = false;
-                }
-            }
-            "x-lusail-truncated" => {
-                head.truncated = !value.eq_ignore_ascii_case("false");
-            }
-            _ => {}
+    /// Whether the connection stays open after this message, on either
+    /// end: `Connection: close` or `keep-alive` decide, and without either
+    /// HTTP/1.1 keeps it open and HTTP/1.0 closes it. The version is a
+    /// status line's first word and a request line's last.
+    pub fn keep_alive(&self) -> bool {
+        match self.get("connection") {
+            Some(v) if v.eq_ignore_ascii_case("close") => false,
+            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
+            _ => !(self.start.starts_with("HTTP/1.0 ") || self.start.ends_with(" HTTP/1.0")),
         }
     }
 }
@@ -701,7 +623,7 @@ enum Framing {
 /// results parser consumes it incrementally — a result bomb is truncated
 /// at the parser without the body ever existing in memory at once.
 struct BodyReader<'a, 'b> {
-    reader: &'b mut DeadlineReader<'a>,
+    reader: &'b mut HttpReader<'a>,
     framing: Framing,
 }
 
@@ -716,7 +638,7 @@ impl io::Read for BodyReader<'_, '_> {
                     return Ok(0);
                 }
                 let want = out.len().min(*remaining);
-                let n = self.reader.read_buf(&mut out[..want])?;
+                let n = self.reader.read(&mut out[..want])?;
                 if n == 0 {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -744,7 +666,7 @@ impl io::Read for BodyReader<'_, '_> {
                     *remaining = size;
                 }
                 let want = out.len().min(*remaining);
-                let n = self.reader.read_buf(&mut out[..want])?;
+                let n = self.reader.read(&mut out[..want])?;
                 if n == 0 {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -760,7 +682,7 @@ impl io::Read for BodyReader<'_, '_> {
                 }
                 Ok(n)
             }
-            Framing::Close => self.reader.read_buf(out),
+            Framing::Close => self.reader.read(out),
         }
     }
 }
@@ -806,36 +728,72 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// A tiny buffered reader that re-arms the socket read timeout with the
-/// remaining deadline before every receive, and counts bytes read. With a
-/// cancel token, receives wait in short slices so a trip mid-transfer
-/// aborts the read promptly instead of after the full response window.
-struct DeadlineReader<'a> {
+/// The buffered HTTP/1.x reader behind both ends of the wire:
+/// [`HttpEndpoint`] reads responses with it and `lusail-server` reads
+/// requests. Every receive re-arms the socket's read timeout with what is
+/// left before [`deadline`](Self::deadline); with a cancel token the wait
+/// is cut into 100 ms slices, so a trip aborts a read promptly instead of
+/// after the full window. Bytes received past one message stay buffered
+/// for the next (a client may pipeline its requests).
+pub struct HttpReader<'a> {
     stream: &'a TcpStream,
     buf: Vec<u8>,
     pos: usize,
-    deadline: Instant,
+    /// When the current read must be done by (a server re-arms it per
+    /// request).
+    pub deadline: Instant,
     token: Option<&'a CancelToken>,
+    /// The longest line, and the largest head, accepted.
+    line_cap: usize,
+    /// Bytes received so far.
     total: usize,
 }
 
-impl DeadlineReader<'_> {
-    /// Pull more bytes off the socket. Returns 0 at orderly EOF.
-    fn fill(&mut self) -> io::Result<usize> {
+impl<'a> HttpReader<'a> {
+    /// A reader of `stream` that must be done by `deadline`, gives up when
+    /// `token` trips, and refuses a line or head longer than `line_cap`.
+    pub fn new(
+        stream: &'a TcpStream,
+        deadline: Instant,
+        token: Option<&'a CancelToken>,
+        line_cap: usize,
+    ) -> Self {
+        HttpReader {
+            stream,
+            buf: Vec::new(),
+            pos: 0,
+            deadline,
+            token,
+            line_cap,
+            total: 0,
+        }
+    }
+
+    /// Whether received bytes are waiting to be read.
+    pub fn buffered(&self) -> bool {
+        self.pos < self.buf.len()
+    }
+
+    /// Pull more bytes off the socket; 0 at orderly EOF. Fails with
+    /// `TimedOut` once the deadline passes and `ConnectionAborted` once the
+    /// token trips (never `Interrupted`, which readers retry).
+    pub fn fill(&mut self) -> io::Result<usize> {
+        // Consumed bytes go first, so neither a keep-alive session nor a
+        // streamed body accumulates.
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         let mut chunk = [0u8; 8192];
         loop {
             if let Some(reason) = self.token.and_then(|t| t.reason()) {
                 return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
+                    io::ErrorKind::ConnectionAborted,
                     format!("read abandoned: query cancelled ({reason})"),
                 ));
             }
             let remaining = self
                 .deadline
                 .checked_duration_since(Instant::now())
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::TimedOut, "response deadline exceeded")
-                })?;
+                .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "read deadline exceeded"))?;
             let window = if self.token.is_some() {
                 remaining.min(Duration::from_millis(100))
             } else {
@@ -849,17 +807,13 @@ impl DeadlineReader<'_> {
                     self.total += n;
                     return Ok(n);
                 }
-                // A sliced wait lapsing is not an error: loop to check the
-                // token and the real deadline, then wait again.
+                // A lapsed wait is not an error: loop to check the token
+                // and the deadline, then wait again.
                 Err(e)
-                    if self.token.is_some()
-                        && matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                {
-                    continue;
-                }
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -878,8 +832,8 @@ impl DeadlineReader<'_> {
                 self.pos = end + 1;
                 return Ok(text);
             }
-            if self.buf.len() > 1 << 20 {
-                return Err(bad_data("header line longer than 1 MiB"));
+            if self.buf.len() - self.pos > self.line_cap {
+                return Err(too_large(self.line_cap));
             }
             if self.fill()? == 0 {
                 return Err(io::Error::new(
@@ -890,22 +844,47 @@ impl DeadlineReader<'_> {
         }
     }
 
-    /// Copy buffered (or freshly received) bytes into `out`, compacting
-    /// the internal buffer whenever it is fully consumed so a streamed
-    /// body never accumulates. Returns 0 at orderly EOF.
-    fn read_buf(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-            if self.fill()? == 0 {
-                return Ok(0);
+    /// Read one message head: the start line, then header fields up to the
+    /// blank line. A field without a colon is `InvalidData`; a line or a
+    /// head past the line cap is `FileTooLarge`.
+    pub fn read_head(&mut self) -> io::Result<Head> {
+        let start = self.read_line()?;
+        let mut left = self.line_cap.saturating_sub(start.len());
+        let mut headers = Vec::new();
+        loop {
+            let line = self.read_line()?;
+            if line.is_empty() {
+                return Ok(Head { start, headers });
             }
+            left = left
+                .checked_sub(line.len())
+                .ok_or_else(|| too_large(self.line_cap))?;
+            let Some((name, value)) = line.split_once(':') else {
+                return Err(bad_data(format!("malformed header {line:?}")));
+            };
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        }
+    }
+}
+
+/// Buffered bytes first, then fresh ones off the socket; 0 at orderly EOF.
+impl io::Read for HttpReader<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if !self.buffered() && self.fill()? == 0 {
+            return Ok(0);
         }
         let n = out.len().min(self.buf.len() - self.pos);
         out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
         self.pos += n;
         Ok(n)
     }
+}
+
+fn too_large(cap: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::FileTooLarge,
+        format!("message head or line over {cap} bytes"),
+    )
 }
 
 const HEX: &[u8; 16] = b"0123456789ABCDEF";
@@ -962,6 +941,7 @@ pub fn percent_decode(s: &str, form: bool) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erh::BreakerState;
     use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
 
@@ -1464,6 +1444,125 @@ mod tests {
             "query budget must clip the 30 s per-attempt timeout: {:?}",
             started.elapsed()
         );
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_http_1_0_connection_is_not_pooled() {
+        // HTTP/1.0 closes after the response unless it says keep-alive.
+        // Pooling the socket anyway sends the next request into a closed
+        // connection: a breaker strike and a retry for nothing.
+        let boolean = results_json::boolean_json(true);
+        let http_1_0 = format!(
+            "HTTP/1.0 200 OK\r\nContent-Type: application/sparql-results+json\r\n\
+             Content-Length: {}\r\n\r\n{}",
+            boolean.len(),
+            boolean
+        )
+        .into_bytes();
+        let (url, server) = canned_server(vec![http_1_0.clone(), http_1_0]);
+        let ep = HttpEndpoint::new("old", &url)
+            .unwrap()
+            .with_config(test_config());
+        for _ in 0..2 {
+            assert!(ep.ask(&ask_query()).unwrap());
+        }
+        let h = ep.health().unwrap();
+        assert_eq!((h.failures, h.retries, ep.traffic().requests), (0, 0, 2));
+        server.join().unwrap();
+    }
+
+    /// One failure script through two transports: a `FaultyEndpoint` that
+    /// drops twice and an `HttpEndpoint` answered 503 twice retry, count
+    /// and give up alike, because both run `EndpointHealth::run`.
+    #[test]
+    fn faulty_and_http_transports_share_one_attempt_loop() {
+        use crate::endpoint::SimulatedEndpoint;
+        use crate::fault::{roll, FaultProfile, FaultyConfig, FaultyEndpoint};
+        use crate::network::NetworkProfile;
+        use std::sync::Arc;
+        let faulty = |seed: u64, profile: FaultProfile| {
+            let store = lusail_store::Store::from_graph(&lusail_rdf::Graph::new());
+            let inner = SimulatedEndpoint::new("sim", store, NetworkProfile::instant());
+            FaultyEndpoint::with_config(Arc::new(inner), seed, profile, FaultyConfig::default())
+        };
+        let counters = |h: HealthSnapshot| (h.requests, h.failures, h.retries, h.breaker);
+        let busy =
+            b"HTTP/1.1 503 Unavailable\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbusy";
+
+        // Drop, drop, answer: the first seed whose stream at a drop rate of
+        // one half reads that way.
+        let drops = |mut rng: u64| [(); 3].map(|_| roll(&mut rng) < 0.5);
+        let seed = (0..).find(|&s| drops(s) == [true, true, false]).unwrap();
+        let sim = faulty(
+            seed,
+            FaultProfile {
+                drop_rate: 0.5,
+                ..FaultProfile::none()
+            },
+        );
+        assert!(sim.ask(&ask_query()).is_ok());
+        let (url, server) = canned_server(vec![
+            busy.to_vec(),
+            busy.to_vec(),
+            ok_response(&results_json::boolean_json(true)),
+        ]);
+        let http = HttpEndpoint::new("http", &url)
+            .unwrap()
+            .with_config(test_config());
+        assert!(http.ask(&ask_query()).unwrap());
+        server.join().unwrap();
+        let recovered = (1, 2, 2, BreakerState::Closed);
+        assert_eq!(counters(sim.health().unwrap()), recovered);
+        assert_eq!(counters(http.health().unwrap()), recovered);
+
+        // Every attempt failing: both give up after the same three.
+        let sim = faulty(seed, FaultProfile::hard_down());
+        let (url, server) = canned_server(vec![busy.to_vec(); 3]);
+        let http = HttpEndpoint::new("http", &url)
+            .unwrap()
+            .with_config(test_config());
+        for err in [sim.ask(&ask_query()), http.ask(&ask_query())].map(Result::unwrap_err) {
+            assert_eq!(err.kind, crate::FailureKind::Transport, "{err}");
+            assert!(
+                err.message.starts_with("giving up after 3 attempts: "),
+                "{err}"
+            );
+        }
+        server.join().unwrap();
+        assert_eq!(
+            counters(sim.health().unwrap()),
+            counters(http.health().unwrap())
+        );
+    }
+
+    #[test]
+    fn a_cancel_mid_body_ends_the_read() {
+        use crate::cancel::CancelReason;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let token = CancelToken::new();
+        // A head and the start of a body, then the cancel while the client
+        // waits for the rest: only the token can end the read.
+        let server = std::thread::spawn({
+            let token = token.clone();
+            move || {
+                let (mut sock, _) = listener.accept().unwrap();
+                let partial = b"HTTP/1.1 200 OK\r\nContent-Length: 999\r\n\r\n{\"head\":";
+                sock.write_all(partial).unwrap();
+                std::thread::sleep(Duration::from_millis(50));
+                token.cancel(CancelReason::AdminCancelled);
+                // Hold the socket open until the client hangs up.
+                std::io::copy(&mut sock, &mut std::io::sink()).ok();
+            }
+        });
+        let ep = HttpEndpoint::new("stalls", &format!("http://{addr}/sparql"))
+            .unwrap()
+            .with_config(test_config());
+        let err = ep
+            .execute_within(&ask_query(), Deadline::none().with_token(token))
+            .unwrap_err();
+        assert_eq!(err.kind, crate::FailureKind::Cancelled, "{err}");
         server.join().unwrap();
     }
 }

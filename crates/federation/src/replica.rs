@@ -17,6 +17,8 @@
 //!   caller's deadline still enforced and a per-request
 //!   [`failover budget`](ReplicaConfig::failover_budget) so a fully dead
 //!   group fails fast with a structured error naming every member tried.
+//!   This loop runs over members; each member retries first in its own
+//!   transport's attempt loop ([`crate::erh::EndpointHealth::run`]).
 //!   `Rejected` and `Deadline` failures propagate immediately — an
 //!   equivalent replica would reject the same request, and an expired
 //!   budget is the query's fault, not the member's.
@@ -279,12 +281,6 @@ impl ReplicaGroup {
         ask_member(self.members[member].as_ref(), query, deadline.clone())
     }
 
-    /// The failure classes worth re-dispatching: the member (not the
-    /// request) is at fault.
-    fn can_fail_over(e: &EndpointError) -> bool {
-        matches!(e.kind, FailureKind::Transport | FailureKind::CircuitOpen)
-    }
-
     /// The structured "everything failed" error naming every member tried.
     fn all_failed(&self, tried: &[(String, String)], untried: usize) -> EndpointError {
         let detail: Vec<String> = tried
@@ -465,7 +461,8 @@ impl ReplicaGroup {
                 Err(e) if matches!(e.kind, FailureKind::Deadline | FailureKind::Cancelled) => {
                     return Err(EndpointError::expired(&self.name, &deadline));
                 }
-                Err(e) if Self::can_fail_over(&e) => {
+                // The member, not the request, is at fault: try the next.
+                Err(e) if e.is_skippable() => {
                     tried.push((self.members[member].name().to_string(), e.message));
                 }
                 Err(e) => return Err(e),

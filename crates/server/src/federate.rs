@@ -537,11 +537,7 @@ impl Drop for InflightGuard<'_> {
 }
 
 impl QueryBackend for FederationService {
-    fn answer(&self, query: &str, client: &ClientInfo) -> Answer {
-        self.answer_cancellable(query, client, &CancelToken::new())
-    }
-
-    fn answer_cancellable(&self, query: &str, client: &ClientInfo, cancel: &CancelToken) -> Answer {
+    fn answer(&self, query: &str, client: &ClientInfo, cancel: &CancelToken) -> Answer {
         {
             let mut clients = self.clients();
             if clients.len() >= MAX_CLIENT_LEDGERS && !clients.contains_key(&client.id) {
@@ -727,13 +723,14 @@ mod tests {
             }
             _ => panic!("expected solutions"),
         };
-        assert_eq!(rows(svc.answer(q, &client("c1"))), 2);
+        assert_eq!(rows(svc.answer(q, &client("c1"), &CancelToken::new())), 2);
         let before = svc.engine().federation().total_traffic().requests;
         // Different whitespace, same canonical query: zero new requests.
         assert_eq!(
             rows(svc.answer(
                 "SELECT ?s ?o\nWHERE {\n ?s <http://x/p> ?o }",
-                &client("c2")
+                &client("c2"),
+                &CancelToken::new()
             )),
             2
         );
@@ -746,7 +743,7 @@ mod tests {
 
         // Explicit invalidation forces re-execution.
         assert!(svc.invalidate_caches());
-        assert_eq!(rows(svc.answer(q, &client("c1"))), 2);
+        assert_eq!(rows(svc.answer(q, &client("c1"), &CancelToken::new())), 2);
         assert!(svc.engine().federation().total_traffic().requests > before);
     }
 
@@ -761,7 +758,7 @@ mod tests {
             .entry("noisy".to_string())
             .or_default()
             .inflight = 1;
-        match svc.answer("ASK { ?s ?p ?o }", &client("noisy")) {
+        match svc.answer("ASK { ?s ?p ?o }", &client("noisy"), &CancelToken::new()) {
             Answer::Error {
                 status,
                 retry_after,
@@ -773,7 +770,7 @@ mod tests {
             _ => panic!("expected a quota rejection"),
         }
         // A different client is unaffected.
-        match svc.answer("ASK { ?s ?p ?o }", &client("quiet")) {
+        match svc.answer("ASK { ?s ?p ?o }", &client("quiet"), &CancelToken::new()) {
             Answer::Boolean(b) => assert!(b),
             _ => panic!("expected an ASK verdict"),
         }
@@ -788,7 +785,11 @@ mod tests {
     fn panicking_query_leaks_nothing_and_the_service_keeps_serving() {
         let (svc, faults) =
             faulty_service(FederateConfig::default(), FaultProfile::panics_on_select());
-        match svc.answer("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }", &client("c")) {
+        match svc.answer(
+            "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }",
+            &client("c"),
+            &CancelToken::new(),
+        ) {
             Answer::Error {
                 status, message, ..
             } => {
@@ -807,7 +808,7 @@ mod tests {
         // With the faults cleared, the same client is served normally —
         // the panic poisoned nothing.
         faults.set_faults(FaultProfile::none());
-        match svc.answer("ASK { ?s ?p ?o }", &client("c")) {
+        match svc.answer("ASK { ?s ?p ?o }", &client("c"), &CancelToken::new()) {
             Answer::Boolean(b) => assert!(b),
             _ => panic!("expected an ASK verdict after the panic"),
         }
@@ -933,7 +934,7 @@ mod tests {
         });
         // Hold the only ledger so the next query cannot be admitted.
         let held = svc.pool().try_carve().expect("first carve succeeds");
-        match svc.answer("ASK { ?s ?p ?o }", &client("c")) {
+        match svc.answer("ASK { ?s ?p ?o }", &client("c"), &CancelToken::new()) {
             Answer::Error {
                 status,
                 retry_after,
@@ -947,7 +948,7 @@ mod tests {
         drop(held);
         assert!(svc.pool().stats().shed >= 1);
         // With the ledger back, the same query is admitted and runs.
-        match svc.answer("ASK { ?s ?p ?o }", &client("c")) {
+        match svc.answer("ASK { ?s ?p ?o }", &client("c"), &CancelToken::new()) {
             Answer::Boolean(b) => assert!(b),
             _ => panic!("expected an ASK verdict"),
         }
@@ -965,7 +966,11 @@ mod tests {
             .or_default()
             .inflight = 1;
         for i in 0..10_000 {
-            match svc.answer("ASK { ?s ?p ?o }", &client(&format!("flood-{i}"))) {
+            match svc.answer(
+                "ASK { ?s ?p ?o }",
+                &client(&format!("flood-{i}")),
+                &CancelToken::new(),
+            ) {
                 Answer::Boolean(b) => assert!(b),
                 _ => panic!("expected an ASK verdict"),
             }
@@ -973,7 +978,7 @@ mod tests {
         assert!(svc.clients().len() <= MAX_CLIENT_LEDGERS);
         // The live client was never folded away and its quota still holds.
         assert_eq!(svc.clients().get("live").map(|c| c.inflight), Some(1));
-        match svc.answer("ASK { ?s ?p ?o }", &client("live")) {
+        match svc.answer("ASK { ?s ?p ?o }", &client("live"), &CancelToken::new()) {
             Answer::Error { status, .. } => assert_eq!(status, 429),
             _ => panic!("expected a quota rejection"),
         }

@@ -24,6 +24,9 @@
 //! query size (HTTP 413, like Virtuoso's URI-length rejections the paper
 //! hits with FedX's bound joins), and HTTP keep-alive so a federated
 //! client can reuse one connection for its whole subquery stream.
+//! Requests are read by [`HttpReader`], the HTTP/1.x reader `HttpEndpoint`
+//! reads its responses with, so both ends of the wire share one line cap,
+//! one deadline rule and one keep-alive rule.
 //!
 //! The serving layer is decoupled from query evaluation through
 //! [`QueryBackend`]: [`SparqlServer::bind`] serves a single [`Store`]
@@ -49,7 +52,7 @@
 
 pub mod federate;
 
-use lusail_federation::http::percent_decode;
+use lusail_federation::http::{percent_decode, HttpReader};
 use lusail_federation::json::Json;
 use lusail_federation::results_bin;
 use lusail_federation::results_json;
@@ -160,17 +163,11 @@ impl Answer {
 /// Query evaluation behind the HTTP layer. Implementations must tolerate
 /// concurrent calls from every worker thread.
 pub trait QueryBackend: Send + Sync + 'static {
-    /// Evaluate `query` for `client` and say how to answer.
-    fn answer(&self, query: &str, client: &ClientInfo) -> Answer;
-
-    /// Like [`answer`](Self::answer), but under a [`CancelToken`] the
-    /// server trips when the client disconnects mid-execution (and that
-    /// admin cancels, the watchdog, and shutdown drain share). Backends
-    /// without cooperative cancellation just ignore the token.
-    fn answer_cancellable(&self, query: &str, client: &ClientInfo, cancel: &CancelToken) -> Answer {
-        let _ = cancel;
-        self.answer(query, client)
-    }
+    /// Evaluate `query` for `client` and say how to answer, under a
+    /// [`CancelToken`] the server trips when the client disconnects
+    /// mid-execution (and that admin cancels, the watchdog, and shutdown
+    /// drain share). Backends without cooperative cancellation ignore it.
+    fn answer(&self, query: &str, client: &ClientInfo, cancel: &CancelToken) -> Answer;
 
     /// Backend-specific counters embedded in `GET /stats` under
     /// `"service"`. `None` renders as JSON `null`.
@@ -223,7 +220,7 @@ impl StoreBackend {
 }
 
 impl QueryBackend for StoreBackend {
-    fn answer(&self, query: &str, _client: &ClientInfo) -> Answer {
+    fn answer(&self, query: &str, _client: &ClientInfo, _cancel: &CancelToken) -> Answer {
         let parsed = match lusail_sparql::parse_query(query) {
             Ok(q) => q,
             Err(e) => return Answer::error(400, format!("malformed SPARQL query: {e}")),
@@ -621,19 +618,13 @@ fn serve_connection(
         .peer_addr()
         .map(|a| a.ip().to_string())
         .unwrap_or_else(|_| "unknown".to_string());
-    let mut reader = RequestReader {
-        stream: &stream,
-        buf: Vec::new(),
-        pos: 0,
-    };
-    // Park in short slices until the next request's first byte shows up, so
-    // an idle keep-alive connection never pins a worker across shutdown or
-    // past the idle deadline (closed, shutting down, timed out: all end it).
-    while let WaitOutcome::Data = reader.await_data(shutdown, config.read_deadline) {
-        let request = match read_request(&mut reader, config) {
-            Ok(Some(request)) => request,
-            // Clean EOF between requests: client closed the connection.
-            Ok(None) => break,
+    // Generous line cap: the query-size policy is enforced later with a
+    // proper 413; this only stops unbounded header streams.
+    let line_cap = config.max_query_bytes.saturating_mul(4).max(1 << 16);
+    let mut reader = HttpReader::new(&stream, Instant::now(), None, line_cap);
+    while await_request(&mut reader, shutdown, config.read_deadline) {
+        let request = match read_request(&stream, &mut reader, config) {
+            Ok(request) => request,
             Err(reject) => {
                 let response = Response::error(reject.status, &reject.message, &config.name);
                 let _ = write_response(&stream, stats, false, response);
@@ -749,88 +740,69 @@ struct Request {
     keep_alive: bool,
 }
 
-/// Read one request. `Ok(None)` means the client closed the connection
-/// cleanly before sending anything.
-fn read_request(
-    reader: &mut RequestReader<'_>,
-    config: &ServerConfig,
-) -> Result<Option<Request>, HttpReject> {
-    let deadline = Instant::now() + config.read_deadline;
-    // Generous framing cap: the query-size policy is enforced later with a
-    // proper 413; this only stops unbounded header streams.
-    let max_frame = config.max_query_bytes.saturating_mul(4).max(1 << 16);
-
-    let request_line = match reader.read_line(deadline, max_frame) {
-        Ok(line) => line,
-        Err(ReadError::CleanEof) => return Ok(None),
-        Err(e) => return Err(e.into_reject()),
-    };
-    let mut parts = request_line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => {
-            (m.to_string(), t.to_string(), v)
-        }
-        _ => {
-            return Err(HttpReject::new(
-                400,
-                format!("malformed request line {request_line:?}"),
-            ))
-        }
-    };
-    // HTTP/1.0 defaults to close, 1.1 to keep-alive.
-    let mut keep_alive = version != "HTTP/1.0";
-
-    let mut content_length = 0usize;
-    let mut content_type = String::new();
-    let mut accept = String::new();
-    let mut client_id = None;
-    let mut expect_continue = false;
-    let mut chunked = false;
+/// Park until the next request's first byte shows up, in short slices so
+/// an idle keep-alive connection never pins a worker across shutdown or
+/// past the idle deadline. `false` when the client closed the connection,
+/// the server is shutting down, or the connection idled out.
+fn await_request(reader: &mut HttpReader<'_>, shutdown: &AtomicBool, idle: Duration) -> bool {
+    let idle_until = Instant::now() + idle;
     loop {
-        let line = reader
-            .read_line(deadline, max_frame)
-            .map_err(|e| e.into_reject())?;
-        if line.is_empty() {
-            break;
+        if shutdown.load(Ordering::SeqCst) {
+            return false;
         }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpReject::new(400, format!("malformed header {line:?}")));
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                content_length = value
-                    .parse()
-                    .map_err(|_| HttpReject::new(400, format!("bad Content-Length {value:?}")))?;
-            }
-            "content-type" => content_type = value.to_ascii_lowercase(),
-            "accept" => accept = value.to_ascii_lowercase(),
-            "connection" => {
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            }
-            "expect" => expect_continue = value.eq_ignore_ascii_case("100-continue"),
-            "transfer-encoding" => chunked = true,
-            "x-client-id" => {
-                if !value.is_empty() {
-                    client_id = Some(value.to_string());
-                }
-            }
+        if reader.buffered() {
+            return true; // pipelined bytes already buffered
+        }
+        let now = Instant::now();
+        if now >= idle_until {
+            return false;
+        }
+        reader.deadline = idle_until.min(now + Duration::from_millis(100));
+        match reader.fill() {
+            Ok(0) => return false,
+            Err(e) if e.kind() != io::ErrorKind::TimedOut => return false,
             _ => {}
         }
     }
+}
 
-    if chunked {
+/// Read one request off the connection under the read deadline.
+fn read_request(
+    mut stream: &TcpStream,
+    reader: &mut HttpReader<'_>,
+    config: &ServerConfig,
+) -> Result<Request, HttpReject> {
+    // How a failed read is answered: the framing is lost either way.
+    let reject = |e: io::Error| match e.kind() {
+        io::ErrorKind::UnexpectedEof => HttpReject::new(400, "connection closed mid-request"),
+        io::ErrorKind::TimedOut => HttpReject::new(408, "request read deadline exceeded"),
+        io::ErrorKind::FileTooLarge => HttpReject::new(413, "request too large"),
+        io::ErrorKind::InvalidData => HttpReject::new(400, e.to_string()),
+        _ => HttpReject::new(400, format!("read error: {e}")),
+    };
+    reader.deadline = Instant::now() + config.read_deadline;
+    let head = reader.read_head().map_err(reject)?;
+    let mut parts = head.start.split_whitespace();
+    let (method, target) = match (parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m.to_string(), t.to_string()),
+        _ => {
+            let message = format!("malformed request line {:?}", head.start);
+            return Err(HttpReject::new(400, message));
+        }
+    };
+    if head.get("transfer-encoding").is_some() {
         // Simple servers may refuse chunked requests; queries are small.
         return Err(HttpReject::new(
             400,
             "chunked request bodies are not supported",
         ));
     }
+    let content_length = match head.get("content-length") {
+        Some(v) => v
+            .parse()
+            .map_err(|_| HttpReject::new(400, format!("bad Content-Length {v:?}")))?,
+        None => 0usize,
+    };
     if content_length > config.max_query_bytes {
         return Err(HttpReject::new(
             413,
@@ -840,23 +812,29 @@ fn read_request(
             ),
         ));
     }
+    let expect_continue = head
+        .get("expect")
+        .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"));
     if expect_continue && content_length > 0 {
-        (&mut reader.stream)
+        stream
             .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
             .map_err(|_| HttpReject::new(400, "client went away"))?;
     }
-    let body = reader
-        .read_exact_vec(content_length, deadline, max_frame)
-        .map_err(|e| e.into_reject())?;
-    Ok(Some(Request {
+    let mut body = vec![0; content_length];
+    reader.read_exact(&mut body).map_err(reject)?;
+    let lowercase = |name: &str| head.get(name).unwrap_or("").to_ascii_lowercase();
+    Ok(Request {
         method,
         target,
-        content_type,
-        accept,
-        client_id,
+        content_type: lowercase("content-type"),
+        accept: lowercase("accept"),
+        client_id: head
+            .get("x-client-id")
+            .filter(|id| !id.is_empty())
+            .map(String::from),
         body,
-        keep_alive,
-    }))
+        keep_alive: head.keep_alive(),
+    })
 }
 
 /// Results codec negotiation: `true` when the client's `Accept` header
@@ -1021,12 +999,10 @@ fn answer_query(
         // RAII guards inside the backend release its ledger/quota on
         // unwind, and the connection stays in its keep-alive loop.
         std::panic::catch_unwind(AssertUnwindSafe(|| {
-            backend.answer_cancellable(query_text, client, &token)
+            backend.answer(query_text, client, &token)
         }))
         .unwrap_or_else(|_| Answer::error(500, "internal error: query evaluation panicked"))
     };
-    // Restore the blocking-read default the request reader expects.
-    stream.set_read_timeout(None).ok();
     if token.reason() == Some(CancelReason::ClientDisconnected) {
         return None;
     }
@@ -1099,163 +1075,6 @@ fn answer_query(
             }
         }
     })
-}
-
-enum ReadError {
-    CleanEof,
-    UnexpectedEof,
-    TimedOut,
-    TooLarge,
-    Io(io::Error),
-}
-
-impl ReadError {
-    fn into_reject(self) -> HttpReject {
-        match self {
-            ReadError::CleanEof | ReadError::UnexpectedEof => {
-                HttpReject::new(400, "connection closed mid-request")
-            }
-            ReadError::TimedOut => HttpReject::new(408, "request read deadline exceeded"),
-            ReadError::TooLarge => HttpReject::new(413, "request too large"),
-            ReadError::Io(e) => HttpReject::new(400, format!("read error: {e}")),
-        }
-    }
-}
-
-/// Buffered request reader with a per-request deadline. The buffer carries
-/// over between keep-alive requests (a client may send the next request
-/// eagerly).
-struct RequestReader<'a> {
-    stream: &'a TcpStream,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-/// How waiting for the next keep-alive request ended.
-enum WaitOutcome {
-    /// Bytes are available: parse a request.
-    Data,
-    /// Orderly EOF: the client hung up between requests.
-    Closed,
-    /// The server is shutting down.
-    Shutdown,
-    /// The connection idled past the deadline.
-    TimedOut,
-}
-
-impl RequestReader<'_> {
-    fn await_data(&mut self, shutdown: &AtomicBool, idle_timeout: Duration) -> WaitOutcome {
-        let deadline = Instant::now() + idle_timeout;
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return WaitOutcome::Shutdown;
-            }
-            if self.pos < self.buf.len() {
-                return WaitOutcome::Data; // pipelined bytes already buffered
-            }
-            if Instant::now() >= deadline {
-                return WaitOutcome::TimedOut;
-            }
-            if self
-                .stream
-                .set_read_timeout(Some(Duration::from_millis(100)))
-                .is_err()
-            {
-                return WaitOutcome::Closed;
-            }
-            let mut chunk = [0u8; 8192];
-            match (&mut &*self.stream).read(&mut chunk) {
-                Ok(0) => return WaitOutcome::Closed,
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    return WaitOutcome::Data;
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) => {}
-                Err(_) => return WaitOutcome::Closed,
-            }
-        }
-    }
-
-    fn fill(&mut self, deadline: Instant, max_frame: usize) -> Result<usize, ReadError> {
-        if self.buf.len() > max_frame {
-            return Err(ReadError::TooLarge);
-        }
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .ok_or(ReadError::TimedOut)?;
-        self.stream
-            .set_read_timeout(Some(remaining))
-            .map_err(ReadError::Io)?;
-        let mut chunk = [0u8; 8192];
-        match (&mut &*self.stream).read(&mut chunk) {
-            Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
-                Ok(n)
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(ReadError::TimedOut)
-            }
-            Err(e) => Err(ReadError::Io(e)),
-        }
-    }
-
-    fn read_line(&mut self, deadline: Instant, max_frame: usize) -> Result<String, ReadError> {
-        loop {
-            if let Some(nl) = self.buf[self.pos..].iter().position(|&b| b == b'\n') {
-                let end = self.pos + nl;
-                let mut line = &self.buf[self.pos..end];
-                if line.last() == Some(&b'\r') {
-                    line = &line[..line.len() - 1];
-                }
-                let text = String::from_utf8_lossy(line).into_owned();
-                self.pos = end + 1;
-                self.compact();
-                return Ok(text);
-            }
-            if self.fill(deadline, max_frame)? == 0 {
-                return if self.pos == self.buf.len() {
-                    Err(ReadError::CleanEof)
-                } else {
-                    Err(ReadError::UnexpectedEof)
-                };
-            }
-        }
-    }
-
-    fn read_exact_vec(
-        &mut self,
-        n: usize,
-        deadline: Instant,
-        max_frame: usize,
-    ) -> Result<Vec<u8>, ReadError> {
-        while self.buf.len() - self.pos < n {
-            if self.fill(deadline, max_frame)? == 0 {
-                return Err(ReadError::UnexpectedEof);
-            }
-        }
-        let out = self.buf[self.pos..self.pos + n].to_vec();
-        self.pos += n;
-        self.compact();
-        Ok(out)
-    }
-
-    /// Drop consumed bytes so long keep-alive sessions don't grow the
-    /// buffer without bound.
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1694,7 +1513,7 @@ mod tests {
     fn backend_sees_client_id_header_or_peer_ip() {
         struct Capture(Mutex<Vec<String>>);
         impl QueryBackend for Capture {
-            fn answer(&self, _query: &str, client: &ClientInfo) -> Answer {
+            fn answer(&self, _query: &str, client: &ClientInfo, _cancel: &CancelToken) -> Answer {
                 self.0
                     .lock()
                     .expect("capture lock poisoned")
@@ -1739,7 +1558,7 @@ mod tests {
     fn backend_retry_after_reaches_the_wire() {
         struct AlwaysBusy;
         impl QueryBackend for AlwaysBusy {
-            fn answer(&self, _query: &str, _client: &ClientInfo) -> Answer {
+            fn answer(&self, _query: &str, _client: &ClientInfo, _cancel: &CancelToken) -> Answer {
                 Answer::Error {
                     status: 429,
                     message: "client quota exhausted".to_string(),
@@ -1813,7 +1632,7 @@ mod tests {
     fn response_heads_match_the_captured_fixture() {
         struct AlwaysBusy;
         impl QueryBackend for AlwaysBusy {
-            fn answer(&self, _query: &str, _client: &ClientInfo) -> Answer {
+            fn answer(&self, _query: &str, _client: &ClientInfo, _cancel: &CancelToken) -> Answer {
                 Answer::Error {
                     status: 429,
                     message: "client quota exhausted".to_string(),

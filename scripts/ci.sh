@@ -112,6 +112,23 @@ for bin in fig12_profiling fig8_qfed; do
 done
 rm -rf "$smoke"
 
+# The transport is written once (DESIGN.md → The transport seam): every
+# endpoint retries, records and gives up in one attempt loop
+# (`EndpointHealth::run`), and one HTTP/1.x reader (`http::HttpReader`)
+# reads both ends of the wire. Checked on non-test code, comments dropped.
+nontest() { awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*\/\//' "$@"; }
+rs=$(find crates -name '*.rs')
+for pattern in '\.record_retry\(' 'giving up after'; do
+    n=$( { nontest $rs | grep -oE "$pattern" || true; } | wc -l)
+    [ "$n" -eq 1 ] || { echo "'$pattern' appears ${n} times under crates/, want 1: retries live in EndpointHealth::run" >&2; exit 1; }
+done
+n=$( { nontest crates/federation/src/*.rs crates/server/src/*.rs | grep -oE 'fn read_line\(' || true; } | wc -l)
+[ "$n" -eq 1 ] || { echo "fn read_line is defined ${n} times in crates/{federation,server}/src, want 1: read through HttpReader" >&2; exit 1; }
+if nontest $rs | grep -nE 'struct RequestReader|enum ReadError|answer_cancellable|can_fail_over'; then
+    echo "a second copy of the transport is back; use EndpointHealth::run, HttpReader, QueryBackend::answer, EndpointError::is_skippable" >&2
+    exit 1
+fi
+
 # What the paper's system does not need stays deleted (ROADMAP item 5):
 # keyword search and `lusail search` (the paper's future work), the two
 # FaultProfile knobs no suite set, and any example without a stanza or
