@@ -1229,7 +1229,8 @@ mod tests {
             for i in 0u64.. {
                 let row = vec![Some(lusail_rdf::Term::iri(format!("http://bomb/{i}")))];
                 let sep = if i == 0 { "" } else { "," };
-                let payload = format!("{sep}{}", results_json::binding_json(&vars, &row));
+                let mut payload = sep.to_string();
+                results_json::write_binding(&mut payload, &vars, &row);
                 written += payload.len();
                 if sock.write_all(payload.as_bytes()).is_err() {
                     break; // the client hung up — exactly what we want
@@ -1266,7 +1267,7 @@ mod tests {
                 doc.push(',');
             }
             let row = vec![Some(lusail_rdf::Term::iri(format!("http://x/{i}")))];
-            doc.push_str(&results_json::binding_json(&vars, &row));
+            results_json::write_binding(&mut doc, &vars, &row);
         }
         doc.push_str(results_json::SOLUTIONS_TAIL);
         // Two keep-alive responses on ONE connection: the second request

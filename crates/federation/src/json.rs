@@ -12,6 +12,7 @@
 //! the same value with [`render_text`].
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted by [`Json::parse`].
 const MAX_DEPTH: usize = 64;
@@ -57,6 +58,7 @@ impl Json {
     /// Parse a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -163,7 +165,7 @@ impl fmt::Display for Json {
             Json::Number(n) if !n.is_finite() => f.write_str("null"),
             Json::Number(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => write!(f, "{}", *n as i64),
             Json::Number(n) => write!(f, "{n}"),
-            Json::String(s) => write!(f, "\"{}\"", escape(s)),
+            Json::String(s) => f.write_str(&quoted(s)),
             Json::Array(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -180,7 +182,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "\"{}\":{value}", escape(key))?;
+                    write!(f, "{}:{value}", quoted(key))?;
                 }
                 f.write_str("}")
             }
@@ -234,28 +236,73 @@ fn render_entry(
         .try_for_each(|(key, value)| render_entry(out, key, value, &inner))
 }
 
-/// Escape `s` as the *contents* of a JSON string (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Append `s` to `out` as the *contents* of a JSON string (no surrounding
+/// quotes). Every byte that needs an escape is ASCII, so the runs between
+/// them end on char boundaries and are copied whole.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    loop {
+        let run = plain_run(rest.as_bytes());
+        out.push_str(&rest[..run]);
+        let Some(&b) = rest.as_bytes().get(run) else {
+            return;
+        };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[run + 1..];
     }
+}
+
+/// How many bytes at the start of `bytes` a JSON string holds verbatim:
+/// everything before the first quote, backslash or control byte. The
+/// writer and both string readers copy such a run in one piece, so the
+/// scan goes eight bytes at a time.
+pub(crate) fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // Flags each byte of `word` below `n` (≤ 0x80) in its high bit. A
+    // borrow only carries upward, so the lowest flag is always a true one.
+    let below = |word: u64, n: u64| word.wrapping_sub(ONES * n) & !word & HIGHS;
+    let mut i = 0;
+    while let Some(eight) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+        let stops = below(word ^ (ONES * b'"' as u64), 1)
+            | below(word ^ (ONES * b'\\' as u64), 1)
+            | below(word, 0x20);
+        if stops != 0 {
+            return i + stops.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    let tail = &bytes[i..];
+    i + tail
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(tail.len())
+}
+
+/// `s` as a JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(&mut out, s);
+    out.push('"');
     out
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text, for byte-wise scanning.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -341,6 +388,11 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // whole: those are ASCII, so the run ends on a char boundary.
+            let run = self.pos;
+            self.pos += plain_run(&self.bytes[run..]);
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -387,29 +439,22 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("raw control character in string"));
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so it's valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..end) else {
             return Err(self.err("truncated \\u escape"));
+        };
+        // Four hex digits exactly: `from_str_radix` alone would take a sign.
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("bad \\u escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
+        let v = u32::from_str_radix(&self.text[self.pos..end], 16)
             .map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos = end;
         Ok(v)
     }
@@ -493,8 +538,47 @@ mod tests {
     #[test]
     fn escapes_round_trip() {
         let nasty = "quote\" slash\\ newline\n tab\t bell\u{07} ünïcödé 😀";
-        let doc = format!("\"{}\"", escape(nasty));
+        let doc = quoted(nasty);
         assert_eq!(Json::parse(&doc).unwrap(), Json::String(nasty.into()));
+        // The escapes on the wire: short forms where JSON has one, lower-case
+        // `\u00xx` for the other control characters, everything else as is.
+        let mut out = String::from("kept:");
+        escape_into(&mut out, "\"\\/\n\r\t\u{8}\u{c}\u{0}\u{1f}\u{7f}é");
+        assert_eq!(out, "kept:\\\"\\\\/\\n\\r\\t\\b\\f\\u0000\\u001f\u{7f}é");
+    }
+
+    /// The eight-at-a-time scan stops where a byte-wise one does: every
+    /// byte value, at every offset in a word, behind every other.
+    #[test]
+    fn plain_run_stops_at_the_first_quote_backslash_or_control_byte() {
+        let stops = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
+        for stop in 0..=255u8 {
+            for before in [b'a', 0x7F, 0x80, 0xC3, 0xFF, b'"' + 1, b'\\' - 1] {
+                for at in 0..20 {
+                    let mut bytes = vec![before; 20];
+                    bytes[at] = stop;
+                    let want = bytes.iter().position(|&b| stops(b)).unwrap_or(20);
+                    assert_eq!(
+                        plain_run(&bytes),
+                        want,
+                        "{stop:#x} at {at} after {before:#x}"
+                    );
+                }
+            }
+        }
+        assert_eq!(plain_run(b""), 0);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let long = "é".repeat(1_000_000);
+        let doc = format!("[\"{long}\",\"a\\u00e9{long}\"]");
+        let parsed = Json::parse(&doc).unwrap();
+        let items = parsed.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(long.as_str()));
+        assert_eq!(items[1].as_str().map(str::len), Some(3 + long.len()));
+        // A \u escape takes four hex digits and nothing else.
+        assert!(Json::parse(r#""\u+041""#).is_err());
     }
 
     #[test]

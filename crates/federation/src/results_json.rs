@@ -7,11 +7,15 @@
 //! tagged literal) and preserves bag semantics and row order, so HTTP
 //! federation yields bit-identical solutions to the in-process path.
 //!
-//! Serialization is exposed piecewise (`head_json` / `binding_json` /
+//! Serialization is exposed piecewise (`head_json` / [`write_binding`] /
 //! [`SOLUTIONS_TAIL`]) so the server can stream large result sets row by
-//! row without materializing the whole document.
+//! row without materializing the whole document. Both directions move
+//! runs, not bytes: the encoder appends every string into one buffer with
+//! [`escape_into`], copying each stretch that needs no escape whole, and
+//! the streaming decoder copies each stretch up to the next quote,
+//! backslash or control byte out of its read buffer at once.
 
-use crate::json::{escape, Json, JsonError};
+use crate::json::{escape_into, plain_run, Json, JsonError};
 use lusail_rdf::{Literal, Term};
 use lusail_sparql::ast::Variable;
 use lusail_sparql::solution::{Relation, Row};
@@ -25,7 +29,7 @@ pub const MEDIA_TYPE: &str = "application/sparql-results+json";
 pub const SOLUTIONS_TAIL: &str = "]}}";
 
 /// The opening of a solutions document: `head` plus the start of the
-/// `results.bindings` array. Append [`binding_json`] rows (comma-separated)
+/// `results.bindings` array. Append [`write_binding`] rows (comma-separated)
 /// and [`SOLUTIONS_TAIL`] to complete it.
 pub fn head_json(vars: &[Variable]) -> String {
     head_json_with_warnings(vars, &[])
@@ -41,9 +45,7 @@ pub fn head_json_with_warnings(vars: &[Variable], warnings: &[String]) -> String
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        out.push_str(&escape(v.name()));
-        out.push('"');
+        push_string(&mut out, v.name());
     }
     out.push(']');
     if !warnings.is_empty() {
@@ -52,9 +54,7 @@ pub fn head_json_with_warnings(vars: &[Variable], warnings: &[String]) -> String
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            out.push_str(&escape(w));
-            out.push('"');
+            push_string(&mut out, w);
         }
         out.push(']');
     }
@@ -62,10 +62,10 @@ pub fn head_json_with_warnings(vars: &[Variable], warnings: &[String]) -> String
     out
 }
 
-/// One solution as a binding object. Unbound variables are omitted, per the
-/// spec.
-pub fn binding_json(vars: &[Variable], row: &Row) -> String {
-    let mut out = String::from("{");
+/// Append one solution to `out` as a binding object. Unbound variables
+/// are omitted, per the spec.
+pub fn write_binding(out: &mut String, vars: &[Variable], row: &Row) {
+    out.push('{');
     let mut first = true;
     for (v, cell) in vars.iter().zip(row) {
         let Some(term) = cell else { continue };
@@ -73,13 +73,11 @@ pub fn binding_json(vars: &[Variable], row: &Row) -> String {
             out.push(',');
         }
         first = false;
-        out.push('"');
-        out.push_str(&escape(v.name()));
-        out.push_str("\":");
-        out.push_str(&term_json(term));
+        push_string(out, v.name());
+        out.push(':');
+        write_term(out, term);
     }
     out.push('}');
-    out
 }
 
 /// An `ASK` result document.
@@ -87,27 +85,32 @@ pub fn boolean_json(value: bool) -> String {
     format!("{{\"head\":{{}},\"boolean\":{value}}}")
 }
 
-/// One RDF term as a SPARQL-results JSON object.
-pub fn term_json(term: &Term) -> String {
-    match term {
-        Term::Iri(iri) => format!("{{\"type\":\"uri\",\"value\":\"{}\"}}", escape(iri)),
-        Term::BlankNode(label) => {
-            format!("{{\"type\":\"bnode\",\"value\":\"{}\"}}", escape(label))
-        }
-        Term::Literal(lit) => {
-            let mut out = format!(
-                "{{\"type\":\"literal\",\"value\":\"{}\"",
-                escape(&lit.lexical)
-            );
-            if let Some(lang) = &lit.language {
-                out.push_str(&format!(",\"xml:lang\":\"{}\"", escape(lang)));
-            } else if let Some(dt) = &lit.datatype {
-                out.push_str(&format!(",\"datatype\":\"{}\"", escape(dt)));
-            }
-            out.push('}');
-            out
+/// Append `s` as a JSON string literal, quotes included.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append one RDF term as a SPARQL-results JSON object.
+fn write_term(out: &mut String, term: &Term) {
+    let (kind, value) = match term {
+        Term::Iri(iri) => ("{\"type\":\"uri\",\"value\":", iri),
+        Term::BlankNode(label) => ("{\"type\":\"bnode\",\"value\":", label),
+        Term::Literal(lit) => ("{\"type\":\"literal\",\"value\":", &lit.lexical),
+    };
+    out.push_str(kind);
+    push_string(out, value);
+    if let Term::Literal(lit) = term {
+        if let Some(lang) = &lit.language {
+            out.push_str(",\"xml:lang\":");
+            push_string(out, lang);
+        } else if let Some(dt) = &lit.datatype {
+            out.push_str(",\"datatype\":");
+            push_string(out, dt);
         }
     }
+    out.push('}');
 }
 
 /// Serialize a full result document (non-streaming convenience; the server
@@ -121,7 +124,7 @@ pub fn serialize(result: &QueryResult) -> String {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&binding_json(rel.vars(), row));
+                write_binding(&mut out, rel.vars(), row);
             }
             out.push_str(SOLUTIONS_TAIL);
             out
@@ -290,6 +293,18 @@ pub fn parse_capped(
 /// guard against degenerate nesting.
 const STREAM_MAX_DEPTH: usize = 64;
 
+/// What an unpaired surrogate escape decodes to: U+FFFD.
+const REPLACEMENT: &[u8] = "\u{FFFD}".as_bytes();
+
+/// A term object's `"type"`, kept until the object closes (a later
+/// `"type"` member overrides an earlier one).
+enum TermKind {
+    Uri,
+    Bnode,
+    Literal,
+    Unknown(String),
+}
+
 struct StreamParser<R: std::io::Read> {
     reader: R,
     buf: [u8; 8192],
@@ -297,6 +312,13 @@ struct StreamParser<R: std::io::Read> {
     len: usize,
     offset: usize,
     eof: bool,
+    /// The one reused buffer a string — key, type name, value — is
+    /// unescaped into when it holds an escape or spans two reads. Either
+    /// way a term's value is copied once more, into its `Arc<str>`.
+    scratch: Vec<u8>,
+    /// The last datatype IRI decoded: a typed column repeats one, so the
+    /// next equal IRI shares it instead of allocating.
+    datatype: Option<Arc<str>>,
 }
 
 impl<R: std::io::Read> StreamParser<R> {
@@ -308,6 +330,8 @@ impl<R: std::io::Read> StreamParser<R> {
             len: 0,
             offset: 0,
             eof: false,
+            scratch: Vec::new(),
+            datatype: None,
         }
     }
 
@@ -322,6 +346,11 @@ impl<R: std::io::Read> StreamParser<R> {
         if self.pos < self.len || self.eof {
             return Ok(());
         }
+        self.refill()
+    }
+
+    #[cold]
+    fn refill(&mut self) -> Result<(), StreamError> {
         loop {
             match self.reader.read(&mut self.buf) {
                 Ok(0) => {
@@ -347,21 +376,30 @@ impl<R: std::io::Read> StreamParser<R> {
     fn bump(&mut self) -> Result<Option<u8>, StreamError> {
         let b = self.peek()?;
         if b.is_some() {
-            self.pos += 1;
-            self.offset += 1;
+            self.advance(1);
         }
         Ok(b)
     }
 
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.offset += n;
+    }
+
     fn skip_ws(&mut self) -> Result<(), StreamError> {
-        while let Some(b) = self.peek()? {
-            if matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
-                self.bump()?;
-            } else {
-                break;
+        loop {
+            self.fill()?;
+            let window = &self.buf[self.pos..self.len];
+            let ws = window
+                .iter()
+                .take_while(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+                .count();
+            let to_the_end = ws == window.len();
+            self.advance(ws);
+            if !to_the_end || self.eof {
+                return Ok(());
             }
         }
-        Ok(())
     }
 
     fn expect(&mut self, want: u8) -> Result<(), StreamError> {
@@ -386,84 +424,126 @@ impl<R: std::io::Read> StreamParser<R> {
         Ok(())
     }
 
-    /// Parse a JSON string (opening quote already *not* consumed).
-    fn parse_string(&mut self) -> Result<String, StreamError> {
+    /// Read a JSON string (opening quote not yet consumed) and return it,
+    /// validated as UTF-8. A string that lies whole in the read buffer
+    /// without an escape is returned from there, uncopied. Any other is
+    /// unescaped into `scratch`: each run up to the next quote, backslash
+    /// or control byte is copied in one piece; only escapes go byte by
+    /// byte.
+    fn string(&mut self) -> Result<&str, StreamError> {
         self.expect(b'"')?;
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut pending_surrogate: Option<u16> = None;
+        self.scratch.clear();
+        // A high surrogate escape still waiting for its low half.
+        let mut high: Option<u32> = None;
         loop {
-            let Some(b) = self.bump()? else {
-                return Err(self.shape("unterminated string"));
-            };
-            match b {
-                b'"' => break,
-                b'\\' => {
-                    let Some(esc) = self.bump()? else {
-                        return Err(self.shape("unterminated escape"));
-                    };
-                    let simple = match esc {
-                        b'"' => Some(b'"'),
-                        b'\\' => Some(b'\\'),
-                        b'/' => Some(b'/'),
-                        b'b' => Some(0x08),
-                        b'f' => Some(0x0C),
-                        b'n' => Some(b'\n'),
-                        b'r' => Some(b'\r'),
-                        b't' => Some(b'\t'),
-                        b'u' => None,
-                        _ => return Err(self.shape("bad escape")),
-                    };
-                    if let Some(c) = simple {
-                        pending_surrogate = None;
-                        bytes.push(c);
-                        continue;
-                    }
-                    let mut code: u32 = 0;
-                    for _ in 0..4 {
-                        let Some(h) = self.bump()? else {
-                            return Err(self.shape("unterminated \\u escape"));
-                        };
-                        let digit = (h as char)
-                            .to_digit(16)
-                            .ok_or_else(|| self.shape("bad \\u escape"))?;
-                        code = code * 16 + digit;
-                    }
-                    let unit = code as u16;
-                    if let Some(high) = pending_surrogate.take() {
-                        if (0xDC00..=0xDFFF).contains(&unit) {
-                            let c =
-                                0x10000 + ((high as u32 - 0xD800) << 10) + (unit as u32 - 0xDC00);
-                            let ch = char::from_u32(c)
-                                .ok_or_else(|| self.shape("bad surrogate pair"))?;
-                            let mut utf8 = [0u8; 4];
-                            bytes.extend_from_slice(ch.encode_utf8(&mut utf8).as_bytes());
-                            continue;
-                        }
-                        // Lone high surrogate: replacement character.
-                        bytes.extend_from_slice("\u{FFFD}".as_bytes());
-                    }
-                    if (0xD800..=0xDBFF).contains(&unit) {
-                        pending_surrogate = Some(unit);
-                    } else if (0xDC00..=0xDFFF).contains(&unit) {
-                        bytes.extend_from_slice("\u{FFFD}".as_bytes());
-                    } else {
-                        let ch =
-                            char::from_u32(code).ok_or_else(|| self.shape("bad \\u escape"))?;
-                        let mut utf8 = [0u8; 4];
-                        bytes.extend_from_slice(ch.encode_utf8(&mut utf8).as_bytes());
-                    }
+            self.fill()?;
+            let window = &self.buf[self.pos..self.len];
+            let run = plain_run(window);
+            if window.get(run) == Some(&b'"') && self.scratch.is_empty() && high.is_none() {
+                let start = self.pos;
+                self.advance(run + 1);
+                return std::str::from_utf8(&self.buf[start..start + run])
+                    .map_err(|_| self.shape("invalid UTF-8 in string"));
+            }
+            if run > 0 {
+                if high.take().is_some() {
+                    self.scratch.extend_from_slice(REPLACEMENT);
                 }
-                0x00..=0x1F => return Err(self.shape("raw control character in string")),
-                other => {
-                    pending_surrogate = None;
-                    bytes.push(other);
-                }
+                self.scratch.extend_from_slice(&window[..run]);
+                self.advance(run);
+                continue;
+            }
+            match self.bump()? {
+                None => return Err(self.shape("unterminated string")),
+                Some(b'"') => break,
+                Some(b'\\') => self.unescape(&mut high)?,
+                Some(_) => return Err(self.shape("raw control character in string")),
             }
         }
-        if pending_surrogate.is_some() {
-            bytes.extend_from_slice("\u{FFFD}".as_bytes());
+        if high.is_some() {
+            self.scratch.extend_from_slice(REPLACEMENT);
         }
-        String::from_utf8(bytes).map_err(|_| self.shape("invalid UTF-8 in string"))
+        std::str::from_utf8(&self.scratch).map_err(|_| self.shape("invalid UTF-8 in string"))
+    }
+
+    /// One escape, its backslash consumed, appended to `scratch`. A pending
+    /// `high` surrogate followed by anything but a low surrogate escape
+    /// becomes U+FFFD, as does a lone low surrogate.
+    fn unescape(&mut self, high: &mut Option<u32>) -> Result<(), StreamError> {
+        let simple = match self.bump()? {
+            None => return Err(self.shape("unterminated escape")),
+            Some(b'"') => b'"',
+            Some(b'\\') => b'\\',
+            Some(b'/') => b'/',
+            Some(b'b') => 0x08,
+            Some(b'f') => 0x0C,
+            Some(b'n') => b'\n',
+            Some(b'r') => b'\r',
+            Some(b't') => b'\t',
+            Some(b'u') => {
+                let unit = self.hex4()?;
+                if let Some(h) = high.take() {
+                    if (0xDC00..=0xDFFF).contains(&unit) {
+                        self.push_char(0x10000 + ((h - 0xD800) << 10) + (unit - 0xDC00));
+                        return Ok(());
+                    }
+                    self.scratch.extend_from_slice(REPLACEMENT);
+                }
+                if (0xD800..=0xDBFF).contains(&unit) {
+                    *high = Some(unit);
+                } else {
+                    self.push_char(unit);
+                }
+                return Ok(());
+            }
+            Some(_) => return Err(self.shape("bad escape")),
+        };
+        if high.take().is_some() {
+            self.scratch.extend_from_slice(REPLACEMENT);
+        }
+        self.scratch.push(simple);
+        Ok(())
+    }
+
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, StreamError> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self.bump()?.and_then(|h| (h as char).to_digit(16));
+            code = code * 16 + digit.ok_or_else(|| self.shape("bad \\u escape"))?;
+        }
+        Ok(code)
+    }
+
+    /// Append the scalar `code` as UTF-8 (U+FFFD for a surrogate).
+    fn push_char(&mut self, code: u32) {
+        let c = char::from_u32(code).unwrap_or('\u{FFFD}');
+        let mut utf8 = [0u8; 4];
+        self.scratch
+            .extend_from_slice(c.encode_utf8(&mut utf8).as_bytes());
+    }
+
+    /// One object member's key and its `:`. Returns the entry of `names`
+    /// equal to the key, `None` for any other key.
+    fn member(&mut self, names: &[&'static str]) -> Result<Option<&'static str>, StreamError> {
+        self.skip_ws()?;
+        let key = self.string()?.as_bytes();
+        let found = names.iter().copied().find(|n| n.as_bytes() == key);
+        self.skip_ws()?;
+        self.expect(b':')?;
+        Ok(found)
+    }
+
+    /// A datatype IRI as a shared string: equal to the previous one, it is
+    /// that one again.
+    fn datatype(&mut self) -> Result<Arc<str>, StreamError> {
+        let last = self.datatype.take();
+        let iri = match (last, self.string()?) {
+            (Some(last), iri) if *last == *iri => last,
+            (_, iri) => Arc::from(iri),
+        };
+        self.datatype = Some(iri.clone());
+        Ok(iri)
     }
 
     /// Skip any JSON value without materializing it.
@@ -474,7 +554,7 @@ impl<R: std::io::Read> StreamParser<R> {
         self.skip_ws()?;
         match self.peek()? {
             None => Err(self.shape("unexpected end of document")),
-            Some(b'"') => self.parse_string().map(drop),
+            Some(b'"') => self.string().map(drop),
             Some(b'{') => {
                 self.bump()?;
                 self.skip_ws()?;
@@ -483,10 +563,7 @@ impl<R: std::io::Read> StreamParser<R> {
                     return Ok(());
                 }
                 loop {
-                    self.skip_ws()?;
-                    self.parse_string()?;
-                    self.skip_ws()?;
-                    self.expect(b':')?;
+                    self.member(&[])?;
                     self.skip_value(depth + 1)?;
                     self.skip_ws()?;
                     match self.bump()? {
@@ -542,17 +619,13 @@ impl<R: std::io::Read> StreamParser<R> {
             return Ok((vars, warnings));
         }
         loop {
-            self.skip_ws()?;
-            let key = self.parse_string()?;
-            self.skip_ws()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "vars" => {
+            match self.member(&["vars", "warnings"])? {
+                Some("vars") => {
                     for s in self.parse_string_array()? {
                         vars.push(Variable::new(s));
                     }
                 }
-                "warnings" => warnings = self.parse_string_array()?,
+                Some("warnings") => warnings = self.parse_string_array()?,
                 _ => self.skip_value(1)?,
             }
             self.skip_ws()?;
@@ -575,7 +648,7 @@ impl<R: std::io::Read> StreamParser<R> {
         }
         loop {
             self.skip_ws()?;
-            out.push(self.parse_string()?);
+            out.push(self.string()?.to_owned());
             self.skip_ws()?;
             match self.bump()? {
                 Some(b',') => continue,
@@ -589,25 +662,30 @@ impl<R: std::io::Read> StreamParser<R> {
     fn parse_term_object(&mut self) -> Result<Term, StreamError> {
         self.skip_ws()?;
         self.expect(b'{')?;
-        let mut kind: Option<String> = None;
-        let mut value: Option<String> = None;
-        let mut datatype: Option<String> = None;
-        let mut language: Option<String> = None;
+        let mut kind: Option<TermKind> = None;
+        let mut value: Option<Arc<str>> = None;
+        let mut datatype: Option<Arc<str>> = None;
+        let mut language: Option<Arc<str>> = None;
         self.skip_ws()?;
         if self.peek()? == Some(b'}') {
             self.bump()?;
         } else {
             loop {
+                let member = self.member(&["type", "value", "datatype", "xml:lang"])?;
                 self.skip_ws()?;
-                let key = self.parse_string()?;
-                self.skip_ws()?;
-                self.expect(b':')?;
-                self.skip_ws()?;
-                match key.as_str() {
-                    "type" => kind = Some(self.parse_string()?),
-                    "value" => value = Some(self.parse_string()?),
-                    "datatype" => datatype = Some(self.parse_string()?),
-                    "xml:lang" => language = Some(self.parse_string()?),
+                match member {
+                    Some("type") => {
+                        kind = Some(match self.string()? {
+                            "uri" => TermKind::Uri,
+                            "bnode" => TermKind::Bnode,
+                            // The legacy alias some servers still emit.
+                            "literal" | "typed-literal" => TermKind::Literal,
+                            other => TermKind::Unknown(other.to_owned()),
+                        })
+                    }
+                    Some("value") => value = Some(Arc::from(self.string()?)),
+                    Some("datatype") => datatype = Some(self.datatype()?),
+                    Some("xml:lang") => language = Some(Arc::from(self.string()?)),
                     _ => self.skip_value(1)?,
                 }
                 self.skip_ws()?;
@@ -620,19 +698,17 @@ impl<R: std::io::Read> StreamParser<R> {
         }
         let kind = kind.ok_or_else(|| self.shape("term object missing \"type\""))?;
         let lexical = value.ok_or_else(|| self.shape("term object missing \"value\""))?;
-        match kind.as_str() {
-            "uri" => Ok(Term::iri(lexical)),
-            "bnode" => Ok(Term::bnode(lexical)),
-            "literal" | "typed-literal" => Ok(Term::Literal(Literal {
-                lexical: lexical.into(),
-                datatype: if language.is_some() {
-                    None
-                } else {
-                    datatype.map(Into::into)
-                },
-                language: language.map(Into::into),
+        match kind {
+            TermKind::Uri => Ok(Term::Iri(lexical)),
+            TermKind::Bnode => Ok(Term::BlankNode(lexical)),
+            TermKind::Literal => Ok(Term::Literal(Literal {
+                lexical,
+                datatype: if language.is_some() { None } else { datatype },
+                language,
             })),
-            other => Err(self.shape(format_args!("unknown term type {other:?}"))),
+            TermKind::Unknown(other) => {
+                Err(self.shape(format_args!("unknown term type {other:?}")))
+            }
         }
     }
 
@@ -648,14 +724,18 @@ impl<R: std::io::Read> StreamParser<R> {
         }
         loop {
             self.skip_ws()?;
-            let name = self.parse_string()?;
+            let name = self.string()?;
+            let Some(idx) = vars
+                .iter()
+                .position(|v| v.name().as_bytes() == name.as_bytes())
+            else {
+                let name = name.to_owned();
+                return Err(self.shape(format_args!(
+                    "binding for ?{name} not declared in head.vars"
+                )));
+            };
             self.skip_ws()?;
             self.expect(b':')?;
-            let idx = vars.iter().position(|v| v.name() == name).ok_or_else(|| {
-                self.shape(format_args!(
-                    "binding for ?{name} not declared in head.vars"
-                ))
-            })?;
             row[idx] = Some(self.parse_term_object()?);
             self.skip_ws()?;
             match self.bump()? {
@@ -679,17 +759,13 @@ impl<R: std::io::Read> StreamParser<R> {
             self.bump()?;
         } else {
             loop {
-                self.skip_ws()?;
-                let key = self.parse_string()?;
-                self.skip_ws()?;
-                self.expect(b':')?;
-                match key.as_str() {
-                    "head" => {
+                match self.member(&["head", "boolean", "results"])? {
+                    Some("head") => {
                         let (v, w) = self.parse_head()?;
                         vars = Some(v);
                         warnings = w;
                     }
-                    "boolean" => {
+                    Some("boolean") => {
                         self.skip_ws()?;
                         boolean = Some(match self.peek()? {
                             Some(b't') => {
@@ -705,7 +781,7 @@ impl<R: std::io::Read> StreamParser<R> {
                             }
                         });
                     }
-                    "results" => {
+                    Some("results") => {
                         let Some(vars) = vars.as_ref() else {
                             return Err(self
                                 .shape("results.bindings before head.vars in streamed document"));
@@ -763,11 +839,7 @@ impl<R: std::io::Read> StreamParser<R> {
         }
         let mut saw_bindings = false;
         loop {
-            self.skip_ws()?;
-            let key = self.parse_string()?;
-            self.skip_ws()?;
-            self.expect(b':')?;
-            if key == "bindings" {
+            if self.member(&["bindings"])?.is_some() {
                 saw_bindings = true;
                 self.skip_ws()?;
                 self.expect(b'[')?;
@@ -877,6 +949,36 @@ mod tests {
         assert_eq!(back, QueryResult::Solutions(rel));
     }
 
+    /// The bytes on the wire, pinned: every term kind, a control character
+    /// (`\u0001`, lower-case hex) and a 20 KiB literal whose escapes repeat.
+    #[test]
+    fn serialize_writes_the_pinned_bytes() {
+        let mut rel = all_kinds_relation();
+        let unit = "a\"b\\c\u{e9}\t";
+        rel.push(vec![
+            Some(Term::iri("urn:x:\u{1}")),
+            None,
+            Some(Term::literal(unit.repeat(2560))),
+            None,
+            None,
+            None,
+        ]);
+        let expected = [
+            r#"{"head":{"vars":["i","b","plain","typed","tagged","unbound"]},"results":{"bindings":["#,
+            r#"{"i":{"type":"uri","value":"http://example.org/thing?q=1&x=\"quoted\""},"#,
+            r#""b":{"type":"bnode","value":"b42"},"#,
+            r#""plain":{"type":"literal","value":"line1\nline2\ttab"},"#,
+            r#""typed":{"type":"literal","value":"-7","datatype":"http://www.w3.org/2001/XMLSchema#integer"},"#,
+            r#""tagged":{"type":"literal","value":"grüße 😀","xml:lang":"de"}},"#,
+            r#"{"i":{"type":"uri","value":"urn:x:\u0001"},"plain":{"type":"literal","value":""#,
+            r#"a\"b\\cé\t"#.repeat(2560).as_str(),
+            r#""}}]}}"#,
+        ]
+        .concat();
+        assert_eq!(unit.repeat(2560).len(), 20 * 1024);
+        assert_eq!(serialize(&QueryResult::Solutions(rel)), expected);
+    }
+
     #[test]
     fn round_trips_booleans() {
         for b in [true, false] {
@@ -908,7 +1010,7 @@ mod tests {
             if i > 0 {
                 streamed.push(',');
             }
-            streamed.push_str(&binding_json(rel.vars(), row));
+            write_binding(&mut streamed, rel.vars(), row);
         }
         streamed.push_str(SOLUTIONS_TAIL);
         assert_eq!(streamed, serialize(&QueryResult::Solutions(rel)));
@@ -926,7 +1028,7 @@ mod tests {
             if i > 0 {
                 doc.push(',');
             }
-            doc.push_str(&binding_json(rel.vars(), row));
+            write_binding(&mut doc, rel.vars(), row);
         }
         doc.push_str(SOLUTIONS_TAIL);
         let (back, got) = parse_full(&doc).unwrap();
@@ -1054,6 +1156,31 @@ mod tests {
                 parse_capped(bad, None).is_err(),
                 "{bad:?} should be rejected"
             );
+        }
+    }
+
+    /// A high surrogate escape without its low half is U+FFFD, whatever
+    /// follows it: a plain byte, a short escape, the closing quote or a
+    /// `\u` escape that is not a low surrogate.
+    #[test]
+    fn stream_parse_replaces_a_lone_high_surrogate() {
+        for (escaped, decoded) in [
+            ("\\ud800x", "\u{FFFD}x"),
+            ("\\ud800\\n", "\u{FFFD}\n"),
+            ("\\ud800", "\u{FFFD}"),
+            ("\\ud800\\u0041", "\u{FFFD}A"),
+            (
+                "\\ud83d\\ude00\\udc00\\ud800é",
+                "\u{1F600}\u{FFFD}\u{FFFD}é",
+            ),
+        ] {
+            let doc = format!(
+                r#"{{"head":{{"vars":["x"]}},"results":{{"bindings":[{{"x":{{"type":"literal","value":"{escaped}"}}}}]}}}}"#
+            );
+            let QueryResult::Solutions(rel) = parse_capped(&doc, None).unwrap().result else {
+                panic!("not solutions")
+            };
+            assert_eq!(rel.rows()[0][0], Some(Term::literal(decoded)), "{escaped}");
         }
     }
 

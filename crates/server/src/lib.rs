@@ -13,9 +13,9 @@
 //! answering with SPARQL 1.1 JSON Results
 //! (`application/sparql-results+json`, shared codec in
 //! [`lusail_federation::results_json`]). `SELECT` solutions stream out
-//! with chunked transfer encoding row by row — a large result never has
-//! to be fully buffered as a document. `ASK` answers and errors use
-//! `Content-Length`.
+//! with chunked transfer encoding, rows coalesced into chunks of at least
+//! 16 KiB — a large result never has to be fully buffered as a document.
+//! `ASK` answers and errors use `Content-Length`.
 //!
 //! Operationally it mirrors what the paper's deployments (Fuseki /
 //! Virtuoso) impose on federated engines: a fixed pool of workers with a
@@ -511,10 +511,15 @@ struct Response {
 enum Body {
     /// Sent with `Content-Length`.
     Sized(Vec<u8>),
-    /// Sent chunked, one chunk per item: a large result is never buffered
-    /// as a document.
+    /// Sent chunked, items coalesced into chunks of at least
+    /// [`MIN_CHUNK_BYTES`]: a large result is never buffered as a document.
     Chunks(Box<dyn Iterator<Item = Vec<u8>>>),
 }
+
+/// The smallest HTTP chunk a [`Body::Chunks`] body is sent in (the last
+/// one excepted): a chunk per row would cost the client two line reads
+/// per row.
+const MIN_CHUNK_BYTES: usize = 16 * 1024;
 
 impl Response {
     fn new(status: u16, content_type: &'static str, body: Body) -> Response {
@@ -590,17 +595,37 @@ fn write_response(
     )?;
     match response.body {
         Body::Sized(bytes) => out.write_all(&bytes)?,
-        // An empty chunk would terminate the body early: skip it.
-        Body::Chunks(chunks) => {
-            for chunk in chunks.filter(|c| !c.is_empty()) {
-                write!(out, "{:x}\r\n", chunk.len())?;
-                out.write_all(&chunk)?;
-                out.write_all(b"\r\n")?;
+        Body::Chunks(items) => {
+            // Items wait here until one brings the total to the minimum;
+            // that one is sent behind them, not copied in, so the buffer
+            // never outgrows its first allocation.
+            let mut pending = Vec::with_capacity(MIN_CHUNK_BYTES);
+            for item in items {
+                if pending.len() + item.len() < MIN_CHUNK_BYTES {
+                    pending.extend_from_slice(&item);
+                } else {
+                    write_chunk(&mut out, &[&pending, &item])?;
+                    pending.clear();
+                }
+            }
+            // An empty chunk would terminate the body early: skip it.
+            if !pending.is_empty() {
+                write_chunk(&mut out, &[&pending])?;
             }
             out.write_all(b"0\r\n\r\n")?;
         }
     }
     out.flush()
+}
+
+/// One HTTP chunk holding `parts` in order.
+fn write_chunk(out: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    write!(out, "{len:x}\r\n")?;
+    for part in parts {
+        out.write_all(part)?;
+    }
+    out.write_all(b"\r\n")
 }
 
 /// Serve one connection: a keep-alive loop of request → response.
@@ -1038,7 +1063,7 @@ fn answer_query(
                     rel.len()
                 ));
             }
-            // Head, one chunk per row, tail: the same streaming shape in
+            // Head, one item per row, tail: the same streaming shape in
             // either codec. `Some` is the negotiated binary codec with its
             // per-response term dictionary, `None` SPARQL JSON.
             let mut encoder = binary.then(results_bin::Encoder::new);
@@ -1050,15 +1075,17 @@ fn answer_query(
                 Some(enc) => enc.tail(),
                 None => results_json::SOLUTIONS_TAIL.as_bytes().to_vec(),
             };
+            let mut last_len = 0;
             let rows = (0..rel.len().min(cap)).map(move |i| match &mut encoder {
                 // Any first-seen terms as dictionary records, then the
                 // fixed-width id tuple.
                 Some(enc) => enc.row(&rel.rows()[i]),
                 None => {
-                    let mut piece = results_json::binding_json(rel.vars(), &rel.rows()[i]);
-                    if i > 0 {
-                        piece.insert(0, ',');
-                    }
+                    // Sized like the row before, so most rows allocate once.
+                    let mut piece = String::with_capacity(last_len);
+                    piece.push_str(if i > 0 { "," } else { "" });
+                    results_json::write_binding(&mut piece, rel.vars(), &rel.rows()[i]);
+                    last_len = piece.len();
                     piece.into_bytes()
                 }
             });
@@ -1444,6 +1471,64 @@ mod tests {
         let (status, text) = raw_roundtrip(handle.local_addr(), &request);
         assert!(status.contains("200"), "{text}");
         assert!(text.contains("Transfer-Encoding: chunked"), "{text}");
+        handle.shutdown();
+    }
+
+    /// A 2 000-row answer leaves in chunks of at least 16 KiB (the last
+    /// one excepted), not one per row, and reads back as the same relation.
+    #[test]
+    fn solutions_stream_in_coalesced_chunks() {
+        struct Rows(Relation);
+        impl QueryBackend for Rows {
+            fn answer(&self, _query: &str, _client: &ClientInfo, _cancel: &CancelToken) -> Answer {
+                Answer::Solutions {
+                    rel: self.0.clone(),
+                    warnings: Vec::new(),
+                }
+            }
+        }
+        let vars = ["s", "label"].map(lusail_sparql::ast::Variable::new);
+        let mut rel = Relation::new(vars.to_vec());
+        for i in 0..2000 {
+            rel.push(vec![
+                Some(Term::iri(format!("http://x/row{i}"))),
+                Some(Term::literal(format!("row \"{i}\""))),
+            ]);
+        }
+        let handle = SparqlServer::with_backend(
+            "127.0.0.1:0",
+            Arc::new(Rows(rel.clone())),
+            ServerConfig::default(),
+        )
+        .unwrap()
+        .spawn();
+        let request = format!(
+            "GET /sparql?query={} HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+            percent_encode("SELECT ?s ?label WHERE { ?s ?p ?label }")
+        );
+        let (status, text) = raw_roundtrip(handle.local_addr(), &request);
+        assert!(status.contains("200"), "{text}");
+        let (_, mut framed) = text.split_once("\r\n\r\n").unwrap();
+        let (mut body, mut size_lines) = (String::new(), 0);
+        loop {
+            let (size, rest) = framed.split_once("\r\n").unwrap();
+            size_lines += 1;
+            let size = usize::from_str_radix(size, 16).unwrap();
+            if size == 0 {
+                break;
+            }
+            body.push_str(&rest[..size]);
+            framed = rest[size..].strip_prefix("\r\n").unwrap();
+        }
+        assert!(
+            size_lines <= body.len().div_ceil(MIN_CHUNK_BYTES) + 1,
+            "{size_lines} chunk-size lines for a {}-byte body",
+            body.len()
+        );
+        assert_eq!(
+            results_json::parse(&body).unwrap(),
+            QueryResult::Solutions(rel)
+        );
         handle.shutdown();
     }
 

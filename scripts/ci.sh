@@ -129,6 +129,16 @@ if nontest $rs | grep -nE 'struct RequestReader|enum ReadError|answer_cancellabl
     exit 1
 fi
 
+# JSON escaping has one path (DESIGN.md → Data plane & codec semantics):
+# `json::escape_into` appends into the caller's buffer; the allocating
+# `escape` and the per-term `term_json` stay gone.
+if nontest $rs | grep -nE 'fn (escape|term_json)\('; then
+    echo "a second JSON escaping path is back; append with json::escape_into" >&2
+    exit 1
+fi
+n=$( { nontest $rs | grep -oE 'fn escape_into\(' || true; } | wc -l)
+[ "$n" -eq 1 ] || { echo "fn escape_into is defined ${n} times under crates/, want 1" >&2; exit 1; }
+
 # What the paper's system does not need stays deleted (ROADMAP item 5):
 # keyword search and `lusail search` (the paper's future work), the two
 # FaultProfile knobs no suite set, and any example without a stanza or

@@ -1067,3 +1067,169 @@ fn binary_decoder_is_total_on_mutated_bytes() {
         }
     }
 }
+
+// ---- read boundaries -----------------------------------------------------
+//
+// The streaming decoders see the body one `read` at a time. A decoder that
+// scans runs of bytes breaks exactly where a run, an escape or a UTF-8
+// sequence is split between two reads, so these documents go through a
+// reader that hands out 1–17 bytes per call.
+
+/// A reader returning the next 1–17 bytes of `bytes` per call.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    rng: SplitMix64,
+}
+
+impl std::io::Read for Dribble<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = self
+            .rng
+            .gen_range(1..=17usize)
+            .min(out.len())
+            .min(self.bytes.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// The inside of a JSON string: plain runs, multi-byte UTF-8, every escape
+/// JSON has and surrogate pairs; with `lone`, unpaired surrogates too. A
+/// `long` one outgrows the JSON decoder's 8 KiB read buffer.
+fn gen_escaped_text(rng: &mut SplitMix64, long: bool, lone: bool) -> String {
+    const PIECES: [&str; 17] = [
+        "a plain run",
+        " ",
+        "\u{e9}",
+        "\u{4e2d}\u{6587}",
+        "\u{1F600}",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\b",
+        "\\f",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\u00e9",
+        "\\u001F",
+        "\\ud83d\\ude00",
+        "\\uD83D\\uDE00",
+    ];
+    const LONE: [&str; 2] = ["\\ud800", "\\udc00"];
+    let len = if long {
+        rng.gen_range(8_200..20_000usize)
+    } else {
+        rng.gen_range(0..40usize)
+    };
+    let mut out = String::new();
+    while out.len() < len {
+        if lone && rng.gen_range(0..8u32) == 0 {
+            out.push_str(LONE[rng.gen_range(0..LONE.len())]);
+        } else {
+            out.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
+        }
+    }
+    out
+}
+
+/// A SPARQL-JSON results document written by hand rather than by the
+/// encoder: every term kind and the legacy `typed-literal`, members in
+/// any order, optional whitespace, escaped keys, head warnings, unbound
+/// cells.
+fn gen_boundary_document(rng: &mut SplitMix64, lone: bool) -> String {
+    fn ws(rng: &mut SplitMix64) -> &'static str {
+        ["", "", "", " ", "\n\t "][rng.gen_range(0..5usize)]
+    }
+    let mut doc = format!(
+        "{{\"head\":{{\"vars\":[\"s\",\"o\",\"x\"],\"warnings\":[\"{}\"]}},{}\"results\":{{\"bindings\":[",
+        gen_escaped_text(rng, false, lone),
+        ws(rng),
+    );
+    for row in 0..rng.gen_range(0..6usize) {
+        if row > 0 {
+            doc.push(',');
+        }
+        let mut cells = Vec::new();
+        // "o" as `o`: keys are matched after unescaping.
+        for var in ["s", "\\u006f", "x"] {
+            if rng.gen_bool(0.2) {
+                continue;
+            }
+            let long = rng.gen_range(0..8u32) == 0;
+            let value = gen_escaped_text(rng, long, lone);
+            let mut members = vec![format!("\"value\":\"{value}\"")];
+            members.push(
+                match rng.gen_range(0..6u32) {
+                    0 => "\"type\":\"uri\"",
+                    1 => "\"type\":\"bnode\"",
+                    2 => "\"type\":\"typed-literal\"",
+                    _ => "\"type\":\"literal\"",
+                }
+                .to_string(),
+            );
+            match rng.gen_range(0..4u32) {
+                0 => members.push(format!(
+                    "\"datatype\":\"http://types.example.org/t{}\"",
+                    rng.gen_range(0..2u32)
+                )),
+                1 => members.push(format!(
+                    "\"xml:lang\":\"{}\"",
+                    gen_escaped_text(rng, false, false)
+                )),
+                2 => members.push("\"extra\":[1,{\"k\":null}]".to_string()),
+                _ => {}
+            }
+            let turn = rng.gen_range(0..members.len());
+            members.rotate_left(turn);
+            let sep = format!(",{}", ws(rng));
+            cells.push(format!("\"{var}\":{}{{{}}}", ws(rng), members.join(&sep)));
+        }
+        doc.push_str(&format!("{{{}}}", cells.join(",")));
+    }
+    doc.push_str("]}}");
+    doc
+}
+
+/// Both streaming decoders give the same answer however the input is cut
+/// into reads: the JSON decoder matches itself over the whole text (and
+/// the DOM parser wherever that accepts), the binary decoder matches
+/// itself over the whole buffer, at every row cap.
+#[test]
+fn streaming_decoders_agree_across_read_boundaries() {
+    use lusail_federation::{results_bin, results_json};
+    for case in 0..96 {
+        let rng = &mut case_rng(0xB0DA, case);
+        let lone = case % 4 == 3;
+        let text = gen_boundary_document(rng, lone);
+        let dribble = |bytes| Dribble {
+            bytes,
+            rng: case_rng(0xB0DB, case),
+        };
+        for cap in [None, Some(0), Some(2)] {
+            let whole = results_json::parse_capped(&text, cap)
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            let split = results_json::parse_stream(dribble(text.as_bytes()), cap)
+                .unwrap_or_else(|e| panic!("case {case} cap {cap:?}: {e}"));
+            assert_eq!(split, whole, "case {case} cap {cap:?}");
+        }
+        let full = results_json::parse_capped(&text, None).unwrap();
+        // The DOM parser rejects an unpaired surrogate the streaming
+        // decoder replaces; every other document it must read the same.
+        match results_json::parse(&text) {
+            Ok(dom) => assert_eq!(dom, full.result, "case {case}"),
+            Err(e) => assert!(lone, "case {case}: DOM parse failed: {e}"),
+        }
+
+        let bin = results_bin::serialize_with_warnings(&full.result, &full.warnings);
+        for cap in [None, Some(0), Some(2)] {
+            let whole = results_bin::parse_stream(&bin[..], cap)
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
+            let split = results_bin::parse_stream(dribble(&bin), cap)
+                .unwrap_or_else(|e| panic!("case {case} cap {cap:?}: {e}"));
+            assert_eq!(split, whole, "case {case} cap {cap:?}");
+        }
+        assert_eq!(results_bin::parse(&bin).unwrap().result, full.result);
+    }
+}
