@@ -166,8 +166,19 @@ pub trait QueryBackend: Send + Sync + 'static {
     /// Evaluate `query` for `client` and say how to answer, under a
     /// [`CancelToken`] the server trips when the client disconnects
     /// mid-execution (and that admin cancels, the watchdog, and shutdown
-    /// drain share). Backends without cooperative cancellation ignore it.
+    /// drain share). Backends without cooperative cancellation ignore it
+    /// and say so through [`cancellable`](QueryBackend::cancellable).
     fn answer(&self, query: &str, client: &ClientInfo, cancel: &CancelToken) -> Answer;
+
+    /// Whether [`answer`](QueryBackend::answer) acts on its token. Only
+    /// then does the server watch the client's socket while the query
+    /// runs; a backend that ignores the token returns `false` and its
+    /// answers skip the watch, whose teardown can cost up to a 100 ms
+    /// socket peek. A hang-up is then noticed when the response write
+    /// fails.
+    fn cancellable(&self) -> bool {
+        true
+    }
 
     /// Backend-specific counters embedded in `GET /stats` under
     /// `"service"`. `None` renders as JSON `null`.
@@ -239,6 +250,11 @@ impl QueryBackend for StoreBackend {
             Err(_) => Answer::error(500, "query evaluation failed"),
         }
     }
+
+    /// Evaluation runs to completion whatever the token says.
+    fn cancellable(&self) -> bool {
+        false
+    }
 }
 
 /// Request counters split by outcome, so saturation (sheds) is visible
@@ -251,15 +267,18 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    fn record(&self, status: u16) {
-        let counter = if status < 400 {
+    fn counter(&self, status: u16) -> &AtomicU64 {
+        if status < 400 {
             &self.served
         } else if status == 503 || status == 429 {
             &self.shed
         } else {
             &self.errors
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn record(&self, status: u16) {
+        self.counter(status).fetch_add(1, Ordering::Relaxed);
     }
 
     fn counts(&self) -> RequestCounts {
@@ -570,15 +589,28 @@ impl Response {
     }
 }
 
-/// Record `response` in `stats` and write it: the one status line, the
-/// headers in one order, then the body sized or chunked.
+/// Write `response` and record it in `stats`: the one status line, the
+/// headers in one order, then the body sized or chunked. A write that
+/// fails never reached the client, so it counts as a 499 instead. The
+/// status is counted before the first byte and moved if the write fails,
+/// so the counters never lag a response the client already holds.
 fn write_response(
     stream: &TcpStream,
     stats: &ServerStats,
     keep_alive: bool,
     response: Response,
 ) -> io::Result<()> {
-    stats.record(response.status);
+    let status = response.status;
+    stats.record(status);
+    let written = write_message(stream, keep_alive, response);
+    if written.is_err() {
+        stats.record(499);
+        stats.counter(status).fetch_sub(1, Ordering::Relaxed);
+    }
+    written
+}
+
+fn write_message(stream: &TcpStream, keep_alive: bool, response: Response) -> io::Result<()> {
     let framing = match &response.body {
         Body::Sized(bytes) => format!("Content-Length: {}", bytes.len()),
         Body::Chunks(_) => "Transfer-Encoding: chunked".to_string(),
@@ -938,7 +970,9 @@ fn form_field(encoded: &str, key: &str) -> Option<Result<String, HttpReject>> {
 /// an EOF (or hard error) on the socket trips the query's [`CancelToken`]
 /// with [`CancelReason::ClientDisconnected`], so the backend stops issuing
 /// outbound endpoint requests and frees its ledger instead of computing an
-/// answer nobody will read. Dropping the monitor stops and joins it.
+/// answer nobody will read. Dropping the monitor stops and joins it, which
+/// can wait out one 100 ms peek, so only a backend that is
+/// [`cancellable`](QueryBackend::cancellable) is watched.
 struct DisconnectMonitor {
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
@@ -1018,8 +1052,11 @@ fn answer_query(
     let token = CancelToken::new();
     let answer = {
         // The monitor holds a cloned handle; it is stopped and joined
-        // before any response byte is written.
-        let _monitor = DisconnectMonitor::spawn(stream, token.clone());
+        // before any response byte is written. A backend that ignores the
+        // token gets none: the watch could not change its answer.
+        let _monitor = backend
+            .cancellable()
+            .then(|| DisconnectMonitor::spawn(stream, token.clone()));
         // A panicking backend must cost one 500, not the worker thread:
         // RAII guards inside the backend release its ledger/quota on
         // unwind, and the connection stays in its keep-alive loop.
@@ -1176,41 +1213,189 @@ mod tests {
     #[test]
     fn keep_alive_reuses_one_connection() {
         let handle = start(ServerConfig::default());
-        let body = "ASK { ?s ?p ?o }";
-        let request = format!(
-            "POST /sparql HTTP/1.1\r\nHost: h\r\nContent-Type: application/sparql-query\r\n\
-             Content-Length: {}\r\n\r\n{}",
-            body.len(),
-            body
-        );
+        let request = post_query("ASK { ?s ?p ?o }");
         let mut sock = TcpStream::connect(handle.local_addr()).unwrap();
         let mut reader = BufReader::new(sock.try_clone().unwrap());
         for _ in 0..3 {
             sock.write_all(request.as_bytes()).unwrap();
-            let mut status = String::new();
-            reader.read_line(&mut status).unwrap();
+            let status = read_sized_response(&mut reader);
             assert!(status.starts_with("HTTP/1.1 200"), "{status}");
-            // Drain headers + sized body.
-            let mut content_length = 0;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                if let Some(v) = line
-                    .trim()
-                    .to_ascii_lowercase()
-                    .strip_prefix("content-length:")
-                {
-                    content_length = v.trim().parse().unwrap();
-                }
-                if line.trim().is_empty() {
-                    break;
-                }
-            }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).unwrap();
         }
         drop(sock);
         assert_eq!(handle.requests_served(), 3);
+        handle.shutdown();
+    }
+
+    /// Read one `Content-Length` response off a keep-alive connection;
+    /// returns its status line.
+    fn read_sized_response(reader: &mut impl BufRead) -> String {
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        // Drain headers + sized body.
+        let mut content_length = 0;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            if let Some(v) = line
+                .trim()
+                .to_ascii_lowercase()
+                .strip_prefix("content-length:")
+            {
+                content_length = v.trim().parse().unwrap();
+            }
+            if line.trim().is_empty() {
+                break;
+            }
+        }
+        let mut body = vec![0u8; content_length];
+        reader.read_exact(&mut body).unwrap();
+        status
+    }
+
+    /// A `POST /sparql` request for `query`, kept alive.
+    fn post_query(query: &str) -> String {
+        format!(
+            "POST /sparql HTTP/1.1\r\nHost: h\r\nContent-Type: application/sparql-query\r\n\
+             Content-Length: {}\r\n\r\n{query}",
+            query.len()
+        )
+    }
+
+    /// Poll `handle`'s counters until `done` holds or five seconds pass.
+    fn await_counts(handle: &ServerHandle, done: impl Fn(RequestCounts) -> bool) -> RequestCounts {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let counts = handle.stats();
+            if done(counts) || Instant::now() >= deadline {
+                return counts;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// A backend that ignores its token is not watched, so its answers do
+    /// not wait out the disconnect monitor's 100 ms peek.
+    #[test]
+    fn uncancellable_backend_answers_without_a_per_request_stall() {
+        struct Slow;
+        impl QueryBackend for Slow {
+            fn answer(&self, _query: &str, _client: &ClientInfo, _cancel: &CancelToken) -> Answer {
+                std::thread::sleep(Duration::from_millis(20));
+                Answer::Boolean(true)
+            }
+            fn cancellable(&self) -> bool {
+                false
+            }
+        }
+        let handle =
+            SparqlServer::with_backend("127.0.0.1:0", Arc::new(Slow), ServerConfig::default())
+                .unwrap()
+                .spawn();
+        let request = post_query("ASK { ?s ?p ?o }");
+        let mut sock = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut reader = BufReader::new(sock.try_clone().unwrap());
+        let started = Instant::now();
+        for _ in 0..10 {
+            sock.write_all(request.as_bytes()).unwrap();
+            let status = read_sized_response(&mut reader);
+            assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(600),
+            "ten 20 ms answers took {elapsed:?}"
+        );
+        drop(sock);
+        handle.shutdown();
+    }
+
+    /// A backend that acts on its token is still watched: a client that
+    /// hangs up mid-query trips it promptly and is counted as a 499.
+    #[test]
+    fn cancellable_backend_is_still_watched() {
+        struct Blocks(Mutex<mpsc::Sender<(Option<CancelReason>, Duration)>>);
+        impl QueryBackend for Blocks {
+            fn answer(&self, _query: &str, _client: &ClientInfo, cancel: &CancelToken) -> Answer {
+                let started = Instant::now();
+                let reason = cancel.wait_timeout(Duration::from_secs(5));
+                let _ = self.0.lock().unwrap().send((reason, started.elapsed()));
+                Answer::Boolean(true)
+            }
+        }
+        let (tx, rx) = mpsc::channel();
+        let backend = Arc::new(Blocks(Mutex::new(tx)));
+        let handle = SparqlServer::with_backend("127.0.0.1:0", backend, ServerConfig::default())
+            .unwrap()
+            .spawn();
+        let mut sock = TcpStream::connect(handle.local_addr()).unwrap();
+        sock.write_all(post_query("ASK { ?s ?p ?o }").as_bytes())
+            .unwrap();
+        drop(sock);
+        let (reason, waited) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(reason, Some(CancelReason::ClientDisconnected));
+        assert!(waited < Duration::from_secs(1), "tripped after {waited:?}");
+        let counts = await_counts(&handle, |c| c.errors == 1);
+        assert_eq!(
+            (counts.served, counts.errors),
+            (0, 1),
+            "one 499, nothing served"
+        );
+        let (_, text) = raw_roundtrip(
+            handle.local_addr(),
+            "GET /stats HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+        );
+        assert!(
+            text.contains("\"served\":0,\"shed\":0,\"errors\":1"),
+            "{text}"
+        );
+        handle.shutdown();
+    }
+
+    /// An unwatched backend learns of a hang-up when its write fails: that
+    /// response counts as a 499, not as served.
+    #[test]
+    fn a_response_the_client_never_read_counts_as_an_error() {
+        struct SlowRows(Relation);
+        impl QueryBackend for SlowRows {
+            fn answer(&self, _query: &str, _client: &ClientInfo, _cancel: &CancelToken) -> Answer {
+                std::thread::sleep(Duration::from_millis(50));
+                Answer::Solutions {
+                    rel: self.0.clone(),
+                    warnings: Vec::new(),
+                }
+            }
+            fn cancellable(&self) -> bool {
+                false
+            }
+        }
+        // About 2 MB of SPARQL JSON: many writes, so some land after the
+        // closed socket has answered the first with a reset.
+        let vars = ["s", "label"].map(lusail_sparql::ast::Variable::new);
+        let mut rel = Relation::new(vars.to_vec());
+        for i in 0..16_000 {
+            rel.push(vec![
+                Some(Term::iri(format!("http://x/row{i}"))),
+                Some(Term::literal("x".repeat(64))),
+            ]);
+        }
+        let backend = Arc::new(SlowRows(rel));
+        let handle = SparqlServer::with_backend("127.0.0.1:0", backend, ServerConfig::default())
+            .unwrap()
+            .spawn();
+        let mut sock = TcpStream::connect(handle.local_addr()).unwrap();
+        sock.write_all(post_query("SELECT ?s ?label WHERE { ?s ?p ?label }").as_bytes())
+            .unwrap();
+        drop(sock);
+        let counts = await_counts(&handle, |c| c.served == 0 && c.errors == 1);
+        assert_eq!((counts.served, counts.errors), (0, 1), "{counts:?}");
+        let (_, text) = raw_roundtrip(
+            handle.local_addr(),
+            "GET /stats HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
+        );
+        assert!(
+            text.contains("\"served\":0,\"shed\":0,\"errors\":1"),
+            "{text}"
+        );
         handle.shutdown();
     }
 

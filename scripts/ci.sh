@@ -129,6 +129,17 @@ if nontest $rs | grep -nE 'struct RequestReader|enum ReadError|answer_cancellabl
     exit 1
 fi
 
+# Only a backend that acts on its cancel token is watched (DESIGN.md →
+# Supervision): the disconnect monitor is spawned in one place, behind
+# `QueryBackend::cancellable`, so a plain store never waits out its peek.
+code=$(nontest crates/server/src/*.rs | tr -d ' \n')
+n=$( { grep -oE 'DisconnectMonitor::spawn\(' <<<"$code" || true; } | wc -l)
+guarded=$( { grep -oE '\.cancellable\(\)\.then\(\|\|DisconnectMonitor::spawn\(' <<<"$code" || true; } | wc -l)
+[ "$n" -eq 1 ] && [ "$guarded" -eq 1 ] || {
+    echo "DisconnectMonitor::spawn is called ${n} times in crates/server/src (${guarded} behind cancellable()), want once, behind it" >&2
+    exit 1
+}
+
 # JSON escaping has one path (DESIGN.md → Data plane & codec semantics):
 # `json::escape_into` appends into the caller's buffer; the allocating
 # `escape` and the per-term `term_json` stay gone.
