@@ -1477,6 +1477,32 @@ mod tests {
         handle.shutdown();
     }
 
+    /// A query nested past the parser's limit is a 400 on the worker that
+    /// read it, not a stack overflow that aborts the process, and the next
+    /// request is served.
+    #[test]
+    fn a_deeply_nested_query_is_a_400_and_the_server_stays_up() {
+        let handle = start(ServerConfig::default());
+        let addr = handle.local_addr();
+        let close = |query: &str| {
+            post_query(query).replacen("\r\n\r\n", "\r\nConnection: close\r\n\r\n", 1)
+        };
+        let groups = format!("SELECT * WHERE {}{}", "{".repeat(3_000), "}".repeat(3_000));
+        let parens = format!(
+            "SELECT * WHERE {{ ?s ?p ?o FILTER({}?o{}) }}",
+            "(".repeat(3_000),
+            ")".repeat(3_000)
+        );
+        for query in [groups, parens] {
+            let (status, text) = raw_roundtrip(addr, &close(&query));
+            assert!(status.contains("400"), "{status}\n{text}");
+            assert!(text.contains("nests deeper"), "{text}");
+        }
+        let (status, text) = raw_roundtrip(addr, &close("SELECT ?s WHERE { ?s <http://x/p> ?o }"));
+        assert!(status.contains("200"), "{status}\n{text}");
+        handle.shutdown();
+    }
+
     #[test]
     fn saturated_pool_sheds_load_with_503_and_retry_after() {
         // One worker, backlog of one: the worker parks on a held-open

@@ -25,12 +25,32 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// What the parser accepts beyond the grammar: one limits value, read in
+/// one place, so every recursion over a parsed query is bounded by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseLimits {
+    /// How deeply a query may nest. Groups `{…}` and expressions (each
+    /// operand, parenthesised or a function argument) share one counter,
+    /// and each link of a left-deep chain — one more item of a group, one
+    /// more `UNION`, `||`, `&&`, `+`, `-`, `*` or `/` — counts one level
+    /// too, because the tree it builds is one level deeper. Past it the
+    /// parser stops with a [`ParseError`] (a server answers 400), so the
+    /// parser and every later recursion over the tree (normalisation, LADE,
+    /// the serializer, the store's evaluator, expression evaluation) fit a
+    /// 2 MiB thread stack, debug builds included.
+    pub max_nesting: usize,
+}
+
+/// The limits [`parse_query`] enforces.
+pub const PARSE_LIMITS: ParseLimits = ParseLimits { max_nesting: 64 };
+
 /// Parse a SPARQL query string.
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     let mut p = Parser {
         s: input,
         pos: 0,
         prefixes: Vec::new(),
+        depth: 0,
     };
     let q = p.query()?;
     p.skip_trivia();
@@ -44,9 +64,24 @@ struct Parser<'a> {
     s: &'a str,
     pos: usize,
     prefixes: Vec<(String, String)>,
+    /// Nesting levels entered so far (see [`ParseLimits::max_nesting`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// Enter one more nesting level. The caller restores `depth` to what
+    /// it was when its construct ends.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        if self.depth == PARSE_LIMITS.max_nesting {
+            return self.err(format!(
+                "query nests deeper than {} levels",
+                PARSE_LIMITS.max_nesting
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn rest(&self) -> &'a str {
         &self.s[self.pos..]
     }
@@ -334,6 +369,14 @@ impl<'a> Parser<'a> {
     // ---- graph patterns ------------------------------------------------
 
     fn group_graph_pattern(&mut self) -> Result<GraphPattern, ParseError> {
+        let depth = self.depth;
+        let group = self.group_body();
+        self.depth = depth;
+        group
+    }
+
+    fn group_body(&mut self) -> Result<GraphPattern, ParseError> {
+        self.nest()?;
         self.expect("{")?;
         // Sub-select?
         self.skip_trivia();
@@ -348,6 +391,7 @@ impl<'a> Parser<'a> {
             if self.eat("}") {
                 return Ok(acc);
             }
+            self.nest()?;
             if self.eat_kw("FILTER") {
                 self.skip_trivia();
                 if self.eat_kw("NOT") {
@@ -386,6 +430,7 @@ impl<'a> Parser<'a> {
             } else if self.peek_is('{') {
                 let mut branch = self.group_graph_pattern()?;
                 while self.eat_kw("UNION") {
+                    self.nest()?;
                     let right = self.group_graph_pattern()?;
                     branch = GraphPattern::Union(Box::new(branch), Box::new(right));
                 }
@@ -526,20 +571,26 @@ impl<'a> Parser<'a> {
     }
 
     fn or_expression(&mut self) -> Result<Expression, ParseError> {
+        let depth = self.depth;
         let mut left = self.and_expression()?;
         while self.eat("||") {
+            self.nest()?;
             let right = self.and_expression()?;
             left = Expression::Or(Box::new(left), Box::new(right));
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn and_expression(&mut self) -> Result<Expression, ParseError> {
+        let depth = self.depth;
         let mut left = self.relational_expression()?;
         while self.eat("&&") {
+            self.nest()?;
             let right = self.relational_expression()?;
             left = Expression::And(Box::new(left), Box::new(right));
         }
+        self.depth = depth;
         Ok(left)
     }
 
@@ -581,38 +632,53 @@ impl<'a> Parser<'a> {
     }
 
     fn additive_expression(&mut self) -> Result<Expression, ParseError> {
+        let depth = self.depth;
         let mut left = self.multiplicative_expression()?;
         loop {
             if self.eat("+") {
+                self.nest()?;
                 let r = self.multiplicative_expression()?;
                 left = Expression::Add(Box::new(left), Box::new(r));
             } else if self.eat("-") {
+                self.nest()?;
                 let r = self.multiplicative_expression()?;
                 left = Expression::Sub(Box::new(left), Box::new(r));
             } else {
                 break;
             }
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn multiplicative_expression(&mut self) -> Result<Expression, ParseError> {
+        let depth = self.depth;
         let mut left = self.unary_expression()?;
         loop {
             if self.eat("*") {
+                self.nest()?;
                 let r = self.unary_expression()?;
                 left = Expression::Mul(Box::new(left), Box::new(r));
             } else if self.eat("/") {
+                self.nest()?;
                 let r = self.unary_expression()?;
                 left = Expression::Div(Box::new(left), Box::new(r));
             } else {
                 break;
             }
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn unary_expression(&mut self) -> Result<Expression, ParseError> {
+        let depth = self.depth;
+        let expr = self.nest().and_then(|()| self.unary_body());
+        self.depth = depth;
+        expr
+    }
+
+    fn unary_body(&mut self) -> Result<Expression, ParseError> {
         self.skip_trivia();
         if self.eat("!") {
             let inner = self.unary_expression()?;

@@ -1,12 +1,13 @@
 //! Solution sequences: the tabular results exchanged between endpoints and
 //! the federated query processor.
 //!
-//! The multiset operators (`join`, `equi_join`, `minus`, `dedup`,
-//! `distinct_values`) run on *interned* rows: each operator builds a
+//! The multiset operators (`join`, `minus`, `dedup`, `distinct_values`)
+//! run on *interned* rows: each operator builds a
 //! query-scoped [`Dictionary`], encodes the rows it touches once into
 //! fixed-width [`SlotId`]s, and then hashes and compares plain `u32`s
 //! instead of term strings. Terms are materialized again only when the
-//! operator emits its output rows.
+//! operator emits its output rows. `equi_join` pairs rows by value, not by
+//! term, so it keys them by [`equality_key`] instead.
 
 use crate::aggregate::aggregate_relation;
 use crate::ast::{Projection, SelectQuery, Variable};
@@ -14,6 +15,7 @@ use lusail_rdf::dict::{Dictionary, KeyInterner, SlotId, UNBOUND};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::Term;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// One solution row: a term (or unbound) per variable of the owning
 /// [`Relation`]'s header.
@@ -376,9 +378,11 @@ impl Relation {
     }
 
     /// Hash join on *renamed* keys: rows of `self` and `other` pair up when
-    /// `self[a] == other[b]` for every `(a, b)` in `pairs` (both bound).
-    /// Used to evaluate `FILTER(?a = ?b)` bridges between otherwise
-    /// disconnected subqueries as a join instead of a cross product.
+    /// `self[a] = other[b]` holds, as SPARQL `=`, for every `(a, b)` in
+    /// `pairs` (both bound). Used to evaluate `FILTER(?a = ?b)` bridges
+    /// between otherwise disconnected subqueries as a join instead of a
+    /// cross product; the keys are [`equality_key`]s, so `1` meets `1.0`
+    /// and the caller's FILTER still re-checks each pair.
     pub fn equi_join(&self, other: &Relation, pairs: &[(Variable, Variable)]) -> Relation {
         let keys: Vec<(usize, usize)> = pairs
             .iter()
@@ -394,30 +398,25 @@ impl Relation {
             }
         }
         let mut out = Relation::new(out_vars);
-        // Interned build/probe on the bridge-key columns only, as in
-        // `join`: bridge keys must be bound on both sides, so there is no
-        // loose-row fallback here.
-        let self_idx: Vec<usize> = keys.iter().map(|&(i, _)| i).collect();
-        let other_idx: Vec<usize> = keys.iter().map(|&(_, j)| j).collect();
-        let mut dict = KeyInterner::new();
-        let self_keys = encode_keys(&self.rows, &self_idx, &mut dict);
-        let other_keys = encode_keys(&other.rows, &other_idx, &mut dict);
+        // An unbound or NaN cell has no key, so its row meets nothing.
+        let key = |row: &Row, side: fn(&(usize, usize)) -> usize| -> Option<Vec<EqKey>> {
+            keys.iter()
+                .map(|k| row[side(k)].as_ref().and_then(equality_key))
+                .collect()
+        };
         let merge = MergePlan::new(self, other, &out.vars);
-        let mut table: FxHashMap<&[SlotId], Vec<usize>> = FxHashMap::default();
-        for (i, key) in other_keys.iter().enumerate() {
-            if !key.contains(&UNBOUND) {
-                table.entry(key).or_default().push(i);
+        let mut table: FxHashMap<Vec<EqKey>, Vec<usize>> = FxHashMap::default();
+        for (i, row) in other.rows.iter().enumerate() {
+            if let Some(k) = key(row, |k| k.1) {
+                table.entry(k).or_default().push(i);
             }
         }
-        for (ai, key) in self_keys.iter().enumerate() {
-            if key.contains(&UNBOUND) {
+        for arow in &self.rows {
+            let Some(matches) = key(arow, |k| k.0).and_then(|k| table.get(&k)) else {
                 continue;
-            }
-            if let Some(matches) = table.get(key) {
-                for &bi in matches {
-                    out.rows
-                        .push(merge.merge_terms(&self.rows[ai], &other.rows[bi]));
-                }
+            };
+            for &bi in matches {
+                out.rows.push(merge.merge_terms(arow, &other.rows[bi]));
             }
         }
         out
@@ -600,6 +599,32 @@ pub fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
         }
         (Some(x), Some(y)) if rank(a) == rank(b) => x.cmp(y),
         _ => rank(a).cmp(&rank(b)),
+    }
+}
+
+/// What SPARQL `=` compares a term by, as a hashable value: two terms
+/// are `=`-equal exactly when both have a key and the keys are equal. A
+/// literal whose lexical form parses as a number is that number (`-0`
+/// folded to `0`; NaN equals nothing, so it has no key), any other literal
+/// is its lexical form, and an IRI or blank node is itself. This is
+/// `store::expr`'s comparison written as a key, so a hash join on it and a
+/// FILTER over the cross product keep the same pairs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum EqKey {
+    Number(u64),
+    Text(Arc<str>),
+    Term(Term),
+}
+
+/// The [`EqKey`] of a term; `None` when `=` is never true of it.
+pub fn equality_key(t: &Term) -> Option<EqKey> {
+    match t {
+        Term::Literal(l) => match l.as_f64() {
+            Some(n) if n.is_nan() => None,
+            Some(n) => Some(EqKey::Number((n + 0.0).to_bits())),
+            None => Some(EqKey::Text(l.lexical.clone())),
+        },
+        other => Some(EqKey::Term(other.clone())),
     }
 }
 

@@ -6,7 +6,8 @@ use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
 use lusail_rdf::{Term, TermId};
 use lusail_sparql::aggregate::aggregate_value;
 use lusail_sparql::ast::*;
-use lusail_sparql::solution::{apply_modifiers, Relation};
+use lusail_sparql::solution::{apply_modifiers, equality_key, EqKey, Relation};
+use std::collections::HashMap;
 
 /// The result of evaluating a [`Query`]: a table for `SELECT`, a boolean
 /// for `ASK`.
@@ -68,7 +69,15 @@ impl Bindings {
 /// Evaluates queries against one store.
 pub struct Evaluator<'a> {
     store: &'a Store,
+    /// The terms behind `Cell::Foreign` ids, and each one's id. The terms
+    /// come from the request, so the map keeps std's keyed hasher: crafted
+    /// collisions cannot make a block quadratic again.
     foreign: Vec<Term>,
+    foreign_ids: HashMap<Term, u32>,
+    /// Whether a FILTER may run as [`Self::eval_bridged`]. Private and
+    /// always on, except in the tests that hold the bridged join against
+    /// the filter over the product.
+    bridging: bool,
 }
 
 impl<'a> Evaluator<'a> {
@@ -76,6 +85,8 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             store,
             foreign: Vec::new(),
+            foreign_ids: HashMap::new(),
+            bridging: true,
         }
     }
 
@@ -219,24 +230,23 @@ impl<'a> Evaluator<'a> {
     }
 
     fn encode_term(&mut self, t: &Term) -> Cell {
-        match self.store.resolve(t) {
-            Some(id) => Cell::Id(id),
-            None => {
-                if let Some(i) = self.foreign.iter().position(|x| x == t) {
-                    Cell::Foreign(i as u32)
-                } else {
-                    self.foreign.push(t.clone());
-                    Cell::Foreign((self.foreign.len() - 1) as u32)
-                }
-            }
+        if let Some(id) = self.store.resolve(t) {
+            return Cell::Id(id);
         }
+        if let Some(&i) = self.foreign_ids.get(t) {
+            return Cell::Foreign(i);
+        }
+        let i = self.foreign.len() as u32;
+        self.foreign.push(t.clone());
+        self.foreign_ids.insert(t.clone(), i);
+        Cell::Foreign(i)
     }
 
     // ---- pattern evaluation ---------------------------------------------
 
     fn eval_pattern(&mut self, p: &GraphPattern, input: Bindings) -> Bindings {
         match p {
-            GraphPattern::Bgp(tps) => self.eval_bgp(tps, input),
+            GraphPattern::Bgp(tps) => self.eval_bgp(tps.iter().collect(), input),
             GraphPattern::Join(a, b) => {
                 // A bound join's block restricts the pattern it follows:
                 // evaluate it first and the pattern becomes index probes.
@@ -257,10 +267,13 @@ impl<'a> Evaluator<'a> {
                 let lb = self.eval_pattern(b, input);
                 union_bindings(la, lb)
             }
-            GraphPattern::Filter(inner, e) => {
-                let rows = self.eval_pattern(inner, input);
-                self.eval_filter(rows, e)
-            }
+            GraphPattern::Filter(inner, e) => match self.bridge_plan(p, &input.vars) {
+                Some(plan) => self.eval_bridged(plan, input),
+                None => {
+                    let rows = self.eval_pattern(inner, input);
+                    self.eval_filter(rows, e)
+                }
+            },
             GraphPattern::Values(vars, data) => {
                 let mut values = Bindings {
                     vars: vars.clone(),
@@ -321,33 +334,223 @@ impl<'a> Evaluator<'a> {
         Bindings { vars, rows }
     }
 
-    fn eval_bgp(&mut self, tps: &[TriplePattern], input: Bindings) -> Bindings {
-        if tps.is_empty() {
-            return input;
-        }
-        let mut remaining: Vec<&TriplePattern> = tps.iter().collect();
+    fn eval_bgp(&mut self, mut remaining: Vec<&TriplePattern>, input: Bindings) -> Bindings {
         let mut acc = input;
         while !remaining.is_empty() {
             let next_idx = self.pick_next_pattern(&remaining, &acc.vars);
             let tp = remaining.swap_remove(next_idx);
             acc = self.extend_by_pattern(acc, tp);
             if acc.rows.is_empty() {
-                // Short-circuit: the conjunction is already empty.
-                // Register remaining variables so the header stays complete.
-                for tp in &remaining {
-                    for v in tp.variables() {
-                        if !acc.vars.contains(v) {
-                            acc.vars.push(v.clone());
-                        }
-                    }
-                }
-                for row in &mut acc.rows {
-                    row.resize(acc.vars.len(), Cell::Unbound);
-                }
+                // Short-circuit: the conjunction is already empty. The
+                // header still lists every variable, in the order a full
+                // run would have added them.
+                acc.vars = self.bgp_header(remaining, acc.vars);
                 return acc;
             }
         }
         acc
+    }
+
+    /// The header [`Self::eval_bgp`] gives `remaining` after `vars`: the
+    /// greedy pattern order depends on the header only, not on the rows.
+    fn bgp_header(
+        &self,
+        mut remaining: Vec<&TriplePattern>,
+        mut vars: Vec<Variable>,
+    ) -> Vec<Variable> {
+        while !remaining.is_empty() {
+            let tp = remaining.swap_remove(self.pick_next_pattern(&remaining, &vars));
+            for v in tp.variables() {
+                if !vars.contains(v) {
+                    vars.push(v.clone());
+                }
+            }
+        }
+        vars
+    }
+
+    /// The plan for evaluating `p` as a bridged join, or `None` when `p` is
+    /// not a FILTER (or a stack of them) over a BGP with a `?a = ?b`
+    /// conjunct whose variables lie in different connected components of
+    /// that BGP. Patterns connect through shared variables and through the
+    /// variables `input` binds, since one input row binds them together.
+    fn bridge_plan<'p>(&self, p: &'p GraphPattern, input: &[Variable]) -> Option<BridgePlan<'p>> {
+        if !self.bridging {
+            return None;
+        }
+        let mut filters = Vec::new();
+        let mut inner = p;
+        while let GraphPattern::Filter(next, e) = inner {
+            filters.push(e);
+            inner = next;
+        }
+        let GraphPattern::Bgp(tps) = inner else {
+            return None;
+        };
+        filters.reverse();
+        let mut conjuncts = Vec::new();
+        for e in &filters {
+            push_conjuncts(e, &mut conjuncts);
+        }
+        let equalities: Vec<(&Variable, &Variable)> = (conjuncts.into_iter())
+            .filter_map(|e| match e {
+                Expression::Eq(a, b) => match (a.as_ref(), b.as_ref()) {
+                    (Expression::Var(a), Expression::Var(b)) => Some((a, b)),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        if equalities.is_empty() {
+            return None;
+        }
+        // Union-find over the patterns and one more node, `n`, for the input.
+        let n = tps.len();
+        let mut parent: Vec<usize> = (0..=n).collect();
+        fn root(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        let mut owner: FxHashMap<&Variable, usize> = FxHashMap::default();
+        for (i, tp) in tps.iter().enumerate() {
+            for v in tp.variables() {
+                let j = *owner
+                    .entry(v)
+                    .or_insert(if input.contains(v) { n } else { i });
+                let (a, b) = (root(&mut parent, i), root(&mut parent, j));
+                parent[a] = b;
+            }
+        }
+        let mut component = |v: &Variable| owner.get(v).map(|&i| root(&mut parent, i));
+        let bridges: Vec<(&Variable, &Variable)> = (equalities.into_iter())
+            .filter(|&(a, b)| matches!((component(a), component(b)), (Some(x), Some(y)) if x != y))
+            .collect();
+        if bridges.is_empty() {
+            return None;
+        }
+        // One group per component, in order of first pattern; the input's
+        // group, when patterns joined it, first.
+        let input_root = root(&mut parent, n);
+        let mut roots: Vec<usize> = Vec::new();
+        let mut groups: Vec<Vec<&TriplePattern>> = Vec::new();
+        for (i, tp) in tps.iter().enumerate() {
+            let r = root(&mut parent, i);
+            match roots.iter().position(|&x| x == r) {
+                Some(g) => groups[g].push(tp),
+                None => {
+                    roots.push(r);
+                    groups.push(vec![tp]);
+                }
+            }
+        }
+        if let Some(g) = roots.iter().position(|&r| r == input_root) {
+            let seeded = groups.remove(g);
+            groups.insert(0, seeded);
+        }
+        Some(BridgePlan {
+            tps,
+            filters,
+            groups,
+            bridges,
+        })
+    }
+
+    /// A FILTER over a BGP whose components meet only in `?a = ?b`
+    /// conjuncts, without their product: each component is evaluated on
+    /// its own (the first from `input`), components a bridge connects are
+    /// hash-joined on the [`EqKey`]s of the bridge variables, what is left
+    /// joins as before (a product), and the whole FILTER re-checks every
+    /// row. Same rows, same header order as the filter over the product.
+    fn eval_bridged(&mut self, plan: BridgePlan<'_>, input: Bindings) -> Bindings {
+        let header = self.bgp_header(plan.tps.iter().collect(), input.vars.clone());
+        let mut seed = Some(input);
+        let mut parts = Vec::with_capacity(plan.groups.len());
+        for group in plan.groups {
+            let part = self.eval_bgp(group, seed.take().unwrap_or_else(Bindings::unit));
+            if part.rows.is_empty() {
+                return Bindings {
+                    vars: header,
+                    rows: Vec::new(),
+                };
+            }
+            parts.push(part);
+        }
+        let side =
+            |parts: &[Bindings], v: &Variable| parts.iter().position(|p| p.index_of(v).is_some());
+        while let Some((i, j)) = plan.bridges.iter().find_map(|(a, b)| {
+            let (i, j) = (side(&parts, a)?, side(&parts, b)?);
+            (i != j).then(|| (i.min(j), i.max(j)))
+        }) {
+            let right = parts.remove(j);
+            let left = parts.remove(i);
+            let keys: Vec<(usize, usize)> = (plan.bridges.iter())
+                .filter_map(|&(a, b)| {
+                    let pair = |x, y| Some((left.index_of(x)?, right.index_of(y)?));
+                    pair(a, b).or_else(|| pair(b, a))
+                })
+                .collect();
+            parts.insert(i, self.equality_join(&left, &right, &keys));
+        }
+        let mut out = parts
+            .into_iter()
+            .reduce(|a, b| join_bindings(&a, &b))
+            .expect("a bridge joins two groups");
+        for e in plan.filters {
+            out = self.eval_filter(out, e);
+        }
+        if out.vars != header {
+            let idx: Vec<usize> = (header.iter())
+                .map(|v| {
+                    out.index_of(v)
+                        .expect("every group's variables are in the header")
+                })
+                .collect();
+            for row in &mut out.rows {
+                *row = idx.iter().map(|&i| row[i]).collect();
+            }
+            out.vars = header;
+        }
+        out
+    }
+
+    /// Pair the rows of `left` and `right` (no shared variable) whose
+    /// `keys` columns are `=`-equal, as SPARQL compares them.
+    fn equality_join(
+        &self,
+        left: &Bindings,
+        right: &Bindings,
+        keys: &[(usize, usize)],
+    ) -> Bindings {
+        let key = |row: &[Cell], col: fn(&(usize, usize)) -> usize| -> Option<Vec<EqKey>> {
+            keys.iter()
+                .map(|k| self.cell_term(row[col(k)]).and_then(equality_key))
+                .collect()
+        };
+        let mut table: FxHashMap<Vec<EqKey>, Vec<usize>> = FxHashMap::default();
+        for (i, row) in right.rows.iter().enumerate() {
+            if let Some(k) = key(row, |k| k.1) {
+                table.entry(k).or_default().push(i);
+            }
+        }
+        let mut out = Bindings {
+            vars: left.vars.iter().chain(&right.vars).cloned().collect(),
+            rows: Vec::new(),
+        };
+        for lrow in &left.rows {
+            let Some(hits) = key(lrow, |k| k.0).and_then(|k| table.get(&k)) else {
+                continue;
+            };
+            for &ri in hits {
+                let mut row = Vec::with_capacity(out.vars.len());
+                row.extend_from_slice(lrow);
+                row.extend_from_slice(&right.rows[ri]);
+                out.rows.push(row);
+            }
+        }
+        out
     }
 
     /// Whether `Join(body, values)` is better evaluated `values` first:
@@ -477,7 +680,8 @@ impl<'a> Evaluator<'a> {
             }
             let matches = self.store.match_ids(probe[0], probe[1], probe[2]);
             'matches: for (s, p, o) in matches {
-                let mut new_row: Vec<Cell> = row.clone();
+                let mut new_row = Vec::with_capacity(out.vars.len());
+                new_row.extend_from_slice(row);
                 new_row.resize(out.vars.len(), Cell::Unbound);
                 let found = [s, p, o];
                 for (i, plan) in slot_plan.iter().enumerate() {
@@ -637,6 +841,27 @@ fn subselect_seed(q: &SelectQuery, input: &Bindings) -> Bindings {
     Bindings {
         vars: shared.iter().map(|&i| input.vars[i].clone()).collect(),
         rows,
+    }
+}
+
+/// What [`Evaluator::eval_bridged`] runs: the BGP, its FILTERs (innermost
+/// first), its connected components as pattern groups (the input's first),
+/// and the `?a = ?b` conjuncts that cross from one group to another.
+struct BridgePlan<'p> {
+    tps: &'p [TriplePattern],
+    filters: Vec<&'p Expression>,
+    groups: Vec<Vec<&'p TriplePattern>>,
+    bridges: Vec<(&'p Variable, &'p Variable)>,
+}
+
+/// The top-level `&&` operands of `e`.
+fn push_conjuncts<'e>(e: &'e Expression, out: &mut Vec<&'e Expression>) {
+    match e {
+        Expression::And(a, b) => {
+            push_conjuncts(a, out);
+            push_conjuncts(b, out);
+        }
+        other => out.push(other),
     }
 }
 
@@ -1165,6 +1390,123 @@ mod tests {
             "?p",
             "(<http://x/part0>)"
         ));
+    }
+
+    /// Subjects with join values drawn from a pool where `=` and term
+    /// identity part ways: numbers in several spellings and types, NaN,
+    /// signed zeros, one text as plain, typed and tagged literal, and an
+    /// IRI, a blank node and a literal spelling the same thing.
+    fn bridge_store(seed: &mut u64) -> Store {
+        use lusail_rdf::{vocab::xsd, Literal};
+        let pool = [
+            Term::literal("5"),
+            Term::literal(" 5"),
+            Term::Literal(Literal::typed("5.0", xsd::DECIMAL)),
+            Term::Literal(Literal::typed("05", xsd::INTEGER)),
+            Term::Literal(Literal::lang("5", "en")),
+            Term::literal("NaN"),
+            Term::literal("-0"),
+            Term::literal("0"),
+            Term::Literal(Literal::double(0.0)),
+            Term::literal("abc"),
+            Term::Literal(Literal::lang("abc", "en")),
+            Term::Literal(Literal::typed("abc", xsd::STRING)),
+            Term::iri("http://x/v"),
+            Term::literal("http://x/v"),
+            Term::bnode("v"),
+            Term::integer(7),
+        ];
+        let mut g = Graph::new();
+        for i in 0..12 {
+            let subject = Term::iri(format!("http://x/s{i}"));
+            for p in ["a", "b", "c"] {
+                for _ in 0..crate::splitmix(seed) % 3 {
+                    let value = pool[crate::splitmix(seed) as usize % pool.len()].clone();
+                    g.add(subject.clone(), Term::iri(format!("http://x/{p}")), value);
+                }
+            }
+            let x = crate::splitmix(seed) % 10;
+            g.add(subject, Term::iri("http://x/x"), Term::integer(x as i64));
+        }
+        Store::from_graph(&g)
+    }
+
+    #[test]
+    fn a_bridged_filter_equals_the_filter_over_the_product() {
+        let queries = [
+            // One bridge; with a residual conjunct; as two FILTERs.
+            "{ ?s :a ?a . ?t :b ?b FILTER(?a = ?b) }",
+            "{ ?s :a ?a . ?t :b ?b . ?t :x ?x FILTER(?a = ?b && ?x > 4) }",
+            "{ ?s :a ?a . ?t :b ?b FILTER(?b = ?a) FILTER(?s != ?t) }",
+            "{ ?s :a ?a . ?s :x ?x . ?t :b ?b FILTER(?x < 8) FILTER(?a = ?b && ?x > 2) }",
+            // Three components: bridged twice, and once plus a product.
+            "{ ?s :a ?a . ?t :b ?b . ?u :c ?c FILTER(?a = ?b && ?c = ?b) }",
+            "{ ?s :a ?a . ?t :b ?b . ?u :c ?c FILTER(?a = ?b) }",
+            // Two conjuncts bridging the same two components.
+            "{ ?s :a ?a ; :b ?a2 . ?t :b ?b ; :c ?b2 FILTER(?a = ?b && ?a2 = ?b2) }",
+            // Inside OPTIONAL (seeded per row, and correlated through ?s)
+            // and inside UNION.
+            "{ ?s :x ?x OPTIONAL { ?t :a ?a . ?u :b ?b FILTER(?a = ?b) } }",
+            "{ ?s :x ?x OPTIONAL { ?s :a ?a . ?u :b ?b FILTER(?a = ?b) } }",
+            "{ { ?s :a ?a . ?t :b ?b FILTER(?a = ?b) } UNION { ?s :c ?a } }",
+            // Seeded by a VALUES block that connects nothing else.
+            "{ ?s :a ?a . ?t :b ?b FILTER(?a = ?b) VALUES ?s { :s1 :s2 :s3 :nowhere } }",
+        ];
+        let mut seed = 31u64;
+        for round in 0..12 {
+            let st = bridge_store(&mut seed);
+            for body in queries {
+                let q =
+                    parse_query(&format!("PREFIX : <http://x/> SELECT * WHERE {body}")).unwrap();
+                let got = Evaluator::new(&st).query(&q).into_solutions();
+                let mut general = Evaluator::new(&st);
+                general.bridging = false;
+                let want = general.query(&q).into_solutions();
+                assert_eq!(got.vars(), want.vars(), "round {round}: {body}");
+                let sorted = |r: &Relation| {
+                    let mut rows = r.rows().to_vec();
+                    rows.sort();
+                    rows
+                };
+                assert_eq!(sorted(&got), sorted(&want), "round {round}: {body}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_an_equality_across_components_is_a_bridge() {
+        let st = bridge_store(&mut 5);
+        let plan = |body: &str, input: &[&str]| {
+            let q = parse_query(&format!("PREFIX : <http://x/> SELECT * WHERE {body}")).unwrap();
+            let input: Vec<Variable> = input.iter().map(|v| Variable::new(*v)).collect();
+            let ev = Evaluator::new(&st);
+            ev.bridge_plan(q.pattern(), &input)
+                .map(|p| (p.groups.len(), p.bridges.len()))
+        };
+        assert_eq!(
+            plan("{ ?s :a ?a . ?t :b ?b FILTER(?a = ?b) }", &[]),
+            Some((2, 1))
+        );
+        assert_eq!(
+            plan(
+                "{ ?s :a ?a . ?t :b ?b . ?u :c ?c FILTER(?s != ?u && (?a = ?b)) }",
+                &[]
+            ),
+            Some((3, 1))
+        );
+        // Connected already, through the BGP or through the input.
+        assert_eq!(plan("{ ?s :a ?a . ?s :b ?b FILTER(?a = ?b) }", &[]), None);
+        assert_eq!(
+            plan("{ ?s :a ?a . ?t :b ?b FILTER(?a = ?b) }", &["s", "t"]),
+            None
+        );
+        // Not a top-level conjunct, not two variables, or not over a BGP.
+        assert_eq!(
+            plan("{ ?s :a ?a . ?t :b ?b FILTER(?a = ?b || ?a = 1) }", &[]),
+            None
+        );
+        assert_eq!(plan("{ ?s :a ?a . ?t :b ?b FILTER(?a = 5) }", &[]), None);
+        assert_eq!(plan("{ ?s :a ?a . ?t :b ?b FILTER(?a = ?zz) }", &[]), None);
     }
 
     #[test]

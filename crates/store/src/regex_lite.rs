@@ -4,14 +4,20 @@
 //! anchors (`^`, `$`), `.`, `*`, `+`, `?`, character classes (`[abc]`,
 //! `[a-z]`, `[^…]`), escaped metacharacters, and the `i` (case-insensitive)
 //! flag. Unanchored patterns match anywhere in the text, per SPARQL/XPath
-//! semantics. Implemented as a straightforward backtracking matcher —
-//! patterns in the workloads are tiny, so pathological backtracking is not
-//! a concern here.
+//! semantics.
+//!
+//! Matching is a state-set (Thompson) simulation: with no groups and no
+//! alternation a state is just the index of the next pattern item, so one
+//! pass over the text keeps a set of at most `items + 1` states and costs
+//! O(text × pattern) whatever the pattern — `a*a*a*a*a*a*b` against a long
+//! run of `a`s included, which a backtracker takes exponential time on.
 
-/// A compiled pattern.
+/// A compiled pattern: a sequence of items, each one character matcher
+/// taken once, any number of times, or at most once (`x+` compiles to `x`
+/// then `x*`).
 #[derive(Debug, Clone)]
 pub struct Regex {
-    nodes: Vec<Node>,
+    nodes: Vec<(Node, Count)>,
     anchored_start: bool,
     anchored_end: bool,
     case_insensitive: bool,
@@ -25,9 +31,13 @@ enum Node {
         negated: bool,
         items: Vec<ClassItem>,
     },
-    Star(Box<Node>),
-    Plus(Box<Node>),
-    Opt(Box<Node>),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Count {
+    One,
+    Star,
+    Opt,
 }
 
 #[derive(Debug, Clone)]
@@ -124,22 +134,17 @@ impl Regex {
                     Node::Char(c)
                 }
             };
-            let node = match chars.get(i) {
-                Some('*') => {
-                    i += 1;
-                    Node::Star(Box::new(base))
-                }
+            let count = match chars.get(i) {
+                Some('*') => Count::Star,
                 Some('+') => {
-                    i += 1;
-                    Node::Plus(Box::new(base))
+                    nodes.push((base.clone(), Count::One));
+                    Count::Star
                 }
-                Some('?') => {
-                    i += 1;
-                    Node::Opt(Box::new(base))
-                }
-                _ => base,
+                Some('?') => Count::Opt,
+                _ => Count::One,
             };
-            nodes.push(node);
+            i += usize::from(count != Count::One);
+            nodes.push((base, count));
         }
         Ok(Regex {
             nodes,
@@ -152,76 +157,43 @@ impl Regex {
     /// Does the pattern match anywhere in `text` (or at the anchored
     /// positions)?
     pub fn is_match(&self, text: &str) -> bool {
+        let n = self.nodes.len();
+        // `states[i]`: some attempt has matched items `..i`; `n` accepts.
+        let mut states = vec![false; n + 1];
+        let mut next = vec![false; n + 1];
+        self.enter(&mut states, 0);
         let chars: Vec<char> = if self.case_insensitive {
             text.chars().flat_map(|c| c.to_lowercase()).collect()
         } else {
             text.chars().collect()
         };
-        let starts: Vec<usize> = if self.anchored_start {
-            vec![0]
-        } else {
-            (0..=chars.len()).collect()
-        };
-        for start in starts {
-            if self.match_here(&chars, start, 0) {
+        for c in chars {
+            if states[n] && !self.anchored_end {
                 return true;
             }
+            next.fill(false);
+            for (i, (node, count)) in self.nodes.iter().enumerate() {
+                if states[i] && self.single(node, c) {
+                    let to = if *count == Count::Star { i } else { i + 1 };
+                    self.enter(&mut next, to);
+                }
+            }
+            std::mem::swap(&mut states, &mut next);
+            if !self.anchored_start {
+                self.enter(&mut states, 0);
+            }
         }
-        false
+        states[n]
     }
 
-    fn match_here(&self, text: &[char], pos: usize, node_idx: usize) -> bool {
-        if node_idx == self.nodes.len() {
-            return !self.anchored_end || pos == text.len();
-        }
-        match &self.nodes[node_idx] {
-            Node::Star(inner) => {
-                // Greedy with backtracking.
-                let mut reach = pos;
-                while reach < text.len() && self.single(inner, text[reach]) {
-                    reach += 1;
-                }
-                loop {
-                    if self.match_here(text, reach, node_idx + 1) {
-                        return true;
-                    }
-                    if reach == pos {
-                        return false;
-                    }
-                    reach -= 1;
-                }
-            }
-            Node::Plus(inner) => {
-                if pos >= text.len() || !self.single(inner, text[pos]) {
-                    return false;
-                }
-                let mut reach = pos + 1;
-                while reach < text.len() && self.single(inner, text[reach]) {
-                    reach += 1;
-                }
-                loop {
-                    if self.match_here(text, reach, node_idx + 1) {
-                        return true;
-                    }
-                    if reach == pos + 1 {
-                        return false;
-                    }
-                    reach -= 1;
-                }
-            }
-            Node::Opt(inner) => {
-                if pos < text.len()
-                    && self.single(inner, text[pos])
-                    && self.match_here(text, pos + 1, node_idx + 1)
-                {
-                    return true;
-                }
-                self.match_here(text, pos, node_idx + 1)
-            }
-            simple => {
-                pos < text.len()
-                    && self.single(simple, text[pos])
-                    && self.match_here(text, pos + 1, node_idx + 1)
+    /// Add state `i` and every state reachable from it by skipping
+    /// optional items.
+    fn enter(&self, states: &mut [bool], mut i: usize) {
+        while !states[i] {
+            states[i] = true;
+            match self.nodes.get(i) {
+                Some((_, Count::Star | Count::Opt)) => i += 1,
+                _ => return,
             }
         }
     }
@@ -244,7 +216,6 @@ impl Regex {
                 });
                 hit != *negated
             }
-            Node::Star(_) | Node::Plus(_) | Node::Opt(_) => unreachable!("nested quantifier"),
         }
     }
 }
@@ -316,6 +287,83 @@ mod tests {
         assert!(Regex::new("*a", "").is_err());
         assert!(Regex::new("[abc", "").is_err());
         assert!(Regex::new("a\\", "").is_err());
+    }
+
+    /// The backtracking matcher the state-set simulation replaced, kept as
+    /// the oracle of the differential test below.
+    fn match_here(re: &Regex, text: &[char], pos: usize, i: usize) -> bool {
+        let Some((node, count)) = re.nodes.get(i) else {
+            return !re.anchored_end || pos == text.len();
+        };
+        let hit = |p: usize| p < text.len() && re.single(node, text[p]);
+        match count {
+            Count::One => hit(pos) && match_here(re, text, pos + 1, i + 1),
+            Count::Opt => {
+                (hit(pos) && match_here(re, text, pos + 1, i + 1))
+                    || match_here(re, text, pos, i + 1)
+            }
+            Count::Star => {
+                let mut reach = pos;
+                while hit(reach) {
+                    reach += 1;
+                }
+                (pos..=reach).rev().any(|r| match_here(re, text, r, i + 1))
+            }
+        }
+    }
+
+    fn backtracking_is_match(re: &Regex, text: &str) -> bool {
+        let chars: Vec<char> = if re.case_insensitive {
+            text.chars().flat_map(|c| c.to_lowercase()).collect()
+        } else {
+            text.chars().collect()
+        };
+        let last = if re.anchored_start { 0 } else { chars.len() };
+        (0..=last).any(|start| match_here(re, &chars, start, 0))
+    }
+
+    #[test]
+    fn state_sets_agree_with_backtracking() {
+        let atoms = ["a", "b", "A", ".", "[ab]", "[^a]", "[a-b]", r"\.", "c"];
+        let mut seed = 11u64;
+        let mut draw = |k: usize| crate::splitmix(&mut seed) as usize % k;
+        for case in 0..4000 {
+            let mut pattern = String::new();
+            if draw(3) == 0 {
+                pattern.push('^');
+            }
+            for _ in 0..draw(7) {
+                pattern.push_str(atoms[draw(atoms.len())]);
+                pattern.push_str(["", "", "*", "+", "?"][draw(5)]);
+            }
+            if draw(3) == 0 {
+                pattern.push('$');
+            }
+            let flags = ["", "i"][draw(2)];
+            let text: String = (0..draw(9))
+                .map(|_| ['a', 'b', 'A', 'B', '.', 'c'][draw(6)])
+                .collect();
+            let re = Regex::new(&pattern, flags).unwrap();
+            assert_eq!(
+                re.is_match(&text),
+                backtracking_is_match(&re, &text),
+                "case {case}: /{pattern}/{flags} on {text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn stars_take_linear_time() {
+        // A backtracker tries every split of the run among the stars: this
+        // one took 94 s on 80 `a`s.
+        let re = Regex::new("a*a*a*a*a*a*b", "").unwrap();
+        assert!(!re.is_match(&"a".repeat(80)));
+        assert!(re.is_match(&format!("{}b", "a".repeat(80))));
+        let start = std::time::Instant::now();
+        let re = Regex::new(&format!("{}b", "a*".repeat(20)), "i").unwrap();
+        assert!(!re.is_match(&"a".repeat(10_000)));
+        // Well under 10 ms in a release build; generous for a debug one.
+        assert!(start.elapsed() < std::time::Duration::from_secs(2));
     }
 
     #[test]

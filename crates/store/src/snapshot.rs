@@ -1,9 +1,9 @@
 //! Binary store snapshots.
 //!
-//! Parsing N-Triples and rebuilding the three permutation indexes
-//! dominates endpoint start-up time; a snapshot stores the dictionary and
-//! the id-triples directly, so re-loading is a single pass with no string
-//! parsing. Used by the CLI (`.snap` data files).
+//! Parsing N-Triples dominates endpoint start-up time; a snapshot stores
+//! the dictionary and the id-triples directly, so re-loading is one pass
+//! with no string parsing, and the three indexes are sorted from the ids.
+//! Used by the CLI (`.snap` data files).
 //!
 //! Format (little-endian):
 //!
@@ -17,7 +17,7 @@
 //! ```
 
 use crate::store::Store;
-use lusail_rdf::{Literal, Term};
+use lusail_rdf::{Dictionary, Literal, Term, TermId};
 
 const MAGIC: &[u8; 8] = b"LUSNAP01";
 
@@ -105,27 +105,26 @@ pub fn load(bytes: &[u8]) -> Result<Store, SnapshotError> {
         };
         terms.push(term);
     }
+    // A well-formed snapshot lists each term once, so `ids[i] == i`; the
+    // map keeps a repeated term from splitting into two ids.
+    let mut dict = Dictionary::new();
+    let ids: Vec<TermId> = terms.iter().map(|t| dict.encode(t)).collect();
     let triple_count = r.u64()? as usize;
-    let mut store = Store::new();
+    let mut triples = Vec::with_capacity(triple_count.min(r.remaining() / 12));
     for _ in 0..triple_count {
-        let s = r.u32()? as usize;
-        let p = r.u32()? as usize;
-        let o = r.u32()? as usize;
-        let get = |i: usize| -> Result<&Term, SnapshotError> {
-            terms
+        let mut triple = [0; 3];
+        for id in &mut triple {
+            let i = r.u32()? as usize;
+            *id = *ids
                 .get(i)
-                .ok_or_else(|| SnapshotError(format!("term id {i} out of range")))
-        };
-        store.insert(&lusail_rdf::Triple {
-            subject: get(s)?.clone(),
-            predicate: get(p)?.clone(),
-            object: get(o)?.clone(),
-        });
+                .ok_or_else(|| SnapshotError(format!("term id {i} out of range")))?;
+        }
+        triples.push(triple);
     }
     if !r.at_end() {
         return Err(SnapshotError("trailing bytes after triples".into()));
     }
-    Ok(store)
+    Ok(Store::from_ids(dict, triples))
 }
 
 /// Save to a file.
@@ -175,6 +174,10 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|_| SnapshotError("invalid UTF-8 in snapshot".into()))
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 
     fn at_end(&self) -> bool {

@@ -1,19 +1,30 @@
 //! The dictionary-encoded triple store.
 
-use lusail_rdf::{Dictionary, Graph, Term, TermId, Triple};
-use std::collections::BTreeSet;
+use lusail_rdf::{Dictionary, Graph, Term, TermId};
 
-/// One endpoint's triple store: a dictionary plus three permutation indexes.
+/// One `(s, p, o)` id triple.
+type IdTriple = (TermId, TermId, TermId);
+
+/// Turns one row of an index back into `(s, p, o)` order.
+type Orient = fn(&[TermId; 3]) -> IdTriple;
+
+/// The matches of one pattern: a run of one index, each row oriented.
+pub type Matches<'a> = std::iter::Map<std::slice::Iter<'a, [TermId; 3]>, Orient>;
+
+/// One endpoint's triple store: a dictionary plus three permutation
+/// indexes, each a sorted, deduplicated array built once.
 ///
-/// Inserts deduplicate (RDF graphs are sets of triples). All query
-/// processing inside the store works on `TermId`s; terms cross the store
-/// boundary only in results.
+/// RDF graphs are sets of triples, so duplicates collapse at build time.
+/// All query processing inside the store works on `TermId`s; terms cross
+/// the store boundary only in results. A bound prefix of a pattern is one
+/// contiguous run of the index that starts with those slots, found by two
+/// binary searches.
 #[derive(Debug, Default, Clone)]
 pub struct Store {
     dict: Dictionary,
-    spo: BTreeSet<(TermId, TermId, TermId)>,
-    pos: BTreeSet<(TermId, TermId, TermId)>,
-    osp: BTreeSet<(TermId, TermId, TermId)>,
+    spo: Vec<[TermId; 3]>,
+    pos: Vec<[TermId; 3]>,
+    osp: Vec<[TermId; 3]>,
 }
 
 impl Store {
@@ -24,29 +35,37 @@ impl Store {
 
     /// Build a store from a graph.
     pub fn from_graph(graph: &Graph) -> Self {
-        let mut store = Store::new();
-        store.load(graph);
-        store
+        let mut dict = Dictionary::new();
+        let spo = graph
+            .iter()
+            .map(|t| {
+                [
+                    dict.encode(&t.subject),
+                    dict.encode(&t.predicate),
+                    dict.encode(&t.object),
+                ]
+            })
+            .collect();
+        Self::from_ids(dict, spo)
     }
 
-    /// Load all triples of a graph.
-    pub fn load(&mut self, graph: &Graph) {
-        for t in graph {
-            self.insert(t);
-        }
-    }
-
-    /// Insert one triple. Returns `true` if it was new.
-    pub fn insert(&mut self, triple: &Triple) -> bool {
-        let s = self.dict.encode(&triple.subject);
-        let p = self.dict.encode(&triple.predicate);
-        let o = self.dict.encode(&triple.object);
-        if self.spo.insert((s, p, o)) {
-            self.pos.insert((p, o, s));
-            self.osp.insert((o, s, p));
-            true
-        } else {
-            false
+    /// Build the three indexes over id triples (in any order, duplicates
+    /// allowed) whose ids `dict` defines.
+    pub(crate) fn from_ids(dict: Dictionary, mut spo: Vec<[TermId; 3]>) -> Self {
+        spo.sort_unstable();
+        spo.dedup();
+        let permuted = |f: fn(&[TermId; 3]) -> [TermId; 3]| {
+            let mut index: Vec<[TermId; 3]> = spo.iter().map(f).collect();
+            index.sort_unstable();
+            index
+        };
+        let pos = permuted(|&[s, p, o]| [p, o, s]);
+        let osp = permuted(|&[s, p, o]| [o, s, p]);
+        Store {
+            dict,
+            spo,
+            pos,
+            osp,
         }
     }
 
@@ -77,6 +96,35 @@ impl Store {
         self.dict.decode(id)
     }
 
+    /// The index run holding a pattern's matches, and how to read one of
+    /// its rows back in `(s, p, o)` order.
+    fn lookup(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> (&[[TermId; 3]], Orient) {
+        fn spo(&[s, p, o]: &[TermId; 3]) -> IdTriple {
+            (s, p, o)
+        }
+        fn pos(&[p, o, s]: &[TermId; 3]) -> IdTriple {
+            (s, p, o)
+        }
+        fn osp(&[o, s, p]: &[TermId; 3]) -> IdTriple {
+            (s, p, o)
+        }
+        match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => (run(&self.spo, &[s, p, o]), spo),
+            (Some(s), Some(p), None) => (run(&self.spo, &[s, p]), spo),
+            (Some(s), None, None) => (run(&self.spo, &[s]), spo),
+            (None, Some(p), Some(o)) => (run(&self.pos, &[p, o]), pos),
+            (None, Some(p), None) => (run(&self.pos, &[p]), pos),
+            (Some(s), None, Some(o)) => (run(&self.osp, &[o, s]), osp),
+            (None, None, Some(o)) => (run(&self.osp, &[o]), osp),
+            (None, None, None) => (&self.spo, spo),
+        }
+    }
+
     /// Match a triple pattern of optional ids, yielding `(s, p, o)` id
     /// triples. Chooses the best permutation index for the bound slots.
     pub fn match_ids(
@@ -84,115 +132,63 @@ impl Store {
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-    ) -> Vec<(TermId, TermId, TermId)> {
-        const MIN: TermId = 0;
-        const MAX: TermId = TermId::MAX;
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.spo.contains(&(s, p, o)) {
-                    vec![(s, p, o)]
-                } else {
-                    Vec::new()
-                }
-            }
-            (Some(s), Some(p), None) => self
-                .spo
-                .range((s, p, MIN)..=(s, p, MAX))
-                .map(|&(a, b, c)| (a, b, c))
-                .collect(),
-            (Some(s), None, None) => self
-                .spo
-                .range((s, MIN, MIN)..=(s, MAX, MAX))
-                .map(|&(a, b, c)| (a, b, c))
-                .collect(),
-            (None, Some(p), Some(o)) => self
-                .pos
-                .range((p, o, MIN)..=(p, o, MAX))
-                .map(|&(p, o, s)| (s, p, o))
-                .collect(),
-            (None, Some(p), None) => self
-                .pos
-                .range((p, MIN, MIN)..=(p, MAX, MAX))
-                .map(|&(p, o, s)| (s, p, o))
-                .collect(),
-            (Some(s), None, Some(o)) => self
-                .osp
-                .range((o, s, MIN)..=(o, s, MAX))
-                .map(|&(o, s, p)| (s, p, o))
-                .collect(),
-            (None, None, Some(o)) => self
-                .osp
-                .range((o, MIN, MIN)..=(o, MAX, MAX))
-                .map(|&(o, s, p)| (s, p, o))
-                .collect(),
-            (None, None, None) => self.spo.iter().map(|&(a, b, c)| (a, b, c)).collect(),
-        }
+    ) -> Matches<'_> {
+        let (rows, orient) = self.lookup(s, p, o);
+        rows.iter().map(orient)
     }
 
-    /// Count the matches of a pattern without materializing terms.
+    /// Count the matches of a pattern: the length of its index run.
     pub fn count_ids(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        // BTreeSet ranges don't know their length; counting the iterator is
-        // O(matches) which is fine at our scale.
-        const MIN: TermId = 0;
-        const MAX: TermId = TermId::MAX;
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => usize::from(self.spo.contains(&(s, p, o))),
-            (Some(s), Some(p), None) => self.spo.range((s, p, MIN)..=(s, p, MAX)).count(),
-            (Some(s), None, None) => self.spo.range((s, MIN, MIN)..=(s, MAX, MAX)).count(),
-            (None, Some(p), Some(o)) => self.pos.range((p, o, MIN)..=(p, o, MAX)).count(),
-            (None, Some(p), None) => self.pos.range((p, MIN, MIN)..=(p, MAX, MAX)).count(),
-            (Some(s), None, Some(o)) => self.osp.range((o, s, MIN)..=(o, s, MAX)).count(),
-            (None, None, Some(o)) => self.osp.range((o, MIN, MIN)..=(o, MAX, MAX)).count(),
-            (None, None, None) => self.spo.len(),
-        }
+        self.lookup(s, p, o).0.len()
     }
 
     /// Match a pattern of optional *terms*; terms unknown to the dictionary
     /// yield an empty result.
-    pub fn match_terms(
-        &self,
-        s: Option<&Term>,
-        p: Option<&Term>,
-        o: Option<&Term>,
-    ) -> Vec<(TermId, TermId, TermId)> {
+    pub fn match_terms(&self, s: Option<&Term>, p: Option<&Term>, o: Option<&Term>) -> Matches<'_> {
         let resolve = |t: Option<&Term>| -> Result<Option<TermId>, ()> {
             match t {
                 None => Ok(None),
-                Some(t) => match self.resolve(t) {
-                    Some(id) => Ok(Some(id)),
-                    None => Err(()),
-                },
+                Some(t) => self.resolve(t).map(Some).ok_or(()),
             }
         };
         match (resolve(s), resolve(p), resolve(o)) {
             (Ok(s), Ok(p), Ok(o)) => self.match_ids(s, p, o),
-            _ => Vec::new(),
+            _ => {
+                let (rows, orient) = self.lookup(None, None, None);
+                rows[..0].iter().map(orient)
+            }
         }
     }
 
     /// Iterate all triples as id-triples in SPO order.
-    pub fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        self.spo.iter().copied()
+    pub fn iter_ids(&self) -> Matches<'_> {
+        self.match_ids(None, None, None)
     }
 
     /// All distinct predicate ids.
     pub fn predicates(&self) -> Vec<TermId> {
         let mut out = Vec::new();
-        let mut last = None;
-        for &(p, _, _) in &self.pos {
-            if last != Some(p) {
-                out.push(p);
-                last = Some(p);
+        for row in &self.pos {
+            if out.last() != Some(&row[0]) {
+                out.push(row[0]);
             }
         }
         out
     }
 }
 
+/// The run of a sorted index whose rows start with `key`.
+fn run<'a>(index: &'a [[TermId; 3]], key: &[TermId]) -> &'a [[TermId; 3]] {
+    let k = key.len();
+    let lo = index.partition_point(|row| row[..k] < *key);
+    let len = index[lo..].partition_point(|row| row[..k] == *key);
+    &index[lo..lo + len]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lusail_rdf::Term;
+    use lusail_rdf::{Literal, Term, Triple};
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::iris(
@@ -203,20 +199,24 @@ mod tests {
     }
 
     fn store() -> Store {
-        let mut st = Store::new();
-        st.insert(&t("a", "p", "b"));
-        st.insert(&t("a", "p", "c"));
-        st.insert(&t("b", "q", "c"));
-        st.insert(&t("c", "p", "b"));
-        st
+        let g: Graph = [
+            t("a", "p", "b"),
+            t("a", "p", "c"),
+            t("b", "q", "c"),
+            t("c", "p", "b"),
+        ]
+        .into_iter()
+        .collect();
+        Store::from_graph(&g)
     }
 
     #[test]
     fn insert_deduplicates() {
-        let mut st = store();
-        assert_eq!(st.len(), 4);
-        assert!(!st.insert(&t("a", "p", "b")));
-        assert_eq!(st.len(), 4);
+        let mut g: Graph = [t("a", "p", "b"), t("a", "p", "c")].into_iter().collect();
+        g.insert(t("a", "p", "b"));
+        let st = Store::from_graph(&g);
+        assert_eq!(st.len(), 2);
+        assert_eq!(st.iter_ids().count(), 2);
     }
 
     #[test]
@@ -251,9 +251,11 @@ mod tests {
     #[test]
     fn unknown_term_matches_nothing() {
         let st = store();
-        assert!(st
-            .match_terms(Some(&Term::iri("http://nowhere/z")), None, None)
-            .is_empty());
+        assert_eq!(
+            st.match_terms(Some(&Term::iri("http://nowhere/z")), None, None)
+                .len(),
+            0
+        );
         assert_eq!(st.resolve(&Term::iri("http://nowhere/z")), None);
     }
 
@@ -279,5 +281,80 @@ mod tests {
             assert_eq!(oo, o.unwrap());
             assert!(st.match_ids(Some(s), Some(p), Some(oo)).len() == 1);
         }
+    }
+
+    /// A random store over a few subjects, predicates and objects, with
+    /// every triple drawn twice as often as it is distinct: duplicates
+    /// must collapse and every access path must see the same set.
+    #[test]
+    fn every_access_path_equals_a_filtered_scan() {
+        let mut seed = 7u64;
+        for round in 0..40 {
+            let n = 1 + crate::splitmix(&mut seed) as usize % 60;
+            let mut g = Graph::new();
+            let mut pick = |k: u64| crate::splitmix(&mut seed) % k;
+            for _ in 0..n {
+                let s = format!("s{}", pick(5));
+                let p = format!("p{}", pick(3));
+                let o = format!("s{}", pick(6));
+                g.insert(t(&s, &p, &o));
+                if pick(2) == 0 {
+                    g.insert(t(&s, &p, &o));
+                }
+            }
+            let st = Store::from_graph(&g);
+            let all: Vec<_> = st.iter_ids().collect();
+            let mut distinct = all.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(
+                all, distinct,
+                "round {round}: iter_ids is sorted and duplicate-free"
+            );
+            assert_eq!(st.len(), all.len());
+
+            // Every stored triple, and one made of an id no term has, under
+            // each of the eight bound/unbound masks.
+            let absent = st.dict().len() as TermId;
+            for (s, p, o) in all.iter().copied().chain([(absent, absent, absent)]) {
+                for mask in 0..8 {
+                    let bound = |i: u32, id: TermId| (mask >> i & 1 == 1).then_some(id);
+                    let (ks, kp, ko) = (bound(0, s), bound(1, p), bound(2, o));
+                    let want: Vec<_> = (all.iter().copied())
+                        .filter(|&(a, b, c)| {
+                            ks.is_none_or(|x| x == a)
+                                && kp.is_none_or(|x| x == b)
+                                && ko.is_none_or(|x| x == c)
+                        })
+                        .collect();
+                    let mut got: Vec<_> = st.match_ids(ks, kp, ko).collect();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "round {round}, pattern {:?}", (ks, kp, ko));
+                    assert_eq!(st.count_ids(ks, kp, ko), want.len());
+                }
+            }
+            let loaded = crate::snapshot::load(&crate::snapshot::save(&st)).unwrap();
+            let reloaded: Vec<_> = loaded.iter_ids().collect();
+            assert_eq!(reloaded, all, "round {round}: snapshot round trip");
+        }
+    }
+
+    #[test]
+    fn literals_of_one_text_are_distinct_index_keys() {
+        let x = Term::iri("http://x/x");
+        let p = Term::iri("http://x/p");
+        let mut g = Graph::new();
+        g.add(x.clone(), p.clone(), Term::literal("5"));
+        g.add(x.clone(), p.clone(), Term::integer(5));
+        g.add(
+            x.clone(),
+            p.clone(),
+            Term::Literal(Literal::lang("5", "en")),
+        );
+        g.add(x.clone(), p.clone(), Term::integer(5));
+        let st = Store::from_graph(&g);
+        assert_eq!(st.len(), 3);
+        let o = st.resolve(&Term::integer(5));
+        assert_eq!(st.count_ids(None, None, o), 1);
     }
 }

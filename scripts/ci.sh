@@ -150,6 +150,24 @@ fi
 n=$( { nontest $rs | grep -oE 'fn escape_into\(' || true; } | wc -l)
 [ "$n" -eq 1 ] || { echo "fn escape_into is defined ${n} times under crates/, want 1" >&2; exit 1; }
 
+# The store does only the work its answer needs (DESIGN.md → The store):
+# sorted-array indexes, hashed foreign VALUES terms, a linear-time REGEX,
+# and one `=` key behind both the store's and the engine's bridge joins.
+if nontest crates/store/src/store.rs | grep -n 'BTreeSet'; then
+    echo "crates/store/src/store.rs uses a BTreeSet again; the indexes are sorted arrays" >&2
+    exit 1
+fi
+if nontest crates/store/src/eval.rs | grep -n 'foreign\.iter()\.position'; then
+    echo "crates/store/src/eval.rs scans its foreign terms again; look them up in foreign_ids" >&2
+    exit 1
+fi
+if nontest crates/store/src/regex_lite.rs | grep -n 'fn match_here'; then
+    echo "the backtracking REGEX matcher is back outside its test; match with state sets" >&2
+    exit 1
+fi
+n=$( { nontest $rs | grep -oE 'fn equality_key\(' || true; } | wc -l)
+[ "$n" -eq 1 ] || { echo "fn equality_key is defined ${n} times under crates/, want 1: the store and the engine share it" >&2; exit 1; }
+
 # What the paper's system does not need stays deleted (ROADMAP item 5):
 # keyword search and `lusail search` (the paper's future work), the two
 # FaultProfile knobs no suite set, and any example without a stanza or

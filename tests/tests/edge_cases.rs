@@ -259,6 +259,30 @@ fn filter_bridge_joins_disjoint_subgraphs_without_cross_product() {
 }
 
 #[test]
+fn filter_bridge_pairs_values_not_terms() {
+    // An integer on one endpoint and a double on the other: `=` is
+    // numeric, so 0 = 0.0, 3 = 3.0E0, 6 = 6.0E0 and 9 = 9.0E0 join across
+    // the bridge although no two of those terms are the same term.
+    let q = "SELECT ?s ?d WHERE { ?s <http://x/value> ?v . ?d <http://x/weight> ?w . \
+             FILTER(?v = ?w) }";
+    let query = parse_query(q).unwrap();
+    assert_eq!(ground_truth(&graphs(), &query).len(), 4);
+    check(q);
+    let fed = || lusail_workloads::federation_from_graphs(graphs(), NetworkProfile::instant());
+    let fedx = FedX::new(fed(), FedXConfig::default());
+    let splendid = Splendid::new(fed());
+    for (name, result) in [
+        ("fedx", fedx.execute(&query)),
+        ("splendid", splendid.execute(&query)),
+    ] {
+        assert!(
+            matches!(result, Err(lusail_core::EngineError::Unsupported(_))),
+            "{name}: {result:?}"
+        );
+    }
+}
+
+#[test]
 fn case2_shared_instances_need_paranoid_locality() {
     // The paper's §3.3 "Case 2": the same object (`hub`) occurs at two
     // endpoints, each of which can join the pair locally — the
