@@ -1,9 +1,9 @@
 //! What result integrity costs a federation that never lies: every catalog
-//! query of a benchmark once per pass, two passes, default
-//! `IntegrityConfig`, instant network — requests sent, `COUNT(*)`
-//! cross-probes among them (every one a false positive here), the
-//! truncations and divergences they found (must be 0) and the "caps" the
-//! ledger holds at the end.
+//! query of a benchmark once per pass, two passes, default `LusailConfig`
+//! (responses verified on suspicion only), instant network — requests
+//! sent, `COUNT(*)` cross-probes among them (every one a false positive
+//! here), the truncations and divergences they found (must be 0) and the
+//! "caps" the ledger holds at the end.
 //!
 //! Read from the engine's public surfaces only (`engine.integrity()`,
 //! `Federation::total_traffic()`), so the same file runs against any

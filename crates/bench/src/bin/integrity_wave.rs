@@ -12,9 +12,10 @@
 //! `cargo run -p lusail-bench --bin integrity_wave --release --offline`
 
 use lusail_bench::{sample, write_records, Record, Summary};
+use lusail_core::integrity::count_star;
 use lusail_core::run::RunContext;
-use lusail_core::sape::{recover, SapeExecutor, Schedule};
-use lusail_core::{EngineError, IntegrityConfig, IntegrityRegistry, LusailConfig, Subquery};
+use lusail_core::sape::{SapeExecutor, Schedule};
+use lusail_core::{EngineError, IntegrityRegistry, LusailConfig, Subquery};
 use lusail_federation::{
     Deadline, Federation, NetworkProfile, RequestHandler, SimulatedEndpoint, SparqlEndpoint,
 };
@@ -107,7 +108,7 @@ fn main() {
         ];
         // One step on a ledger of its own; the probes it sent.
         let step = |flagged: bool| {
-            let integrity = IntegrityRegistry::new(IntegrityConfig::default());
+            let integrity = IntegrityRegistry::default();
             if flagged {
                 // The ledger has seen 2 × BLOCK rows three times from
                 // every source: that is now each one's learned cap.
@@ -136,7 +137,7 @@ fn main() {
             assert_eq!(probes, if flagged { n as u64 } else { 0 });
             Ok::<_, EngineError>(probes)
         };
-        let probe = recover::count_star(&subqueries[1].to_query());
+        let probe = count_star(&subqueries[1].to_query());
         let one_probe = || {
             federation
                 .endpoint(0)

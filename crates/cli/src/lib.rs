@@ -867,17 +867,11 @@ pub fn start_federated_server(
     };
     // The long-lived analysis cache gets the same bounds as the result
     // cache, so stale endpoint facts age out of both tiers together.
+    // The service runs each query under its own policy, deadline and row
+    // cap (`FederateConfig`), so the engine keeps the defaults.
     let engine = LusailEngine::with_cache(
         federation,
-        LusailConfig {
-            result_policy: if opts.partial {
-                ResultPolicy::Partial
-            } else {
-                ResultPolicy::FailFast
-            },
-            max_result_rows,
-            ..Default::default()
-        },
+        LusailConfig::default(),
         lusail_core::QueryCache::with_limits(service_config.cache_limits()),
     );
     let service = FederationService::new(engine, service_config);

@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use lusail_federation::IntegrityConfig;
 use std::time::Duration;
 
 /// Threshold for classifying a subquery as *delayed* (Section 4.1,
@@ -107,12 +106,11 @@ pub struct LusailConfig {
     /// engine-side backstop against result bombs. `None` admits
     /// everything.
     pub max_result_rows: Option<usize>,
-    /// Result-integrity thresholds: silent-truncation detection
-    /// heuristics, the verification trust ramp, and the quarantine
-    /// lifecycle (see [`lusail_federation::IntegrityRegistry`]). The
-    /// default verifies only on suspicion;
-    /// [`IntegrityConfig::paranoid`] cross-checks every response.
-    pub integrity: IntegrityConfig,
+    /// Cross-check every endpoint response against a `COUNT(*)` probe.
+    /// `false` (the default) verifies only on suspicion: a learned cap, an
+    /// advertised cut, a delivery below the analysis count, or an endpoint
+    /// on watch (see [`crate::integrity`]).
+    pub verify_every_response: bool,
 }
 
 impl Default for LusailConfig {
@@ -128,7 +126,7 @@ impl Default for LusailConfig {
             result_policy: ResultPolicy::FailFast,
             memory_budget: None,
             max_result_rows: None,
-            integrity: IntegrityConfig::default(),
+            verify_every_response: false,
         }
     }
 }

@@ -4,6 +4,7 @@ use crate::budget::MemoryStats;
 use crate::cache::QueryCache;
 use crate::config::{LusailConfig, SapeMode};
 use crate::error::EngineError;
+use crate::integrity::IntegrityRegistry;
 use crate::lade::decompose::{decompose, SubqueryDraft};
 use crate::lade::gjv::detect_gjvs_with;
 use crate::normalize::{assemble_branch, assemble_select, BlockRole, ConjBranch};
@@ -14,7 +15,7 @@ use crate::sape::schedule::{make_schedule, Schedule};
 use crate::source::{probe, BranchStats};
 use crate::subquery::Subquery;
 use lusail_federation::json::Json;
-use lusail_federation::{EndpointId, Federation, IntegrityRegistry, RequestHandler, WaveSnapshot};
+use lusail_federation::{EndpointId, Federation, RequestHandler, WaveSnapshot};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{Expression, Projection, Query, SelectQuery, Variable};
 use lusail_sparql::solution::Relation;
@@ -118,7 +119,7 @@ impl LusailEngine {
             Some(n) => RequestHandler::new(n),
             None => RequestHandler::elastic(federation.len()),
         };
-        let integrity = IntegrityRegistry::new(config.integrity.clone());
+        let integrity = IntegrityRegistry::new(config.verify_every_response);
         LusailEngine {
             federation,
             config,

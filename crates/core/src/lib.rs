@@ -47,6 +47,7 @@ pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod error;
+pub mod integrity;
 pub mod lade;
 pub mod normalize;
 pub mod run;
@@ -59,6 +60,6 @@ pub use cache::{CacheLimits, CacheStats, QueryCache, ResultCache, ResultCacheSta
 pub use config::{DelayThreshold, LusailConfig, ResultPolicy, SapeMode};
 pub use engine::{ExecutionProfile, LusailEngine};
 pub use error::EngineError;
-pub use lusail_federation::{IntegrityConfig, IntegrityRegistry, IntegritySnapshot};
+pub use integrity::{IntegrityRegistry, IntegritySnapshot};
 pub use run::{CancelReason, CancelToken, ExecutionWarning, RunContext};
 pub use subquery::Subquery;

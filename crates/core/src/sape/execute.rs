@@ -24,21 +24,18 @@
 //!   the single most selective pick.
 
 use crate::budget::MemoryPhase;
-use crate::config::{LusailConfig, ResultPolicy};
+use crate::config::LusailConfig;
 use crate::error::EngineError;
+use crate::integrity::{count_star, paged_query, IntegrityRegistry, Sent};
 use crate::normalize::OptionalBlock;
-use crate::run::{ExecutionWarning, RunContext};
+use crate::run::RunContext;
 use crate::sape::join::{join_all_bridged, JoinReport};
-use crate::sape::recover;
 use crate::sape::schedule::Schedule;
 use crate::source::{merged_sources, BlockStats};
 use crate::subquery::{connected_components, Subquery};
-use lusail_federation::{
-    EndpointError, EndpointId, FailureKind, Federation, IntegrityRegistry, QuarantineTransition,
-    RequestHandler, SelectResponse,
-};
+use lusail_federation::{EndpointId, Federation, RequestHandler, SelectResponse};
 use lusail_rdf::dict::{Dictionary, TermId};
-use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
+use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::Term;
 use lusail_sparql::ast::{GraphPattern, Query, TriplePattern, Variable};
 use lusail_sparql::serializer::serialize_query;
@@ -431,12 +428,10 @@ impl SapeExecutor<'_> {
     /// Send one wave of subquery requests and settle its responses:
     /// returns one admitted relation per request, in submission order.
     ///
-    /// Every response is first resolved under the result policy and
-    /// *decided* against the integrity ledger, in submission order, so the
-    /// ledger sees the same row counts in the same order whatever the
-    /// thread schedule was. The `COUNT(*)` cross-probes of all responses
-    /// that need one then go out as one wave, and the claims are
-    /// reconciled — and the rows admitted — in submission order again.
+    /// Each response is absorbed under the result policy and handed to the
+    /// integrity ledger ([`IntegrityRegistry::settle`]), which decides,
+    /// cross-probes and pages back; what it settles is projected and
+    /// admitted here, one response at a time, in submission order.
     fn run_wave(
         &self,
         label: &'static str,
@@ -450,315 +445,29 @@ impl SapeExecutor<'_> {
         let results = self
             .ctx
             .dispatch(self.handler, label, wave.iter().collect(), select)?;
-
-        let mut responses = Vec::with_capacity(wave.len());
-        let mut checks = Vec::with_capacity(wave.len());
-        for (req, result) in wave.iter().zip(results) {
+        let absorbed = wave.iter().zip(results).map(|(req, result)| {
             let empty = SelectResponse {
                 rows: Relation::new(req.sq.projection.clone()),
                 truncated: false,
             };
-            let (resp, degraded) = self.ctx.absorb_flagged(req.what, empty, result)?;
-            checks.push(if degraded {
-                Check::Skip
-            } else {
-                self.decide(req, &resp)
-            });
-            responses.push(resp);
-        }
-
-        self.cross_probe(wave, &mut checks)?;
-        // A claim that does not reconcile puts its endpoint on watch, and
-        // a watched endpoint has every response verified: that holds for
-        // its other responses of this wave too, in one follow-up wave.
-        let unreconciled = |k: &usize| matches!(&checks[*k], Check::Claimed(Ok(n)) if !reconciles(&responses[*k], *n));
-        let caught: FxHashSet<EndpointId> = (0..wave.len())
-            .filter(unreconciled)
-            .map(|k| wave[k].ep)
-            .collect();
-        if !caught.is_empty() {
-            for (req, check) in wave.iter().zip(&mut checks) {
-                if matches!(check, Check::Trusted) && caught.contains(&req.ep) {
-                    *check = Check::Probe;
-                }
-            }
-            self.cross_probe(wave, &mut checks)?;
-        }
-
-        let mut out = Vec::with_capacity(wave.len());
-        for ((req, resp), check) in wave.iter().zip(responses).zip(checks) {
-            let name = self.federation.endpoint(req.ep).name();
-            let rel = match check {
-                Check::Skip | Check::Trusted => resp.rows,
-                // A failed probe says nothing about the rows already in
-                // hand: keep them rather than discard good data over a
-                // flaky probe. One the query's own budget cut short is
-                // not that: it ends the query, through `absorb`.
-                Check::Claimed(Err(e))
-                    if !matches!(e.kind, FailureKind::Deadline | FailureKind::Cancelled) =>
-                {
-                    resp.rows
-                }
-                Check::Claimed(claim) => {
-                    self.reconcile(req, resp, self.ctx.absorb(req.what, 0, claim)?)?
-                }
-                Check::Probe => unreachable!("every due probe was sent"),
-            };
-            // Bound queries may expose the bind variable even if it is
-            // not projected; align headers.
-            let rel = match req.block {
-                Some(_) if rel.vars() != req.sq.projection => rel.project(&req.sq.projection),
-                _ => rel,
-            };
-            out.push(self.ctx.admit_relation(req.what, name, phase, rel)?);
-        }
-        Ok(out)
-    }
-
-    /// Decide whether one plain-`SELECT` response is cross-checked
-    /// against a `COUNT(*)` probe. Feeds the row count, and the length of
-    /// the block it answers, to the ledger's cap-learning heuristic.
-    fn decide(&self, req: &WaveRequest, resp: &SelectResponse) -> Check {
-        let name = self.federation.endpoint(req.ep).name();
-        let reg = self.integrity;
-        let delivered = resp.rows.len();
-        let bindings = req.block.map(|(_, block)| block.len());
-        let suspicious = reg.observe_rows(name, delivered, bindings);
-        if suspicious
-            || resp.truncated
-            || reg.needs_verification(name)
-            || req.expected.is_some_and(|rows| rows > delivered)
-        {
-            Check::Probe
-        } else {
-            Check::Trusted
-        }
-    }
-
-    /// Send the `COUNT(*)` cross-probe of every response still marked
-    /// [`Check::Probe`] as one wave and store the claims.
-    fn cross_probe(&self, wave: &[WaveRequest], checks: &mut [Check]) -> Result<(), EngineError> {
-        let due: Vec<usize> = (0..checks.len())
-            .filter(|&k| matches!(checks[k], Check::Probe))
-            .collect();
-        if due.is_empty() {
-            return Ok(());
-        }
-        let count = |k: usize, deadline| {
-            let endpoint = self.federation.endpoint(wave[k].ep);
-            endpoint.count_within(&recover::count_star(&wave[k].query()), deadline)
-        };
-        let claims = self
-            .ctx
-            .dispatch(self.handler, "integrity probe", due.clone(), count)?;
-        for (k, claim) in due.into_iter().zip(claims) {
+            self.ctx.absorb_flagged(req.what, empty, result)
+        });
+        let settled =
             self.integrity
-                .record_verification(self.federation.endpoint(wave[k].ep).name());
-            checks[k] = Check::Claimed(claim);
-        }
-        Ok(())
-    }
-
-    /// Reconcile the endpoint's `claimed` row count with the rows it
-    /// delivered, transparently re-fetching the complete result via
-    /// deterministic paging when the endpoint cut it short.
-    fn reconcile(
-        &self,
-        req: &WaveRequest,
-        resp: SelectResponse,
-        claimed: usize,
-    ) -> Result<Relation, EngineError> {
-        let name = self.federation.endpoint(req.ep).name();
-        let reg = self.integrity;
-        let delivered = resp.rows.len();
-        if reconciles(&resp, claimed) {
-            self.apply_transition(req.ep, reg.record_clean(name));
-            Ok(resp.rows)
-        } else if claimed < delivered {
-            // The endpoint *under*-claims — more rows than its own
-            // COUNT admits to (the result-bomb shape). There is
-            // nothing to page for, and the row-cap/memory-budget
-            // defenses own oversized responses; record the strike
-            // silently so repeated under-claiming still quarantines,
-            // and hand the rows to the admission layer to police.
-            let transition = reg.record_divergence(name);
-            self.apply_transition(req.ep, transition);
-            Ok(resp.rows)
-        } else {
-            self.recover_paged(req.what, req.ep, &req.query(), resp, claimed)
-        }
-    }
-
-    /// The response was confirmed truncated (`claimed > delivered`, or
-    /// the server advertised the cut): re-fetch the complete result from
-    /// offset 0 via deterministic `ORDER BY`+`LIMIT/OFFSET` paging,
-    /// adapting the page size to the memory budget and stopping on the
-    /// deadline, an empty page, the claimed total, or the page cap.
-    fn recover_paged(
-        &self,
-        what: &str,
-        ep: EndpointId,
-        base: &Query,
-        resp: SelectResponse,
-        claimed: usize,
-    ) -> Result<Relation, EngineError> {
-        let endpoint = self.federation.endpoint(ep);
-        let name = endpoint.name().to_string();
-        let reg = self.integrity;
-        let delivered = resp.rows.len();
-        reg.record_truncation(&name);
-
-        let max_pages = reg.config().max_pages;
-        let mut limit = recover::initial_limit(delivered);
-        let mut offset = 0usize;
-        let mut pages: Vec<(usize, Relation)> = Vec::new();
-        let mut fetched: u64 = 0;
-        let mut merged_rows = 0usize;
-        let mut page_bytes = 0usize;
-        // Why paging stopped short of the claim, if it did.
-        let mut stopped: Option<&'static str> = None;
-        let mut exhausted = false;
-        while merged_rows < claimed {
-            if fetched as usize >= max_pages {
-                stopped = Some("page cap reached");
-                break;
-            }
-            // Under --partial, recovery may claim at most half of the
-            // remaining budget — mirroring admit_relation's headroom rule
-            // — so a huge reconstruction degrades itself, not the query.
-            if self.ctx.policy == ResultPolicy::Partial
-                && self.ctx.memory.is_bounded()
-                && page_bytes > self.ctx.memory.remaining() / 2
-            {
-                stopped = Some("memory budget exhausted");
-                break;
-            }
-            let pq = recover::paged_query(base, limit, offset);
-            let select = |(), deadline| endpoint.select_within(&pq, deadline);
-            let sent = self
-                .ctx
-                .dispatch(self.handler, "recovery page", vec![()], select)?;
-            let page = match sent.into_iter().next().expect("one page was sent") {
-                Err(e) if self.ctx.policy == ResultPolicy::Partial && e.is_skippable() => {
-                    stopped = Some("endpoint became unreachable");
-                    break;
-                }
-                settled => self.ctx.absorb(what, Relation::default(), settled)?,
-            };
-            fetched += 1;
-            let got = page.len();
-            page_bytes += page.wire_size();
-            if fetched == 1 {
-                let budget = self
-                    .ctx
-                    .memory
-                    .is_bounded()
-                    .then(|| self.ctx.memory.remaining());
-                limit = recover::adaptive_limit(limit, got, page_bytes, budget);
-            }
-            merged_rows += got;
-            pages.push((offset, page));
-            offset += got;
-            if got == 0 {
-                exhausted = true;
-                break;
-            }
-        }
-
-        let merged = recover::merge_pages(resp.rows.vars().to_vec(), pages);
-        reg.record_recovery(
-            &name,
-            fetched,
-            merged.len().saturating_sub(delivered) as u64,
-        );
-        if merged.len() >= claimed {
-            // Fully reconstructed: the endpoint cut the rows but told the
-            // truth about its count — the verification reconciled.
-            self.apply_transition(ep, reg.record_clean(&name));
-            return Ok(merged);
-        }
-        // Keep whichever of the reconstruction and the original prefix
-        // carries more rows.
-        let best = if merged.len() >= delivered {
-            merged
-        } else {
-            resp.rows
-        };
-        if exhausted {
-            // The endpoint has no more rows to give: the claim was a lie.
-            let best_len = best.len();
-            return self.divergence(what, ep, claimed, best_len, best);
-        }
-        // We stopped for our own reasons (budget, page cap, outage) — not
-        // the endpoint's fault, so no strike — but the result is known
-        // incomplete.
-        let message = format!(
-            "integrity: recovery of a truncated result stopped after {fetched} pages \
-             ({} of {claimed} claimed rows): {}",
-            best.len(),
-            stopped.unwrap_or("stopped early"),
-        );
-        match self.ctx.policy {
-            ResultPolicy::FailFast => Err(EngineError::Endpoint(EndpointError::integrity(
-                name, message,
-            ))),
-            ResultPolicy::Partial => {
-                self.ctx.warn(ExecutionWarning {
-                    endpoint: name,
-                    subquery: what.to_string(),
-                    message,
-                });
-                Ok(best)
-            }
-        }
-    }
-
-    /// Record an irreconcilable claimed-vs-delivered divergence: a strike
-    /// (possibly entering quarantine), then a structured integrity error
-    /// under fail-fast or a non-skippable warning under `--partial` —
-    /// either way naming the endpoint and both counts.
-    fn divergence(
-        &self,
-        what: &str,
-        ep: EndpointId,
-        claimed: usize,
-        delivered: usize,
-        best: Relation,
-    ) -> Result<Relation, EngineError> {
-        let name = self.federation.endpoint(ep).name().to_string();
-        let transition = self.integrity.record_divergence(&name);
-        self.apply_transition(ep, transition);
-        let standing = if self.integrity.is_quarantined(&name) {
-            "endpoint quarantined"
-        } else {
-            "divergence recorded"
-        };
-        let message = format!(
-            "integrity: endpoint claimed {claimed} rows but delivered {delivered}; {standing}"
-        );
-        match self.ctx.policy {
-            ResultPolicy::FailFast => Err(EngineError::Endpoint(EndpointError::integrity(
-                name, message,
-            ))),
-            ResultPolicy::Partial => {
-                self.ctx.warn(ExecutionWarning {
-                    endpoint: name,
-                    subquery: what.to_string(),
-                    message,
-                });
-                Ok(best)
-            }
-        }
-    }
-
-    /// Mirror a quarantine transition into the endpoint's health registry
-    /// so replica ranking and `--stats` see it.
-    fn apply_transition(&self, ep: EndpointId, transition: QuarantineTransition) {
-        match transition {
-            QuarantineTransition::Entered => self.federation.endpoint(ep).set_quarantined(true),
-            QuarantineTransition::Exited => self.federation.endpoint(ep).set_quarantined(false),
-            QuarantineTransition::None => {}
-        }
+                .settle(self.federation, self.handler, self.ctx, wave, absorbed)?;
+        (wave.iter().zip(settled))
+            .map(|(req, rel)| {
+                let rel = rel?;
+                // Bound queries may expose the bind variable even if it is
+                // not projected; align headers.
+                let rel = match req.block {
+                    Some(_) if rel.vars() != req.sq.projection => rel.project(&req.sq.projection),
+                    _ => rel,
+                };
+                let name = self.federation.endpoint(req.ep).name();
+                self.ctx.admit_relation(req.what, name, phase, rel)
+            })
+            .collect()
     }
 }
 
@@ -776,7 +485,23 @@ struct WaveRequest<'a> {
     expected: Option<usize>,
 }
 
-impl WaveRequest<'_> {
+impl Sent for WaveRequest<'_> {
+    fn endpoint(&self) -> EndpointId {
+        self.ep
+    }
+
+    fn label(&self) -> &str {
+        self.what
+    }
+
+    fn bindings(&self) -> Option<usize> {
+        self.block.map(|(_, block)| block.len())
+    }
+
+    fn expected(&self) -> Option<usize> {
+        self.expected
+    }
+
     /// The query this request sends — also the base of its `COUNT(*)`
     /// cross-probe and recovery pages, which rebuild it only if needed.
     fn query(&self) -> Query {
@@ -832,26 +557,6 @@ impl BoundPlan<'_> {
             })
             .collect()
     }
-}
-
-/// Does the endpoint's `claimed` row count account for the response as
-/// delivered? Anything else — an advertised cut, or a count off either
-/// way — puts the endpoint on watch.
-fn reconciles(resp: &SelectResponse, claimed: usize) -> bool {
-    !resp.truncated && claimed == resp.rows.len()
-}
-
-/// How one response of a wave is cross-checked against the endpoint's
-/// own count.
-enum Check {
-    /// A skipped endpoint's substituted default: nothing to check.
-    Skip,
-    /// No integrity signal fired.
-    Trusted,
-    /// Needs a `COUNT(*)` cross-probe that has not been sent yet.
-    Probe,
-    /// The cross-probe's outcome.
-    Claimed(Result<usize, EndpointError>),
 }
 
 /// A block is never cut below this many bytes of bindings just to fill a
@@ -965,8 +670,8 @@ fn envelope_bytes(sq: &Subquery, bind_var: &Variable) -> usize {
     let select = sq.to_bound_query(std::slice::from_ref(bind_var), &[]);
     let size = |q: &Query| serialize_query(q).len();
     size(&select)
-        .max(size(&recover::count_star(&select)))
-        .max(size(&recover::paged_query(&select, usize::MAX, usize::MAX)))
+        .max(size(&count_star(&select)))
+        .max(size(&paged_query(&select, usize::MAX, usize::MAX)))
 }
 
 /// The found bindings of Algorithm 3, held as interned ids.
@@ -1096,7 +801,7 @@ fn refined_cardinality(sq: &Subquery, original: usize, bindings: &FoundBindings)
 mod tests {
     use super::*;
     use lusail_federation::{
-        CancelReason, CancelToken, Deadline, FaultProfile, FaultyEndpoint, IntegrityConfig,
+        CancelReason, CancelToken, Deadline, EndpointError, FaultProfile, FaultyEndpoint,
         NetworkProfile, SimulatedEndpoint, SparqlEndpoint, TrafficSnapshot,
     };
     use lusail_rdf::Graph;
@@ -1213,7 +918,7 @@ mod tests {
     }
 
     impl Rig {
-        fn new(endpoint: Arc<dyn SparqlEndpoint>, integrity: IntegrityConfig) -> Self {
+        fn new(endpoint: Arc<dyn SparqlEndpoint>, verify_every_response: bool) -> Self {
             Rig {
                 federation: Federation::new(vec![endpoint]),
                 handler: RequestHandler::elastic(13),
@@ -1222,7 +927,7 @@ mod tests {
                     ..LusailConfig::without_cache()
                 },
                 ctx: RunContext::unbounded(),
-                integrity: IntegrityRegistry::new(integrity),
+                integrity: IntegrityRegistry::new(verify_every_response),
             }
         }
 
@@ -1286,7 +991,7 @@ mod tests {
             self.federation.endpoint(0).traffic().requests
         }
 
-        fn snapshot(&self) -> lusail_federation::IntegritySnapshot {
+        fn snapshot(&self) -> crate::IntegritySnapshot {
             let name = self.federation.endpoint(0).name().to_string();
             self.integrity
                 .snapshot()
@@ -1331,10 +1036,7 @@ mod tests {
             latency: Duration::from_millis(5),
             bytes_per_sec: u64::MAX,
         };
-        let rig = Rig::new(
-            Arc::new(two_weights(8 * BLOCK, network)),
-            IntegrityConfig::default(),
-        );
+        let rig = Rig::new(Arc::new(two_weights(8 * BLOCK, network)), false);
         let waves = rig.handler.snapshot().waves;
         let rel = rig.bound_join(8 * BLOCK).unwrap();
         assert_eq!(rel.len(), 2 * 8 * BLOCK);
@@ -1355,7 +1057,7 @@ mod tests {
         for path in BLOCK_PATHS {
             let rig = Rig::new(
                 Arc::new(simulated(8 * BLOCK, NetworkProfile::instant())),
-                IntegrityConfig::default(),
+                false,
             );
             assert_eq!(path(&rig, 8 * BLOCK).unwrap().len(), 8 * BLOCK);
             assert_eq!(rig.requests(), 8, "8 blocks, nothing else");
@@ -1374,10 +1076,10 @@ mod tests {
         for path in BLOCK_PATHS {
             let healthy = Rig::new(
                 Arc::new(simulated(5 * BLOCK, NetworkProfile::instant())),
-                IntegrityConfig::default(),
+                false,
             );
             let faulty = capped(simulated(5 * BLOCK, NetworkProfile::instant()), 64);
-            let rig = Rig::new(Arc::new(faulty), IntegrityConfig::default());
+            let rig = Rig::new(Arc::new(faulty), false);
             let waves = rig.handler.snapshot().waves;
             let rel = path(&rig, 5 * BLOCK).unwrap();
             assert_eq!(rel.len(), 5 * BLOCK, "every block recovered in full");
@@ -1406,7 +1108,7 @@ mod tests {
                 two_weights(3 * BLOCK, NetworkProfile::instant()),
                 BLOCK,
             )),
-            IntegrityConfig::default(),
+            false,
         );
         assert_eq!(rig.bound_join(3 * BLOCK).unwrap().len(), 3 * BLOCK);
         assert_eq!(rig.requests(), 3);
@@ -1415,7 +1117,7 @@ mod tests {
         // probed and paged back whatever the count looks like.
         let healthy = Rig::new(
             Arc::new(two_weights(3 * BLOCK, NetworkProfile::instant())),
-            IntegrityConfig::default(),
+            false,
         );
         let rig = Rig::new(
             Arc::new(Scripted {
@@ -1423,7 +1125,7 @@ mod tests {
                 on_count: None,
                 advertise_truncated: true,
             }),
-            IntegrityConfig::default(),
+            false,
         );
         let rel = rig.bound_join(3 * BLOCK).unwrap();
         assert_eq!(rel.len(), 2 * 3 * BLOCK);
@@ -1439,10 +1141,7 @@ mod tests {
         // The third response of one size trips the row-count heuristic;
         // the analysis count agreeing with it does not stand in for the
         // cross-probe.
-        let rig = Rig::new(
-            Arc::new(simulated(BLOCK, NetworkProfile::instant())),
-            IntegrityConfig::default(),
-        );
+        let rig = Rig::new(Arc::new(simulated(BLOCK, NetworkProfile::instant())), false);
         for _ in 0..3 {
             assert_eq!(rig.phase1(BLOCK).unwrap().len(), BLOCK);
         }
@@ -1455,7 +1154,7 @@ mod tests {
                 on_count: None,
                 advertise_truncated: true,
             }),
-            IntegrityConfig::default(),
+            false,
         );
         assert_eq!(rig.phase1(BLOCK).unwrap().len(), BLOCK);
         let snap = rig.snapshot();
@@ -1522,7 +1221,7 @@ mod tests {
             inner: SimulatedEndpoint::new("tgt", Store::from_graph(&g), NetworkProfile::instant()),
             sent: std::sync::Mutex::new(Vec::new()),
         });
-        let rig = Rig::new(endpoint.clone(), IntegrityConfig::default());
+        let rig = Rig::new(endpoint.clone(), false);
         (endpoint, rig)
     }
 
@@ -1625,7 +1324,7 @@ mod tests {
         }
         let endpoint =
             SimulatedEndpoint::new("tgt", Store::from_graph(&g), NetworkProfile::instant());
-        let mut rig = Rig::new(Arc::new(endpoint), IntegrityConfig::default());
+        let mut rig = Rig::new(Arc::new(endpoint), false);
         rig.ctx = RunContext::new(&LusailConfig {
             memory_budget: Some(64 << 20),
             ..LusailConfig::without_cache()
@@ -1671,10 +1370,7 @@ mod tests {
 
     #[test]
     fn phase_one_keeps_bindings_only_for_variables_a_delayed_subquery_mentions() {
-        let rig = Rig::new(
-            Arc::new(simulated(1, NetworkProfile::instant())),
-            IntegrityConfig::default(),
-        );
+        let rig = Rig::new(Arc::new(simulated(1, NetworkProfile::instant())), false);
         let pattern = |s: &str, o: &str| {
             TriplePattern::new(
                 TermPattern::var(s),
@@ -1754,7 +1450,7 @@ mod tests {
         // under fail-fast they are kept.
         let rig = Rig::new(
             scripted(OnCount::Fail(EndpointError::transport("tgt", "reset"))),
-            IntegrityConfig::paranoid(),
+            true,
         );
         assert_eq!(rig.phase1(BLOCK).unwrap().len(), BLOCK);
         assert_eq!(rig.snapshot().verifications, 1);
@@ -1762,14 +1458,14 @@ mod tests {
 
         let rig = Rig::new(
             scripted(OnCount::Fail(EndpointError::deadline("tgt"))),
-            IntegrityConfig::paranoid(),
+            true,
         );
         assert!(matches!(rig.phase1(BLOCK), Err(EngineError::Timeout(_))));
 
         let token = CancelToken::new();
         let mut rig = Rig::new(
             scripted(OnCount::Cancel(token.clone(), CancelReason::WatchdogReaped)),
-            IntegrityConfig::paranoid(),
+            true,
         );
         rig.ctx = RunContext::unbounded().with_cancel(token);
         assert!(matches!(
@@ -1892,8 +1588,8 @@ mod tests {
         assert_eq!(size(&full), size(&empty) + bindings);
         // The envelope covers the block's cross-probe and recovery pages.
         let envelope = envelope_bytes(&sq, &bind_var);
-        assert!(size(&recover::count_star(&full)) <= envelope + bindings);
-        assert!(size(&recover::paged_query(&full, 4096, 1 << 40)) <= envelope + bindings);
+        assert!(size(&count_star(&full)) <= envelope + bindings);
+        assert!(size(&paged_query(&full, 4096, 1 << 40)) <= envelope + bindings);
     }
 
     fn sorted_terms(b: &FoundBindings, v: &Variable) -> Vec<Term> {

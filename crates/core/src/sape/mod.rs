@@ -9,14 +9,12 @@
 //!   rows in hand), its executor, and the parallel and spilling hash joins.
 //! * [`execute`] — Algorithm 3: concurrent evaluation of non-delayed
 //!   subqueries, bound joins over `VALUES` blocks for delayed ones, source
-//!   refinement, and final join assembly.
-//! * [`recover`] — `ORDER BY`+`LIMIT/OFFSET` paging used to reconstruct
-//!   responses that a silently-truncating endpoint cut short.
+//!   refinement, and final join assembly. Each wave's responses are settled
+//!   by [`crate::integrity`].
 
 pub mod estimate;
 pub mod execute;
 pub mod join;
-pub mod recover;
 pub mod schedule;
 pub mod stats;
 

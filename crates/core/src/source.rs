@@ -6,9 +6,11 @@
 //! asks for both at once: every pattern of the query that the caches cannot
 //! answer goes to each endpoint in **one** request of
 //! `{ SELECT (COUNT(*) AS ?cK) WHERE { tp } }` subselects, answered as one
-//! row (DESIGN.md, key design decision 6). [`select_sources`] is the
-//! per-pattern `ASK` path: the FedX baseline's source selection, and the
-//! reference the tests hold the probe's source lists against.
+//! row (DESIGN.md, key design decision 6) — split over as many requests of
+//! the same wave as keep each within the parser's nesting limit.
+//! [`select_sources`] is the per-pattern `ASK` path: the FedX baseline's
+//! source selection, and the reference the tests hold the probe's source
+//! lists against.
 
 use crate::cache::{pattern_key, QueryCache};
 use crate::error::EngineError;
@@ -20,6 +22,7 @@ use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, SelectQuery, TriplePattern, Variable,
 };
+use lusail_sparql::parser::PARSE_LIMITS;
 use lusail_sparql::Relation;
 
 /// Build the `ASK { tp }` probe for a pattern.
@@ -243,7 +246,8 @@ fn read_counts(name: &str, arms: &[&Arm], rel: &Relation) -> Result<Vec<usize>, 
 }
 
 /// Source selection and `COUNT` statistics for a whole query in one round
-/// trip: one request per endpoint that has anything left to tell.
+/// trip: one request per endpoint that has anything left to tell (more for
+/// a branch too wide for one request to parse).
 ///
 /// Every pattern of `branches` (required, `OPTIONAL` and `MINUS` blocks) is
 /// resolved against `cache` (source lists and counts) first. A
@@ -299,22 +303,44 @@ pub fn probe(
             Some(_) => {}
         }
     }
-    let asked: Vec<EndpointId> = (0..asks.len()).filter(|&ep| !asks[ep].is_empty()).collect();
-    let ask = |ep: EndpointId, deadline| {
+    // One request per endpoint asked, unless its arms would nest deeper
+    // than a parser accepts: each arm is one more item of the probe's
+    // group. The rest go out as further requests of the same wave.
+    let per_request = PARSE_LIMITS.max_nesting / 2;
+    let requests: Vec<(EndpointId, usize)> = (0..asks.len())
+        .flat_map(|ep| {
+            (0..asks[ep].len())
+                .step_by(per_request)
+                .map(move |at| (ep, at))
+        })
+        .collect();
+    let ask = |(ep, at): (EndpointId, usize), deadline| {
         let endpoint = federation.endpoint(ep);
-        let of_ep: Vec<&Arm> = asks[ep].iter().map(|&k| &arms[k]).collect();
+        let of_ep: Vec<&Arm> = (asks[ep].iter().skip(at).take(per_request))
+            .map(|&k| &arms[k])
+            .collect();
         let rel = endpoint.select_within(&probe_query(&of_ep), deadline)?;
         read_counts(endpoint.name(), &of_ep, &rel)
     };
-    let answers = ctx.dispatch(handler, "analysis probe", asked.clone(), ask)?;
-    let mut degraded = false;
-    for (ep, answer) in asked.into_iter().zip(answers) {
+    let answers = ctx.dispatch(handler, "analysis probe", requests.clone(), ask)?;
+    // An endpoint's counts, in the order it was asked; `None` once any of
+    // its requests was skipped.
+    let mut answered: Vec<Option<Vec<usize>>> = vec![Some(Vec::new()); asks.len()];
+    for ((ep, _), answer) in requests.into_iter().zip(answers) {
         let (counts, skipped) = ctx.absorb_flagged("analysis probe", Vec::new(), answer)?;
-        if skipped {
+        match &mut answered[ep] {
+            Some(all) if !skipped => all.extend(counts),
+            slot => *slot = None,
+        }
+    }
+    let mut degraded = false;
+    for (ep, counts) in answered.into_iter().enumerate() {
+        let Some(counts) = counts else {
             // Nothing learned: every count reads as 0, nothing is cached.
             degraded = true;
             asks[ep].clear();
-        }
+            continue;
+        };
         for (&k, n) in asks[ep].iter().zip(counts) {
             arms[k].counts.insert(ep, n);
         }

@@ -628,8 +628,9 @@ pub struct HealthSnapshot {
     pub latency_ewma: Duration,
     /// Whether the endpoint is quarantined for result-integrity
     /// violations (up but untrustworthy — distinct from breaker-open).
-    /// Quarantined members rank below healthy closed-breaker replicas;
-    /// see [`crate::integrity::IntegrityRegistry`] for the lifecycle.
+    /// Quarantined members rank below healthy closed-breaker replicas.
+    /// The engine's integrity ledger (`lusail_core::integrity`) sets and
+    /// clears it.
     pub quarantined: bool,
 }
 

@@ -39,7 +39,6 @@ pub mod erh;
 pub mod fault;
 pub mod federation;
 pub mod http;
-pub mod integrity;
 pub mod json;
 pub mod network;
 pub mod replica;
@@ -58,7 +57,6 @@ pub use erh::{
 pub use fault::{FaultProfile, FaultyConfig, FaultyEndpoint};
 pub use federation::Federation;
 pub use http::{HttpConfig, HttpEndpoint};
-pub use integrity::{IntegrityConfig, IntegrityRegistry, IntegritySnapshot, QuarantineTransition};
 pub use network::{CodecCounters, CodecSnapshot, NetworkProfile, RequestCounters, TrafficSnapshot};
 pub use replica::{
     hedge_safe, rank_members, ReplicaConfig, ReplicaGroup, ReplicaGroupStats, ReplicaMemberSnapshot,

@@ -143,7 +143,10 @@ impl<'a> Parser<'a> {
     fn eat_kw(&mut self, kw: &str) -> bool {
         self.skip_trivia();
         let rest = self.rest();
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
+        // Compared as bytes: `rest` may hold any character where the
+        // keyword's last byte falls, and only a match leaves a boundary.
+        let head = rest.as_bytes().get(..kw.len());
+        if head.is_some_and(|head| head.eq_ignore_ascii_case(kw.as_bytes())) {
             let next = rest[kw.len()..].chars().next();
             if next.is_none_or(|c| !c.is_ascii_alphanumeric() && c != '_') {
                 self.pos += kw.len();
@@ -993,6 +996,14 @@ fn looks_like_iri(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_multibyte_character_inside_a_keyword_is_an_error() {
+        // Each puts a character across the end of some keyword tried.
+        for text in ["PRE\u{FFFD}", "P\u{FFFD}", "SE\u{e9}LECT * WHERE { }", "é"] {
+            assert!(parse_query(text).is_err(), "{text}");
+        }
+    }
 
     #[test]
     fn parse_qa_from_the_paper() {

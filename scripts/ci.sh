@@ -32,8 +32,8 @@ if grep -rnE 'round_(floor|modulus)' crates; then
     exit 1
 fi
 # The engine sends no endpoint request of its own: requests go out from
-# source.rs, lade/gjv.rs and sape/execute.rs only, so the next kind of
-# block cannot bypass the one response-settling path.
+# source.rs, lade/gjv.rs, sape/execute.rs and integrity.rs only, so the next
+# kind of block cannot bypass the one response-settling path.
 if grep -nE 'map_cancellable\(|_within\(|dispatch\(' crates/core/src/engine.rs; then
     echo "crates/core/src/engine.rs sends an endpoint request; fetch through SapeExecutor" >&2
     exit 1
@@ -167,6 +167,25 @@ if nontest crates/store/src/regex_lite.rs | grep -n 'fn match_here'; then
 fi
 n=$( { nontest $rs | grep -oE 'fn equality_key\(' || true; } | wc -l)
 [ "$n" -eq 1 ] || { echo "fn equality_key is defined ${n} times under crates/, want 1: the store and the engine share it" >&2; exit 1; }
+
+# Result integrity is one module behind one switch (DESIGN.md → Result
+# integrity semantics): the ledger, the settle path and the paging builders
+# live in crates/core/src/integrity.rs, its thresholds are constants there,
+# and sape/execute.rs hands each wave to it in one call.
+if grep -rnE 'IntegrityConfig|QuarantineTransition|apply_transition' crates tests; then
+    echo "the integrity config or the quarantine transition is back; the ledger marks the endpoint itself" >&2
+    exit 1
+fi
+for f in crates/federation/src/integrity.rs crates/core/src/sape/recover.rs; do
+    [ ! -e "$f" ] || { echo "$f is back; result integrity lives in crates/core/src/integrity.rs" >&2; exit 1; }
+done
+code=$(nontest crates/core/src/sape/execute.rs)
+if grep -nE '\.(record_[a-z_]+|observe_rows|needs_verification|count_within)\(|(merge_pages|initial_limit|adaptive_limit)\(' <<<"$code"; then
+    echo "crates/core/src/sape/execute.rs decides integrity itself; hand the wave to IntegrityRegistry::settle" >&2
+    exit 1
+fi
+n=$( { grep -oE '\.settle\(' <<<"$code" || true; } | wc -l)
+[ "$n" -eq 1 ] || { echo "crates/core/src/sape/execute.rs calls settle ${n} times, want once (in run_wave)" >&2; exit 1; }
 
 # What the paper's system does not need stays deleted (ROADMAP item 5):
 # keyword search and `lusail search` (the paper's future work), the two

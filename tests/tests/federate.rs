@@ -428,9 +428,7 @@ fn dead_endpoint_still_yields_partial_results_with_warnings() {
 #[test]
 fn stats_document_key_order_and_text_parity() {
     use lusail_federation::json::{render_text, Json};
-    use lusail_federation::{
-        FaultProfile, FaultyEndpoint, IntegrityConfig, ReplicaConfig, ReplicaGroup,
-    };
+    use lusail_federation::{FaultProfile, FaultyEndpoint, ReplicaConfig, ReplicaGroup};
 
     // Two simulated endpoints — one silently capping at 2 rows, so the
     // integrity section has a row — and one replica group of two HTTP
@@ -466,7 +464,7 @@ fn stats_document_key_order_and_text_parity() {
         LusailEngine::new(
             federation,
             LusailConfig {
-                integrity: IntegrityConfig::paranoid(),
+                verify_every_response: true,
                 ..Default::default()
             },
         ),

@@ -21,8 +21,8 @@
 //! group in `scripts/ci.sh` prints the seed it used on failure).
 
 use integration::{assert_same_solutions, ground_truth};
-use lusail_core::sape::recover;
-use lusail_core::{EngineError, IntegrityConfig, LusailConfig, LusailEngine, ResultPolicy};
+use lusail_core::integrity;
+use lusail_core::{EngineError, LusailConfig, LusailEngine, ResultPolicy};
 use lusail_federation::{
     results_json, Deadline, EndpointError, FailureKind, FaultProfile, FaultyConfig, FaultyEndpoint,
     Federation, NetworkProfile, SelectResponse, SimulatedEndpoint, SparqlEndpoint, TrafficSnapshot,
@@ -58,7 +58,7 @@ fn canonical_bytes(rel: &Relation) -> String {
 fn paranoid(policy: ResultPolicy) -> LusailConfig {
     LusailConfig {
         result_policy: policy,
-        integrity: IntegrityConfig::paranoid(),
+        verify_every_response: true,
         ..LusailConfig::without_cache()
     }
 }
@@ -729,7 +729,7 @@ fn paged_refetch_merge_is_byte_identical_to_unpaged() {
         let ep = SimulatedEndpoint::new("ep", Store::from_graph(&g), NetworkProfile::instant());
         let base = parse_query("SELECT ?o WHERE { ?s <http://x/p> ?o }").unwrap();
         let reference = ep
-            .select_within(&recover::paged_query(&base, n + 1, 0), Deadline::none())
+            .select_within(&integrity::paged_query(&base, n + 1, 0), Deadline::none())
             .unwrap();
 
         let mut pages = Vec::new();
@@ -738,7 +738,7 @@ fn paged_refetch_merge_is_byte_identical_to_unpaged() {
             let limit = rng.gen_range(1..=17usize);
             let page = ep
                 .select_within(
-                    &recover::paged_query(&base, limit, offset),
+                    &integrity::paged_query(&base, limit, offset),
                     Deadline::none(),
                 )
                 .unwrap();
@@ -752,13 +752,16 @@ fn paged_refetch_merge_is_byte_identical_to_unpaged() {
                 // merge must drop it by offset arithmetic, not content.
                 let back = rng.gen_range(0..offset);
                 let re = ep
-                    .select_within(&recover::paged_query(&base, limit, back), Deadline::none())
+                    .select_within(
+                        &integrity::paged_query(&base, limit, back),
+                        Deadline::none(),
+                    )
                     .unwrap();
                 pages.push((back, re));
             }
             offset += got;
         }
-        let merged = recover::merge_pages(reference.vars().to_vec(), pages);
+        let merged = integrity::merge_pages(reference.vars().to_vec(), pages);
         assert_eq!(
             results_json::serialize(&QueryResult::Solutions(merged)),
             results_json::serialize(&QueryResult::Solutions(reference.clone())),

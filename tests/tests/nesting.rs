@@ -185,3 +185,41 @@ fn expression_evaluation_runs_at_the_limit() {
         }
     });
 }
+
+/// The analysis probe joins one `COUNT` subselect per pattern into one
+/// group, and each is one more level of the limit: a branch wider than one
+/// probe request can carry is probed in several, and answered as the
+/// merged graph answers it.
+#[test]
+fn a_branch_too_wide_for_one_probe_request_is_answered() {
+    let s = Term::iri("http://x/s");
+    let mut a = Graph::new();
+    for i in 0..80 {
+        let p = Term::iri(format!("http://x/p{i}"));
+        a.add(s.clone(), p, Term::literal(i.to_string()));
+    }
+    let mut b = Graph::new();
+    b.add(
+        Term::iri("http://x/t"),
+        Term::iri("http://x/q"),
+        Term::iri("http://x/u"),
+    );
+    let graphs = vec![("a".to_string(), a), ("b".to_string(), b)];
+    for n in [60, 70] {
+        // A fresh engine each time: a cached source list would spare the
+        // probe its arms.
+        let fed =
+            lusail_workloads::federation_from_graphs(graphs.clone(), NetworkProfile::instant());
+        let engine = LusailEngine::new(fed, LusailConfig::default());
+        let patterns: String = (0..n)
+            .map(|i| format!("?s <http://x/p{i}> ?o{i} . "))
+            .collect();
+        let q = parse_query(&format!("SELECT ?s WHERE {{ {patterns}}}")).unwrap();
+        let want = integration::ground_truth(&graphs, &q);
+        assert_eq!(want.len(), 1);
+        let got = engine
+            .execute(&q)
+            .unwrap_or_else(|e| panic!("{n} patterns: {e}"));
+        integration::assert_same_solutions(&format!("{n} patterns"), &got, &want);
+    }
+}

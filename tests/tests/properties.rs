@@ -637,6 +637,118 @@ fn json_parser_is_total_on_mutated_bytes() {
     }
 }
 
+/// The SPARQL parser is total on mangled text: every seeded byte mutation
+/// of every catalog query parses or is a `ParseError` — never a panic —
+/// and each parse finishes well inside a second.
+#[test]
+fn sparql_parser_is_total_on_mutated_catalog_queries() {
+    use lusail_workloads::{bio2rdf, largerdf, lubm, qfed};
+    use std::time::{Duration, Instant};
+    let catalog = [
+        lubm::queries(),
+        qfed::queries(),
+        largerdf::all_queries(),
+        bio2rdf::queries(),
+    ]
+    .concat();
+    for (i, query) in catalog.iter().enumerate() {
+        for case in 0..32 {
+            let rng = &mut case_rng(0x5BA4 + i as u64, case);
+            let mut bytes = query.text.clone().into_bytes();
+            for _ in 0..rng.gen_range(1..4usize) {
+                mutate_bytes(rng, &mut bytes);
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let started = Instant::now();
+            let parsed = std::panic::catch_unwind(|| parse_query(&text).map(|_| ()));
+            let took = started.elapsed();
+            assert!(
+                parsed.is_ok(),
+                "{} case {case}: the parser panicked on {text:?}",
+                query.name
+            );
+            assert!(
+                took < Duration::from_secs(1),
+                "{} case {case}: {took:?} to parse {text:?}",
+                query.name
+            );
+        }
+    }
+}
+
+/// A `SparqlServer` reads any mangled request to an end: seeded byte
+/// mutations of a valid `POST /sparql` each get a status line or a closed
+/// connection within the server's read deadline, and a clean query sent
+/// after all of them is served.
+#[test]
+fn sparql_server_answers_or_closes_on_mutated_requests() {
+    use lusail_server::{ServerConfig, SparqlServer};
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    use std::time::Duration;
+
+    let mut g = Graph::new();
+    g.add(
+        Term::iri("http://x/s"),
+        Term::iri("http://x/p"),
+        Term::literal("o"),
+    );
+    let read_deadline = Duration::from_millis(250);
+    let server = SparqlServer::bind(
+        "127.0.0.1:0",
+        lusail_store::Store::from_graph(&g),
+        ServerConfig {
+            read_deadline,
+            ..Default::default()
+        },
+    )
+    .expect("bind")
+    .spawn();
+    let query = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }";
+    let clean = format!(
+        "POST /sparql HTTP/1.1\r\nHost: h\r\nContent-Type: application/sparql-query\r\n\
+         Content-Length: {}\r\n\r\n{query}",
+        query.len()
+    );
+    // Send `bytes` and half-close: what comes back before the server
+    // closes, or `None` when it neither answers nor closes in time.
+    let exchange = |bytes: &[u8]| -> Option<String> {
+        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+        sock.set_read_timeout(Some(4 * read_deadline)).unwrap();
+        // The server may answer and close before it has read everything.
+        let _ = sock.write_all(bytes);
+        let _ = sock.shutdown(Shutdown::Write);
+        let mut reply = Vec::new();
+        match sock.read_to_end(&mut reply) {
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return None
+            }
+            // Reset or aborted: the server closed on us.
+            Err(_) => {}
+        }
+        Some(String::from_utf8_lossy(&reply).into_owned())
+    };
+    for case in 0..256 {
+        let rng = &mut case_rng(0x5E4F, case);
+        let mut bytes = clean.clone().into_bytes();
+        for _ in 0..rng.gen_range(1..4usize) {
+            mutate_bytes(rng, &mut bytes);
+        }
+        let sent = String::from_utf8_lossy(&bytes).into_owned();
+        let reply = exchange(&bytes)
+            .unwrap_or_else(|| panic!("case {case}: no answer and no close for {sent:?}"));
+        assert!(
+            reply.is_empty() || reply.starts_with("HTTP/1.1 "),
+            "case {case}: {reply:?} for {sent:?}"
+        );
+    }
+    let reply = exchange(clean.as_bytes()).expect("an answer");
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    assert!(reply.contains("http://x/s"), "{reply}");
+    server.shutdown();
+}
+
 /// A random JSON document: nesting up to `depth` more levels, strings
 /// with escapes, control characters and astral-plane characters (which
 /// travel as surrogate pairs when escaped), integers at the edges a
