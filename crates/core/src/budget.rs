@@ -17,6 +17,7 @@
 //! [`MemoryStats`] for `lusail query --stats`.
 
 use lusail_federation::json::Json;
+use lusail_sparql::solution::{row_wire_size, Row};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -183,6 +184,78 @@ impl MemoryBudget {
             bound_join_peak_bytes: inner.phase_peaks[MemoryPhase::BoundJoin as usize],
             spill_count: inner.spill_count,
             spill_bytes: inner.spill_bytes,
+        }
+    }
+}
+
+/// How many rows `RowCharge::charge` charges per budget check. The
+/// accounted peak can overshoot the memory budget by at most one chunk's
+/// bytes before the overflow is handled.
+pub const ADMISSION_CHUNK_ROWS: usize = 256;
+
+/// A relation's rows being charged against a [`MemoryBudget`] — the one
+/// chunked charge behind every admission: endpoint responses, join outputs
+/// and the spill merge's output as it streams.
+#[derive(Debug)]
+pub(crate) struct RowCharge {
+    phase: MemoryPhase,
+    /// The most this relation may claim, below the budget's own limit.
+    allowance: usize,
+    /// Header bytes not yet charged; they go with the first chunk.
+    header: usize,
+    /// Rows admitted so far.
+    pub(crate) rows: usize,
+    /// Bytes charged so far.
+    pub(crate) bytes: usize,
+}
+
+impl RowCharge {
+    /// A charge for a relation of `vars` columns, capped at `allowance`.
+    pub(crate) fn new(phase: MemoryPhase, vars: usize, allowance: usize) -> Self {
+        RowCharge {
+            phase,
+            allowance,
+            header: 8 * vars,
+            rows: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Charge `rows[self.rows..]`: the header with the first chunk, then
+    /// [`ADMISSION_CHUNK_ROWS`]-row chunks. Until `done` a trailing partial
+    /// chunk waits for more rows (a producer calls this as it emits them);
+    /// `done` charges it, or the bare header of an empty relation. Stops
+    /// at the first chunk that would cross the allowance or the limit;
+    /// what was charged before it stays charged.
+    pub(crate) fn charge(
+        &mut self,
+        budget: &MemoryBudget,
+        rows: &[Row],
+        done: bool,
+    ) -> Result<(), BudgetExhausted> {
+        loop {
+            let left = rows.len() - self.rows;
+            let due = left >= ADMISSION_CHUNK_ROWS || (done && (left > 0 || self.header > 0));
+            if !due {
+                return Ok(());
+            }
+            let end = self.rows + left.min(ADMISSION_CHUNK_ROWS);
+            let bytes = self.header
+                + rows[self.rows..end]
+                    .iter()
+                    .map(row_wire_size)
+                    .sum::<usize>();
+            if self.bytes + bytes > self.allowance {
+                return Err(BudgetExhausted {
+                    limit: self.allowance,
+                    used: self.bytes,
+                    requested: bytes,
+                });
+            }
+            budget.try_charge(self.phase, bytes)?;
+            self.header = 0;
+            self.bytes += bytes;
+            self.rows = end;
         }
     }
 }

@@ -3,277 +3,60 @@
 //!
 //! The paper (Section 2, Figure 12(b,c)) caches the results of (i) source
 //! selection ASK queries and (ii) the locality check queries that determine
-//! which triple-pattern pairs cannot be executed locally. We additionally
-//! cache per-pattern `COUNT` probes used by SAPE's cost model.
+//! which triple-pattern pairs cannot be executed locally; we also cache
+//! SAPE's per-pattern `COUNT` probes. Keys are canonical pattern strings:
+//! `?s ub:advisor ?p` and `?x ub:advisor ?y` share one entry.
 //!
-//! Keys are *canonicalized* pattern strings: variables are renamed by
-//! position, so `?s ub:advisor ?p` and `?x ub:advisor ?y` share one entry.
-//!
-//! A one-shot `lusail query` run uses an unbounded, non-expiring
-//! [`QueryCache`] (it dies with the engine). `lusail serve --federate`
-//! promotes the same cache to a long-lived shared tier via
-//! [`CacheLimits`]: every map gets a capacity cap with oldest-first
-//! eviction and a TTL so stale endpoint facts (an endpoint re-loaded its
-//! data, a COUNT drifted) age out instead of poisoning every future query.
-//! The service adds a [`ResultCache`] on top — whole-query text → final
-//! solutions — so a repeated hot query costs zero outbound endpoint
-//! requests. Degraded (partial) results are never written to either tier:
-//! they describe an outage, not the data.
+//! Every map is one [`CacheMap`]: unbounded in a one-shot engine, capped
+//! and expiring under `serve --federate`'s [`CacheLimits`] (so stale
+//! endpoint facts age out), where a [`ResultCache`] sits on top. Degraded
+//! (partial) results are never written to either tier: they describe an
+//! outage, not the data.
 
 use lusail_federation::json::Json;
 use lusail_federation::EndpointId;
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_sparql::ast::{TermPattern, TriplePattern};
 use lusail_sparql::Relation;
+use std::borrow::Borrow;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Canonical cache key for a triple pattern: variables renamed by position.
 pub fn pattern_key(tp: &TriplePattern) -> String {
-    let slot = |s: &TermPattern, tag: &str| match s {
-        TermPattern::Var(_) => format!("?{tag}"),
-        TermPattern::Term(t) => t.to_string(),
-    };
     // Positional renaming must respect repeated variables (`?x p ?x`).
-    let mut names: Vec<(String, String)> = Vec::new();
-    let mut canon = |s: &TermPattern, fallback: &str| -> String {
-        match s {
-            TermPattern::Term(_) => slot(s, fallback),
+    let mut names: Vec<&str> = Vec::new();
+    [&tp.subject, &tp.predicate, &tp.object]
+        .map(|slot| match slot {
+            TermPattern::Term(t) => t.to_string(),
             TermPattern::Var(v) => {
-                if let Some((_, name)) = names.iter().find(|(orig, _)| orig == v.name()) {
-                    name.clone()
-                } else {
-                    let name = format!("?v{}", names.len());
-                    names.push((v.name().to_string(), name.clone()));
-                    name
-                }
+                let i = names.iter().position(|n| *n == v.name());
+                let i = i.unwrap_or_else(|| {
+                    names.push(v.name());
+                    names.len() - 1
+                });
+                format!("?v{i}")
             }
-        }
-    };
-    let s = canon(&tp.subject, "s");
-    let p = canon(&tp.predicate, "p");
-    let o = canon(&tp.object, "o");
-    format!("{s} {p} {o}")
+        })
+        .join(" ")
 }
 
 /// Bounds for a long-lived cache tier: an entry-count cap per map (with
-/// oldest-first eviction) and a TTL (expired entries read as misses and
-/// are dropped). `None` in either slot means unbounded / non-expiring.
+/// least-recently-used eviction) and a TTL (expired entries read as misses
+/// and are dropped). `None` in either slot means unbounded / non-expiring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLimits {
-    /// Maximum entries per map; the oldest entry is evicted beyond it.
+    /// Maximum entries per map; the least recently used is evicted beyond it.
     pub capacity: Option<usize>,
     /// Entries older than this read as misses and are removed.
     pub ttl: Option<Duration>,
 }
 
-/// Hit/miss/eviction counters for one cache tier.
+/// Occupancy and lifetime counters of one cache tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub expirations: u64,
-}
-
-impl CacheStats {
-    /// The counters of the `analysis_cache` stats section.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("hits", self.hits.into()),
-            ("misses", self.misses.into()),
-            ("evictions", self.evictions.into()),
-            ("expirations", self.expirations.into()),
-        ])
-    }
-}
-
-/// One cached value with its insertion order and timestamp.
-#[derive(Debug)]
-struct Stamped<V> {
-    value: V,
-    stamp: u64,
-    inserted: Instant,
-}
-
-/// Thread-safe caches shared by all queries run through one engine.
-#[derive(Debug, Default)]
-pub struct QueryCache {
-    limits: CacheLimits,
-    /// Monotonic insertion clock driving oldest-first eviction.
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    expirations: AtomicU64,
-    /// pattern key → relevant endpoints (source selection).
-    ask: RwLock<FxHashMap<String, Stamped<Vec<EndpointId>>>>,
-    /// (check key, endpoint) → check query returned non-empty there.
-    checks: RwLock<FxHashMap<(String, EndpointId), Stamped<bool>>>,
-    /// (pattern-with-filters key, endpoint) → COUNT.
-    counts: RwLock<FxHashMap<(String, EndpointId), Stamped<usize>>>,
-}
-
-impl QueryCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A cache suitable as a long-lived shared tier: capped and expiring.
-    pub fn with_limits(limits: CacheLimits) -> Self {
-        QueryCache {
-            limits,
-            ..Self::default()
-        }
-    }
-
-    /// A cache capped at `capacity` entries per map, non-expiring.
-    pub fn bounded(capacity: usize) -> Self {
-        Self::with_limits(CacheLimits {
-            capacity: Some(capacity),
-            ttl: None,
-        })
-    }
-
-    /// The configured bounds.
-    pub fn limits(&self) -> CacheLimits {
-        self.limits
-    }
-
-    fn expired(&self, inserted: Instant) -> bool {
-        match self.limits.ttl {
-            Some(ttl) => inserted.elapsed() > ttl,
-            None => false,
-        }
-    }
-
-    fn lookup<K, V>(&self, map: &RwLock<FxHashMap<K, Stamped<V>>>, key: &K) -> Option<V>
-    where
-        K: Eq + Hash + Clone,
-        V: Clone,
-    {
-        let (value, stale) = {
-            let guard = map.read().expect("cache lock poisoned");
-            match guard.get(key) {
-                None => (None, false),
-                Some(entry) if self.expired(entry.inserted) => (None, true),
-                Some(entry) => (Some(entry.value.clone()), false),
-            }
-        };
-        if stale {
-            // Drop the expired entry so the map doesn't fill with corpses;
-            // re-check under the write lock (a writer may have refreshed it).
-            let mut guard = map.write().expect("cache lock poisoned");
-            if guard.get(key).is_some_and(|e| self.expired(e.inserted)) {
-                guard.remove(key);
-                self.expirations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        match value {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn store<K, V>(&self, map: &RwLock<FxHashMap<K, Stamped<V>>>, key: K, value: V)
-    where
-        K: Eq + Hash + Clone,
-    {
-        let mut guard = map.write().expect("cache lock poisoned");
-        if let Some(cap) = self.limits.capacity {
-            if !guard.contains_key(&key) && guard.len() >= cap.max(1) {
-                // Oldest-first eviction: cheap, deterministic, and good
-                // enough for analysis facts that all cost about the same
-                // to recompute.
-                if let Some(oldest) = guard
-                    .iter()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(k, _)| k.clone())
-                {
-                    guard.remove(&oldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        guard.insert(
-            key,
-            Stamped {
-                value,
-                stamp: self.clock.fetch_add(1, Ordering::Relaxed),
-                inserted: Instant::now(),
-            },
-        );
-    }
-
-    /// Cached relevant endpoints for a pattern.
-    pub fn get_sources(&self, key: &str) -> Option<Vec<EndpointId>> {
-        self.lookup(&self.ask, &key.to_string())
-    }
-
-    /// Store relevant endpoints for a pattern.
-    pub fn put_sources(&self, key: String, sources: Vec<EndpointId>) {
-        self.store(&self.ask, key, sources);
-    }
-
-    /// Cached locality-check outcome at one endpoint.
-    pub fn get_check(&self, key: &str, ep: EndpointId) -> Option<bool> {
-        self.lookup(&self.checks, &(key.to_string(), ep))
-    }
-
-    /// Store a locality-check outcome.
-    pub fn put_check(&self, key: String, ep: EndpointId, nonempty: bool) {
-        self.store(&self.checks, (key, ep), nonempty);
-    }
-
-    /// Cached COUNT probe.
-    pub fn get_count(&self, key: &str, ep: EndpointId) -> Option<usize> {
-        self.lookup(&self.counts, &(key.to_string(), ep))
-    }
-
-    /// Store a COUNT probe.
-    pub fn put_count(&self, key: String, ep: EndpointId, count: usize) {
-        self.store(&self.counts, (key, ep), count);
-    }
-
-    /// Drop everything (explicit invalidation; also used between benchmark
-    /// configurations).
-    pub fn clear(&self) {
-        self.ask.write().expect("cache lock poisoned").clear();
-        self.checks.write().expect("cache lock poisoned").clear();
-        self.counts.write().expect("cache lock poisoned").clear();
-    }
-
-    /// Entry counts, for diagnostics: (ask, checks, counts).
-    pub fn sizes(&self) -> (usize, usize, usize) {
-        (
-            self.ask.read().expect("cache lock poisoned").len(),
-            self.checks.read().expect("cache lock poisoned").len(),
-            self.counts.read().expect("cache lock poisoned").len(),
-        )
-    }
-
-    /// Lifetime hit/miss/eviction counters across all three maps.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Counters for a [`ResultCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResultCacheStats {
     /// Entries currently cached.
     pub entries: usize,
     pub hits: u64,
@@ -281,12 +64,12 @@ pub struct ResultCacheStats {
     pub insertions: u64,
     pub evictions: u64,
     pub expirations: u64,
-    /// Explicit `invalidate()` calls.
+    /// Explicit invalidations (every map dropped at once).
     pub invalidations: u64,
 }
 
-impl ResultCacheStats {
-    /// The `result_cache` stats section.
+impl CacheStats {
+    /// The `result_cache` / `analysis_cache` stats section.
     pub fn to_json(&self) -> Json {
         Json::object([
             ("entries", self.entries.into()),
@@ -300,114 +83,241 @@ impl ResultCacheStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct ResultInner {
-    map: FxHashMap<String, Stamped<Relation>>,
-    clock: u64,
-    stats: ResultCacheStats,
-}
-
-/// A whole-query result cache: normalized query text → final solutions.
-///
-/// This is the hot-query tier of `lusail serve --federate`: a hit answers
-/// the client with **zero** outbound endpoint requests. Entries expire
-/// after the configured TTL, the map is capped with least-recently-used
-/// eviction (a hit refreshes recency), and [`ResultCache::invalidate`]
-/// drops everything at once (wired to `POST /cache/invalidate`).
-///
-/// Callers must never insert degraded results — a partial answer cached
-/// once would keep answering long after the failed endpoint recovered.
-/// The federation service enforces this by only caching warning-free runs.
+/// One cached value, with its recency stamp (kept only in a capped map)
+/// and its insertion time (for the TTL).
 #[derive(Debug)]
-pub struct ResultCache {
-    limits: CacheLimits,
-    inner: Mutex<ResultInner>,
+struct Entry<V> {
+    value: V,
+    used: AtomicU64,
+    added: Instant,
 }
 
-impl ResultCache {
+/// Lifetime counters; hits and misses are bumped under the read lock.
+#[derive(Debug, Default)]
+struct Counters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    insertions: AtomicU64,
+    evictions: AtomicU64,
+    expirations: AtomicU64,
+    invalidations: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) -> u64 {
+    counter.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A thread-safe map bounded by [`CacheLimits`]: the one cache behind
+/// both tiers. A hit takes only the read lock — recency is an atomic
+/// stamp on the entry — so concurrent lookups never serialize. Keys may
+/// be client text; the capacity bounds any chain of colliding keys.
+#[derive(Debug)]
+pub struct CacheMap<K, V> {
+    limits: CacheLimits,
+    /// Monotonic clock for the recency stamps.
+    clock: AtomicU64,
+    map: RwLock<FxHashMap<K, Entry<V>>>,
+    counts: Counters,
+}
+
+impl<K, V> CacheMap<K, V> {
     pub fn new(limits: CacheLimits) -> Self {
-        ResultCache {
+        CacheMap {
             limits,
-            inner: Mutex::new(ResultInner::default()),
+            clock: AtomicU64::default(),
+            map: RwLock::default(),
+            counts: Counters::default(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ResultInner> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    fn read(&self) -> RwLockReadGuard<'_, FxHashMap<K, Entry<V>>> {
+        self.map.read().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The cached solutions for `key`, if present and fresh.
-    pub fn get(&self, key: &str) -> Option<Relation> {
-        let mut inner = self.lock();
-        let expired = match inner.map.get(key) {
-            None => {
-                inner.stats.misses += 1;
-                return None;
-            }
-            Some(e) => self
-                .limits
-                .ttl
-                .is_some_and(|ttl| e.inserted.elapsed() > ttl),
-        };
-        if expired {
-            inner.map.remove(key);
-            inner.stats.expirations += 1;
-            inner.stats.misses += 1;
-            return None;
-        }
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let entry = inner.map.get_mut(key).expect("checked above");
-        entry.stamp = stamp; // LRU: a hit refreshes recency
-        let value = entry.value.clone();
-        inner.stats.hits += 1;
-        Some(value)
+    fn write(&self) -> RwLockWriteGuard<'_, FxHashMap<K, Entry<V>>> {
+        self.map.write().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Cache `rel` under `key`, evicting the least-recently-used entry
-    /// beyond capacity. The caller is responsible for never passing a
-    /// degraded (partial / truncated) result.
-    pub fn put(&self, key: String, rel: Relation) {
-        let mut inner = self.lock();
-        if let Some(cap) = self.limits.capacity {
-            if !inner.map.contains_key(&key) && inner.map.len() >= cap.max(1) {
-                if let Some(oldest) = inner
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(k, _)| k.clone())
-                {
-                    inner.map.remove(&oldest);
-                    inner.stats.evictions += 1;
-                }
-            }
-        }
-        inner.clock += 1;
-        let stamp = inner.clock;
-        inner.map.insert(
-            key,
-            Stamped {
-                value: rel,
-                stamp,
-                inserted: Instant::now(),
-            },
-        );
-        inner.stats.insertions += 1;
+    fn expired(&self, entry: &Entry<V>) -> bool {
+        self.limits
+            .ttl
+            .is_some_and(|ttl| entry.added.elapsed() > ttl)
     }
 
-    /// Drop every cached result (explicit invalidation).
+    /// Drop every entry (explicit invalidation).
     pub fn invalidate(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.stats.invalidations += 1;
+        self.write().clear();
+        bump(&self.counts.invalidations);
     }
 
     /// Counters plus current occupancy.
-    pub fn stats(&self) -> ResultCacheStats {
-        let inner = self.lock();
-        ResultCacheStats {
-            entries: inner.map.len(),
-            ..inner.stats
+    pub fn stats(&self) -> CacheStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let n = &self.counts;
+        CacheStats {
+            entries: self.read().len(),
+            hits: load(&n.hits),
+            misses: load(&n.misses),
+            insertions: load(&n.insertions),
+            evictions: load(&n.evictions),
+            expirations: load(&n.expirations),
+            invalidations: load(&n.invalidations),
+        }
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> CacheMap<K, V> {
+    /// The cached value for `key`, if present and fresh. A hit refreshes
+    /// the entry's recency; an expired entry is removed and reads as a miss.
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let stale = match self.read().get(key) {
+            Some(entry) if !self.expired(entry) => {
+                if self.limits.capacity.is_some() {
+                    entry.used.store(bump(&self.clock), Ordering::Relaxed);
+                }
+                bump(&self.counts.hits);
+                return Some(entry.value.clone());
+            }
+            found => found.is_some(),
+        };
+        if stale {
+            // Re-check under the write lock: a writer may have refreshed it.
+            let mut map = self.write();
+            if map.get(key).is_some_and(|e| self.expired(e)) {
+                map.remove(key);
+                bump(&self.counts.expirations);
+            }
+        }
+        bump(&self.counts.misses);
+        None
+    }
+
+    /// Cache `value` under `key`, evicting the least-recently-used entry
+    /// beyond capacity. Re-inserting a cached key replaces it in place.
+    pub fn put(&self, key: K, value: V) {
+        let mut map = self.write();
+        let full = |cap: usize| map.len() >= cap.max(1) && !map.contains_key(&key);
+        if self.limits.capacity.is_some_and(full) {
+            let lru = map
+                .iter()
+                .min_by_key(|(_, e)| e.used.load(Ordering::Relaxed))
+                .map(|(k, _)| k.clone());
+            if let Some(lru) = lru {
+                map.remove(&lru);
+                bump(&self.counts.evictions);
+            }
+        }
+        let used = AtomicU64::new(bump(&self.clock));
+        let added = Instant::now();
+        map.insert(key, Entry { value, used, added });
+        bump(&self.counts.insertions);
+    }
+}
+
+/// The hot-query tier of `lusail serve --federate`: canonical query text →
+/// final solutions, so a hit costs **zero** outbound endpoint requests.
+/// Callers must never insert degraded results — a partial answer cached
+/// once would keep answering long after the failed endpoint recovered.
+pub type ResultCache = CacheMap<String, Relation>;
+
+/// The analysis caches shared by all queries run through one engine.
+#[derive(Debug)]
+pub struct QueryCache {
+    /// pattern key → relevant endpoints (source selection).
+    sources: CacheMap<String, Vec<EndpointId>>,
+    /// (check key, endpoint) → check query returned non-empty there.
+    checks: CacheMap<(String, EndpointId), bool>,
+    /// (pattern-with-filters key, endpoint) → COUNT.
+    counts: CacheMap<(String, EndpointId), usize>,
+}
+
+impl Default for QueryCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl QueryCache {
+    pub fn new() -> Self {
+        Self::with_limits(CacheLimits::default())
+    }
+
+    /// A long-lived shared tier: every map capped and expiring by `limits`.
+    pub fn with_limits(limits: CacheLimits) -> Self {
+        QueryCache {
+            sources: CacheMap::new(limits),
+            checks: CacheMap::new(limits),
+            counts: CacheMap::new(limits),
+        }
+    }
+
+    /// Cached relevant endpoints for a pattern.
+    pub fn get_sources(&self, key: &str) -> Option<Vec<EndpointId>> {
+        self.sources.get(key)
+    }
+
+    /// Store relevant endpoints for a pattern.
+    pub fn put_sources(&self, key: String, sources: Vec<EndpointId>) {
+        self.sources.put(key, sources);
+    }
+
+    /// Cached locality-check outcome at one endpoint.
+    pub fn get_check(&self, key: &str, ep: EndpointId) -> Option<bool> {
+        self.checks.get(&(key.to_string(), ep))
+    }
+
+    /// Store a locality-check outcome.
+    pub fn put_check(&self, key: String, ep: EndpointId, nonempty: bool) {
+        self.checks.put((key, ep), nonempty);
+    }
+
+    /// Cached COUNT probe.
+    pub fn get_count(&self, key: &str, ep: EndpointId) -> Option<usize> {
+        self.counts.get(&(key.to_string(), ep))
+    }
+
+    /// Store a COUNT probe.
+    pub fn put_count(&self, key: String, ep: EndpointId, count: usize) {
+        self.counts.put((key, ep), count);
+    }
+
+    /// Drop everything (explicit invalidation).
+    pub fn clear(&self) {
+        self.sources.invalidate();
+        self.checks.invalidate();
+        self.counts.invalidate();
+    }
+
+    /// Entry counts, for diagnostics: (sources, checks, counts).
+    pub fn sizes(&self) -> (usize, usize, usize) {
+        let (a, b, c) = (
+            self.sources.stats(),
+            self.checks.stats(),
+            self.counts.stats(),
+        );
+        (a.entries, b.entries, c.entries)
+    }
+
+    /// The three maps' counters summed. They are only ever invalidated
+    /// together, so one [`QueryCache::clear`] counts once.
+    pub fn stats(&self) -> CacheStats {
+        let (a, b, c) = (
+            self.sources.stats(),
+            self.checks.stats(),
+            self.counts.stats(),
+        );
+        CacheStats {
+            entries: a.entries + b.entries + c.entries,
+            hits: a.hits + b.hits + c.hits,
+            misses: a.misses + b.misses + c.misses,
+            insertions: a.insertions + b.insertions + c.insertions,
+            evictions: a.evictions + b.evictions + c.evictions,
+            expirations: a.expirations + b.expirations + c.expirations,
+            invalidations: a.invalidations,
         }
     }
 }
@@ -475,7 +385,10 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_oldest_per_map() {
-        let c = QueryCache::bounded(3);
+        let c = QueryCache::with_limits(CacheLimits {
+            capacity: Some(3),
+            ttl: None,
+        });
         for i in 0..5 {
             c.put_sources(format!("k{i}"), vec![i]);
         }
@@ -499,6 +412,16 @@ mod tests {
         c.put_sources("k4".into(), vec![9]);
         assert_eq!(c.stats().evictions, evictions_before);
         assert_eq!(c.get_sources("k4"), Some(vec![9]));
+
+        // Eviction is least-recently-used: a check read before the map
+        // overflows outlives the older-read ones inserted after it.
+        for i in 0..3 {
+            c.put_check(format!("x{i}"), 0, true);
+        }
+        assert_eq!(c.get_check("x0", 0), Some(true));
+        c.put_check("x3".into(), 0, false);
+        assert_eq!(c.get_check("x0", 0), Some(true), "a read entry survives");
+        assert_eq!(c.get_check("x1", 0), None, "the least recently used goes");
     }
 
     #[test]

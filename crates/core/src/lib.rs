@@ -56,7 +56,7 @@ pub mod source;
 pub mod subquery;
 
 pub use budget::{MemoryBudget, MemoryPhase, MemoryPool, MemoryStats, PoolRejection, PoolStats};
-pub use cache::{CacheLimits, CacheStats, QueryCache, ResultCache, ResultCacheStats};
+pub use cache::{CacheLimits, CacheStats, QueryCache, ResultCache};
 pub use config::{DelayThreshold, LusailConfig, ResultPolicy, SapeMode};
 pub use engine::{ExecutionProfile, LusailEngine};
 pub use error::EngineError;

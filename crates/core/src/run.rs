@@ -13,20 +13,16 @@
 //! [`RunContext::fan_out`], each under a context of its own that shares
 //! the query's deadline, token and memory ledger.
 
-use crate::budget::{MemoryBudget, MemoryPhase};
+use crate::budget::{MemoryBudget, MemoryPhase, RowCharge};
 use crate::config::{LusailConfig, ResultPolicy};
 use crate::error::EngineError;
 pub use lusail_federation::{CancelReason, CancelToken};
 use lusail_federation::{Deadline, EndpointError, FailureKind, RequestHandler};
-use lusail_sparql::solution::row_wire_size;
 use lusail_sparql::Relation;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// How many rows [`RunContext::admit_relation`] charges per budget check.
-/// The accounted peak can overshoot the memory budget by at most one
-/// chunk's bytes before the overflow is handled.
-pub const ADMISSION_CHUNK_ROWS: usize = 256;
+pub use crate::budget::ADMISSION_CHUNK_ROWS;
 
 /// One piece of work that partial-results mode skipped, naming the
 /// endpoint that was unreachable and the subquery (or probe) affected.
@@ -340,10 +336,10 @@ impl RunContext {
     ///
     /// * the `--max-result-rows` cap rejects (fail-fast) or truncates
     ///   (partial) an oversized response outright;
-    /// * the memory budget is charged in [`ADMISSION_CHUNK_ROWS`]-row
-    ///   chunks, so the accounted peak overshoots the limit by at most
-    ///   one chunk. On overflow, fail-fast aborts with
-    ///   [`EngineError::BudgetExceeded`] naming `what` and `endpoint`;
+    /// * the memory budget is charged by `budget::RowCharge` in
+    ///   [`ADMISSION_CHUNK_ROWS`]-row chunks, so the accounted peak
+    ///   overshoots the limit by at most one chunk. On overflow, fail-fast
+    ///   aborts with [`EngineError::BudgetExceeded`] naming `what` and `endpoint`;
     ///   partial mode keeps the rows already admitted and records an
     ///   [`ExecutionWarning`].
     ///
@@ -396,44 +392,22 @@ impl RunContext {
             _ => usize::MAX,
         };
 
-        // Header charge, then row chunks.
-        let mut pending = 8 * rel.vars().len();
-        let mut admitted_rows = 0;
-        let mut charged = 0;
-        let mut exhausted = false;
-        while admitted_rows < rel.len() {
-            let chunk_end = (admitted_rows + ADMISSION_CHUNK_ROWS).min(rel.len());
-            pending += rel.rows()[admitted_rows..chunk_end]
-                .iter()
-                .map(|r| row_wire_size(r))
-                .sum::<usize>();
-            if charged + pending > allowance || self.memory.try_charge(phase, pending).is_err() {
-                exhausted = true;
-                break;
-            }
-            charged += pending;
-            pending = 0;
-            admitted_rows = chunk_end;
-        }
-        if !exhausted && pending > 0 {
-            // Empty relation: only the header was pending.
-            exhausted = self.memory.try_charge(phase, pending).is_err();
-        }
-        if exhausted {
+        let mut charge = RowCharge::new(phase, rel.vars().len(), allowance);
+        if charge.charge(&self.memory, rel.rows(), true).is_err() {
             match self.policy {
                 ResultPolicy::FailFast => {
-                    self.memory.release(charged);
+                    self.memory.release(charge.bytes);
                     return Err(self.budget_error(what, endpoint));
                 }
                 ResultPolicy::Partial => {
                     let total = rel.len();
-                    rel.rows_mut().truncate(admitted_rows);
+                    rel.rows_mut().truncate(charge.rows);
                     self.warn(ExecutionWarning {
                         endpoint: endpoint.to_string(),
                         subquery: what.to_string(),
                         message: format!(
-                            "memory budget exhausted: result truncated from {total} to \
-                             {admitted_rows} rows"
+                            "memory budget exhausted: result truncated from {total} to {} rows",
+                            charge.rows
                         ),
                     });
                 }

@@ -19,10 +19,10 @@
 //! federation-sized intermediate degrades to disk instead of aborting —
 //! only the *output* still has to fit the budget.
 
-use crate::budget::{BudgetExhausted, MemoryBudget, MemoryPhase};
+use crate::budget::{BudgetExhausted, MemoryBudget, MemoryPhase, RowCharge};
 use crate::config::ResultPolicy;
 use crate::error::EngineError;
-use crate::run::{ExecutionWarning, RunContext, ADMISSION_CHUNK_ROWS};
+use crate::run::{ExecutionWarning, RunContext};
 use lusail_federation::RequestHandler;
 use lusail_rdf::dict::{KeyInterner, SlotId, UNBOUND};
 use lusail_rdf::fxhash::FxHashMap;
@@ -778,56 +778,39 @@ fn has_loose_rows(rel: &Relation, shared: &[Variable]) -> bool {
         .any(|row| idx.iter().any(|&i| row[i].is_none()))
 }
 
-/// Charge a finished join output against the budget in admission-sized
-/// chunks, truncating or failing at exhaustion.
+/// Charge a finished join output against the budget, truncating or
+/// failing at exhaustion.
 pub(crate) fn charge_output(
-    mut relation: Relation,
+    relation: Relation,
     budget: &MemoryBudget,
     truncate_on_exhaustion: bool,
 ) -> Result<JoinOutcome, BudgetExhausted> {
-    let mut charged = 0;
-    let mut admitted = 0;
-    let mut pending = 8 * relation.vars().len();
-    while admitted < relation.len() {
-        let end = (admitted + ADMISSION_CHUNK_ROWS).min(relation.len());
-        pending += relation.rows()[admitted..end]
-            .iter()
-            .map(|r| row_wire_size(r))
-            .sum::<usize>();
-        match budget.try_charge(MemoryPhase::Join, pending) {
-            Ok(()) => {
-                charged += pending;
-                pending = 0;
-                admitted = end;
-            }
-            Err(e) => {
-                if truncate_on_exhaustion {
-                    relation.rows_mut().truncate(admitted);
-                    return Ok(JoinOutcome {
-                        relation,
-                        truncated: true,
-                        charged,
-                    });
-                }
-                budget.release(charged);
-                return Err(e);
-            }
+    let mut charge = RowCharge::new(MemoryPhase::Join, relation.vars().len(), usize::MAX);
+    let charged = charge.charge(budget, relation.rows(), true);
+    finish_charge(relation, &charge, charged, budget, truncate_on_exhaustion)
+}
+
+/// At exhaustion, keep the rows `charge` admitted (truncating) or give its
+/// bytes back and fail.
+fn finish_charge(
+    mut relation: Relation,
+    charge: &RowCharge,
+    charged: Result<(), BudgetExhausted>,
+    budget: &MemoryBudget,
+    truncate_on_exhaustion: bool,
+) -> Result<JoinOutcome, BudgetExhausted> {
+    let truncated = charged.is_err();
+    if let Err(e) = charged {
+        if !truncate_on_exhaustion {
+            budget.release(charge.bytes);
+            return Err(e);
         }
-    }
-    if pending > 0 {
-        if let Err(e) = budget.try_charge(MemoryPhase::Join, pending) {
-            if !truncate_on_exhaustion {
-                budget.release(charged);
-                return Err(e);
-            }
-        } else {
-            charged += pending;
-        }
+        relation.rows_mut().truncate(charge.rows);
     }
     Ok(JoinOutcome {
         relation,
-        truncated: false,
-        charged,
+        truncated,
+        charged: charge.bytes,
     })
 }
 
@@ -896,10 +879,8 @@ fn spill_join(
         .collect();
 
     let mut out = Relation::new(out_vars);
-    let mut charged = 0;
-    let mut pending = 8 * out.vars().len();
-    let mut pending_rows = 0;
-    let mut truncated = false;
+    let mut charge = RowCharge::new(MemoryPhase::Join, out.vars().len(), usize::MAX);
+    let mut charged = Ok(());
 
     'merge: while let (Some((ha, ra)), Some((hb, rb))) = (a_src.peek(), b_src.peek()) {
         // Streams are (hash, key, row)-ordered; equal keys hash equal, so
@@ -916,7 +897,8 @@ fn spill_join(
             }
             std::cmp::Ordering::Equal => {
                 // Gather both key groups (a single key's group is assumed
-                // to fit in memory), emit the cross of merged rows.
+                // to fit in memory), emit the cross of merged rows, charged
+                // as they come so an exhausted budget stops the merge.
                 let group_a = a_src.take_group(&a_key)?;
                 let group_b = b_src.take_group(&b_key)?;
                 for ra in &group_a {
@@ -928,52 +910,20 @@ fn spill_join(
                                     .or_else(|| bi.and_then(|i| rb[i].clone()))
                             })
                             .collect();
-                        pending += row_wire_size(&row);
                         out.push(row);
-                        pending_rows += 1;
-                        if pending_rows >= ADMISSION_CHUNK_ROWS {
-                            match budget.try_charge(MemoryPhase::Join, pending) {
-                                Ok(()) => {
-                                    charged += pending;
-                                    pending = 0;
-                                    pending_rows = 0;
-                                }
-                                Err(e) => {
-                                    if !truncate_on_exhaustion {
-                                        budget.release(charged);
-                                        return Err(SpillError::Budget(e));
-                                    }
-                                    let keep = out.len() - pending_rows;
-                                    out.rows_mut().truncate(keep);
-                                    truncated = true;
-                                    break 'merge;
-                                }
-                            }
+                        charged = charge.charge(budget, out.rows(), false);
+                        if charged.is_err() {
+                            break 'merge;
                         }
                     }
                 }
             }
         }
     }
-    if !truncated && pending > 0 {
-        match budget.try_charge(MemoryPhase::Join, pending) {
-            Ok(()) => charged += pending,
-            Err(e) => {
-                if !truncate_on_exhaustion {
-                    budget.release(charged);
-                    return Err(SpillError::Budget(e));
-                }
-                let keep = out.len() - pending_rows;
-                out.rows_mut().truncate(keep);
-                truncated = true;
-            }
-        }
+    if charged.is_ok() {
+        charged = charge.charge(budget, out.rows(), true);
     }
-    Ok(JoinOutcome {
-        relation: out,
-        truncated,
-        charged,
-    })
+    finish_charge(out, &charge, charged, budget, truncate_on_exhaustion).map_err(SpillError::Budget)
 }
 
 /// Compare two rows by their join-key cells (all bound on the spill path).

@@ -31,6 +31,7 @@ use lusail_core::{
 use lusail_federation::json::Json;
 use lusail_federation::{CancelReason, CancelToken};
 use lusail_rdf::fxhash::FxHashMap;
+use lusail_sparql::serializer::serialize_query;
 use lusail_sparql::QueryForm;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -369,12 +370,6 @@ impl FederationService {
         self.clients.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Collapse whitespace so trivially-reformatted copies of one query
-    /// share a result-cache entry.
-    fn result_key(query: &str) -> String {
-        query.split_whitespace().collect::<Vec<_>>().join(" ")
-    }
-
     fn engine_error(&self, e: EngineError) -> Answer {
         match e {
             // The query's deadline elapsed somewhere in the federation.
@@ -422,7 +417,10 @@ impl FederationService {
 
         // Hot path: a cached result answers without carving a ledger, so
         // repeats keep flowing even while the pool is saturated.
-        let key = Self::result_key(query);
+        // Keyed on the parsed query written back out: reformatted copies
+        // share an entry, and no two different queries can (a literal's
+        // spaces are its value, not layout).
+        let key = serialize_query(&parsed);
         if let Some(rel) = self.results.get(&key) {
             if let Some(entry) = self.clients().get_mut(&client.id) {
                 entry.cache_hits += 1;
@@ -627,9 +625,6 @@ impl QueryBackend for FederationService {
             ("max_ledgers", self.pool.max_ledgers().into()),
         ])
         .merge(self.pool.stats().to_json());
-        let (ask, checks, counts) = self.engine.cache().sizes();
-        let sizes = Json::Array(vec![ask.into(), checks.into(), counts.into()]);
-        let analysis = self.engine.cache().stats().to_json().with("entries", sizes);
         let mut clients: Vec<(String, Json)> = self
             .clients()
             .iter()
@@ -641,7 +636,7 @@ impl QueryBackend for FederationService {
         let service = Json::object([
             ("pool", pool),
             ("result_cache", self.results.stats().to_json()),
-            ("analysis_cache", analysis),
+            ("analysis_cache", self.engine.cache().stats().to_json()),
             ("clients", Json::Object(clients)),
             ("lifecycle", lifecycle),
         ]);
@@ -745,6 +740,38 @@ mod tests {
         assert!(svc.invalidate_caches());
         assert_eq!(rows(svc.answer(q, &client("c1"), &CancelToken::new())), 2);
         assert!(svc.engine().federation().total_traffic().requests > before);
+    }
+
+    #[test]
+    fn whitespace_inside_a_literal_is_part_of_the_cache_key() {
+        let mut g = Graph::new();
+        g.add(
+            Term::iri("http://x/a"),
+            Term::iri("http://x/name"),
+            Term::literal("John Smith"),
+        );
+        let ep = SimulatedEndpoint::new("ep0", Store::from_graph(&g), NetworkProfile::instant());
+        let fed = Federation::new(vec![Arc::new(ep)]);
+        let engine = LusailEngine::new(fed, LusailConfig::default());
+        let svc = FederationService::new(engine, FederateConfig::default());
+        let rows = |q: &str| match svc.answer(q, &client("c1"), &CancelToken::new()) {
+            Answer::Solutions { rel, .. } => rel.len(),
+            _ => panic!("expected solutions"),
+        };
+        assert_eq!(
+            rows(r#"SELECT ?s WHERE { ?s <http://x/name> "John Smith" }"#),
+            1
+        );
+        assert_eq!(
+            rows(r#"SELECT ?s WHERE { ?s <http://x/name> "John  Smith" }"#),
+            0
+        );
+        assert_eq!(svc.results().stats().hits, 0, "two spaces is another query");
+        assert_eq!(
+            rows("SELECT ?s\nWHERE { ?s <http://x/name>   \"John Smith\" }"),
+            1
+        );
+        assert_eq!(svc.results().stats().hits, 1, "reformatting still shares");
     }
 
     #[test]

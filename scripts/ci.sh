@@ -187,6 +187,25 @@ fi
 n=$( { grep -oE '\.settle\(' <<<"$code" || true; } | wc -l)
 [ "$n" -eq 1 ] || { echo "crates/core/src/sape/execute.rs calls settle ${n} times, want once (in run_wave)" >&2; exit 1; }
 
+# Every bound is enforced once (DESIGN.md → Federation service semantics,
+# Memory & backpressure semantics): one CacheMap behind the analysis and
+# result caches, one RowCharge::charge behind every chunked budget charge,
+# and a result-cache key that never rewrites a literal.
+if nontest crates/core/src/cache.rs | grep -nE 'ResultCacheStats|fn (lookup|store)<'; then
+    echo "crates/core/src/cache.rs has a second cache implementation again; use CacheMap" >&2
+    exit 1
+fi
+readers=$(for f in $rs; do
+    nontest "$f" | awk -v f="$f" 'match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+        /ADMISSION_CHUNK_ROWS/ && !/const ADMISSION_CHUNK_ROWS|use .*ADMISSION_CHUNK_ROWS/ { print f ": fn " cur }'
+done | sort -u)
+n=$( { grep -c . <<<"$readers" || true; } )
+[ "$n" -eq 1 ] || { echo "ADMISSION_CHUNK_ROWS is read by ${n} non-test functions, want 1 (RowCharge::charge): $readers" >&2; exit 1; }
+if nontest crates/server/src/federate.rs | grep -n 'split_whitespace'; then
+    echo "crates/server/src/federate.rs normalizes query text by whitespace again; key on serialize_query" >&2
+    exit 1
+fi
+
 # What the paper's system does not need stays deleted (ROADMAP item 5):
 # keyword search and `lusail search` (the paper's future work), the two
 # FaultProfile knobs no suite set, and any example without a stanza or

@@ -564,7 +564,15 @@ fn stats_document_key_order_and_text_parity() {
     );
     assert_eq!(
         keys(&["service", "analysis_cache"]),
-        ["hits", "misses", "evictions", "expirations", "entries"]
+        [
+            "entries",
+            "hits",
+            "misses",
+            "insertions",
+            "evictions",
+            "expirations",
+            "invalidations"
+        ]
     );
     assert_eq!(keys(&["service", "clients"]), ["127.0.0.1"]);
     assert_eq!(
