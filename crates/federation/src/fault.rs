@@ -65,6 +65,8 @@ pub struct FaultProfile {
     /// truthfully, exactly like a real capping server whose `COUNT`
     /// aggregates are computed server-side: the honest counts are what
     /// lets the integrity layer detect the truncation and page the rest.
+    /// An analysis probe carrying vocabulary lists keeps its counts row
+    /// and loses the list rows past the cap.
     pub silent_truncate: Option<usize>,
     /// Miscounting: every `COUNT` aggregate answer is multiplied by this
     /// factor (and plain `SELECT`s answer truthfully), modeling an
@@ -294,23 +296,26 @@ impl FaultyEndpoint {
     fn maybe_lie(&self, query: &Query, mut result: QueryResult) -> QueryResult {
         let profile = self.lock_state().profile;
         if let Some(cap) = profile.silent_truncate {
-            if is_plain_select(query) {
-                if let QueryResult::Solutions(rel) = &mut result {
-                    rel.rows_mut().truncate(cap);
-                }
+            // The probe's counts row survives any cap; its list rows
+            // after it are cut as a capped endpoint cuts any answer.
+            let cap = match &query.form {
+                QueryForm::Select(s) if counts_then_lists(&s.pattern) => Some(cap.max(1)),
+                _ => is_plain_select(query).then_some(cap),
+            };
+            if let (Some(cap), QueryResult::Solutions(rel)) = (cap, &mut result) {
+                rel.rows_mut().truncate(cap);
             }
         }
         if let Some(factor) = profile.miscount_factor {
             if is_count_select(query) {
                 if let QueryResult::Solutions(rel) = &mut result {
-                    // One cell for a plain COUNT, one per pattern for the
-                    // analysis probe: the endpoint lies in all of them.
+                    // One cell for a plain COUNT, one per pattern (and per
+                    // vocabulary list) in the analysis probe's counts row:
+                    // the endpoint lies in all of them. The list columns
+                    // that row leaves unbound stay unbound.
                     for cell in rel.rows_mut().iter_mut().take(1).flatten() {
-                        let real = cell
-                            .as_ref()
-                            .and_then(|t| t.as_literal())
-                            .and_then(|l| l.as_i64())
-                            .unwrap_or(0);
+                        let Some(real) = cell.as_ref() else { continue };
+                        let real = real.as_literal().and_then(|l| l.as_i64()).unwrap_or(0);
                         let lied = ((real as f64) * factor).round().max(0.0) as i64;
                         *cell = Some(lusail_rdf::Term::integer(lied));
                     }
@@ -398,19 +403,23 @@ fn is_plain_select(query: &Query) -> bool {
         QueryForm::Select(s) => {
             matches!(s.projection, Projection::All | Projection::Vars(_))
                 && !joins_only_counts(&s.pattern)
+                && !counts_then_lists(&s.pattern)
         }
     }
 }
 
 /// A `SELECT (COUNT(…) AS ?v)` — the shape of the integrity layer's
 /// verification queries — or a projection of such subselects, the shape of
-/// the engine's one-row analysis probe.
+/// the engine's one-row analysis probe, with or without its vocabulary
+/// lists after the counts row.
 fn is_count_select(query: &Query) -> bool {
     match &query.form {
         QueryForm::Ask(_) => false,
         QueryForm::Select(s) => match s.projection {
             Projection::Count { .. } => true,
-            Projection::All | Projection::Vars(_) => joins_only_counts(&s.pattern),
+            Projection::All | Projection::Vars(_) => {
+                joins_only_counts(&s.pattern) || counts_then_lists(&s.pattern)
+            }
             Projection::Aggregate { .. } => false,
         },
     }
@@ -423,6 +432,19 @@ fn joins_only_counts(pattern: &GraphPattern) -> bool {
         GraphPattern::Join(a, b) => joins_only_counts(a) && joins_only_counts(b),
         _ => false,
     }
+}
+
+/// `{ <counts> } UNION { { SELECT DISTINCT ?p … } UNION … }`: the analysis
+/// probe carrying an endpoint's vocabulary lists after its counts row.
+fn counts_then_lists(pattern: &GraphPattern) -> bool {
+    fn only_lists(pattern: &GraphPattern) -> bool {
+        match pattern {
+            GraphPattern::SubSelect(s) => s.distinct && matches!(s.projection, Projection::Vars(_)),
+            GraphPattern::Union(a, b) => only_lists(a) && only_lists(b),
+            _ => false,
+        }
+    }
+    matches!(pattern, GraphPattern::Union(a, b) if joins_only_counts(a) && only_lists(b))
 }
 
 impl SparqlEndpoint for FaultyEndpoint {
@@ -520,6 +542,18 @@ mod tests {
         parse_query(
             "SELECT * WHERE { { SELECT (COUNT(*) AS ?c0) WHERE { ?s <http://x/p> ?o } } \
              { SELECT (COUNT(*) AS ?c1) WHERE { ?s <http://x/q> ?o } } }",
+        )
+        .unwrap()
+    }
+
+    /// The analysis probe with an endpoint's vocabulary lists after its
+    /// counts row: one `p` predicate, no class.
+    fn probe_with_lists() -> Query {
+        parse_query(
+            "SELECT * WHERE { { { SELECT (COUNT(*) AS ?c0) WHERE { ?s <http://x/p> ?o } } \
+             { SELECT (COUNT(DISTINCT ?p) AS ?np) WHERE { ?s ?p ?o } } } \
+             UNION { { SELECT DISTINCT ?p WHERE { ?s ?p ?o } LIMIT 9 } \
+             UNION { SELECT DISTINCT ?t WHERE { ?s a ?t } LIMIT 9 } } }",
         )
         .unwrap()
     }
@@ -708,6 +742,31 @@ mod tests {
         assert_eq!(ep.select(&probe()).unwrap().rows(), [integers(&[20, 0])]);
         let h = ep.health_snapshot();
         assert_eq!(h.failures, 0, "a lying endpoint never trips the breaker");
+    }
+
+    #[test]
+    fn the_probe_with_lists_is_lied_to_in_its_counts_row_and_cut_after_it() {
+        let p = Some(Term::iri("http://x/p"));
+        let answer = |profile| {
+            let ep = wrapped(15, profile, fast_config());
+            ep.select(&probe_with_lists()).unwrap().rows().to_vec()
+        };
+        let counts = |c0, np| vec![Some(Term::integer(c0)), Some(Term::integer(np)), None, None];
+        let listed = vec![None, None, p, None];
+        let truthful = vec![counts(1, 1), listed.clone()];
+        assert_eq!(answer(FaultProfile::none()), truthful);
+        // The lie is in every count; the list row and the unbound list
+        // cells of the counts row are left as they were.
+        assert_eq!(
+            answer(FaultProfile::miscounts(20.0)),
+            [counts(20, 20), listed]
+        );
+        // A cap keeps the counts row and cuts the lists after it.
+        assert_eq!(answer(FaultProfile::silent_truncate(0)), [counts(1, 1)]);
+        assert_eq!(answer(FaultProfile::silent_truncate(2)), truthful);
+        // It is a probe, not subquery work: never bombed, never panicked on.
+        assert_eq!(answer(FaultProfile::result_bomb(50)), truthful);
+        assert_eq!(answer(FaultProfile::panics_on_select()), truthful);
     }
 
     #[test]

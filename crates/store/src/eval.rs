@@ -74,10 +74,11 @@ pub struct Evaluator<'a> {
     /// collisions cannot make a block quadratic again.
     foreign: Vec<Term>,
     foreign_ids: HashMap<Term, u32>,
-    /// Whether a FILTER may run as [`Self::eval_bridged`]. Private and
-    /// always on, except in the tests that hold the bridged join against
-    /// the filter over the product.
-    bridging: bool,
+    /// Whether the evaluator may take its shortcuts: a FILTER run as
+    /// [`Self::eval_bridged`], a single-pattern `DISTINCT` as
+    /// [`Self::distinct_walk`]. Private and always on, except in the tests
+    /// that hold each shortcut against the general path.
+    shortcuts: bool,
 }
 
 impl<'a> Evaluator<'a> {
@@ -86,7 +87,7 @@ impl<'a> Evaluator<'a> {
             store,
             foreign: Vec::new(),
             foreign_ids: HashMap::new(),
-            bridging: true,
+            shortcuts: true,
         }
     }
 
@@ -105,8 +106,102 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluate a `SELECT` query to a [`Relation`] of terms.
     pub fn select(&mut self, q: &SelectQuery) -> Relation {
+        if let Some(rel) = self.distinct_walk(q) {
+            return rel;
+        }
         let bindings = self.eval_pattern(&q.pattern, Bindings::unit());
         self.finish_select(q, bindings)
+    }
+
+    /// A `SELECT DISTINCT` of one triple pattern's variables, or a
+    /// `COUNT(DISTINCT ?v)` of one of them, answered by walking the
+    /// pattern's index run and keeping each distinct id tuple once — no
+    /// per-triple binding is built. The walk meets the matches in the
+    /// order the general path does, and a `LIMIT` without `ORDER BY` stops
+    /// it once enough rows are kept. `None` for any other shape, for an
+    /// `ORDER BY` on a variable not projected, and for a pattern that
+    /// repeats a variable (whose equality the walk does not check).
+    fn distinct_walk(&self, q: &SelectQuery) -> Option<Relation> {
+        let GraphPattern::Bgp(tps) = &q.pattern else {
+            return None;
+        };
+        let [tp] = &tps[..] else {
+            return None;
+        };
+        if !self.shortcuts || !q.group_by.is_empty() {
+            return None;
+        }
+        let slots = [&tp.subject, &tp.predicate, &tp.object];
+        let var_at = |i: usize| match slots[i] {
+            TermPattern::Var(v) => Some(v),
+            TermPattern::Term(_) => None,
+        };
+        let vars: Vec<&Variable> = (0..3).filter_map(var_at).collect();
+        if (1..vars.len()).any(|i| vars[..i].contains(&vars[i])) {
+            return None;
+        }
+        let (projected, count) = match &q.projection {
+            Projection::Count {
+                inner: Some(v),
+                distinct: true,
+                as_var,
+            } => (vec![v.clone()], Some(as_var)),
+            Projection::Vars(vs) if q.distinct => (vs.clone(), None),
+            Projection::All if q.distinct => (vars.into_iter().cloned().collect(), None),
+            _ => return None,
+        };
+        // The slot of each projected variable, every one of them the
+        // pattern's; an ORDER BY key outside them is sorted on before the
+        // projection, which the walk cannot do.
+        let var_slot = |v: &Variable| (0..3).find(|&i| var_at(i) == Some(v));
+        let at: Vec<usize> = projected.iter().map(var_slot).collect::<Option<_>>()?;
+        if count.is_none() && q.order_by.iter().any(|(v, _)| !projected.contains(v)) {
+            return None;
+        }
+        let enough = match (count, q.order_by.is_empty(), q.limit) {
+            (None, true, Some(limit)) => limit.saturating_add(q.offset.unwrap_or(0)),
+            _ => usize::MAX,
+        };
+
+        // An unknown constant matches nothing: no run to walk.
+        let resolve = |slot: &TermPattern| match slot {
+            TermPattern::Var(_) => Some(None),
+            TermPattern::Term(t) => self.store.resolve(t).map(Some),
+        };
+        let run = match slots.map(resolve) {
+            [Some(s), Some(p), Some(o)] => Some(self.store.match_ids(s, p, o)),
+            _ => None,
+        };
+        // A match's projected slots, the others zero.
+        let mut seen: FxHashSet<[TermId; 3]> = FxHashSet::default();
+        let mut kept: Vec<[TermId; 3]> = Vec::new();
+        for (s, p, o) in run.into_iter().flatten() {
+            if kept.len() == enough {
+                break;
+            }
+            let mut key = [0; 3];
+            for &i in &at {
+                key[i] = [s, p, o][i];
+            }
+            if seen.insert(key) && count.is_none() {
+                kept.push(key);
+            }
+        }
+        let rel = match count {
+            Some(as_var) => {
+                let row = vec![Some(Term::integer(seen.len() as i64))];
+                Relation::from_rows(vec![as_var.clone()], vec![row])
+            }
+            None => {
+                let decode = |key: [TermId; 3]| {
+                    at.iter()
+                        .map(|&i| Some(self.store.decode(key[i]).clone()))
+                        .collect()
+                };
+                Relation::from_rows(projected, kept.into_iter().map(decode).collect())
+            }
+        };
+        Some(apply_modifiers(q, rel))
     }
 
     /// The store's share of result assembly: `COUNT` and `GROUP BY`
@@ -306,9 +401,17 @@ impl<'a> Evaluator<'a> {
                 // joined onto the incoming bindings. Where that is sound it
                 // is seeded with the incoming values of the variables it
                 // projects (the shape Lusail's check queries use inside
-                // NOT EXISTS: a lookup per row instead of a scan).
-                let inner = self.eval_pattern(&q.pattern, subselect_seed(q, &input));
-                let rel = self.finish_select(q, inner);
+                // NOT EXISTS: a lookup per row instead of a scan). An
+                // unseeded one may be a walk.
+                let seed = subselect_seed(q, &input);
+                let walked = seed.vars.is_empty().then(|| self.distinct_walk(q));
+                let rel = match walked.flatten() {
+                    Some(rel) => rel,
+                    None => {
+                        let inner = self.eval_pattern(&q.pattern, seed);
+                        self.finish_select(q, inner)
+                    }
+                };
                 let projected = self.relation_to_bindings(&rel);
                 join_bindings(&input, &projected)
             }
@@ -375,7 +478,7 @@ impl<'a> Evaluator<'a> {
     /// that BGP. Patterns connect through shared variables and through the
     /// variables `input` binds, since one input row binds them together.
     fn bridge_plan<'p>(&self, p: &'p GraphPattern, input: &[Variable]) -> Option<BridgePlan<'p>> {
-        if !self.bridging {
+        if !self.shortcuts {
             return None;
         }
         let mut filters = Vec::new();
@@ -1460,7 +1563,7 @@ mod tests {
                     parse_query(&format!("PREFIX : <http://x/> SELECT * WHERE {body}")).unwrap();
                 let got = Evaluator::new(&st).query(&q).into_solutions();
                 let mut general = Evaluator::new(&st);
-                general.bridging = false;
+                general.shortcuts = false;
                 let want = general.query(&q).into_solutions();
                 assert_eq!(got.vars(), want.vars(), "round {round}: {body}");
                 let sorted = |r: &Relation| {
@@ -1469,6 +1572,78 @@ mod tests {
                     rows
                 };
                 assert_eq!(sorted(&got), sorted(&want), "round {round}: {body}");
+            }
+        }
+    }
+
+    /// A random graph over few subjects, predicates and objects, so
+    /// patterns meet duplicates, `rdf:type` classes and self loops.
+    fn walk_store(seed: &mut u64) -> Store {
+        let x = |kind: &str, n: u64| Term::iri(format!("http://x/{kind}{n}"));
+        let mut g = Graph::new();
+        for _ in 0..crate::splitmix(seed) % 60 {
+            let mut pick = |n: u64| crate::splitmix(seed) % n;
+            let s = x("s", pick(6));
+            let o = match pick(4) {
+                0 => Term::integer(pick(3) as i64),
+                1 => s.clone(),
+                _ => x("s", pick(6)),
+            };
+            match pick(5) {
+                0 => g.add_type(s, format!("http://x/C{}", pick(3))),
+                p => g.add(s, x("p", p % 3), o),
+            }
+        }
+        Store::from_graph(&g)
+    }
+
+    #[test]
+    fn the_distinct_walk_equals_the_general_path() {
+        let walked = [
+            "SELECT DISTINCT ?p WHERE { ?s ?p ?o }",
+            "SELECT DISTINCT ?t WHERE { ?s a ?t } LIMIT 2",
+            "SELECT DISTINCT * WHERE { ?s :p0 ?o }",
+            "SELECT DISTINCT ?o ?s WHERE { ?s :p1 ?o } ORDER BY DESC(?o) LIMIT 3 OFFSET 1",
+            "SELECT DISTINCT ?o WHERE { :s1 ?p ?o } OFFSET 2",
+            "SELECT DISTINCT ?s ?s WHERE { ?s :p2 :s3 } ORDER BY ?s",
+            "SELECT DISTINCT ?o WHERE { ?s :nowhere ?o } LIMIT 1",
+            "SELECT (COUNT(DISTINCT ?p) AS ?n) WHERE { ?s ?p ?o }",
+            "SELECT (COUNT(DISTINCT ?t) AS ?n) WHERE { ?s a ?t }",
+            "SELECT (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s :p0 ?o } LIMIT 0",
+            "SELECT * WHERE { { SELECT DISTINCT ?s WHERE { ?s :p1 ?o } LIMIT 2 } ?s :p0 ?v }",
+            "SELECT * WHERE { ?s :p0 ?v { SELECT DISTINCT ?s WHERE { ?s :p1 ?o } } }",
+            "SELECT * WHERE { { SELECT (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o } } \
+             { SELECT DISTINCT ?p WHERE { ?s ?p ?o } } }",
+        ];
+        // Repeated variables, an ORDER BY key outside the projection, a
+        // projected variable the pattern lacks, two patterns, no DISTINCT.
+        let general = [
+            "SELECT DISTINCT ?x WHERE { ?x :p1 ?x }",
+            "SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x ?p ?x }",
+            "SELECT DISTINCT ?o WHERE { ?s :p1 ?o } ORDER BY ?s LIMIT 2",
+            "SELECT DISTINCT ?zz WHERE { ?s :p1 ?o }",
+            "SELECT DISTINCT ?s WHERE { ?s :p1 ?o . ?o :p2 ?v }",
+            "SELECT ?p WHERE { ?s ?p ?o } LIMIT 3",
+        ];
+        let mut seed = 17u64;
+        for round in 0..30 {
+            let st = walk_store(&mut seed);
+            for (text, walks) in
+                (walked.iter().map(|t| (t, true))).chain(general.iter().map(|t| (t, false)))
+            {
+                let q = parse_query(&format!("PREFIX : <http://x/> {text}")).unwrap();
+                let QueryForm::Select(select) = &q.form else {
+                    unreachable!()
+                };
+                if matches!(select.pattern, GraphPattern::Bgp(_)) {
+                    let walk = Evaluator::new(&st).distinct_walk(select);
+                    assert_eq!(walk.is_some(), walks, "round {round}: {text}");
+                }
+                let got = Evaluator::new(&st).query(&q).into_solutions();
+                let mut general = Evaluator::new(&st);
+                general.shortcuts = false;
+                let want = general.query(&q).into_solutions();
+                assert_eq!(got, want, "round {round}: {text}");
             }
         }
     }

@@ -206,6 +206,17 @@ if nontest crates/server/src/federate.rs | grep -n 'split_whitespace'; then
     exit 1
 fi
 
+# What an endpoint lists of its own vocabulary prunes Lusail's analysis
+# probe and nothing else (DESIGN.md, key design decision 6): FedX,
+# HiBISCuS and SPLENDID keep their own source selection, so Figs. 8-11 stay
+# a fair comparison. Besides crates/core/src/cache.rs, which stores it, only
+# crates/core/src/source.rs reads it.
+readers=$(for f in $rs; do
+    [ "$f" = crates/core/src/cache.rs ] && continue
+    if nontest "$f" | grep -E 'get_vocabulary\(|Vocabulary' >/dev/null; then echo "$f"; fi
+done)
+[ "$readers" = crates/core/src/source.rs ] || { echo "the listed vocabulary is read outside crates/core/src/source.rs: $readers" >&2; exit 1; }
+
 # What the paper's system does not need stays deleted (ROADMAP item 5):
 # keyword search and `lusail search` (the paper's future work), the two
 # FaultProfile knobs no suite set, and any example without a stanza or

@@ -695,3 +695,69 @@ fn stats_document_key_order_and_text_parity() {
         m.shutdown();
     }
 }
+
+/// The analysis probes a recorder received, in order, and whether each
+/// carried the endpoint's vocabulary lists.
+fn probes_listing(recorder: &integration::RecordingEndpoint) -> Vec<bool> {
+    let sent = recorder.sent();
+    let probes = sent
+        .iter()
+        .filter(|q| q.starts_with("SELECT * WHERE") && q.contains("(COUNT(*) AS ?c"));
+    probes.map(|q| q.contains("SELECT DISTINCT ?p")).collect()
+}
+
+/// `POST /cache/invalidate` drops what each endpoint listed with the rest
+/// of the analysis cache: the next probe to every endpoint lists again.
+#[test]
+fn invalidation_makes_the_next_probe_to_each_endpoint_list_again() {
+    let graphs = shards();
+    let endpoints = graphs.iter().map(|(name, g)| {
+        Arc::new(SimulatedEndpoint::new(
+            name.clone(),
+            Store::from_graph(g),
+            NetworkProfile::instant(),
+        )) as Arc<dyn SparqlEndpoint>
+    });
+    let (recorders, federation) = integration::RecordingEndpoint::federation(endpoints);
+    let engine = LusailEngine::new(federation, LusailConfig::default());
+    let service = Arc::new(FederationService::new(engine, FederateConfig::default()));
+    let front = SparqlServer::with_backend(
+        "127.0.0.1:0",
+        Arc::clone(&service) as Arc<dyn lusail_server::QueryBackend>,
+        ServerConfig::default(),
+    )
+    .expect("bind front door")
+    .spawn();
+    let ask = |query: &str| {
+        let (status, text) = raw_roundtrip(front.local_addr(), &get_request(query));
+        assert!(status.contains("200"), "{text}");
+    };
+    let listing = || {
+        recorders
+            .iter()
+            .map(|r| probes_listing(r))
+            .collect::<Vec<_>>()
+    };
+
+    // Cold: every endpoint is probed once, with its lists.
+    ask(QUERIES[2]);
+    assert_eq!(listing(), [[true], [true], [true]]);
+    // Warm: a new pattern is probed only where its predicate is listed,
+    // and lists nothing again.
+    ask("SELECT ?a WHERE { ?a <http://x/dept> <http://x/d0> }");
+    assert_eq!(listing(), [vec![true], vec![true], vec![true, false]]);
+
+    let (status, text) = raw_roundtrip(
+        front.local_addr(),
+        "POST /cache/invalidate HTTP/1.1\r\nHost: h\r\nContent-Length: 0\r\n\
+         Connection: close\r\n\r\n",
+    );
+    assert!(status.contains("200"), "{text}");
+    ask(QUERIES[1]);
+    let after: Vec<Vec<bool>> = listing();
+    assert_eq!(
+        after,
+        [vec![true, true], vec![true, true], vec![true, false, true]]
+    );
+    front.shutdown();
+}

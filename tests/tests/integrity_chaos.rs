@@ -770,3 +770,60 @@ fn paged_refetch_merge_is_byte_identical_to_unpaged() {
         );
     }
 }
+
+/// An endpoint's vocabulary list, cut by a silent cap, prunes nothing: it
+/// fails its own `COUNT(DISTINCT ?p)` and is cached as unlisted, so a later
+/// query on a predicate past the cut still asks that endpoint and comes back
+/// as the merged graph answers it. A list trusted unverified would read the
+/// endpoint as lacking the predicate and lose its rows.
+#[test]
+fn a_vocabulary_cut_by_a_silent_cap_prunes_nothing() {
+    let x = |l: String| Term::iri(format!("http://x/{l}"));
+    let mut wide = Graph::new();
+    for i in 0..40 {
+        wide.add(x(format!("s{i}")), x(format!("p{i}")), x(format!("o{i}")));
+    }
+    let mut plain = Graph::new();
+    plain.add(x("t".into()), x("q".into()), x("u".into()));
+    let graphs = vec![("wide".to_string(), wide), ("plain".to_string(), plain)];
+    let endpoints: Vec<Arc<dyn SparqlEndpoint>> = graphs
+        .iter()
+        .map(|(name, g)| {
+            let inner = Arc::new(SimulatedEndpoint::new(
+                name.clone(),
+                Store::from_graph(g),
+                NetworkProfile::instant(),
+            ));
+            let profile = match name.as_str() {
+                "wide" => FaultProfile::silent_truncate(16),
+                _ => FaultProfile::none(),
+            };
+            Arc::new(FaultyEndpoint::with_config(
+                inner,
+                chaos_seed(),
+                profile,
+                FaultyConfig::default(),
+            )) as Arc<dyn SparqlEndpoint>
+        })
+        .collect();
+    let engine = LusailEngine::new(Federation::new(endpoints), LusailConfig::default());
+
+    let first = parse_query("SELECT * WHERE { ?s <http://x/q> ?o }").unwrap();
+    assert_same_solutions(
+        "q",
+        &engine.execute(&first).unwrap(),
+        &ground_truth(&graphs, &first),
+    );
+    let cache = engine.cache();
+    let vocabulary = |ep| cache.get_vocabulary(ep).expect("both endpoints listed");
+    assert_eq!(vocabulary(0).predicates, None, "the cut list is unlisted");
+    assert_eq!(vocabulary(1).predicates.as_ref().map(|l| l.len()), Some(1));
+
+    for i in 0..40 {
+        let q = parse_query(&format!("SELECT * WHERE {{ ?s <http://x/p{i}> ?o }}")).unwrap();
+        let got = engine.execute(&q).unwrap();
+        let want = ground_truth(&graphs, &q);
+        assert_eq!(want.len(), 1);
+        assert_same_solutions(&format!("p{i}"), &got, &want);
+    }
+}

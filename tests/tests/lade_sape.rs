@@ -624,6 +624,10 @@ fn probe_matches_asks_and_counts_on_largerdfbench() {
 /// ep0: a -p-> 1, b -p-> 5, a -p-> a (a self loop), a -r-> 7;
 /// ep1: c -p-> 2, c -r-> 8; ep2: d -q-> 9.
 fn probe_federation() -> Federation {
+    federation_from_graphs(probe_graphs(), NetworkProfile::instant())
+}
+
+fn probe_graphs() -> Vec<(String, Graph)> {
     let x = |l: &str| Term::iri(format!("http://x/{l}"));
     let mut g0 = Graph::new();
     g0.add(x("a"), x("p"), Term::integer(1));
@@ -635,10 +639,7 @@ fn probe_federation() -> Federation {
     g1.add(x("c"), x("r"), Term::integer(8));
     let mut g2 = Graph::new();
     g2.add(x("d"), x("q"), Term::integer(9));
-    federation_from_graphs(
-        vec![("ep0".into(), g0), ("ep1".into(), g1), ("ep2".into(), g2)],
-        NetworkProfile::instant(),
-    )
+    vec![("ep0".into(), g0), ("ep1".into(), g1), ("ep2".into(), g2)]
 }
 
 #[test]
@@ -775,5 +776,141 @@ fn cold_query_probes_each_endpoint_once_and_warm_repeat_not_at_all() {
         assert_eq!(warm, again, "{name}");
         let probes = cold - warm - cold_checks;
         assert!((1..=endpoints).contains(&probes), "{name}: {probes} probes");
+    }
+}
+
+// ---- The vocabulary riding on the first probe ---------------------------
+
+/// Requests each endpoint has received.
+fn requests(fed: &Federation) -> Vec<u64> {
+    fed.ids()
+        .map(|ep| fed.endpoint(ep).traffic().requests)
+        .collect()
+}
+
+/// The probe of `text` over `cache`, held against the per-pattern
+/// reference on `graphs`, and the requests it sent to each endpoint.
+fn probe_after(
+    fed: &Federation,
+    graphs: &[(String, Graph)],
+    cache: &QueryCache,
+    text: &str,
+) -> Vec<u64> {
+    let before = requests(fed);
+    let branches = branches_of(text);
+    let oracle = federation_from_graphs(graphs.to_vec(), NetworkProfile::instant());
+    assert_eq!(
+        run_probe(fed, Some(cache), &branches),
+        reference(&oracle, &branches),
+        "{text}"
+    );
+    let after = requests(fed);
+    after.iter().zip(before).map(|(a, b)| a - b).collect()
+}
+
+#[test]
+fn a_warm_vocabulary_asks_a_new_pattern_only_where_its_predicate_is() {
+    let graphs = probe_graphs();
+    let fed = probe_federation();
+    let cache = QueryCache::new();
+    // Cold: one request per endpoint, the lists riding on it.
+    let warm = probe_after(
+        &fed,
+        &graphs,
+        &cache,
+        "SELECT * WHERE { ?s <http://x/p> ?o }",
+    );
+    assert_eq!(warm, [1, 1, 1]);
+    let listed = |ep| {
+        cache
+            .get_vocabulary(ep)
+            .unwrap()
+            .predicates
+            .clone()
+            .unwrap()
+    };
+    assert_eq!(listed(2), [Term::iri("http://x/q")].into_iter().collect());
+    assert_eq!(listed(0).len(), 2);
+
+    let q = "SELECT * WHERE { ?s <http://x/q> ?o }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 1]);
+    // With a filter, with a repeated variable, inside OPTIONAL and MINUS:
+    // a pattern is asked only where its predicate is listed.
+    let q = "SELECT * WHERE { ?s <http://x/q> ?w FILTER(?w > 7) \
+             OPTIONAL { ?s <http://x/q> ?s } MINUS { ?s <http://x/q> 9 } }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 1]);
+    // A predicate no endpoint listed is asked nowhere; a variable
+    // predicate everywhere.
+    let q = "SELECT * WHERE { ?s <http://x/nowhere> ?o }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 0]);
+    let q = "SELECT * WHERE { <http://x/d> ?p ?o }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [1, 1, 1]);
+}
+
+#[test]
+fn a_warm_vocabulary_asks_a_class_pattern_only_where_the_class_is() {
+    let mut graphs = probe_graphs();
+    for (i, (s, class)) in [("a", "C"), ("c", "D"), ("d", "C")].iter().enumerate() {
+        let subject = Term::iri(format!("http://x/{s}"));
+        graphs[i].1.add_type(subject, format!("http://x/{class}"));
+    }
+    let fed = federation_from_graphs(graphs.clone(), NetworkProfile::instant());
+    let cache = QueryCache::new();
+    let warm = probe_after(
+        &fed,
+        &graphs,
+        &cache,
+        "SELECT * WHERE { ?s <http://x/p> ?o }",
+    );
+    assert_eq!(warm, [1, 1, 1]);
+
+    let q = "SELECT * WHERE { ?s a <http://x/C> }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [1, 0, 1]);
+    let q = "SELECT * WHERE { ?s a <http://x/D> . ?s <http://x/r> ?v }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [1, 1, 0]);
+    let q = "SELECT * WHERE { ?s a <http://x/E> }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 0]);
+    // Every endpoint lists `rdf:type`: an open class is asked everywhere.
+    let q = "SELECT * WHERE { <http://x/a> a ?class }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [1, 1, 1]);
+}
+
+#[test]
+fn without_a_cache_the_probe_sends_what_it_sent_before_the_vocabulary() {
+    // Without a cache no list rides: the requests and bytes of the
+    // counts alone.
+    let fed = probe_federation();
+    let text = "SELECT * WHERE { ?s <http://x/p> ?o . ?s <http://x/q> ?v }";
+    run_probe(&fed, None, &branches_of(text));
+    let sent = fed.total_traffic();
+    assert_eq!((sent.requests, sent.bytes_sent), (3, 417));
+
+    // An engine without its cache sends the same every time, and no list.
+    let fed = probe_federation();
+    let endpoints = fed.ids().map(|ep| Arc::clone(fed.endpoint(ep)));
+    let (recorders, fed) = RecordingEndpoint::federation(endpoints);
+    let config = LusailConfig {
+        enable_cache: false,
+        ..Default::default()
+    };
+    let engine = LusailEngine::new(fed, config);
+    let query = parse_query("SELECT * WHERE { ?s <http://x/p> ?o . ?s <http://x/r> ?v }").unwrap();
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        let before = engine.federation().total_traffic();
+        engine.execute(&query).unwrap();
+        let after = engine.federation().total_traffic();
+        runs.push((
+            after.requests - before.requests,
+            after.bytes_sent - before.bytes_sent,
+        ));
+    }
+    assert_eq!(runs, [(11, 1187), (11, 1187)]);
+    for r in &recorders {
+        assert!(
+            r.sent().iter().all(|q| !q.contains("DISTINCT")),
+            "{:?}",
+            r.sent()
+        );
     }
 }

@@ -189,7 +189,8 @@ fn expression_evaluation_runs_at_the_limit() {
 /// The analysis probe joins one `COUNT` subselect per pattern into one
 /// group, and each is one more level of the limit: a branch wider than one
 /// probe request can carry is probed in several, and answered as the
-/// merged graph answers it.
+/// merged graph answers it. The widest request also carries the
+/// endpoint's vocabulary lists, and still parses.
 #[test]
 fn a_branch_too_wide_for_one_probe_request_is_answered() {
     let s = Term::iri("http://x/s");
@@ -210,6 +211,8 @@ fn a_branch_too_wide_for_one_probe_request_is_answered() {
         // probe its arms.
         let fed =
             lusail_workloads::federation_from_graphs(graphs.clone(), NetworkProfile::instant());
+        let endpoints = fed.ids().map(|ep| std::sync::Arc::clone(fed.endpoint(ep)));
+        let (recorders, fed) = integration::RecordingEndpoint::federation(endpoints);
         let engine = LusailEngine::new(fed, LusailConfig::default());
         let patterns: String = (0..n)
             .map(|i| format!("?s <http://x/p{i}> ?o{i} . "))
@@ -221,5 +224,21 @@ fn a_branch_too_wide_for_one_probe_request_is_answered() {
             .execute(&q)
             .unwrap_or_else(|e| panic!("{n} patterns: {e}"));
         integration::assert_same_solutions(&format!("{n} patterns"), &got, &want);
+
+        // Each endpoint's first probe request, one of the widest, carries
+        // the lists (its requests of one wave arrive in any order).
+        for r in &recorders {
+            let sent = r.sent();
+            let listing: Vec<&String> = sent
+                .iter()
+                .filter(|q| q.contains("SELECT DISTINCT ?p"))
+                .collect();
+            let [widest] = listing[..] else {
+                panic!("{n} patterns: {} requests list", listing.len());
+            };
+            let arms = widest.matches("(COUNT(*) AS ?c").count();
+            assert_eq!(arms, PARSE_LIMITS.max_nesting / 2, "{n} patterns");
+            parse_query(widest).unwrap_or_else(|e| panic!("{n} patterns: {e}"));
+        }
     }
 }
