@@ -200,3 +200,67 @@ fn dead_endpoint_fails_fast_with_transport_error() {
     assert!(err.message.contains("2 attempts"), "{err}");
     assert!(err.message.contains("transport error"), "{err}");
 }
+
+/// A client row cap smaller than an endpoint's vocabulary makes its listing
+/// probe fail (`--max-result-rows` rejects the answer while parsing). The
+/// counts are asked again without the lists, the vocabulary is cached as
+/// unlisted, and no later probe lists or prunes there: every query still
+/// answers as the merged graph does.
+#[test]
+fn a_row_cap_below_the_vocabulary_costs_the_lists_not_the_query() {
+    let x = |l: String| Term::iri(format!("http://x/{l}"));
+    let mut wide = Graph::new();
+    for i in 0..40 {
+        wide.add(x(format!("s{i}")), x(format!("p{i}")), x(format!("o{i}")));
+    }
+    let mut plain = Graph::new();
+    plain.add(x("t".into()), x("p3".into()), x("u".into()));
+    let graphs = vec![("wide".to_string(), wide), ("plain".to_string(), plain)];
+    let mut handles = Vec::new();
+    let endpoints = graphs.iter().map(|(name, g)| {
+        let server =
+            SparqlServer::bind("127.0.0.1:0", Store::from_graph(g), ServerConfig::default())
+                .expect("bind ephemeral port");
+        let handle = server.spawn();
+        let endpoint = HttpEndpoint::new(name.clone(), &handle.url())
+            .expect("valid loopback URL")
+            .with_config(HttpConfig {
+                max_result_rows: Some(10),
+                ..Default::default()
+            });
+        handles.push(handle);
+        Arc::new(endpoint) as Arc<dyn SparqlEndpoint>
+    });
+    let (recorders, federation) = integration::RecordingEndpoint::federation(endpoints);
+    let engine = LusailEngine::new(federation, Default::default());
+    // Per endpoint, whether each analysis probe carried the lists.
+    let listing = || {
+        let probes = |r: &integration::RecordingEndpoint| {
+            let sent = r.sent().into_iter();
+            let probes = sent.filter(|q| q.contains("(COUNT(*) AS ?c"));
+            probes
+                .map(|q| q.contains("DISTINCT ?p"))
+                .collect::<Vec<_>>()
+        };
+        recorders.iter().map(|r| probes(r)).collect::<Vec<_>>()
+    };
+
+    for (i, p) in ["p3", "p7", "p30"].into_iter().enumerate() {
+        let q = lusail_sparql::parse_query(&format!("SELECT * WHERE {{ ?s <http://x/{p}> ?o }}"))
+            .unwrap();
+        let got = engine.execute(&q).expect("the cap fails only the lists");
+        assert_same_solutions(p, &got, &ground_truth(&graphs, &q));
+        if i == 0 {
+            // wide: the listing probe, refused, then the bare one.
+            assert_eq!(listing(), [vec![true, false], vec![true]]);
+        }
+    }
+    let cache = engine.cache();
+    let vocabulary = |ep| cache.get_vocabulary(ep).expect("both endpoints probed");
+    assert_eq!(vocabulary(0).predicates, None, "wide is unlisted");
+    assert_eq!(vocabulary(1).predicates.as_ref().map(|l| l.len()), Some(1));
+    // Later probes ask wide again (its list prunes nothing), never listing;
+    // plain's list spares it p7 and p30.
+    assert_eq!(listing(), [vec![true, false, false, false], vec![true]]);
+    shutdown_all(handles);
+}
