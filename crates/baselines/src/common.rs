@@ -4,7 +4,7 @@
 use lusail_core::normalize::OptionalBlock;
 use lusail_core::source::merged_sources;
 use lusail_core::{EngineError, LusailEngine, RunContext};
-use lusail_federation::{EndpointId, Federation, RequestHandler};
+use lusail_federation::{EndpointError, EndpointId, Federation, RequestHandler};
 use lusail_rdf::Term;
 use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, SelectQuery, TriplePattern, Variable,
@@ -34,6 +34,14 @@ impl FederatedEngine for LusailEngine {
     fn execute(&self, query: &Query) -> Result<Relation, EngineError> {
         LusailEngine::execute(self, query)
     }
+}
+
+/// Why an index-based engine does not answer: `endpoint` offered no
+/// statistics (an `HttpEndpoint` never does), so `engine`'s index lacks it,
+/// and an index that reads it as empty would answer wrong.
+pub(crate) fn unindexed(engine: &str, endpoint: &str) -> EngineError {
+    let why = format!("it offers no statistics, so the {engine} index cannot be built");
+    EngineError::Endpoint(EndpointError::rejected(endpoint, why))
 }
 
 /// A bound-join payload: the shared variables and one block of their rows.

@@ -15,7 +15,7 @@
 //!   constant-based pruning, which is the part that fires on the
 //!   benchmarks' heterogeneous datasets.
 
-use crate::common::FederatedEngine;
+use crate::common::{unindexed, FederatedEngine};
 use crate::fedx::{FedX, FedXConfig};
 use lusail_core::EngineError;
 use lusail_federation::{EndpointId, Federation};
@@ -23,7 +23,6 @@ use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::fxhash::FxHashSet;
 use lusail_sparql::ast::{Query, TermPattern, TriplePattern};
 use lusail_sparql::solution::Relation;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-endpoint authority summaries, built in a preprocessing pass.
@@ -39,36 +38,43 @@ struct AuthoritySummary {
 pub struct HiBiscus {
     inner: FedX,
     build_time: Duration,
+    /// The first endpoint that offered no statistics, so has no summary.
+    unindexed: Option<String>,
 }
 
 impl HiBiscus {
     /// Build the summaries (preprocessing) and wrap FedX with the pruner.
     pub fn new(federation: Federation, config: FedXConfig) -> Self {
         let start = Instant::now();
-        let summaries: Vec<AuthoritySummary> = federation
+        let summaries: Vec<Option<AuthoritySummary>> = federation
             .iter()
-            .map(|(_, ep)| match ep.collect_stats() {
-                None => AuthoritySummary::default(),
-                Some(stats) => {
-                    let mut s = AuthoritySummary::default();
-                    for (pred, pstats) in &stats.predicates {
-                        s.subjects
-                            .insert(pred.clone(), pstats.subject_authorities.clone());
-                        s.objects
-                            .insert(pred.clone(), pstats.object_authorities.clone());
-                    }
-                    s
+            .map(|(_, ep)| {
+                let stats = ep.collect_stats()?;
+                let mut s = AuthoritySummary::default();
+                for (pred, pstats) in &stats.predicates {
+                    s.subjects
+                        .insert(pred.clone(), pstats.subject_authorities.clone());
+                    s.objects
+                        .insert(pred.clone(), pstats.object_authorities.clone());
                 }
+                Some(s)
             })
             .collect();
         let build_time = start.elapsed();
-        let summaries = Arc::new(summaries);
-        let pruner = Box::new(move |tp: &TriplePattern, sources: Vec<EndpointId>| {
-            prune(&summaries, tp, sources)
-        });
+        let unindexed = (summaries.iter().position(Option::is_none))
+            .map(|ep| federation.endpoint(ep).name().to_string());
+        // Without every summary nothing is pruned: `execute` answers nothing.
+        let summaries: Option<Vec<AuthoritySummary>> = summaries.into_iter().collect();
+        let pruner = Box::new(
+            move |tp: &TriplePattern, sources: Vec<EndpointId>| match &summaries {
+                Some(summaries) => prune(summaries, tp, sources),
+                None => sources,
+            },
+        );
         HiBiscus {
             inner: FedX::with_pruner(federation, config, pruner, "HiBISCuS"),
             build_time,
+            unindexed,
         }
     }
 
@@ -129,7 +135,10 @@ impl FederatedEngine for HiBiscus {
     }
 
     fn execute(&self, query: &Query) -> Result<Relation, EngineError> {
-        self.inner.execute(query)
+        match &self.unindexed {
+            Some(endpoint) => Err(unindexed("HiBISCuS", endpoint)),
+            None => self.inner.execute(query),
+        }
     }
 
     fn preprocessing_time(&self) -> Option<Duration> {
@@ -144,6 +153,7 @@ mod tests {
     use lusail_rdf::{vocab, Graph, Term};
     use lusail_sparql::parse_query;
     use lusail_store::Store;
+    use std::sync::Arc;
 
     fn federation() -> Federation {
         let ub = |l: &str| Term::iri(format!("{}{l}", vocab::ub::NS));

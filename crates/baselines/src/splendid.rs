@@ -14,8 +14,8 @@
 //! engines are preferred for dynamic federations.
 
 use crate::common::{
-    connected_pattern_components, execute_groups, residual_filters, ExecOptions, FederatedEngine,
-    GroupPlan,
+    connected_pattern_components, execute_groups, residual_filters, unindexed, ExecOptions,
+    FederatedEngine, GroupPlan,
 };
 use lusail_core::normalize::{assemble_branch, assemble_select, ConjBranch};
 use lusail_core::{EngineError, RunContext};
@@ -26,9 +26,9 @@ use lusail_store::stats::StoreStats;
 use std::time::{Duration, Instant};
 
 /// The VoID-style index: per-endpoint statistics gathered in the
-/// preprocessing pass.
+/// preprocessing pass, `None` for an endpoint that offered none.
 pub struct VoidIndex {
-    per_endpoint: Vec<StoreStats>,
+    per_endpoint: Vec<Option<StoreStats>>,
     build_time: Duration,
 }
 
@@ -38,12 +38,17 @@ impl VoidIndex {
         let start = Instant::now();
         let per_endpoint = federation
             .iter()
-            .map(|(_, ep)| ep.collect_stats().unwrap_or_default())
+            .map(|(_, ep)| ep.collect_stats())
             .collect();
         VoidIndex {
             per_endpoint,
             build_time: start.elapsed(),
         }
+    }
+
+    /// The first endpoint the index lacks: it offered no statistics.
+    pub fn unindexed(&self) -> Option<EndpointId> {
+        self.per_endpoint.iter().position(Option::is_none)
     }
 
     /// How long preprocessing took.
@@ -58,7 +63,10 @@ impl VoidIndex {
         match &tp.predicate {
             TermPattern::Term(t) => match t.as_iri() {
                 Some(iri) => (0..self.per_endpoint.len())
-                    .filter(|&i| self.per_endpoint[i].has_predicate(iri))
+                    .filter(|&i| {
+                        let stats = self.per_endpoint[i].as_ref();
+                        stats.is_some_and(|s| s.has_predicate(iri))
+                    })
                     .collect(),
                 None => (0..self.per_endpoint.len()).collect(),
             },
@@ -70,7 +78,9 @@ impl VoidIndex {
     /// the predicate count, narrowed by distinct subject/object counts
     /// when the subject/object is bound.
     pub fn estimate(&self, tp: &TriplePattern, ep: EndpointId) -> usize {
-        let stats = &self.per_endpoint[ep];
+        let Some(stats) = &self.per_endpoint[ep] else {
+            return 0;
+        };
         let Some(iri) = tp.predicate.as_term().and_then(|t| t.as_iri()) else {
             return stats.triples;
         };
@@ -135,8 +145,11 @@ impl Splendid {
     }
 
     /// Run `query` under `ctx`: the one deadline (and cancel token) of
-    /// every group wave.
+    /// every group wave. An index that lacks an endpoint answers nothing.
     fn run(&self, query: &Query, ctx: &RunContext) -> Result<Relation, EngineError> {
+        if let Some(ep) = self.index.unindexed() {
+            return Err(unindexed("SPLENDID", self.federation.endpoint(ep).name()));
+        }
         assemble_select(query, |_, branches| {
             (branches.iter())
                 .map(|branch| self.run_branch(branch, ctx))

@@ -9,10 +9,14 @@
 //! row (DESIGN.md, key design decision 6) — split over as many requests of
 //! the same wave as keep each within the parser's nesting limit.
 //! Under a cache, an endpoint's first probe request also asks for its
-//! [`Vocabulary`] — its predicates and `rdf:type` classes, with the
-//! endpoint's own count of each. That list is an answer the endpoint gave,
-//! cached like an `ASK`: a pattern whose constant predicate (or class) an
-//! endpoint did not list is not asked there again.
+//! [`Vocabulary`]: each predicate and `rdf:type` class with the endpoint's
+//! own count of its triples, next to the endpoint's totals of both. A list
+//! is trusted only when its terms are distinct, each counted at least once,
+//! and its counts sum to the total; anything else leaves it unlisted. A
+//! trusted list is an answer the endpoint gave, cached like an `ASK`: it
+//! counts an unfiltered `?a <p> ?b` (two distinct variables) or
+//! `?a rdf:type <C>` without a request, and a pattern whose constant
+//! predicate (or class) it lacks is not asked there at all.
 //! [`select_sources`] is the per-pattern `ASK` path: the FedX baseline's
 //! source selection, and the reference the tests hold the probe's source
 //! lists against.
@@ -25,10 +29,11 @@ use crate::sape::estimate::{count_select, pushable_filters, TpCounts};
 use lusail_federation::{
     Deadline, EndpointError, EndpointId, FailureKind, Federation, RequestHandler,
 };
-use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
+use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::{vocab, Term};
 use lusail_sparql::ast::{
-    Expression, GraphPattern, Projection, Query, SelectQuery, TermPattern, TriplePattern, Variable,
+    AggFunc, AggSpec, Expression, GraphPattern, Projection, Query, SelectQuery, TermPattern,
+    TriplePattern, Variable,
 };
 use lusail_sparql::parser::PARSE_LIMITS;
 use lusail_sparql::serializer::serialize_query;
@@ -150,43 +155,59 @@ pub struct BranchStats {
 pub(crate) const VOCABULARY_ROWS: usize = 1024;
 
 /// What an endpoint listed of its own data on its first probe request:
-/// its distinct predicates and `rdf:type` classes. A list is kept only when
-/// it holds exactly as many distinct terms as the endpoint's own
-/// `COUNT(DISTINCT …)` of them in the same answer said; a silent cap, the
-/// limit or a malformed row leaves it `None` — unlisted — and an unlisted
-/// list prunes nothing.
+/// each predicate and `rdf:type` class with the endpoint's count of its
+/// triples. A list is kept only when its terms are distinct, every count is
+/// at least 1, and the counts sum to the endpoint's own `COUNT(*)` of the
+/// listed pattern in the same answer; a silent cap (a cut list sums short),
+/// a duplicate, a zero, a malformed row or more than [`VOCABULARY_ROWS`]
+/// terms leaves it `None` — unlisted — and an unlisted list answers
+/// nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Vocabulary {
-    pub predicates: Option<FxHashSet<Term>>,
-    pub classes: Option<FxHashSet<Term>>,
+    pub predicates: Option<FxHashMap<Term, usize>>,
+    pub classes: Option<FxHashMap<Term, usize>>,
 }
 
 impl Vocabulary {
-    /// Does the endpoint hold no match of `tp`, by its lists? True when
-    /// the pattern's constant predicate is not listed or, for `rdf:type`,
-    /// its constant class is not. Only IRIs are looked up: they are the
-    /// terms every results codec carries unchanged.
-    fn excludes(&self, tp: &TriplePattern) -> bool {
-        let unlisted = |list: &Option<FxHashSet<Term>>, slot: &TermPattern| match slot {
-            TermPattern::Term(t @ Term::Iri(_)) => list.as_ref().is_some_and(|l| !l.contains(t)),
-            _ => false,
+    /// The endpoint's `COUNT(*)` of `tp` (under pushed filters when
+    /// `filtered`), where its lists tell it: `Some(0)` when the pattern's
+    /// constant predicate is not listed or, for `rdf:type`, its constant
+    /// class is not; the listed count of an unfiltered `?a <p> ?b` (two
+    /// distinct variables) or `?a rdf:type <C>`; `None` otherwise. Only
+    /// IRIs are looked up: they are the terms every results codec carries
+    /// unchanged.
+    fn count<'a>(&self, tp: &'a TriplePattern, filtered: bool) -> Option<usize> {
+        let iri = |slot: &'a TermPattern| slot.as_term().filter(|t| t.is_iri());
+        let listed = |list: &Option<FxHashMap<Term, usize>>, t: &Term| {
+            Some(list.as_ref()?.get(t).copied().unwrap_or(0))
         };
-        let typed =
-            matches!(&tp.predicate, TermPattern::Term(p) if p.as_iri() == Some(vocab::rdf::TYPE));
-        unlisted(&self.predicates, &tp.predicate) || (typed && unlisted(&self.classes, &tp.object))
+        let predicate = iri(&tp.predicate)?;
+        let class = iri(&tp.object).filter(|_| predicate.as_iri() == Some(vocab::rdf::TYPE));
+        let by_predicate = listed(&self.predicates, predicate);
+        let by_class = class.and_then(|c| listed(&self.classes, c));
+        if by_predicate == Some(0) || by_class == Some(0) {
+            return Some(0);
+        }
+        match (filtered, tp.subject.as_var(), tp.object.as_var()) {
+            (false, Some(_), None) => by_class,
+            (false, Some(s), Some(o)) if s != o => by_predicate,
+            _ => None,
+        }
     }
 }
 
-/// The vocabulary arm's two lists: each one's variable, the variable of its
-/// `COUNT(DISTINCT …)` in the counts row, and the pattern it lists from.
-/// None of the names can be a count arm's `?c<j>`.
-fn vocabulary_lists() -> [(Variable, Variable, TriplePattern); 2] {
+/// The vocabulary arm's two lists: each one's term variable, the variable
+/// of its per-term count, the variable of the endpoint's total in the
+/// counts row, and the pattern it lists from. None of the names can be a
+/// count arm's `?c<j>`.
+fn vocabulary_lists() -> [(Variable, Variable, Variable, TriplePattern); 2] {
     let (s, o) = (TermPattern::var("s"), TermPattern::var("o"));
     let predicates = TriplePattern::new(s.clone(), TermPattern::var("p"), o);
     let classes = TriplePattern::new(s, TermPattern::iri(vocab::rdf::TYPE), TermPattern::var("t"));
+    let var = Variable::new;
     [
-        (Variable::new("p"), Variable::new("np"), predicates),
-        (Variable::new("t"), Variable::new("nt"), classes),
+        (var("p"), var("n"), var("np"), predicates),
+        (var("t"), var("m"), var("nt"), classes),
     ]
 }
 
@@ -266,9 +287,12 @@ fn count_var(j: usize, tp: &TriplePattern) -> Variable {
 }
 
 /// The probe for one endpoint: one `COUNT` subselect per arm. With `lists`
-/// the counts row also counts the endpoint's distinct predicates and
-/// classes, and a `UNION` arm after it lists them:
-/// `{ <counts> } UNION { { SELECT DISTINCT ?p … } UNION { SELECT DISTINCT ?t … } }`.
+/// the counts row also holds the endpoint's `COUNT(*)` of `?s ?p ?o` and of
+/// `?s rdf:type ?t`, and a `UNION` arm after it lists each predicate and
+/// class with its own count: `{ <counts> } UNION { { SELECT DISTINCT ?p
+/// (COUNT(*) AS ?n) … GROUP BY ?p } UNION { … GROUP BY ?t } }`. The
+/// `DISTINCT` changes no grouped answer; it marks each arm as a list of
+/// distinct terms to whatever reads the request.
 fn probe_query(arms: &[&Arm], lists: bool) -> Query {
     let sub = |q: SelectQuery| GraphPattern::SubSelect(Box::new(q));
     let join = |a, b| GraphPattern::Join(Box::new(a), Box::new(b));
@@ -277,19 +301,22 @@ fn probe_query(arms: &[&Arm], lists: bool) -> Query {
     let mut counts: Vec<GraphPattern> = arms.iter().enumerate().map(arm).collect();
     let mut listed = Vec::new();
     if lists {
-        for (list, count, tp) in vocabulary_lists() {
-            let bgp = || GraphPattern::Bgp(vec![tp.clone()]);
-            let inner = Some(list.clone());
-            let projection = Projection::Count {
-                inner,
-                distinct: true,
-                as_var: count,
+        for (list, count, total, tp) in vocabulary_lists() {
+            counts.push(sub(count_select(&tp, &[], total)));
+            let projection = Projection::Aggregate {
+                keys: vec![list.clone()],
+                aggs: vec![AggSpec {
+                    func: AggFunc::Count,
+                    arg: None,
+                    distinct: false,
+                    as_var: count,
+                }],
             };
-            counts.push(sub(SelectQuery::new(projection, bgp())));
             listed.push(sub(SelectQuery {
                 distinct: true,
+                group_by: vec![list],
                 limit: Some(VOCABULARY_ROWS + 1),
-                ..SelectQuery::new(Projection::Vars(vec![list]), bgp())
+                ..SelectQuery::new(projection, GraphPattern::Bgp(vec![tp]))
             }));
         }
     }
@@ -310,10 +337,11 @@ fn probe_query(arms: &[&Arm], lists: bool) -> Query {
 /// not drop out because an answer was mangled.
 ///
 /// With `lists`, the rows that bind no arm's variable are the vocabulary
-/// lists; each binds one list's variable. A list is trusted only when its
-/// rows are distinct, at most [`VOCABULARY_ROWS`], and exactly as many as
-/// the count the counts row gave for it (predicates must be IRIs). Any
-/// other row unlists both.
+/// lists; each binds one list's term and its count. A list is trusted only
+/// when its terms are distinct (predicates IRIs), at most
+/// [`VOCABULARY_ROWS`], each counted by an integer of at least 1, and the
+/// counts sum to the total the counts row gave for it. Any other row
+/// unlists both.
 fn read_answer(
     name: &str,
     arms: &[&Arm],
@@ -341,27 +369,34 @@ fn read_answer(
         return Ok((counts, None));
     }
 
-    // Each list's rows and distinct terms; no more terms are kept than a
-    // trusted list holds.
+    // Each list's terms and counts, dropped at its first broken row; no
+    // more terms are kept than a trusted list holds.
     let vocabulary = vocabulary_lists();
-    let mut lists: [(usize, FxHashSet<Term>); 2] = Default::default();
+    let mut lists = [Some(FxHashMap::default()), Some(FxHashMap::default())];
     let mut sound = true;
     for r in listed {
         let mut bound = (0..2).filter_map(|i| Some((i, cell(r, &vocabulary[i].0)?)));
         match (bound.next(), bound.next()) {
             (Some((i, t)), None) if i == 1 || t.is_iri() => {
-                lists[i].0 += 1;
-                if lists[i].0 <= VOCABULARY_ROWS {
-                    lists[i].1.insert(t);
+                let n = cell(r, &vocabulary[i].1).and_then(integer);
+                let kept = match (&mut lists[i], n) {
+                    (Some(list), Some(n @ 1..)) if list.len() < VOCABULARY_ROWS => {
+                        list.insert(t, n).is_none()
+                    }
+                    _ => false,
+                };
+                if !kept {
+                    lists[i] = None;
                 }
             }
             _ => sound = false,
         }
     }
-    let mut verified = (lists.into_iter().zip(&vocabulary)).map(|((rows, terms), (_, n, _))| {
-        let claimed = cell(row, n).and_then(integer);
-        let whole = rows <= VOCABULARY_ROWS && terms.len() == rows && claimed == Some(rows);
-        (sound && whole).then_some(terms)
+    let mut verified = (lists.into_iter().zip(&vocabulary)).map(|(list, (.., total, _))| {
+        let total = cell(row, total).and_then(integer);
+        let sum =
+            |l: &FxHashMap<Term, usize>| l.values().try_fold(0, |a: usize, &n| a.checked_add(n));
+        list.filter(|l| sound && total.is_some() && sum(l) == total)
     });
     let vocabulary = Vocabulary {
         predicates: verified.next().flatten(),
@@ -375,17 +410,21 @@ fn read_answer(
 /// a branch too wide for one request to parse).
 ///
 /// Every pattern of `branches` (required, `OPTIONAL` and `MINUS` blocks) is
-/// resolved against `cache` (source lists and counts) first. A
-/// pattern with no cached source list goes to every endpoint whose cached
-/// [`Vocabulary`] does not exclude it — its unfiltered count is the `ASK`,
-/// the count under the block's pushable filters rides along — and one with
-/// sources but a missing count to just the endpoints that miss it. When some
-/// pattern has no cached sources, every endpoint asked whose vocabulary is
-/// not cached lists it on its first request, where that fits its request
-/// limit; a listing request it does not answer whole is asked again bare.
-/// Both caches are filled under the keys the per-pattern requests used,
-/// so the result equals [`select_sources`] plus
-/// one [`count_query`](crate::sape::estimate::count_query) per pattern and
+/// resolved against `cache` (source lists and counts) first. A pattern
+/// with no cached source list is wanted at every endpoint — its unfiltered
+/// count is the `ASK`, the count under the block's pushable filters rides
+/// along — and one with sources but a missing count at just the endpoints
+/// that miss it. An endpoint's cached [`Vocabulary`] answers what it can
+/// count ([`Vocabulary::count`]): 0 for a pattern whose constant predicate
+/// or class it did not list, the listed count of an unfiltered `?a <p> ?b`
+/// or `?a rdf:type <C>`. The rest is asked, and an endpoint left with
+/// nothing to ask gets no request. When some pattern has no cached
+/// sources, every endpoint asked whose vocabulary is not cached lists it on
+/// its first request, where that fits its request limit; a listing request
+/// it does not answer whole is asked again bare. Both caches are filled
+/// under the keys the per-pattern requests used, so the result equals
+/// [`select_sources`] plus one
+/// [`count_query`](crate::sape::estimate::count_query) per pattern and
 /// relevant endpoint.
 ///
 /// Under the partial policy an endpoint that fails (or answers anything but
@@ -414,38 +453,44 @@ pub fn probe(
         plan.push((required, optionals, minuses));
     }
 
-    // What each endpoint is asked. The cached vocabularies are read when
-    // some pattern has no cached sources, and spare an endpoint every such
-    // pattern its vocabulary excludes.
-    let unresolved = arms.iter().any(|a| arms[a.base].sources.is_none());
-    let vocabularies: Vec<Option<Arc<Vocabulary>>> = match (cache, unresolved) {
-        (Some(c), true) => federation.ids().map(|ep| c.get_vocabulary(ep)).collect(),
-        _ => vec![None; federation.len()],
-    };
-    let mut asks: Vec<Vec<usize>> = vec![Vec::new(); federation.len()];
+    // What each arm must learn, at which endpoints: a pattern with no
+    // cached sources everywhere, a costed one just where its count is not
+    // cached.
+    let mut wanted: Vec<(usize, EndpointId)> = Vec::new();
     for k in 0..arms.len() {
         match arms[arms[k].base].sources.clone() {
-            None => {
-                for ep in federation.ids() {
-                    if !vocabularies[ep]
-                        .as_deref()
-                        .is_some_and(|v| v.excludes(arms[k].tp))
-                    {
-                        asks[ep].push(k);
-                    }
-                }
-            }
+            None => wanted.extend(federation.ids().map(|ep| (k, ep))),
             Some(sources) if arms[k].counted => {
                 for ep in sources {
                     match cache.and_then(|c| c.get_count(&arms[k].count_key, ep)) {
                         Some(n) => {
                             arms[k].counts.insert(ep, n);
                         }
-                        None => asks[ep].push(k),
+                        None => wanted.push((k, ep)),
                     }
                 }
             }
             Some(_) => {}
+        }
+    }
+    // An endpoint's cached vocabulary counts what it can, and the rest is
+    // asked. `learned[ep]` are the arms whose counts there are new.
+    let unresolved = arms.iter().any(|a| arms[a.base].sources.is_none());
+    let vocabularies: Vec<Option<Arc<Vocabulary>>> = match cache {
+        Some(c) if !wanted.is_empty() => federation.ids().map(|ep| c.get_vocabulary(ep)).collect(),
+        _ => vec![None; federation.len()],
+    };
+    let mut learned: Vec<Vec<usize>> = vec![Vec::new(); federation.len()];
+    let mut asks: Vec<Vec<usize>> = vec![Vec::new(); federation.len()];
+    for (k, ep) in wanted {
+        let filtered = arms[k].base != k;
+        let listed = vocabularies[ep].as_deref();
+        match listed.and_then(|v| v.count(arms[k].tp, filtered)) {
+            Some(n) => {
+                arms[k].counts.insert(ep, n);
+                learned[ep].push(k);
+            }
+            None => asks[ep].push(k),
         }
     }
     // Under a cache, while some pattern has no cached sources, an endpoint
@@ -517,14 +562,15 @@ pub fn probe(
     let mut degraded = false;
     for (ep, counts) in answered.into_iter().enumerate() {
         let Some(counts) = counts else {
-            // Nothing learned: every count reads as 0, nothing is cached.
+            // Nothing asked is learned: those counts read as 0, and no
+            // source list is cached.
             degraded = true;
-            asks[ep].clear();
             continue;
         };
         for (&k, n) in asks[ep].iter().zip(counts) {
             arms[k].counts.insert(ep, n);
         }
+        learned[ep].extend(&asks[ep]);
     }
 
     // Relevance is a positive unfiltered count. A source list computed
@@ -541,7 +587,7 @@ pub fn probe(
     }
     let sources_of = |k: usize| arms[arms[k].base].sources.as_deref().unwrap_or(&[]);
     if let Some(c) = cache {
-        for (ep, ks) in asks.iter().enumerate() {
+        for (ep, ks) in learned.iter().enumerate() {
             for &k in ks.iter().filter(|&&k| sources_of(k).contains(&ep)) {
                 c.put_count(arms[k].count_key.clone(), ep, arms[k].counts[&ep]);
             }
@@ -571,7 +617,7 @@ pub fn probe(
 mod tests {
     use super::*;
     use lusail_federation::{NetworkProfile, SimulatedEndpoint, SparqlEndpoint};
-    use lusail_rdf::{Graph, Term};
+    use lusail_rdf::{Graph, Literal, Term};
     use lusail_sparql::ast::TermPattern;
     use lusail_store::Store;
     use std::sync::Arc;
@@ -798,10 +844,18 @@ mod tests {
         }
     }
 
+    /// Sets the count cell of an answer's first list row (`?p` of
+    /// `http://x/p` on ep2) to `n`.
+    fn first_listed_count(rel: &mut Relation, n: Option<Term>) {
+        let count = rel.index_of(&Variable::new("n")).unwrap();
+        rel.rows_mut()[1][count] = n;
+    }
+
     #[test]
     fn a_list_that_disagrees_with_its_count_is_unlisted_and_prunes_nothing() {
-        // Each touches only an answer carrying lists (more than one row).
-        let manglings: [fn(&mut Relation); 5] = [
+        // Each touches only an answer carrying lists (more than one row):
+        // ep2's, whose rows are its counts row, `p` once and `q` once.
+        let manglings: [fn(&mut Relation); 9] = [
             // cut: the last list row is gone
             |rel| {
                 if rel.len() > 1 {
@@ -814,7 +868,7 @@ mod tests {
                     rel.push(last);
                 }
             },
-            // a count that claims more than was listed
+            // a total that claims more than was listed
             |rel| {
                 if rel.len() > 1 {
                     let np = rel.index_of(&Variable::new("np")).unwrap();
@@ -833,6 +887,32 @@ mod tests {
                 if rel.len() > 1 {
                     let width = rel.vars().len();
                     rel.push(vec![None; width]);
+                }
+            },
+            // one count changed, so the counts sum past the total
+            |rel| {
+                if rel.len() > 1 {
+                    first_listed_count(rel, Some(Term::integer(2)));
+                }
+            },
+            // a count of 0, the sum kept by the next term's count
+            |rel| {
+                if rel.len() > 1 {
+                    first_listed_count(rel, Some(Term::integer(0)));
+                    let count = rel.index_of(&Variable::new("n")).unwrap();
+                    rel.rows_mut()[2][count] = Some(Term::integer(2));
+                }
+            },
+            // a count that is no integer
+            |rel| {
+                if rel.len() > 1 {
+                    first_listed_count(rel, Some(Term::Literal(Literal::double(1.5))));
+                }
+            },
+            // a dropped count cell
+            |rel| {
+                if rel.len() > 1 {
+                    first_listed_count(rel, None);
                 }
             },
         ];
@@ -858,11 +938,11 @@ mod tests {
             let listed = vocabulary(1).predicates.clone().unwrap();
             assert_eq!(
                 listed.into_iter().collect::<Vec<_>>(),
-                [Term::iri("http://x/q")]
+                [(Term::iri("http://x/q"), 1)]
             );
 
-            // ep0 listed no `q` and is spared; ep2 listed nothing it can
-            // be held to and is asked.
+            // ep0 listed no `q` and ep1 counted it: both are spared. ep2
+            // listed nothing it can be held to and is asked.
             let sent: Vec<u64> = fed
                 .ids()
                 .map(|ep| fed.endpoint(ep).traffic().requests)
@@ -870,12 +950,50 @@ mod tests {
             let q = branch(vec![tp("?s", "http://x/q", "?o")]);
             let stats = probe(&fed, &handler, Some(&cache), &q, &ctx).unwrap();
             assert_eq!(stats[0].required.sources, [[1, 2]], "mangling {m}");
+            assert_eq!(stats[0].required.counts[0][&2], 1, "mangling {m}");
             let asked: Vec<u64> = fed
                 .ids()
                 .map(|ep| fed.endpoint(ep).traffic().requests - sent[ep])
                 .collect();
-            assert_eq!(asked, [0, 1, 1], "mangling {m}");
+            assert_eq!(asked, [0, 0, 1], "mangling {m}");
         }
+    }
+
+    #[test]
+    fn a_listed_vocabulary_answers_an_unfiltered_pattern_without_a_request() {
+        let fed = fed();
+        let handler = RequestHandler::new(4);
+        let ctx = RunContext::unbounded();
+        let cache = QueryCache::new();
+        let p = branch(vec![tp("?s", "http://x/p", "?o")]);
+        probe(&fed, &handler, Some(&cache), &p, &ctx).unwrap();
+        let before = fed.total_traffic().requests;
+
+        let q = tp("?x", "http://x/q", "?y");
+        let stats = probe(&fed, &handler, Some(&cache), &branch(vec![q.clone()]), &ctx).unwrap();
+        assert_eq!(
+            fed.total_traffic().requests,
+            before,
+            "counted from the lists"
+        );
+        // One ASK per endpoint, then one COUNT per source.
+        let oracle = self::fed();
+        let sources = select_sources(&oracle, &handler, None, &[q.clone()], &ctx).unwrap();
+        let count = |&ep: &EndpointId| {
+            let rel = (oracle.endpoint(ep))
+                .select(&crate::sape::estimate::count_query(&q, &[]))
+                .unwrap();
+            let n = rel.rows()[0][0]
+                .as_ref()
+                .and_then(|t| t.as_literal()?.as_i64());
+            (ep, n.unwrap() as usize)
+        };
+        let counts = vec![sources[0].iter().map(count).collect()];
+        let reference = BlockStats { sources, counts };
+        assert_eq!(stats[0].required, reference);
+        // Cached under the keys the requests would have used: sources and
+        // counts of `p` and `q`, each at its two sources.
+        assert_eq!(cache.sizes(), (2, 0, 4));
     }
 
     #[test]

@@ -434,12 +434,15 @@ fn joins_only_counts(pattern: &GraphPattern) -> bool {
     }
 }
 
-/// `{ <counts> } UNION { { SELECT DISTINCT ?p … } UNION … }`: the analysis
-/// probe carrying an endpoint's vocabulary lists after its counts row.
+/// `{ <counts> } UNION { { SELECT ?p (COUNT(*) AS ?n) … GROUP BY ?p } UNION
+/// … }`: the analysis probe carrying an endpoint's vocabulary lists, each
+/// term with its count, after its counts row.
 fn counts_then_lists(pattern: &GraphPattern) -> bool {
     fn only_lists(pattern: &GraphPattern) -> bool {
         match pattern {
-            GraphPattern::SubSelect(s) => s.distinct && matches!(s.projection, Projection::Vars(_)),
+            GraphPattern::SubSelect(s) => {
+                !s.group_by.is_empty() && matches!(s.projection, Projection::Aggregate { .. })
+            }
             GraphPattern::Union(a, b) => only_lists(a) && only_lists(b),
             _ => false,
         }
@@ -547,13 +550,13 @@ mod tests {
     }
 
     /// The analysis probe with an endpoint's vocabulary lists after its
-    /// counts row: one `p` predicate, no class.
+    /// counts row: one `p` predicate counted once, no class.
     fn probe_with_lists() -> Query {
         parse_query(
             "SELECT * WHERE { { { SELECT (COUNT(*) AS ?c0) WHERE { ?s <http://x/p> ?o } } \
-             { SELECT (COUNT(DISTINCT ?p) AS ?np) WHERE { ?s ?p ?o } } } \
-             UNION { { SELECT DISTINCT ?p WHERE { ?s ?p ?o } LIMIT 9 } \
-             UNION { SELECT DISTINCT ?t WHERE { ?s a ?t } LIMIT 9 } } }",
+             { SELECT (COUNT(*) AS ?np) WHERE { ?s ?p ?o } } } \
+             UNION { { SELECT DISTINCT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p LIMIT 9 } \
+             UNION { SELECT DISTINCT ?t (COUNT(*) AS ?m) WHERE { ?s a ?t } GROUP BY ?t LIMIT 9 } } }",
         )
         .unwrap()
     }
@@ -751,12 +754,14 @@ mod tests {
             let ep = wrapped(15, profile, fast_config());
             ep.select(&probe_with_lists()).unwrap().rows().to_vec()
         };
-        let counts = |c0, np| vec![Some(Term::integer(c0)), Some(Term::integer(np)), None, None];
-        let listed = vec![None, None, p, None];
+        let integer = |n| Some(Term::integer(n));
+        let counts = |c0, np| vec![integer(c0), integer(np), None, None, None, None];
+        let listed = vec![None, None, p, integer(1), None, None];
         let truthful = vec![counts(1, 1), listed.clone()];
         assert_eq!(answer(FaultProfile::none()), truthful);
-        // The lie is in every count; the list row and the unbound list
-        // cells of the counts row are left as they were.
+        // The lie is in every count of the counts row; the list row keeps
+        // its true count, so the list no longer sums to the lied total, and
+        // the unbound list cells of the counts row stay unbound.
         assert_eq!(
             answer(FaultProfile::miscounts(20.0)),
             [counts(20, 20), listed]

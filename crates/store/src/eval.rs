@@ -113,14 +113,17 @@ impl<'a> Evaluator<'a> {
         self.finish_select(q, bindings)
     }
 
-    /// A `SELECT DISTINCT` of one triple pattern's variables, or a
-    /// `COUNT(DISTINCT ?v)` of one of them, answered by walking the
-    /// pattern's index run and keeping each distinct id tuple once — no
-    /// per-triple binding is built. The walk meets the matches in the
-    /// order the general path does, and a `LIMIT` without `ORDER BY` stops
-    /// it once enough rows are kept. `None` for any other shape, for an
-    /// `ORDER BY` on a variable not projected, and for a pattern that
-    /// repeats a variable (whose equality the walk does not check).
+    /// A query of one triple pattern answered from the pattern's index run,
+    /// with no binding built per triple: a `SELECT DISTINCT` of its
+    /// variables or a `COUNT(DISTINCT ?v)` of one of them keeps each
+    /// distinct id tuple once; a `COUNT(*)` is the run's length; a
+    /// `COUNT(*)` grouped by one of its variables counts that variable's
+    /// runs ([`Store::count_by`]). The distinct walk meets the matches in
+    /// the order the general path does, and a `LIMIT` without `ORDER BY`
+    /// stops it once enough rows are kept; grouped rows are sorted by
+    /// [`apply_modifiers`] on either path. `None` for any other shape, for
+    /// a `DISTINCT` ordered by a variable not projected, and for a pattern
+    /// that repeats a variable (whose equality no walk checks).
     fn distinct_walk(&self, q: &SelectQuery) -> Option<Relation> {
         let GraphPattern::Bgp(tps) = &q.pattern else {
             return None;
@@ -128,32 +131,78 @@ impl<'a> Evaluator<'a> {
         let [tp] = &tps[..] else {
             return None;
         };
-        if !self.shortcuts || !q.group_by.is_empty() {
+        if !self.shortcuts {
             return None;
         }
         let slots = [&tp.subject, &tp.predicate, &tp.object];
-        let var_at = |i: usize| match slots[i] {
-            TermPattern::Var(v) => Some(v),
-            TermPattern::Term(_) => None,
-        };
+        let var_at = |i: usize| slots[i].as_var();
         let vars: Vec<&Variable> = (0..3).filter_map(var_at).collect();
         if (1..vars.len()).any(|i| vars[..i].contains(&vars[i])) {
             return None;
         }
-        let (projected, count) = match &q.projection {
-            Projection::Count {
-                inner: Some(v),
-                distinct: true,
-                as_var,
-            } => (vec![v.clone()], Some(as_var)),
-            Projection::Vars(vs) if q.distinct => (vs.clone(), None),
-            Projection::All if q.distinct => (vars.into_iter().cloned().collect(), None),
+        let var_slot = |v: &Variable| (0..3).find(|&i| var_at(i) == Some(v));
+        // An unknown constant matches nothing: no run to walk.
+        let resolve = |slot: &TermPattern| match slot {
+            TermPattern::Var(_) => Some(None),
+            TermPattern::Term(t) => self.store.resolve(t).map(Some),
+        };
+        let ids = match slots.map(resolve) {
+            [Some(s), Some(p), Some(o)] => Some((s, p, o)),
+            _ => None,
+        };
+        let integer = |n: usize| Some(Term::integer(n as i64));
+
+        let (projected, count) = match (&q.projection, &q.group_by[..]) {
+            (Projection::Aggregate { keys, aggs }, [by]) => {
+                let slot = var_slot(by)?;
+                let star = |a: &AggSpec| a.func == AggFunc::Count && a.arg.is_none() && !a.distinct;
+                if keys.iter().any(|k| k != by) || !aggs.iter().all(star) {
+                    return None;
+                }
+                let groups =
+                    ids.map_or_else(Vec::new, |(s, p, o)| self.store.count_by([s, p, o], slot));
+                let vars = q.projected_variables();
+                let row = |(id, n): (TermId, usize)| {
+                    let cell = |v: &Variable| {
+                        if v == by {
+                            Some(self.store.decode(id).clone())
+                        } else {
+                            integer(n)
+                        }
+                    };
+                    vars.iter().map(cell).collect()
+                };
+                let rows = groups.into_iter().map(row).collect();
+                return Some(apply_modifiers(q, Relation::from_rows(vars, rows)));
+            }
+            (_, [_, ..]) => return None,
+            (
+                Projection::Count {
+                    inner: None,
+                    distinct: false,
+                    as_var,
+                },
+                [],
+            ) => {
+                let n = ids.map_or(0, |(s, p, o)| self.store.count_ids(s, p, o));
+                let rel = Relation::from_rows(vec![as_var.clone()], vec![vec![integer(n)]]);
+                return Some(apply_modifiers(q, rel));
+            }
+            (
+                Projection::Count {
+                    inner: Some(v),
+                    distinct: true,
+                    as_var,
+                },
+                [],
+            ) => (vec![v.clone()], Some(as_var)),
+            (Projection::Vars(vs), []) if q.distinct => (vs.clone(), None),
+            (Projection::All, []) if q.distinct => (vars.into_iter().cloned().collect(), None),
             _ => return None,
         };
         // The slot of each projected variable, every one of them the
         // pattern's; an ORDER BY key outside them is sorted on before the
         // projection, which the walk cannot do.
-        let var_slot = |v: &Variable| (0..3).find(|&i| var_at(i) == Some(v));
         let at: Vec<usize> = projected.iter().map(var_slot).collect::<Option<_>>()?;
         if count.is_none() && q.order_by.iter().any(|(v, _)| !projected.contains(v)) {
             return None;
@@ -162,16 +211,7 @@ impl<'a> Evaluator<'a> {
             (None, true, Some(limit)) => limit.saturating_add(q.offset.unwrap_or(0)),
             _ => usize::MAX,
         };
-
-        // An unknown constant matches nothing: no run to walk.
-        let resolve = |slot: &TermPattern| match slot {
-            TermPattern::Var(_) => Some(None),
-            TermPattern::Term(t) => self.store.resolve(t).map(Some),
-        };
-        let run = match slots.map(resolve) {
-            [Some(s), Some(p), Some(o)] => Some(self.store.match_ids(s, p, o)),
-            _ => None,
-        };
+        let run = ids.map(|(s, p, o)| self.store.match_ids(s, p, o));
         // A match's projected slots, the others zero.
         let mut seen: FxHashSet<[TermId; 3]> = FxHashSet::default();
         let mut kept: Vec<[TermId; 3]> = Vec::new();
@@ -189,8 +229,7 @@ impl<'a> Evaluator<'a> {
         }
         let rel = match count {
             Some(as_var) => {
-                let row = vec![Some(Term::integer(seen.len() as i64))];
-                Relation::from_rows(vec![as_var.clone()], vec![row])
+                Relation::from_rows(vec![as_var.clone()], vec![vec![integer(seen.len())]])
             }
             None => {
                 let decode = |key: [TermId; 3]| {
@@ -1614,9 +1653,26 @@ mod tests {
             "SELECT * WHERE { ?s :p0 ?v { SELECT DISTINCT ?s WHERE { ?s :p1 ?o } } }",
             "SELECT * WHERE { { SELECT (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o } } \
              { SELECT DISTINCT ?p WHERE { ?s ?p ?o } } }",
+            // COUNT(*), whole and grouped by one variable: the probe's
+            // counts row and its vocabulary lists, cut by a LIMIT below the
+            // number of groups, and groups no index runs in order.
+            "SELECT (COUNT(*) AS ?n) WHERE { ?s :p0 ?o }",
+            "SELECT (COUNT(*) AS ?n) WHERE { ?s :nowhere ?o }",
+            "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p",
+            "SELECT DISTINCT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p LIMIT 2",
+            "SELECT ?t (COUNT(*) AS ?m) WHERE { ?s a ?t } GROUP BY ?t",
+            "SELECT DISTINCT ?t (COUNT(*) AS ?m) WHERE { ?s a ?t } GROUP BY ?t LIMIT 1",
+            "SELECT ?s (COUNT(*) AS ?n) WHERE { ?s :p1 ?o } GROUP BY ?s ORDER BY DESC(?n)",
+            "SELECT (COUNT(*) AS ?n) (COUNT(*) AS ?k) WHERE { :s1 ?p ?o } GROUP BY ?o",
+            "SELECT ?s (COUNT(*) AS ?n) WHERE { ?s :nowhere ?o } GROUP BY ?s",
+            "SELECT * WHERE { { { SELECT (COUNT(*) AS ?c0) WHERE { ?s :p0 ?o } } \
+             { SELECT (COUNT(*) AS ?np) WHERE { ?s ?p ?o } } } UNION \
+             { SELECT DISTINCT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p LIMIT 3 } }",
         ];
         // Repeated variables, an ORDER BY key outside the projection, a
-        // projected variable the pattern lacks, two patterns, no DISTINCT.
+        // projected variable the pattern lacks, two patterns, no DISTINCT;
+        // a group key outside the pattern, two keys, an aggregate other
+        // than COUNT(*).
         let general = [
             "SELECT DISTINCT ?x WHERE { ?x :p1 ?x }",
             "SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x ?p ?x }",
@@ -1624,10 +1680,15 @@ mod tests {
             "SELECT DISTINCT ?zz WHERE { ?s :p1 ?o }",
             "SELECT DISTINCT ?s WHERE { ?s :p1 ?o . ?o :p2 ?v }",
             "SELECT ?p WHERE { ?s ?p ?o } LIMIT 3",
+            "SELECT (COUNT(*) AS ?n) WHERE { ?x ?p ?x }",
+            "SELECT ?x (COUNT(*) AS ?n) WHERE { ?x :p1 ?x } GROUP BY ?x",
+            "SELECT ?zz (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?zz",
+            "SELECT ?p ?s (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ?s",
+            "SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p",
         ];
         let mut seed = 17u64;
-        for round in 0..30 {
-            let st = walk_store(&mut seed);
+        let stores = (0..30).map(|_| walk_store(&mut seed)).chain([Store::new()]);
+        for (round, st) in stores.enumerate() {
             for (text, walks) in
                 (walked.iter().map(|t| (t, true))).chain(general.iter().map(|t| (t, false)))
             {

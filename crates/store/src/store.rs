@@ -1,5 +1,6 @@
 //! The dictionary-encoded triple store.
 
+use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::{Dictionary, Graph, Term, TermId};
 
 /// One `(s, p, o)` id triple.
@@ -140,6 +141,37 @@ impl Store {
     /// Count the matches of a pattern: the length of its index run.
     pub fn count_ids(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         self.lookup(s, p, o).0.len()
+    }
+
+    /// Count the matches of a pattern of optional ids `[s, p, o]` by the id
+    /// in slot `by` (0 for the subject, 1 the predicate, 2 the object), one
+    /// `(id, count)` per distinct id. Where an index leads with the bound
+    /// slots and then `by`, the counts are the lengths of its runs, each
+    /// found by a binary search; elsewhere each match is counted.
+    pub(crate) fn count_by(&self, ids: [Option<TermId>; 3], by: usize) -> Vec<(TermId, usize)> {
+        let bound = ids.iter().flatten().count();
+        // spo, pos and osp lead with the subject, predicate and object.
+        for (lead, index) in [&self.spo, &self.pos, &self.osp].into_iter().enumerate() {
+            let column = |i: usize| (lead + i) % 3;
+            let key: Option<Vec<TermId>> = (0..bound).map(|i| ids[column(i)]).collect();
+            let Some(key) = key.filter(|_| bound < 3 && column(bound) == by) else {
+                continue;
+            };
+            let mut rows = run(index, &key);
+            let mut counts = Vec::new();
+            while let Some(first) = rows.first() {
+                let len = rows.partition_point(|row| row[bound] == first[bound]);
+                counts.push((first[bound], len));
+                rows = &rows[len..];
+            }
+            return counts;
+        }
+        let mut counts: FxHashMap<TermId, usize> = FxHashMap::default();
+        let [s, p, o] = ids;
+        for (s, p, o) in self.match_ids(s, p, o) {
+            *counts.entry([s, p, o][by]).or_default() += 1;
+        }
+        counts.into_iter().collect()
     }
 
     /// Match a pattern of optional *terms*; terms unknown to the dictionary

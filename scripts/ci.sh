@@ -216,6 +216,14 @@ readers=$(for f in $rs; do
     if nontest "$f" | grep -E 'get_vocabulary\(|Vocabulary' >/dev/null; then echo "$f"; fi
 done)
 [ "$readers" = crates/core/src/source.rs ] || { echo "the listed vocabulary is read outside crates/core/src/source.rs: $readers" >&2; exit 1; }
+# An index-based baseline whose endpoint offers no statistics fails naming
+# it (ROADMAP item 13(a)); it never answers from an empty index again.
+for f in crates/baselines/src/*.rs; do
+    if nontest "$f" | tr -d ' \n' | grep -oE 'collect_stats\(\)\.unwrap_or_default|None=>[A-Za-z]*Summary::default\(\)'; then
+        echo "$f defaults a missing collect_stats(); fail with common::unindexed instead" >&2
+        exit 1
+    fi
+done
 
 # What the paper's system does not need stays deleted (ROADMAP item 5):
 # keyword search and `lusail search` (the paper's future work), the two

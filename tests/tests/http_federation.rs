@@ -264,3 +264,71 @@ fn a_row_cap_below_the_vocabulary_costs_the_lists_not_the_query() {
     assert_eq!(listing(), [vec![true, false, false, false], vec![true]]);
     shutdown_all(handles);
 }
+
+/// SPLENDID and HiBISCuS build their index from each endpoint's statistics,
+/// which an `HttpEndpoint` does not offer. Over `lusail serve` backends both
+/// fail naming the first endpoint, where an empty index would answer wrong:
+/// SPLENDID with no rows, HiBISCuS by pruning every source of a pattern with
+/// a constant subject. Over `--data` files both answer.
+#[test]
+fn index_based_engines_refuse_endpoints_without_statistics() {
+    let x = |l: &str| Term::iri(format!("http://x/{l}"));
+    let mut a = Graph::new();
+    a.add(x("a1"), x("knows"), x("b1"));
+    let mut b = Graph::new();
+    b.add(x("b1"), x("name"), Term::literal("Bob"));
+    let graphs = vec![("a".to_string(), a), ("b".to_string(), b)];
+
+    let dir = std::env::temp_dir().join(format!("lusail-unindexed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut data = Vec::new();
+    for (name, g) in &graphs {
+        let path = dir.join(format!("{name}.nt"));
+        std::fs::write(&path, lusail_rdf::ntriples::serialize(g)).unwrap();
+        data.extend(["--data".to_string(), path.display().to_string()]);
+    }
+    let handles: Vec<ServerHandle> = (graphs.iter())
+        .map(|(_, g)| {
+            SparqlServer::bind("127.0.0.1:0", Store::from_graph(g), ServerConfig::default())
+                .expect("bind ephemeral port")
+                .spawn()
+        })
+        .collect();
+    let urls: Vec<String> = (handles.iter())
+        .flat_map(|h| ["--endpoint".to_string(), h.url()])
+        .collect();
+    let query = |engine: &str, sources: &[String], text: &str| {
+        let mut args: Vec<String> = ["query", "--engine", engine, "--format", "csv"]
+            .map(str::to_string)
+            .to_vec();
+        args.extend(["--query-text".to_string(), text.to_string()]);
+        args.extend(sources.iter().cloned());
+        let mut out = Vec::new();
+        lusail_cli::run(&args, &mut out).map(|()| String::from_utf8(out).unwrap())
+    };
+
+    let texts = [
+        "SELECT ?n WHERE { ?a <http://x/knows> ?b . ?b <http://x/name> ?n }",
+        "SELECT ?n WHERE { <http://x/a1> <http://x/knows> ?b . ?b <http://x/name> ?n }",
+    ];
+    for engine in ["splendid", "hibiscus"] {
+        for text in texts {
+            let want = ground_truth(&graphs, &lusail_sparql::parse_query(text).unwrap());
+            assert_eq!(want.len(), 1, "{text}");
+            let answered = query(engine, &data, text).unwrap_or_else(|e| panic!("{engine}: {e}"));
+            let rows: Vec<&str> = answered.lines().skip(1).collect();
+            assert_eq!(rows.len(), 1, "{engine} over --data: {answered}");
+            assert!(rows[0].contains("Bob"), "{engine} over --data: {answered}");
+
+            match query(engine, &urls, text) {
+                Err(lusail_cli::CliError::Engine(lusail_core::EngineError::Endpoint(e))) => {
+                    assert_eq!(e.endpoint, handles[0].url(), "{engine}");
+                    assert!(e.message.contains("index cannot be built"), "{engine}: {e}");
+                }
+                other => panic!("{engine} over --endpoint: {other:?}"),
+            }
+        }
+    }
+    shutdown_all(handles);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

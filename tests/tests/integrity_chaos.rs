@@ -772,7 +772,7 @@ fn paged_refetch_merge_is_byte_identical_to_unpaged() {
 }
 
 /// An endpoint's vocabulary list, cut by a silent cap, prunes nothing: it
-/// fails its own `COUNT(DISTINCT ?p)` and is cached as unlisted, so a later
+/// sums short of its own `COUNT(*)` total and is cached as unlisted, so a later
 /// query on a predicate past the cut still asks that endpoint and comes back
 /// as the merged graph answers it. A list trusted unverified would read the
 /// endpoint as lacking the predicate and lose its rows.
@@ -825,5 +825,76 @@ fn a_vocabulary_cut_by_a_silent_cap_prunes_nothing() {
         let want = ground_truth(&graphs, &q);
         assert_eq!(want.len(), 1);
         assert_same_solutions(&format!("p{i}"), &got, &want);
+    }
+}
+
+/// An endpoint that miscounts while it lists its vocabulary lies in its
+/// totals, not in the list rows: its counts no longer sum to them, so its
+/// vocabulary is cached unlisted. It answers nothing from it, a later query
+/// still probes that endpoint, and every answer is the merged graph's.
+#[test]
+fn a_vocabulary_listed_while_miscounting_is_unlisted_and_still_probed() {
+    let x = |l: String| Term::iri(format!("http://x/{l}"));
+    let mut liar = Graph::new();
+    for i in 0..5 {
+        liar.add(x(format!("s{i}")), x("p".into()), x(format!("o{i}")));
+    }
+    liar.add(x("t".into()), x("r".into()), x("u".into()));
+    let mut honest = Graph::new();
+    honest.add(x("a".into()), x("q".into()), x("b".into()));
+    honest.add(x("c".into()), x("p".into()), x("d".into()));
+    let graphs = vec![("liar".to_string(), liar), ("honest".to_string(), honest)];
+    let endpoints: Vec<Arc<FaultyEndpoint>> = (graphs.iter())
+        .map(|(name, g)| {
+            let inner = SimulatedEndpoint::new(
+                name.clone(),
+                Store::from_graph(g),
+                NetworkProfile::instant(),
+            );
+            Arc::new(FaultyEndpoint::with_config(
+                Arc::new(inner),
+                chaos_seed(),
+                FaultProfile::none(),
+                FaultyConfig::default(),
+            ))
+        })
+        .collect();
+    let as_dyn = |ep: &Arc<FaultyEndpoint>| Arc::clone(ep) as Arc<dyn SparqlEndpoint>;
+    let federation = Federation::new(endpoints.iter().map(as_dyn).collect());
+    let engine = LusailEngine::new(federation, LusailConfig::default());
+    let run = |p: &str| {
+        let q = parse_query(&format!("SELECT * WHERE {{ ?s <http://x/{p}> ?o }}")).unwrap();
+        let before: Vec<u64> = endpoints.iter().map(|ep| ep.traffic().requests).collect();
+        assert_same_solutions(p, &engine.execute(&q).unwrap(), &ground_truth(&graphs, &q));
+        (endpoints.iter().zip(before))
+            .map(|(ep, b)| ep.traffic().requests - b)
+            .collect::<Vec<_>>()
+    };
+
+    // The listing request is the one the liar miscounts: `q` is not its
+    // predicate, so its count for it (0) is true, but its totals are not.
+    endpoints[0].set_faults(FaultProfile::miscounts(3.0));
+    run("q");
+    endpoints[0].set_faults(FaultProfile::none());
+    let cache = engine.cache();
+    let vocabulary = |ep| cache.get_vocabulary(ep).expect("both endpoints listed");
+    assert_eq!(
+        vocabulary(0).predicates,
+        None,
+        "the liar's list is unlisted"
+    );
+    let listed = vocabulary(1).predicates.clone().expect("honest is listed");
+    assert_eq!(listed.len(), 2);
+
+    // `p` is counted from honest's list and probed at the liar; `r`, which
+    // honest did not list, likewise.
+    for p in ["p", "r"] {
+        let sent = run(p);
+        assert!(sent[0] >= 1, "{p}: the liar is probed: {sent:?}");
+        assert_eq!(
+            sent[1],
+            u64::from(p == "p"),
+            "{p}: only subqueries: {sent:?}"
+        );
     }
 }

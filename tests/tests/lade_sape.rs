@@ -829,11 +829,15 @@ fn a_warm_vocabulary_asks_a_new_pattern_only_where_its_predicate_is() {
             .clone()
             .unwrap()
     };
-    assert_eq!(listed(2), [Term::iri("http://x/q")].into_iter().collect());
+    assert_eq!(
+        listed(2),
+        [(Term::iri("http://x/q"), 1)].into_iter().collect()
+    );
     assert_eq!(listed(0).len(), 2);
 
+    // Unfiltered, between two variables: counted from the lists alone.
     let q = "SELECT * WHERE { ?s <http://x/q> ?o }";
-    assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 1]);
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 0]);
     // With a filter, with a repeated variable, inside OPTIONAL and MINUS:
     // a pattern is asked only where its predicate is listed.
     let q = "SELECT * WHERE { ?s <http://x/q> ?w FILTER(?w > 7) \
@@ -864,9 +868,15 @@ fn a_warm_vocabulary_asks_a_class_pattern_only_where_the_class_is() {
     );
     assert_eq!(warm, [1, 1, 1]);
 
+    // Unfiltered class and predicate patterns are counted from the lists;
+    // filtered, a class pattern is asked only where the class is listed.
     let q = "SELECT * WHERE { ?s a <http://x/C> }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 0]);
+    let q = "SELECT * WHERE { ?s a <http://x/C> FILTER(?s != <http://x/b>) }";
     assert_eq!(probe_after(&fed, &graphs, &cache, q), [1, 0, 1]);
     let q = "SELECT * WHERE { ?s a <http://x/D> . ?s <http://x/r> ?v }";
+    assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 0]);
+    let q = "SELECT * WHERE { ?s a <http://x/D> . ?s <http://x/r> ?v FILTER(?v > 7) }";
     assert_eq!(probe_after(&fed, &graphs, &cache, q), [1, 1, 0]);
     let q = "SELECT * WHERE { ?s a <http://x/E> }";
     assert_eq!(probe_after(&fed, &graphs, &cache, q), [0, 0, 0]);
