@@ -1000,6 +1000,7 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                     writeln!(out, "# gjvs          : {:?}", profile.gjvs)?;
                     writeln!(out, "# subqueries    : {}", profile.subqueries)?;
                     writeln!(out, "# delayed       : {}", profile.delayed)?;
+                    writeln!(out, "# strands       : {}", profile.strands)?;
                     writeln!(out, "# check queries : {}", profile.check_queries)?;
                     writeln!(
                         out,
@@ -1475,6 +1476,64 @@ mod tests {
         assert!(text.contains("peak_bytes="), "{text}");
         assert!(text.contains("limit=8388608"), "{text}");
         assert!(text.contains("# erh: waves="), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn explain_counts_the_strands_of_an_s6_shaped_query() {
+        // LargeRDFBench S6 over two files: films with directors and their
+        // many `owl:sameAs` links in one, the labels of the linked
+        // resources in the other. The links are delayed and bound on the
+        // directors' films; the labels share no endpoint with either, so
+        // they run as a strand of their own.
+        let dir = std::env::temp_dir().join(format!("lusail-cli-strands-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (films, labels) = (dir.join("films.nt"), dir.join("labels.nt"));
+        let mut body = String::new();
+        for i in 0..30 {
+            if matches!(i, 0 | 1 | 4) {
+                body.push_str(&format!(
+                    "<http://x/f{i}> <http://x/director> <http://x/d{i}> .\n"
+                ));
+            }
+            if i != 4 {
+                body.push_str(&format!(
+                    "<http://x/f{i}> <http://www.w3.org/2002/07/owl#sameAs> <http://x/r{i}> .\n"
+                ));
+            }
+        }
+        std::fs::write(&films, body).unwrap();
+        let body: String = (0..12)
+            .map(|i| format!("<http://x/r{i}> <http://x/label> \"r{i}\" .\n"))
+            .collect();
+        std::fs::write(&labels, body).unwrap();
+        let args = s(&[
+            "query",
+            "--data",
+            films.to_str().unwrap(),
+            "--data",
+            labels.to_str().unwrap(),
+            "--query-text",
+            "SELECT ?film ?director ?label WHERE { ?film <http://x/director> ?director . \
+             ?film <http://www.w3.org/2002/07/owl#sameAs> ?r . ?r <http://x/label> ?label }",
+            "--format",
+            "csv",
+            "--explain",
+        ]);
+        let mut buf = Vec::new();
+        run(&args, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("# delayed       : 1\n"), "{text}");
+        assert!(text.contains("# strands       : 2\n"), "{text}");
+        let rows = text
+            .lines()
+            .filter(|l| l.starts_with("<http://x/f"))
+            .count();
+        assert_eq!(
+            rows, 2,
+            "films 0 and 1 have a director and a labelled link: {text}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -48,6 +48,10 @@ pub struct ExecutionProfile {
     pub subqueries: usize,
     /// How many subqueries SAPE delayed.
     pub delayed: usize,
+    /// How many strands SAPE ran the branches' schedules as: groups of
+    /// subqueries with no endpoint and no bind variable in common, each
+    /// running its two phases on its own. Summed over the branches.
+    pub strands: usize,
     /// Locality check queries actually sent (cache misses).
     pub check_queries: usize,
     /// `(subquery id, estimated, actual)` for non-delayed multi-pattern
@@ -87,6 +91,7 @@ impl ExecutionProfile {
         }
         self.subqueries += branch.subqueries;
         self.delayed += branch.delayed;
+        self.strands += branch.strands;
         self.check_queries += branch.check_queries;
         self.estimates.extend(branch.estimates);
         self.join_steps.extend(branch.join_steps);
@@ -338,6 +343,7 @@ impl LusailEngine {
         let outcome =
             executor.execute(&subqueries, &schedule, &cardinalities, &bridges, &expected)?;
         profile.estimates = outcome.estimates;
+        profile.strands = outcome.strands;
         profile.join_steps = outcome.join.steps;
         profile.join_inputs = outcome.join.inputs;
         profile.join_planning = outcome.join.planning;

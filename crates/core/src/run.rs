@@ -9,7 +9,8 @@
 //! [`Deadline`] and cancel token, and every fallible endpoint result comes
 //! back through [`RunContext::absorb`], which decides — per the configured
 //! [`ResultPolicy`] — whether a failure aborts the query or degrades it
-//! to a warning. The `UNION` branches of a query run side by side through
+//! to a warning. The `UNION` branches of a query, and the strands of a
+//! branch's SAPE schedule, run side by side through
 //! [`RunContext::fan_out`], each under a context of its own that shares
 //! the query's deadline, token and memory ledger.
 
@@ -194,10 +195,12 @@ impl RunContext {
         ))
     }
 
-    /// Run the branches of one query side by side, as one fan-out on the
-    /// ERH: `run(item, ctx)` once per item, results in submission order
-    /// whatever the thread schedule was. A one-thread handler runs them
-    /// inline, in order.
+    /// Run the branches of one query, or the strands of one branch
+    /// ([`SapeExecutor`](crate::sape::execute::SapeExecutor)), side by
+    /// side, as one fan-out on the ERH: `run(item, ctx)` once per item,
+    /// results in submission order whatever the thread schedule was. A
+    /// one-thread handler runs them inline, in order; a single item runs
+    /// inline under this very context, in no wave of its own.
     ///
     /// Each branch gets a context of its own over the query's deadline,
     /// cancel token and memory ledger. Its warnings are appended to this
@@ -218,6 +221,10 @@ impl RunContext {
         I: Send,
         T: Send,
     {
+        if items.len() == 1 {
+            let item = items.into_iter().next().expect("one item");
+            return Ok(vec![run(item, self)?]);
+        }
         let failed = Arc::new(OnceLock::new());
         let ran = handler.map(items, |item| {
             let ctx = RunContext {

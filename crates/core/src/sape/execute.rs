@@ -1,11 +1,14 @@
 //! Algorithm 3: selectivity-aware evaluation of subqueries.
 //!
-//! Phase 1 sends the non-delayed subqueries in one wave; their connected
-//! results are joined to find bindings; phase 2 evaluates the delayed
-//! subqueries over those bindings, every one that is ready in one wave;
-//! the global join ([`join_all_bridged`]) assembles everything. Three
-//! deviations from the algorithm as printed, all decided on rows already
-//! in hand:
+//! A branch's schedule is split into strands ([`strands`]): groups of
+//! subqueries that share no endpoint and no bind variable, run side by
+//! side through [`RunContext::fan_out`]. In each strand, phase 1 sends the
+//! non-delayed subqueries in one wave; their connected results are joined
+//! to find bindings; phase 2 evaluates the delayed subqueries over those
+//! bindings, every one that is ready in one wave. The global join
+//! ([`join_all_bridged`]) then assembles every strand's results. Four
+//! deviations from the algorithm as printed; the first three are decided
+//! on rows already in hand:
 //!
 //! * **A delayed subquery is bound only when binding is the smaller
 //!   request.** Algorithm 3 always ships the found bindings in `VALUES`
@@ -22,6 +25,11 @@
 //!   first. Here each round sends every remaining one that is *ready*
 //!   ([`ready_set`]) as one wave; only when none is does it fall back to
 //!   the single most selective pick.
+//! * **A delayed subquery waits only for the phase-1 results it is bound
+//!   on.** Algorithm 3's phase 1 is one barrier: every bound join waits
+//!   for the slowest phase-1 response. Here it waits for its own strand's
+//!   only. Strands that would send to a common endpoint are one strand, so
+//!   every endpoint is sent what the single wave sent it, in that order.
 
 use crate::budget::MemoryPhase;
 use crate::config::LusailConfig;
@@ -54,6 +62,8 @@ pub struct SapeOutcome {
     pub estimates: Vec<(usize, usize, usize)>,
     /// How many subqueries were evaluated as bound joins.
     pub delayed_executed: usize,
+    /// How many strands the branch's schedule ran as ([`strands`]).
+    pub strands: usize,
     /// What the global join planned and did.
     pub join: JoinReport,
 }
@@ -72,7 +82,8 @@ pub struct SapeExecutor<'a> {
 
 impl SapeExecutor<'_> {
     /// Run Algorithm 3 over `subqueries` with the given schedule and
-    /// estimated cardinalities (parallel to `subqueries`). `bridges` are
+    /// estimated cardinalities (parallel to `subqueries`), its strands
+    /// ([`strands`]) side by side, then join every result. `bridges` are
     /// `FILTER(?a = ?b)` variable equalities from the branch: disconnected
     /// subquery results joined through them use a hash join on the bridge
     /// keys instead of a cross product (the paper's "disjoint subgraphs
@@ -89,8 +100,58 @@ impl SapeExecutor<'_> {
         bridges: &[(Variable, Variable)],
         expected: &[FxHashMap<EndpointId, usize>],
     ) -> Result<SapeOutcome, EngineError> {
+        let labels: Vec<String> = subqueries
+            .iter()
+            .map(|sq| format!("subquery #{}", sq.id))
+            .collect();
+        let strands = strands(subqueries, schedule, cardinalities);
+        let count = strands.len();
+        let ran = self.ctx.fan_out(self.handler, strands, |strand, ctx| {
+            let executor = SapeExecutor { ctx, ..*self };
+            executor.run_strand(subqueries, &strand, cardinalities, expected, &labels)
+        })?;
         let mut partials: Vec<Option<Relation>> = vec![None; subqueries.len()];
-        let mut estimates = Vec::new();
+        let mut delayed_executed = 0;
+        for (settled, delayed) in ran {
+            for (i, rel) in settled {
+                partials[i] = Some(rel);
+            }
+            delayed_executed += delayed;
+        }
+        let estimates = (schedule.non_delayed.iter())
+            .filter(|&&i| subqueries[i].patterns.len() > 1)
+            .map(|&i| {
+                let actual = partials[i].as_ref().map_or(0, Relation::len);
+                (subqueries[i].id, cardinalities[i], actual)
+            })
+            .collect();
+
+        // ---- Final join ----------------------------------------------
+        // Its output stays charged: the caller holds it to the query's end.
+        let rels: Vec<&Relation> = partials.iter().flatten().collect();
+        let joined = join_all_bridged(&rels, bridges, self.handler, self.ctx)?;
+
+        Ok(SapeOutcome {
+            relation: joined.relation.into_owned(),
+            estimates,
+            delayed_executed,
+            strands: count,
+            join: joined.report,
+        })
+    }
+
+    /// Algorithm 3's two phases over one strand (`schedule` holds only
+    /// its subqueries): returns each subquery's relation, by index, and
+    /// how many ran as bound joins.
+    fn run_strand(
+        &self,
+        subqueries: &[Subquery],
+        schedule: &Schedule,
+        cardinalities: &[usize],
+        expected: &[FxHashMap<EndpointId, usize>],
+        labels: &[String],
+    ) -> Result<(Vec<(usize, Relation)>, usize), EngineError> {
+        let mut partials: Vec<Option<Relation>> = vec![None; subqueries.len()];
 
         // ---- Phase 1: non-delayed subqueries, one concurrent wave ------
         // Pre-seed empty results so a subquery with no relevant sources
@@ -99,10 +160,6 @@ impl SapeExecutor<'_> {
         for &i in schedule.non_delayed.iter().chain(&schedule.delayed) {
             partials[i] = Some(Relation::new(subqueries[i].projection.clone()));
         }
-        let labels: Vec<String> = subqueries
-            .iter()
-            .map(|sq| format!("subquery #{}", sq.id))
-            .collect();
         let wave: Vec<WaveRequest> = schedule
             .non_delayed
             .iter()
@@ -133,13 +190,6 @@ impl SapeExecutor<'_> {
             }
         }
         self.ctx.check()?;
-
-        for &i in &schedule.non_delayed {
-            if subqueries[i].patterns.len() > 1 {
-                let actual = partials[i].as_ref().map_or(0, |r| r.len());
-                estimates.push((subqueries[i].id, cardinalities[i], actual));
-            }
-        }
 
         let mut bindings = self.found_bindings(subqueries, schedule, &partials)?;
 
@@ -186,18 +236,10 @@ impl SapeExecutor<'_> {
                 delayed_executed += 1;
             }
         }
-
-        // ---- Final join ----------------------------------------------
-        // Its output stays charged: the caller holds it to the query's end.
-        let rels: Vec<&Relation> = partials.iter().flatten().collect();
-        let joined = join_all_bridged(&rels, bridges, self.handler, self.ctx)?;
-
-        Ok(SapeOutcome {
-            relation: joined.relation.into_owned(),
-            estimates,
-            delayed_executed,
-            join: joined.report,
-        })
+        let settled = (schedule.non_delayed.iter().chain(&schedule.delayed))
+            .map(|&i| (i, partials[i].take().expect("pre-seeded")))
+            .collect();
+        Ok((settled, delayed_executed))
     }
 
     /// The found bindings phase 1 leaves for phase 2: connected non-delayed
@@ -783,6 +825,83 @@ fn ready_set(remaining: &[usize], subqueries: &[Subquery], bindings: &FoundBindi
         .filter(|&i| {
             let vars = subqueries[i].variables();
             vars.iter().any(|v| bindings.contains(v)) && !vars.iter().any(|v| waits_for(i, v))
+        })
+        .collect()
+}
+
+/// Split one branch's `schedule` into strands: sub-schedules that run
+/// Algorithm 3 each on its own, side by side, so a delayed subquery waits
+/// only for the phase-1 results it is bound on. Deterministic, from the
+/// estimates in hand:
+///
+/// * each connected component of the phase-1 subqueries seeds a strand;
+/// * a delayed subquery joins the component of the most selective
+///   phase-1 subquery whose results it reads (a variable it mentions
+///   among that one's projection): its bind component;
+/// * delayed subqueries of which one reads what the other projects join
+///   each other, so a chain stays whole;
+/// * strands that would send to a common endpoint merge.
+///
+/// The last rule keeps every endpoint's requests in the order a single
+/// strand sends them: its phase-1 wave, then its bound rounds, all from
+/// one strand. The integrity ledger sees each endpoint's responses in
+/// that order, so its learned caps and cross-probes do not move.
+///
+/// Strands are ordered by their first subquery in the phase-1 wave, then
+/// among the delayed; each keeps the schedule's order inside.
+fn strands(subqueries: &[Subquery], schedule: &Schedule, cardinalities: &[usize]) -> Vec<Schedule> {
+    let members: Vec<usize> = (schedule.non_delayed.iter())
+        .chain(&schedule.delayed)
+        .copied()
+        .collect();
+    // `strand[i]`: the subquery whose strand `i` is in so far.
+    let mut strand: Vec<usize> = (0..subqueries.len()).collect();
+    let mut merge = |a: usize, b: usize| {
+        let (from, to) = (strand[a], strand[b]);
+        strand
+            .iter_mut()
+            .filter(|s| **s == from)
+            .for_each(|s| *s = to);
+    };
+    let reads =
+        |a: usize, b: usize| (subqueries[b].projection.iter()).any(|v| subqueries[a].mentions(v));
+    for component in connected_components(&schedule.non_delayed, subqueries) {
+        for pair in component.windows(2) {
+            merge(pair[0], pair[1]);
+        }
+    }
+    for (k, &d) in schedule.delayed.iter().enumerate() {
+        let bind = (schedule.non_delayed.iter().copied())
+            .filter(|&n| reads(d, n))
+            .min_by_key(|&n| cardinalities[n]);
+        if let Some(n) = bind {
+            merge(d, n);
+        }
+        for &e in &schedule.delayed[k + 1..] {
+            if reads(d, e) || reads(e, d) {
+                merge(d, e);
+            }
+        }
+    }
+    for (k, &a) in members.iter().enumerate() {
+        for &b in &members[k + 1..] {
+            let sources = &subqueries[b].sources;
+            if subqueries[a].sources.iter().any(|ep| sources.contains(ep)) {
+                merge(a, b);
+            }
+        }
+    }
+    let mut order: Vec<usize> = Vec::new();
+    for &i in &members {
+        if !order.contains(&strand[i]) {
+            order.push(strand[i]);
+        }
+    }
+    let of = |part: &[usize], s: usize| part.iter().copied().filter(|&i| strand[i] == s).collect();
+    (order.into_iter())
+        .map(|s| Schedule {
+            non_delayed: of(&schedule.non_delayed, s),
+            delayed: of(&schedule.delayed, s),
         })
         .collect()
 }
@@ -1680,5 +1799,265 @@ mod tests {
         assert_eq!(refined_cardinality(&sq, 1, &b), 1);
         let empty = FoundBindings::default();
         assert_eq!(refined_cardinality(&sq, 1000, &empty), 1000);
+    }
+
+    // ---- strands ----------------------------------------------------------
+
+    /// A one-pattern subquery at `sources` projecting `vars`: `?a <p{id}>
+    /// ?b` over the first two, `?a a <C{id}>` over a single one.
+    fn at(id: usize, sources: &[EndpointId], vars: &[&str]) -> Subquery {
+        let pattern = match vars {
+            [s] => TriplePattern::new(
+                TermPattern::var(*s),
+                TermPattern::iri(lusail_rdf::vocab::rdf::TYPE),
+                TermPattern::iri(format!("http://x/C{id}")),
+            ),
+            [s, o, ..] => TriplePattern::new(
+                TermPattern::var(*s),
+                TermPattern::iri(format!("http://x/p{id}")),
+                TermPattern::var(*o),
+            ),
+            [] => unreachable!("a subquery mentions a variable"),
+        };
+        Subquery {
+            id,
+            patterns: vec![pattern],
+            filters: vec![],
+            sources: sources.to_vec(),
+            projection: vars.iter().map(|n| v(n)).collect(),
+        }
+    }
+
+    fn schedule(non_delayed: &[usize], delayed: &[usize]) -> Schedule {
+        Schedule {
+            non_delayed: non_delayed.to_vec(),
+            delayed: delayed.to_vec(),
+        }
+    }
+
+    /// LargeRDFBench S6: LinkedMDB's directors (ep 9) and DBpedia's
+    /// labels (ep 4) up front, the `owl:sameAs` links between them (five
+    /// endpoints, DBpedia not among them) delayed.
+    fn s6_shape() -> Vec<Subquery> {
+        vec![
+            at(0, &[9], &["film", "director"]),
+            at(1, &[5, 6, 9, 10, 11], &["film", "r"]),
+            at(2, &[4], &["r", "label"]),
+        ]
+    }
+
+    #[test]
+    fn an_s6_shaped_schedule_runs_as_two_strands() {
+        let parts = strands(&s6_shape(), &schedule(&[0, 2], &[1]), &[110, 414, 400]);
+        assert_eq!(parts, [schedule(&[0], &[1]), schedule(&[2], &[])]);
+    }
+
+    #[test]
+    fn schedules_that_share_an_endpoint_run_as_one_strand() {
+        // C7: the two patientRef links (LinkedTCGA-M and -E) delayed, bound
+        // on the 13 old patients (LinkedTCGA-A); the expression and beta
+        // values sit on the endpoints the links are sent to.
+        let c7 = [
+            at(0, &[2], &["patient", "age"]),
+            at(1, &[0, 1], &["er", "patient"]),
+            at(2, &[0, 1], &["mr", "patient"]),
+            at(3, &[0], &["mr", "bv"]),
+            at(4, &[1], &["er", "ev"]),
+        ];
+        let plan = schedule(&[0, 3, 4], &[1, 2]);
+        let parts = strands(&c7, &plan, &[13, 2000, 2000, 1100, 900]);
+        assert_eq!(parts, [plan]);
+        // B3: the patientRef link is bound on the genders (LinkedTCGA-A),
+        // and shares LinkedTCGA-E with the expression values.
+        let b3 = [
+            at(0, &[0, 1], &["er", "patient"]),
+            at(1, &[1], &["er", "v"]),
+            at(2, &[2], &["patient", "gender"]),
+        ];
+        let plan = schedule(&[1, 2], &[0]);
+        assert_eq!(strands(&b3, &plan, &[2000, 876, 60]), [plan]);
+    }
+
+    #[test]
+    fn a_delayed_chain_stays_one_strand() {
+        // ?b is found up front; ?c only by the first delayed subquery,
+        // which the second waits for. A disjoint pair runs on its own.
+        let subqueries = [
+            at(0, &[0], &["a", "b"]),
+            at(1, &[1], &["b", "c"]),
+            at(2, &[2], &["c", "e"]),
+            at(3, &[3], &["y", "z"]),
+        ];
+        let parts = strands(&subqueries, &schedule(&[0, 3], &[1, 2]), &[5, 50, 60, 7]);
+        assert_eq!(parts, [schedule(&[0], &[1, 2]), schedule(&[3], &[])]);
+    }
+
+    #[test]
+    fn a_delayed_subquery_joins_its_most_selective_bind_component() {
+        // S6 with the links at endpoints neither side is at: they run
+        // after whichever side is estimated the fewer, which they are
+        // bound on; the other side runs on its own.
+        let mut subqueries = s6_shape();
+        subqueries[1].sources = vec![5, 6];
+        let plan = schedule(&[0, 2], &[1]);
+        let parts = strands(&subqueries, &plan, &[110, 414, 400]);
+        assert_eq!(parts, [schedule(&[0], &[1]), schedule(&[2], &[])]);
+        let parts = strands(&subqueries, &plan, &[500, 414, 400]);
+        assert_eq!(parts, [schedule(&[0], &[]), schedule(&[2], &[1])]);
+        // A tie goes to the first in the phase-1 wave.
+        let parts = strands(&subqueries, &plan, &[400, 414, 400]);
+        assert_eq!(parts, [schedule(&[0], &[1]), schedule(&[2], &[])]);
+    }
+
+    /// Holds every request until a request with a `VALUES` block reaches
+    /// the endpoint opening the gate, or for five seconds at most.
+    struct Gate {
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+        /// Whether a held request was let go by the ceiling, not the gate.
+        timed_out: std::sync::atomic::AtomicBool,
+    }
+
+    /// An endpoint on one side of a [`Gate`]: it holds its requests there,
+    /// or opens it with a bound-join request.
+    struct Gated {
+        inner: Logged,
+        gate: Arc<Gate>,
+        holds: bool,
+    }
+
+    impl SparqlEndpoint for Gated {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn execute_within(
+            &self,
+            query: &Query,
+            deadline: Deadline,
+        ) -> Result<QueryResult, EndpointError> {
+            let gate = &self.gate;
+            if self.holds {
+                let open = gate.open.lock().unwrap();
+                let (open, wait) = gate
+                    .opened
+                    .wait_timeout_while(open, Duration::from_secs(5), |open| !*open)
+                    .unwrap();
+                drop(open);
+                if wait.timed_out() {
+                    gate.timed_out
+                        .store(true, std::sync::atomic::Ordering::SeqCst);
+                }
+            } else if serialize_query(query).contains("VALUES") {
+                *gate.open.lock().unwrap() = true;
+                gate.opened.notify_all();
+            }
+            self.inner.execute_within(query, deadline)
+        }
+        fn traffic(&self) -> TrafficSnapshot {
+            self.inner.traffic()
+        }
+        fn reset_traffic(&self) {
+            self.inner.reset_traffic()
+        }
+    }
+
+    /// 13 weights and [`BLOCK`] heights at endpoint 0, two pairs at
+    /// `pairs_at`; endpoint 1 holds its requests at a gate that a bound
+    /// join at endpoint 0 opens. The weights and the pairs run up front,
+    /// the heights bound on the weights.
+    fn gated_run(pairs_at: EndpointId) -> (SapeOutcome, Arc<Gated>, Arc<Gated>) {
+        let (mut fast, mut slow) = (Graph::new(), Graph::new());
+        for i in 0..BLOCK {
+            if i < 13 {
+                fast.add(d(i), Term::iri("http://x/weight"), Term::integer(i as i64));
+            }
+            fast.add(d(i), Term::iri("http://x/height"), d(1000 + i));
+        }
+        for i in 0..2 {
+            let at = if pairs_at == 0 { &mut fast } else { &mut slow };
+            at.add(d(i), Term::iri("http://x/pair"), d(2000 + i));
+        }
+        let gate = Arc::new(Gate {
+            open: std::sync::Mutex::new(false),
+            opened: std::sync::Condvar::new(),
+            timed_out: std::sync::atomic::AtomicBool::new(false),
+        });
+        let gated = |name: &str, g: &Graph, holds| {
+            Arc::new(Gated {
+                inner: Logged {
+                    inner: SimulatedEndpoint::new(
+                        name,
+                        Store::from_graph(g),
+                        NetworkProfile::instant(),
+                    ),
+                    sent: std::sync::Mutex::new(Vec::new()),
+                },
+                gate: gate.clone(),
+                holds,
+            })
+        };
+        let (fast, slow) = (gated("fast", &fast, false), gated("slow", &slow, true));
+        let rig = Rig {
+            federation: Federation::new(vec![fast.clone(), slow.clone()]),
+            ..Rig::new(fast.clone(), false)
+        };
+        let mut subqueries = vec![
+            link(0, "d", "weight", "w", &["d", "w"]),
+            link(1, "d", "height", "h", &["d", "h"]),
+            link(2, "p", "pair", "q", &["p", "q"]),
+        ];
+        subqueries[2].sources = vec![pairs_at];
+        let outcome = rig
+            .executor()
+            .execute(
+                &subqueries,
+                &schedule(&[0, 2], &[1]),
+                &[13, BLOCK, 2],
+                &[],
+                &[],
+            )
+            .unwrap();
+        assert_eq!(
+            outcome.relation.len(),
+            13 * 2,
+            "13 weighed heights × 2 pairs"
+        );
+        assert_eq!(outcome.delayed_executed, 1);
+        (outcome, fast, slow)
+    }
+
+    #[test]
+    fn a_bound_join_does_not_wait_for_a_phase_one_result_it_does_not_read() {
+        // The pairs, at endpoint 1, are held until endpoint 0 has the
+        // heights' VALUES block: under one barrier wave that block would
+        // wait for the pairs, and the gate would give up after 5 s.
+        let (outcome, fast, slow) = gated_run(1);
+        assert!(
+            !slow
+                .gate
+                .timed_out
+                .load(std::sync::atomic::Ordering::SeqCst),
+            "the bound join waited for the pairs"
+        );
+        assert_eq!(outcome.strands, 2);
+        assert_eq!(slow.inner.sent.lock().unwrap().len(), 1);
+        let sent = fast.inner.sent.lock().unwrap();
+        assert_eq!(sent.iter().filter(|q| q.contains("VALUES")).count(), 1);
+    }
+
+    #[test]
+    fn subqueries_at_a_shared_endpoint_stay_one_strand_in_phase_order() {
+        // The same schedule with the pairs at endpoint 0: one strand, and
+        // endpoint 0 is sent both phase-1 selects before the bound block.
+        let (outcome, fast, slow) = gated_run(0);
+        assert_eq!(outcome.strands, 1);
+        assert!(slow.inner.sent.lock().unwrap().is_empty());
+        let sent = fast.inner.sent.lock().unwrap();
+        assert_eq!(sent.len(), 3, "{sent:#?}");
+        assert!(
+            sent[2].contains("VALUES") && sent[2].contains("height"),
+            "{sent:#?}"
+        );
+        assert!(sent[..2].iter().all(|q| !q.contains("VALUES")), "{sent:#?}");
     }
 }

@@ -24,6 +24,19 @@ if grep -rnE 'fn (dp_join_order|greedy_order)\(' crates --include='*.rs'; then
     echo "an old join-order function is back; plan_joins is the one planner" >&2
     exit 1
 fi
+# One strand rule and no knob (DESIGN.md → Deviations from Algorithm 3):
+# `fn strands(` is defined once, in sape/execute.rs, and no LusailConfig
+# field, env var or CLI flag mentions strands; `--explain` only reports them.
+n=$(grep -rhoE "fn strands\(" crates --include='*.rs' | wc -l)
+if [ "$n" -ne 1 ] || ! grep -q "fn strands(" crates/core/src/sape/execute.rs; then
+    echo "fn strands is defined ${n} times under crates/, want 1, in crates/core/src/sape/execute.rs" >&2
+    exit 1
+fi
+if grep -niE 'strand' crates/core/src/config.rs \
+    || grep -rniE 'env::var(_os)?\([^)]*strand|LUSAIL_[A-Z_]*STRAND|--[a-z-]*strand' crates --include='*.rs'; then
+    echo "strands gained a knob; the split is one deterministic rule" >&2
+    exit 1
+fi
 # The round-number integrity rule stays gone: two config fields, one branch
 # of `observe_rows`, no catch on any corpus in any census (DESIGN.md → Known
 # performance issues).

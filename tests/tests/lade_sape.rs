@@ -468,6 +468,125 @@ fn keeping_fewer_found_bindings_sends_the_same_requests() {
     }
 }
 
+/// FNV-1a over `texts`, each followed by a newline.
+fn fnv(texts: &[String]) -> u64 {
+    (texts.iter())
+        .flat_map(|q| q.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Run `queries` in catalog order through one fresh engine (default
+/// configuration, so the analysis cache warms as the pass goes) over
+/// `graphs` at `profile`. Per query: a fingerprint of what every
+/// endpoint was sent for it, each endpoint's requests taken as a multiset
+/// (sorted), since the requests of one wave arrive in thread order.
+fn request_fingerprints(
+    graphs: Vec<(String, Graph)>,
+    queries: Vec<BenchQuery>,
+    profile: NetworkProfile,
+) -> Vec<(&'static str, u64)> {
+    let (recorders, fed) = RecordingEndpoint::federation(graphs.iter().map(|(name, g)| {
+        Arc::new(SimulatedEndpoint::new(
+            name.clone(),
+            Store::from_graph(g),
+            profile,
+        )) as Arc<dyn SparqlEndpoint>
+    }));
+    let engine = LusailEngine::new(fed, LusailConfig::default());
+    queries
+        .iter()
+        .map(|q| {
+            let from: Vec<usize> = recorders.iter().map(|r| r.sent().len()).collect();
+            engine.execute(&q.parse()).unwrap();
+            let per_endpoint: Vec<String> = (recorders.iter().zip(from))
+                .map(|(r, from)| {
+                    let mut sent = r.sent().split_off(from);
+                    sent.sort();
+                    format!("{} {} {}", r.name(), sent.len(), fnv(&sent))
+                })
+                .collect();
+            (q.name, fnv(&per_endpoint))
+        })
+        .collect()
+}
+
+#[test]
+fn strands_send_every_endpoint_the_same_requests() {
+    // SAPE runs a branch's endpoint-disjoint strands side by side. Each
+    // endpoint must still be sent exactly what one barrier wave sent it:
+    // the fingerprints are of the parent commit's logs, query by query.
+    let wan = request_fingerprints(
+        largerdf::generate_all(&largerdf::LargeRdfConfig::default()),
+        largerdf::all_queries(),
+        NetworkProfile::geo_distributed(),
+    );
+    assert_eq!(wan, WAN_FINGERPRINTS, "LargeRDFBench");
+    let qfed = request_fingerprints(
+        qfed::generate_all(&qfed::QfedConfig::default()),
+        qfed::queries(),
+        NetworkProfile::instant(),
+    );
+    assert_eq!(qfed, QFED_FINGERPRINTS, "QFed");
+    let lubm = request_fingerprints(
+        lubm::generate_all(&lubm::LubmConfig::default()),
+        lubm::queries(),
+        NetworkProfile::instant(),
+    );
+    assert_eq!(lubm, LUBM_FINGERPRINTS, "LUBM");
+}
+
+const WAN_FINGERPRINTS: [(&str, u64); 32] = [
+    ("S1", 0xc5f245aac979c60f),
+    ("S2", 0x193d593c15abad65),
+    ("S3", 0xfa44e3d9a2f7915a),
+    ("S4", 0xda827e139420e9b5),
+    ("S5", 0x7797065b1ebe4d2c),
+    ("S6", 0xf2b18a58762332),
+    ("S7", 0x48b04477dc5d580d),
+    ("S8", 0xc5788e2f704922f0),
+    ("S9", 0xc4a093ccac0f1ed),
+    ("S10", 0x51d4c6c020eac7cb),
+    ("S11", 0x36b7da536a3eef59),
+    ("S12", 0x331fe2ff000bca5e),
+    ("S13", 0x70143f874113ae45),
+    ("S14", 0xbb72015728a845db),
+    ("C1", 0x89fadac9ca67df30),
+    ("C2", 0xef03b4dd3dc9ae57),
+    ("C3", 0xac1c1aed1d833f58),
+    ("C4", 0x851887eec9ebe9a9),
+    ("C5", 0x2616117fdb241129),
+    ("C6", 0x2002efaa3e94499),
+    ("C7", 0xfcba62abb62d2b7c),
+    ("C8", 0xd22341b03835c9f6),
+    ("C9", 0x12c439b0aaef9abf),
+    ("C10", 0x9f157016d555a352),
+    ("B1", 0x1d5073ba9b96dd39),
+    ("B2", 0x2070d8df40b2a6c7),
+    ("B3", 0x6c29dea6e1ddb9c4),
+    ("B4", 0x92dfdb168782318),
+    ("B5", 0xbb36a0acac10df1e),
+    ("B6", 0x4b96cc8f26bffc3a),
+    ("B7", 0x324af7aa1349d17f),
+    ("B8", 0x7dd2039c9f4f09dc),
+];
+const QFED_FINGERPRINTS: [(&str, u64); 7] = [
+    ("C2P2", 0xa468025214a895b5),
+    ("C2P2F", 0x61aa21d39652e8fa),
+    ("C2P2OF", 0xeb65649eb7e81978),
+    ("C2P2B", 0x2f04989b0177faf0),
+    ("C2P2BF", 0x877eafe4628bab0c),
+    ("C2P2BO", 0xfdae2de9e52a7940),
+    ("C2P2BOF", 0xa90eb90320d4c2b5),
+];
+const LUBM_FINGERPRINTS: [(&str, u64); 4] = [
+    ("Q1", 0x904385be7b1e5421),
+    ("Q2", 0x1eac45fc2a6411fd),
+    ("Q3", 0xbb1a14f19c4e3a25),
+    ("Q4", 0x4d803d04cdc53295),
+];
+
 #[test]
 fn lusail_handles_empty_federation_members() {
     // An endpoint with no data must not break anything.
