@@ -8,7 +8,8 @@
 //! join (the old algorithm, reconstructed here) against `Relation::join`
 //! (interned) and `parallel_join` (interned + partitioned). A second pair
 //! of rows joins three chain relations of skewed sizes in input order and
-//! in the order `plan_joins` picks. Results land in
+//! in the order `plan_joins` picks, and `left_join` / `minus` rows time the
+//! kernel's left-outer and anti probes. Results land in
 //! `BENCH_micro_joins.json` for cross-revision tracking.
 
 use lusail_bench::{bench_scale, sample, write_records, Record};
@@ -168,6 +169,18 @@ fn main() {
         records.push(row(&label, "id-parallel", &expected, || {
             parallel_join(&a, &b, &handler)
         }));
+    }
+
+    // The other two probes of the same kernel, on the same data shape:
+    // OPTIONAL keeps every left row, MINUS drops the matched ones.
+    for n in [2_000usize, 10_000] {
+        let n = ((n as f64) * scale) as usize;
+        let a = make_rel(["x", "y1", "y2", "y3"], n, 0, 4);
+        let b = make_rel(["x", "z1", "z2", "z3"], n, n / 8, 4);
+        let label = format!("left_join_{n}x{n}");
+        records.push(row(&label, "id", &a.left_join(&b), || a.left_join(&b)));
+        let label = format!("minus_{n}x{n}");
+        records.push(row(&label, "id", &a.minus(&b), || a.minus(&b)));
     }
 
     let rels = chain_relations();

@@ -24,11 +24,9 @@ use crate::config::ResultPolicy;
 use crate::error::EngineError;
 use crate::run::{ExecutionWarning, RunContext};
 use lusail_federation::RequestHandler;
-use lusail_rdf::dict::{KeyInterner, SlotId, UNBOUND};
-use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::{Literal, Term};
 use lusail_sparql::ast::Variable;
-use lusail_sparql::solution::{encode_keys, row_wire_size, MergePlan, Relation, Row};
+use lusail_sparql::solution::{row_wire_size, Relation, Row};
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -587,120 +585,21 @@ fn reordered(mut rel: Relation, header: Vec<Variable>) -> Relation {
 
 /// Hash join `a ⋈ b` with the probe side split across the handler's
 /// threads (the paper's step (ii): threads holding the larger relation
-/// probe a hash table built from the smaller one).
-///
-/// Both join keys are interned once into a shared query-scoped
-/// [`KeyInterner`] and every row's join-key hash is computed exactly once
-/// — over its fixed-width [`SlotId`]s, not its strings. The build table is
-/// shared read-only by all threads; each thread probes a *contiguous*
-/// range of the larger side, so probe rows and output merges stay
-/// sequential in memory instead of scattering through hash partitions.
-/// Terms materialize again only in the output rows.
+/// probe a hash table built from the smaller one). This is
+/// [`Relation::join_in_parts`]: one build table, read by every thread, each
+/// probing a *contiguous* range, so the output equals [`Relation::join`]
+/// row for row.
 pub fn parallel_join(a: &Relation, b: &Relation, handler: &RequestHandler) -> Relation {
-    let shared: Vec<Variable> = a
-        .vars()
-        .iter()
-        .filter(|v| b.index_of(v).is_some())
-        .cloned()
-        .collect();
-    // Below ~16k rows on the smaller side the sequential interned join
-    // wins: thread fan-out and the shared-table indirection cost more
-    // than they parallelize away (measured in the micro_joins bench).
+    // Below ~16k rows on the smaller side the sequential join wins: thread
+    // fan-out costs more than it parallelizes away (measured in the
+    // micro_joins bench).
     const MIN_ROWS: usize = 16 * 1024;
-    if shared.is_empty() || a.len().min(b.len()) < MIN_ROWS || handler.threads() < 2 {
-        // Products and small inputs aren't worth the fan-out overhead.
+    if a.len().min(b.len()) < MIN_ROWS || handler.threads() < 2 {
         return a.join(b);
     }
-    chunked_probe_join(a, b, &shared, handler)
-}
-
-/// The partitioned-probe body of [`parallel_join`], without its size
-/// gate: `shared` must be the non-empty shared-variable list.
-fn chunked_probe_join(
-    a: &Relation,
-    b: &Relation,
-    shared: &[Variable],
-    handler: &RequestHandler,
-) -> Relation {
-    let parts = handler.threads();
-    let a_idx: Vec<usize> = shared.iter().map(|v| a.index_of(v).unwrap()).collect();
-    let b_idx: Vec<usize> = shared.iter().map(|v| b.index_of(v).unwrap()).collect();
-
-    // Intern only the join-key columns once; each key string is hashed a
-    // single time here, everything after works on u32 slots. Non-key cells
-    // never touch the interner — output merges straight from the original
-    // term rows.
-    let mut dict = KeyInterner::new();
-    let a_keys = encode_keys(a.rows(), &a_idx, &mut dict);
-    let b_keys = encode_keys(b.rows(), &b_idx, &mut dict);
-    if a_keys
-        .iter()
-        .chain(b_keys.iter())
-        .any(|k| k.contains(&UNBOUND))
-    {
-        // Unbound join keys (possible after OPTIONAL): correctness first.
-        return a.join(b);
-    }
-
-    let slot_hash = |key: &[SlotId]| -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = lusail_rdf::fxhash::FxHasher::default();
-        for &s in key {
-            s.hash(&mut h);
-        }
-        h.finish()
-    };
-
-    let build_from_a = a.len() <= b.len();
-    let (build_keys, probe_keys) = if build_from_a {
-        (&a_keys, &b_keys)
-    } else {
-        (&b_keys, &a_keys)
-    };
-    let probe_len = if build_from_a { b.len() } else { a.len() };
-
-    // Build once from the smaller side, keyed by the slot hash; slot
-    // equality resolves the (rare) collisions at probe time.
-    let mut table: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    for (i, key) in build_keys.iter().enumerate() {
-        table.entry(slot_hash(key)).or_default().push(i);
-    }
-
-    let mut out_vars = a.vars().to_vec();
-    for v in b.vars() {
-        if !out_vars.contains(v) {
-            out_vars.push(v.clone());
-        }
-    }
-    let merge = MergePlan::new(a, b, &out_vars);
-
-    let chunk = probe_len.div_ceil(parts);
-    let ranges: Vec<std::ops::Range<usize>> = (0..parts)
-        .map(|p| (p * chunk).min(probe_len)..((p + 1) * chunk).min(probe_len))
-        .collect();
-    let parts_out: Vec<Vec<Row>> = handler.map(ranges, |range| {
-        let mut rows = Vec::new();
-        for pi in range {
-            let pkey = probe_keys.row(pi);
-            let Some(candidates) = table.get(&slot_hash(pkey)) else {
-                continue;
-            };
-            // Both key tables follow `shared`'s order, so collision
-            // checking is a direct slot comparison.
-            for &bi in candidates {
-                if build_keys.row(bi) == pkey {
-                    let (ai, bj) = if build_from_a { (bi, pi) } else { (pi, bi) };
-                    rows.push(merge.merge_terms(&a.rows()[ai], &b.rows()[bj]));
-                }
-            }
-        }
-        rows
-    });
-    let mut out = Relation::new(out_vars);
-    for part in parts_out {
-        out.rows_mut().extend(part);
-    }
-    out
+    a.join_in_parts(b, handler.threads(), |ranges, probe| {
+        handler.map(ranges, probe)
+    })
 }
 
 /// The result of a [`budgeted_join`]: the relation, whether partial mode
@@ -1516,22 +1415,16 @@ mod tests {
     #[test]
     fn parallel_join_matches_sequential() {
         let handler = RequestHandler::new(4);
-        // Big enough to trigger the partitioned path.
         let a = rel(&["x", "y"], 2000, 0);
         let b = rel(&["y", "z"], 2000, 1000); // overlap on rows 1000..2000
         let seq = a.join(&b);
-        // Call the partitioned body directly: the public entry would route
+        // Call the partitioned probe directly: the public entry would route
         // inputs this small to the sequential join.
-        let shared = vec![Variable::new("y")];
-        let mut par = chunked_probe_join(&a, &b, &shared, &handler);
+        let par = a.join_in_parts(&b, handler.threads(), |ranges, probe| {
+            handler.map(ranges, probe)
+        });
         assert_eq!(seq.len(), 1000);
-        assert_eq!(par.len(), seq.len());
-        assert_eq!(par.vars(), seq.vars());
-        // Same multiset of rows.
-        let mut seq_rows = seq.rows().to_vec();
-        seq_rows.sort();
-        par.rows_mut().sort();
-        assert_eq!(par.rows(), &seq_rows[..]);
+        assert_eq!(par, seq);
     }
 
     #[test]

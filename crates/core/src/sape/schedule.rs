@@ -188,6 +188,23 @@ mod tests {
     }
 
     #[test]
+    fn three_subqueries_lose_the_outlier_then_delay_the_larger_of_the_rest() {
+        // ROADMAP 3(c) (DESIGN.md → Deviations from Algorithm 3). For n = 3
+        // the largest |z| is at most √2 and Chauvenet rejects it once
+        // 3·erfc(z/√2) < ½, i.e. z > 1.378; μ + σ of the two left is then
+        // the larger of them, so `≥` delays it too unless it is its
+        // component's minimum. An S6-shaped query at 5 / 29 / 10 rows
+        // (z = 1.386) delays the 10-row subquery behind the 29-row one.
+        let sqs: Vec<Subquery> = (0..3).map(|i| sq(i, 1)).collect();
+        let s = make_schedule(&sqs, &[5, 29, 10], DelayThreshold::MuSigma);
+        assert_eq!((s.non_delayed, s.delayed), (vec![0], vec![1, 2]));
+        // At 3 / 29 / 12 (z = 1.33) nothing is rejected: μ + σ = 25.4
+        // delays the 29-row subquery alone.
+        let s = make_schedule(&sqs, &[3, 29, 12], DelayThreshold::MuSigma);
+        assert_eq!((s.non_delayed, s.delayed), (vec![0, 2], vec![1]));
+    }
+
+    #[test]
     fn single_subquery_never_delayed() {
         let sqs = vec![sq(0, 8)];
         let s = make_schedule(&sqs, &[1_000_000], DelayThreshold::Mu);

@@ -1,13 +1,18 @@
 //! Solution sequences: the tabular results exchanged between endpoints and
 //! the federated query processor.
 //!
-//! The multiset operators (`join`, `minus`, `dedup`, `distinct_values`)
-//! run on *interned* rows: each operator builds a
-//! query-scoped [`Dictionary`], encodes the rows it touches once into
+//! The multiset operators run on *interned* cells: each builds a
+//! query-scoped interner, encodes the cells it compares once into
 //! fixed-width [`SlotId`]s, and then hashes and compares plain `u32`s
-//! instead of term strings. Terms are materialized again only when the
-//! operator emits its output rows. `equi_join` pairs rows by value, not by
-//! term, so it keys them by [`equality_key`] instead.
+//! instead of term strings. Terms are cloned again only into output rows.
+//!
+//! Every join is one hash-join kernel: a [`KeyTable`] holds one side's key
+//! cells, [`HashTable::build`] hashes the build side, and
+//! [`HashTable::probe`] walks probe rows in order with an inner, left-outer
+//! or anti [`Probe`]. `join` / `join_in_parts`, `left_join`, `minus` and
+//! `equi_join` (keyed by interned [`equality_key`]s, since `=` pairs
+//! values, not terms) call it here; the store's evaluator calls it on its
+//! own cells ([`JoinKey`]).
 
 use crate::aggregate::aggregate_relation;
 use crate::ast::{Projection, SelectQuery, Variable};
@@ -15,6 +20,8 @@ use lusail_rdf::dict::{Dictionary, KeyInterner, SlotId, UNBOUND};
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::Term;
 use std::cmp::Ordering;
+use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One solution row: a term (or unbound) per variable of the owning
@@ -165,224 +172,75 @@ impl Relation {
     /// is `self.vars ∪ other.vars` (self's order first). Unbound join keys
     /// follow SPARQL compatibility: two rows are compatible if, for every
     /// shared variable, the values are equal *or at least one is unbound*;
-    /// the bound value (if any) wins in the output.
+    /// the bound value (if any) wins in the output. The smaller side is
+    /// hashed; a product keeps `self` outermost.
     pub fn join(&self, other: &Relation) -> Relation {
-        let shared: Vec<Variable> = self
-            .vars
-            .iter()
-            .filter(|v| other.index_of(v).is_some())
-            .cloned()
-            .collect();
-        let mut out_vars = self.vars.clone();
-        for v in &other.vars {
-            if !out_vars.contains(v) {
-                out_vars.push(v.clone());
-            }
-        }
-        let mut out = Relation::new(out_vars);
-
-        if shared.is_empty() {
-            // Cartesian product.
-            for a in &self.rows {
-                for b in &other.rows {
-                    out.rows
-                        .push(Self::merge_rows(self, other, a, b, &out.vars));
-                }
-            }
-            return out;
-        }
-
-        // Intern only the join-key cells into one query-scoped dictionary:
-        // each key string is hashed exactly once (at interning), and all
-        // build/probe equality from here on is `u32` equality. Non-key
-        // cells never touch the dictionary — output rows merge straight
-        // from the original term rows.
-        let self_shared_idx: Vec<usize> =
-            shared.iter().map(|v| self.index_of(v).unwrap()).collect();
-        let other_shared_idx: Vec<usize> =
-            shared.iter().map(|v| other.index_of(v).unwrap()).collect();
-        let mut dict = KeyInterner::new();
-        let self_keys = encode_keys(&self.rows, &self_shared_idx, &mut dict);
-        let other_keys = encode_keys(&other.rows, &other_shared_idx, &mut dict);
-        let merge = MergePlan::new(self, other, &out.vars);
-
-        let (small_rel, big_rel, small_keys, big_keys, small_is_self) =
-            if self.rows.len() <= other.rows.len() {
-                (self, other, &self_keys, &other_keys, true)
-            } else {
-                (other, self, &other_keys, &self_keys, false)
-            };
-
-        // Rows where every shared var is bound go into a hash table; rows
-        // with unbound shared vars (possible after OPTIONAL) fall back to a
-        // scan. The scan list is usually empty.
-        let mut table: FxHashMap<&[SlotId], Vec<usize>> = FxHashMap::default();
-        let mut loose: Vec<usize> = Vec::new();
-        for (i, key) in small_keys.iter().enumerate() {
-            if key.contains(&UNBOUND) {
-                loose.push(i);
-            } else {
-                table.entry(key).or_default().push(i);
-            }
-        }
-
-        // SPARQL compatibility on interned key cells: equal slots, or at
-        // least one unbound. (Both key vectors follow `shared`'s order.)
-        let compatible = |skey: &[SlotId], bkey: &[SlotId]| {
-            skey.iter()
-                .zip(bkey)
-                .all(|(&s, &b)| s == b || s == UNBOUND || b == UNBOUND)
-        };
-        let emit = |si: usize, bi: usize, out: &mut Relation| {
-            let (a, b) = if small_is_self {
-                (&small_rel.rows[si], &big_rel.rows[bi])
-            } else {
-                (&big_rel.rows[bi], &small_rel.rows[si])
-            };
-            out.rows.push(merge.merge_terms(a, b));
-        };
-
-        for (bi, bkey) in big_keys.iter().enumerate() {
-            let bound = !bkey.contains(&UNBOUND);
-            if bound {
-                if let Some(matches) = table.get(bkey) {
-                    for &si in matches {
-                        emit(si, bi, &mut out);
-                    }
-                }
-            }
-            // Loose rows (unbound shared vars) are compatibility-checked
-            // directly.
-            for &si in &loose {
-                if compatible(small_keys.row(si), bkey) {
-                    emit(si, bi, &mut out);
-                }
-            }
-            // Symmetric case: the big row has an unbound shared var — check
-            // against all hashed rows too.
-            if !bound {
-                for rows in table.values() {
-                    for &si in rows {
-                        if compatible(small_keys.row(si), bkey) {
-                            emit(si, bi, &mut out);
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.join_in_parts(other, 1, |ranges, probe| {
+            ranges.into_iter().map(probe).collect()
+        })
     }
 
-    fn merge_rows(
-        left: &Relation,
-        right: &Relation,
-        a: &Row,
-        b: &Row,
-        out_vars: &[Variable],
-    ) -> Row {
-        // Term-level twin of [`MergePlan::merge`], for paths that never
-        // intern (cartesian products, left_join).
-        out_vars
-            .iter()
-            .map(|v| {
-                let from_left = left.index_of(v).and_then(|i| a[i].clone());
-                if from_left.is_some() {
-                    from_left
-                } else {
-                    right.index_of(v).and_then(|i| b[i].clone())
-                }
-            })
-            .collect()
+    /// [`Self::join`] with the probe side cut into `parts` contiguous
+    /// ranges: `map` runs `probe` over every range (on as many threads as
+    /// it likes) and returns the parts in range order, which are
+    /// concatenated. The build table is built once and only read, so the
+    /// result equals [`Self::join`] row for row.
+    pub fn join_in_parts(
+        &self,
+        other: &Relation,
+        parts: usize,
+        map: impl FnOnce(Vec<Range<usize>>, &ProbeRange) -> Vec<Vec<Row>>,
+    ) -> Relation {
+        let (mine, theirs) = self.shared_keys(other);
+        let (vars, merge) = self.joined_header(other);
+        let build_self = mine.width > 0 && self.len() <= other.len();
+        let (build, probe) = if build_self {
+            (&mine, &theirs)
+        } else {
+            (&theirs, &mine)
+        };
+        let table = HashTable::build(build);
+        let probe_range = |range: Range<usize>| {
+            let mut rows = Vec::new();
+            table.probe(probe, range, Probe::Inner, |p, b| {
+                let b = b.expect("an inner probe emits pairs");
+                let (a, o) = if build_self { (b, p) } else { (p, b) };
+                rows.push(merge.merge_terms(&self.rows[a], Some(&other.rows[o])));
+            });
+            rows
+        };
+        let parts = parts.max(1);
+        let chunk = probe.len.div_ceil(parts);
+        let ranges = (0..parts)
+            .map(|p| (p * chunk).min(probe.len)..((p + 1) * chunk).min(probe.len))
+            .collect();
+        let mut parts = map(ranges, &probe_range).into_iter();
+        let mut rows = parts.next().unwrap_or_default();
+        for part in parts {
+            rows.extend(part);
+        }
+        Relation { vars, rows }
     }
 
     /// Left outer join (SPARQL `OPTIONAL` without filter): every row of
-    /// `self` appears at least once; matching rows of `other` extend it.
+    /// `self` appears at least once, in order; matching rows of `other`
+    /// extend it.
     pub fn left_join(&self, other: &Relation) -> Relation {
-        let inner = self.join(other);
-        let mut out_vars = self.vars.clone();
-        for v in &other.vars {
-            if !out_vars.contains(v) {
-                out_vars.push(v.clone());
-            }
-        }
-        // Identify which self-rows found a partner by re-deriving the match
-        // predicate: a self-row survives if joining it alone yields rows.
-        // Cheaper: count matches per left row index by joining with a tag.
-        // We instead do the standard approach: build the join keyed by left
-        // row identity.
-        let shared: Vec<Variable> = self
-            .vars
-            .iter()
-            .filter(|v| other.index_of(v).is_some())
-            .cloned()
-            .collect();
-        let mut out = Relation::new(out_vars.clone());
-        if shared.is_empty() && !other.rows.is_empty() {
-            return inner; // pure product: every left row matched
-        }
-        let other_idx: Vec<usize> = shared.iter().map(|v| other.index_of(v).unwrap()).collect();
-        let self_idx: Vec<usize> = shared.iter().map(|v| self.index_of(v).unwrap()).collect();
-        let mut table: FxHashMap<Vec<&Term>, Vec<&Row>> = FxHashMap::default();
-        let mut loose: Vec<&Row> = Vec::new();
-        for row in &other.rows {
-            let key: Option<Vec<&Term>> = other_idx.iter().map(|&i| row[i].as_ref()).collect();
-            match key {
-                Some(k) => table.entry(k).or_default().push(row),
-                None => loose.push(row),
-            }
-        }
-        for arow in &self.rows {
-            let mut matched = false;
-            let key: Option<Vec<&Term>> = self_idx.iter().map(|&i| arow[i].as_ref()).collect();
-            let try_row = |brow: &Row, out: &mut Relation, matched: &mut bool| {
-                let compatible = self_idx.iter().zip(other_idx.iter()).all(|(&si, &bi)| {
-                    match (&arow[si], &brow[bi]) {
-                        (Some(a), Some(b)) => a == b,
-                        _ => true,
-                    }
-                });
-                if compatible {
-                    out.rows
-                        .push(Self::merge_rows(self, other, arow, brow, &out_vars));
-                    *matched = true;
-                }
-            };
-            match &key {
-                Some(k) => {
-                    if let Some(rows) = table.get(k) {
-                        for brow in rows {
-                            try_row(brow, &mut out, &mut matched);
-                        }
-                    }
-                }
-                None => {
-                    for rows in table.values() {
-                        for brow in rows {
-                            try_row(brow, &mut out, &mut matched);
-                        }
-                    }
-                }
-            }
-            for brow in &loose {
-                try_row(brow, &mut out, &mut matched);
-            }
-            if !matched {
-                let row = out_vars
-                    .iter()
-                    .map(|v| self.index_of(v).and_then(|i| arow[i].clone()))
-                    .collect();
-                out.rows.push(row);
-            }
-        }
-        out
+        let (mine, theirs) = self.shared_keys(other);
+        let (vars, merge) = self.joined_header(other);
+        let mut rows = Vec::new();
+        HashTable::build(&theirs).probe(&mine, 0..self.len(), Probe::LeftOuter, |a, b| {
+            rows.push(merge.merge_terms(&self.rows[a], b.map(|b| &other.rows[b])));
+        });
+        Relation { vars, rows }
     }
 
     /// Hash join on *renamed* keys: rows of `self` and `other` pair up when
     /// `self[a] = other[b]` holds, as SPARQL `=`, for every `(a, b)` in
     /// `pairs` (both bound). Used to evaluate `FILTER(?a = ?b)` bridges
     /// between otherwise disconnected subqueries as a join instead of a
-    /// cross product; the keys are [`equality_key`]s, so `1` meets `1.0`
-    /// and the caller's FILTER still re-checks each pair.
+    /// cross product; the keys are interned [`equality_key`]s, so `1`
+    /// meets `1.0` and the caller's FILTER still re-checks each pair.
     pub fn equi_join(&self, other: &Relation, pairs: &[(Variable, Variable)]) -> Relation {
         let keys: Vec<(usize, usize)> = pairs
             .iter()
@@ -391,80 +249,63 @@ impl Relation {
         if keys.is_empty() {
             return self.join(other);
         }
-        let mut out_vars = self.vars.clone();
-        for v in &other.vars {
-            if !out_vars.contains(v) {
-                out_vars.push(v.clone());
-            }
-        }
-        let mut out = Relation::new(out_vars);
-        // An unbound or NaN cell has no key, so its row meets nothing.
-        let key = |row: &Row, side: fn(&(usize, usize)) -> usize| -> Option<Vec<EqKey>> {
-            keys.iter()
-                .map(|k| row[side(k)].as_ref().and_then(equality_key))
-                .collect()
-        };
-        let merge = MergePlan::new(self, other, &out.vars);
-        let mut table: FxHashMap<Vec<EqKey>, Vec<usize>> = FxHashMap::default();
-        for (i, row) in other.rows.iter().enumerate() {
-            if let Some(k) = key(row, |k| k.1) {
-                table.entry(k).or_default().push(i);
-            }
-        }
-        for arow in &self.rows {
-            let Some(matches) = key(arow, |k| k.0).and_then(|k| table.get(&k)) else {
-                continue;
-            };
-            for &bi in matches {
-                out.rows.push(merge.merge_terms(arow, &other.rows[bi]));
-            }
-        }
-        out
+        let mut eq = EqKeys::default();
+        let mine = KeyTable::new(self.len(), keys.len(), |r, k| {
+            eq.slot(self.rows[r][keys[k].0].as_ref())
+        });
+        let theirs = KeyTable::new(other.len(), keys.len(), |r, k| {
+            eq.slot(other.rows[r][keys[k].1].as_ref())
+        });
+        let (vars, merge) = self.joined_header(other);
+        let mut rows = Vec::new();
+        HashTable::build(&theirs).probe(&mine, 0..self.len(), Probe::Inner, |a, b| {
+            rows.push(merge.merge_terms(&self.rows[a], b.map(|b| &other.rows[b])));
+        });
+        Relation { vars, rows }
     }
 
     /// SPARQL 1.1 `MINUS`: drop a row of `self` when some row of `other`
     /// shares at least one bound variable with it and agrees on every
     /// shared bound variable.
     pub fn minus(&self, other: &Relation) -> Relation {
-        let shared: Vec<(usize, usize)> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| other.index_of(v).map(|j| (i, j)))
-            .collect();
-        if shared.is_empty() {
-            return self.clone();
-        }
-        // Intern only the shared columns once; the pairwise agreement scan
-        // then compares fixed-width slots instead of terms.
-        let self_idx: Vec<usize> = shared.iter().map(|&(i, _)| i).collect();
-        let other_idx: Vec<usize> = shared.iter().map(|&(_, j)| j).collect();
-        let mut dict = KeyInterner::new();
-        let self_keys = encode_keys(&self.rows, &self_idx, &mut dict);
-        let other_keys = encode_keys(&other.rows, &other_idx, &mut dict);
-        let rows = self
-            .rows
-            .iter()
-            .zip(self_keys.iter())
-            .filter(|(_, lkey)| {
-                !other_keys.iter().any(|rkey| {
-                    let mut overlap = false;
-                    for (&a, &b) in lkey.iter().zip(rkey.iter()) {
-                        match (a, b) {
-                            (UNBOUND, _) | (_, UNBOUND) => {}
-                            (a, b) if a == b => overlap = true,
-                            _ => return false,
-                        }
-                    }
-                    overlap
-                })
-            })
-            .map(|(row, _)| row.clone())
-            .collect();
+        let (mine, theirs) = self.shared_keys(other);
+        let mut rows = Vec::new();
+        HashTable::build(&theirs).probe(&mine, 0..self.len(), Probe::Anti, |a, _| {
+            rows.push(self.rows[a].clone());
+        });
         Relation {
             vars: self.vars.clone(),
             rows,
         }
+    }
+
+    /// The key tables of `self` and `other` on their shared variables (in
+    /// `self`'s order), interned into one query-scoped dictionary: each key
+    /// term is hashed once here, and build and probe compare `u32`s.
+    /// Non-key cells never touch the dictionary.
+    fn shared_keys(&self, other: &Relation) -> (KeyTable<SlotId>, KeyTable<SlotId>) {
+        let (mine, theirs): (Vec<usize>, Vec<usize>) = (self.vars.iter().enumerate())
+            .filter_map(|(i, v)| Some((i, other.index_of(v)?)))
+            .unzip();
+        let mut dict = KeyInterner::new();
+        let mine = encode_keys(&self.rows, &mine, &mut dict);
+        (mine, encode_keys(&other.rows, &theirs, &mut dict))
+    }
+
+    /// The header of a join with `other` (`self.vars ∪ other.vars`, self's
+    /// order first) and the plan that merges a row pair into it.
+    fn joined_header(&self, other: &Relation) -> (Vec<Variable>, MergePlan) {
+        let mut vars = self.vars.clone();
+        vars.extend(
+            other
+                .vars
+                .iter()
+                .filter(|v| self.index_of(v).is_none())
+                .cloned(),
+        );
+        let plan = vars.iter().map(|v| (self.index_of(v), other.index_of(v)));
+        let plan = plan.collect();
+        (vars, MergePlan { plan })
     }
 
     /// Estimated size in bytes when shipped over the (simulated) network:
@@ -476,30 +317,17 @@ impl Relation {
 }
 
 /// Precomputed source positions for merging a compatible (left, right)
-/// slot-row pair into an output header: for each output variable, where
-/// it lives in the left and right headers. The left cell wins when
-/// bound, matching SPARQL's solution-merge semantics. Shared with the
-/// budgeted/parallel join in `core::sape`, which runs the same interned
-/// representation.
-pub struct MergePlan {
+/// row pair into an output header: for each output variable, where it
+/// lives in the left and right headers. The left cell wins when bound,
+/// matching SPARQL's solution-merge semantics.
+struct MergePlan {
     plan: Vec<(Option<usize>, Option<usize>)>,
 }
 
 impl MergePlan {
-    /// A plan for merging rows of `left` and `right` into `out_vars`.
-    pub fn new(left: &Relation, right: &Relation, out_vars: &[Variable]) -> MergePlan {
-        MergePlan {
-            plan: out_vars
-                .iter()
-                .map(|v| (left.index_of(v), right.index_of(v)))
-                .collect(),
-        }
-    }
-
-    /// Merge one pair of term rows (left cell wins when bound). Joins that
-    /// intern only their key columns use this to emit output straight from
-    /// the original rows, so non-key terms are cloned exactly once.
-    pub fn merge_terms(&self, a: &Row, b: &Row) -> Row {
+    /// Merge a left row with a right row, or with none (an unmatched
+    /// left-outer row): every term is cloned once, into the output.
+    fn merge_terms(&self, a: &Row, b: Option<&Row>) -> Row {
         self.plan
             .iter()
             .map(|&(l, r)| {
@@ -507,50 +335,241 @@ impl MergePlan {
                 if lv.is_some() {
                     lv
                 } else {
-                    r.and_then(|j| b[j].clone())
+                    r.zip(b).and_then(|(j, b)| b[j].clone())
                 }
             })
             .collect()
     }
 }
 
-/// A fixed-stride table of interned key rows: row `i`'s key slots are
-/// `table.row(i)`. One contiguous allocation regardless of row count — the
-/// per-row `Vec` a naive encoding would allocate is measurable join
-/// overhead at federation scale.
-pub struct KeyTable {
-    slots: Vec<SlotId>,
-    width: usize,
-}
-
-impl KeyTable {
-    /// The interned key of row `i`.
-    pub fn row(&self, i: usize) -> &[SlotId] {
-        &self.slots[i * self.width..(i + 1) * self.width]
-    }
-
-    /// Iterate key rows in row order.
-    pub fn iter(&self) -> impl Iterator<Item = &[SlotId]> {
-        self.slots.chunks_exact(self.width)
-    }
-}
-
 /// Intern one column subset of every row: `keys.row(r)[k]` is the slot of
-/// `rows[r][idx[k]]`. Each distinct term is string-hashed once at
-/// interning; all subsequent build/probe equality is `u32` equality.
-/// Nothing is cloned — the interner borrows terms from the rows — and
-/// non-key cells never touch it. `idx` must be non-empty.
-pub fn encode_keys<'a>(rows: &'a [Row], idx: &[usize], dict: &mut KeyInterner<'a>) -> KeyTable {
-    assert!(!idx.is_empty(), "key-only interning needs key columns");
-    let mut slots = Vec::with_capacity(rows.len() * idx.len());
-    for row in rows {
-        for &i in idx {
-            slots.push(dict.encode_slot(row[i].as_ref()));
+/// `rows[r][idx[k]]`. Nothing is cloned — the interner borrows terms from
+/// the rows.
+fn encode_keys<'a>(rows: &'a [Row], idx: &[usize], dict: &mut KeyInterner<'a>) -> KeyTable<SlotId> {
+    KeyTable::new(rows.len(), idx.len(), |r, k| {
+        dict.encode_slot(rows[r][idx[k]].as_ref())
+    })
+}
+
+/// A join-key cell. Two cells are compatible when they are equal or
+/// either is unbound (SPARQL's rule), unless either is matchless.
+pub trait JoinKey: Copy + Eq + Hash {
+    /// Compatible with every value.
+    fn is_unbound(self) -> bool;
+    /// Compatible with nothing, itself included.
+    fn is_matchless(self) -> bool {
+        false
+    }
+}
+
+/// The slot of a cell that has no [`equality_key`] in an `=` join
+/// (unbound, or NaN): it meets nothing.
+const MATCHLESS: SlotId = SlotId::MAX;
+
+/// Slots are interned terms ([`UNBOUND`] is 0) or interned `=` keys
+/// (`SlotId::MAX` for a cell without one).
+impl JoinKey for SlotId {
+    fn is_unbound(self) -> bool {
+        self == UNBOUND
+    }
+    fn is_matchless(self) -> bool {
+        self == MATCHLESS
+    }
+}
+
+/// Interns [`EqKey`]s as slots from 1 up, so an `=` join hashes `u32`s.
+#[derive(Default)]
+pub struct EqKeys(FxHashMap<EqKey, SlotId>);
+
+impl EqKeys {
+    /// The slot of a cell's `=` key; `SlotId::MAX`, which meets nothing,
+    /// when it has none.
+    pub fn slot(&mut self, cell: Option<&Term>) -> SlotId {
+        let Some(key) = cell.and_then(equality_key) else {
+            return MATCHLESS;
+        };
+        let next = self.0.len() as SlotId + 1;
+        *self.0.entry(key).or_insert(next)
+    }
+}
+
+/// The probe of one range of rows, as [`Relation::join_in_parts`] hands it
+/// to its `map`: the range's output rows.
+pub type ProbeRange<'a> = dyn Fn(Range<usize>) -> Vec<Row> + Sync + 'a;
+
+/// One side's join-key cells, `width` per row, in one allocation.
+pub struct KeyTable<K> {
+    cells: Vec<K>,
+    width: usize,
+    len: usize,
+}
+
+impl<K: JoinKey> KeyTable<K> {
+    /// `len` rows of `width` cells; cell `k` of row `r` is `cell(r, k)`.
+    /// A zero-width table keys a product: every row is one bound key.
+    pub fn new(len: usize, width: usize, mut cell: impl FnMut(usize, usize) -> K) -> Self {
+        let mut cells = Vec::with_capacity(len * width);
+        for r in 0..len {
+            for k in 0..width {
+                cells.push(cell(r, k));
+            }
+        }
+        KeyTable { cells, width, len }
+    }
+
+    /// The key cells of row `i`.
+    pub fn row(&self, i: usize) -> &[K] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+}
+
+/// How a key row can match: by hash (every cell bound), only by a
+/// compatibility check (some cell unbound), or not at all (some cell
+/// matchless).
+enum KeyClass {
+    Bound,
+    Loose,
+    Matchless,
+}
+
+fn classify<K: JoinKey>(key: &[K]) -> KeyClass {
+    let mut class = KeyClass::Bound;
+    for &cell in key {
+        if cell.is_matchless() {
+            return KeyClass::Matchless;
+        }
+        if cell.is_unbound() {
+            class = KeyClass::Loose;
         }
     }
-    KeyTable {
-        slots,
-        width: idx.len(),
+    class
+}
+
+/// Whether a probe key and a build key are compatible; for [`Probe::Anti`]
+/// (SPARQL `MINUS`) they must also share a bound cell.
+fn compatible<K: JoinKey>(p: &[K], b: &[K], anti: bool) -> bool {
+    let mut overlap = false;
+    for (&x, &y) in p.iter().zip(b) {
+        if x.is_matchless() || y.is_matchless() {
+            return false;
+        }
+        if x.is_unbound() || y.is_unbound() {
+            continue;
+        }
+        if x != y {
+            return false;
+        }
+        overlap = true;
+    }
+    overlap || !anti
+}
+
+/// What a probe row emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// Each compatible build row.
+    Inner,
+    /// Each compatible build row, or the probe row alone when none is.
+    LeftOuter,
+    /// The probe row alone when no build row is compatible with it and
+    /// shares a bound cell (SPARQL `MINUS`).
+    Anti,
+}
+
+const END: usize = usize::MAX;
+
+/// The build side of a hash join: rows whose key cells are all bound
+/// chained per key in build order, rows with an unbound cell in a loose
+/// list, rows with a matchless cell left out.
+pub struct HashTable<'k, K> {
+    keys: &'k KeyTable<K>,
+    /// Per key: the first and the last row of its chain.
+    buckets: FxHashMap<&'k [K], (usize, usize)>,
+    next: Vec<usize>,
+    loose: Vec<usize>,
+}
+
+impl<'k, K: JoinKey> HashTable<'k, K> {
+    /// Hash every row of `keys`.
+    pub fn build(keys: &'k KeyTable<K>) -> Self {
+        let mut buckets: FxHashMap<&[K], (usize, usize)> = FxHashMap::default();
+        let mut next = vec![END; keys.len];
+        let mut loose = Vec::new();
+        for i in 0..keys.len {
+            let key = keys.row(i);
+            match classify(key) {
+                KeyClass::Bound => {
+                    let chain = buckets.entry(key).or_insert((i, i));
+                    if chain.1 != i {
+                        next[chain.1] = i;
+                        chain.1 = i;
+                    }
+                }
+                KeyClass::Loose => loose.push(i),
+                KeyClass::Matchless => {}
+            }
+        }
+        HashTable {
+            keys,
+            buckets,
+            next,
+            loose,
+        }
+    }
+
+    /// Probe rows `range` of `keys` (the same width, the same interning)
+    /// in order. Each one emits `(probe, Some(build))` for every compatible
+    /// build row — its key's chain in build order, then the loose rows; or
+    /// every build row in build order when the probe row has an unbound
+    /// cell — and, as `kind` asks, `(probe, None)`.
+    pub fn probe(
+        &self,
+        keys: &KeyTable<K>,
+        range: Range<usize>,
+        kind: Probe,
+        mut emit: impl FnMut(usize, Option<usize>),
+    ) {
+        let anti = kind == Probe::Anti;
+        for p in range {
+            let key = keys.row(p);
+            let mut matched = false;
+            let mut hit = |b: usize| {
+                matched = true;
+                if !anti {
+                    emit(p, Some(b));
+                }
+                !anti // an anti probe stops at its first match
+            };
+            match classify(key) {
+                // A product's one chain shares no bound cell with anything.
+                KeyClass::Bound if anti && key.is_empty() => {}
+                KeyClass::Bound => 'bound: {
+                    let mut b = self.buckets.get(key).map_or(END, |chain| chain.0);
+                    while b != END {
+                        if !hit(b) {
+                            break 'bound;
+                        }
+                        b = self.next[b];
+                    }
+                    for &b in &self.loose {
+                        if compatible(key, self.keys.row(b), anti) && !hit(b) {
+                            break;
+                        }
+                    }
+                }
+                KeyClass::Loose => {
+                    for b in 0..self.keys.len {
+                        if compatible(key, self.keys.row(b), anti) && !hit(b) {
+                            break;
+                        }
+                    }
+                }
+                KeyClass::Matchless => {}
+            }
+            if !matched && kind != Probe::Inner {
+                emit(p, None);
+            }
+        }
     }
 }
 

@@ -6,7 +6,9 @@ use lusail_rdf::fxhash::{FxHashMap, FxHashSet};
 use lusail_rdf::{Term, TermId};
 use lusail_sparql::aggregate::aggregate_value;
 use lusail_sparql::ast::*;
-use lusail_sparql::solution::{apply_modifiers, equality_key, EqKey, Relation};
+use lusail_sparql::solution::{
+    apply_modifiers, EqKeys, HashTable, JoinKey, KeyTable, Probe, Relation,
+};
 use std::collections::HashMap;
 
 /// The result of evaluating a [`Query`]: a table for `SELECT`, a boolean
@@ -326,17 +328,17 @@ impl<'a> Evaluator<'a> {
             &q.group_by
         };
         let key_idx: Vec<Option<usize>> = group_keys.iter().map(|v| bindings.index_of(v)).collect();
-        let mut groups: FxHashMap<Vec<Cell>, Vec<&Vec<Cell>>> = FxHashMap::default();
-        for row in &bindings.rows {
-            let key = key_idx
-                .iter()
-                .map(|i| i.map_or(Cell::Unbound, |i| row[i]))
-                .collect();
-            groups.entry(key).or_default().push(row);
+        let rows = &bindings.rows;
+        let key_cells = KeyTable::new(rows.len(), key_idx.len(), |r, k| {
+            key_idx[k].map_or(Cell::Unbound, |i| rows[r][i])
+        });
+        let mut groups: FxHashMap<&[Cell], Vec<&Vec<Cell>>> = FxHashMap::default();
+        for (r, row) in rows.iter().enumerate() {
+            groups.entry(key_cells.row(r)).or_default().push(row);
         }
         if groups.is_empty() && group_keys.is_empty() {
             // Aggregating an empty, ungrouped result yields one row.
-            groups.insert(Vec::new(), Vec::new());
+            groups.insert(&[], Vec::new());
         }
 
         let arg_idx: Vec<Option<usize>> = aggs
@@ -603,7 +605,7 @@ impl<'a> Evaluator<'a> {
     /// A FILTER over a BGP whose components meet only in `?a = ?b`
     /// conjuncts, without their product: each component is evaluated on
     /// its own (the first from `input`), components a bridge connects are
-    /// hash-joined on the [`EqKey`]s of the bridge variables, what is left
+    /// hash-joined on the `=` keys of the bridge variables, what is left
     /// joins as before (a product), and the whole FILTER re-checks every
     /// row. Same rows, same header order as the filter over the product.
     fn eval_bridged(&mut self, plan: BridgePlan<'_>, input: Bindings) -> Bindings {
@@ -659,39 +661,30 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Pair the rows of `left` and `right` (no shared variable) whose
-    /// `keys` columns are `=`-equal, as SPARQL compares them.
+    /// `keys` columns are `=`-equal, as SPARQL compares them: a hash join
+    /// on interned [`EqKeys`], `right` hashed, `left`'s order kept.
     fn equality_join(
         &self,
         left: &Bindings,
         right: &Bindings,
         keys: &[(usize, usize)],
     ) -> Bindings {
-        let key = |row: &[Cell], col: fn(&(usize, usize)) -> usize| -> Option<Vec<EqKey>> {
-            keys.iter()
-                .map(|k| self.cell_term(row[col(k)]).and_then(equality_key))
-                .collect()
+        let mut eq = EqKeys::default();
+        let mut keyed = |rows: &[Vec<Cell>], col: fn(&(usize, usize)) -> usize| {
+            KeyTable::new(rows.len(), keys.len(), |r, k| {
+                eq.slot(self.cell_term(rows[r][col(&keys[k])]))
+            })
         };
-        let mut table: FxHashMap<Vec<EqKey>, Vec<usize>> = FxHashMap::default();
-        for (i, row) in right.rows.iter().enumerate() {
-            if let Some(k) = key(row, |k| k.1) {
-                table.entry(k).or_default().push(i);
-            }
-        }
+        let probe = keyed(&left.rows, |k| k.0);
+        let build = keyed(&right.rows, |k| k.1);
         let mut out = Bindings {
             vars: left.vars.iter().chain(&right.vars).cloned().collect(),
             rows: Vec::new(),
         };
-        for lrow in &left.rows {
-            let Some(hits) = key(lrow, |k| k.0).and_then(|k| table.get(&k)) else {
-                continue;
-            };
-            for &ri in hits {
-                let mut row = Vec::with_capacity(out.vars.len());
-                row.extend_from_slice(lrow);
-                row.extend_from_slice(&right.rows[ri]);
-                out.rows.push(row);
-            }
-        }
+        HashTable::build(&build).probe(&probe, 0..left.rows.len(), Probe::Inner, |l, r| {
+            let r = r.expect("an inner probe emits pairs");
+            out.rows.push([&left.rows[l][..], &right.rows[r]].concat());
+        });
         out
     }
 
@@ -1041,38 +1034,32 @@ impl ExprContext for RowCtx<'_, '_> {
 }
 
 /// SPARQL MINUS: drop a left row when some right row shares at least one
-/// bound variable with it and agrees on every shared bound variable.
+/// bound variable with it and agrees on every shared bound variable (an
+/// anti probe of `right` hashed on the shared variables).
 fn minus_bindings(left: Bindings, right: &Bindings) -> Bindings {
-    let shared: Vec<(usize, usize)> = left
-        .vars
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| right.index_of(v).map(|j| (i, j)))
-        .collect();
-    if shared.is_empty() {
-        return left;
-    }
-    let rows = left
-        .rows
-        .into_iter()
-        .filter(|lrow| {
-            !right.rows.iter().any(|rrow| {
-                let mut overlap = false;
-                for &(i, j) in &shared {
-                    match (lrow[i], rrow[j]) {
-                        (Cell::Unbound, _) | (_, Cell::Unbound) => {}
-                        (a, b) if a == b => overlap = true,
-                        _ => return false, // disagree on a shared bound var
-                    }
-                }
-                overlap
-            })
-        })
+    let (probe, build) = shared_keys(&left, right);
+    let mut kept = Vec::new();
+    HashTable::build(&build).probe(&probe, 0..left.rows.len(), Probe::Anti, |l, _| kept.push(l));
+    let mut kept = kept.into_iter().peekable();
+    let rows = (left.rows.into_iter().enumerate())
+        .filter_map(|(i, row)| kept.next_if_eq(&i).map(|_| row))
         .collect();
     Bindings {
         vars: left.vars,
         rows,
     }
+}
+
+/// The key tables of `a` and `b` on their shared variables, in `a`'s order:
+/// cells are keys as they are.
+fn shared_keys(a: &Bindings, b: &Bindings) -> (KeyTable<Cell>, KeyTable<Cell>) {
+    let (ai, bi): (Vec<usize>, Vec<usize>) = (a.vars.iter().enumerate())
+        .filter_map(|(i, v)| Some((i, b.index_of(v)?)))
+        .unzip();
+    let keyed = |x: &Bindings, idx: &[usize]| {
+        KeyTable::new(x.rows.len(), idx.len(), |r, k| x.rows[r][idx[k]])
+    };
+    (keyed(a, &ai), keyed(b, &bi))
 }
 
 fn union_bindings(a: Bindings, b: Bindings) -> Bindings {
@@ -1103,81 +1090,42 @@ fn union_bindings(a: Bindings, b: Bindings) -> Bindings {
     Bindings { vars, rows }
 }
 
+/// `a ⋈ b` on their shared variables, `b` hashed: the output keeps `a`'s
+/// row order, each row followed by its compatible `b` rows in `b`'s order.
 fn join_bindings(a: &Bindings, b: &Bindings) -> Bindings {
-    let shared: Vec<(usize, usize)> = a
-        .vars
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| b.index_of(v).map(|j| (i, j)))
-        .collect();
-    let mut vars = a.vars.clone();
+    let (probe, build) = shared_keys(a, b);
+    // Per `a` column, the `b` column an unbound cell is taken from.
+    let fill: Vec<Option<usize>> = a.vars.iter().map(|v| b.index_of(v)).collect();
     let b_extra: Vec<usize> = (0..b.vars.len())
         .filter(|&j| !a.vars.contains(&b.vars[j]))
         .collect();
-    for &j in &b_extra {
-        vars.push(b.vars[j].clone());
-    }
     let mut out = Bindings {
-        vars,
+        vars: (a.vars.iter().cloned())
+            .chain(b_extra.iter().map(|&j| b.vars[j].clone()))
+            .collect(),
         rows: Vec::new(),
     };
-
-    // Hash the smaller side on fully-bound shared keys; rows with unbound
-    // shared cells go to a compatibility scan list.
-    let mut table: FxHashMap<Vec<Cell>, Vec<usize>> = FxHashMap::default();
-    let mut loose: Vec<usize> = Vec::new();
-    for (bi, row) in b.rows.iter().enumerate() {
-        let key: Vec<Cell> = shared.iter().map(|&(_, j)| row[j]).collect();
-        if key.contains(&Cell::Unbound) {
-            loose.push(bi);
-        } else {
-            table.entry(key).or_default().push(bi);
-        }
-    }
-    for arow in &a.rows {
-        let key: Vec<Cell> = shared.iter().map(|&(i, _)| arow[i]).collect();
-        let emit = |brow: &Vec<Cell>, out: &mut Bindings| {
-            let mut r = Vec::with_capacity(out.vars.len());
-            for (i, _) in a.vars.iter().enumerate() {
-                let mut cell = arow[i];
-                if cell == Cell::Unbound {
-                    if let Some(j) = b.index_of(&a.vars[i]) {
-                        cell = brow[j];
-                    }
-                }
-                r.push(cell);
-            }
-            for &j in &b_extra {
-                r.push(brow[j]);
-            }
-            out.rows.push(r);
-        };
-        let compatible = |brow: &Vec<Cell>| {
-            shared.iter().all(|&(i, j)| {
-                arow[i] == Cell::Unbound || brow[j] == Cell::Unbound || arow[i] == brow[j]
-            })
-        };
-        if key.contains(&Cell::Unbound) {
-            // Scan everything.
-            for brow in &b.rows {
-                if compatible(brow) {
-                    emit(brow, &mut out);
-                }
-            }
-        } else {
-            if let Some(matches) = table.get(&key) {
-                for &bi in matches {
-                    emit(&b.rows[bi], &mut out);
-                }
-            }
-            for &bi in &loose {
-                if compatible(&b.rows[bi]) {
-                    emit(&b.rows[bi], &mut out);
-                }
-            }
-        }
-    }
+    HashTable::build(&build).probe(&probe, 0..a.rows.len(), Probe::Inner, |i, j| {
+        let (arow, brow) = (&a.rows[i], &b.rows[j.expect("an inner probe emits pairs")]);
+        let mut row = Vec::with_capacity(out.vars.len());
+        row.extend(
+            arow.iter()
+                .zip(&fill)
+                .map(|(&cell, from)| match (cell, from) {
+                    (Cell::Unbound, Some(j)) => brow[*j],
+                    _ => cell,
+                }),
+        );
+        row.extend(b_extra.iter().map(|&j| brow[j]));
+        out.rows.push(row);
+    });
     out
+}
+
+impl JoinKey for Cell {
+    fn is_unbound(self) -> bool {
+        self == Cell::Unbound
+    }
 }
 
 #[cfg(test)]

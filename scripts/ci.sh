@@ -24,6 +24,21 @@ if grep -rnE 'fn (dp_join_order|greedy_order)\(' crates --include='*.rs'; then
     echo "an old join-order function is back; plan_joins is the one planner" >&2
     exit 1
 fi
+# One hash join (DESIGN.md → Engine-side interning): `HashTable` in
+# sparql::solution builds and probes every join, OPTIONAL, MINUS and `=`
+# bridge of the engine and the store; the eight loops it replaced, their
+# per-row key vectors and the slot-hash table stay gone (non-test code).
+n=$(grep -rhoE "struct HashTable\b" crates --include='*.rs' | wc -l)
+if [ "$n" -ne 1 ] || ! grep -q "struct HashTable\b" crates/sparql/src/solution.rs; then
+    echo "struct HashTable is defined ${n} times under crates/, want 1, in crates/sparql/src/solution.rs" >&2
+    exit 1
+fi
+join_files="crates/sparql/src/solution.rs crates/core/src/sape/join.rs crates/store/src/eval.rs"
+if awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' $join_files \
+    | grep -nE 'fn (chunked_probe_join|merge_rows)\(|FxHashMap<Vec<|FxHashMap<u64, *Vec<usize>>|slot_hash'; then
+    echo "a hand-written join loop or its key table is back; build and probe a solution::HashTable" >&2
+    exit 1
+fi
 # One strand rule and no knob (DESIGN.md → Deviations from Algorithm 3):
 # `fn strands(` is defined once, in sape/execute.rs, and no LusailConfig
 # field, env var or CLI flag mentions strands; `--explain` only reports them.
