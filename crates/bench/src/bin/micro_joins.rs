@@ -9,11 +9,15 @@
 //! (interned) and `parallel_join` (interned + partitioned). A second pair
 //! of rows joins three chain relations of skewed sizes in input order and
 //! in the order `plan_joins` picks, and `left_join` / `minus` rows time the
-//! kernel's left-outer and anti probes. Results land in
+//! kernel's left-outer and anti probes. The `budgeted` rows time
+//! `budgeted_join` under a budget one byte short of twice the smaller
+//! side, beside the same join unbounded. Results land in
 //! `BENCH_micro_joins.json` for cross-revision tracking.
 
 use lusail_bench::{bench_scale, sample, write_records, Record};
+use lusail_core::sape::join::budgeted_join;
 use lusail_core::sape::{parallel_join, plan_joins};
+use lusail_core::MemoryBudget;
 use lusail_federation::RequestHandler;
 use lusail_rdf::fxhash::FxHashMap;
 use lusail_rdf::Term;
@@ -181,6 +185,27 @@ fn main() {
         records.push(row(&label, "id", &a.left_join(&b), || a.left_join(&b)));
         let label = format!("minus_{n}x{n}");
         records.push(row(&label, "id", &a.minus(&b), || a.minus(&b)));
+    }
+
+    // A 1:1 join, half the keys overlapping, under a budget one byte short
+    // of twice the smaller side: both sides and the output are resident
+    // either way, only what the budgeted join does between them differs.
+    for n in [10_000usize, 40_000] {
+        let n = ((n as f64) * scale) as usize;
+        let a = make_rel(["x", "y1", "y2", "y3"], n, 0, 1);
+        let b = make_rel(["x", "z1", "z2", "z3"], n, n / 2, 1);
+        let limit = (2 * a.wire_size().min(b.wire_size())).saturating_sub(1);
+        let label = format!("budgeted_{n}x{n}");
+        let expected = parallel_join(&a, &b, &handler);
+        records.push(row(&label, "in-memory", &expected, || {
+            parallel_join(&a, &b, &handler)
+        }));
+        records.push(row(&label, "budgeted", &expected, || {
+            let budget = MemoryBudget::new(Some(limit));
+            budgeted_join(&a, &b, &handler, &budget, false)
+                .expect("the output fits the budget")
+                .relation
+        }));
     }
 
     let rels = chain_relations();

@@ -63,12 +63,12 @@ stats document as key=value lines under its JSON keys: codec, one line
 per endpoint (requests, bytes, failures, retries, breaker,
 latency_ewma_ms) with one per replica-group member beneath it
 (dispatches, failovers, hedges), and for the lusail engine integrity,
-erh, memory (peak bytes per phase, spills) and lifecycle.
+erh, memory (peak bytes per phase) and lifecycle.
 
 --memory-budget BYTES (lusail engine only; suffixes KB/MB/GB and
 KiB/MiB/GiB accepted, e.g. 8MiB) bounds the bytes of intermediate
-results the engine materializes: joins spill to sorted temp-file runs
-under pressure, and a truly exhausted budget fails fast with a
+results the engine materializes (admitted responses and join outputs,
+each charged once it is built); an exhausted budget fails fast with a
 structured error (or truncates with a warning under --partial).
 --max-result-rows N caps rows per subquery response, enforced while the
 HTTP response streams in — a result-bomb endpoint is cut off mid-parse,

@@ -11,10 +11,8 @@
 //! results, a structured [`crate::EngineError::BudgetExceeded`] under
 //! fail-fast).
 //!
-//! The budget also records *spills*: joins that would not fit in memory
-//! fall back to an external sort-merge join (see [`crate::sape::join`]),
-//! and the run/byte counts of those spilled runs surface in
-//! [`MemoryStats`] for `lusail query --stats`.
+//! Nothing spills: every charged relation is resident, and a join's output
+//! is charged once the join has built it ([`crate::sape::join`]).
 
 use lusail_federation::json::Json;
 use lusail_sparql::solution::{row_wire_size, Row};
@@ -48,8 +46,6 @@ struct Inner {
     /// Peak accounted bytes observed while each phase was charging,
     /// indexed by [`MemoryPhase`] discriminant.
     phase_peaks: [usize; 3],
-    spill_count: u64,
-    spill_bytes: u64,
 }
 
 /// Memory accounting snapshot for one query (behind `--stats`).
@@ -65,9 +61,10 @@ pub struct MemoryStats {
     pub join_peak_bytes: usize,
     /// Peak accounted bytes while bound-join results were charging.
     pub bound_join_peak_bytes: usize,
-    /// Sorted runs written by spilling joins.
+    /// Always 0: joins do not spill. Kept so that readers of the field
+    /// still compile; `to_json` leaves it out.
     pub spill_count: u64,
-    /// Total bytes written to spill runs.
+    /// Always 0, like [`MemoryStats::spill_count`].
     pub spill_bytes: u64,
 }
 
@@ -80,8 +77,6 @@ impl MemoryStats {
             ("wave_peak_bytes", self.wave_peak_bytes.into()),
             ("join_peak_bytes", self.join_peak_bytes.into()),
             ("bound_join_peak_bytes", self.bound_join_peak_bytes.into()),
-            ("spill_count", self.spill_count.into()),
-            ("spill_bytes", self.spill_bytes.into()),
         ])
     }
 }
@@ -134,11 +129,6 @@ impl MemoryBudget {
         }
     }
 
-    /// Whether `bytes` more would still fit under the cap.
-    pub fn would_fit(&self, bytes: usize) -> bool {
-        self.remaining() >= bytes
-    }
-
     /// Account `bytes` against the budget, failing when the cap would be
     /// crossed (the ledger is left unchanged on failure).
     pub fn try_charge(&self, phase: MemoryPhase, bytes: usize) -> Result<(), BudgetExhausted> {
@@ -166,13 +156,6 @@ impl MemoryBudget {
         inner.used = inner.used.saturating_sub(bytes);
     }
 
-    /// Record one spilled sort run of `bytes` written to disk.
-    pub fn record_spill(&self, bytes: u64) {
-        let mut inner = self.lock();
-        inner.spill_count += 1;
-        inner.spill_bytes += bytes;
-    }
-
     /// Snapshot the ledger for profiling output.
     pub fn stats(&self) -> MemoryStats {
         let inner = self.lock();
@@ -182,8 +165,8 @@ impl MemoryBudget {
             wave_peak_bytes: inner.phase_peaks[MemoryPhase::Wave as usize],
             join_peak_bytes: inner.phase_peaks[MemoryPhase::Join as usize],
             bound_join_peak_bytes: inner.phase_peaks[MemoryPhase::BoundJoin as usize],
-            spill_count: inner.spill_count,
-            spill_bytes: inner.spill_bytes,
+            spill_count: 0,
+            spill_bytes: 0,
         }
     }
 }
@@ -194,8 +177,8 @@ impl MemoryBudget {
 pub const ADMISSION_CHUNK_ROWS: usize = 256;
 
 /// A relation's rows being charged against a [`MemoryBudget`] — the one
-/// chunked charge behind every admission: endpoint responses, join outputs
-/// and the spill merge's output as it streams.
+/// chunked charge behind every admission: endpoint responses and join
+/// outputs.
 #[derive(Debug)]
 pub(crate) struct RowCharge {
     phase: MemoryPhase,
@@ -221,25 +204,17 @@ impl RowCharge {
         }
     }
 
-    /// Charge `rows[self.rows..]`: the header with the first chunk, then
-    /// [`ADMISSION_CHUNK_ROWS`]-row chunks. Until `done` a trailing partial
-    /// chunk waits for more rows (a producer calls this as it emits them);
-    /// `done` charges it, or the bare header of an empty relation. Stops
-    /// at the first chunk that would cross the allowance or the limit;
-    /// what was charged before it stays charged.
+    /// Charge the rows of a finished relation: the header with the first
+    /// chunk (alone for an empty relation), then [`ADMISSION_CHUNK_ROWS`]-row
+    /// chunks. Stops at the first chunk that would cross the allowance or
+    /// the limit; what was charged before it stays charged.
     pub(crate) fn charge(
         &mut self,
         budget: &MemoryBudget,
         rows: &[Row],
-        done: bool,
     ) -> Result<(), BudgetExhausted> {
-        loop {
-            let left = rows.len() - self.rows;
-            let due = left >= ADMISSION_CHUNK_ROWS || (done && (left > 0 || self.header > 0));
-            if !due {
-                return Ok(());
-            }
-            let end = self.rows + left.min(ADMISSION_CHUNK_ROWS);
+        while self.rows < rows.len() || self.header > 0 {
+            let end = rows.len().min(self.rows + ADMISSION_CHUNK_ROWS);
             let bytes = self.header
                 + rows[self.rows..end]
                     .iter()
@@ -257,6 +232,7 @@ impl RowCharge {
             self.bytes += bytes;
             self.rows = end;
         }
+        Ok(())
     }
 }
 
@@ -519,8 +495,7 @@ mod tests {
             }
         );
         assert_eq!(b.used(), 90, "a rejected charge must not be booked");
-        assert!(b.would_fit(10));
-        assert!(!b.would_fit(11));
+        assert_eq!(b.remaining(), 10);
     }
 
     #[test]
@@ -543,16 +518,6 @@ mod tests {
         // The join charge lands while the wave bytes are still held.
         assert_eq!(s.join_peak_bytes, 500);
         assert_eq!(s.peak_bytes, 500);
-    }
-
-    #[test]
-    fn spills_are_counted() {
-        let b = MemoryBudget::unbounded();
-        b.record_spill(1024);
-        b.record_spill(2048);
-        let s = b.stats();
-        assert_eq!(s.spill_count, 2);
-        assert_eq!(s.spill_bytes, 3072);
     }
 
     #[test]

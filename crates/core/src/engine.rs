@@ -73,8 +73,8 @@ pub struct ExecutionProfile {
     /// names the unreachable endpoint and the affected subquery or probe.
     /// Empty for complete (non-degraded) results.
     pub warnings: Vec<ExecutionWarning>,
-    /// Memory accounting: peak accounted bytes (overall and per phase)
-    /// and spill activity, from the per-query [`crate::MemoryBudget`].
+    /// Memory accounting: peak accounted bytes, overall and per phase,
+    /// from the per-query [`crate::MemoryBudget`].
     pub memory: MemoryStats,
 }
 

@@ -400,7 +400,7 @@ impl RunContext {
         };
 
         let mut charge = RowCharge::new(phase, rel.vars().len(), allowance);
-        if charge.charge(&self.memory, rel.rows(), true).is_err() {
+        if charge.charge(&self.memory, rel.rows()).is_err() {
             match self.policy {
                 ResultPolicy::FailFast => {
                     self.memory.release(charge.bytes);

@@ -6,7 +6,8 @@
 //!   the min/sum/max cardinality composition of Section 4.1.
 //! * [`schedule`] — the delayed/non-delayed split (Figure 7, Figure 13).
 //! * [`join`] — the join planner (bushy DP over the distinct counts of the
-//!   rows in hand), its executor, and the parallel and spilling hash joins.
+//!   rows in hand), its executor, the parallel hash join, and the
+//!   budgeted join that charges each join's output.
 //! * [`execute`] — Algorithm 3: concurrent evaluation of non-delayed
 //!   subqueries, bound joins over `VALUES` blocks for delayed ones, source
 //!   refinement, and final join assembly. Each wave's responses are settled

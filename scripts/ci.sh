@@ -39,6 +39,18 @@ if awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' $join_files \
     echo "a hand-written join loop or its key table is back; build and probe a solution::HashTable" >&2
     exit 1
 fi
+# One budgeted join (DESIGN.md → Memory & backpressure semantics): a join
+# charges its finished output and nothing else. The external sort-merge
+# spill stays deleted (both inputs are resident and already charged, so it
+# never lowered the ledger), and SAPE opens no file.
+if grep -rnE 'fn spill_join|SortedSource|write_sorted_runs|record_spill|fn would_fit|lusail-spill-' crates/*/src; then
+    echo "the join spill is back; budgeted_join joins in memory and charges the output" >&2
+    exit 1
+fi
+if grep -rn 'std::fs' crates/core/src/sape/; then
+    echo "crates/core/src/sape uses std::fs; a join writes no file" >&2
+    exit 1
+fi
 # One strand rule and no knob (DESIGN.md → Deviations from Algorithm 3):
 # `fn strands(` is defined once, in sape/execute.rs, and no LusailConfig
 # field, env var or CLI flag mentions strands; `--explain` only reports them.
@@ -301,7 +313,7 @@ cargo run --release --offline --quiet --manifest-path lusail_benchmark/Cargo.tom
 # we print the seed so the run can be replayed.
 #   chaos            fault injection: dead/flaky endpoints, fail-fast vs --partial
 #   replica_chaos    failover and hedging: a member killed mid-wave, a slow member
-#   mem_chaos        result bomb against a small --memory-budget; spill == in-memory
+#   mem_chaos        result bomb against a small --memory-budget; tight-budget join == in-memory
 #   federate         serve --federate: parallel clients, hot-query cache, 503/429 shedding
 #   cancel_chaos     disconnect, watchdog reap, admin cancel, contained panic; nothing leaks
 #   codec            binary vs JSON results byte-identical, fallback, under --partial

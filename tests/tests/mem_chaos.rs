@@ -2,8 +2,8 @@
 //! subquery with millions of well-formed rows (a "result bomb") must not
 //! drive the engine past its `--memory-budget`. Fail-fast surfaces a
 //! structured `BudgetExceeded` naming the endpoint; `--partial` degrades
-//! to a truncated, visibly-warned result; and the spill path of the
-//! budgeted join returns exactly what the in-memory join would.
+//! to a truncated, visibly-warned result; and a join under a tight budget
+//! returns exactly the rows of the in-memory join, in its order.
 //!
 //! Like `chaos.rs`, the fault stream is seeded: set `LUSAIL_CHAOS_SEED`
 //! to replay a failing run (the `mem-chaos` group in `scripts/ci.sh`
@@ -18,7 +18,7 @@ use lusail_federation::{
 use lusail_rdf::{Graph, Term};
 use lusail_sparql::ast::Variable;
 use lusail_sparql::parse_query;
-use lusail_sparql::solution::{Relation, Row};
+use lusail_sparql::solution::Relation;
 use lusail_store::Store;
 use std::sync::Arc;
 
@@ -240,16 +240,11 @@ fn engine_row_cap_rejects_or_truncates() {
     );
 }
 
-/// Acceptance for the spill path on healthy data: a join forced to spill
-/// to sorted temp-file runs returns exactly the rows of the in-memory
-/// join.
+/// A budget too tight to hold twice either ~400 KiB side but wide enough
+/// for the output changes nothing about the join: the same rows, in the
+/// same order, and the ledger stays under the budget.
 #[test]
-fn spilling_join_is_identical_to_in_memory_join() {
-    fn sorted_rows(rel: &Relation) -> Vec<Row> {
-        let mut rows = rel.rows().to_vec();
-        rows.sort();
-        rows
-    }
+fn a_join_under_a_tight_budget_is_the_in_memory_join() {
     let mut a = Relation::new(vec![Variable::new("x"), Variable::new("y")]);
     let mut b = Relation::new(vec![Variable::new("y"), Variable::new("z")]);
     for i in 0..6000 {
@@ -268,13 +263,9 @@ fn spilling_join_is_identical_to_in_memory_join() {
 
     let handler = RequestHandler::new(2);
     let budget = MemoryBudget::new(Some(512 * 1024));
-    let spilled = budgeted_join(&a, &b, &handler, &budget, false).unwrap();
-    assert!(!spilled.truncated);
-    assert!(
-        budget.stats().spill_count > 0,
-        "a 512 KiB budget over ~400 KiB sides must spill"
-    );
-    assert_eq!(spilled.relation.vars(), expected.vars());
-    assert_eq!(sorted_rows(&spilled.relation), sorted_rows(&expected));
+    let joined = budgeted_join(&a, &b, &handler, &budget, false).unwrap();
+    assert!(!joined.truncated);
+    assert_eq!(joined.relation.vars(), expected.vars());
+    assert_eq!(joined.relation.rows(), expected.rows());
     assert!(budget.stats().peak_bytes <= 512 * 1024);
 }
