@@ -12,6 +12,10 @@
 //!   hot-path comparisons are integer comparisons.
 //! * [`Graph`] — a simple in-memory bag of triples used as the
 //!   exchange format between data generators, parsers, and stores.
+//! * [`syntax`] — the one reader of term syntax: a [`syntax::Cursor`]
+//!   lexes IRIs, prefixed names, blank nodes, literals, numbers and
+//!   booleans for the N-Triples and Turtle parsers here and for the SPARQL
+//!   parser, so a term parses the same in a data file and in a query.
 //! * N-Triples and Turtle-subset parsing/serialization ([`ntriples`],
 //!   [`turtle`]).
 //! * [`fxhash`] — a small Fx-style hasher; dictionary ids dominate our hash
@@ -25,6 +29,7 @@ pub mod dict;
 pub mod fxhash;
 pub mod graph;
 pub mod ntriples;
+pub mod syntax;
 pub mod term;
 pub mod triple;
 pub mod turtle;

@@ -1,12 +1,14 @@
 //! N-Triples parsing and serialization.
 //!
-//! Supports the full N-Triples grammar needed by the workloads: IRIs, blank
-//! nodes, plain / typed / language-tagged literals, `#` comments, and blank
-//! lines. Unicode escapes (`\uXXXX`) in IRIs are not decoded (our generators
-//! never produce them).
+//! Each line holds three terms read by [`Cursor::ground_term`] (IRIs, blank
+//! nodes, plain / typed / language-tagged literals), then a `.`; blank
+//! lines and `#` comments are skipped. Terms are read by the same cursor as
+//! Turtle's and SPARQL's, so a literal's escapes (`\uXXXX` included) decode
+//! as they do in a query. Prefixed names, bare numbers and booleans are
+//! refused: N-Triples has none.
 
 use crate::graph::Graph;
-use crate::term::{unescape_literal, Literal, Term};
+use crate::syntax::Cursor;
 use crate::triple::Triple;
 use std::fmt::Write as _;
 
@@ -47,18 +49,14 @@ pub fn parse(input: &str) -> Result<Graph, ParseError> {
 }
 
 fn parse_line(line: &str) -> Result<Triple, String> {
-    let mut cursor = Cursor { s: line, pos: 0 };
-    let subject = cursor.term()?;
-    cursor.skip_ws();
-    let predicate = cursor.term()?;
-    cursor.skip_ws();
-    let object = cursor.term()?;
-    cursor.skip_ws();
-    if !cursor.eat('.') {
+    let mut cursor = Cursor::new(line);
+    let mut term = || cursor.ground_term().map_err(|e| e.message);
+    let (subject, predicate, object) = (term()?, term()?, term()?);
+    if !cursor.eat(".") {
         return Err("expected terminating '.'".into());
     }
-    cursor.skip_ws();
-    if !cursor.at_end() {
+    cursor.skip_trivia();
+    if !cursor.rest().is_empty() {
         return Err(format!("trailing content: {:?}", cursor.rest()));
     }
     Ok(Triple {
@@ -66,112 +64,6 @@ fn parse_line(line: &str) -> Result<Triple, String> {
         predicate,
         object,
     })
-}
-
-struct Cursor<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn rest(&self) -> &'a str {
-        &self.s[self.pos..]
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.s.len()
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.rest().chars().next() {
-            if c.is_whitespace() {
-                self.pos += c.len_utf8();
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.rest().starts_with(c) {
-            self.pos += c.len_utf8();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn term(&mut self) -> Result<Term, String> {
-        self.skip_ws();
-        let rest = self.rest();
-        if rest.starts_with('<') {
-            let end = rest.find('>').ok_or("unterminated IRI")?;
-            let iri = &rest[1..end];
-            self.pos += end + 1;
-            Ok(Term::iri(iri))
-        } else if let Some(body) = rest.strip_prefix("_:") {
-            let len = body
-                .char_indices()
-                .find(|(_, c)| c.is_whitespace() || *c == '.')
-                .map(|(i, _)| i)
-                .unwrap_or(body.len());
-            if len == 0 {
-                return Err("empty blank node label".into());
-            }
-            let label = &body[..len];
-            self.pos += 2 + len;
-            Ok(Term::bnode(label))
-        } else if rest.starts_with('"') {
-            self.literal()
-        } else {
-            Err(format!(
-                "unexpected token: {:?}",
-                rest.chars().take(12).collect::<String>()
-            ))
-        }
-    }
-
-    fn literal(&mut self) -> Result<Term, String> {
-        // self.rest() starts with '"'
-        let body = &self.rest()[1..];
-        let mut end = None;
-        let mut escaped = false;
-        for (i, c) in body.char_indices() {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                end = Some(i);
-                break;
-            }
-        }
-        let end = end.ok_or("unterminated literal")?;
-        let lexical = unescape_literal(&body[..end]);
-        self.pos += 1 + end + 1;
-
-        let rest = self.rest();
-        if let Some(tail) = rest.strip_prefix("^^<") {
-            let close = tail.find('>').ok_or("unterminated datatype IRI")?;
-            let dt = &tail[..close];
-            self.pos += 3 + close + 1;
-            Ok(Term::Literal(Literal::typed(lexical, dt)))
-        } else if let Some(tail) = rest.strip_prefix('@') {
-            let len = tail
-                .char_indices()
-                .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '-'))
-                .map(|(i, _)| i)
-                .unwrap_or(tail.len());
-            if len == 0 {
-                return Err("empty language tag".into());
-            }
-            let lang = &tail[..len];
-            self.pos += 1 + len;
-            Ok(Term::Literal(Literal::lang(lexical, lang)))
-        } else {
-            Ok(Term::Literal(Literal::plain(lexical)))
-        }
-    }
 }
 
 /// Serialize a graph as an N-Triples document.
@@ -186,6 +78,7 @@ pub fn serialize(graph: &Graph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::{Literal, Term};
 
     #[test]
     fn parse_basic_document() {

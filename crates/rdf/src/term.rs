@@ -195,29 +195,49 @@ pub fn escape_literal(s: &str) -> String {
     out
 }
 
-/// Undo [`escape_literal`].
+/// Undo [`escape_literal`], and decode the other escapes the N-Triples,
+/// Turtle and SPARQL string grammars share: `\b`, `\f`, `\'`, `\uXXXX`
+/// and `\UXXXXXXXX`. A malformed escape (an unknown letter, bad hex, a
+/// surrogate or a value above `0x10FFFF`) is kept verbatim.
 pub fn unescape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let escape = &rest[at + 1..];
+        let (decoded, len) = match escape.as_bytes().first() {
+            Some(b'n') => (Some('\n'), 1),
+            Some(b'r') => (Some('\r'), 1),
+            Some(b't') => (Some('\t'), 1),
+            Some(b'b') => (Some('\u{8}'), 1),
+            Some(b'f') => (Some('\u{c}'), 1),
+            Some(b'"') => (Some('"'), 1),
+            Some(b'\'') => (Some('\''), 1),
+            Some(b'\\') => (Some('\\'), 1),
+            Some(b'u') => (code_point(escape.get(1..5)), 5),
+            Some(b'U') => (code_point(escape.get(1..9)), 9),
+            _ => (None, 0),
+        };
+        match decoded {
+            Some(c) => {
+                out.push(c);
+                rest = &escape[len..];
             }
-        } else {
-            out.push(c);
+            None => {
+                out.push('\\');
+                rest = escape;
+            }
         }
     }
+    out.push_str(rest);
     out
+}
+
+/// The character whose code point `hex` spells, if it is all hex digits
+/// and a Unicode scalar value.
+fn code_point(hex: Option<&str>) -> Option<char> {
+    let hex = hex.filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))?;
+    char::from_u32(u32::from_str_radix(hex, 16).ok()?)
 }
 
 #[cfg(test)]
@@ -356,6 +376,27 @@ mod tests {
     fn escape_roundtrip() {
         let nasty = "line1\nline2\t\"quoted\" back\\slash";
         assert_eq!(unescape_literal(&escape_literal(nasty)), nasty);
+    }
+
+    #[test]
+    fn unescape_decodes_every_string_escape() {
+        assert_eq!(
+            unescape_literal(r#"\b\f\'\"\\ caf\u00E9 \U0001F600"#),
+            "\u{8}\u{c}'\"\\ café \u{1F600}"
+        );
+        // Malformed escapes stay as written: an unknown letter, short or
+        // bad hex, a surrogate, a value past U+10FFFF, a lone backslash.
+        for kept in [
+            r"\x",
+            r"\u00E",
+            r"\u00G9",
+            r"\u+0E9",
+            r"\uD800",
+            r"\U00110000",
+            r"a\",
+        ] {
+            assert_eq!(unescape_literal(kept), kept);
+        }
     }
 
     #[test]

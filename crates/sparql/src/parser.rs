@@ -1,9 +1,9 @@
 //! A recursive-descent parser for the SPARQL fragment Lusail uses.
 
 use crate::ast::*;
-use lusail_rdf::term::unescape_literal;
-use lusail_rdf::{vocab, Literal, Term};
-use std::sync::Arc;
+use lusail_rdf::syntax::{Cursor, SyntaxError};
+use lusail_rdf::{vocab, Term};
+use std::ops::{Deref, DerefMut};
 
 /// A SPARQL parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +24,15 @@ impl std::fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+impl From<SyntaxError> for ParseError {
+    fn from(e: SyntaxError) -> Self {
+        ParseError {
+            message: e.message,
+            offset: e.offset,
+        }
+    }
+}
 
 /// What the parser accepts beyond the grammar: one limits value, read in
 /// one place, so every recursion over a parsed query is bounded by it.
@@ -47,9 +56,7 @@ pub const PARSE_LIMITS: ParseLimits = ParseLimits { max_nesting: 64 };
 /// Parse a SPARQL query string.
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     let mut p = Parser {
-        s: input,
-        pos: 0,
-        prefixes: Vec::new(),
+        cursor: Cursor::new(input),
         depth: 0,
     };
     let q = p.query()?;
@@ -60,12 +67,26 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
     Ok(q)
 }
 
+/// The SPARQL grammar over a [`Cursor`], which reads every term, keyword
+/// and punctuation token (the parser derefs to it).
 struct Parser<'a> {
-    s: &'a str,
-    pos: usize,
-    prefixes: Vec<(String, String)>,
+    cursor: Cursor<'a>,
     /// Nesting levels entered so far (see [`ParseLimits::max_nesting`]).
     depth: usize,
+}
+
+impl<'a> Deref for Parser<'a> {
+    type Target = Cursor<'a>;
+
+    fn deref(&self) -> &Cursor<'a> {
+        &self.cursor
+    }
+}
+
+impl DerefMut for Parser<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.cursor
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -82,52 +103,11 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn rest(&self) -> &'a str {
-        &self.s[self.pos..]
-    }
-
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
             message: message.into(),
             offset: self.pos,
         })
-    }
-
-    fn skip_trivia(&mut self) {
-        loop {
-            let mut advanced = false;
-            while let Some(c) = self.rest().chars().next() {
-                if c.is_whitespace() {
-                    self.pos += c.len_utf8();
-                    advanced = true;
-                } else {
-                    break;
-                }
-            }
-            if self.rest().starts_with('#') {
-                let nl = self
-                    .rest()
-                    .find('\n')
-                    .map(|i| i + 1)
-                    .unwrap_or(self.rest().len());
-                self.pos += nl;
-                advanced = true;
-            }
-            if !advanced {
-                break;
-            }
-        }
-    }
-
-    /// Try to consume a literal token (punctuation/operator).
-    fn eat(&mut self, token: &str) -> bool {
-        self.skip_trivia();
-        if self.rest().starts_with(token) {
-            self.pos += token.len();
-            true
-        } else {
-            false
-        }
     }
 
     fn expect(&mut self, token: &str) -> Result<(), ParseError> {
@@ -136,24 +116,6 @@ impl<'a> Parser<'a> {
         } else {
             self.err(format!("expected {token:?}"))
         }
-    }
-
-    /// Try to consume a case-insensitive keyword (must be followed by a
-    /// non-identifier character).
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        self.skip_trivia();
-        let rest = self.rest();
-        // Compared as bytes: `rest` may hold any character where the
-        // keyword's last byte falls, and only a match leaves a boundary.
-        let head = rest.as_bytes().get(..kw.len());
-        if head.is_some_and(|head| head.eq_ignore_ascii_case(kw.as_bytes())) {
-            let next = rest[kw.len()..].chars().next();
-            if next.is_none_or(|c| !c.is_ascii_alphanumeric() && c != '_') {
-                self.pos += kw.len();
-                return true;
-            }
-        }
-        false
     }
 
     fn peek_kw(&mut self, kw: &str) -> bool {
@@ -197,21 +159,6 @@ impl<'a> Parser<'a> {
             prefixes: std::mem::take(&mut self.prefixes),
             form,
         })
-    }
-
-    fn prefix_decl(&mut self) -> Result<(), ParseError> {
-        self.skip_trivia();
-        let rest = self.rest();
-        let colon = match rest.find(':') {
-            Some(i) => i,
-            None => return self.err("expected ':' in PREFIX"),
-        };
-        let name = rest[..colon].trim().to_string();
-        self.pos += colon + 1;
-        self.skip_trivia();
-        let iri = self.iri_ref()?.to_string();
-        self.prefixes.push((name, iri));
-        Ok(())
     }
 
     fn select_query(&mut self) -> Result<SelectQuery, ParseError> {
@@ -814,172 +761,11 @@ impl<'a> Parser<'a> {
         Ok(TermPattern::Term(self.term()?))
     }
 
-    fn iri_ref(&mut self) -> Result<&'a str, ParseError> {
-        self.skip_trivia();
-        if !self.eat("<") {
-            return self.err("expected '<'");
-        }
-        let rest = self.rest();
-        let end = match rest.find('>') {
-            Some(i) => i,
-            None => return self.err("unterminated IRI"),
-        };
-        self.pos += end + 1;
-        Ok(&rest[..end])
-    }
-
-    fn term(&mut self) -> Result<Term, ParseError> {
-        self.skip_trivia();
-        let rest = self.rest();
-        if rest.starts_with('<') {
-            return Ok(Term::iri(self.iri_ref()?));
-        }
-        if let Some(body) = rest.strip_prefix("_:") {
-            let len = body
-                .char_indices()
-                .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '_' || *c == '-'))
-                .map(|(i, _)| i)
-                .unwrap_or(body.len());
-            if len == 0 {
-                return self.err("empty blank node label");
-            }
-            let label = body[..len].to_string();
-            self.pos += 2 + len;
-            return Ok(Term::bnode(label));
-        }
-        if rest.starts_with('"') {
-            return self.literal_term();
-        }
-        if self.eat_kw("true") {
-            return Ok(Term::Literal(Literal::typed("true", vocab::xsd::BOOLEAN)));
-        }
-        if self.eat_kw("false") {
-            return Ok(Term::Literal(Literal::typed("false", vocab::xsd::BOOLEAN)));
-        }
-        if rest.starts_with(|c: char| c.is_ascii_digit())
-            || (rest.starts_with('-') && rest[1..].starts_with(|c: char| c.is_ascii_digit()))
-        {
-            return self.number_term();
-        }
-        self.prefixed_name()
-    }
-
-    fn number_term(&mut self) -> Result<Term, ParseError> {
-        let rest = self.rest();
-        let mut len = 0;
-        let mut has_dot = false;
-        for (i, c) in rest.char_indices() {
-            if c.is_ascii_digit() || (i == 0 && c == '-') {
-                len = i + c.len_utf8();
-            } else if c == '.'
-                && !has_dot
-                && rest[i + 1..].starts_with(|d: char| d.is_ascii_digit())
-            {
-                has_dot = true;
-                len = i + 1;
-            } else {
-                break;
-            }
-        }
-        let text = &rest[..len];
-        self.pos += len;
-        if has_dot {
-            Ok(Term::Literal(Literal::typed(text, vocab::xsd::DECIMAL)))
-        } else {
-            Ok(Term::Literal(Literal::typed(text, vocab::xsd::INTEGER)))
-        }
-    }
-
     fn integer(&mut self) -> Result<i64, ParseError> {
-        self.skip_trivia();
-        match self.number_term()? {
-            Term::Literal(l) => match l.as_i64() {
-                Some(i) => Ok(i),
-                None => self.err("expected an integer"),
-            },
-            _ => unreachable!(),
+        match self.number()?.as_i64() {
+            Some(i) => Ok(i),
+            None => self.err("expected an integer"),
         }
-    }
-
-    fn literal_term(&mut self) -> Result<Term, ParseError> {
-        // rest() starts with '"'
-        let body = &self.rest()[1..];
-        let mut end = None;
-        let mut escaped = false;
-        for (i, c) in body.char_indices() {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                end = Some(i);
-                break;
-            }
-        }
-        let end = match end {
-            Some(e) => e,
-            None => return self.err("unterminated literal"),
-        };
-        let lexical = unescape_literal(&body[..end]);
-        self.pos += 1 + end + 1;
-        if self.rest().starts_with("^^") {
-            self.pos += 2;
-            let dt: Arc<str> = if self.rest().starts_with('<') {
-                self.iri_ref()?.into()
-            } else {
-                match self.prefixed_name()? {
-                    Term::Iri(iri) => iri,
-                    _ => return self.err("datatype must be an IRI"),
-                }
-            };
-            return Ok(Term::Literal(Literal::typed(lexical, dt)));
-        }
-        if self.rest().starts_with('@') {
-            self.pos += 1;
-            let rest = self.rest();
-            let len = rest
-                .char_indices()
-                .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '-'))
-                .map(|(i, _)| i)
-                .unwrap_or(rest.len());
-            if len == 0 {
-                return self.err("empty language tag");
-            }
-            let lang = &rest[..len];
-            self.pos += len;
-            return Ok(Term::Literal(Literal::lang(lexical, lang)));
-        }
-        Ok(Term::Literal(Literal::plain(lexical)))
-    }
-
-    fn prefixed_name(&mut self) -> Result<Term, ParseError> {
-        self.skip_trivia();
-        let rest = self.rest();
-        let len = rest
-            .char_indices()
-            .find(|(_, c)| {
-                !(c.is_ascii_alphanumeric() || *c == '_' || *c == '-' || *c == ':' || *c == '.')
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(rest.len());
-        // A trailing '.' is the statement terminator, not part of the name.
-        let name = rest[..len].trim_end_matches('.');
-        let colon = match name.find(':') {
-            Some(i) => i,
-            None => {
-                return self.err(format!(
-                    "expected a term, found {:?}",
-                    rest.chars().take(12).collect::<String>()
-                ))
-            }
-        };
-        let (prefix, local) = (&name[..colon], &name[colon + 1..]);
-        let ns = match self.prefixes.iter().find(|(p, _)| p == prefix) {
-            Some((_, ns)) => ns.clone(),
-            None => return self.err(format!("undeclared prefix {prefix:?}")),
-        };
-        self.pos += name.len();
-        Ok(Term::iri(format!("{ns}{local}")))
     }
 }
 

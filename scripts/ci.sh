@@ -51,6 +51,15 @@ if grep -rn 'std::fs' crates/core/src/sape/; then
     echo "crates/core/src/sape uses std::fs; a join writes no file" >&2
     exit 1
 fi
+# One term syntax (DESIGN.md → Term syntax): lusail_rdf::syntax::Cursor
+# lexes every IRI, prefixed name, blank node, literal and number, and the
+# N-Triples, Turtle and SPARQL parsers keep only their statement grammars,
+# so a term cannot parse one way in a data file and another in a query.
+if grep -nE 'fn (literal_term|parse_literal|number_term|parse_number|parse_prefixed_name|parse_iri_ref|skip_trivia)\(|unescape_literal\(' \
+    crates/rdf/src/ntriples.rs crates/rdf/src/turtle.rs -r crates/sparql/src/; then
+    echo "a second term lexer is back; read terms through lusail_rdf::syntax::Cursor" >&2
+    exit 1
+fi
 # One strand rule and no knob (DESIGN.md → Deviations from Algorithm 3):
 # `fn strands(` is defined once, in sape/execute.rs, and no LusailConfig
 # field, env var or CLI flag mentions strands; `--explain` only reports them.

@@ -11,7 +11,7 @@ use lusail_sparql::solution::Relation;
 use lusail_store::eval::QueryResult;
 use lusail_store::{Evaluator, Store};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Evaluate a query over the *merged* graph of all endpoints — the ground
 /// truth a federated engine must reproduce (the decentralized graph's
@@ -23,6 +23,13 @@ pub fn ground_truth(graphs: &[(String, Graph)], query: &Query) -> Relation {
     }
     let store = Store::from_graph(&merged);
     Evaluator::new(&store).query(query).into_solutions()
+}
+
+/// The fastest of three runs of `run`, which times itself. A latency
+/// bound compares the fastest run of each side: one wall-clock sample can
+/// be stretched several times over by whatever else the machine runs.
+pub fn fastest_of_three(mut run: impl FnMut() -> Duration) -> Duration {
+    (0..3).map(|_| run()).min().expect("three runs")
 }
 
 /// Compare two relations as bags, ignoring row and column order.

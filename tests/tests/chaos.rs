@@ -8,6 +8,7 @@
 //! `LUSAIL_CHAOS_SEED` to replay a failing run (the `chaos` group in
 //! `scripts/ci.sh` prints the seed it used on failure).
 
+use integration::fastest_of_three;
 use lusail_core::{EngineError, LusailConfig, LusailEngine, ResultPolicy};
 use lusail_federation::{
     BreakerConfig, BreakerState, Deadline, FaultProfile, FaultyConfig, FaultyEndpoint, Federation,
@@ -119,35 +120,52 @@ fn fail_fast_names_dead_endpoint_within_twice_healthy_latency() {
     // cost, so "healthy latency" spans several request waves and the
     // comparison below has structural (not statistical) slack: failing
     // fast on the first wave is necessarily cheaper than finishing all of
-    // them.
+    // them. Each side runs three times on fresh rigs, and the fastest runs
+    // are compared.
     let network = NetworkProfile::geo_distributed();
     let q = parse_query(QUERY).unwrap();
 
-    let healthy = rig(network, FaultProfile::none(), snappy_faults());
-    let started = Instant::now();
-    let rel = engine(&healthy, ResultPolicy::FailFast)
-        .execute(&q)
-        .unwrap();
-    let healthy_latency = started.elapsed();
-    assert_eq!(rel.len(), 3 * ROWS_PER_SHARD);
+    let mut healthy_requests = 0;
+    let healthy_latency = fastest_of_three(|| {
+        let healthy = rig(network, FaultProfile::none(), snappy_faults());
+        let started = Instant::now();
+        let rel = engine(&healthy, ResultPolicy::FailFast)
+            .execute(&q)
+            .unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(rel.len(), 3 * ROWS_PER_SHARD);
+        healthy_requests = healthy.federation.total_traffic().requests;
+        elapsed
+    });
 
-    let broken = rig(network, FaultProfile::hard_down(), snappy_faults());
-    let started = Instant::now();
-    let err = engine(&broken, ResultPolicy::FailFast)
-        .execute(&q)
-        .unwrap_err();
-    let failing_latency = started.elapsed();
+    let failing_latency = fastest_of_three(|| {
+        let broken = rig(network, FaultProfile::hard_down(), snappy_faults());
+        let started = Instant::now();
+        let err = engine(&broken, ResultPolicy::FailFast)
+            .execute(&q)
+            .unwrap_err();
+        let elapsed = started.elapsed();
 
-    match &err {
-        EngineError::Endpoint(e) => {
-            assert_eq!(e.endpoint, FAULTY_NAME, "error must name the dead endpoint");
+        match &err {
+            EngineError::Endpoint(e) => {
+                assert_eq!(e.endpoint, FAULTY_NAME, "error must name the dead endpoint");
+            }
+            other => panic!("expected a structured endpoint error, got {other:?}"),
         }
-        other => panic!("expected a structured endpoint error, got {other:?}"),
-    }
+        // The structural reason it is cheaper: it stops before the waves
+        // the healthy run goes on to send.
+        let requests = broken.federation.total_traffic().requests;
+        assert!(
+            requests < healthy_requests,
+            "fail-fast sent {requests} requests, the healthy run {healthy_requests} (seed {})",
+            chaos_seed()
+        );
+        elapsed
+    });
     assert!(
         failing_latency < healthy_latency * 2,
-        "fail-fast took {failing_latency:?}, over 2x the healthy {healthy_latency:?} \
-         (seed {})",
+        "fastest fail-fast run took {failing_latency:?}, over 2x the fastest healthy \
+         {healthy_latency:?} (seed {})",
         chaos_seed()
     );
 }
