@@ -47,6 +47,9 @@ For query, each --data file becomes one in-process endpoint (.nt =
 N-Triples, .ttl = Turtle, .snap = snapshot) and each --endpoint URL a
 remote HTTP SPARQL endpoint; the two can be mixed freely. serve merges
 its --data files into one store and exposes it at http://ADDR/sparql.
+Only --data and --endpoint may be given more than once (snapshot takes
+one --data); --query and --query-text exclude each other, as do --addr
+and --port.
 
 An --endpoint of the form NAME=URL,URL,... declares a replica group:
 equivalent mirrors behind one logical endpoint. Requests go to the
@@ -131,41 +134,35 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Parsed command line.
+fn usage(m: impl Into<String>) -> CliError {
+    CliError::Usage(m.into())
+}
+
+/// Parsed command line: each command carries the configs it runs with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     Query {
-        data: Vec<PathBuf>,
-        endpoints: Vec<String>,
-        query_file: Option<PathBuf>,
-        query_text: Option<String>,
+        federation: FederationSpec,
+        query: QuerySource,
         engine: EngineKind,
-        profile: ProfileKind,
-        timeout: Option<u64>,
-        /// HTTP retry attempts beyond the first (`--retries`).
-        retries: Option<u32>,
-        /// First-retry backoff in milliseconds (`--backoff`).
-        backoff: Option<u64>,
-        /// Hedge delay in milliseconds for replica groups (`--hedge-after`).
-        hedge_after: Option<u64>,
-        /// Per-query memory budget in bytes (`--memory-budget`).
-        memory_budget: Option<usize>,
-        /// Row cap per subquery response (`--max-result-rows`).
-        max_result_rows: Option<usize>,
+        /// Timeout, result policy, memory budget and row cap.
+        config: LusailConfig,
         format: OutputFormat,
         explain: bool,
-        partial: bool,
         stats: bool,
     },
+    /// Plain `serve`: the `--data` files merged into one store.
     Serve {
         data: Vec<PathBuf>,
         addr: String,
-        workers: usize,
-        /// Row ceiling per response streamed by the server.
-        max_result_rows: Option<usize>,
-        /// `--federate`: run the federator as a service instead of a
-        /// plain single-store endpoint.
-        federate: Option<FederateOpts>,
+        config: ServerConfig,
+    },
+    /// `serve --federate`: the federator itself behind the HTTP server.
+    Federate {
+        federation: FederationSpec,
+        addr: String,
+        server: ServerConfig,
+        service: FederateConfig,
     },
     Generate {
         benchmark: String,
@@ -183,46 +180,40 @@ pub enum Command {
     },
 }
 
-/// Options for `serve --federate` (defaults come from
-/// [`lusail_server::federate::FederateConfig`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FederateOpts {
-    /// Remote `--endpoint` specs (bare URLs or `NAME=URL,URL` groups).
-    pub endpoints: Vec<String>,
-    /// Network profile for the `--data` simulated endpoints.
-    pub profile: ProfileKind,
-    /// Per-query deadline in seconds (`--query-timeout`).
-    pub query_timeout: Option<u64>,
-    /// HTTP retry attempts beyond the first (`--retries`).
-    pub retries: Option<u32>,
-    /// First-retry backoff in milliseconds (`--backoff`).
-    pub backoff: Option<u64>,
-    /// Hedge delay in milliseconds for replica groups (`--hedge-after`).
-    pub hedge_after: Option<u64>,
-    /// Global memory pool in bytes (`--memory-pool`).
-    pub memory_pool: Option<usize>,
-    /// Per-query ledger in bytes (`--query-budget`).
-    pub query_budget: Option<usize>,
-    /// Admission-queue bound (`--queue`).
-    pub queue: Option<usize>,
-    /// Per-client in-flight bound (`--client-max-inflight`).
-    pub client_max_inflight: Option<usize>,
-    /// Cache TTL in seconds for both tiers (`--cache-ttl`).
-    pub cache_ttl: Option<u64>,
-    /// Result-cache entry cap (`--cache-capacity`).
-    pub cache_capacity: Option<usize>,
-    /// Serve partial results with warnings when endpoints fail.
-    pub partial: bool,
-    /// Shutdown drain window in seconds (`--drain-timeout`): in-flight
-    /// queries get this long to finish before being force-cancelled.
-    pub drain_timeout: Option<u64>,
-    /// Watchdog slack past the query deadline in seconds
-    /// (`--watchdog-grace`) before a wedged query is reaped.
-    pub watchdog_grace: Option<u64>,
+/// The federation `query` and `serve --federate` run over: local data files
+/// (simulated endpoints under `profile`) and remote endpoints (HTTP members
+/// tuned by `http`, replica groups hedged after `hedge_after`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FederationSpec {
+    pub data: Vec<PathBuf>,
+    pub endpoints: Vec<EndpointSpec>,
+    pub profile: NetworkProfile,
+    pub http: HttpConfig,
+    pub hedge_after: Option<Duration>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+impl Default for FederationSpec {
+    fn default() -> Self {
+        FederationSpec {
+            data: Vec::new(),
+            endpoints: Vec::new(),
+            profile: NetworkProfile::instant(),
+            http: HttpConfig::default(),
+            hedge_after: None,
+        }
+    }
+}
+
+/// Where `query` reads its SPARQL text from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QuerySource {
+    File(PathBuf),
+    Text(String),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
+    #[default]
     Lusail,
     FedX,
     Splendid,
@@ -230,405 +221,401 @@ pub enum EngineKind {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProfileKind {
-    #[default]
-    Instant,
-    Local,
-    Geo,
-}
-
-impl ProfileKind {
-    fn network(self) -> NetworkProfile {
-        match self {
-            ProfileKind::Instant => NetworkProfile::instant(),
-            ProfileKind::Local => NetworkProfile::local_cluster(),
-            ProfileKind::Geo => NetworkProfile::geo_distributed(),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputFormat {
+    #[default]
     Table,
     Csv,
 }
 
+/// The commands a flag is valid for, as bits.
+const QUERY: u8 = 1;
+const SERVE: u8 = 1 << 1;
+/// `serve --federate`.
+const FEDERATE: u8 = 1 << 2;
+const GENERATE: u8 = 1 << 3;
+const INFO: u8 = 1 << 4;
+const SNAPSHOT: u8 = 1 << 5;
+/// The federation flags `query` and `serve --federate` share: both parse
+/// them into one [`FederationSpec`] and reject a value in the same words.
+const FED: u8 = QUERY | FEDERATE;
+
+const VALUE: bool = true;
+const SWITCH: bool = false;
+
+/// One row of [`FLAGS`]: the flag's name, whether it takes a value, the
+/// commands that accept it, those in which it may be given more than once,
+/// and where its value lands.
+type Flag = (&'static str, bool, u8, u8, Apply);
+type Apply = fn(&mut Draft, Arg) -> Result<(), CliError>;
+
+/// Every flag of every command. The rows are applied in argv order, each to
+/// the config its command runs with; a config field no flag names keeps its
+/// `Default`.
+const FLAGS: &[Flag] = &[
+    (
+        "--data",
+        VALUE,
+        FED | SERVE | INFO | SNAPSHOT,
+        FED | SERVE | INFO,
+        |d, a| a.value().map(|path| d.fed.data.push(path)),
+    ),
+    ("--endpoint", VALUE, FED, FED, |d, a| {
+        // Validated here so a malformed NAME=URL,URL list fails before any
+        // endpoint is dialled.
+        parse_endpoint_spec(a.v).map(|spec| d.fed.endpoints.push(spec))
+    }),
+    ("--query", VALUE, QUERY, 0, |d, a| {
+        d.set_query(QuerySource::File(a.value()?))
+    }),
+    ("--query-text", VALUE, QUERY, 0, |d, a| {
+        d.set_query(QuerySource::Text(a.value()?))
+    }),
+    ("--engine", VALUE, QUERY, 0, |d, a| {
+        d.engine = match a.v {
+            "lusail" => EngineKind::Lusail,
+            "fedx" => EngineKind::FedX,
+            "splendid" => EngineKind::Splendid,
+            "hibiscus" => EngineKind::HiBiscus,
+            other => return Err(usage(format!("unknown engine {other:?}"))),
+        };
+        Ok(())
+    }),
+    ("--profile", VALUE, FED, 0, |d, a| {
+        d.fed.profile = match a.v {
+            "instant" => NetworkProfile::instant(),
+            "local" => NetworkProfile::local_cluster(),
+            "geo" => NetworkProfile::geo_distributed(),
+            other => return Err(usage(format!("unknown profile {other:?}"))),
+        };
+        Ok(())
+    }),
+    ("--timeout", VALUE, QUERY, 0, |d, a| {
+        a.secs().map(|t| d.lusail.timeout = Some(t))
+    }),
+    ("--retries", VALUE, FED, 0, |d, a| {
+        a.capped(100, "").map(|n| d.fed.http.retries = n as u32)
+    }),
+    ("--backoff", VALUE, FED, 0, |d, a| {
+        a.capped(60_000, " ms")
+            .map(|ms| d.fed.http.backoff = Duration::from_millis(ms))
+    }),
+    ("--hedge-after", VALUE, FED, 0, |d, a| {
+        a.capped(60_000, " ms")
+            .map(|ms| d.fed.hedge_after = Some(Duration::from_millis(ms)))
+    }),
+    ("--memory-budget", VALUE, QUERY, 0, |d, a| {
+        a.bytes().map(|n| d.lusail.memory_budget = Some(n))
+    }),
+    ("--max-result-rows", VALUE, FED | SERVE, 0, |d, a| {
+        // One cap for every layer: the transport cuts an endpoint's result
+        // bomb off while it streams in, the engine admits no more, and
+        // serve streams no more out.
+        let n = Some(a.at_least_one()?);
+        d.fed.http.max_result_rows = n;
+        d.lusail.max_result_rows = n;
+        d.server.max_result_rows = n;
+        d.service.max_result_rows = n;
+        Ok(())
+    }),
+    ("--format", VALUE, QUERY, 0, |d, a| {
+        d.format = match a.v {
+            "table" => OutputFormat::Table,
+            "csv" => OutputFormat::Csv,
+            other => return Err(usage(format!("unknown format {other:?}"))),
+        };
+        Ok(())
+    }),
+    ("--explain", SWITCH, QUERY, 0, |d, _| {
+        d.explain = true;
+        Ok(())
+    }),
+    ("--partial", SWITCH, FED, 0, |d, _| {
+        d.lusail.result_policy = ResultPolicy::Partial;
+        d.service.partial = true;
+        Ok(())
+    }),
+    ("--stats", SWITCH, QUERY, 0, |d, _| {
+        d.stats = true;
+        Ok(())
+    }),
+    ("--addr", VALUE, SERVE | FEDERATE, 0, |d, a| {
+        d.set_addr(a.value()?)
+    }),
+    ("--port", VALUE, SERVE | FEDERATE, 0, |d, a| {
+        d.set_addr(format!("127.0.0.1:{}", a.value::<u16>()?))
+    }),
+    ("--workers", VALUE, SERVE | FEDERATE, 0, |d, a| {
+        a.value().map(|n| d.server.workers = n)
+    }),
+    // Stores nothing: its presence makes serve the FEDERATE command.
+    ("--federate", SWITCH, FEDERATE, 0, |_, _| Ok(())),
+    ("--query-timeout", VALUE, FEDERATE, 0, |d, a| {
+        a.secs().map(|t| d.service.query_timeout = Some(t))
+    }),
+    ("--memory-pool", VALUE, FEDERATE, 0, |d, a| {
+        d.service.pool_bytes = a.bytes()?;
+        d.pool_given = true;
+        Ok(())
+    }),
+    ("--query-budget", VALUE, FEDERATE, 0, |d, a| {
+        d.service.query_budget_bytes = a.bytes()?;
+        d.ledger_given = true;
+        Ok(())
+    }),
+    ("--queue", VALUE, FEDERATE, 0, |d, a| {
+        a.value().map(|n| d.service.max_waiting = n)
+    }),
+    ("--client-max-inflight", VALUE, FEDERATE, 0, |d, a| {
+        a.at_least_one().map(|n| d.service.client_max_inflight = n)
+    }),
+    ("--cache-ttl", VALUE, FEDERATE, 0, |d, a| {
+        a.secs().map(|t| d.service.cache_ttl = Some(t))
+    }),
+    ("--cache-capacity", VALUE, FEDERATE, 0, |d, a| {
+        a.value().map(|n| d.service.result_cache_capacity = Some(n))
+    }),
+    ("--drain-timeout", VALUE, FEDERATE, 0, |d, a| {
+        a.secs().map(|t| d.server.drain_timeout = t)
+    }),
+    ("--watchdog-grace", VALUE, FEDERATE, 0, |d, a| {
+        a.secs().map(|t| d.service.watchdog_grace = t)
+    }),
+    ("--benchmark", VALUE, GENERATE, 0, |d, a| {
+        if !["lubm", "qfed", "largerdf", "bio2rdf"].contains(&a.v) {
+            return Err(usage(format!("unknown benchmark {:?}", a.v)));
+        }
+        a.value().map(|b| d.benchmark = Some(b))
+    }),
+    ("--out", VALUE, GENERATE | SNAPSHOT, 0, |d, a| {
+        a.value().map(|path| d.out = Some(path))
+    }),
+    ("--scale", VALUE, GENERATE, 0, |d, a| {
+        let scale: f64 = a.value()?;
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(usage(format!("{} must be finite and above 0", a.flag)));
+        }
+        d.scale = Some(scale);
+        Ok(())
+    }),
+    ("--endpoints", VALUE, GENERATE, 0, |d, a| {
+        a.at_least_one().map(|n| d.endpoints = Some(n))
+    }),
+    ("--seed", VALUE, GENERATE, 0, |d, a| {
+        a.value().map(|n| d.seed = Some(n))
+    }),
+];
+
+/// One flag as given on the command line (`v` is `""` for a switch).
+#[derive(Clone, Copy)]
+struct Arg<'a> {
+    flag: &'a str,
+    v: &'a str,
+}
+
+impl Arg<'_> {
+    /// The value read as a `T`.
+    fn value<T: std::str::FromStr>(self) -> Result<T, CliError> {
+        (self.v.parse()).map_err(|_| usage(format!("bad {} {:?}", self.flag, self.v)))
+    }
+
+    fn secs(self) -> Result<Duration, CliError> {
+        self.value().map(Duration::from_secs)
+    }
+
+    /// A count, refusing 0 rather than letting it mean "nothing at all".
+    fn at_least_one(self) -> Result<usize, CliError> {
+        match self.value()? {
+            0 => Err(usage(format!("{} must be at least 1", self.flag))),
+            n => Ok(n),
+        }
+    }
+
+    fn capped(self, max: u64, unit: &str) -> Result<u64, CliError> {
+        let n: u64 = self.value()?;
+        if n > max {
+            let flag = self.flag;
+            return Err(usage(format!(
+                "{flag} {n} is out of range (max {max}{unit})"
+            )));
+        }
+        Ok(n)
+    }
+
+    fn bytes(self) -> Result<usize, CliError> {
+        parse_bytes(self.v).map_err(|m| usage(format!("bad {}: {m}", self.flag)))
+    }
+}
+
+/// What the flags of one command line set, each config starting from its own
+/// `Default`; [`parse_args`] moves what the command runs with into its
+/// [`Command`].
+#[derive(Default)]
+struct Draft {
+    fed: FederationSpec,
+    lusail: LusailConfig,
+    server: ServerConfig,
+    service: FederateConfig,
+    query: Option<QuerySource>,
+    engine: EngineKind,
+    format: OutputFormat,
+    explain: bool,
+    stats: bool,
+    addr: Option<String>,
+    /// A ledger larger than the pool is refused only when both were given:
+    /// against a default, the pool shrinks the ledger to fit.
+    pool_given: bool,
+    ledger_given: bool,
+    benchmark: Option<String>,
+    out: Option<PathBuf>,
+    scale: Option<f64>,
+    endpoints: Option<usize>,
+    seed: Option<u64>,
+}
+
+impl Draft {
+    fn set_query(&mut self, query: QuerySource) -> Result<(), CliError> {
+        match self.query.replace(query) {
+            Some(_) => Err(usage("query takes --query or --query-text, not both")),
+            None => Ok(()),
+        }
+    }
+
+    fn set_addr(&mut self, addr: String) -> Result<(), CliError> {
+        match self.addr.replace(addr) {
+            Some(_) => Err(usage("serve takes --addr or --port, not both")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Parse argv (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let usage = |m: &str| CliError::Usage(m.to_string());
-    let mut it = args.iter();
-    let sub = it.next().ok_or_else(|| usage("missing subcommand"))?;
-
-    // Collect flag → values pairs.
-    let rest: Vec<&String> = it.collect();
-    let mut flags: Vec<(&str, Option<&str>)> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
+    let (sub, rest) = args
+        .split_first()
+        .ok_or_else(|| usage("missing subcommand"))?;
+    let row = |flag: &str| FLAGS.iter().find(|r| r.0 == flag);
+    // Pair each flag with its value: a switch takes none, any other flag
+    // (an unknown one too) the next argument.
+    let mut given: Vec<Arg> = Vec::new();
+    let mut rest = rest.iter();
+    while let Some(flag) = rest.next() {
         if !flag.starts_with("--") {
-            return Err(usage(&format!("unexpected argument {flag:?}")));
+            return Err(usage(format!("unexpected argument {flag:?}")));
         }
-        let value = if matches!(flag, "--explain" | "--partial" | "--stats" | "--federate") {
-            None
-        } else {
-            let v = rest
-                .get(i + 1)
-                .ok_or_else(|| usage(&format!("{flag} needs a value")))?;
-            i += 1;
-            Some(v.as_str())
+        let v = match row(flag) {
+            Some(r) if r.1 == SWITCH => "",
+            _ => rest
+                .next()
+                .ok_or_else(|| usage(format!("{flag} needs a value")))?,
         };
-        flags.push((flag, value));
-        i += 1;
+        given.push(Arg { flag, v });
     }
+    let cmd = match sub.as_str() {
+        "query" => QUERY,
+        "serve" if given.iter().any(|a| a.flag == "--federate") => FEDERATE,
+        "serve" => SERVE,
+        "generate" => GENERATE,
+        "info" => INFO,
+        "snapshot" => SNAPSHOT,
+        other => return Err(usage(format!("unknown subcommand {other:?}"))),
+    };
     // Reject typos outright: a misspelled `--port` must not silently fall
     // back to a default (serve would bind an ephemeral port the user never
-    // asked for).
-    let known: &[&str] = match sub.as_str() {
-        "query" => &[
-            "--data",
-            "--endpoint",
-            "--query",
-            "--query-text",
-            "--engine",
-            "--profile",
-            "--timeout",
-            "--retries",
-            "--backoff",
-            "--hedge-after",
-            "--memory-budget",
-            "--max-result-rows",
-            "--format",
-            "--explain",
-            "--partial",
-            "--stats",
-        ],
-        "serve" => &[
-            "--data",
-            "--addr",
-            "--port",
-            "--workers",
-            "--max-result-rows",
-            "--federate",
-            "--endpoint",
-            "--profile",
-            "--query-timeout",
-            "--retries",
-            "--backoff",
-            "--hedge-after",
-            "--memory-pool",
-            "--query-budget",
-            "--queue",
-            "--client-max-inflight",
-            "--cache-ttl",
-            "--cache-capacity",
-            "--partial",
-            "--drain-timeout",
-            "--watchdog-grace",
-        ],
-        "generate" => &["--benchmark", "--out", "--scale", "--endpoints", "--seed"],
-        "info" => &["--data"],
-        "snapshot" => &["--data", "--out"],
-        _ => &[], // unknown subcommand: fall through to its own error below
-    };
-    if !known.is_empty() {
-        if let Some((bad, _)) = flags.iter().find(|(f, _)| !known.contains(f)) {
-            return Err(usage(&format!("unknown flag {bad:?} for {sub}")));
+    // asked for). Federation flags without --federate would silently do
+    // nothing; refuse them too.
+    let accepted = |a: &Arg| row(a.flag).map_or(0, |r| r.2);
+    let known = if cmd == SERVE { SERVE | FEDERATE } else { cmd };
+    if let Some(a) = given.iter().find(|a| accepted(a) & known == 0) {
+        return Err(usage(format!("unknown flag {:?} for {sub}", a.flag)));
+    }
+    if let Some(a) = given.iter().find(|a| accepted(a) & cmd == 0) {
+        return Err(usage(format!("{} requires serve --federate", a.flag)));
+    }
+    // A second value would silently replace (or be ignored behind) the
+    // first.
+    for (i, a) in given.iter().enumerate() {
+        let (_, takes_value, _, repeats, _) = row(a.flag).expect("accepted above");
+        if *takes_value && repeats & cmd == 0 && given[..i].iter().any(|b| b.flag == a.flag) {
+            return Err(usage(format!("{} may be given only once", a.flag)));
         }
     }
+    let mut d = Draft::default();
+    for &a in &given {
+        (row(a.flag).expect("accepted above").4)(&mut d, a)?;
+    }
 
-    let get = |name: &str| flags.iter().find(|(f, _)| *f == name).and_then(|(_, v)| *v);
-    let get_all = |name: &str| -> Vec<&str> {
-        flags
-            .iter()
-            .filter(|(f, _)| *f == name)
-            .filter_map(|(_, v)| *v)
-            .collect()
+    let name = if cmd == FEDERATE {
+        "serve --federate"
+    } else {
+        sub
     };
-    let has = |name: &str| flags.iter().any(|(f, _)| *f == name);
-
-    // The flags `query` and `serve --federate` share, parsed and
-    // range-checked once: both reject the same values with the same words.
-    let capped = |flag: &str, max: u64, unit: &str| -> Result<Option<u64>, CliError> {
-        let Some(v) = get(flag) else { return Ok(None) };
-        let n: u64 = (v.parse()).map_err(|_| usage(&format!("bad {flag} {v:?}")))?;
-        if n > max {
-            let msg = format!("{flag} {n} is out of range (max {max}{unit})");
-            return Err(usage(&msg));
-        }
-        Ok(Some(n))
-    };
-    let retries = || capped("--retries", 100, "").map(|n| n.map(|n| n as u32));
-    let backoff = || capped("--backoff", 60_000, " ms");
-    let hedge_after = || capped("--hedge-after", 60_000, " ms");
-    let profile = || match get("--profile").unwrap_or("instant") {
-        "instant" => Ok(ProfileKind::Instant),
-        "local" => Ok(ProfileKind::Local),
-        "geo" => Ok(ProfileKind::Geo),
-        other => Err(usage(&format!("unknown profile {other:?}"))),
-    };
-    let max_result_rows = || -> Result<Option<usize>, CliError> {
-        let Some(v) = get("--max-result-rows") else {
-            return Ok(None);
-        };
-        match v.parse() {
-            Ok(0) => Err(usage("--max-result-rows must be at least 1")),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(usage(&format!("bad --max-result-rows {v:?}"))),
-        }
-    };
-
-    match sub.as_str() {
-        "query" => {
-            let data: Vec<PathBuf> = get_all("--data").into_iter().map(PathBuf::from).collect();
-            let endpoints: Vec<String> = get_all("--endpoint")
-                .into_iter()
-                .map(str::to_string)
-                .collect();
-            if data.is_empty() && endpoints.is_empty() {
-                return Err(usage(
-                    "query needs at least one --data FILE or --endpoint URL",
-                ));
-            }
-            let query_file = get("--query").map(PathBuf::from);
-            let query_text = get("--query-text").map(str::to_string);
-            if query_file.is_none() && query_text.is_none() {
-                return Err(usage("query needs --query FILE or --query-text SPARQL"));
-            }
-            let engine = match get("--engine").unwrap_or("lusail") {
-                "lusail" => EngineKind::Lusail,
-                "fedx" => EngineKind::FedX,
-                "splendid" => EngineKind::Splendid,
-                "hibiscus" => EngineKind::HiBiscus,
-                other => return Err(usage(&format!("unknown engine {other:?}"))),
-            };
-            let timeout = match get("--timeout") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| usage(&format!("bad --timeout {v:?}")))?,
-                ),
-            };
-            let memory_budget: Option<usize> = match get("--memory-budget") {
-                None => None,
-                Some(v) => {
-                    Some(parse_bytes(v).map_err(|m| usage(&format!("bad --memory-budget: {m}")))?)
-                }
-            };
-            // Group specs are validated at parse time so a malformed
-            // NAME=URL,URL list fails before any endpoint is dialled.
-            for spec in &endpoints {
-                parse_endpoint_spec(spec).map_err(|m| usage(&m))?;
-            }
-            let format = match get("--format").unwrap_or("table") {
-                "table" => OutputFormat::Table,
-                "csv" => OutputFormat::Csv,
-                other => return Err(usage(&format!("unknown format {other:?}"))),
-            };
-            if has("--partial") && engine != EngineKind::Lusail {
-                return Err(usage(
-                    "--partial is only supported by the lusail engine (the baselines \
-                     have no partial-results mode)",
-                ));
-            }
-            if memory_budget.is_some() && engine != EngineKind::Lusail {
-                return Err(usage(
-                    "--memory-budget is only supported by the lusail engine (the \
-                     baselines have no memory accounting)",
-                ));
-            }
-            Ok(Command::Query {
-                data,
-                endpoints,
-                query_file,
-                query_text,
-                engine,
-                profile: profile()?,
-                timeout,
-                retries: retries()?,
-                backoff: backoff()?,
-                hedge_after: hedge_after()?,
-                memory_budget,
-                max_result_rows: max_result_rows()?,
-                format,
-                explain: has("--explain"),
-                partial: has("--partial"),
-                stats: has("--stats"),
-            })
-        }
-        "serve" => {
-            let data: Vec<PathBuf> = get_all("--data").into_iter().map(PathBuf::from).collect();
-            let federate = has("--federate");
-            if !federate {
-                // Federation knobs without --federate would silently do
-                // nothing; refuse them instead.
-                const FEDERATE_ONLY: &[&str] = &[
-                    "--endpoint",
-                    "--profile",
-                    "--query-timeout",
-                    "--retries",
-                    "--backoff",
-                    "--hedge-after",
-                    "--memory-pool",
-                    "--query-budget",
-                    "--queue",
-                    "--client-max-inflight",
-                    "--cache-ttl",
-                    "--cache-capacity",
-                    "--partial",
-                    "--drain-timeout",
-                    "--watchdog-grace",
-                ];
-                if let Some(flag) = FEDERATE_ONLY.iter().find(|f| has(f)) {
-                    return Err(usage(&format!("{flag} requires serve --federate")));
-                }
-                if data.is_empty() {
-                    return Err(usage("serve needs at least one --data FILE"));
-                }
-            }
-            if has("--addr") && has("--port") {
-                return Err(usage("serve takes --addr or --port, not both"));
-            }
-            let addr = match (get("--addr"), get("--port")) {
-                (Some(a), _) => a.to_string(),
-                (None, Some(p)) => {
-                    let port: u16 = p.parse().map_err(|_| usage(&format!("bad --port {p:?}")))?;
-                    format!("127.0.0.1:{port}")
-                }
-                (None, None) => "127.0.0.1:0".to_string(),
-            };
-            let workers: usize = match get("--workers") {
-                None => ServerConfig::default().workers,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| usage(&format!("bad --workers {v:?}")))?,
-            };
-            let federate = if federate {
-                let endpoints: Vec<String> = get_all("--endpoint")
-                    .into_iter()
-                    .map(str::to_string)
-                    .collect();
-                if data.is_empty() && endpoints.is_empty() {
+    let needs = |what: &str| usage(format!("{name} needs {what}"));
+    if cmd & FED != 0 && d.fed.data.is_empty() && d.fed.endpoints.is_empty() {
+        return Err(needs("at least one --data FILE or --endpoint URL"));
+    }
+    if cmd & (SERVE | INFO) != 0 && d.fed.data.is_empty() {
+        return Err(needs("at least one --data FILE"));
+    }
+    let addr = d.addr.unwrap_or_else(|| "127.0.0.1:0".to_string());
+    match cmd {
+        QUERY => {
+            let query = d
+                .query
+                .ok_or_else(|| needs("--query FILE or --query-text SPARQL"))?;
+            if d.engine != EngineKind::Lusail {
+                if d.lusail.result_policy == ResultPolicy::Partial {
                     return Err(usage(
-                        "serve --federate needs at least one --data FILE or --endpoint URL",
+                        "--partial is only supported by the lusail engine (the baselines \
+                         have no partial-results mode)",
                     ));
                 }
-                for spec in &endpoints {
-                    parse_endpoint_spec(spec).map_err(|m| usage(&m))?;
+                if d.lusail.memory_budget.is_some() {
+                    return Err(usage(
+                        "--memory-budget is only supported by the lusail engine (the \
+                         baselines have no memory accounting)",
+                    ));
                 }
-                let parse_u64 = |flag: &str| -> Result<Option<u64>, CliError> {
-                    match get(flag) {
-                        None => Ok(None),
-                        Some(v) => Ok(Some(
-                            v.parse().map_err(|_| usage(&format!("bad {flag} {v:?}")))?,
-                        )),
-                    }
-                };
-                let parse_usize = |flag: &str| -> Result<Option<usize>, CliError> {
-                    match get(flag) {
-                        None => Ok(None),
-                        Some(v) => Ok(Some(
-                            v.parse().map_err(|_| usage(&format!("bad {flag} {v:?}")))?,
-                        )),
-                    }
-                };
-                let parse_size = |flag: &str| -> Result<Option<usize>, CliError> {
-                    match get(flag) {
-                        None => Ok(None),
-                        Some(v) => Ok(Some(
-                            parse_bytes(v).map_err(|m| usage(&format!("bad {flag}: {m}")))?,
-                        )),
-                    }
-                };
-                let client_max_inflight = parse_usize("--client-max-inflight")?;
-                if client_max_inflight == Some(0) {
-                    return Err(usage("--client-max-inflight must be at least 1"));
-                }
-                let query_budget = parse_size("--query-budget")?;
-                let memory_pool = parse_size("--memory-pool")?;
-                if let (Some(pool), Some(ledger)) = (memory_pool, query_budget) {
-                    if ledger > pool {
-                        return Err(usage(&format!(
-                            "--query-budget {ledger} exceeds --memory-pool {pool}"
-                        )));
-                    }
-                }
-                Some(FederateOpts {
-                    endpoints,
-                    profile: profile()?,
-                    query_timeout: parse_u64("--query-timeout")?,
-                    retries: retries()?,
-                    backoff: backoff()?,
-                    hedge_after: hedge_after()?,
-                    memory_pool,
-                    query_budget,
-                    queue: parse_usize("--queue")?,
-                    client_max_inflight,
-                    cache_ttl: parse_u64("--cache-ttl")?,
-                    cache_capacity: parse_usize("--cache-capacity")?,
-                    partial: has("--partial"),
-                    drain_timeout: parse_u64("--drain-timeout")?,
-                    watchdog_grace: parse_u64("--watchdog-grace")?,
-                })
-            } else {
-                None
-            };
-            Ok(Command::Serve {
-                data,
+            }
+            Ok(Command::Query {
+                federation: d.fed,
+                query,
+                engine: d.engine,
+                config: d.lusail,
+                format: d.format,
+                explain: d.explain,
+                stats: d.stats,
+            })
+        }
+        SERVE => Ok(Command::Serve {
+            data: d.fed.data,
+            addr,
+            config: d.server,
+        }),
+        FEDERATE => {
+            let (pool, ledger) = (d.service.pool_bytes, d.service.query_budget_bytes);
+            if d.pool_given && d.ledger_given && ledger > pool {
+                let m = format!("--query-budget {ledger} exceeds --memory-pool {pool}");
+                return Err(usage(m));
+            }
+            Ok(Command::Federate {
+                federation: d.fed,
                 addr,
-                workers,
-                max_result_rows: max_result_rows()?,
-                federate,
+                server: d.server,
+                service: d.service,
             })
         }
-        "generate" => {
-            let benchmark = get("--benchmark")
-                .ok_or_else(|| usage("generate needs --benchmark"))?
-                .to_string();
-            if !["lubm", "qfed", "largerdf", "bio2rdf"].contains(&benchmark.as_str()) {
-                return Err(usage(&format!("unknown benchmark {benchmark:?}")));
-            }
-            let out = PathBuf::from(get("--out").ok_or_else(|| usage("generate needs --out DIR"))?);
-            let scale: f64 = match get("--scale") {
-                None => 1.0,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| usage(&format!("bad --scale {v:?}")))?,
-            };
-            let endpoints: usize = match get("--endpoints") {
-                None => 4,
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| usage(&format!("bad --endpoints {v:?}")))?,
-            };
-            let seed: u64 = match get("--seed") {
-                None => 42,
-                Some(v) => v.parse().map_err(|_| usage(&format!("bad --seed {v:?}")))?,
-            };
-            Ok(Command::Generate {
-                benchmark,
-                out,
-                scale,
-                endpoints,
-                seed,
-            })
-        }
-        "info" => {
-            let data: Vec<PathBuf> = get_all("--data").into_iter().map(PathBuf::from).collect();
-            if data.is_empty() {
-                return Err(usage("info needs at least one --data FILE"));
-            }
-            Ok(Command::Info { data })
-        }
-        "snapshot" => {
-            let data = get("--data")
-                .map(PathBuf::from)
-                .ok_or_else(|| usage("snapshot needs --data FILE"))?;
-            let out = get("--out")
-                .map(PathBuf::from)
-                .ok_or_else(|| usage("snapshot needs --out FILE.snap"))?;
-            Ok(Command::Snapshot { data, out })
-        }
-        other => Err(usage(&format!("unknown subcommand {other:?}"))),
+        GENERATE => Ok(Command::Generate {
+            benchmark: d.benchmark.ok_or_else(|| needs("--benchmark"))?,
+            out: d.out.ok_or_else(|| needs("--out DIR"))?,
+            scale: d.scale.unwrap_or(1.0),
+            endpoints: d.endpoints.unwrap_or(4),
+            seed: d.seed.unwrap_or(42),
+        }),
+        INFO => Ok(Command::Info { data: d.fed.data }),
+        _ => Ok(Command::Snapshot {
+            data: d.fed.data.pop().ok_or_else(|| needs("--data FILE"))?,
+            out: d.out.ok_or_else(|| needs("--out FILE.snap"))?,
+        }),
     }
 }
 
@@ -686,7 +673,7 @@ pub fn load_graph(path: &Path) -> Result<Graph, CliError> {
 /// One parsed `--endpoint` value: a bare URL, or a `NAME=URL,URL,...`
 /// replica group.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum EndpointSpec {
+pub enum EndpointSpec {
     Single(String),
     Group { name: String, urls: Vec<String> },
 }
@@ -695,7 +682,7 @@ enum EndpointSpec {
 /// whose left side looks like a plain name (no `/` or `:`, so URLs with
 /// `?query=` parts are never mis-split); the right side is a comma list
 /// of member URLs.
-fn parse_endpoint_spec(spec: &str) -> Result<EndpointSpec, String> {
+fn parse_endpoint_spec(spec: &str) -> Result<EndpointSpec, CliError> {
     let Some((name, rest)) = spec.split_once('=') else {
         return Ok(EndpointSpec::Single(spec.to_string()));
     };
@@ -704,13 +691,14 @@ fn parse_endpoint_spec(spec: &str) -> Result<EndpointSpec, String> {
         return Ok(EndpointSpec::Single(spec.to_string()));
     }
     if name.is_empty() {
-        return Err(format!("--endpoint group {spec:?} has an empty name"));
+        return Err(usage(format!(
+            "--endpoint group {spec:?} has an empty name"
+        )));
     }
     let urls: Vec<String> = rest.split(',').map(str::trim).map(str::to_string).collect();
     if urls.iter().any(String::is_empty) {
-        return Err(format!(
-            "--endpoint group {name:?} has an empty member URL in {rest:?}"
-        ));
+        let m = format!("--endpoint group {name:?} has an empty member URL in {rest:?}");
+        return Err(usage(m));
     }
     Ok(EndpointSpec::Group {
         name: name.to_string(),
@@ -719,49 +707,36 @@ fn parse_endpoint_spec(spec: &str) -> Result<EndpointSpec, String> {
 }
 
 /// Assemble a federation from local data files (simulated endpoints) and
-/// remote URL specs (HTTP endpoints, or replica groups of them), in that
-/// order. `http` tunes every HTTP member; `hedge_after` enables hedging
-/// inside replica groups.
-fn build_federation(
-    data: &[PathBuf],
-    urls: &[String],
-    profile: ProfileKind,
-    http: HttpConfig,
-    hedge_after: Option<Duration>,
-) -> Result<Federation, CliError> {
+/// remote endpoint specs (HTTP endpoints, or replica groups of them), in
+/// that order.
+fn build_federation(spec: &FederationSpec) -> Result<Federation, CliError> {
     let mut endpoints: Vec<Arc<dyn SparqlEndpoint>> = Vec::new();
-    for path in data {
+    for path in &spec.data {
         let store = load_store(path)?;
         let name = path
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("endpoint")
             .to_string();
-        endpoints.push(Arc::new(SimulatedEndpoint::new(
-            name,
-            store,
-            profile.network(),
-        )));
+        endpoints.push(Arc::new(SimulatedEndpoint::new(name, store, spec.profile)));
     }
-    let http_member = |name: &str, url: &str| -> Result<Arc<dyn SparqlEndpoint>, CliError> {
-        let ep = HttpEndpoint::new(name, url)
-            .map_err(|e| CliError::Usage(format!("--endpoint {e}")))?
-            .with_config(http);
+    let http_member = |url: &str| -> Result<Arc<dyn SparqlEndpoint>, CliError> {
+        let ep = HttpEndpoint::new(url, url)
+            .map_err(|e| usage(format!("--endpoint {e}")))?
+            .with_config(spec.http);
         Ok(Arc::new(ep))
     };
-    for spec in urls {
-        match parse_endpoint_spec(spec).map_err(CliError::Usage)? {
-            EndpointSpec::Single(url) => endpoints.push(http_member(&url, &url)?),
+    for endpoint in &spec.endpoints {
+        match endpoint {
+            EndpointSpec::Single(url) => endpoints.push(http_member(url)?),
             EndpointSpec::Group { name, urls } => {
-                let members = urls
-                    .iter()
-                    .map(|url| http_member(url, url))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let members =
+                    (urls.iter().map(|url| http_member(url))).collect::<Result<Vec<_>, _>>()?;
                 endpoints.push(Arc::new(ReplicaGroup::new(
-                    name,
+                    name.clone(),
                     members,
                     ReplicaConfig {
-                        hedge_after,
+                        hedge_after: spec.hedge_after,
                         ..ReplicaConfig::default()
                     },
                 )));
@@ -777,8 +752,7 @@ fn build_federation(
 pub fn start_server(
     data: &[PathBuf],
     addr: &str,
-    workers: usize,
-    max_result_rows: Option<usize>,
+    config: ServerConfig,
 ) -> Result<(lusail_server::ServerHandle, usize), CliError> {
     let mut merged = Graph::new();
     for path in data {
@@ -801,11 +775,6 @@ pub fn start_server(
     }
     let triples = merged.len();
     let store = Store::from_graph(&merged);
-    let config = ServerConfig {
-        workers,
-        max_result_rows,
-        ..Default::default()
-    };
     let server = lusail_server::SparqlServer::bind(addr, store, config).map_err(CliError::Io)?;
     Ok((server.spawn(), triples))
 }
@@ -815,56 +784,13 @@ pub fn start_server(
 /// per-client quotas, and the shared cache tier. Returns the running
 /// handle and the number of federated endpoints.
 pub fn start_federated_server(
-    data: &[PathBuf],
+    federation: &FederationSpec,
     addr: &str,
-    workers: usize,
-    max_result_rows: Option<usize>,
-    opts: &FederateOpts,
+    server: ServerConfig,
+    service: FederateConfig,
 ) -> Result<(lusail_server::ServerHandle, usize), CliError> {
-    let mut http = HttpConfig::default();
-    if let Some(n) = opts.retries {
-        http.retries = n;
-    }
-    if let Some(ms) = opts.backoff {
-        http.backoff = Duration::from_millis(ms);
-    }
-    // The transport-level row cap guards the federator against endpoint
-    // result bombs, independent of the per-query ledger.
-    http.max_result_rows = max_result_rows;
-    let federation = build_federation(
-        data,
-        &opts.endpoints,
-        opts.profile,
-        http,
-        opts.hedge_after.map(Duration::from_millis),
-    )?;
+    let federation = build_federation(federation)?;
     let endpoints = federation.len();
-
-    let defaults = FederateConfig::default();
-    let service_config = FederateConfig {
-        pool_bytes: opts.memory_pool.unwrap_or(defaults.pool_bytes),
-        query_budget_bytes: opts.query_budget.unwrap_or(defaults.query_budget_bytes),
-        max_waiting: opts.queue.unwrap_or(defaults.max_waiting),
-        client_max_inflight: opts
-            .client_max_inflight
-            .unwrap_or(defaults.client_max_inflight),
-        query_timeout: match opts.query_timeout {
-            Some(secs) => Some(Duration::from_secs(secs)),
-            None => defaults.query_timeout,
-        },
-        max_result_rows,
-        partial: opts.partial,
-        result_cache_capacity: opts.cache_capacity.or(defaults.result_cache_capacity),
-        cache_ttl: match opts.cache_ttl {
-            Some(secs) => Some(Duration::from_secs(secs)),
-            None => defaults.cache_ttl,
-        },
-        watchdog_grace: opts
-            .watchdog_grace
-            .map(Duration::from_secs)
-            .unwrap_or(defaults.watchdog_grace),
-        ..defaults
-    };
     // The long-lived analysis cache gets the same bounds as the result
     // cache, so stale endpoint facts age out of both tiers together.
     // The service runs each query under its own policy, deadline and row
@@ -872,20 +798,14 @@ pub fn start_federated_server(
     let engine = LusailEngine::with_cache(
         federation,
         LusailConfig::default(),
-        lusail_core::QueryCache::with_limits(service_config.cache_limits()),
+        lusail_core::QueryCache::with_limits(service.cache_limits()),
     );
-    let service = FederationService::new(engine, service_config);
-    let server_config = ServerConfig {
-        workers,
-        max_result_rows,
+    let service = FederationService::new(engine, service);
+    let server = ServerConfig {
         name: "lusail-federate".to_string(),
-        drain_timeout: opts
-            .drain_timeout
-            .map(Duration::from_secs)
-            .unwrap_or(ServerConfig::default().drain_timeout),
-        ..Default::default()
+        ..server
     };
-    let server = lusail_server::SparqlServer::with_backend(addr, Arc::new(service), server_config)
+    let server = lusail_server::SparqlServer::with_backend(addr, Arc::new(service), server)
         .map_err(CliError::Io)?;
     Ok((server.spawn(), endpoints))
 }
@@ -893,94 +813,41 @@ pub fn start_federated_server(
 /// Run a parsed command, writing human output to `out`.
 pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
     match cmd {
-        Command::Serve {
-            data,
+        Command::Serve { data, addr, config } => {
+            let (handle, triples) = start_server(&data, &addr, config)?;
+            writeln!(out, "serving {triples} triples at {}", handle.url())?;
+            serve_forever(out)
+        }
+        Command::Federate {
+            federation,
             addr,
-            workers,
-            max_result_rows,
-            federate,
+            server,
+            service,
         } => {
-            match federate {
-                None => {
-                    let (handle, triples) = start_server(&data, &addr, workers, max_result_rows)?;
-                    writeln!(out, "serving {} triples at {}", triples, handle.url())?;
-                }
-                Some(opts) => {
-                    let (handle, endpoints) =
-                        start_federated_server(&data, &addr, workers, max_result_rows, &opts)?;
-                    writeln!(
-                        out,
-                        "federating {} endpoints at {}",
-                        endpoints,
-                        handle.url()
-                    )?;
-                }
-            }
-            out.flush()?;
-            // Serve until the process is killed.
-            loop {
-                std::thread::park();
-            }
+            let (handle, endpoints) = start_federated_server(&federation, &addr, server, service)?;
+            writeln!(out, "federating {endpoints} endpoints at {}", handle.url())?;
+            serve_forever(out)
         }
         Command::Query {
-            data,
-            endpoints,
-            query_file,
-            query_text,
+            federation,
+            query,
             engine,
-            profile,
-            timeout,
-            retries,
-            backoff,
-            hedge_after,
-            memory_budget,
-            max_result_rows,
+            config,
             format,
             explain,
-            partial,
             stats,
         } => {
-            let mut http = HttpConfig::default();
-            if let Some(n) = retries {
-                http.retries = n;
-            }
-            if let Some(ms) = backoff {
-                http.backoff = Duration::from_millis(ms);
-            }
-            // The transport-level cap guards every engine: a result bomb
-            // is cut off while the response streams in.
-            http.max_result_rows = max_result_rows;
-            let federation = build_federation(
-                &data,
-                &endpoints,
-                profile,
-                http,
-                hedge_after.map(Duration::from_millis),
-            )?;
-            let text = match (&query_file, &query_text) {
-                (Some(path), _) => std::fs::read_to_string(path)?,
-                (None, Some(text)) => text.clone(),
-                (None, None) => unreachable!("validated in parse_args"),
+            let federation = build_federation(&federation)?;
+            let text = match query {
+                QuerySource::File(path) => std::fs::read_to_string(path)?,
+                QuerySource::Text(text) => text,
             };
             let query =
                 lusail_sparql::parse_query(&text).map_err(|e| CliError::Parse(e.to_string()))?;
-            let timeout = timeout.map(Duration::from_secs);
+            let timeout = config.timeout;
 
             if engine == EngineKind::Lusail {
-                let lusail = LusailEngine::new(
-                    federation.clone(),
-                    LusailConfig {
-                        timeout,
-                        result_policy: if partial {
-                            ResultPolicy::Partial
-                        } else {
-                            ResultPolicy::FailFast
-                        },
-                        memory_budget,
-                        max_result_rows,
-                        ..Default::default()
-                    },
-                );
+                let lusail = LusailEngine::new(federation.clone(), config);
                 // One-shot runs carry a cancel token too: every deadline
                 // check doubles as a cancellation point, so a tripped
                 // token (or expired budget) surfaces in --stats as a
@@ -1035,27 +902,19 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 return Ok(());
             }
 
+            let fedx = FedXConfig {
+                timeout,
+                ..Default::default()
+            };
             let engine: Box<dyn FederatedEngine> = match engine {
                 EngineKind::Lusail => unreachable!("handled above"),
-                EngineKind::FedX => Box::new(FedX::new(
-                    federation.clone(),
-                    FedXConfig {
-                        timeout,
-                        ..Default::default()
-                    },
-                )),
+                EngineKind::FedX => Box::new(FedX::new(federation.clone(), fedx)),
                 EngineKind::Splendid => {
                     let mut s = Splendid::new(federation.clone());
                     s.timeout = timeout;
                     Box::new(s)
                 }
-                EngineKind::HiBiscus => Box::new(HiBiscus::new(
-                    federation.clone(),
-                    FedXConfig {
-                        timeout,
-                        ..Default::default()
-                    },
-                )),
+                EngineKind::HiBiscus => Box::new(HiBiscus::new(federation.clone(), fedx)),
             };
             let rel = engine.execute(&query).map_err(CliError::Engine)?;
             print_relation(&rel, format, out)?;
@@ -1145,6 +1004,14 @@ pub fn run_command(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
+/// Flush the start-up line and serve until the process is killed.
+fn serve_forever(out: &mut dyn Write) -> Result<(), CliError> {
+    out.flush()?;
+    loop {
+        std::thread::park();
+    }
+}
+
 /// The per-query `lifecycle` section of `--stats`: how the run ended.
 /// One-shot queries carry the same cancel token the federation service
 /// arms per admitted query, so the outcome names who pulled the plug
@@ -1229,6 +1096,13 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    fn workers(workers: usize) -> ServerConfig {
+        ServerConfig {
+            workers,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn parse_query_command() {
         let cmd = parse_args(&s(&[
@@ -1252,18 +1126,17 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Query {
-                data,
+                federation,
                 engine,
-                profile,
-                timeout,
+                config,
                 format,
                 explain,
                 ..
             } => {
-                assert_eq!(data.len(), 2);
+                assert_eq!(federation.data.len(), 2);
                 assert_eq!(engine, EngineKind::FedX);
-                assert_eq!(profile, ProfileKind::Geo);
-                assert_eq!(timeout, Some(5));
+                assert_eq!(federation.profile, NetworkProfile::geo_distributed());
+                assert_eq!(config.timeout, Some(Duration::from_secs(5)));
                 assert_eq!(format, OutputFormat::Csv);
                 assert!(explain);
             }
@@ -1321,8 +1194,8 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Query { partial, stats, .. } => {
-                assert!(partial);
+            Command::Query { config, stats, .. } => {
+                assert_eq!(config.result_policy, ResultPolicy::Partial);
                 assert!(stats);
             }
             other => panic!("{other:?}"),
@@ -1378,13 +1251,9 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Query {
-                memory_budget,
-                max_result_rows,
-                ..
-            } => {
-                assert_eq!(memory_budget, Some(8 << 20));
-                assert_eq!(max_result_rows, Some(100));
+            Command::Query { config, .. } => {
+                assert_eq!(config.memory_budget, Some(8 << 20));
+                assert_eq!(config.max_result_rows, Some(100));
             }
             other => panic!("{other:?}"),
         }
@@ -1659,9 +1528,7 @@ mod tests {
             Command::Serve {
                 data: vec![PathBuf::from("a.nt")],
                 addr: "127.0.0.1:8890".to_string(),
-                workers: ServerConfig::default().workers,
-                max_result_rows: None,
-                federate: None,
+                config: ServerConfig::default(),
             }
         );
         assert!(matches!(
@@ -1701,11 +1568,14 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Query {
-                data, endpoints, ..
-            } => {
-                assert!(data.is_empty());
-                assert_eq!(endpoints, vec!["http://127.0.0.1:8890/sparql".to_string()]);
+            Command::Query { federation, .. } => {
+                assert!(federation.data.is_empty());
+                assert_eq!(
+                    federation.endpoints,
+                    vec![EndpointSpec::Single(
+                        "http://127.0.0.1:8890/sparql".to_string()
+                    )]
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -1723,7 +1593,7 @@ mod tests {
 
         // serve merges both files into one store.
         let (handle, triples) =
-            start_server(&[a.clone(), b.clone()], "127.0.0.1:0", 2, None).unwrap();
+            start_server(&[a.clone(), b.clone()], "127.0.0.1:0", workers(2)).unwrap();
         assert_eq!(triples, 2);
 
         // query federates the HTTP endpoint with a local file.
@@ -1783,26 +1653,29 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Serve {
-                data,
-                federate: Some(opts),
+            Command::Federate {
+                federation,
+                server,
+                service,
                 ..
             } => {
-                assert_eq!(data, vec![PathBuf::from("a.nt")]);
+                assert_eq!(federation.data, vec![PathBuf::from("a.nt")]);
                 assert_eq!(
-                    opts.endpoints,
-                    vec!["http://127.0.0.1:1/sparql".to_string()]
+                    federation.endpoints,
+                    vec![EndpointSpec::Single(
+                        "http://127.0.0.1:1/sparql".to_string()
+                    )]
                 );
-                assert_eq!(opts.memory_pool, Some(64 << 20));
-                assert_eq!(opts.query_budget, Some(8 << 20));
-                assert_eq!(opts.queue, Some(4));
-                assert_eq!(opts.client_max_inflight, Some(2));
-                assert_eq!(opts.query_timeout, Some(10));
-                assert_eq!(opts.cache_ttl, Some(60));
-                assert_eq!(opts.cache_capacity, Some(32));
-                assert_eq!(opts.drain_timeout, Some(7));
-                assert_eq!(opts.watchdog_grace, Some(1));
-                assert!(opts.partial);
+                assert_eq!(service.pool_bytes, 64 << 20);
+                assert_eq!(service.query_budget_bytes, 8 << 20);
+                assert_eq!(service.max_waiting, 4);
+                assert_eq!(service.client_max_inflight, 2);
+                assert_eq!(service.query_timeout, Some(Duration::from_secs(10)));
+                assert_eq!(service.cache_ttl, Some(Duration::from_secs(60)));
+                assert_eq!(service.result_cache_capacity, Some(32));
+                assert_eq!(server.drain_timeout, Duration::from_secs(7));
+                assert_eq!(service.watchdog_grace, Duration::from_secs(1));
+                assert!(service.partial);
             }
             other => panic!("{other:?}"),
         }
@@ -1856,11 +1729,13 @@ mod tests {
 
         // Two simulated endpoints behind one federation front door.
         let (handle, endpoints) = start_federated_server(
-            &[a.clone(), b.clone()],
+            &FederationSpec {
+                data: vec![a.clone(), b.clone()],
+                ..Default::default()
+            },
             "127.0.0.1:0",
-            2,
-            None,
-            &FederateOpts::default(),
+            workers(2),
+            FederateConfig::default(),
         )
         .unwrap();
         assert_eq!(endpoints, 2);
@@ -1917,15 +1792,10 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Query {
-                retries,
-                backoff,
-                hedge_after,
-                ..
-            } => {
-                assert_eq!(retries, Some(5));
-                assert_eq!(backoff, Some(250));
-                assert_eq!(hedge_after, Some(40));
+            Command::Query { federation, .. } => {
+                assert_eq!(federation.http.retries, 5);
+                assert_eq!(federation.http.backoff, Duration::from_millis(250));
+                assert_eq!(federation.hedge_after, Some(Duration::from_millis(40)));
             }
             other => panic!("{other:?}"),
         }
@@ -1971,13 +1841,15 @@ mod tests {
             "7",
         ]);
         match parse_args(&ok).unwrap() {
-            Command::Serve {
-                max_result_rows,
-                federate: Some(opts),
-                ..
+            Command::Federate {
+                federation, server, ..
             } => {
-                assert_eq!(max_result_rows, Some(7));
-                assert_eq!((opts.retries, opts.backoff), (Some(100), Some(60_000)));
+                assert_eq!(server.max_result_rows, Some(7));
+                let http = federation.http;
+                assert_eq!(
+                    (http.retries, http.backoff),
+                    (100, Duration::from_millis(60_000))
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -2028,7 +1900,7 @@ mod tests {
         let a = dir.join("a.nt");
         std::fs::write(&a, "<http://x/s1> <http://x/p> <http://x/o1> .\n").unwrap();
 
-        let (handle, _) = start_server(&[a.clone()], "127.0.0.1:0", 2, None).unwrap();
+        let (handle, _) = start_server(&[a.clone()], "127.0.0.1:0", workers(2)).unwrap();
         // Member 0 is a dead address (connection refused); member 1 is the
         // live server. The group must answer with the live member's rows.
         let group = format!("mirror=http://127.0.0.1:9/sparql,{}", handle.url());
@@ -2071,5 +1943,232 @@ mod tests {
         assert_eq!(csv_escape("plain"), "plain");
         assert_eq!(csv_escape("a,b"), "\"a,b\"");
         assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+    }
+
+    /// A command line's arguments, split at whitespace.
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// The usage error `line` is refused with.
+    fn refusal(line: &str) -> String {
+        match parse_args(&words(line)) {
+            Err(CliError::Usage(m)) => m,
+            other => panic!("{line} should be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn golden_rejections_keep_their_messages() {
+        // One row per command line: its arguments, ` => `, the message the
+        // hand-written parser the flag table replaced refused it with. A
+        // rejection that parser did not make has a test of its own below.
+        let golden = [
+            r#" => missing subcommand"#,
+            r#"frobnicate => unknown subcommand "frobnicate""#,
+            r#"query stray => unexpected argument "stray""#,
+            r#"query --data => --data needs a value"#,
+            r#"query --data a.nt --prot 1 --query-text ASK{} => unknown flag "--prot" for query"#,
+            r#"info --explain --data a.nt => unknown flag "--explain" for info"#,
+            r#"query --federate --data a.nt --query-text ASK{} => unknown flag "--federate" for query"#,
+            r#"generate --data a.nt --benchmark lubm --out x => unknown flag "--data" for generate"#,
+            r#"snapshot --endpoint http://h:1/s --data a.nt --out x => unknown flag "--endpoint" for snapshot"#,
+            r#"query --query-text ASK{} => query needs at least one --data FILE or --endpoint URL"#,
+            r#"query --data a.nt => query needs --query FILE or --query-text SPARQL"#,
+            r#"query --data a.nt --query q --engine zzz => unknown engine "zzz""#,
+            r#"query --data a.nt --query q --timeout soon => bad --timeout "soon""#,
+            r#"query --data a.nt --query q --timeout -1 => bad --timeout "-1""#,
+            r#"query --data a.nt --query q --memory-budget 12parsecs => bad --memory-budget: unknown byte suffix "parsecs" in "12parsecs""#,
+            r#"query --data a.nt --query q --memory-budget MiB => bad --memory-budget: "MiB" has no leading number"#,
+            r#"query --data a.nt --query q --memory-budget 99999999999999999999gb => bad --memory-budget: bad byte count "99999999999999999999gb""#,
+            r#"query --endpoint mirror=http://a:1/s, --query q => --endpoint group "mirror" has an empty member URL in "http://a:1/s,""#,
+            r#"query --endpoint =http://a:1/s --query q => --endpoint group "=http://a:1/s" has an empty name"#,
+            r#"query --data a.nt --query q --format xml => unknown format "xml""#,
+            r#"query --data a.nt --query q --engine fedx --partial => --partial is only supported by the lusail engine (the baselines have no partial-results mode)"#,
+            r#"query --data a.nt --query q --engine splendid --memory-budget 1mb => --memory-budget is only supported by the lusail engine (the baselines have no memory accounting)"#,
+            r#"query --data a.nt --query q --profile moon => unknown profile "moon""#,
+            r#"query --data a.nt --query q --retries many => bad --retries "many""#,
+            r#"query --data a.nt --query q --retries 101 => --retries 101 is out of range (max 100)"#,
+            r#"query --data a.nt --query q --retries -1 => bad --retries "-1""#,
+            r#"query --data a.nt --query q --retries 4000000000 => --retries 4000000000 is out of range (max 100)"#,
+            r#"query --data a.nt --query q --backoff 1ms => bad --backoff "1ms""#,
+            r#"query --data a.nt --query q --backoff 99999999 => --backoff 99999999 is out of range (max 60000 ms)"#,
+            r#"query --data a.nt --query q --hedge-after soon => bad --hedge-after "soon""#,
+            r#"query --data a.nt --query q --hedge-after 60001 => --hedge-after 60001 is out of range (max 60000 ms)"#,
+            r#"query --data a.nt --query q --max-result-rows 0 => --max-result-rows must be at least 1"#,
+            r#"query --data a.nt --query q --max-result-rows lots => bad --max-result-rows "lots""#,
+            r#"serve => serve needs at least one --data FILE"#,
+            r#"serve --addr 127.0.0.1:0 => serve needs at least one --data FILE"#,
+            r#"serve --data a.nt --queue 4 => --queue requires serve --federate"#,
+            r#"serve --data a.nt --partial => --partial requires serve --federate"#,
+            r#"serve --data a.nt --endpoint http://h:1/s => --endpoint requires serve --federate"#,
+            r#"serve --data a.nt --profile geo => --profile requires serve --federate"#,
+            r#"serve --data a.nt --addr 0.0.0.0:1 --port 2 => serve takes --addr or --port, not both"#,
+            r#"serve --data a.nt --port 99999 => bad --port "99999""#,
+            r#"serve --data a.nt --port http => bad --port "http""#,
+            r#"serve --data a.nt --workers many => bad --workers "many""#,
+            r#"serve --data a.nt --max-result-rows 0 => --max-result-rows must be at least 1"#,
+            r#"serve --federate => serve --federate needs at least one --data FILE or --endpoint URL"#,
+            r#"serve --federate --workers 2 => serve --federate needs at least one --data FILE or --endpoint URL"#,
+            r#"serve --federate --data a.nt --client-max-inflight 0 => --client-max-inflight must be at least 1"#,
+            r#"serve --federate --data a.nt --client-max-inflight x => bad --client-max-inflight "x""#,
+            r#"serve --federate --data a.nt --memory-pool 1MiB --query-budget 2MiB => --query-budget 2097152 exceeds --memory-pool 1048576"#,
+            r#"serve --federate --data a.nt --memory-pool 1parsec => bad --memory-pool: unknown byte suffix "parsec" in "1parsec""#,
+            r#"serve --federate --data a.nt --query-budget 3xb => bad --query-budget: unknown byte suffix "xb" in "3xb""#,
+            r#"serve --federate --data a.nt --query-timeout x => bad --query-timeout "x""#,
+            r#"serve --federate --data a.nt --queue x => bad --queue "x""#,
+            r#"serve --federate --data a.nt --cache-ttl x => bad --cache-ttl "x""#,
+            r#"serve --federate --data a.nt --cache-capacity x => bad --cache-capacity "x""#,
+            r#"serve --federate --data a.nt --drain-timeout x => bad --drain-timeout "x""#,
+            r#"serve --federate --data a.nt --watchdog-grace x => bad --watchdog-grace "x""#,
+            r#"serve --federate --data a.nt --retries 101 => --retries 101 is out of range (max 100)"#,
+            r#"serve --federate --endpoint mirror=http://a:1/s, => --endpoint group "mirror" has an empty member URL in "http://a:1/s,""#,
+            r#"serve --federate --data a.nt --explain => unknown flag "--explain" for serve"#,
+            r#"serve --federate --data a.nt --addr 0.0.0.0:1 --port 2 => serve takes --addr or --port, not both"#,
+            r#"generate => generate needs --benchmark"#,
+            r#"generate --out x => generate needs --benchmark"#,
+            r#"generate --benchmark nope --out x => unknown benchmark "nope""#,
+            r#"generate --benchmark lubm => generate needs --out DIR"#,
+            r#"generate --benchmark lubm --out x --scale big => bad --scale "big""#,
+            r#"generate --benchmark lubm --out x --endpoints many => bad --endpoints "many""#,
+            r#"generate --benchmark lubm --out x --endpoints -2 => bad --endpoints "-2""#,
+            r#"generate --benchmark lubm --out x --seed x => bad --seed "x""#,
+            r#"info => info needs at least one --data FILE"#,
+            r#"info --out x --data a.nt => unknown flag "--out" for info"#,
+            r#"snapshot --out x => snapshot needs --data FILE"#,
+            r#"snapshot --data a.nt => snapshot needs --out FILE.snap"#,
+        ];
+        for row in golden {
+            let (line, want) = row.split_once(" => ").unwrap();
+            assert_eq!(refusal(line), want, "{line}");
+        }
+    }
+
+    #[test]
+    fn every_flag_in_the_table_is_in_usage_and_back() {
+        let in_usage: std::collections::BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|t| t.starts_with("--"))
+            .collect();
+        let in_table: std::collections::BTreeSet<&str> = FLAGS.iter().map(|r| r.0).collect();
+        assert_eq!(in_table.len(), FLAGS.len(), "a flag has two rows");
+        assert_eq!(in_usage, in_table);
+    }
+
+    #[test]
+    fn a_repeated_single_valued_flag_is_refused() {
+        // A second value used to lose silently to the first: `--timeout 0
+        // --timeout 9` timed the query out, and snapshot wrote only a.nt.
+        for (line, flag) in [
+            (
+                "query --data a.nt --query-text ASK{} --timeout 0 --timeout 9",
+                "--timeout",
+            ),
+            ("snapshot --data a.nt --data b.nt --out x", "--data"),
+            ("serve --data a.nt --port 1 --port 2", "--port"),
+            (
+                "serve --federate --data a.nt --queue 1 --queue 2",
+                "--queue",
+            ),
+            (
+                "generate --benchmark lubm --out x --seed 1 --seed 2",
+                "--seed",
+            ),
+        ] {
+            assert_eq!(refusal(line), format!("{flag} may be given only once"));
+        }
+        // --data and --endpoint still repeat wherever a command takes
+        // several, and a repeated switch changes nothing.
+        for line in [
+            "query --data a.nt --data b.nt --endpoint http://h:1/s --query-text ASK{}",
+            "query --endpoint http://h:1/s --endpoint http://h:2/s --query-text ASK{} --stats --stats",
+            "serve --federate --endpoint http://h:1/s --endpoint http://h:2/s",
+            "serve --data a.nt --data b.nt",
+            "info --data a.nt --data b.nt",
+        ] {
+            assert!(parse_args(&words(line)).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn query_file_and_query_text_exclude_each_other() {
+        // The file used to win silently, so a missing file failed with an
+        // I/O error although the text was right there.
+        for line in [
+            "query --data a.nt --query missing.rq --query-text ASK{}",
+            "query --data a.nt --query-text ASK{} --query missing.rq",
+        ] {
+            assert_eq!(
+                refusal(line),
+                "query takes --query or --query-text, not both"
+            );
+        }
+    }
+
+    #[test]
+    fn generate_refuses_a_scale_that_is_not_finite_and_positive() {
+        // Each of these used to write 0-triple files and exit 0.
+        for scale in ["nan", "NaN", "inf", "-1", "0", "-0"] {
+            let line = format!("generate --benchmark qfed --out x --scale {scale}");
+            assert_eq!(refusal(&line), "--scale must be finite and above 0");
+        }
+        match parse_args(&words("generate --benchmark qfed --out x --scale 0.5")).unwrap() {
+            Command::Generate { scale, .. } => assert_eq!(scale, 0.5),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn generate_refuses_zero_endpoints() {
+        // LUBM with zero universities used to exit 0 having written nothing.
+        let line = "generate --benchmark lubm --out x --endpoints 0";
+        assert_eq!(refusal(line), "--endpoints must be at least 1");
+    }
+
+    #[test]
+    fn a_negative_limit_or_offset_is_a_parse_error() {
+        // Cast to usize, LIMIT -1 used to return every row and OFFSET -1
+        // none; the grammar allows only an unsigned integer there.
+        let dir = std::env::temp_dir().join(format!("lusail-cli-limit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let nt = dir.join("d.nt");
+        std::fs::write(
+            &nt,
+            "<http://x/s> <http://x/p> \"a\" .\n<http://x/t> <http://x/p> \"b\" .\n",
+        )
+        .unwrap();
+        for modifier in ["LIMIT -1", "OFFSET -1"] {
+            let text = format!("SELECT * WHERE {{ ?s ?p ?o }} {modifier}");
+            let args = s(&[
+                "query",
+                "--data",
+                nt.to_str().unwrap(),
+                "--query-text",
+                &text,
+            ]);
+            match run(&args, &mut Vec::new()) {
+                Err(CliError::Parse(m)) => assert!(m.contains("non-negative"), "{m}"),
+                other => panic!("{modifier} should not parse, got {other:?}"),
+            }
+        }
+
+        // serve answers it with 400, like any malformed query.
+        let (handle, _) =
+            start_server(std::slice::from_ref(&nt), "127.0.0.1:0", workers(1)).unwrap();
+        let body = "SELECT * WHERE { ?s ?p ?o } LIMIT -1";
+        let mut sock = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+        write!(
+            sock,
+            "POST /sparql HTTP/1.1\r\nHost: h\r\nContent-Type: application/sparql-query\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut reply = String::new();
+        std::io::Read::read_to_string(&mut sock, &mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

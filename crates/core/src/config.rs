@@ -56,7 +56,7 @@ pub enum ResultPolicy {
 }
 
 /// Lusail engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LusailConfig {
     /// Delay threshold (Figure 13 ablation). Default `μ + σ`.
     pub delay_threshold: DelayThreshold,

@@ -259,9 +259,9 @@ impl<'a> Parser<'a> {
         let mut offset = None;
         loop {
             if self.eat_kw("LIMIT") {
-                limit = Some(self.integer()? as usize);
+                limit = Some(self.count()?);
             } else if self.eat_kw("OFFSET") {
-                offset = Some(self.integer()? as usize);
+                offset = Some(self.count()?);
             } else {
                 break;
             }
@@ -761,9 +761,12 @@ impl<'a> Parser<'a> {
         Ok(TermPattern::Term(self.term()?))
     }
 
-    fn integer(&mut self) -> Result<i64, ParseError> {
-        match self.number()?.as_i64() {
-            Some(i) => Ok(i),
+    /// A LIMIT or OFFSET count: the grammar's unsigned INTEGER, so a
+    /// negative one is an error rather than a count wrapped to `usize`.
+    fn count(&mut self) -> Result<usize, ParseError> {
+        match self.number()?.as_i64().map(usize::try_from) {
+            Some(Ok(n)) => Ok(n),
+            Some(Err(_)) => self.err("expected a non-negative integer"),
             None => self.err("expected an integer"),
         }
     }
@@ -948,6 +951,21 @@ SELECT ?s ?n WHERE {
         assert_eq!(s.order_by, vec![(Variable::new("x"), false)]);
         assert_eq!(s.limit, Some(10));
         assert_eq!(s.offset, Some(5));
+    }
+
+    #[test]
+    fn negative_limit_and_offset_are_errors() {
+        for text in [
+            "SELECT ?x WHERE { ?x ?p ?o } LIMIT -1",
+            "SELECT ?x WHERE { ?x ?p ?o } OFFSET -1",
+            "SELECT ?x WHERE { ?x ?p ?o } LIMIT 2 OFFSET -3",
+        ] {
+            let err = parse_query(text).unwrap_err();
+            assert!(err.to_string().contains("non-negative"), "{text}: {err}");
+        }
+        let q = parse_query("SELECT ?x WHERE { ?x ?p ?o } LIMIT 0 OFFSET 0").unwrap();
+        let s = q.as_select().unwrap();
+        assert_eq!((s.limit, s.offset), (Some(0), Some(0)));
     }
 
     #[test]

@@ -282,6 +282,14 @@ if [ -e crates/core/src/keyword.rs ] || grep -rnE 'keyword_search|KeywordConfig|
     echo "keyword search is back; nothing in the paper's evaluation uses it" >&2
     exit 1
 fi
+# The CLI parses argv straight into the configs it runs (DESIGN.md →
+# Crate layout): one flag table in crates/cli/src/lib.rs, no options struct
+# mirroring FederateConfig / ServerConfig / HttpConfig, no per-flag parse
+# closures or flag lists beside the table.
+if grep -rnE 'struct FederateOpts|enum ProfileKind|let parse_u64 =|let parse_usize =|const FEDERATE_ONLY' crates/cli/src/; then
+    echo "a CLI mirror struct or flag list is back; add a row to FLAGS in crates/cli/src/lib.rs" >&2
+    exit 1
+fi
 if grep -rnE 'error_rate|malformed_rate' crates; then
     echo "a FaultProfile knob no suite sets is back" >&2
     exit 1

@@ -16,7 +16,7 @@
 //!   service still yields partial results with warnings to the client.
 
 use integration::{assert_same_solutions, ground_truth};
-use lusail_cli::{start_federated_server, FederateOpts};
+use lusail_cli::{parse_args, start_federated_server, Command};
 use lusail_core::{LusailConfig, LusailEngine};
 use lusail_federation::{
     Federation, HttpEndpoint, NetworkProfile, SimulatedEndpoint, SparqlEndpoint,
@@ -91,6 +91,30 @@ fn backend_servers(graphs: &[(String, Graph)]) -> (Vec<ServerHandle>, Vec<String
     (handles, urls)
 }
 
+/// `lusail serve --federate` over `urls` plus `flags`, started from argv as
+/// the binary parses it; returns the handle and the endpoint count.
+fn front_door(urls: &[String], flags: &[&str]) -> (ServerHandle, usize) {
+    let mut args: Vec<String> = ["serve", "--federate"]
+        .iter()
+        .chain(flags)
+        .map(|a| a.to_string())
+        .collect();
+    for url in urls {
+        args.extend(["--endpoint".to_string(), url.clone()]);
+    }
+    match parse_args(&args).expect("front-door flags parse") {
+        Command::Federate {
+            federation,
+            addr,
+            server,
+            service,
+        } => {
+            start_federated_server(&federation, &addr, server, service).expect("front door starts")
+        }
+        other => panic!("serve --federate parsed as {other:?}"),
+    }
+}
+
 /// Raw one-shot HTTP exchange; returns (status line, full response text).
 fn raw_roundtrip(addr: SocketAddr, request: &str) -> (String, String) {
     let mut sock = TcpStream::connect(addr).expect("connect");
@@ -127,20 +151,9 @@ fn json_u64(text: &str, key: &str) -> u64 {
 fn parallel_clients_all_get_the_single_shot_answer() {
     let graphs = shards();
     let (backends, urls) = backend_servers(&graphs);
-    let (front, endpoints) = start_federated_server(
-        &[],
-        "127.0.0.1:0",
-        4,
-        None,
-        &FederateOpts {
-            endpoints: urls,
-            // Every loopback client shares the peer-IP identity; keep the
-            // quota out of this test's way.
-            client_max_inflight: Some(64),
-            ..Default::default()
-        },
-    )
-    .expect("front door starts");
+    // Every loopback client shares the peer-IP identity; keep the quota
+    // out of this test's way.
+    let (front, endpoints) = front_door(&urls, &["--workers", "4", "--client-max-inflight", "64"]);
     assert_eq!(endpoints, 3);
 
     // The single-shot reference: the same federation queried by one
@@ -196,17 +209,7 @@ fn parallel_clients_all_get_the_single_shot_answer() {
 fn hot_query_is_answered_with_zero_outbound_requests() {
     let graphs = shards();
     let (backends, urls) = backend_servers(&graphs);
-    let (front, _) = start_federated_server(
-        &[],
-        "127.0.0.1:0",
-        2,
-        None,
-        &FederateOpts {
-            endpoints: urls,
-            ..Default::default()
-        },
-    )
-    .expect("front door starts");
+    let (front, _) = front_door(&urls, &["--workers", "2"]);
 
     let ep = HttpEndpoint::new("client", &front.url()).expect("valid front-door URL");
     let query = lusail_sparql::parse_query(QUERIES[2]).expect("test query parses");
@@ -365,20 +368,18 @@ fn dead_endpoint_still_yields_partial_results_with_warnings() {
         .map(|(_, g)| g.clone())
         .collect();
 
-    let (front, _) = start_federated_server(
-        &[],
-        "127.0.0.1:0",
-        2,
-        None,
-        &FederateOpts {
-            endpoints: urls,
-            retries: Some(0),
-            backoff: Some(1),
-            partial: true,
-            ..Default::default()
-        },
-    )
-    .expect("front door starts");
+    let (front, _) = front_door(
+        &urls,
+        &[
+            "--workers",
+            "2",
+            "--retries",
+            "0",
+            "--backoff",
+            "1",
+            "--partial",
+        ],
+    );
 
     // A query that only needs the two survivors must answer exactly as if
     // the victim never existed — and the response head must say what was
