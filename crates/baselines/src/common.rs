@@ -1,14 +1,19 @@
 //! The engine-agnostic interface the benchmark harness drives, plus the
-//! shared group-at-a-time executor both baselines are built on.
+//! one branch runner the three baselines share.
+//!
+//! A baseline is its strategy — where each triple pattern is sent and which
+//! unit runs next (the two hooks of `Baseline`) — and its join style
+//! (`Executor`). Everything else is written once here, on core's
+//! [`Subquery`]: refusing disjoint subgraphs, FedX's exclusive grouping,
+//! FILTER push-down by core's one rule, the group-at-a-time bound join
+//! (`Executor::execute_groups`), the residual filters and the whole-block
+//! fetch of every `OPTIONAL` and `MINUS` block.
 
-use lusail_core::normalize::OptionalBlock;
-use lusail_core::source::merged_sources;
+use lusail_core::normalize::{assemble_branch, assemble_select, ConjBranch};
+use lusail_core::subquery::{pushed_filters, residual_filters, Subquery};
 use lusail_core::{EngineError, LusailEngine, RunContext};
-use lusail_federation::{EndpointError, EndpointId, Federation, RequestHandler};
-use lusail_rdf::Term;
-use lusail_sparql::ast::{
-    Expression, GraphPattern, Projection, Query, SelectQuery, TriplePattern, Variable,
-};
+use lusail_federation::{EndpointId, Federation, RequestHandler};
+use lusail_sparql::ast::{Expression, Query, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
 
 /// A federated SPARQL engine: Lusail or one of the baselines.
@@ -36,75 +41,101 @@ impl FederatedEngine for LusailEngine {
     }
 }
 
-/// Why an index-based engine does not answer: `endpoint` offered no
-/// statistics (an `HttpEndpoint` never does), so `engine`'s index lacks it,
-/// and an index that reads it as empty would answer wrong.
-pub(crate) fn unindexed(engine: &str, endpoint: &str) -> EngineError {
-    let why = format!("it offers no statistics, so the {engine} index cannot be built");
-    EngineError::Endpoint(EndpointError::rejected(endpoint, why))
-}
+/// What one baseline engine supplies; [`Baseline::run`] is the rest.
+pub(crate) trait Baseline {
+    /// What [`rank`](Self::rank) orders units by, least first.
+    type Rank: Ord;
 
-/// A bound-join payload: the shared variables and one block of their rows.
-pub type BoundBlock<'a> = (&'a [Variable], &'a [Vec<Option<Term>>]);
+    /// The federation, handler and join style the units run with.
+    fn executor(&self) -> Executor<'_>;
 
-/// One evaluation unit of a baseline plan: an exclusive group (one source)
-/// or a single triple pattern (many sources).
-#[derive(Debug, Clone)]
-pub struct GroupPlan {
-    pub patterns: Vec<TriplePattern>,
-    /// Filters pushed into the group.
-    pub filters: Vec<Expression>,
-    pub sources: Vec<EndpointId>,
-}
+    /// The relevant endpoints of each of `patterns`.
+    fn sources(
+        &self,
+        patterns: &[TriplePattern],
+        ctx: &RunContext,
+    ) -> Result<Vec<Vec<EndpointId>>, EngineError>;
 
-impl GroupPlan {
-    /// An `OPTIONAL` or `MINUS` block as one unit, sent whole to every
-    /// endpoint relevant to any of its patterns (`sources`, per pattern).
-    pub fn for_block(block: &OptionalBlock, sources: &[Vec<EndpointId>]) -> Self {
-        GroupPlan {
-            patterns: block.patterns.clone(),
-            filters: block.filters.clone(),
-            sources: merged_sources(sources),
-        }
-    }
+    /// How early `unit` should run once `bound` is bound: the units run
+    /// least rank first, ties in grouping order.
+    fn rank(&self, unit: &Subquery, bound: &[Variable]) -> Self::Rank;
 
-    /// All variables of the group.
-    pub fn variables(&self) -> Vec<Variable> {
-        let mut out = Vec::new();
-        for tp in &self.patterns {
-            for v in tp.variables() {
-                if !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out
-    }
-
-    fn to_query(&self, bound: Option<BoundBlock<'_>>) -> Query {
-        let mut body = GraphPattern::Bgp(self.patterns.clone());
-        for f in &self.filters {
-            body = GraphPattern::Filter(Box::new(body), f.clone());
-        }
-        if let Some((vars, rows)) = bound {
-            body = body.join(GraphPattern::Values(vars.to_vec(), rows.to_vec()));
-        }
-        Query::select(SelectQuery::new(Projection::Vars(self.variables()), body))
+    /// Run `query` under `ctx`: the one deadline (and cancel token) of
+    /// every probe and group wave. The baselines have no partial mode.
+    fn run(&self, query: &Query, ctx: &RunContext) -> Result<Relation, EngineError> {
+        assemble_select(query, |_, branches| {
+            (branches.iter())
+                .map(|branch| run_branch(self, branch, ctx))
+                .collect()
+        })
     }
 }
 
-/// The branch filters no group took: applied to the joined rows.
-pub fn residual_filters<'a>(
-    filters: &'a [Expression],
-    groups: &[GroupPlan],
-) -> Vec<&'a Expression> {
-    let pushed = |f: &&Expression| groups.iter().any(|g| g.filters.contains(f));
-    filters.iter().filter(|f| !pushed(f)).collect()
+/// One conjunctive branch: the exclusive groups of its patterns in
+/// `engine`'s order, the residual filters, then each `OPTIONAL` and
+/// `MINUS` block as one unit sent whole to its sources.
+fn run_branch<B: Baseline + ?Sized>(
+    engine: &B,
+    branch: &ConjBranch,
+    ctx: &RunContext,
+) -> Result<Relation, EngineError> {
+    // The baselines cannot bridge disconnected required subgraphs through
+    // a filter variable (the paper's C5 / B5 / B6).
+    if connected_pattern_components(&branch.patterns) > 1 {
+        return Err(EngineError::Unsupported(
+            "disjoint subgraphs joined by a filter variable".into(),
+        ));
+    }
+    let sources = engine.sources(&branch.patterns, ctx)?;
+    let mut groups = exclusive_groups(&branch.patterns, &sources, &branch.filters);
+    // Greedy: the least-ranked unit given what the ones before it bind.
+    let (mut units, mut bound) = (Vec::with_capacity(groups.len()), Vec::new());
+    while !groups.is_empty() {
+        let rank = |(_, unit): &(usize, &Subquery)| engine.rank(unit, &bound);
+        let (next, _) = groups.iter().enumerate().min_by_key(rank).unwrap();
+        let unit = groups.remove(next);
+        bound.extend(unit.projection.iter().cloned());
+        units.push(unit);
+    }
+    let exec = engine.executor();
+    let residual = residual_filters(&branch.filters, &units);
+    let required = exec.execute_groups(&units, ctx)?;
+    assemble_branch(branch, required, residual, |_, i, block, _| {
+        let unit = Subquery::for_block(i, block, &engine.sources(&block.patterns, ctx)?);
+        exec.execute_groups(&[unit], ctx)
+    })
 }
 
-/// Knobs distinguishing the baselines' execution styles.
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
+/// FedX grouping: triple patterns whose relevant source set is the *same
+/// single endpoint* form one exclusive group; everything else is a
+/// singleton unit sent to all its sources. Each unit takes every filter
+/// core's push-down rule gives it.
+pub(crate) fn exclusive_groups(
+    patterns: &[TriplePattern],
+    sources: &[Vec<EndpointId>],
+    filters: &[Expression],
+) -> Vec<Subquery> {
+    let mut groups: Vec<(Vec<TriplePattern>, &Vec<EndpointId>)> = Vec::new();
+    for (tp, sources) in patterns.iter().zip(sources) {
+        let exclusive = sources.len() == 1;
+        match groups.iter_mut().find(|(_, s)| exclusive && *s == sources) {
+            Some((group, _)) => group.push(tp.clone()),
+            None => groups.push((vec![tp.clone()], sources)),
+        }
+    }
+    let unit = |(id, (patterns, sources)): (usize, (Vec<_>, &Vec<_>))| {
+        let mut unit = Subquery::new(id, patterns, Vec::new(), sources.clone());
+        unit.filters = pushed_filters(filters, &unit.projection);
+        unit
+    };
+    groups.into_iter().enumerate().map(unit).collect()
+}
+
+/// How a baseline evaluates its units: every wave through `handler` to
+/// `federation`, bindings shipped `block_size` per `VALUES` block.
+pub(crate) struct Executor<'a> {
+    pub federation: &'a Federation,
+    pub handler: &'a RequestHandler,
     /// Bindings per `VALUES` block in a bound join (FedX ships 15).
     pub block_size: usize,
     /// When set, a step whose current bindings exceed this switches to
@@ -113,114 +144,99 @@ pub struct ExecOptions {
     pub hash_join_threshold: Option<usize>,
 }
 
-/// The nested-loop, group-at-a-time execution shared by FedX, HiBISCuS,
-/// and SPLENDID: evaluate the first group, then repeatedly ship the
-/// current bindings to the next group's sources in blocks.
-///
-/// This is exactly the strategy §1 of the Lusail paper critiques: "the
-/// query being processed one triple pattern at a time", with requests
-/// multiplying as blocks × endpoints. Every wave leaves through
-/// [`RunContext::dispatch`], under the query's one deadline.
-pub fn execute_groups(
-    federation: &Federation,
-    handler: &RequestHandler,
-    groups: &[GroupPlan],
-    ctx: &RunContext,
-    opts: &ExecOptions,
-) -> Result<Relation, EngineError> {
-    let mut current: Option<Relation> = None;
-    for group in groups {
-        let rel = match &current {
-            None => evaluate_unbound(federation, handler, group, ctx)?,
-            Some(bindings) => {
-                let shared: Vec<Variable> = group
-                    .variables()
-                    .into_iter()
-                    .filter(|v| bindings.index_of(v).is_some())
-                    .collect();
-                let use_hash = match opts.hash_join_threshold {
-                    Some(limit) => bindings.len() > limit,
-                    None => false,
-                };
-                if shared.is_empty() || use_hash {
-                    evaluate_unbound(federation, handler, group, ctx)?
-                } else {
-                    evaluate_bound(federation, handler, group, bindings, &shared, ctx, opts)?
+impl Executor<'_> {
+    /// The nested-loop, group-at-a-time execution shared by FedX,
+    /// HiBISCuS, and SPLENDID: evaluate the first unit, then repeatedly
+    /// ship the current bindings to the next unit's sources in blocks.
+    ///
+    /// This is exactly the strategy §1 of the Lusail paper critiques: "the
+    /// query being processed one triple pattern at a time", with requests
+    /// multiplying as blocks × endpoints. Every wave leaves through
+    /// [`RunContext::dispatch`], under the query's one deadline.
+    pub fn execute_groups(
+        &self,
+        units: &[Subquery],
+        ctx: &RunContext,
+    ) -> Result<Relation, EngineError> {
+        let mut current: Option<Relation> = None;
+        for unit in units {
+            let rel = match &current {
+                None => self.evaluate_unbound(unit, ctx)?,
+                Some(bindings) => {
+                    let shared: Vec<Variable> = (unit.projection.iter())
+                        .filter(|v| bindings.index_of(v).is_some())
+                        .cloned()
+                        .collect();
+                    let use_hash = (self.hash_join_threshold).is_some_and(|l| bindings.len() > l);
+                    if shared.is_empty() || use_hash {
+                        self.evaluate_unbound(unit, ctx)?
+                    } else {
+                        self.evaluate_bound(unit, bindings, &shared, ctx)?
+                    }
                 }
-            }
-        };
-        current = Some(match current {
-            None => rel,
-            Some(acc) => acc.join(&rel),
-        });
-        if current.as_ref().is_some_and(|r| r.is_empty()) {
-            // Keep the header complete for downstream projection.
-            let r = current.unwrap();
-            let mut vars = r.vars().to_vec();
-            for g in groups {
-                for v in g.variables() {
+            };
+            current = Some(match current {
+                None => rel,
+                Some(acc) => acc.join(&rel),
+            });
+            if current.as_ref().is_some_and(|r| r.is_empty()) {
+                // Keep the header complete for downstream projection.
+                let r = current.unwrap();
+                let mut vars = r.vars().to_vec();
+                for v in units.iter().flat_map(Subquery::variables) {
                     if !vars.contains(&v) {
                         vars.push(v);
                     }
                 }
+                return Ok(Relation::new(vars));
             }
-            return Ok(Relation::new(vars));
         }
+        Ok(current.unwrap_or_else(|| Relation::from_rows(Vec::new(), vec![Vec::new()])))
     }
-    Ok(current.unwrap_or_else(|| Relation::from_rows(Vec::new(), vec![Vec::new()])))
-}
 
-/// One wave: `group`, unbound or over one block, at each of its sources.
-fn fetch(
-    federation: &Federation,
-    handler: &RequestHandler,
-    group: &GroupPlan,
-    bound: Option<BoundBlock<'_>>,
-    ctx: &RunContext,
-) -> Result<Vec<Relation>, EngineError> {
-    let q = group.to_query(bound);
-    let select = |ep, deadline| federation.endpoint(ep).select_within(&q, deadline);
-    let sent = ctx.dispatch(handler, "group wave", group.sources.clone(), select)?;
-    let settled = |rel| ctx.absorb("group wave", Relation::new(group.variables()), rel);
-    sent.into_iter().map(settled).collect()
-}
-
-fn evaluate_unbound(
-    federation: &Federation,
-    handler: &RequestHandler,
-    group: &GroupPlan,
-    ctx: &RunContext,
-) -> Result<Relation, EngineError> {
-    let mut out = Relation::new(group.variables());
-    for rel in fetch(federation, handler, group, None, ctx)? {
-        out.append(rel);
+    /// One wave: `query`, `unit` unbound or over one block, at each of
+    /// the unit's sources.
+    fn fetch(
+        &self,
+        unit: &Subquery,
+        query: Query,
+        ctx: &RunContext,
+    ) -> Result<Vec<Relation>, EngineError> {
+        let select = |ep, deadline| self.federation.endpoint(ep).select_within(&query, deadline);
+        let sent = ctx.dispatch(self.handler, "group wave", unit.sources.clone(), select)?;
+        let settled = |rel| ctx.absorb("group wave", Relation::new(unit.projection.clone()), rel);
+        sent.into_iter().map(settled).collect()
     }
-    Ok(out)
-}
 
-fn evaluate_bound(
-    federation: &Federation,
-    handler: &RequestHandler,
-    group: &GroupPlan,
-    bindings: &Relation,
-    shared: &[Variable],
-    ctx: &RunContext,
-    opts: &ExecOptions,
-) -> Result<Relation, EngineError> {
-    // Distinct rows of the shared variables are the values to ship.
-    let mut key_rows = bindings.project(shared);
-    key_rows.dedup();
-    let rows = key_rows.rows().to_vec();
-    let mut out = Relation::new(group.variables());
-    // One wave per block: FedX-style sequential nested loop (each block
-    // still fans out to all sources in parallel, but blocks are serial —
-    // this is the parallelism limit the paper describes).
-    for block in rows.chunks(opts.block_size.max(1)) {
-        for rel in fetch(federation, handler, group, Some((shared, block)), ctx)? {
-            out.append(rel.project(out.vars()));
+    fn evaluate_unbound(&self, unit: &Subquery, ctx: &RunContext) -> Result<Relation, EngineError> {
+        let mut out = Relation::new(unit.projection.clone());
+        for rel in self.fetch(unit, unit.to_query(), ctx)? {
+            out.append(rel);
         }
+        Ok(out)
     }
-    Ok(out)
+
+    fn evaluate_bound(
+        &self,
+        unit: &Subquery,
+        bindings: &Relation,
+        shared: &[Variable],
+        ctx: &RunContext,
+    ) -> Result<Relation, EngineError> {
+        // Distinct rows of the shared variables are the values to ship.
+        let mut key_rows = bindings.project(shared);
+        key_rows.dedup();
+        let mut out = Relation::new(unit.projection.clone());
+        // One wave per block: FedX-style sequential nested loop (each block
+        // still fans out to all sources in parallel, but blocks are serial —
+        // this is the parallelism limit the paper describes).
+        for block in key_rows.rows().chunks(self.block_size.max(1)) {
+            for rel in self.fetch(unit, unit.to_bound_query(shared, block), ctx)? {
+                out.append(rel.project(out.vars()));
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// Split patterns into connected components by shared variables. Baselines
@@ -276,6 +292,7 @@ pub(crate) mod stalled {
         FaultProfile, FaultyEndpoint, NetworkProfile, SimulatedEndpoint, SparqlEndpoint,
     };
     use lusail_rdf::Graph;
+    use lusail_rdf::Term;
     use lusail_store::Store;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -357,6 +374,7 @@ mod tests {
     use lusail_core::LusailConfig;
     use lusail_federation::{NetworkProfile, SimulatedEndpoint, SparqlEndpoint};
     use lusail_rdf::Graph;
+    use lusail_rdf::Term;
     use lusail_sparql::ast::TermPattern;
     use lusail_store::Store;
     use std::sync::Arc;

@@ -14,16 +14,13 @@
 //! `bindings / 15 × endpoints` per join step. That request explosion is
 //! the behaviour Lusail's locality-aware decomposition removes.
 
-use crate::common::{
-    connected_pattern_components, execute_groups, residual_filters, ExecOptions, FederatedEngine,
-    GroupPlan,
-};
+use crate::common::{Baseline, Executor, FederatedEngine};
 use lusail_core::cache::QueryCache;
-use lusail_core::normalize::{assemble_branch, assemble_select, ConjBranch};
 use lusail_core::source::select_sources;
+use lusail_core::subquery::Subquery;
 use lusail_core::{EngineError, RunContext};
 use lusail_federation::{EndpointId, Federation, RequestHandler};
-use lusail_sparql::ast::{Expression, Query, TriplePattern, Variable};
+use lusail_sparql::ast::{Query, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
 use std::time::Duration;
 
@@ -98,56 +95,49 @@ impl FedX {
     pub fn federation(&self) -> &Federation {
         &self.federation
     }
+}
 
-    /// Run `query` under `ctx`: the one deadline (and cancel token) of
-    /// every probe and group wave. The baselines have no partial mode.
-    pub(crate) fn run(&self, query: &Query, ctx: &RunContext) -> Result<Relation, EngineError> {
-        assemble_select(query, |_, branches| {
-            (branches.iter())
-                .map(|branch| self.run_branch(branch, ctx))
-                .collect()
-        })
-    }
+impl Baseline for FedX {
+    type Rank = (usize, usize, usize, usize);
 
-    fn run_branch(&self, branch: &ConjBranch, ctx: &RunContext) -> Result<Relation, EngineError> {
-        // FedX cannot bridge disconnected required subgraphs through a
-        // filter variable (the paper's C5 / B5 / B6).
-        if connected_pattern_components(&branch.patterns) > 1 {
-            return Err(EngineError::Unsupported(
-                "disjoint subgraphs joined by a filter variable".into(),
-            ));
-        }
-
-        // ASK source selection, narrowed by the pruner when there is one:
-        // the same for the required patterns and for every block.
-        let sources_of = |patterns: &[TriplePattern]| {
-            let cache = Some(&self.cache);
-            let mut sources =
-                select_sources(&self.federation, &self.handler, cache, patterns, ctx)?;
-            if let Some(pruner) = &self.pruner {
-                for (tp, s) in patterns.iter().zip(&mut sources) {
-                    *s = pruner(tp, std::mem::take(s));
-                }
-            }
-            Ok::<_, EngineError>(sources)
-        };
-        let sources = sources_of(&branch.patterns)?;
-
-        let mut groups = build_groups(&branch.patterns, &sources, &branch.filters);
-        order_groups(&mut groups);
-
-        let opts = ExecOptions {
+    fn executor(&self) -> Executor<'_> {
+        Executor {
+            federation: &self.federation,
+            handler: &self.handler,
             block_size: self.config.bind_block_size,
             hash_join_threshold: None,
-        };
-        let run = |groups: &[GroupPlan]| {
-            execute_groups(&self.federation, &self.handler, groups, ctx, &opts)
-        };
-        let residual = residual_filters(&branch.filters, &groups);
-        // OPTIONAL and MINUS blocks: evaluated whole at their sources.
-        assemble_branch(branch, run(&groups)?, residual, |_, _, block, _| {
-            run(&[GroupPlan::for_block(block, &sources_of(&block.patterns)?)])
-        })
+        }
+    }
+
+    /// Cached `ASK` source selection, narrowed by the pruner when there is
+    /// one.
+    fn sources(
+        &self,
+        patterns: &[TriplePattern],
+        ctx: &RunContext,
+    ) -> Result<Vec<Vec<EndpointId>>, EngineError> {
+        let cache = Some(&self.cache);
+        let mut sources = select_sources(&self.federation, &self.handler, cache, patterns, ctx)?;
+        if let Some(pruner) = &self.pruner {
+            for (tp, s) in patterns.iter().zip(&mut sources) {
+                *s = pruner(tp, std::mem::take(s));
+            }
+        }
+        Ok(sources)
+    }
+
+    /// FedX's variable-counting join ordering: the unit with the fewest
+    /// *free* (unbound) variables, then exclusive groups, then more
+    /// constants, then fewer sources.
+    fn rank(&self, unit: &Subquery, bound: &[Variable]) -> Self::Rank {
+        let free = unit
+            .projection
+            .iter()
+            .filter(|v| !bound.contains(v))
+            .count();
+        let constants: usize = unit.patterns.iter().map(|tp| 3 - tp.free_slots()).sum();
+        let shared = usize::from(unit.sources.len() != 1);
+        (free, shared, usize::MAX - constants, unit.sources.len())
     }
 }
 
@@ -159,82 +149,6 @@ impl FederatedEngine for FedX {
     fn execute(&self, query: &Query) -> Result<Relation, EngineError> {
         self.run(query, &RunContext::fail_fast(self.config.timeout))
     }
-}
-
-/// FedX grouping: triple patterns whose relevant source set is the *same
-/// single endpoint* form one exclusive group; everything else is a
-/// singleton unit sent to all its sources.
-fn build_groups(
-    patterns: &[TriplePattern],
-    sources: &[Vec<EndpointId>],
-    filters: &[Expression],
-) -> Vec<GroupPlan> {
-    let mut groups: Vec<GroupPlan> = Vec::new();
-    for (i, tp) in patterns.iter().enumerate() {
-        let exclusive = sources[i].len() == 1;
-        let existing = exclusive
-            .then(|| {
-                groups
-                    .iter()
-                    .position(|g| g.sources == sources[i] && g.sources.len() == 1)
-            })
-            .flatten();
-        match existing {
-            Some(g) => groups[g].patterns.push(tp.clone()),
-            None => groups.push(GroupPlan {
-                patterns: vec![tp.clone()],
-                filters: Vec::new(),
-                sources: sources[i].clone(),
-            }),
-        }
-    }
-    // Push filters fully covered by one group.
-    for f in filters {
-        if matches!(f, Expression::Exists(_) | Expression::NotExists(_)) {
-            continue;
-        }
-        let fvars = f.variables();
-        if fvars.is_empty() {
-            continue;
-        }
-        for g in &mut groups {
-            let gvars = g.variables();
-            if fvars.iter().all(|v| gvars.contains(v)) {
-                g.filters.push(f.clone());
-            }
-        }
-    }
-    groups
-}
-
-/// FedX's variable-counting join ordering: repeatedly pick the unit with
-/// the fewest *free* (unbound) variables, breaking ties toward exclusive
-/// groups and more constants.
-fn order_groups(groups: &mut Vec<GroupPlan>) {
-    let mut ordered: Vec<GroupPlan> = Vec::with_capacity(groups.len());
-    let mut bound: Vec<Variable> = Vec::new();
-    while !groups.is_empty() {
-        let (idx, _) = groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let free = g.variables().iter().filter(|v| !bound.contains(v)).count();
-                let constants: usize = g.patterns.iter().map(|tp| 3 - tp.free_slots()).sum();
-                let exclusive = usize::from(g.sources.len() != 1);
-                // Lexicographic score: fewer free vars, then exclusive,
-                // then more constants, then fewer sources.
-                (
-                    i,
-                    (free, exclusive, usize::MAX - constants, g.sources.len()),
-                )
-            })
-            .min_by_key(|(_, score)| *score)
-            .unwrap();
-        let g = groups.remove(idx);
-        bound.extend(g.variables());
-        ordered.push(g);
-    }
-    *groups = ordered;
 }
 
 #[cfg(test)]
@@ -377,6 +291,7 @@ mod tests {
 
     #[test]
     fn exclusive_groups_form_for_unique_predicates() {
+        use crate::common::exclusive_groups;
         // Predicate only at univ1 → its patterns group exclusively.
         let ub = |l: &str| format!("{}{l}", vocab::ub::NS);
         let pats = vec![
@@ -392,12 +307,12 @@ mod tests {
             ),
         ];
         let sources = vec![vec![0], vec![0]];
-        let groups = build_groups(&pats, &sources, &[]);
+        let groups = exclusive_groups(&pats, &sources, &[]);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].patterns.len(), 2);
         // Mixed sources stay separate.
         let sources = vec![vec![0], vec![0, 1]];
-        let groups = build_groups(&pats, &sources, &[]);
+        let groups = exclusive_groups(&pats, &sources, &[]);
         assert_eq!(groups.len(), 2);
     }
 

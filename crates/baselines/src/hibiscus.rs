@@ -14,67 +14,38 @@
 //!   other side's endpoints can produce (and vice versa). We implement the
 //!   constant-based pruning, which is the part that fires on the
 //!   benchmarks' heterogeneous datasets.
+//!
+//! The summaries are the `subject_authorities` / `object_authorities` of
+//! the one statistics index both index-based engines read, SPLENDID's
+//! [`VoidIndex`]: one preprocessing pass, one index to rebuild.
 
-use crate::common::{unindexed, FederatedEngine};
+use crate::common::FederatedEngine;
 use crate::fedx::{FedX, FedXConfig};
+use crate::splendid::VoidIndex;
 use lusail_core::EngineError;
 use lusail_federation::{EndpointId, Federation};
-use lusail_rdf::fxhash::FxHashMap;
-use lusail_rdf::fxhash::FxHashSet;
-use lusail_sparql::ast::{Query, TermPattern, TriplePattern};
+use lusail_rdf::Term;
+use lusail_sparql::ast::{Query, TriplePattern};
 use lusail_sparql::solution::Relation;
-use std::time::{Duration, Instant};
-
-/// Per-endpoint authority summaries, built in a preprocessing pass.
-#[derive(Debug, Default, Clone)]
-struct AuthoritySummary {
-    /// predicate IRI → subject authorities at this endpoint.
-    subjects: FxHashMap<String, FxHashSet<String>>,
-    /// predicate IRI → object authorities at this endpoint.
-    objects: FxHashMap<String, FxHashSet<String>>,
-}
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The HiBISCuS engine: FedX plus authority-based source pruning.
 pub struct HiBiscus {
     inner: FedX,
-    build_time: Duration,
-    /// The first endpoint that offered no statistics, so has no summary.
-    unindexed: Option<String>,
+    /// The statistics SPLENDID indexes, read for their URI authorities.
+    index: Arc<VoidIndex>,
 }
 
 impl HiBiscus {
-    /// Build the summaries (preprocessing) and wrap FedX with the pruner.
+    /// Build the index (preprocessing) and wrap FedX with the pruner.
     pub fn new(federation: Federation, config: FedXConfig) -> Self {
-        let start = Instant::now();
-        let summaries: Vec<Option<AuthoritySummary>> = federation
-            .iter()
-            .map(|(_, ep)| {
-                let stats = ep.collect_stats()?;
-                let mut s = AuthoritySummary::default();
-                for (pred, pstats) in &stats.predicates {
-                    s.subjects
-                        .insert(pred.clone(), pstats.subject_authorities.clone());
-                    s.objects
-                        .insert(pred.clone(), pstats.object_authorities.clone());
-                }
-                Some(s)
-            })
-            .collect();
-        let build_time = start.elapsed();
-        let unindexed = (summaries.iter().position(Option::is_none))
-            .map(|ep| federation.endpoint(ep).name().to_string());
-        // Without every summary nothing is pruned: `execute` answers nothing.
-        let summaries: Option<Vec<AuthoritySummary>> = summaries.into_iter().collect();
-        let pruner = Box::new(
-            move |tp: &TriplePattern, sources: Vec<EndpointId>| match &summaries {
-                Some(summaries) => prune(summaries, tp, sources),
-                None => sources,
-            },
-        );
+        let index = Arc::new(VoidIndex::build(&federation));
+        let summaries = Arc::clone(&index);
+        let pruner = Box::new(move |tp: &TriplePattern, sources| prune(&summaries, tp, sources));
         HiBiscus {
             inner: FedX::with_pruner(federation, config, pruner, "HiBISCuS"),
-            build_time,
-            unindexed,
+            index,
         }
     }
 
@@ -84,49 +55,31 @@ impl HiBiscus {
     }
 }
 
-fn prune(
-    summaries: &[AuthoritySummary],
-    tp: &TriplePattern,
-    sources: Vec<EndpointId>,
-) -> Vec<EndpointId> {
+/// The `sources` of `tp` whose authorities can match its constant subject
+/// and object. An endpoint the index lacks is kept: `execute` refuses
+/// such a federation anyway.
+fn prune(index: &VoidIndex, tp: &TriplePattern, sources: Vec<EndpointId>) -> Vec<EndpointId> {
     let Some(pred) = tp.predicate.as_term().and_then(|t| t.as_iri()) else {
         return sources;
     };
-    let subject_auth = match &tp.subject {
-        TermPattern::Term(t) => t.authority().map(str::to_string),
-        TermPattern::Var(_) => None,
+    let subject = tp.subject.as_term().and_then(Term::authority);
+    let object = tp.object.as_term().and_then(Term::authority);
+    let relevant = |&ep: &EndpointId| {
+        let Some(stats) = &index.per_endpoint[ep] else {
+            return true;
+        };
+        // The predicate is absent here: nothing can match a constant.
+        let Some(p) = stats.predicates.get(pred) else {
+            return subject.is_none() && object.is_none();
+        };
+        subject.is_none_or(|a| p.subject_authorities.contains(a))
+            // Literal-only objects: authority unknown, kept (cannot prove
+            // irrelevance).
+            && object.is_none_or(|a| {
+                p.object_authorities.is_empty() || p.object_authorities.contains(a)
+            })
     };
-    let object_auth = match &tp.object {
-        TermPattern::Term(t) => t.authority().map(str::to_string),
-        TermPattern::Var(_) => None,
-    };
-    sources
-        .into_iter()
-        .filter(|&ep| {
-            let s = &summaries[ep];
-            if let Some(auth) = &subject_auth {
-                match s.subjects.get(pred) {
-                    Some(set) if set.contains(auth) => {}
-                    // The predicate exists but never with this authority
-                    // as subject → prune.
-                    Some(_) => return false,
-                    None => return false,
-                }
-            }
-            if let Some(auth) = &object_auth {
-                match s.objects.get(pred) {
-                    Some(set) if set.contains(auth) => {}
-                    Some(set) if set.is_empty() => {
-                        // Literal-only objects: authority unknown, keep
-                        // (cannot prove irrelevance).
-                    }
-                    Some(_) => return false,
-                    None => return false,
-                }
-            }
-            true
-        })
-        .collect()
+    sources.into_iter().filter(relevant).collect()
 }
 
 impl FederatedEngine for HiBiscus {
@@ -135,14 +88,13 @@ impl FederatedEngine for HiBiscus {
     }
 
     fn execute(&self, query: &Query) -> Result<Relation, EngineError> {
-        match &self.unindexed {
-            Some(endpoint) => Err(unindexed("HiBISCuS", endpoint)),
-            None => self.inner.execute(query),
-        }
+        let federation = self.inner.federation();
+        self.index.require_complete("HiBISCuS", federation)?;
+        self.inner.execute(query)
     }
 
     fn preprocessing_time(&self) -> Option<Duration> {
-        Some(self.build_time)
+        Some(self.index.build_time())
     }
 }
 
@@ -220,7 +172,7 @@ mod tests {
             ..Default::default()
         };
         let hib = HiBiscus::new(stalled::federation(&endpoints), config);
-        let run = |q: &Query, ctx: &_| hib.inner.run(q, ctx);
+        let run = |q: &Query, ctx: &_| crate::common::Baseline::run(&hib.inner, q, ctx);
         stalled::assert_stops_on_time(&endpoints, |q| hib.execute(q), run);
     }
 
@@ -232,26 +184,29 @@ mod tests {
 
     #[test]
     fn prune_respects_authorities() {
-        let mut s0 = AuthoritySummary::default();
-        s0.subjects
-            .entry("http://x/p".into())
-            .or_default()
-            .insert("http://a.org".into());
-        s0.objects.entry("http://x/p".into()).or_default();
-        let summaries = vec![s0, AuthoritySummary::default()];
+        use lusail_sparql::ast::TermPattern;
+        use lusail_store::stats::{PredicateStats, StoreStats};
+        let mut p = PredicateStats::default();
+        p.subject_authorities.insert("http://a.org".into());
+        let mut s0 = StoreStats::default();
+        s0.predicates.insert("http://x/p".into(), p);
+        let index = VoidIndex {
+            per_endpoint: vec![Some(s0), Some(StoreStats::default())],
+            build_time: Duration::ZERO,
+        };
         let tp = TriplePattern::new(
             TermPattern::iri("http://a.org/s1"),
             TermPattern::iri("http://x/p"),
             TermPattern::var("o"),
         );
         // ep0 has the authority; ep1 lacks the predicate entirely.
-        assert_eq!(prune(&summaries, &tp, vec![0, 1]), vec![0]);
+        assert_eq!(prune(&index, &tp, vec![0, 1]), vec![0]);
         // Variable subject: no subject pruning → both kept.
         let tp2 = TriplePattern::new(
             TermPattern::var("s"),
             TermPattern::iri("http://x/p"),
             TermPattern::var("o"),
         );
-        assert_eq!(prune(&summaries, &tp2, vec![0, 1]), vec![0, 1]);
+        assert_eq!(prune(&index, &tp2, vec![0, 1]), vec![0, 1]);
     }
 }

@@ -16,9 +16,13 @@
 //!   join planning use the index.
 //! * [`HiBiscus`] — an add-on over FedX that prunes
 //!   sources using per-predicate URI *authority* summaries, as in the
-//!   ESWC'14 paper.
+//!   ESWC'14 paper, read from the same [`VoidIndex`] SPLENDID builds.
 //!
-//! All three implement [`FederatedEngine`], as does
+//! The three differ only in strategy: where each triple pattern is sent
+//! and which unit runs next. They ship core's
+//! [`Subquery`](lusail_core::subquery::Subquery), push FILTERs into it by
+//! core's one rule and run every branch through one runner
+//! ([`common`]). All three implement [`FederatedEngine`], as does
 //! [`lusail_core::LusailEngine`], so the benchmark harness treats every
 //! system uniformly.
 

@@ -13,23 +13,27 @@
 //! authors' hardware): it scales with data size, which is why index-free
 //! engines are preferred for dynamic federations.
 
-use crate::common::{
-    connected_pattern_components, execute_groups, residual_filters, unindexed, ExecOptions,
-    FederatedEngine, GroupPlan,
-};
-use lusail_core::normalize::{assemble_branch, assemble_select, ConjBranch};
+use crate::common::{Baseline, Executor, FederatedEngine};
+use lusail_core::subquery::Subquery;
 use lusail_core::{EngineError, RunContext};
-use lusail_federation::{EndpointId, Federation, RequestHandler};
+use lusail_federation::{EndpointError, EndpointId, Federation, RequestHandler};
 use lusail_sparql::ast::{Query, TermPattern, TriplePattern, Variable};
 use lusail_sparql::solution::Relation;
 use lusail_store::stats::StoreStats;
 use std::time::{Duration, Instant};
 
+/// Above this many bindings, a join step switches from bound join to
+/// independent evaluation + hash join.
+const HASH_JOIN_THRESHOLD: usize = 500;
+/// Bindings per bound-join block.
+const BIND_BLOCK_SIZE: usize = 100;
+
 /// The VoID-style index: per-endpoint statistics gathered in the
-/// preprocessing pass, `None` for an endpoint that offered none.
+/// preprocessing pass, `None` for an endpoint that offered none. SPLENDID
+/// reads its counts; HiBISCuS reads its URI authorities.
 pub struct VoidIndex {
-    per_endpoint: Vec<Option<StoreStats>>,
-    build_time: Duration,
+    pub(crate) per_endpoint: Vec<Option<StoreStats>>,
+    pub(crate) build_time: Duration,
 }
 
 impl VoidIndex {
@@ -46,9 +50,20 @@ impl VoidIndex {
         }
     }
 
-    /// The first endpoint the index lacks: it offered no statistics.
-    pub fn unindexed(&self) -> Option<EndpointId> {
-        self.per_endpoint.iter().position(Option::is_none)
+    /// Refuse to answer for `engine` when an endpoint of `federation`
+    /// offered no statistics (an `HttpEndpoint` never does): the index
+    /// lacks it, and an index that reads it as empty would answer wrong.
+    pub fn require_complete(
+        &self,
+        engine: &str,
+        federation: &Federation,
+    ) -> Result<(), EngineError> {
+        let Some(ep) = self.per_endpoint.iter().position(Option::is_none) else {
+            return Ok(());
+        };
+        let why = format!("it offers no statistics, so the {engine} index cannot be built");
+        let rejected = EndpointError::rejected(federation.endpoint(ep).name(), why);
+        Err(EngineError::Endpoint(rejected))
     }
 
     /// How long preprocessing took.
@@ -111,11 +126,6 @@ pub struct Splendid {
     federation: Federation,
     index: VoidIndex,
     handler: RequestHandler,
-    /// Above this many bindings, a join step switches from bound join to
-    /// independent evaluation + hash join.
-    pub hash_join_threshold: usize,
-    /// Bindings per bound-join block.
-    pub bind_block_size: usize,
     pub timeout: Option<Duration>,
 }
 
@@ -128,8 +138,6 @@ impl Splendid {
             federation,
             index,
             handler,
-            hash_join_threshold: 500,
-            bind_block_size: 100,
             timeout: None,
         }
     }
@@ -143,111 +151,39 @@ impl Splendid {
     pub fn index(&self) -> &VoidIndex {
         &self.index
     }
+}
 
-    /// Run `query` under `ctx`: the one deadline (and cancel token) of
-    /// every group wave. An index that lacks an endpoint answers nothing.
-    fn run(&self, query: &Query, ctx: &RunContext) -> Result<Relation, EngineError> {
-        if let Some(ep) = self.index.unindexed() {
-            return Err(unindexed("SPLENDID", self.federation.endpoint(ep).name()));
+impl Baseline for Splendid {
+    type Rank = (bool, usize);
+
+    fn executor(&self) -> Executor<'_> {
+        Executor {
+            federation: &self.federation,
+            handler: &self.handler,
+            block_size: BIND_BLOCK_SIZE,
+            hash_join_threshold: Some(HASH_JOIN_THRESHOLD),
         }
-        assemble_select(query, |_, branches| {
-            (branches.iter())
-                .map(|branch| self.run_branch(branch, ctx))
-                .collect()
-        })
     }
 
-    fn run_branch(&self, branch: &ConjBranch, ctx: &RunContext) -> Result<Relation, EngineError> {
-        if connected_pattern_components(&branch.patterns) > 1 {
-            return Err(EngineError::Unsupported(
-                "disjoint subgraphs joined by a filter variable".into(),
-            ));
-        }
-        // Index-based source selection; then group single-source patterns
-        // per endpoint (SPLENDID also groups same-source patterns).
-        let sources_of = |patterns: &[TriplePattern]| -> Vec<Vec<EndpointId>> {
-            let of = |tp| self.index.sources_for(tp);
-            patterns.iter().map(of).collect()
-        };
-        let sources = sources_of(&branch.patterns);
-        let mut groups: Vec<GroupPlan> = Vec::new();
-        for (i, tp) in branch.patterns.iter().enumerate() {
-            let exclusive = sources[i].len() == 1;
-            let slot = exclusive
-                .then(|| {
-                    groups
-                        .iter()
-                        .position(|g| g.sources.len() == 1 && g.sources == sources[i])
-                })
-                .flatten();
-            match slot {
-                Some(g) => groups[g].patterns.push(tp.clone()),
-                None => groups.push(GroupPlan {
-                    patterns: vec![tp.clone()],
-                    filters: Vec::new(),
-                    sources: sources[i].clone(),
-                }),
-            }
-        }
-        for f in &branch.filters {
-            if matches!(
-                f,
-                lusail_sparql::ast::Expression::Exists(_)
-                    | lusail_sparql::ast::Expression::NotExists(_)
-            ) {
-                continue;
-            }
-            let fvars = f.variables();
-            if fvars.is_empty() {
-                continue;
-            }
-            for g in &mut groups {
-                let gvars = g.variables();
-                if fvars.iter().all(|v| gvars.contains(v)) {
-                    g.filters.push(f.clone());
-                }
-            }
-        }
+    /// Index-based source selection: no request.
+    fn sources(
+        &self,
+        patterns: &[TriplePattern],
+        _: &RunContext,
+    ) -> Result<Vec<Vec<EndpointId>>, EngineError> {
+        Ok(patterns
+            .iter()
+            .map(|tp| self.index.sources_for(tp))
+            .collect())
+    }
 
-        // Cost-based ordering: cheapest estimated group first, then by
-        // connectivity (greedy approximation of SPLENDID's DP planner).
-        let estimate = |g: &GroupPlan| -> usize {
-            g.patterns
-                .iter()
-                .map(|tp| self.index.total_estimate(tp))
-                .min()
-                .unwrap_or(0)
-        };
-        let mut ordered: Vec<GroupPlan> = Vec::with_capacity(groups.len());
-        let mut bound: Vec<Variable> = Vec::new();
-        while !groups.is_empty() {
-            let idx = groups
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, g)| {
-                    let connected =
-                        g.variables().iter().any(|v| bound.contains(v)) || bound.is_empty();
-                    (usize::from(!connected), estimate(g))
-                })
-                .map(|(i, _)| i)
-                .unwrap();
-            let g = groups.remove(idx);
-            bound.extend(g.variables());
-            ordered.push(g);
-        }
-
-        let opts = ExecOptions {
-            block_size: self.bind_block_size,
-            hash_join_threshold: Some(self.hash_join_threshold),
-        };
-        let run = |groups: &[GroupPlan]| {
-            execute_groups(&self.federation, &self.handler, groups, ctx, &opts)
-        };
-        let residual = residual_filters(&branch.filters, &ordered);
-        // OPTIONAL and MINUS blocks: evaluated whole at their sources.
-        assemble_branch(branch, run(&ordered)?, residual, |_, _, block, _| {
-            run(&[GroupPlan::for_block(block, &sources_of(&block.patterns))])
-        })
+    /// Cost-based ordering: a unit connected to what is bound first, then
+    /// the cheapest estimated (a greedy approximation of SPLENDID's DP
+    /// planner).
+    fn rank(&self, unit: &Subquery, bound: &[Variable]) -> Self::Rank {
+        let connected = bound.is_empty() || unit.projection.iter().any(|v| bound.contains(v));
+        let estimate = unit.patterns.iter().map(|tp| self.index.total_estimate(tp));
+        (!connected, estimate.min().unwrap_or(0))
     }
 }
 
@@ -257,6 +193,7 @@ impl FederatedEngine for Splendid {
     }
 
     fn execute(&self, query: &Query) -> Result<Relation, EngineError> {
+        self.index.require_complete("SPLENDID", &self.federation)?;
         self.run(query, &RunContext::fail_fast(self.timeout))
     }
 

@@ -39,7 +39,8 @@ usage:
                   [--cache-capacity N] [--max-result-rows N] [--partial]
                   [--drain-timeout SECS] [--watchdog-grace SECS]
   lusail generate --benchmark lubm|qfed|largerdf|bio2rdf --out DIR
-                  [--scale F] [--endpoints N] [--seed N]
+                  [--scale F (qfed, largerdf)] [--endpoints N (lubm)]
+                  [--seed N]
   lusail info     --data FILE...
   lusail snapshot --data FILE --out FILE.snap
 
@@ -604,13 +605,29 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 service: d.service,
             })
         }
-        GENERATE => Ok(Command::Generate {
-            benchmark: d.benchmark.ok_or_else(|| needs("--benchmark"))?,
-            out: d.out.ok_or_else(|| needs("--out DIR"))?,
-            scale: d.scale.unwrap_or(1.0),
-            endpoints: d.endpoints.unwrap_or(4),
-            seed: d.seed.unwrap_or(42),
-        }),
+        GENERATE => {
+            let benchmark = d.benchmark.ok_or_else(|| needs("--benchmark"))?;
+            let out = d.out.ok_or_else(|| needs("--out DIR"))?;
+            // A flag the benchmark does not read would silently leave its
+            // default in place.
+            let takers = [
+                ("--scale", d.scale.is_some(), &["qfed", "largerdf"][..]),
+                ("--endpoints", d.endpoints.is_some(), &["lubm"][..]),
+            ];
+            for (flag, given, benchmarks) in takers {
+                if given && !benchmarks.contains(&benchmark.as_str()) {
+                    let only = benchmarks.join(" or ");
+                    return Err(usage(format!("{flag} applies only to --benchmark {only}")));
+                }
+            }
+            Ok(Command::Generate {
+                benchmark,
+                out,
+                scale: d.scale.unwrap_or(1.0),
+                endpoints: d.endpoints.unwrap_or(4),
+                seed: d.seed.unwrap_or(42),
+            })
+        }
         INFO => Ok(Command::Info { data: d.fed.data }),
         _ => Ok(Command::Snapshot {
             data: d.fed.data.pop().ok_or_else(|| needs("--data FILE"))?,
@@ -1962,7 +1979,8 @@ mod tests {
     fn golden_rejections_keep_their_messages() {
         // One row per command line: its arguments, ` => `, the message the
         // hand-written parser the flag table replaced refused it with. A
-        // rejection that parser did not make has a test of its own below.
+        // rejection that parser did not make has a test of its own below,
+        // or a row after the `generate` flags a benchmark does not read.
         let golden = [
             r#" => missing subcommand"#,
             r#"frobnicate => unknown subcommand "frobnicate""#,
@@ -2033,6 +2051,11 @@ mod tests {
             r#"generate --benchmark lubm --out x --endpoints many => bad --endpoints "many""#,
             r#"generate --benchmark lubm --out x --endpoints -2 => bad --endpoints "-2""#,
             r#"generate --benchmark lubm --out x --seed x => bad --seed "x""#,
+            r#"generate --benchmark qfed --out x --endpoints 9 => --endpoints applies only to --benchmark lubm"#,
+            r#"generate --benchmark largerdf --out x --endpoints 2 => --endpoints applies only to --benchmark lubm"#,
+            r#"generate --benchmark bio2rdf --out x --endpoints 2 => --endpoints applies only to --benchmark lubm"#,
+            r#"generate --benchmark lubm --out x --scale 2 => --scale applies only to --benchmark qfed or largerdf"#,
+            r#"generate --benchmark bio2rdf --out x --scale 2 => --scale applies only to --benchmark qfed or largerdf"#,
             r#"info => info needs at least one --data FILE"#,
             r#"info --out x --data a.nt => unknown flag "--out" for info"#,
             r#"snapshot --out x => snapshot needs --data FILE"#,

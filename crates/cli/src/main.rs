@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lusail query  --data a.nt --data b.ttl --query q.sparql [options]
-//! lusail generate --benchmark lubm --out DIR [--scale F] [--endpoints N]
+//! lusail generate --benchmark lubm --out DIR [--endpoints N]
 //! lusail info   --data a.nt --data b.ttl
 //! ```
 //!

@@ -13,7 +13,7 @@ use crate::sape::estimate::{subquery_cardinality, TpCounts};
 use crate::sape::execute::SapeExecutor;
 use crate::sape::schedule::{make_schedule, Schedule};
 use crate::source::{probe, BranchStats};
-use crate::subquery::Subquery;
+use crate::subquery::{pattern_variables, pushed_filters, residual_filters, Subquery};
 use lusail_federation::json::Json;
 use lusail_federation::{EndpointId, Federation, RequestHandler, WaveSnapshot};
 use lusail_rdf::fxhash::FxHashMap;
@@ -288,8 +288,9 @@ impl LusailEngine {
                 .sum()
         };
         let decomposition = decompose(&branch.patterns, sources, &analysis, &estimator);
-        let (subqueries, cardinalities, global_filters) =
+        let (subqueries, cardinalities) =
             self.build_subqueries(branch, select_view, &decomposition.subqueries, counts);
+        let global_filters = residual_filters(&branch.filters, &subqueries);
         // Expected per-endpoint row counts, from the probe's COUNTs: exact
         // only for single-pattern subqueries, where the probe measured
         // the very query the wave will send. A delivery below the
@@ -366,22 +367,21 @@ impl LusailEngine {
             };
             executor.fetch_block(block, stats, id, &what, &branch.patterns, rows)
         };
-        let rel = assemble_branch(branch, outcome.relation, &global_filters, fetch)?;
+        let rel = assemble_branch(branch, outcome.relation, global_filters, fetch)?;
         profile.execution = t.elapsed();
         Ok((rel, profile))
     }
 
     /// Materialize subquery drafts into [`Subquery`] values: compute
     /// projections, push filters, and estimate cardinalities. Returns the
-    /// subqueries, their cardinalities, and the filters that could *not*
-    /// be pushed (to be applied after the global join).
+    /// subqueries and their cardinalities.
     fn build_subqueries(
         &self,
         branch: &ConjBranch,
         select_view: &SelectQuery,
         drafts: &[SubqueryDraft],
         counts: &TpCounts,
-    ) -> (Vec<Subquery>, Vec<usize>, Vec<Expression>) {
+    ) -> (Vec<Subquery>, Vec<usize>) {
         // Variables needed outside each subquery: the final projection,
         // global filters, optional blocks, VALUES, ORDER BY, and any
         // variable shared with another subquery.
@@ -400,7 +400,6 @@ impl LusailEngine {
 
         let mut subqueries = Vec::with_capacity(drafts.len());
         let mut cardinalities = Vec::with_capacity(drafts.len());
-        let mut pushed = vec![false; branch.filters.len()];
 
         for (id, draft) in drafts.iter().enumerate() {
             let patterns: Vec<_> = draft
@@ -408,38 +407,19 @@ impl LusailEngine {
                 .iter()
                 .map(|&i| branch.patterns[i].clone())
                 .collect();
-            let mut sq_vars: Vec<Variable> = Vec::new();
-            for tp in &patterns {
-                for v in tp.variables() {
-                    if !sq_vars.contains(v) {
-                        sq_vars.push(v.clone());
-                    }
-                }
-            }
+            let sq_vars = pattern_variables(&patterns);
+            let filters = pushed_filters(&branch.filters, &sq_vars);
 
-            // Push every branch filter fully covered by this subquery.
-            let mut filters = Vec::new();
-            for (fi, f) in branch.filters.iter().enumerate() {
-                if filter_is_pushable(f) {
-                    let fvars = f.variables();
-                    if !fvars.is_empty() && fvars.iter().all(|v| sq_vars.contains(v)) {
-                        filters.push(f.clone());
-                        pushed[fi] = true;
-                    }
-                }
-            }
-
-            // Projection: variables needed elsewhere.
+            // Projection: variables needed elsewhere. A filter another
+            // subquery took binds only that subquery's variables, which
+            // the last clause keeps anyway.
             let mut projection: Vec<Variable> = sq_vars
                 .iter()
                 .filter(|v| {
                     final_vars.contains(v)
                         || select_view.order_by.iter().any(|(ov, _)| &ov == v)
-                        || branch
-                            .filters
-                            .iter()
-                            .enumerate()
-                            .any(|(fi, f)| !pushed[fi] && f.variables().contains(v))
+                        || (branch.filters.iter())
+                            .any(|f| !filters.contains(f) && f.variables().contains(v))
                         || branch.optionals.iter().any(|o| o.variables().contains(v))
                         || branch.minuses.iter().any(|m| m.variables().contains(v))
                         || branch.binds.iter().any(|(e, _)| e.variables().contains(v))
@@ -474,23 +454,8 @@ impl LusailEngine {
             });
             cardinalities.push(card);
         }
-
-        let globals: Vec<Expression> = branch
-            .filters
-            .iter()
-            .enumerate()
-            .filter(|(fi, _)| !pushed[*fi])
-            .map(|(_, f)| f.clone())
-            .collect();
-        (subqueries, cardinalities, globals)
+        (subqueries, cardinalities)
     }
-}
-
-/// Filters containing EXISTS cannot be pushed textually with our
-/// decomposition bookkeeping (their inner pattern's sources are not
-/// analyzed); they stay global.
-fn filter_is_pushable(f: &Expression) -> bool {
-    !matches!(f, Expression::Exists(_) | Expression::NotExists(_))
 }
 
 #[cfg(test)]

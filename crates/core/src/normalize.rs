@@ -25,6 +25,7 @@
 //! category (iii)), and so are its `MINUS` blocks.
 
 use crate::error::EngineError;
+use crate::subquery::pattern_variables;
 use lusail_rdf::Term;
 use lusail_sparql::ast::{
     Expression, GraphPattern, Projection, Query, QueryForm, SelectQuery, TriplePattern, Variable,
@@ -43,15 +44,7 @@ pub struct OptionalBlock {
 impl OptionalBlock {
     /// All variables bound inside the optional group.
     pub fn variables(&self) -> Vec<Variable> {
-        let mut out = Vec::new();
-        for tp in &self.patterns {
-            for v in tp.variables() {
-                if !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out
+        pattern_variables(&self.patterns)
     }
 }
 

@@ -39,7 +39,7 @@ use crate::normalize::OptionalBlock;
 use crate::run::RunContext;
 use crate::sape::join::{join_all_bridged, JoinReport};
 use crate::sape::schedule::Schedule;
-use crate::source::{merged_sources, BlockStats};
+use crate::source::BlockStats;
 use crate::subquery::{connected_components, Subquery};
 use lusail_federation::{EndpointId, Federation, RequestHandler, SelectResponse};
 use lusail_rdf::dict::{Dictionary, TermId};
@@ -299,13 +299,7 @@ impl SapeExecutor<'_> {
         required: &[TriplePattern],
         rows: &Relation,
     ) -> Result<Relation, EngineError> {
-        let sq = Subquery {
-            id,
-            patterns: block.patterns.clone(),
-            filters: block.filters.clone(),
-            sources: merged_sources(&stats.sources),
-            projection: block.variables(),
-        };
+        let sq = Subquery::for_block(id, block, &stats.sources);
         let mut bindings = FoundBindings::default();
         for v in &sq.projection {
             if required.iter().any(|tp| tp.mentions(v)) && rows.index_of(v).is_some() {

@@ -1,5 +1,13 @@
-//! Subqueries: the unit LADE produces and SAPE schedules.
+//! The one unit of evaluation every engine ships: a group of triple
+//! patterns, the FILTERs pushed into it, its sources and the variables it
+//! returns. LADE produces Lusail's and SAPE schedules them; the baselines
+//! form theirs from exclusive groups and single patterns; an `OPTIONAL` or
+//! `MINUS` block is one ([`Subquery::for_block`]) in every engine.
+//! [`pushed_filters`] is the one rule for which FILTERs go inside a unit,
+//! and [`residual_filters`] the one answer to which stay at the federator.
 
+use crate::normalize::OptionalBlock;
+use crate::source::merged_sources;
 use lusail_federation::EndpointId;
 use lusail_rdf::fxhash::FxHashSet;
 use lusail_rdf::Term;
@@ -27,17 +35,34 @@ pub struct Subquery {
 }
 
 impl Subquery {
+    /// A unit that ships back every variable of its `patterns`.
+    pub fn new(
+        id: usize,
+        patterns: Vec<TriplePattern>,
+        filters: Vec<Expression>,
+        sources: Vec<EndpointId>,
+    ) -> Self {
+        let projection = pattern_variables(&patterns);
+        Subquery {
+            id,
+            patterns,
+            filters,
+            sources,
+            projection,
+        }
+    }
+
+    /// An `OPTIONAL` or `MINUS` block as one unit, with all its filters,
+    /// sent whole to every endpoint relevant to any of its patterns
+    /// (`sources`, per pattern).
+    pub fn for_block(id: usize, block: &OptionalBlock, sources: &[Vec<EndpointId>]) -> Self {
+        let (patterns, filters) = (block.patterns.clone(), block.filters.clone());
+        Subquery::new(id, patterns, filters, merged_sources(sources))
+    }
+
     /// All variables appearing in the subquery's patterns.
     pub fn variables(&self) -> Vec<Variable> {
-        let mut out = Vec::new();
-        for tp in &self.patterns {
-            for v in tp.variables() {
-                if !out.contains(v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out
+        pattern_variables(&self.patterns)
     }
 
     /// Does this subquery mention `v`?
@@ -75,27 +100,38 @@ impl Subquery {
             body,
         ))
     }
+}
 
-    /// A `SELECT COUNT` probe for one triple pattern of this subquery,
-    /// with this subquery's single-pattern filters pushed down for better
-    /// estimates (Section 4.1).
-    pub fn count_query(&self, tp: &TriplePattern) -> Query {
-        let mut p = GraphPattern::Bgp(vec![tp.clone()]);
-        let tp_vars = tp.variables();
-        for f in &self.filters {
-            if f.variables().iter().all(|v| tp_vars.contains(&v)) {
-                p = GraphPattern::Filter(Box::new(p), f.clone());
-            }
+/// The variables of `patterns`, each once, in order of first appearance.
+pub fn pattern_variables(patterns: &[TriplePattern]) -> Vec<Variable> {
+    let mut out = Vec::new();
+    for v in patterns.iter().flat_map(TriplePattern::variables) {
+        if !out.contains(v) {
+            out.push(v.clone());
         }
-        Query::select(SelectQuery::new(
-            Projection::Count {
-                inner: None,
-                distinct: false,
-                as_var: Variable::new("lusail_c"),
-            },
-            p,
-        ))
     }
+    out
+}
+
+/// The FILTER push-down rule of every engine: the filters of `filters`,
+/// in branch order, that go into a unit whose patterns bind `vars`. A
+/// filter goes in when it is not a top-level `EXISTS` / `NOT EXISTS`
+/// (whose inner pattern's sources nobody analysed), has a variable, and
+/// has no variable the unit lacks.
+pub fn pushed_filters(filters: &[Expression], vars: &[Variable]) -> Vec<Expression> {
+    let pushes = |f: &&Expression| {
+        let fvars = f.variables();
+        !matches!(f, Expression::Exists(_) | Expression::NotExists(_))
+            && !fvars.is_empty()
+            && fvars.iter().all(|v| vars.contains(v))
+    };
+    filters.iter().filter(pushes).cloned().collect()
+}
+
+/// The branch filters no unit of `units` took: applied to the joined rows.
+pub fn residual_filters<'a>(filters: &'a [Expression], units: &[Subquery]) -> Vec<&'a Expression> {
+    let pushed = |f: &&Expression| units.iter().any(|u| u.filters.contains(f));
+    filters.iter().filter(|f| !pushed(f)).collect()
 }
 
 /// Group the subqueries `members` names into components connected by shared
@@ -178,19 +214,6 @@ mod tests {
         let text = lusail_sparql::serializer::serialize_query(&q);
         assert!(text.contains("VALUES"), "{text}");
         assert!(parse_query(&text).is_ok());
-    }
-
-    #[test]
-    fn count_query_pushes_single_pattern_filters() {
-        let s = sq();
-        // Filter on ?z applies to the second pattern only.
-        let q1 = s.count_query(&s.patterns[0]);
-        let t1 = lusail_sparql::serializer::serialize_query(&q1);
-        assert!(!t1.contains("FILTER"), "{t1}");
-        let q2 = s.count_query(&s.patterns[1]);
-        let t2 = lusail_sparql::serializer::serialize_query(&q2);
-        assert!(t2.contains("FILTER"), "{t2}");
-        assert!(t2.contains("COUNT"));
     }
 
     #[test]

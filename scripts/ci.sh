@@ -269,10 +269,24 @@ done)
 # it (ROADMAP item 13(a)); it never answers from an empty index again.
 for f in crates/baselines/src/*.rs; do
     if nontest "$f" | tr -d ' \n' | grep -oE 'collect_stats\(\)\.unwrap_or_default|None=>[A-Za-z]*Summary::default\(\)'; then
-        echo "$f defaults a missing collect_stats(); fail with common::unindexed instead" >&2
+        echo "$f defaults a missing collect_stats(); fail with VoidIndex::require_complete instead" >&2
         exit 1
     fi
 done
+# The four engines ship one evaluation unit, core's Subquery, and push a
+# FILTER into it by one rule (DESIGN.md → Result assembly): no second unit,
+# no second statistics index beside the VoidIndex, no second push-down
+# predicate or copy of its EXISTS test, and one branch runner the three
+# baselines share.
+if grep -rnE 'struct (GroupPlan|AuthoritySummary)|fn filter_is_pushable' crates; then
+    echo "a second evaluation unit, statistics index or FILTER push-down rule is back" >&2
+    exit 1
+fi
+n=$( { grep -rhoE 'fn run_branch\b' crates/baselines/src || true; } | wc -l)
+[ "$n" -le 1 ] || { echo "fn run_branch is defined $n times in crates/baselines/src, want one (common.rs)" >&2; exit 1; }
+n=$( { nontest $(find crates/core/src crates/baselines/src -name '*.rs') | tr -d ' \n' \
+    | grep -oE 'Expression::Exists\(_\)\|([a-z_]+::)*Expression::NotExists\(_\)' || true; } | wc -l)
+[ "$n" -eq 1 ] || { echo "the EXISTS push-down test appears $n times in crates/{core,baselines}/src, want 1 (core::subquery::pushed_filters)" >&2; exit 1; }
 
 # What the paper's system does not need stays deleted (ROADMAP item 5):
 # keyword search and `lusail search` (the paper's future work), the two

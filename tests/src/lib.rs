@@ -9,6 +9,7 @@ use lusail_sparql::ast::Query;
 use lusail_sparql::serializer::serialize_query;
 use lusail_sparql::solution::Relation;
 use lusail_store::eval::QueryResult;
+use lusail_store::stats::StoreStats;
 use lusail_store::{Evaluator, Store};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -163,4 +164,17 @@ impl SparqlEndpoint for RecordingEndpoint {
     fn max_request_bytes(&self) -> Option<usize> {
         self.inner.max_request_bytes()
     }
+    fn collect_stats(&self) -> Option<StoreStats> {
+        self.inner.collect_stats()
+    }
+}
+
+/// FNV-1a over `texts`, each followed by a newline: the fingerprint a
+/// request-log pin compares.
+pub fn fnv(texts: &[String]) -> u64 {
+    (texts.iter())
+        .flat_map(|q| q.bytes().chain([b'\n']))
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }

@@ -1,7 +1,7 @@
 //! Driving LADE's public pieces directly over the paper's Figure 4
 //! scenario, plus SAPE-level behaviours observable through the engine.
 
-use integration::RecordingEndpoint;
+use integration::{fnv, RecordingEndpoint};
 use lusail_core::cache::{pattern_key, QueryCache};
 use lusail_core::lade::gjv::detect_gjvs;
 use lusail_core::normalize::{normalize, ConjBranch};
@@ -466,15 +466,6 @@ fn keeping_fewer_found_bindings_sends_the_same_requests() {
         );
         assert_eq!(fingerprint(r), parent, "{}: {:#?}", r.name(), r.sent());
     }
-}
-
-/// FNV-1a over `texts`, each followed by a newline.
-fn fnv(texts: &[String]) -> u64 {
-    (texts.iter())
-        .flat_map(|q| q.bytes().chain([b'\n']))
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
 }
 
 /// Run `queries` in catalog order through one fresh engine (default
